@@ -110,8 +110,8 @@ def chart_covector_u(ctx: PointContext, jets: bool = False) -> Tensor:
     one = Fraction(1) if ctx.exact else 1.0
     if jets:
         order = ctx.bundle.metric.order
-        entries = [Jet.constant(n, order, one) if i == 0 else Jet.zero(n, order)
-                   for i in range(n)]
+        entries = [Jet.constant(n, order, one, ctx.mode) if i == 0
+                   else Jet.zero(n, order, ctx.mode) for i in range(n)]
     else:
         entries = [one if i == 0 else ctx.zero() for i in range(n)]
     return Tensor(n, COV, entries)
@@ -160,8 +160,9 @@ def extract_recurrence_jets(t: Tensor, nabla_t: Tensor):
     """
     n = t.dim
     order = nabla_t.entries[0].order
+    mode = nabla_t.entries[0].mode
     tt = t.truncate(order)
-    denom = Jet.zero(n, order)
+    denom = Jet.zero(n, order, mode)
     for e in tt.entries:
         if not e.is_zero():
             denom = denom + e * e
@@ -170,7 +171,7 @@ def extract_recurrence_jets(t: Tensor, nabla_t: Tensor):
     inv = jet_recip(denom, "<T,T> in recurrence extraction")
     alpha = []
     for i in range(n):
-        num = Jet.zero(n, order)
+        num = Jet.zero(n, order, mode)
         for idx in tt.indices():
             a = nabla_t[(i,) + idx]
             b = tt[idx]

@@ -17,8 +17,8 @@ from functools import cached_property
 from . import linalg
 from .jets import (EXACT, FLOAT, Jet, OrderBudgetError, as_mode, jet_exp,
                    jet_from_polynomial, jet_recip)
-from .tensors import (COV, CON, Tensor, contract, cyclic_sum, kronecker,
-                      raise_lower, sup_norm)
+from .tensors import (COV, CON, Tensor, contract, cyclic_sum, raise_lower,
+                      sup_norm)
 
 
 class DegeneratePointError(ValueError):
@@ -79,12 +79,12 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
     if not det:
         raise DegeneratePointError(f"metric degenerate at point {point}")
     signature = linalg.symmetric_inertia(g0)
-    g_inv = _invert_metric_jets(g, g0, order)
+    g_inv = _invert_metric_jets(g, g0, order, mode)
     return MetricAtPoint(g, g_inv, point, signature, mode, order,
                          coords=getattr(spec, "coords", None))
 
 
-def _invert_metric_jets(g: Tensor, g0, order: int) -> Tensor:
+def _invert_metric_jets(g: Tensor, g0, order: int, mode: str) -> Tensor:
     """Jet inverse via the terminating Neumann series around the point value.
 
     E = g - g(point) has no constant term, so (g0^-1 E)^k dies past k = K and
@@ -92,9 +92,8 @@ def _invert_metric_jets(g: Tensor, g0, order: int) -> Tensor:
     """
     n = g.dim
     inv0 = linalg.mat_inverse(g0)
-    sample = g.entries[0]
-    const = lambda v: Jet.constant(n, order, v)
-    zero = Jet.zero(n, order)
+    const = lambda v: Jet.constant(n, order, v, mode)
+    zero = Jet.zero(n, order, mode)
     # M = -g0inv * E as a jet matrix
     m = [[zero for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -154,12 +153,12 @@ def christoffel(m: MetricAtPoint) -> Tensor:
     dg = [[[m.g[l, k].derivative(j, "christoffel") for k in range(n)]
            for j in range(n)] for l in range(n)]
     # dg[l][j][k] = d_j g_{lk}
-    out = Tensor.zeros(n, CON + COV + COV, Jet.zero(n, m.order - 1))
+    out = Tensor.zeros(n, CON + COV + COV, Jet.zero(n, m.order - 1, m.mode))
     ginv = m.g_inv.truncate(m.order - 1)
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                acc = Jet.zero(n, m.order - 1)
+                acc = Jet.zero(n, m.order - 1, m.mode)
                 for l in range(n):
                     gil = ginv[i, l]
                     if gil.is_zero():
@@ -188,36 +187,41 @@ def covariant_derivative(t: Tensor, gamma: Tensor, context: str = "covariant der
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
-    gam = gamma.truncate(order - 1)
-    out = Tensor.zeros(n, COV + t.variance, Jet.zero(n, order - 1))
-    for idx in t.indices():
-        e = t[idx]
+    gam = gamma.truncate(order - 1).entries   # Gamma^a_{bc} at (a*n + b)*n + c
+    rank = t.rank
+    stride = n ** rank                          # weight of the new slot i
+    out = [Jet.zero(n, order - 1, sample.mode)] * (n * stride)
+    for off, (idx, e) in enumerate(zip(t.indices(), t.entries)):
+        if e.is_zero():
+            continue
         for i in range(n):
             d = e.derivative(i, context)
             if not d.is_zero():
-                out[(i,) + idx] = out[(i,) + idx] + d
-        if e.is_zero():
-            continue
+                o = i * stride + off
+                out[o] = out[o] + d
         for s, var in enumerate(t.variance):
+            w = n ** (rank - 1 - s)             # weight of slot s
+            p = idx[s]
+            rest = off - p * w                  # offset with slot s cleared
             if var == CON:
-                # t^{p=idx[s]} feeds output slot value m via +Gamma^m_{i p}
+                # t^{p} feeds output slot value m via +Gamma^m_{i p}
                 for mm in range(n):
                     for i in range(n):
-                        gme = gam[mm, i, idx[s]]
+                        gme = gam[(mm * n + i) * n + p]
                         if gme.is_zero():
                             continue
-                        tgt = (i,) + idx[:s] + (mm,) + idx[s + 1:]
-                        out[tgt] = out[tgt] + gme * e
+                        o = i * stride + rest + mm * w
+                        out[o] = out[o] + gme * e
             else:
-                # t_{p=idx[s]} feeds output slot value a via -Gamma^p_{i a}
+                # t_{p} feeds output slot value a via -Gamma^p_{i a}
                 for aa in range(n):
                     for i in range(n):
-                        gme = gam[idx[s], i, aa]
+                        gme = gam[(p * n + i) * n + aa]
                         if gme.is_zero():
                             continue
-                        tgt = (i,) + idx[:s] + (aa,) + idx[s + 1:]
-                        out[tgt] = out[tgt] - gme * e
-    return out
+                        o = i * stride + rest + aa * w
+                        out[o] = out[o] - gme * e
+    return Tensor(n, COV + t.variance, out)
 
 
 def laplacian(t: Tensor, m: MetricAtPoint, gamma: Tensor,
@@ -264,7 +268,7 @@ class CurvatureBundle:
                    for mm in range(n)] for l in range(n)] for k in range(n)]
                 for j in range(n)]
         gam = gamma.truncate(order)
-        out = Tensor.zeros(n, COV * 3 + CON, Jet.zero(n, order))
+        out = Tensor.zeros(n, COV * 3 + CON, Jet.zero(n, order, self.mode))
         for j in range(n):
             for k in range(j + 1, n):
                 for l in range(n):
@@ -322,13 +326,13 @@ class CurvatureBundle:
         scal = self.scalar
         c1 = as_mode(Fraction(1, n - 2), self.mode)
         c2 = as_mode(Fraction(1, (n - 1) * (n - 2)), self.mode)
-        out = Tensor.zeros(n, COV * 3 + CON, Jet.zero(n, order))
+        out = Tensor.zeros(n, COV * 3 + CON, Jet.zero(n, order, self.mode))
         for j in range(n):
             for k in range(n):
                 for l in range(n):
                     for mm in range(n):
                         acc = riem[j, k, l, mm]
-                        corr = Jet.zero(n, order)
+                        corr = Jet.zero(n, order, self.mode)
                         if mm == j:
                             corr = corr + ric[k, l]
                         if mm == k:
@@ -340,7 +344,7 @@ class CurvatureBundle:
                         if not corr.is_zero():
                             acc = acc + corr * c1
                         if not scal.is_zero():
-                            tail = Jet.zero(n, order)
+                            tail = Jet.zero(n, order, self.mode)
                             if mm == j:
                                 tail = tail + g[k, l]
                             if mm == k:

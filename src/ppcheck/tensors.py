@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .jets import Jet
+from .jets import FLOAT, Jet
 
 COV = "l"
 CON = "u"
@@ -21,7 +21,7 @@ class TensorError(ValueError):
 
 def zero_like(sample):
     if isinstance(sample, Jet):
-        return Jet.zero(sample.dim, sample.order)
+        return Jet.zero(sample.dim, sample.order, sample.mode)
     if isinstance(sample, float):
         return 0.0
     return Fraction(0)
@@ -270,7 +270,8 @@ def raise_lower(t: Tensor, slot: int, metric: Tensor) -> Tensor:
 def kronecker(dim: int, sample) -> Tensor:
     """Mixed identity tensor delta_i^j with entries shaped like `sample`."""
     if isinstance(sample, Jet):
-        one = Jet.constant(sample.dim, sample.order, _unit_for(sample))
+        one = Jet.constant(sample.dim, sample.order, _unit_for(sample),
+                           sample.mode)
     else:
         one = _unit_for(sample)
     t = Tensor.zeros(dim, COV + CON, sample)
@@ -281,7 +282,5 @@ def kronecker(dim: int, sample) -> Tensor:
 
 def _unit_for(sample):
     if isinstance(sample, Jet):
-        for c in sample.coeffs.values():
-            return 1.0 if isinstance(c, float) else Fraction(1)
-        return Fraction(1)
+        return 1.0 if sample.mode == FLOAT else Fraction(1)
     return 1.0 if isinstance(sample, float) else Fraction(1)

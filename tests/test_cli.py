@@ -84,6 +84,16 @@ class TestRun:
         with pytest.raises(ConfigError, match="unknown checks"):
             run(spec, config)
 
+    def test_float_exp_factor_with_zero_sigma_constant(self):
+        # x0 = 0 at every sample point leaves sigma's constant term zero;
+        # jet_exp must go by the jet's mode, not by that term's type
+        doc = {"family": "perturbed_minkowski", "n": 4, "params": {"seed": 1},
+               "mode": "float", "checks": ["conformal_invariance"],
+               "points": {"strategy": "random", "count": 3, "seed": 5}}
+        spec, config = parse_metric_config(json.dumps(doc))
+        rep = run(spec, config)
+        assert [r.status for r in rep.rows] == ["pass"] * 3
+
     def test_parallel_serial_identical(self):
         spec, config = parse_metric_config(FLAGSHIP)
         a = report_to_json(run(spec, config, threads=1))
@@ -117,6 +127,33 @@ class TestTheoremSuite:
         spec, config = parse_metric_config(FLAGSHIP)
         with pytest.raises(ConfigError, match="unknown theorem"):
             theorem_suite("thm_9_9", spec, config)
+
+
+# Small exact runs whose reports are pinned byte for byte in tests/data.
+# Between them they reach every jet operation: seeding from polynomials,
+# sums, differences, negation, scalar and jet products, reciprocals,
+# truncation and derivatives, on sparse (galaev) and dense (perturbed) jets.
+PINNED_REPORTS = {
+    "report_galaev_exact.json": {
+        "family": "galaev", "d": 3,
+        "params": {"lambda": [1, 1, -2], "a": "0", "F": "u"},
+        "mode": "exact", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 1}},
+    "report_generic_exact.json": {
+        "family": "perturbed_minkowski", "n": 4,
+        "params": {"seed": 3, "degree": 1}, "mode": "exact", "jet_order": 3,
+        "points": {"strategy": "grid", "count": 1},
+        "checks": ["bianchi", "conformal_invariance",
+                   "weyl_divergence_formula", "ricci_recurrence",
+                   "conformal_recurrence"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_exact_report_byte_identical(name):
+    spec, config = parse_metric_config(json.dumps(PINNED_REPORTS[name]))
+    with open(os.path.join(HERE, "data", name), encoding="utf-8") as fh:
+        assert report_to_json(run(spec, config)) == fh.read()
 
 
 class TestSerialization:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import NC4, make_ctx, poly
-from ppcheck import EXACT, build_ppwave
+from ppcheck import EXACT, FLOAT, Jet, build_ppwave
 from ppcheck.tensors import (Tensor, contract, cyclic_sum, kronecker,
                              raise_lower, sup_norm)
 
@@ -24,6 +24,12 @@ class TestContraction:
         ric = b.ricci.values()
         ginv = b.metric.g_inv.values()
         assert not sup_norm(contract(ric, 0, 1, ginv))
+
+    def test_kronecker_of_zero_float_jet_is_float(self):
+        delta = kronecker(4, Jet.zero(4, 2, FLOAT))
+        assert delta[1, 1] == Jet.constant(4, 2, 1.0, FLOAT)
+        assert all(e.mode == FLOAT and isinstance(e.value, float)
+                   for e in delta.entries)
 
     def test_same_variance_needs_metric(self):
         t = Tensor.zeros(3, "ll", F(0))
