@@ -8,10 +8,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from .checks import CHECKS, ORDER_BUDGET, CheckResult, PointContext
+from .checks import CHECKS, ERROR, ORDER_BUDGET, CheckResult, PointContext
 from .geometry import CurvatureBundle, DegeneratePointError, metric_at_point
 from .metrics import (ConfigError, MetricSpec, RunConfig, parse_metric_config,
                       perturb_point, sample_points)
@@ -59,10 +60,21 @@ def _usable_point(spec: MetricSpec, point, config: RunConfig, notes: list):
 
 
 def _evaluate(spec, point, bundle, config, names):
+    """Run each check at one point; a check that raises becomes an error row."""
     ctx = PointContext(spec=spec, point=point, mode=config.mode, bundle=bundle,
                        tolerance=config.tolerance,
                        field_coeffs=config.field_coeffs)
-    return [CHECKS[name](ctx) for name in names]
+    results = []
+    for name in names:
+        try:
+            results.append(CHECKS[name](ctx))
+        except Exception as exc:    # one failing check must not end the run
+            where = traceback.extract_tb(exc.__traceback__)[-1].name
+            results.append(CheckResult(
+                name, ERROR, ctx.zero(), point,
+                notes=f"check {name!r} raised {type(exc).__name__} "
+                      f"in {where}: {exc}"))
+    return results
 
 
 def run(spec: MetricSpec, config: RunConfig, threads: int = 1) -> Report:

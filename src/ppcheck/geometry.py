@@ -4,6 +4,14 @@ Everything is evaluated pointwise: metric components become jets, the
 Levi-Civita connection and curvature tensors are assembled from them, and
 covariant derivatives consume one jet order each.
 
+The Weyl tensor is never differentiated.  The connection is metric
+(nabla g = 0), so nabla commutes with the Weyl decomposition: nabla^L C is
+that decomposition applied to nabla^L of Riemann, Ricci and R.  Every
+(1,3) Weyl variant is its covariant form with the last slot raised by the
+inverse metric.  Truncated jets form a ring and the inverse metric jet is
+the exact truncated inverse, so in exact mode the derived jets equal the
+directly differentiated ones literally, not approximately.
+
 Sign convention: the Riemann assembly carries a global minus sign relative
 to the naive dGamma + GammaGamma expression, chosen once so that the Ricci
 contraction R_ij = -R_kij^k reproduces psi = -1/2 * sum_rho d^2 H/dx_rho^2
@@ -235,6 +243,11 @@ def laplacian(t: Tensor, m: MetricAtPoint, gamma: Tensor,
 class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
+    Covariant derivatives are taken of Riemann, Ricci and R only.  `weyl`,
+    `nabla_weyl` and `nabla2_weyl` apply the Weyl decomposition to them
+    (exact because nabla g = 0), and `weyl_mixed`, `nabla_weyl_mixed` and
+    `nabla2_weyl_mixed` raise the last slot of those.
+
     Jet order budgets: Weyl needs K>=2, first covariant derivatives K>=3,
     Laplacians and double derivatives K>=4.  Underbudgeted requests raise
     OrderBudgetError instead of silently truncating.
@@ -300,65 +313,79 @@ class CurvatureBundle:
         return -contract(self.riemann_mixed, 0, 3)
 
     @cached_property
-    def ricci_mixed(self) -> Tensor:
-        """R_j^m (second slot raised)."""
-        return raise_lower(self.ricci, 1,
-                           self.metric.g_inv.truncate(self.metric.order - 2))
-
-    @cached_property
     def scalar(self) -> Jet:
         """Scalar curvature R = g^{ij} R_ij."""
         return contract(self.ricci, 0, 1,
                         self.metric.g_inv.truncate(self.metric.order - 2)).entries[0]
 
-    @cached_property
-    def weyl_mixed(self) -> Tensor:
-        """C_{jkl}^m per the (1,3) Weyl decomposition; conformally invariant."""
+    def _weyl_part(self, riem: Tensor, ric: Tensor, scal: Tensor) -> Tensor:
+        """The covariant Weyl decomposition applied to nabla^L of its inputs.
+
+        `riem`, `ric` and `scal` are nabla^L of R_{jklm}, R_kl and R, with the
+        L derivative slots first.  Because nabla g = 0 the decomposition
+        commutes with nabla, so the result is nabla^L C_{jklm}:
+
+            C_jklm = R_jklm + (g_jm R_kl - g_km R_jl + g_kl R_jm - g_jl R_km)/(n-2)
+                     - R (g_jm g_kl - g_km g_jl)/((n-1)(n-2)).
+
+        Only the nonzero entries of `ric`, `scal` and the metric are visited.
+        """
         n = self.dim
         if n < 4:
             raise UnsupportedDimensionError(
                 f"Weyl tensor needs dimension >= 4, metric has n={n}")
-        order = self.metric.order - 2
-        riem = self.riemann_mixed
-        ric = self.ricci
-        ric_up = self.ricci_mixed
-        g = self.metric.g.truncate(order)
-        scal = self.scalar
+        g = self.metric.g.truncate(riem.entries[0].order).entries
+        g_nz = [(x, y, g[x * n + y]) for x in range(n) for y in range(n)
+                if not g[x * n + y].is_zero()]
         c1 = as_mode(Fraction(1, n - 2), self.mode)
-        c2 = as_mode(Fraction(1, (n - 1) * (n - 2)), self.mode)
-        out = Tensor.zeros(n, COV * 3 + CON, Jet.zero(n, order, self.mode))
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    for mm in range(n):
-                        acc = riem[j, k, l, mm]
-                        corr = Jet.zero(n, order, self.mode)
-                        if mm == j:
-                            corr = corr + ric[k, l]
-                        if mm == k:
-                            corr = corr - ric[j, l]
-                        if not g[k, l].is_zero() and not ric_up[j, mm].is_zero():
-                            corr = corr + g[k, l] * ric_up[j, mm]
-                        if not g[j, l].is_zero() and not ric_up[k, mm].is_zero():
-                            corr = corr - g[j, l] * ric_up[k, mm]
-                        if not corr.is_zero():
-                            acc = acc + corr * c1
-                        if not scal.is_zero():
-                            tail = Jet.zero(n, order, self.mode)
-                            if mm == j:
-                                tail = tail + g[k, l]
-                            if mm == k:
-                                tail = tail - g[j, l]
-                            if not tail.is_zero():
-                                acc = acc - (scal.truncate(order) * tail) * c2
-                        out[j, k, l, mm] = acc
-        return out
+        c2 = as_mode(Fraction(-1, (n - 1) * (n - 2)), self.mode)
+        stride = n ** 4                     # entries per derivative prefix
+        out = list(riem.entries)
+        for off, e in enumerate(ric.entries):
+            if e.is_zero():
+                continue
+            pre, ab = divmod(off, n * n)
+            a, b = divmod(ab, n)
+            base = pre * stride
+            e = e * c1
+            for x, y, gxy in g_nz:
+                if x == a:                  # the +/- terms cancel in pairs
+                    continue
+                t = gxy * e
+                for o in (((x * n + a) * n + b) * n + y,     # g_jm R_kl
+                          ((a * n + x) * n + y) * n + b):    # g_kl R_jm
+                    out[base + o] = out[base + o] + t
+                for o in (((a * n + x) * n + b) * n + y,     # g_km R_jl
+                          ((x * n + a) * n + y) * n + b):    # g_jl R_km
+                    out[base + o] = out[base + o] - t
+        for pre, s in enumerate(scal.entries):
+            if s.is_zero():
+                continue
+            base = pre * stride
+            s = s * c2
+            for x, y, gxy in g_nz:
+                sg = s * gxy
+                for z, w, gzw in g_nz:
+                    if z == x:              # the two terms cancel
+                        continue
+                    t = sg * gzw
+                    o = base + ((x * n + z) * n + w) * n + y
+                    out[o] = out[o] + t
+                    o = base + ((z * n + x) * n + w) * n + y
+                    out[o] = out[o] - t
+        return Tensor(n, riem.variance, out)
 
     @cached_property
     def weyl(self) -> Tensor:
         """Fully covariant C_{jklm}."""
-        return raise_lower(self.weyl_mixed, 3,
-                           self.metric.g.truncate(self.metric.order - 2))
+        return self._weyl_part(self.riemann, self.ricci,
+                               Tensor(self.dim, "", [self.scalar]))
+
+    @cached_property
+    def weyl_mixed(self) -> Tensor:
+        """C_{jkl}^m, the last slot of `weyl` raised; conformally invariant."""
+        return raise_lower(self.weyl, 3,
+                           self.metric.g_inv.truncate(self.metric.order - 2))
 
     # -- first covariant derivatives ----------------------------------------
 
@@ -382,12 +409,14 @@ class CurvatureBundle:
     @cached_property
     def nabla_weyl(self) -> Tensor:
         self.require(3, "nabla Weyl")
-        return covariant_derivative(self.weyl, self.gamma, "nabla Weyl")
+        return self._weyl_part(self.nabla_riemann, self.nabla_ricci,
+                               self.nabla_scalar)
 
     @cached_property
     def nabla_weyl_mixed(self) -> Tensor:
-        self.require(3, "nabla Weyl (1,3)")
-        return covariant_derivative(self.weyl_mixed, self.gamma, "nabla Weyl (1,3)")
+        """nabla_i C_{jkl}^m, the last slot of `nabla_weyl` raised."""
+        return raise_lower(self.nabla_weyl, 4,
+                           self.metric.g_inv.truncate(self.metric.order - 3))
 
     @cached_property
     def div_weyl(self) -> Tensor:
@@ -404,7 +433,10 @@ class CurvatureBundle:
     @cached_property
     def nabla2_weyl(self) -> Tensor:
         self.require(4, "nabla nabla Weyl")
-        return covariant_derivative(self.nabla_weyl, self.gamma, "nabla nabla Weyl")
+        nabla2_scalar = covariant_derivative(self.nabla_scalar, self.gamma,
+                                             "nabla nabla R")
+        return self._weyl_part(self.nabla2_riemann, self.nabla2_ricci,
+                               nabla2_scalar)
 
     @cached_property
     def nabla2_riemann(self) -> Tensor:
@@ -429,9 +461,9 @@ class CurvatureBundle:
 
     @cached_property
     def nabla2_weyl_mixed(self) -> Tensor:
-        self.require(4, "nabla nabla Weyl (1,3)")
-        return covariant_derivative(self.nabla_weyl_mixed, self.gamma,
-                                    "nabla nabla Weyl (1,3)")
+        """The last slot of `nabla2_weyl` raised."""
+        return raise_lower(self.nabla2_weyl, 5,
+                           self.metric.g_inv.truncate(self.metric.order - 4))
 
     @cached_property
     def double_div_weyl(self) -> Tensor:

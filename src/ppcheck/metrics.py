@@ -368,6 +368,30 @@ def perturb_point(point, attempt: int):
 
 # -- configuration document ---------------------------------------------------
 
+def _integer(value, name: str) -> int:
+    """An integer field; a string holding an integer also counts."""
+    if not isinstance(value, (int, str)) or isinstance(value, bool):
+        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(
+            f"field {name!r} must be an integer, got {value!r}") from None
+
+
+def _rational(value, name: str) -> Fraction:
+    """A finite rational field: an integer, a float, or a string like "-3/7"."""
+    if (not isinstance(value, (int, float, str))
+            or isinstance(value, bool)):
+        raise ConfigError(f"field {name!r} must be a rational number, "
+                          f"got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ConfigError(f"field {name!r} must be a finite rational number, "
+                          f"got {value!r}") from None
+
+
 def parse_metric_config(text: str):
     """Parse a JSON configuration document into (MetricSpec, RunConfig)."""
     try:
@@ -405,9 +429,11 @@ def parse_metric_config(text: str):
         raise ConfigError("field 'points' must be an object")
     plan = PointPlan(
         strategy=pts.get("strategy", "grid"),
-        seed=int(pts.get("seed", 0)),
-        count=int(pts.get("count", 5)),
+        seed=_integer(pts.get("seed", 0), "points.seed"),
+        count=_integer(pts.get("count", 5), "points.count"),
         u_values=tuple(str(x) for x in pts.get("u_values", DEFAULT_U_VALUES)))
+    for u in plan.u_values:
+        _rational(u, "points.u_values")     # sample_points reads them later
     if plan.strategy not in ("grid", "random"):
         raise ConfigError(f"points.strategy must be 'grid' or 'random', got {plan.strategy!r}")
     if plan.count < 1 or plan.count > 25:
@@ -417,10 +443,17 @@ def parse_metric_config(text: str):
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
             raise ConfigError("field 'checks' must be a list of check names")
         checks = tuple(checks)
-    tol = float(doc.get("tolerance", 1e-9))
-    coeffs = tuple(doc.get("field_equation_coeffs", (1, 1)))
+    tol = _rational(doc.get("tolerance", 1e-9), "tolerance")
+    if not 0 <= tol <= 1:
+        raise ConfigError("field 'tolerance' is a relative residual and must "
+                          f"lie in [0, 1], got {doc['tolerance']!r}")
+    coeffs = doc.get("field_equation_coeffs", [1, 1])
+    if not isinstance(coeffs, list) or not coeffs:
+        raise ConfigError("field 'field_equation_coeffs' must be a non-empty "
+                          "list of rational numbers")
+    coeffs = tuple(_rational(c, "field_equation_coeffs") for c in coeffs)
     config = RunConfig(mode=mode, jet_order=jet_order, points=plan,
-                       tolerance=tol, checks=checks, field_coeffs=coeffs)
+                       tolerance=float(tol), checks=checks, field_coeffs=coeffs)
     return spec, config
 
 
@@ -458,15 +491,15 @@ def _build_from_config(family, doc, params):
         return build_custom(comp, coords=params.get("coords"))
     if family == "perturbed_minkowski":
         return build_perturbed_minkowski(
-            seed=int(params.get("seed", 0)),
-            n=int(doc.get("n", 4)),
-            max_degree=int(params.get("degree", 2)))
+            seed=_integer(params.get("seed", 0), "params.seed"),
+            n=_integer(doc.get("n", 4), "n"),
+            max_degree=_integer(params.get("degree", 2), "params.degree"))
     d = doc.get("d")
     if d is None and doc.get("n") is not None:
-        d = int(doc["n"]) - 2
+        d = _integer(doc["n"], "n") - 2
     if d is None:
         raise ConfigError("field 'd' (or 'n') is required for built-in families")
-    d = int(d)
+    d = _integer(d, "d")
     if family in ("ppwave", "brinkmann"):
         H = params.get("H")
         if H is None:
@@ -476,15 +509,16 @@ def _build_from_config(family, doc, params):
         lam = params.get("lambda")
         if lam is None:
             raise ConfigError("galaev family needs params.lambda")
-        return build_galaev(d, [Fraction(str(x)) for x in lam],
+        return build_galaev(d, [_rational(str(x), "params.lambda") for x in lam],
                             params.get("a", "0"), params.get("F", "0"))
     if family == "two_symmetric":
         if "a_vec" not in params:
             raise ConfigError("two_symmetric family needs params.a_vec")
-        a_vec = [Fraction(str(x)) for x in params["a_vec"]]
+        a_vec = [_rational(str(x), "params.a_vec") for x in params["a_vec"]]
         b_mat = params.get("b_mat")
         if b_mat is not None:
-            b_mat = [[Fraction(str(x)) for x in row] for row in b_mat]
+            b_mat = [[_rational(str(x), "params.b_mat") for x in row]
+                     for row in b_mat]
         return build_two_symmetric(a_vec, b_mat)
     if family == "walker":
         if "H" not in params:

@@ -253,18 +253,19 @@ def raise_lower(t: Tensor, slot: int, metric: Tensor) -> Tensor:
     new_var = (t.variance[:slot]
                + (CON if t.variance[slot] == COV else COV)
                + t.variance[slot + 1:])
-    out = Tensor.zeros(n, new_var, t.entries[0])
-    for idx in t.indices():
-        e = t[idx]
+    w = n ** (t.rank - 1 - slot)            # weight of the slot in an offset
+    col = [[(m, metric.entries[m * n + p]) for m in range(n)
+            if not _is_zero_entry(metric.entries[m * n + p])] for p in range(n)]
+    out = Tensor.zeros(n, new_var, t.entries[0]).entries
+    for off, e in enumerate(t.entries):
         if _is_zero_entry(e):
             continue
-        for m in range(n):
-            g = metric[m, idx[slot]]
-            if _is_zero_entry(g):
-                continue
-            new_idx = idx[:slot] + (m,) + idx[slot + 1:]
-            out[new_idx] = out[new_idx] + e * g
-    return out
+        p = off // w % n
+        rest = off - p * w                  # offset with the slot cleared
+        for m, g in col[p]:
+            o = rest + m * w
+            out[o] = out[o] + e * g
+    return Tensor(n, new_var, out)
 
 
 def kronecker(dim: int, sample) -> Tensor:

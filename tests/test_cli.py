@@ -241,3 +241,56 @@ class TestMainEntry:
 
     def test_list_families_helper(self):
         assert "galaev" in list_families()
+
+
+BAD_FIELDS = {
+    "seed_not_integer": ('"points": {"seed": "abc"}', "points.seed"),
+    "coeffs_not_rational": ('"field_equation_coeffs": ["x", "y"]',
+                            "field_equation_coeffs"),
+    "tolerance_nan": ('"tolerance": "nan"', "tolerance"),
+    "tolerance_inf": ('"tolerance": "inf"', "tolerance"),
+    "tolerance_negative": ('"tolerance": -1e-9', "tolerance"),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    def test_bad_field_exits_two_with_one_line(self, case, tmp_path, capsys):
+        field_text, name = BAD_FIELDS[case]
+        doc = ('{"family": "galaev", "d": 3, "params": {"lambda": [1, 1, -2],'
+               ' "a": "0", "F": "u"}, ' + field_text + "}")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(doc)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(name) in err
+
+    def test_rational_coefficient_strings_accepted(self):
+        doc = FLAGSHIP.replace('"mode": "exact"',
+                               '"mode": "float", "tolerance": "1/1000000",'
+                               ' "field_equation_coeffs": ["1/2", 3]')
+        _, config = parse_metric_config(doc)
+        assert config.field_coeffs == (F(1, 2), F(3))
+        assert config.tolerance == 1e-6
+
+
+class TestCheckIsolation:
+    def test_raising_check_becomes_error_row(self, tmp_path):
+        doc = {"family": "custom",
+               "params": {"coords": ["x0", "x1", "x2"],
+                          "components": {"0,0": "1 + x1^2", "1,1": "1",
+                                         "2,2": "1 + x0*x2"}},
+               "mode": "exact", "points": {"count": 1},
+               "checks": ["weyl_trace", "bianchi"]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = {r["check"]: r for r in json.loads(out.read_text())["rows"]}
+        assert rows["bianchi"]["status"] == "pass"
+        assert rows["weyl_trace"]["status"] == "error"
+        notes = rows["weyl_trace"]["notes"]
+        assert "'weyl_trace'" in notes
+        assert "UnsupportedDimensionError" in notes
+        assert "dimension >= 4" in notes

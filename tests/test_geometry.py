@@ -117,6 +117,56 @@ class TestWeyl:
             b.weyl
 
 
+class TestDerivedWeylDerivatives:
+    """nabla C and nabla nabla C come from nabla^L of Riemann, Ricci and R,
+    and their (1,3) forms by raising; differentiating C directly is the
+    reference."""
+
+    ATTRS = ("nabla_weyl", "nabla_weyl_mixed", "nabla2_weyl",
+             "nabla2_weyl_mixed")
+
+    @staticmethod
+    def direct(b):
+        nw = covariant_derivative(b.weyl, b.gamma, "oracle")
+        nwm = covariant_derivative(b.weyl_mixed, b.gamma, "oracle")
+        return {"nabla_weyl": nw, "nabla_weyl_mixed": nwm,
+                "nabla2_weyl": covariant_derivative(nw, b.gamma, "oracle"),
+                "nabla2_weyl_mixed": covariant_derivative(nwm, b.gamma,
+                                                          "oracle")}
+
+    @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
+    def test_exact_jets_equal_direct_derivatives(self, ctx_name, request):
+        b = request.getfixturevalue(ctx_name).bundle
+        for attr, want in self.direct(b).items():
+            assert getattr(b, attr) == want, attr
+        assert sup_norm(b.nabla_weyl.values()) > 0
+
+    def test_float_exponential_factor_within_tolerance(self):
+        sigma = poly("u/5 + x1*x2/7")
+        spec = conformal_rescale(build_ppwave(poly("u*x1^2 + x2^3"), d=2),
+                                 sigma, kind="exp")
+        b = bundle_for(spec, mode=FLOAT)
+        for attr, want in self.direct(b).items():
+            got = getattr(b, attr)
+            scale = max(abs(c) for e in want.entries
+                        for c in e.coeffs.values())
+            gap = max(abs(g.coefficient(k) - w.coefficient(k))
+                      for g, w in zip(got.entries, want.entries)
+                      for k in set(g.coeffs) | set(w.coeffs))
+            assert scale > 0 and gap <= 1e-9 * scale, (attr, gap, scale)
+
+    @pytest.mark.parametrize("attr", ATTRS)
+    def test_low_dimension_rejected(self, attr):
+        from ppcheck.geometry import UnsupportedDimensionError
+        coords = ("x0", "x1", "x2")
+        comp = [[parse_polynomial("1 + x0*x1" if i == j == 2 else
+                                  "1" if i == j else "0", coords)
+                 for j in range(3)] for i in range(3)]
+        b = bundle_for(build_custom(comp, coords), (F(1), F(2), F(3)))
+        with pytest.raises(UnsupportedDimensionError):
+            getattr(b, attr)
+
+
 class TestCovariantDerivative:
     @pytest.mark.parametrize("spec", [
         flat_spec(),

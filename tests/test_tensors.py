@@ -1,4 +1,6 @@
 """Chart-component tensors: contraction, cyclic sums, index shuffling."""
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -93,6 +95,59 @@ class TestRaiseLower:
         v = Tensor(4, "u", [F(2), F(3), F(0), F(0)])
         low = raise_lower(v, 0, eta)
         assert list(low.entries) == [F(-2), F(3), F(0), F(0)]
+
+
+def _naive_raise_lower(t, slot, metric):
+    """out[J] = sum_p t[J with p in the slot] * metric[J[slot], p]."""
+    n = t.dim
+    flip = "u" if t.variance[slot] == "l" else "l"
+    out = Tensor.zeros(n, t.variance[:slot] + flip + t.variance[slot + 1:],
+                       t.entries[0])
+    for idx in itertools.product(range(n), repeat=t.rank):
+        acc = out[idx]
+        for p in range(n):
+            e = t[idx[:slot] + (p,) + idx[slot + 1:]]
+            acc = acc + e * metric[idx[slot], p]
+        out[idx] = acc
+    return out
+
+
+def _random_entry(rng, kind):
+    """A Fraction, float or jet entry; about a third of them are zero."""
+    if rng.random() < 0.35:
+        return {"fraction": F(0), "float": 0.0,
+                "jet": Jet.zero(2, 2, EXACT),
+                "float_jet": Jet.zero(2, 2, FLOAT)}[kind]
+    if kind == "fraction":
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+    if kind == "float":
+        return rng.uniform(-2.0, 2.0)
+    mode = EXACT if kind == "jet" else FLOAT
+    coeffs = {mi: (F(rng.randint(-5, 5), rng.randint(1, 4)) if mode == EXACT
+                   else rng.uniform(-1.0, 1.0))
+              for mi in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+              if rng.random() < 0.6}
+    return Jet(2, 2, coeffs, mode)
+
+
+class TestRaiseLowerReference:
+    @pytest.mark.parametrize("kind", ["fraction", "float", "jet", "float_jet"])
+    def test_matches_naive_loop(self, kind):
+        rng = random.Random(kind)
+        n = 3
+        for rank in range(1, 6):
+            for slot in range(rank):
+                for flip in ("l", "u"):
+                    variance = "".join(rng.choice("lu") for _ in range(rank))
+                    variance = variance[:slot] + flip + variance[slot + 1:]
+                    t = Tensor(n, variance, [_random_entry(rng, kind)
+                                             for _ in range(n ** rank)])
+                    # not symmetric, so a swapped metric index shows
+                    metric = Tensor(n, "uu" if flip == "l" else "ll",
+                                    [_random_entry(rng, kind)
+                                     for _ in range(n * n)])
+                    assert (raise_lower(t, slot, metric)
+                            == _naive_raise_lower(t, slot, metric))
 
 
 class TestPermute:
