@@ -128,24 +128,29 @@ def extract_recurrence(t: Tensor, nabla_t: Tensor):
     relative to sup|nabla T| (0/0 -> 0).
     """
     n = t.dim
+    te = t.entries
+    size = len(te)
+    rows = [nabla_t.entries[i * size:(i + 1) * size] for i in range(n)]
     denom = None
-    for e in t.entries:
+    for e in te:
         term = e * e
         denom = term if denom is None else denom + term
     if not denom:
         return None, None
     alpha = []
-    for i in range(n):
+    for row in rows:
         num = None
-        for idx in t.indices():
-            term = nabla_t[(i,) + idx] * t[idx]
+        for a, e in zip(row, te):
+            term = a * e
             num = term if num is None else num + term
         alpha.append(num / denom)
     worst = abs(denom * 0)
     ref = sup_norm(nabla_t)
-    for i in range(n):
-        for idx in t.indices():
-            delta = abs(nabla_t[(i,) + idx] - alpha[i] * t[idx])
+    for al, row in zip(alpha, rows):
+        for a, e in zip(row, te):
+            if not (a or e):
+                continue                    # delta is 0
+            delta = abs(a - al * e)
             if delta > worst:
                 worst = delta
     residual = relative_residual(worst, ref)
@@ -170,11 +175,10 @@ def extract_recurrence_jets(t: Tensor, nabla_t: Tensor):
         return None
     inv = jet_recip(denom, "<T,T> in recurrence extraction")
     alpha = []
+    size = len(tt.entries)
     for i in range(n):
         num = Jet.zero(n, order, mode)
-        for idx in tt.indices():
-            a = nabla_t[(i,) + idx]
-            b = tt[idx]
+        for a, b in zip(nabla_t.entries[i * size:(i + 1) * size], tt.entries):
             if a.is_zero() or b.is_zero():
                 continue
             num = num + a * b
@@ -229,26 +233,38 @@ def check_weyl_cyclic_identity(ctx: PointContext) -> CheckResult:
     ginv = b.metric.g_inv.values()
     nw = b.nabla_weyl.values()                 # (p, j, k, a, b)
     div2 = raise_lower(contract(nw, 0, 4, ginv), 2, ginv)   # (j, k, m^)
-    g = b.metric.g.values()
+    g = b.metric.g.values().entries
     inv_n3 = (Fraction(1, n - 3) if ctx.exact else 1.0 / (n - 3))
-    delta = Tensor.zeros(n, "lllll", lhs.entries[0])
+    d1, d2 = div1.entries, div2.entries
+    zero = ctx.zero()
+    # sup over (i, j, k, l, m) of |lhs - rhs / (n-3)|; zero terms are skipped
+    worst = zero
+    off = 0
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
+                    gkl, gil, gjl = g[k * n + l], g[i * n + l], g[j * n + l]
                     for m in range(n):
-                        rhs = ctx.zero()
+                        rhs = zero
                         if m == j:
-                            rhs = rhs + div1[k, i, l]
+                            rhs = rhs + d1[(k * n + i) * n + l]
                         if m == k:
-                            rhs = rhs + div1[i, j, l]
+                            rhs = rhs + d1[(i * n + j) * n + l]
                         if m == i:
-                            rhs = rhs + div1[j, k, l]
-                        rhs = rhs + g[k, l] * div2[j, i, m] \
-                            + g[i, l] * div2[k, j, m] \
-                            + g[j, l] * div2[i, k, m]
-                        delta[i, j, k, l, m] = lhs[i, j, k, l, m] - rhs * inv_n3
-    res = relative_residual(sup_norm(delta), sup_norm(ncm))
+                            rhs = rhs + d1[(j * n + k) * n + l]
+                        for gv, dv in ((gkl, d2[(j * n + i) * n + m]),
+                                       (gil, d2[(k * n + j) * n + m]),
+                                       (gjl, d2[(i * n + k) * n + m])):
+                            if gv and dv:
+                                rhs = rhs + gv * dv
+                        lv = lhs.entries[off]
+                        off += 1
+                        if rhs or lv:
+                            delta = abs(lv - rhs * inv_n3)
+                            if delta > worst:
+                                worst = delta
+    res = relative_residual(worst, sup_norm(ncm))
     return _finish("weyl_cyclic_identity", ctx, {"identity": res})
 
 
@@ -370,39 +386,38 @@ def _alpha_values(ctx: PointContext):
 
 
 def check_conformal_recurrence(ctx: PointContext) -> CheckResult:
-    b = ctx.bundle
-    weyl = b.weyl.values()
+    return _weyl_recurrence("conformal_recurrence", ctx)
+
+
+def _weyl_recurrence(name: str, ctx: PointContext) -> CheckResult:
+    """Weyl recurrence residual; on the galaev family also the match of the
+    extracted covector with its two closed forms, one of which must agree."""
+    weyl = ctx.bundle.weyl.values()
     if _is_vacuous(sup_norm(weyl), ctx.exact):
-        return CheckResult("conformal_recurrence", VACUOUS, ctx.zero(),
-                           ctx.point, notes="Weyl tensor vanishes")
+        return CheckResult(name, VACUOUS, ctx.zero(), ctx.point,
+                           notes="Weyl tensor vanishes")
     alpha, res = _alpha_values(ctx)
     witnesses = {"alpha": list(alpha.entries)}
     residuals = {"recurrence": res}
-    notes = ""
-    if ctx.spec.family == "galaev":
-        matches = _galaev_match_residuals(ctx, alpha, witnesses)
-        residuals.update(matches)
-        # the two trace conventions are reported; one agreeing suffices
-        status = PASS if _passes(res, ctx) and any(
-            _passes(v, ctx) for v in matches.values()) else FAIL
-        notes = "closed-form match required for at least one trace variant"
-        return _finish("conformal_recurrence", ctx, residuals,
-                       witnesses=witnesses, status=status, primary=res,
-                       notes=notes)
-    return _finish("conformal_recurrence", ctx, residuals, witnesses=witnesses)
-
-
-def _galaev_match_residuals(ctx, alpha, witnesses: dict) -> dict:
-    closed = galaev_alpha_closed_forms(ctx.spec, ctx.point, ctx.mode)
-    out = {}
-    for key, vec in closed.items():
+    if ctx.spec.family != "galaev":
+        return _finish(name, ctx, residuals, witnesses=witnesses)
+    anorm = sup_norm(alpha)
+    matches = {}
+    for key, vec in galaev_alpha_closed_forms(ctx.spec, ctx.point,
+                                              ctx.mode).items():
         witnesses[key] = vec
         worst = ctx.zero()
         for a, c in zip(alpha.entries, vec):
             if abs(a - c) > worst:
                 worst = abs(a - c)
-        out[f"match_{key}"] = relative_residual(worst, sup_norm(alpha))
-    return out
+        matches[f"match_{key}"] = relative_residual(worst, anorm)
+    residuals.update(matches)
+    # the two trace conventions are reported; one agreeing suffices
+    status = PASS if _passes(res, ctx) and any(
+        _passes(v, ctx) for v in matches.values()) else FAIL
+    return _finish(name, ctx, residuals, witnesses=witnesses, status=status,
+                   primary=res, notes="closed-form match required for at "
+                                      "least one trace variant")
 
 
 def galaev_alpha_closed_forms(spec: MetricSpec, point, mode):
@@ -446,21 +461,7 @@ def check_galaev_alpha(ctx: PointContext) -> CheckResult:
     if ctx.spec.family != "galaev":
         return CheckResult("galaev_alpha", VACUOUS, ctx.zero(), ctx.point,
                            notes="only defined for the galaev family")
-    weyl = ctx.bundle.weyl.values()
-    if _is_vacuous(sup_norm(weyl), ctx.exact):
-        return CheckResult("galaev_alpha", VACUOUS, ctx.zero(), ctx.point,
-                           notes="Weyl tensor vanishes")
-    alpha, rec_res = _alpha_values(ctx)
-    witnesses = {"alpha": list(alpha.entries)}
-    matches = _galaev_match_residuals(ctx, alpha, witnesses)
-    residuals = {"recurrence": rec_res}
-    residuals.update(matches)
-    status = PASS if _passes(rec_res, ctx) and any(
-        _passes(v, ctx) for v in matches.values()) else FAIL
-    return _finish("galaev_alpha", ctx, residuals, witnesses=witnesses,
-                   status=status, primary=rec_res,
-                   notes="closed-form match required for at least one "
-                         "trace variant")
+    return _weyl_recurrence("galaev_alpha", ctx)
 
 
 def check_collinearity(ctx: PointContext, alpha: Tensor | None = None,
@@ -525,14 +526,11 @@ def check_schimming(ctx: PointContext) -> CheckResult:
     # (c) quartic chi condition: T_{jklm} = R^p_{jk}^q R_{plmq}
     n = riem.dim
     a_t = raise_lower(raise_lower(riem, 0, ginv), 3, ginv)  # (p^, j, k, q^)
-    quart = _double_trace(a_t, riem, ctx,
-                          lambda p, j, k, q, l, m: ((p, j, k, q), (p, l, m, q)))
+    quart = _double_trace(a_t, "pjkq", riem, "plmq", ctx)
     x4 = x.outer(x).outer(x).outer(x)
     chi_num = None
     chi_den = None
-    for idx in quart.indices():
-        xe = x4[idx]
-        tq = quart[idx]
+    for tq, xe in zip(quart.entries, x4.entries):
         num_term = tq * xe
         den_term = xe * xe
         chi_num = num_term if chi_num is None else chi_num + num_term
@@ -542,94 +540,126 @@ def check_schimming(ctx: PointContext) -> CheckResult:
         sup_norm(quart - x4.scale(chi)), sup_norm(quart), refr * refr)
     # (d) R_{jk}^{pq} R_{pqlm} = 0
     r_up = raise_lower(raise_lower(riem, 2, ginv), 3, ginv)   # (j,k,p^,q^)
-    square = _double_trace(r_up, riem, ctx,
-                           lambda p, j, k, q, l, m: ((j, k, p, q), (p, q, l, m)))
+    square = _double_trace(r_up, "jkpq", riem, "pqlm", ctx)
     residuals["riemann_square"] = relative_residual(sup_norm(square), refr * refr)
     return _finish("schimming", ctx, residuals,
                    witnesses={"D": dmat, "chi": chi}, notes=notes)
 
 
-def _double_trace(a: Tensor, b: Tensor, ctx: PointContext, index_map):
-    """out[j,k,l,m] = sum_{p,q} a[..] b[..] with slots routed by index_map.
+def _double_trace(a: Tensor, a_slots: str, b: Tensor, b_slots: str,
+                  ctx: PointContext) -> Tensor:
+    """out[j,k,l,m] = sum_{p,q} a[..] b[..] over rank-4 a and b.
 
-    Avoids materializing the rank-8 outer product; zero entries of `a`
-    short-circuit the inner sum.
+    `a_slots` names the index in each slot of `a` (a permutation of "pjkq"),
+    `b_slots` that of `b` (a permutation of "plmq").  Avoids materializing
+    the rank-8 outer product: only nonzero entries of `a` and `b` meet, and
+    each out entry sums its terms in (p, q) order.
     """
     n = a.dim
-    out = Tensor.zeros(n, "llll", ctx.zero())
+    wa = {s: n ** (3 - pos) for pos, s in enumerate(a_slots)}
+    wb = {s: n ** (3 - pos) for pos, s in enumerate(b_slots)}
     rng = range(n)
+    # nonzero b entries for each (p, q), as (l*n + m, value) in (l, m) order
+    b_nz = {}
+    for p in rng:
+        for q in rng:
+            base = p * wb["p"] + q * wb["q"]
+            b_nz[p, q] = [(l * n + m, bv) for l in rng for m in rng
+                          for bv in (b.entries[base + l * wb["l"] + m * wb["m"]],)
+                          if bv]
+    out = [ctx.zero()] * n ** 4
     for p in rng:
         for j in rng:
             for k in rng:
+                jk = (j * n + k) * n * n
                 for q in rng:
-                    ia, _ = index_map(p, j, k, q, 0, 0)
-                    av = a[ia]
+                    av = a.entries[p * wa["p"] + j * wa["j"] + k * wa["k"]
+                                   + q * wa["q"]]
                     if not av:
                         continue
-                    for l in rng:
-                        for m in rng:
-                            _, ib = index_map(p, j, k, q, l, m)
-                            bv = b[ib]
-                            if bv:
-                                out[j, k, l, m] = out[j, k, l, m] + av * bv
-    return out
+                    for lm, bv in b_nz[p, q]:
+                        out[jk + lm] = out[jk + lm] + av * bv
+    return Tensor(n, "llll", out)
+
+
+# D-basis terms of the rank-one decomposition
+#   B(D)_{jklm} = x_j x_m D_kl - x_j x_l D_mk - x_k x_m D_jl + x_k x_l D_jm,
+# each as (slots of D, slots of the x x factor, sign), slots counted j=0..m=3
+_SCHIMMING_TERMS = (((1, 2), (0, 3), 1), ((3, 1), (0, 2), -1),
+                    ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1))
 
 
 def _extract_schimming_d(riem: Tensor, x: Tensor, ctx: PointContext):
-    """Least-squares symmetric D for the rank-one curvature decomposition."""
+    """Least-squares symmetric D for the rank-one curvature decomposition.
+
+    Each basis tensor B(E_ab) is a sparse {offset: value} map in offset
+    order; the Gram matrix, right-hand sides, reconstruction and residual
+    visit only those nonzeros, summing them in the order a dense loop would.
+    """
     n = riem.dim
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    xs = x.entries
+    zero = ctx.zero()
+    w = (n ** 3, n ** 2, n, 1)
 
     def model(da, db):
-        t = Tensor.zeros(n, "llll", riem.entries[0])
-        for j in range(n):
-            for k in range(n):
-                xx_jk = (x.entries[j], x.entries[k])
-                for l in range(n):
-                    for m in range(n):
-                        val = ctx.zero()
-                        if (k, l) == (da, db) or (k, l) == (db, da):
-                            val = val + x.entries[j] * x.entries[m]
-                        if (m, k) == (da, db) or (m, k) == (db, da):
-                            val = val - x.entries[j] * x.entries[l]
-                        if (j, l) == (da, db) or (j, l) == (db, da):
-                            val = val - x.entries[k] * x.entries[m]
-                        if (j, m) == (da, db) or (j, m) == (db, da):
-                            val = val + x.entries[k] * x.entries[l]
-                        if val:
-                            t[j, k, l, m] = val
-        return t
+        t = {}
+        for (s1, s2), (s3, s4), sign in _SCHIMMING_TERMS:
+            for p, q in {(da, db), (db, da)}:
+                base = p * w[s1] + q * w[s2]
+                for i in range(n):
+                    for j in range(n):
+                        off = base + i * w[s3] + j * w[s4]
+                        acc = t.get(off, zero)
+                        prod = xs[i] * xs[j]
+                        t[off] = acc + prod if sign > 0 else acc - prod
+        return {off: v for off, v in sorted(t.items()) if v}
 
     basis = [model(a, b) for a, b in pairs]
     k = len(pairs)
-    gram = [[ctx.zero() for _ in range(k)] for _ in range(k)]
-    rhs = [ctx.zero() for _ in range(k)]
+    rv = riem.entries
+    gram = [[zero] * k for _ in range(k)]
+    rhs = [zero] * k
     for e in range(k):
         be = basis[e]
         for f in range(e, k):
             bf = basis[f]
-            acc = ctx.zero()
-            for p, q in zip(be.entries, bf.entries):
-                acc = acc + p * q
+            acc = zero
+            for off, v in be.items():
+                u = bf.get(off)
+                if u is not None:
+                    acc = acc + v * u
             gram[e][f] = gram[f][e] = acc
-        acc = ctx.zero()
-        for p, q in zip(be.entries, riem.entries):
-            acc = acc + p * q
+        acc = zero
+        for off, v in be.items():
+            if rv[off]:
+                acc = acc + v * rv[off]
         rhs[e] = acc
     try:
         coeffs = linalg.solve(gram, rhs)
     except linalg.SingularMatrixError:
         # degenerate normal equations: drop unconstrained directions
-        coeffs = [ctx.zero()] * k
+        coeffs = [zero] * k
         for e in range(k):
             if gram[e][e]:
                 coeffs[e] = rhs[e] / gram[e][e]
-    recon = Tensor.zeros(n, "llll", riem.entries[0])
+    recon = {}
     for c, bt in zip(coeffs, basis):
         if c:
-            recon = recon + bt.scale(c)
-    res = relative_residual(sup_norm(riem - recon), sup_norm(riem))
-    dmat = [[ctx.zero()] * n for _ in range(n)]
+            for off, v in bt.items():
+                recon[off] = recon.get(off, zero) + v * c
+    worst = zero
+    for off, r in enumerate(rv):
+        rc = recon.get(off)
+        if rc is None:
+            if not r:
+                continue                    # |riem - recon| is 0 here
+            rc = zero
+        delta = abs(r - rc)
+        if delta > worst:
+            worst = delta
+    res = relative_residual(worst, sup_norm(riem))
+    dmat = [[zero] * n for _ in range(n)]
     for (a, b), c in zip(pairs, coeffs):
         dmat[a][b] = dmat[b][a] = c
     return dmat, res

@@ -392,6 +392,13 @@ def _rational(value, name: str) -> Fraction:
                           f"got {value!r}") from None
 
 
+def _list(value, name: str) -> list:
+    """A list field, e.g. the per-coordinate numbers of a family."""
+    if not isinstance(value, list):
+        raise ConfigError(f"field {name!r} must be a list, got {value!r}")
+    return value
+
+
 def parse_metric_config(text: str):
     """Parse a JSON configuration document into (MetricSpec, RunConfig)."""
     try:
@@ -509,16 +516,19 @@ def _build_from_config(family, doc, params):
         lam = params.get("lambda")
         if lam is None:
             raise ConfigError("galaev family needs params.lambda")
-        return build_galaev(d, [_rational(str(x), "params.lambda") for x in lam],
+        return build_galaev(d, [_rational(str(x), "params.lambda")
+                                for x in _list(lam, "params.lambda")],
                             params.get("a", "0"), params.get("F", "0"))
     if family == "two_symmetric":
         if "a_vec" not in params:
             raise ConfigError("two_symmetric family needs params.a_vec")
-        a_vec = [_rational(str(x), "params.a_vec") for x in params["a_vec"]]
+        a_vec = [_rational(str(x), "params.a_vec")
+                 for x in _list(params["a_vec"], "params.a_vec")]
         b_mat = params.get("b_mat")
         if b_mat is not None:
-            b_mat = [[_rational(str(x), "params.b_mat") for x in row]
-                     for row in b_mat]
+            b_mat = [[_rational(str(x), "params.b_mat")
+                      for x in _list(row, "params.b_mat")]
+                     for row in _list(b_mat, "params.b_mat")]
         return build_two_symmetric(a_vec, b_mat)
     if family == "walker":
         if "H" not in params:

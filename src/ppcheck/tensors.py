@@ -126,16 +126,20 @@ class Tensor:
         return Tensor(self.dim, self.variance + other.variance, entries)
 
     def permute(self, perm) -> "Tensor":
-        """Slot permutation: result[idx] = self[idx[perm[0]], idx[perm[1]], ...]."""
+        """Slot permutation: slot s of the result is slot perm[s] of self.
+
+        Entry-wise, result[idx[perm[0]], idx[perm[1]], ...] = self[idx].  The
+        result's entries are gathered from self's by flat offset, so each is
+        the same object as in self.
+        """
         perm = tuple(perm)
         if sorted(perm) != list(range(self.rank)):
             raise TensorError(f"bad permutation {perm}")
-        out = Tensor.zeros(self.dim, "".join(self.variance[p] for p in perm),
-                           self.entries[0])
-        for idx in self.indices():
-            out[tuple(idx[p] for p in perm)] = self[idx]
-        # variance of result: slot s of the output reads slot perm[s] of self
-        return out
+        n, r = self.dim, self.rank
+        src = self.entries
+        return Tensor(n, "".join(self.variance[p] for p in perm),
+                      [src[o] for o in
+                       _flat_offsets(n, [n ** (r - 1 - p) for p in perm])])
 
     def is_zero(self) -> bool:
         return all(
@@ -167,49 +171,38 @@ def contract(t: Tensor, slot_a: int, slot_b: int, metric: Tensor | None = None) 
                 f"contraction of two '{va}' slots needs a '{want}' metric, "
                 f"got '{metric.variance}'")
     keep = [s for s in range(r) if s not in (a, b)]
-    out_var = "".join(t.variance[s] for s in keep)
     n = t.dim
-    sample = t.entries[0]
-    out = Tensor.zeros(n, out_var, sample) if keep else None
-    scalar_acc = None
-    for out_idx in itertools.product(range(n), repeat=len(keep)):
+    w = [n ** (r - 1 - s) for s in range(r)]     # weight of each slot in an offset
+    # (offset step, metric factor) for each (p, q) term, p then q, zeros dropped
+    if metric is None:
+        steps = [(p * (w[a] + w[b]), None) for p in range(n)]
+    else:
+        steps = [(p * w[a] + q * w[b], m) for p in range(n) for q in range(n)
+                 for m in (metric.entries[p * n + q],) if not _is_zero_entry(m)]
+    src = t.entries
+    zero = zero_like(src[0])
+    out = []
+    for base in _flat_offsets(n, [w[s] for s in keep]):
         acc = None
-        for p in range(n):
-            if metric is None:
-                full = _merge(out_idx, keep, {a: p, b: p}, r)
-                term = t[full]
-                if _is_zero_entry(term):
-                    continue
-                acc = term if acc is None else acc + term
-            else:
-                for q in range(n):
-                    m = metric[p, q]
-                    if _is_zero_entry(m):
-                        continue
-                    full = _merge(out_idx, keep, {a: p, b: q}, r)
-                    term = t[full]
-                    if _is_zero_entry(term):
-                        continue
-                    term = term * m
-                    acc = term if acc is None else acc + term
-        if acc is None:
-            acc = zero_like(sample)
-        if keep:
-            out[out_idx] = acc
-        else:
-            scalar_acc = acc
-    if keep:
-        return out
-    return Tensor(n, "", [scalar_acc])
+        for step, m in steps:
+            term = src[base + step]
+            if _is_zero_entry(term):
+                continue
+            if m is not None:
+                term = term * m
+            acc = term if acc is None else acc + term
+        out.append(zero if acc is None else acc)
+    return Tensor(n, "".join(t.variance[s] for s in keep), out)
 
 
-def _merge(out_idx, keep, fixed, rank):
-    full = [0] * rank
-    for pos, s in enumerate(keep):
-        full[s] = out_idx[pos]
-    for s, v in fixed.items():
-        full[s] = v
-    return tuple(full)
+def _flat_offsets(dim: int, weights) -> list:
+    """Flat offsets sum_s idx[s] * weights[s] for idx in row-major order over
+    range(dim) ** len(weights); [0] for no weights."""
+    offsets = [0]
+    for w in weights:
+        steps = [i * w for i in range(dim)]
+        offsets = [o + s for o in offsets for s in steps]
+    return offsets
 
 
 def _is_zero_entry(e):
@@ -235,9 +228,13 @@ def sup_norm(t: Tensor):
     """Max absolute value of the constant parts of all entries."""
     best = None
     for e in t.entries:
-        v = abs(scalar_value(e))
-        if best is None or v > best:
-            best = v
+        v = e.value if isinstance(e, Jet) else e
+        if best is None:
+            best = abs(v)
+        elif v:                         # a zero never exceeds best
+            v = abs(v)
+            if v > best:
+                best = v
     return best if best is not None else Fraction(0)
 
 

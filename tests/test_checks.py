@@ -1,16 +1,18 @@
 """Condition checkers: witnesses, residuals, vacuity, negative controls."""
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import NC4, make_ctx, poly
-from ppcheck import (EXACT, build_galaev, build_ppwave, build_two_symmetric,
-                     build_walker)
-from ppcheck.checks import (CHECKS, PointContext, chart_covector_u,
-                            check_collinearity, check_olszak,
-                            extract_recurrence)
+from ppcheck import (EXACT, FLOAT, build_galaev, build_ppwave,
+                     build_two_symmetric, build_walker, linalg)
+from ppcheck.checks import (CHECKS, PointContext, _extract_schimming_d,
+                            chart_covector_u, check_collinearity, check_olszak,
+                            extract_recurrence, relative_residual)
+from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import Tensor
+from ppcheck.tensors import COV, Tensor, sup_norm
 
 NC5 = ("u", "x1", "x2", "x3", "v")
 PT4 = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -305,3 +307,108 @@ class TestUniversalIdentities:
     def test_hold_on_generic_metric(self, perturbed_ctx, name):
         r = CHECKS[name](perturbed_ctx)
         assert r.status == "pass" and r.residual == 0
+
+
+def _dense_schimming_d(riem, x, ctx):
+    """Reference: the tuple-indexed dense least squares over all n^4 entries."""
+    n = riem.dim
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+
+    def model(da, db):
+        t = Tensor.zeros(n, "llll", riem.entries[0])
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    for m in range(n):
+                        val = ctx.zero()
+                        if (k, l) == (da, db) or (k, l) == (db, da):
+                            val = val + x.entries[j] * x.entries[m]
+                        if (m, k) == (da, db) or (m, k) == (db, da):
+                            val = val - x.entries[j] * x.entries[l]
+                        if (j, l) == (da, db) or (j, l) == (db, da):
+                            val = val - x.entries[k] * x.entries[m]
+                        if (j, m) == (da, db) or (j, m) == (db, da):
+                            val = val + x.entries[k] * x.entries[l]
+                        if val:
+                            t[j, k, l, m] = val
+        return t
+
+    basis = [model(a, b) for a, b in pairs]
+    k = len(pairs)
+    gram = [[ctx.zero() for _ in range(k)] for _ in range(k)]
+    rhs = [ctx.zero() for _ in range(k)]
+    for e in range(k):
+        for f in range(e, k):
+            acc = ctx.zero()
+            for p, q in zip(basis[e].entries, basis[f].entries):
+                acc = acc + p * q
+            gram[e][f] = gram[f][e] = acc
+        acc = ctx.zero()
+        for p, q in zip(basis[e].entries, riem.entries):
+            acc = acc + p * q
+        rhs[e] = acc
+    try:
+        coeffs = linalg.solve(gram, rhs)
+    except linalg.SingularMatrixError:
+        coeffs = [ctx.zero()] * k
+        for e in range(k):
+            if gram[e][e]:
+                coeffs[e] = rhs[e] / gram[e][e]
+    recon = Tensor.zeros(n, "llll", riem.entries[0])
+    for c, bt in zip(coeffs, basis):
+        if c:
+            recon = recon + bt.scale(c)
+    res = relative_residual(sup_norm(riem - recon), sup_norm(riem))
+    dmat = [[ctx.zero()] * n for _ in range(n)]
+    for (a, b), c in zip(pairs, coeffs):
+        dmat[a][b] = dmat[b][a] = c
+    return dmat, res
+
+
+class TestSchimmingDReference:
+    """The sparse Schimming D extraction against the dense reference."""
+
+    @staticmethod
+    def _assert_identical(got, want):
+        (dmat, res), (dmat_ref, res_ref) = got, want
+        assert type(res) is type(res_ref) and res == res_ref
+        for row, row_ref in zip(dmat, dmat_ref):
+            for a, b in zip(row, row_ref):
+                assert type(a) is type(b) and a == b
+
+    def test_flagship_points(self, flagship_spec):
+        for pt in sample_points(flagship_spec, PointPlan(count=5)):
+            ctx = make_ctx(flagship_spec, pt, order=2)
+            riem = ctx.bundle.riemann.values()
+            x = chart_covector_u(ctx)
+            self._assert_identical(_extract_schimming_d(riem, x, ctx),
+                                   _dense_schimming_d(riem, x, ctx))
+
+    def test_random_exact_tensor_and_covector(self):
+        rng = random.Random(11)
+        ctx = PointContext(spec=None, point=(), mode=EXACT, bundle=None)
+        n = 4
+        # int 0 beside Fractions, as in exact value tensors
+        riem = Tensor(n, "llll", [
+            F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4
+            else 0 for _ in range(n ** 4)])
+        x = Tensor(n, COV, [F(2), F(0), F(-1, 3), F(5, 2)])
+        got = _extract_schimming_d(riem, x, ctx)
+        self._assert_identical(got, _dense_schimming_d(riem, x, ctx))
+        assert got[1] != 0
+
+    def test_float_mode_within_tolerance(self, flagship_spec):
+        pt = (F(3, 2), F(1, 3), F(-1, 5), F(2, 7), F(1, 2))
+        ctx = make_ctx(flagship_spec, pt, mode=FLOAT, order=2)
+        rng = random.Random(5)
+        riem = ctx.bundle.riemann.values()
+        noisy = riem.map(lambda e: e + rng.uniform(-0.1, 0.1)
+                         if rng.random() < 0.2 else e)
+        for t, x in ((riem, chart_covector_u(ctx)),
+                     (noisy, Tensor(5, COV, [0.5, -1.0, 0.0, 2.0, 0.25]))):
+            (dmat, res), (dmat_ref, res_ref) = (
+                _extract_schimming_d(t, x, ctx), _dense_schimming_d(t, x, ctx))
+            assert type(res) is float and abs(res - res_ref) <= 1e-12
+            for row, row_ref in zip(dmat, dmat_ref):
+                for a, b in zip(row, row_ref):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))

@@ -252,6 +252,21 @@ BAD_FIELDS = {
     "tolerance_negative": ('"tolerance": -1e-9', "tolerance"),
 }
 
+_GALAEV = {"family": "galaev", "d": 3, "params": {"a": "0", "F": "u"}}
+_TWO_SYM = {"family": "two_symmetric", "d": 2, "params": {"a_vec": [1, 2]}}
+BAD_FAMILY_PARAMS = {
+    "galaev_lambda_int": (
+        {**_GALAEV, "params": {**_GALAEV["params"], "lambda": 3}},
+        "params.lambda"),
+    "two_symmetric_a_vec_int": (
+        {**_TWO_SYM, "params": {"a_vec": 3}}, "params.a_vec"),
+    "two_symmetric_b_mat_int": (
+        {**_TWO_SYM, "params": {"a_vec": [1, 2], "b_mat": 5}}, "params.b_mat"),
+    "two_symmetric_b_mat_row_int": (
+        {**_TWO_SYM, "params": {"a_vec": [1, 2], "b_mat": [[1, 0], 5]}},
+        "params.b_mat"),
+}
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
@@ -265,6 +280,16 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(name) in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_FAMILY_PARAMS))
+    def test_non_list_family_param_exits_two(self, case, tmp_path, capsys):
+        doc, name = BAD_FAMILY_PARAMS[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(name) in err and "must be a list" in err
 
     def test_rational_coefficient_strings_accepted(self):
         doc = FLAGSHIP.replace('"mode": "exact"',
