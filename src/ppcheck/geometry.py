@@ -12,6 +12,14 @@ inverse metric.  Truncated jets form a ring and the inverse metric jet is
 the exact truncated inverse, so in exact mode the derived jets equal the
 directly differentiated ones literally, not approximately.
 
+A covariant derivative is computed once per symmetry orbit of its input's
+trailing slots (the caller declares none, a symmetric pair, or Riemann's
+pair symmetries) and the rest of each orbit is filled with that entry or
+its negation.  In exact mode every input entry is first checked literally
+against its orbit's representative and a mismatch raises SymmetryError, so
+the fill never rests on an assumed symmetry; float mode fills without the
+check, since its symmetries hold only to rounding.
+
 Sign convention: the Riemann assembly carries a global minus sign relative
 to the naive dGamma + GammaGamma expression, chosen once so that the Ricci
 contraction R_ij = -R_kij^k reproduces psi = -1/2 * sum_rho d^2 H/dx_rho^2
@@ -19,8 +27,9 @@ on pp-wave potentials.  The convention-oracle test pins this down.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import linalg
 from .jets import (EXACT, FLOAT, Jet, OrderBudgetError, as_mode, jet_exp,
@@ -44,12 +53,11 @@ class ModeError(ValueError):
 class MetricAtPoint:
     """Symmetric metric jets, their exact inverse jets, and point metadata."""
 
-    def __init__(self, g: Tensor, g_inv: Tensor, point, signature, mode: str,
+    def __init__(self, g: Tensor, g_inv: Tensor, point, mode: str,
                  order: int, coords=None):
         self.g = g
         self.g_inv = g_inv
         self.point = tuple(point)
-        self.signature = signature
         self.mode = mode
         self.order = order
         self.coords = tuple(coords) if coords else None
@@ -86,9 +94,8 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
     det = linalg.mat_det(g0)
     if not det:
         raise DegeneratePointError(f"metric degenerate at point {point}")
-    signature = linalg.symmetric_inertia(g0)
     g_inv = _invert_metric_jets(g, g0, order, mode)
-    return MetricAtPoint(g, g_inv, point, signature, mode, order,
+    return MetricAtPoint(g, g_inv, point, mode, order,
                          coords=getattr(spec, "coords", None))
 
 
@@ -181,55 +188,166 @@ def christoffel(m: MetricAtPoint) -> Tensor:
     return out
 
 
-def covariant_derivative(t: Tensor, gamma: Tensor, context: str = "covariant derivative") -> Tensor:
+# Slot symmetries of a tensor's trailing slots that `covariant_derivative`
+# can exploit: no symmetry, a symmetric pair (Ricci), or Riemann's (antisymmetric
+# in each pair, symmetric under the pair swap).  Each maps to the block's
+# width and its group as (slot permutation, sign) pairs: t[idx permuted] =
+# sign * t[idx].
+NO_SYMMETRY = "none"
+SYMMETRIC_PAIR = "symmetric pair"
+RIEMANN = "riemann"
+_SYMMETRY_GROUPS = {
+    NO_SYMMETRY: (0, (((), 1),)),
+    SYMMETRIC_PAIR: (2, (((0, 1), 1), ((1, 0), 1))),
+    RIEMANN: (4, (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1),
+                  ((1, 0, 3, 2), 1), ((2, 3, 0, 1), 1), ((3, 2, 0, 1), -1),
+                  ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1))),
+}
+
+
+class SymmetryError(ValueError):
+    """A tensor lacks the slot symmetry its caller declared."""
+
+
+@cache
+def _orbits(n: int, symmetry: str):
+    """Orbits of the symmetry group on the offsets of its trailing block.
+
+    Returns (width, orbits, zeros): `orbits` lists (rep, images) with rep
+    the smallest offset of the orbit and images its (offset, sign) pairs,
+    rep first with sign 1, so that t[image] = sign * t[rep]; `zeros` are
+    the offsets the symmetry forces to vanish (an entry equal to its own
+    negative).
+    """
+    width, group = _SYMMETRY_GROUPS[symmetry]
+    seen = set()
+    orbits, zeros = [], []
+    for rep, idx in enumerate(itertools.product(range(n), repeat=width)):
+        if rep in seen:
+            continue
+        signs = {}
+        for perm, sign in group:
+            img = 0
+            for p in perm:
+                img = img * n + idx[p]
+            signs.setdefault(img, set()).add(sign)
+        seen.update(signs)
+        if any(len(s) > 1 for s in signs.values()):
+            zeros.extend(sorted(signs))
+        else:
+            orbits.append((rep, tuple((img, s.pop())
+                                      for img, s in signs.items())))
+    return width, tuple(orbits), tuple(sorted(zeros))
+
+
+def covariant_derivative(t: Tensor, gamma: Tensor,
+                         context: str = "covariant derivative",
+                         symmetry: str = NO_SYMMETRY) -> Tensor:
     """Prepend a covariant slot: (nabla t)_{i ...} with the usual corrections.
+
+    Each output entry is gathered: d_i t[idx], plus Gamma^v_{ip} t[.. p ..]
+    for each contravariant slot of value v, minus Gamma^p_{iv} t[.. p ..]
+    for each covariant one, with the nonzero symbols listed once per slot
+    value and zero inputs skipped.  `symmetry` declares the symmetry of t's
+    trailing slots (NO_SYMMETRY, SYMMETRIC_PAIR or RIEMANN); nabla keeps
+    it, so only one entry per orbit is computed and the others are filled
+    with it or its negation.  In exact mode every input entry is first
+    checked literally against its orbit's representative, and a mismatch
+    raises SymmetryError naming `context`; float mode fills without the
+    check, since there the symmetry holds only to rounding.
 
     Consumes one jet order; raises OrderBudgetError naming `context` when the
     entries are order-0 jets.
     """
     n = t.dim
-    sample = t.entries[0]
+    src = t.entries
+    sample = src[0]
     if not isinstance(sample, Jet):
         raise TypeError("covariant_derivative needs jet-valued tensors")
     order = sample.order
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
-    gam = gamma.truncate(order - 1).entries   # Gamma^a_{bc} at (a*n + b)*n + c
+    width, orbits, zeros = _orbits(n, symmetry)
     rank = t.rank
+    if width > rank:
+        raise ValueError(f"{context}: a {symmetry} symmetry needs {width} "
+                         f"slots, the tensor has {rank}")
+    gam = gamma.truncate(order - 1).entries   # Gamma^a_{bc} at (a*n + b)*n + c
+    # terms[v]: (i, p, Gamma) for each nonzero symbol that feeds a slot of
+    # value v in output entry (i; ..) from the input with that slot at p
+    con = [[(i, p, g) for i in range(n) for p in range(n)
+            for g in (gam[(v * n + i) * n + p],) if g.nz] for v in range(n)]
+    cov = [[(i, p, g) for i in range(n) for p in range(n)
+            for g in (gam[(p * n + i) * n + v],) if g.nz] for v in range(n)]
+    slots = [(n ** (rank - 1 - s), con if var == CON else cov, var == CON)
+             for s, var in enumerate(t.variance)]
     stride = n ** rank                          # weight of the new slot i
-    out = [Jet.zero(n, order - 1, sample.mode)] * (n * stride)
-    for off, (idx, e) in enumerate(zip(t.indices(), t.entries)):
-        if e.is_zero():
-            continue
-        for i in range(n):
-            d = e.derivative(i, context)
-            if not d.is_zero():
-                o = i * stride + off
-                out[o] = out[o] + d
-        for s, var in enumerate(t.variance):
-            w = n ** (rank - 1 - s)             # weight of slot s
-            p = idx[s]
-            rest = off - p * w                  # offset with slot s cleared
-            if var == CON:
-                # t^{p} feeds output slot value m via +Gamma^m_{i p}
-                for mm in range(n):
-                    for i in range(n):
-                        gme = gam[(mm * n + i) * n + p]
-                        if gme.is_zero():
-                            continue
-                        o = i * stride + rest + mm * w
-                        out[o] = out[o] + gme * e
-            else:
-                # t_{p} feeds output slot value a via -Gamma^p_{i a}
-                for aa in range(n):
-                    for i in range(n):
-                        gme = gam[(p * n + i) * n + aa]
-                        if gme.is_zero():
-                            continue
-                        o = i * stride + rest + aa * w
-                        out[o] = out[o] - gme * e
+    block = n ** width
+    if sample.mode == EXACT:
+        _check_symmetry(t, symmetry, context)
+    zero = Jet.zero(n, order - 1, sample.mode)
+    out = [zero] * (n * stride)
+    for base in range(0, stride, block):
+        for rep, images in orbits:
+            off = base + rep
+            e = src[off]
+            acc = ([e.derivative(i, context) for i in range(n)] if e.nz
+                   else [zero] * n)
+            for w, terms, plus in slots:
+                v = off // w % n
+                rest = off - v * w
+                for i, p, g in terms[v]:
+                    x = src[rest + p * w]
+                    if x.nz:
+                        acc[i] = acc[i] + g * x if plus else acc[i] - g * x
+            for i, a in enumerate(acc):
+                if not a.nz:
+                    continue
+                o = i * stride + base
+                neg = None
+                for img, sign in images:
+                    if sign < 0:
+                        if neg is None:
+                            neg = -a
+                        out[o + img] = neg
+                    else:
+                        out[o + img] = a
     return Tensor(n, COV + t.variance, out)
+
+
+def _check_symmetry(t: Tensor, symmetry: str, context: str):
+    """Raise SymmetryError unless every block of t's trailing slots
+    literally has the declared symmetry."""
+    n, rank, src = t.dim, t.rank, t.entries
+    width, orbits, zeros = _orbits(n, symmetry)
+
+    def where(o):
+        return tuple(o // n ** (rank - 1 - s) % n for s in range(rank))
+
+    for base in range(0, len(src), n ** width):
+        for rep, images in orbits:
+            e = src[base + rep]
+            neg = None
+            for img, sign in images[1:]:
+                x = src[base + img]
+                if sign < 0:
+                    if neg is None:
+                        neg = -e
+                    ok = x is neg or x == neg
+                else:
+                    ok = x is e or x == e
+                if not ok:
+                    raise SymmetryError(
+                        f"{context}: entry {where(base + img)} is not "
+                        f"{'+' if sign > 0 else '-'}entry "
+                        f"{where(base + rep)} under the declared {symmetry} "
+                        "symmetry")
+        for z in zeros:
+            if src[base + z].nz:
+                raise SymmetryError(
+                    f"{context}: entry {where(base + z)} is nonzero but the "
+                    f"declared {symmetry} symmetry forces it to vanish")
 
 
 def laplacian(t: Tensor, m: MetricAtPoint, gamma: Tensor,
@@ -392,7 +510,8 @@ class CurvatureBundle:
     @cached_property
     def nabla_ricci(self) -> Tensor:
         self.require(3, "nabla Ricci")
-        return covariant_derivative(self.ricci, self.gamma, "nabla Ricci")
+        return covariant_derivative(self.ricci, self.gamma, "nabla Ricci",
+                                    SYMMETRIC_PAIR)
 
     @cached_property
     def nabla_scalar(self) -> Tensor:
@@ -404,7 +523,8 @@ class CurvatureBundle:
     @cached_property
     def nabla_riemann(self) -> Tensor:
         self.require(3, "nabla Riemann")
-        return covariant_derivative(self.riemann, self.gamma, "nabla Riemann")
+        return covariant_derivative(self.riemann, self.gamma, "nabla Riemann",
+                                    RIEMANN)
 
     @cached_property
     def nabla_weyl(self) -> Tensor:
@@ -428,7 +548,8 @@ class CurvatureBundle:
     @cached_property
     def nabla2_ricci(self) -> Tensor:
         self.require(4, "nabla nabla Ricci")
-        return covariant_derivative(self.nabla_ricci, self.gamma, "nabla nabla Ricci")
+        return covariant_derivative(self.nabla_ricci, self.gamma,
+                                    "nabla nabla Ricci", SYMMETRIC_PAIR)
 
     @cached_property
     def nabla2_weyl(self) -> Tensor:
@@ -442,7 +563,7 @@ class CurvatureBundle:
     def nabla2_riemann(self) -> Tensor:
         self.require(4, "nabla nabla Riemann")
         return covariant_derivative(self.nabla_riemann, self.gamma,
-                                    "nabla nabla Riemann")
+                                    "nabla nabla Riemann", RIEMANN)
 
     def _trace_first_two(self, t: Tensor) -> Tensor:
         return contract(t, 0, 1, self.metric.g_inv.truncate(t.entries[0].order))

@@ -62,68 +62,6 @@ def mat_det(m):
     return det * sign
 
 
-def symmetric_inertia(m):
-    """Inertia (positives, negatives) of a nondegenerate symmetric matrix.
-
-    Congruence elimination; a fully zero diagonal block is handled through
-    its hyperbolic pairs (indefinite 2x2 blocks), which is exactly the case
-    of null-coordinate metrics like 2 du dv.
-    """
-    a = [list(row) for row in m]
-    n = len(a)
-    alive = list(range(n))
-    pos = neg = 0
-
-    def eliminate(vec_idx, pivot_val, idx_set):
-        # rank-one congruence update a <- a - (a e)(e a)/pivot on idx_set
-        col = {j: a[vec_idx][j] for j in idx_set}
-        for r in idx_set:
-            cr = a[r][vec_idx]
-            if not cr:
-                continue
-            for c in idx_set:
-                a[r][c] = a[r][c] - cr * col[c] / pivot_val
-
-    while alive:
-        diag = [i for i in alive if a[i][i]]
-        if diag:
-            i = max(diag, key=lambda k: abs(a[k][k]))
-            piv = a[i][i]
-            if piv > 0:
-                pos += 1
-            else:
-                neg += 1
-            alive.remove(i)
-            eliminate(i, piv, alive)
-            continue
-        # all remaining diagonal entries are zero: find a hyperbolic pair
-        pair = None
-        for i in alive:
-            for j in alive:
-                if j > i and a[i][j]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise SingularMatrixError("symmetric matrix is degenerate")
-        i, j = pair
-        # block [[0,b],[b,0]] contributes one positive and one negative
-        pos += 1
-        neg += 1
-        b = a[i][j]
-        alive.remove(i)
-        alive.remove(j)
-        # congruence with the block inverse [[0,1/b],[1/b,0]]
-        for r in alive:
-            ci, cj = a[r][i], a[r][j]
-            if not ci and not cj:
-                continue
-            for c in alive:
-                a[r][c] = a[r][c] - (ci * a[j][c] + cj * a[i][c]) / b
-    return pos, neg
-
-
 def solve(mat, rhs):
     """Solve a square linear system exactly; raises on singular systems."""
     n = len(mat)

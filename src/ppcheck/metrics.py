@@ -224,6 +224,9 @@ def build_custom(components, coords=None) -> MetricSpec:
     if coords is None:
         coords = tuple(f"x{i}" for i in range(n))
     coords = tuple(coords)
+    if len(coords) != n or len(set(coords)) != n:
+        raise FamilyError(f"custom metric needs {n} distinct coordinate "
+                          f"names, got {list(coords)}")
     comp = [[_as_chart_poly(p, coords) for p in row] for row in components]
     if any(len(r) != n for r in comp):
         raise FamilyError("custom components must form a square matrix")
@@ -399,6 +402,22 @@ def _list(value, name: str) -> list:
     return value
 
 
+def _polynomial(value, name: str):
+    """A polynomial field: a string like "u*x1^2 - 3/4", or a number."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _rational(value, name)
+    raise ConfigError(f"field {name!r} must be a polynomial string or a "
+                      f"number, got {value!r}")
+
+
+def _polynomial_rows(value, name: str) -> list:
+    """A matrix field: a list of lists of polynomials."""
+    return [[_polynomial(p, name) for p in _list(row, name)]
+            for row in _list(value, name)]
+
+
 def parse_metric_config(text: str):
     """Parse a JSON configuration document into (MetricSpec, RunConfig)."""
     try:
@@ -438,7 +457,8 @@ def parse_metric_config(text: str):
         strategy=pts.get("strategy", "grid"),
         seed=_integer(pts.get("seed", 0), "points.seed"),
         count=_integer(pts.get("count", 5), "points.count"),
-        u_values=tuple(str(x) for x in pts.get("u_values", DEFAULT_U_VALUES)))
+        u_values=tuple(str(x) for x in _list(
+            pts.get("u_values", list(DEFAULT_U_VALUES)), "points.u_values")))
     for u in plan.u_values:
         _rational(u, "points.u_values")     # sample_points reads them later
     if plan.strategy not in ("grid", "random"):
@@ -469,6 +489,7 @@ def _component_matrix(entries: dict, coords):
     pairs = {}
     top = -1
     for key, text in entries.items():
+        text = _polynomial(text, "params.components")
         try:
             i, j = (int(part) for part in str(key).split(","))
         except ValueError:
@@ -493,9 +514,17 @@ def _build_from_config(family, doc, params):
         comp = params.get("components")
         if not comp:
             raise ConfigError("custom family needs params.components")
+        coords = params.get("coords")
+        if coords is not None:
+            coords = _list(coords, "params.coords")
+            if not all(isinstance(c, str) for c in coords):
+                raise ConfigError("field 'params.coords' must be a list of "
+                                  f"coordinate names, got {coords!r}")
         if isinstance(comp, dict):
-            comp = _component_matrix(comp, params.get("coords"))
-        return build_custom(comp, coords=params.get("coords"))
+            comp = _component_matrix(comp, coords)
+        else:
+            comp = _polynomial_rows(comp, "params.components")
+        return build_custom(comp, coords=coords)
     if family == "perturbed_minkowski":
         return build_perturbed_minkowski(
             seed=_integer(params.get("seed", 0), "params.seed"),
@@ -511,14 +540,15 @@ def _build_from_config(family, doc, params):
         H = params.get("H")
         if H is None:
             raise ConfigError(f"{family} family needs params.H")
-        return build_ppwave(H, d, family="ppwave")
+        return build_ppwave(_polynomial(H, "params.H"), d, family="ppwave")
     if family == "galaev":
         lam = params.get("lambda")
         if lam is None:
             raise ConfigError("galaev family needs params.lambda")
         return build_galaev(d, [_rational(str(x), "params.lambda")
                                 for x in _list(lam, "params.lambda")],
-                            params.get("a", "0"), params.get("F", "0"))
+                            _polynomial(params.get("a", "0"), "params.a"),
+                            _polynomial(params.get("F", "0"), "params.F"))
     if family == "two_symmetric":
         if "a_vec" not in params:
             raise ConfigError("two_symmetric family needs params.a_vec")
@@ -533,6 +563,13 @@ def _build_from_config(family, doc, params):
     if family == "walker":
         if "H" not in params:
             raise ConfigError("walker family needs params.H")
-        return build_walker(params["H"], params.get("a_rho"),
-                            params.get("gstar"), d)
+        a_rho = params.get("a_rho")
+        if a_rho is not None:
+            a_rho = [_polynomial(p, "params.a_rho")
+                     for p in _list(a_rho, "params.a_rho")]
+        gstar = params.get("gstar")
+        if gstar is not None:
+            gstar = _polynomial_rows(gstar, "params.gstar")
+        return build_walker(_polynomial(params["H"], "params.H"), a_rho,
+                            gstar, d)
     raise ConfigError(f"unsupported family {family!r}")

@@ -267,6 +267,30 @@ BAD_FAMILY_PARAMS = {
         "params.b_mat"),
 }
 
+_CUSTOM = {"family": "custom",
+           "params": {"components": {"0,0": "1", "1,1": "1"}}}
+_WALKER = {"family": "walker", "d": 2, "params": {"H": "x1^2"}}
+_FLAGSHIP_DOC = {**_GALAEV, "params": {**_GALAEV["params"],
+                                       "lambda": [1, 1, -2]}}
+BAD_FIELD_TYPES = {
+    "custom_components_int": (
+        {**_CUSTOM, "params": {"components": 3}}, "params.components"),
+    "custom_coords_int": (
+        {**_CUSTOM, "params": {**_CUSTOM["params"], "coords": 5}},
+        "params.coords"),
+    "walker_a_rho_int": (
+        {**_WALKER, "params": {"H": "x1^2", "a_rho": 3}}, "params.a_rho"),
+    "walker_gstar_int": (
+        {**_WALKER, "params": {"H": "x1^2", "gstar": 3}}, "params.gstar"),
+    "galaev_a_list": (
+        {**_FLAGSHIP_DOC, "params": {**_FLAGSHIP_DOC["params"], "a": [1]}},
+        "params.a"),
+    "ppwave_H_list": (
+        {"family": "ppwave", "d": 2, "params": {"H": ["x"]}}, "params.H"),
+    "u_values_int": (
+        {**_FLAGSHIP_DOC, "points": {"u_values": 5}}, "points.u_values"),
+}
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
@@ -290,6 +314,27 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(name) in err and "must be a list" in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIELD_TYPES))
+    def test_bad_field_type_exits_two(self, case, tmp_path, capsys):
+        doc, name = BAD_FIELD_TYPES[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(name) in err
+
+    def test_custom_coords_must_match_components(self, tmp_path, capsys):
+        doc = {"family": "custom",
+               "params": {"components": [["1", 0], [0, "1"]],
+                          "coords": ["a"]}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "coordinate names" in err
 
     def test_rational_coefficient_strings_accepted(self):
         doc = FLAGSHIP.replace('"mode": "exact"',

@@ -9,15 +9,20 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import NC4, make_ctx, poly
-from ppcheck import (EXACT, FLOAT, build_custom, build_galaev, build_ppwave,
+from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
+                     build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, conformal_rescale,
                      sample_points)
-from ppcheck.geometry import (CurvatureBundle, DegeneratePointError,
-                              ModeError, OrderBudgetError,
+from ppcheck.checks import chart_covector_u
+from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
+                              DegeneratePointError, ModeError,
+                              OrderBudgetError, SymmetryError, _orbits,
                               covariant_derivative, metric_at_point)
+from ppcheck.jets import Jet
 from ppcheck.metrics import PointPlan
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import Tensor, contract, kronecker, sup_norm
+from ppcheck.tensors import (CON, COV, Tensor, contract, kronecker,
+                             raise_lower, sup_norm)
 
 PT = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
 
@@ -239,9 +244,6 @@ class TestModesAndErrors:
         with pytest.raises(OrderBudgetError):
             b.require(4, "test")
 
-    def test_signature_recorded(self, flagship_ctx):
-        assert flagship_ctx.bundle.metric.signature == (4, 1)
-
 
 class TestBianchiOracles:
     def test_first_bianchi_generic(self, perturbed_ctx):
@@ -253,3 +255,131 @@ class TestBianchiOracles:
         from ppcheck.tensors import cyclic_sum
         nr = perturbed_ctx.bundle.nabla_riemann.values()
         assert not sup_norm(cyclic_sum(nr, (0, 1, 2)))
+
+
+def scatter_covariant_derivative(t, gamma, context="reference"):
+    """The reference: each nonzero input entry scattered into every output
+    entry it feeds, with no symmetry assumed."""
+    n = t.dim
+    sample = t.entries[0]
+    order = sample.order
+    gam = gamma.truncate(order - 1).entries
+    rank = t.rank
+    stride = n ** rank
+    out = [Jet.zero(n, order - 1, sample.mode)] * (n * stride)
+    for off, (idx, e) in enumerate(zip(t.indices(), t.entries)):
+        if e.is_zero():
+            continue
+        for i in range(n):
+            d = e.derivative(i, context)
+            if not d.is_zero():
+                o = i * stride + off
+                out[o] = out[o] + d
+        for s, var in enumerate(t.variance):
+            w = n ** (rank - 1 - s)
+            p = idx[s]
+            rest = off - p * w
+            if var == CON:
+                # t^{p} feeds output slot value m via +Gamma^m_{i p}
+                for mm in range(n):
+                    for i in range(n):
+                        gme = gam[(mm * n + i) * n + p]
+                        if gme.is_zero():
+                            continue
+                        o = i * stride + rest + mm * w
+                        out[o] = out[o] + gme * e
+            else:
+                # t_{p} feeds output slot value a via -Gamma^p_{i a}
+                for aa in range(n):
+                    for i in range(n):
+                        gme = gam[(p * n + i) * n + aa]
+                        if gme.is_zero():
+                            continue
+                        o = i * stride + rest + aa * w
+                        out[o] = out[o] - gme * e
+    return Tensor(n, COV + t.variance, out)
+
+
+GENERIC_PT = (F(1, 3), F(-1, 5), F(2, 7), F(1, 11))
+
+
+def _flagship_spec():
+    nc5 = ("u", "x1", "x2", "x3", "v")
+    return build_galaev(3, [1, 1, -2], parse_polynomial("0", nc5),
+                        parse_polynomial("u", nc5))
+
+
+def _oracle_pairs(spec, pt, mode):
+    """(name, gathered, scattered) for every covariant derivative the
+    bundle takes with a symmetry, plus two taken without one."""
+    ctx = make_ctx(spec, pt, mode=mode)
+    b = ctx.bundle
+    ginv = b.metric.g_inv.truncate(b.nabla_ricci.entries[0].order)
+    mixed = raise_lower(raise_lower(b.nabla_ricci, 0, ginv), 2, ginv)
+    assert mixed.variance == CON + COV + CON
+    covector = chart_covector_u(ctx, jets=True)
+    return [
+        ("nabla_riemann", b.nabla_riemann,
+         scatter_covariant_derivative(b.riemann, b.gamma)),
+        ("nabla2_riemann", b.nabla2_riemann,
+         scatter_covariant_derivative(b.nabla_riemann, b.gamma)),
+        ("nabla_ricci", b.nabla_ricci,
+         scatter_covariant_derivative(b.ricci, b.gamma)),
+        ("nabla2_ricci", b.nabla2_ricci,
+         scatter_covariant_derivative(b.nabla_ricci, b.gamma)),
+        ("mixed rank 3", covariant_derivative(mixed, b.gamma),
+         scatter_covariant_derivative(mixed, b.gamma)),
+        ("brinkmann covector", covariant_derivative(covector, b.gamma),
+         scatter_covariant_derivative(covector, b.gamma)),
+    ]
+
+
+ORACLE_CASES = (
+    [pytest.param(_flagship_spec, pt, id=f"galaev-u{pt[0]}")
+     for pt in sample_points(_flagship_spec(), PointPlan())]
+    + [pytest.param(lambda s=s: build_perturbed_minkowski(seed=s), GENERIC_PT,
+                    id=f"perturbed-seed{s}") for s in (7, 13)])
+
+
+class TestCovariantDerivativeOracle:
+    """The orbit gather against the symmetry-blind scatter it replaced."""
+
+    @pytest.mark.parametrize("make_spec,pt", ORACLE_CASES)
+    def test_exact_jets_literally_equal(self, make_spec, pt):
+        for name, got, want in _oracle_pairs(make_spec(), pt, EXACT):
+            assert got.variance == want.variance, name
+            assert got == want, name
+            assert [type(e.value) for e in got.entries] == \
+                [type(e.value) for e in want.entries], name
+
+    @pytest.mark.parametrize("make_spec,pt", ORACLE_CASES[-2:])
+    def test_float_within_rounding(self, make_spec, pt):
+        for name, got, want in _oracle_pairs(make_spec(), pt, FLOAT):
+            scale = max(abs(c) for e in want.entries
+                        for c in e.coeffs.values())
+            gap = max(abs(g.coefficient(k) - w.coefficient(k))
+                      for g, w in zip(got.entries, want.entries)
+                      for k in set(g.coeffs) | set(w.coeffs))
+            assert scale > 0 and gap <= 1e-12 * scale, (name, gap, scale)
+
+    def test_orbit_counts(self):
+        # independent entries of a tensor with Riemann's pair symmetries
+        assert len(_orbits(4, RIEMANN)[1]) == 21
+        assert len(_orbits(5, RIEMANN)[1]) == 55
+        assert len(_orbits(4, SYMMETRIC_PAIR)[1]) == 10
+
+    @pytest.mark.parametrize("idx", [(0, 1, 2, 3), (2, 3, 0, 1), (1, 1, 0, 2)])
+    def test_broken_riemann_symmetry_raises_in_exact_mode(self, perturbed_ctx,
+                                                          idx):
+        b = perturbed_ctx.bundle
+        t = Tensor(b.dim, b.riemann.variance, b.riemann.entries)
+        t[idx] = t[idx] + F(1, 7)
+        with pytest.raises(SymmetryError, match="nabla Riemann"):
+            covariant_derivative(t, b.gamma, "nabla Riemann", RIEMANN)
+
+    def test_broken_pair_symmetry_raises_in_exact_mode(self, perturbed_ctx):
+        b = perturbed_ctx.bundle
+        t = Tensor(b.dim, b.ricci.variance, b.ricci.entries)
+        t[2, 1] = t[2, 1] + F(1, 7)
+        with pytest.raises(SymmetryError, match="nabla Ricci"):
+            covariant_derivative(t, b.gamma, "nabla Ricci", SYMMETRIC_PAIR)

@@ -1,10 +1,9 @@
-"""Exact rational linear algebra: inversion, determinant, inertia, solve."""
+"""Exact rational linear algebra: inversion, determinant, solve."""
 from fractions import Fraction as F
 
 import pytest
 
-from ppcheck.linalg import (SingularMatrixError, mat_det, mat_inverse, solve,
-                            symmetric_inertia)
+from ppcheck.linalg import SingularMatrixError, mat_det, mat_inverse, solve
 
 
 def test_inverse_round_trip():
@@ -28,19 +27,3 @@ def test_solve():
     a = [[F(2), F(0)], [F(1), F(3)]]
     x = solve(a, [F(4), F(7)])
     assert x == [F(2), F(5, 3)]
-
-
-def test_inertia_minkowski():
-    g = [[F(-1), 0, 0, 0], [0, F(1), 0, 0], [0, 0, F(1), 0], [0, 0, 0, F(1)]]
-    assert symmetric_inertia(g) == (3, 1)
-
-
-def test_inertia_null_pair():
-    g = [[F(0), F(1)], [F(1), F(0)]]
-    assert symmetric_inertia(g) == (1, 1)
-
-
-def test_inertia_null_chart_wave():
-    # 2 du dv + H du^2 + dx^2 block at a point with H = 5
-    g = [[F(5), F(0), F(1)], [F(0), F(1), F(0)], [F(1), F(0), F(0)]]
-    assert symmetric_inertia(g) == (2, 1)
