@@ -19,7 +19,7 @@ POINT = (F(3, 2), F(1, 3), F(-1, 5), F(2, 7), F(1, 2))
 
 def weyl_mixed_at(spec, mode, order=4):
     m = metric_at_point(spec, POINT, order, mode)
-    return CurvatureBundle(m).weyl_mixed.values()
+    return CurvatureBundle(m).weyl_mixed      # point values of C_{jkl}^m
 
 
 def main():

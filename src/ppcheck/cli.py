@@ -91,18 +91,22 @@ def run(spec: MetricSpec, config: RunConfig, threads: int = 1) -> Report:
     if not usable:
         raise RunError("all sampled points are degenerate for this metric")
 
-    def work(item):
-        idx, pt, bundle = item
+    def work(k):
+        # drop the point's bundle as its checks start, so the bundle and
+        # what it caches die with them: at most one bundle per worker holds
+        # computed curvature
+        idx, pt, bundle = usable[k]
+        usable[k] = None
         return [(idx, r) for r in _evaluate(spec, pt, bundle, config, names)]
 
     indexed = []
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(work, usable):
+            for chunk in pool.map(work, range(len(usable))):
                 indexed.extend(chunk)
     else:
-        for item in usable:
-            indexed.extend(work(item))
+        for k in range(len(usable)):
+            indexed.extend(work(k))
     header = {
         "version": ENGINE_VERSION,
         "mode": config.mode,

@@ -6,11 +6,13 @@ covariant derivatives consume one jet order each.
 
 The Weyl tensor is never differentiated.  The connection is metric
 (nabla g = 0), so nabla commutes with the Weyl decomposition: nabla^L C is
-that decomposition applied to nabla^L of Riemann, Ricci and R.  Every
-(1,3) Weyl variant is its covariant form with the last slot raised by the
-inverse metric.  Truncated jets form a ring and the inverse metric jet is
-the exact truncated inverse, so in exact mode the derived jets equal the
-directly differentiated ones literally, not approximately.
+that decomposition applied to nabla^L of Riemann, Ricci and R.  Truncated
+jets form a ring and the inverse metric jet is the exact truncated inverse,
+so in exact mode the derived jets equal the directly differentiated ones
+literally, not approximately.  The (1,3) Weyl forms, the divergences and
+the Laplacians are pointwise algebra on those tensors (raising a slot,
+contracting), so they are computed from point values and the inverse
+metric's values (tensors.Values), never as jets.
 
 A covariant derivative is computed once per symmetry orbit of its input's
 trailing slots (the caller declares none, a symmetric pair, or Riemann's
@@ -33,9 +35,8 @@ from functools import cache, cached_property
 
 from . import linalg
 from .jets import (EXACT, FLOAT, Jet, OrderBudgetError, as_mode, jet_exp,
-                   jet_from_polynomial, jet_recip)
-from .tensors import (COV, CON, Tensor, contract, cyclic_sum, raise_lower,
-                      sup_norm)
+                   jet_from_polynomial)
+from .tensors import COV, CON, Tensor, Values, contract, raise_lower
 
 
 class DegeneratePointError(ValueError):
@@ -350,21 +351,32 @@ def _check_symmetry(t: Tensor, symmetry: str, context: str):
                     f"declared {symmetry} symmetry forces it to vanish")
 
 
-def laplacian(t: Tensor, m: MetricAtPoint, gamma: Tensor,
-              context: str = "laplacian") -> Tensor:
-    """Connection Laplacian g^{ab} nabla_a nabla_b t (same rank as t)."""
-    first = covariant_derivative(t, gamma, context)
-    second = covariant_derivative(first, gamma, context)
-    return contract(second, 0, 1, m.g_inv.truncate(second.entries[0].order))
+def _as_jet_values(t: Values) -> Values:
+    """t with its zeros read as int 0, as the values of a jet tensor are
+    (Jet.value reads an exact zero as int 0), so a point-value attribute
+    leaves its kernels with the types its jet form's values had."""
+    return Values(t.dim, t.variance, t.num, t.den, 0 if t.exact else 0.0)
 
 
 class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
-    Covariant derivatives are taken of Riemann, Ricci and R only.  `weyl`,
-    `nabla_weyl` and `nabla2_weyl` apply the Weyl decomposition to them
-    (exact because nabla g = 0), and `weyl_mixed`, `nabla_weyl_mixed` and
-    `nabla2_weyl_mixed` raise the last slot of those.
+    Jet attributes (Tensors of jets, needed where something is
+    differentiated): `gamma`, `riemann_mixed`, `riemann`, `ricci`,
+    `scalar` (one jet), `weyl`, and the covariant derivatives
+    `nabla_ricci`, `nabla_scalar`, `nabla_riemann`, `nabla_weyl`,
+    `nabla2_ricci`, `nabla2_riemann`, `nabla2_weyl`.  Covariant derivatives
+    are taken of Riemann, Ricci and R only; `weyl`, `nabla_weyl` and
+    `nabla2_weyl` apply the Weyl decomposition to them (exact because
+    nabla g = 0).
+
+    Point-value attributes (Values, see tensors): `weyl_mixed`,
+    `nabla_weyl_mixed`, `nabla2_weyl_mixed` (the last slot of the Weyl
+    forms raised), `div_weyl`, `double_div_weyl` and `lap_ricci`,
+    `lap_weyl`, `lap_riemann`.  Raising and contracting are pointwise
+    algebra, so they are done on point values and `g_inv`'s, never on
+    jets.  `values(name)` gives the point values of a jet attribute, or of
+    the metric's `g` and `g_inv`, computed once per bundle.
 
     Jet order budgets: Weyl needs K>=2, first covariant derivatives K>=3,
     Laplacians and double derivatives K>=4.  Underbudgeted requests raise
@@ -375,6 +387,20 @@ class CurvatureBundle:
         self.metric = metric
         self.dim = metric.dim
         self.mode = metric.mode
+        self._values = {}
+
+    def values(self, name: str) -> Values:
+        """Point values of the jet attribute `name` (or "g", "g_inv")."""
+        v = self._values.get(name)
+        if v is None:
+            owner = self.metric if name in ("g", "g_inv") else self
+            v = self._values[name] = getattr(owner, name).values()
+        return v
+
+    def _raised(self, name: str) -> Values:
+        """Point values of `name` with the last slot raised."""
+        t = self.values(name)
+        return _as_jet_values(raise_lower(t, t.rank - 1, self.values("g_inv")))
 
     def require(self, needed: int, what: str):
         if self.metric.order < needed:
@@ -500,10 +526,9 @@ class CurvatureBundle:
                                Tensor(self.dim, "", [self.scalar]))
 
     @cached_property
-    def weyl_mixed(self) -> Tensor:
+    def weyl_mixed(self) -> Values:
         """C_{jkl}^m, the last slot of `weyl` raised; conformally invariant."""
-        return raise_lower(self.weyl, 3,
-                           self.metric.g_inv.truncate(self.metric.order - 2))
+        return self._raised("weyl")
 
     # -- first covariant derivatives ----------------------------------------
 
@@ -533,15 +558,14 @@ class CurvatureBundle:
                                self.nabla_scalar)
 
     @cached_property
-    def nabla_weyl_mixed(self) -> Tensor:
+    def nabla_weyl_mixed(self) -> Values:
         """nabla_i C_{jkl}^m, the last slot of `nabla_weyl` raised."""
-        return raise_lower(self.nabla_weyl, 4,
-                           self.metric.g_inv.truncate(self.metric.order - 3))
+        return self._raised("nabla_weyl")
 
     @cached_property
-    def div_weyl(self) -> Tensor:
+    def div_weyl(self) -> Values:
         """nabla_m C_{jkl}^m, slots (j,k,l)."""
-        return contract(self.nabla_weyl_mixed, 0, 4)
+        return _as_jet_values(contract(self.nabla_weyl_mixed, 0, 4))
 
     # -- second covariant derivatives and Laplacians --------------------------
 
@@ -565,32 +589,32 @@ class CurvatureBundle:
         return covariant_derivative(self.nabla_riemann, self.gamma,
                                     "nabla nabla Riemann", RIEMANN)
 
-    def _trace_first_two(self, t: Tensor) -> Tensor:
-        return contract(t, 0, 1, self.metric.g_inv.truncate(t.entries[0].order))
+    def _laplacian(self, name: str) -> Values:
+        """g^{ab} nabla_a nabla_b of a tensor, from the values of `name`."""
+        return _as_jet_values(contract(self.values(name), 0, 1,
+                                       self.values("g_inv")))
 
     @cached_property
-    def lap_ricci(self) -> Tensor:
-        return self._trace_first_two(self.nabla2_ricci)
+    def lap_ricci(self) -> Values:
+        return self._laplacian("nabla2_ricci")
 
     @cached_property
-    def lap_weyl(self) -> Tensor:
-        return self._trace_first_two(self.nabla2_weyl)
+    def lap_weyl(self) -> Values:
+        return self._laplacian("nabla2_weyl")
 
     @cached_property
-    def lap_riemann(self) -> Tensor:
-        return self._trace_first_two(self.nabla2_riemann)
+    def lap_riemann(self) -> Values:
+        return self._laplacian("nabla2_riemann")
 
     @cached_property
-    def nabla2_weyl_mixed(self) -> Tensor:
+    def nabla2_weyl_mixed(self) -> Values:
         """The last slot of `nabla2_weyl` raised."""
-        return raise_lower(self.nabla2_weyl, 5,
-                           self.metric.g_inv.truncate(self.metric.order - 4))
+        return self._raised("nabla2_weyl")
 
     @cached_property
-    def double_div_weyl(self) -> Tensor:
+    def double_div_weyl(self) -> Values:
         """nabla^j nabla^m C_{jklm}, slots (k,l)."""
         t = self.nabla2_weyl_mixed  # slots (outer, inner, j, k, l, m^)
-        ginv = self.metric.g_inv.truncate(t.entries[0].order)
         # raise the outer derivative slot and contract with j
-        a = contract(t, 0, 2, ginv)          # slots (inner, k, l, m^)
-        return contract(a, 0, 3)             # contract inner derivative with m
+        a = contract(t, 0, 2, self.values("g_inv"))   # (inner, k, l, m^)
+        return _as_jet_values(contract(a, 0, 3))  # inner derivative with m

@@ -459,6 +459,8 @@ def parse_metric_config(text: str):
         count=_integer(pts.get("count", 5), "points.count"),
         u_values=tuple(str(x) for x in _list(
             pts.get("u_values", list(DEFAULT_U_VALUES)), "points.u_values")))
+    if not plan.u_values:
+        raise ConfigError("points.u_values must not be empty")
     for u in plan.u_values:
         _rational(u, "points.u_values")     # sample_points reads them later
     if plan.strategy not in ("grid", "random"):

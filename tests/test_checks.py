@@ -7,7 +7,8 @@ import pytest
 from conftest import NC4, make_ctx, poly
 from ppcheck import (EXACT, FLOAT, build_galaev, build_ppwave,
                      build_two_symmetric, build_walker, linalg)
-from ppcheck.checks import (CHECKS, PointContext, _extract_schimming_d,
+from ppcheck.checks import (CHECKS, PointContext, _chi_quartic,
+                            _extract_schimming_d,
                             chart_covector_u, check_collinearity, check_olszak,
                             extract_recurrence, relative_residual)
 from ppcheck.metrics import PointPlan, sample_points
@@ -31,7 +32,7 @@ class TestExtractRecurrence:
     def test_constant_field_gives_zero_covector(self):
         t = Tensor(3, "l", [F(1), F(2), F(0)])
         nt = Tensor.zeros(3, "ll", F(0))
-        alpha, res = extract_recurrence(t, nt)
+        alpha, res = extract_recurrence(t.values(), nt.values())
         assert alpha == [0, 0, 0] and res == 0
 
     def test_exact_multiple_recovered(self):
@@ -40,19 +41,20 @@ class TestExtractRecurrence:
         for i, a in enumerate((F(2), F(-7))):
             for j in range(2):
                 nt[i, j] = a * t.entries[j]
-        alpha, res = extract_recurrence(t, nt)
+        alpha, res = extract_recurrence(t.values(), nt.values())
         assert alpha == [F(2), F(-7)] and res == 0
 
     def test_vacuous_on_zero_tensor(self):
         t = Tensor(2, "l", [F(0), F(0)])
-        alpha, res = extract_recurrence(t, Tensor.zeros(2, "ll", F(0)))
+        alpha, res = extract_recurrence(
+            t.values(), Tensor.zeros(2, "ll", F(0)).values())
         assert alpha is None and res is None
 
     def test_nonrecurrent_has_residual(self):
         t = Tensor(2, "l", [F(1), F(0)])
         nt = Tensor.zeros(2, "ll", F(0))
         nt[0, 1] = F(1)   # derivative not proportional to t
-        _, res = extract_recurrence(t, nt)
+        _, res = extract_recurrence(t.values(), nt.values())
         assert res > 0
 
 
@@ -106,7 +108,7 @@ class TestCollinearity:
         assert r.status == "pass" and r.witnesses["mu"] == F(1, 2)
 
     def test_orthogonal_covectors_fail(self, flagship_ctx):
-        alpha = Tensor(5, "l", [F(0), F(1), F(0), F(0), F(0)])
+        alpha = Tensor(5, "l", [F(0), F(1), F(0), F(0), F(0)]).values()
         r = check_collinearity(flagship_ctx, alpha=alpha)
         assert r.status == "fail" and r.residual == 1
 
@@ -117,14 +119,14 @@ class TestOlszak:
         assert r.status == "pass" and r.residual == 0
 
     def test_dv_fails_on_galaev(self, flagship_ctx):
-        dv = Tensor(5, "l", [F(0)] * 4 + [F(1)])
+        dv = Tensor(5, "l", [F(0)] * 4 + [F(1)]).values()
         r = check_olszak(flagship_ctx, x=dv)
         assert r.status == "fail"
 
     def test_extracted_alpha_in_distribution(self, flagship_ctx):
         alpha = Tensor(5, "l",
                        CHECKS["conformal_recurrence"](flagship_ctx)
-                       .witnesses["alpha"])
+                       .witnesses["alpha"]).values()
         r = check_olszak(flagship_ctx, x=alpha)
         assert r.status == "pass"
 
@@ -310,7 +312,10 @@ class TestUniversalIdentities:
 
 
 def _dense_schimming_d(riem, x, ctx):
-    """Reference: the tuple-indexed dense least squares over all n^4 entries."""
+    """Reference: the tuple-indexed dense least squares over all n^4 entries,
+    on Tensors of the numbers the Values riem and x stand for."""
+    riem = Tensor(riem.dim, riem.variance, riem.entries)
+    x = Tensor(x.dim, x.variance, x.entries)
     n = riem.dim
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
 
@@ -354,11 +359,14 @@ def _dense_schimming_d(riem, x, ctx):
         for e in range(k):
             if gram[e][e]:
                 coeffs[e] = rhs[e] / gram[e][e]
-    recon = Tensor.zeros(n, "llll", riem.entries[0])
+    recon = Tensor.zeros(n, "llll", riem.entries[0]).entries
     for c, bt in zip(coeffs, basis):
         if c:
-            recon = recon + bt.scale(c)
-    res = relative_residual(sup_norm(riem - recon), sup_norm(riem))
+            recon = [r + e * c for r, e in zip(recon, bt.entries)]
+    res = relative_residual(
+        sup_norm(Tensor(n, "llll", [r - e for r, e in zip(riem.entries,
+                                                          recon)]).values()),
+        sup_norm(riem.values()))
     dmat = [[ctx.zero()] * n for _ in range(n)]
     for (a, b), c in zip(pairs, coeffs):
         dmat[a][b] = dmat[b][a] = c
@@ -391,8 +399,8 @@ class TestSchimmingDReference:
         # int 0 beside Fractions, as in exact value tensors
         riem = Tensor(n, "llll", [
             F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4
-            else 0 for _ in range(n ** 4)])
-        x = Tensor(n, COV, [F(2), F(0), F(-1, 3), F(5, 2)])
+            else 0 for _ in range(n ** 4)]).values()
+        x = Tensor(n, COV, [F(2), F(0), F(-1, 3), F(5, 2)]).values()
         got = _extract_schimming_d(riem, x, ctx)
         self._assert_identical(got, _dense_schimming_d(riem, x, ctx))
         assert got[1] != 0
@@ -402,13 +410,56 @@ class TestSchimmingDReference:
         ctx = make_ctx(flagship_spec, pt, mode=FLOAT, order=2)
         rng = random.Random(5)
         riem = ctx.bundle.riemann.values()
-        noisy = riem.map(lambda e: e + rng.uniform(-0.1, 0.1)
-                         if rng.random() < 0.2 else e)
+        noisy = Tensor(5, "llll", [e + rng.uniform(-0.1, 0.1)
+                                   if rng.random() < 0.2 else e
+                                   for e in riem.entries]).values()
         for t, x in ((riem, chart_covector_u(ctx)),
-                     (noisy, Tensor(5, COV, [0.5, -1.0, 0.0, 2.0, 0.25]))):
+                     (noisy,
+                      Tensor(5, COV, [0.5, -1.0, 0.0, 2.0, 0.25]).values())):
             (dmat, res), (dmat_ref, res_ref) = (
                 _extract_schimming_d(t, x, ctx), _dense_schimming_d(t, x, ctx))
             assert type(res) is float and abs(res - res_ref) <= 1e-12
             for row, row_ref in zip(dmat, dmat_ref):
                 for a, b in zip(row, row_ref):
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _fraction_chi_quartic(quart, x, ctx):
+    """Reference: chi and sup|T - chi x^4| with x^4 formed as the outer
+    product x (x) x (x) x (x) x, all in Fractions (or floats)."""
+    xs = x.entries
+    x4 = [a * b * c * d for a in xs for b in xs for c in xs for d in xs]
+    chi_num = chi_den = None
+    for tq, xe in zip(quart.entries, x4):
+        chi_num = tq * xe if chi_num is None else chi_num + tq * xe
+        chi_den = xe * xe if chi_den is None else chi_den + xe * xe
+    chi = chi_num / chi_den if chi_den else ctx.zero()
+    worst = None
+    for tq, xe in zip(quart.entries, x4):
+        d = abs(tq - xe * chi)
+        worst = d if worst is None or d > worst else worst
+    return chi, worst
+
+
+class TestChiQuarticReference:
+    """The support-only chi-quartic fit against the dense x^4 reference."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_random_quartics(self, mode):
+        rng = random.Random(f"chi-{mode}")
+        ctx = PointContext(spec=None, point=(), mode=mode, bundle=None)
+        n = 4
+        for _ in range(20):
+            support = rng.sample(range(n), rng.randint(1, n))
+            x = [F(rng.randint(-4, 4), rng.randint(1, 3)) if i in support
+                 else F(0) for i in range(n)]
+            quart = [F(rng.randint(-9, 9), rng.randint(1, 5))
+                     if rng.random() < 0.5 else F(0) for _ in range(n ** 4)]
+            if mode == FLOAT:
+                x, quart = [float(v) for v in x], [float(v) for v in quart]
+            xv = Tensor(n, COV, x).values()
+            qv = Tensor(n, "llll", quart).values()
+            got = _chi_quartic(qv, xv, ctx)
+            want = _fraction_chi_quartic(qv, xv, ctx)
+            for a, b in zip(got, want):
+                assert type(a) is type(b) and a == b, (got, want)

@@ -1,6 +1,8 @@
 """Front end: run orchestration, theorem bundles, report serialization."""
+import gc
 import json
 import os
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from ppcheck import (RunConfig, all_clear, build_report, emit_report,
                      parse_metric_config, report_to_json, report_to_text)
 from ppcheck.checks import CheckResult
+from ppcheck import cli
 from ppcheck.cli import (RunError, list_families, main, run, theorem_suite)
 from ppcheck.metrics import ConfigError, PointPlan
 from ppcheck.report import encode_value
@@ -94,6 +97,23 @@ class TestRun:
         rep = run(spec, config)
         assert [r.status for r in rep.rows] == ["pass"] * 3
 
+    def test_each_bundle_released_before_the_next_point(self, monkeypatch):
+        """A serial run keeps no bundle past its point's checks."""
+        evaluate = cli._evaluate
+        bundles, alive = [], []
+
+        def spy(spec, point, bundle, config, names):
+            gc.collect()
+            alive.append([ref() is not None for ref in bundles])
+            bundles.append(weakref.ref(bundle))
+            return evaluate(spec, point, bundle, config, names)
+
+        monkeypatch.setattr(cli, "_evaluate", spy)
+        spec, config = parse_metric_config(
+            FLAGSHIP.replace('"olszak"]', '"olszak"], "jet_order": 3'))
+        run(spec, config, threads=1)
+        assert alive == [[], [False], [False, False]]
+
     def test_parallel_serial_identical(self):
         spec, config = parse_metric_config(FLAGSHIP)
         a = report_to_json(run(spec, config, threads=1))
@@ -133,6 +153,9 @@ class TestTheoremSuite:
 # Between them they reach every jet operation: seeding from polynomials,
 # sums, differences, negation, scalar and jet products, reciprocals,
 # truncation and derivatives, on sparse (galaev) and dense (perturbed) jets.
+# The galaev d=2, ppwave and two_symmetric reports were written while the
+# checks still did their value algebra in Fractions, so they also pin the
+# integer value layer's residual and witness types to that algebra's.
 PINNED_REPORTS = {
     "report_galaev_exact.json": {
         "family": "galaev", "d": 3,
@@ -146,6 +169,20 @@ PINNED_REPORTS = {
         "checks": ["bianchi", "conformal_invariance",
                    "weyl_divergence_formula", "ricci_recurrence",
                    "conformal_recurrence"]},
+    "report_galaev_d2_exact.json": {
+        "family": "galaev", "d": 2,
+        "params": {"lambda": [1, -1], "a": "u^2", "F": "u"},
+        "mode": "exact", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 2}},
+    "report_ppwave_exact.json": {
+        "family": "ppwave", "d": 2, "params": {"H": "x1^4 + u*x1*x2 - x2^2"},
+        "mode": "exact", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 2}},
+    "report_two_symmetric_exact.json": {
+        "family": "two_symmetric", "d": 2,
+        "params": {"a_vec": [0, 2], "b_mat": [[1, 2], [2, -1]]},
+        "mode": "exact", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 2}},
 }
 
 
@@ -324,6 +361,15 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(name) in err
+
+    def test_empty_u_values_exits_two(self, tmp_path, capsys):
+        doc = {**_FLAGSHIP_DOC, "points": {"strategy": "grid",
+                                           "u_values": []}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (capsys.readouterr().err
+                == "error: points.u_values must not be empty\n")
 
     def test_custom_coords_must_match_components(self, tmp_path, capsys):
         doc = {"family": "custom",

@@ -4,6 +4,7 @@ The sign and index conventions are pinned by hand-derived components of
 wave metrics in the null chart, most importantly R_uu for quadratic
 potentials.
 """
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
 from ppcheck.jets import Jet
 from ppcheck.metrics import PointPlan
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import (CON, COV, Tensor, contract, kronecker,
+from ppcheck.tensors import (CON, COV, Tensor, Values, contract,
                              raise_lower, sup_norm)
 
 PT = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -50,7 +51,7 @@ class TestChristoffel:
         expect[1, 0, 0] = -x1
         expect[3, 0, 1] = x1
         expect[3, 1, 0] = x1
-        assert gam == expect
+        assert gam == expect.values()
 
     def test_v_dependent_potential_changes_connection(self):
         one = poly("1")
@@ -132,18 +133,28 @@ class TestDerivedWeylDerivatives:
 
     @staticmethod
     def direct(b):
+        """Jet references: C differentiated directly, and its (1,3) form
+        raised on jets, then differentiated; the bundle's mixed forms are
+        point values, so they are compared with these references' values."""
+        weyl_mixed = raise_lower(
+            b.weyl, 3, b.metric.g_inv.truncate(b.weyl.entries[0].order))
         nw = covariant_derivative(b.weyl, b.gamma, "oracle")
-        nwm = covariant_derivative(b.weyl_mixed, b.gamma, "oracle")
-        return {"nabla_weyl": nw, "nabla_weyl_mixed": nwm,
+        nwm = covariant_derivative(weyl_mixed, b.gamma, "oracle")
+        return {"weyl_mixed": weyl_mixed.values(), "nabla_weyl": nw,
+                "nabla_weyl_mixed": nwm.values(),
                 "nabla2_weyl": covariant_derivative(nw, b.gamma, "oracle"),
                 "nabla2_weyl_mixed": covariant_derivative(nwm, b.gamma,
-                                                          "oracle")}
+                                                          "oracle").values()}
 
     @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
     def test_exact_jets_equal_direct_derivatives(self, ctx_name, request):
         b = request.getfixturevalue(ctx_name).bundle
         for attr, want in self.direct(b).items():
-            assert getattr(b, attr) == want, attr
+            got = getattr(b, attr)
+            assert got == want, attr
+            if isinstance(got, Values):     # zeros read as a jet's value
+                assert ([type(e) for e in got.entries]
+                        == [type(e) for e in want.entries]), attr
         assert sup_norm(b.nabla_weyl.values()) > 0
 
     def test_float_exponential_factor_within_tolerance(self):
@@ -153,11 +164,15 @@ class TestDerivedWeylDerivatives:
         b = bundle_for(spec, mode=FLOAT)
         for attr, want in self.direct(b).items():
             got = getattr(b, attr)
-            scale = max(abs(c) for e in want.entries
-                        for c in e.coeffs.values())
-            gap = max(abs(g.coefficient(k) - w.coefficient(k))
-                      for g, w in zip(got.entries, want.entries)
-                      for k in set(g.coeffs) | set(w.coeffs))
+            if isinstance(got, Values):
+                scale = max(map(abs, want.num))
+                gap = max(abs(g - w) for g, w in zip(got.num, want.num))
+            else:
+                scale = max(abs(c) for e in want.entries
+                            for c in e.coeffs.values())
+                gap = max(abs(g.coefficient(k) - w.coefficient(k))
+                          for g, w in zip(got.entries, want.entries)
+                          for k in set(g.coeffs) | set(w.coeffs))
             assert scale > 0 and gap <= 1e-9 * scale, (attr, gap, scale)
 
     @pytest.mark.parametrize("attr", ATTRS)
@@ -204,21 +219,15 @@ class TestCovariantDerivative:
         expect = Tensor.zeros(4, "lll", F(0))
         for j in range(4):
             expect[j, 0, 0] = grad[j]
-        assert nr == expect
-
-    def test_laplacian_of_metric_vanishes(self, quartic_ctx):
-        from ppcheck.geometry import laplacian
-        b = quartic_ctx.bundle
-        lap = laplacian(b.metric.g, b.metric, b.gamma)
-        assert not sup_norm(lap.values())
+        assert nr == expect.values()
 
 
 class TestSecondDerivatives:
     def test_galaev_second_ricci_vanishes(self, flagship_ctx):
-        assert not sup_norm(flagship_ctx.bundle.lap_ricci.values())
+        assert not sup_norm(flagship_ctx.bundle.lap_ricci)
 
     def test_x_dependent_psi_gives_nonzero_laplacian(self, quartic_ctx):
-        assert sup_norm(quartic_ctx.bundle.lap_ricci.values()) > 0
+        assert sup_norm(quartic_ctx.bundle.lap_ricci) > 0
 
 
 class TestModesAndErrors:
@@ -267,7 +276,8 @@ def scatter_covariant_derivative(t, gamma, context="reference"):
     rank = t.rank
     stride = n ** rank
     out = [Jet.zero(n, order - 1, sample.mode)] * (n * stride)
-    for off, (idx, e) in enumerate(zip(t.indices(), t.entries)):
+    indices = itertools.product(range(n), repeat=t.rank)
+    for off, (idx, e) in enumerate(zip(indices, t.entries)):
         if e.is_zero():
             continue
         for i in range(n):

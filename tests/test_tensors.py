@@ -7,31 +7,30 @@ import pytest
 
 from conftest import NC4, make_ctx, poly
 from ppcheck import EXACT, FLOAT, Jet, build_ppwave
-from ppcheck.tensors import (Tensor, _is_zero_entry, contract, cyclic_sum,
-                             kronecker, raise_lower, sup_norm, zero_like)
+from ppcheck.tensors import (Tensor, Values, _is_zero_entry, contract,
+                             contract_outer, cyclic_sum, cyclic_sum_outer,
+                             raise_lower, sup_norm, zero_like)
+
+
+def _identity(n):
+    """The mixed identity delta_i^j with Fraction entries."""
+    return Tensor(n, "lu", [F(int(i == j)) for i in range(n) for j in range(n)])
 
 
 class TestContraction:
     def test_trace_of_identity(self):
-        delta = kronecker(4, F(1))
-        assert contract(delta, 0, 1).entries[0] == 4
+        assert contract(_identity(4), 0, 1).entries[0] == 4
 
     def test_metric_times_inverse_is_identity(self, vacuum_ctx):
         m = vacuum_ctx.bundle.metric
-        prod = contract(m.g.values().outer(m.g_inv.values()), 1, 2)
-        assert prod == kronecker(4, F(1))
+        prod = raise_lower(m.g.values(), 1, m.g_inv.values())
+        assert prod == _identity(4).values()
 
     def test_ppwave_scalar_curvature_vanishes(self, quartic_ctx):
         b = quartic_ctx.bundle
         ric = b.ricci.values()
         ginv = b.metric.g_inv.values()
         assert not sup_norm(contract(ric, 0, 1, ginv))
-
-    def test_kronecker_of_zero_float_jet_is_float(self):
-        delta = kronecker(4, Jet.zero(4, 2, FLOAT))
-        assert delta[1, 1] == Jet.constant(4, 2, 1.0, FLOAT)
-        assert all(e.mode == FLOAT and isinstance(e.value, float)
-                   for e in delta.entries)
 
     def test_same_variance_needs_metric(self):
         t = Tensor.zeros(3, "ll", F(0))
@@ -43,29 +42,29 @@ class TestCyclicSum:
     def test_three_term_sum_on_unit_entry(self):
         t = Tensor.zeros(2, "lll", F(0))
         t[0, 0, 1] = F(1)
-        s = cyclic_sum(t, (0, 1, 2))
+        s = cyclic_sum(t.values(), (0, 1, 2))
         # entries at the three cyclic placements of the single unit
         assert s[0, 0, 1] == 1 and s[0, 1, 0] == 1 and s[1, 0, 0] == 1
 
     def test_zero_tensor(self):
         t = Tensor.zeros(3, "lll", F(0))
-        assert not sup_norm(cyclic_sum(t, (0, 1, 2)))
+        assert not sup_norm(cyclic_sum(t.values(), (0, 1, 2)))
 
     def test_olszak_cyclic_sum_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle
-        x = Tensor(4, "l", [F(1), F(0), F(0), F(0)])
-        s = cyclic_sum(x.outer(b.weyl.values()), (0, 1, 2))
+        x = Tensor(4, "l", [F(1), F(0), F(0), F(0)]).values()
+        s = cyclic_sum_outer(x, b.weyl.values())
         assert not sup_norm(s)
 
 
 class TestSupNorm:
     def test_zero(self):
-        assert sup_norm(Tensor.zeros(2, "l", F(0))) == 0
+        assert sup_norm(Tensor.zeros(2, "l", F(0)).values()) == 0
 
     def test_single_negative_entry(self):
         t = Tensor.zeros(2, "l", F(0))
         t[1] = F(-3)
-        assert sup_norm(t) == 3
+        assert sup_norm(t.values()) == 3
 
     def test_galaev_weyl_nonzero(self, flagship_ctx):
         assert sup_norm(flagship_ctx.bundle.weyl.values()) > 0
@@ -83,7 +82,7 @@ class TestRaiseLower:
         # X^k = g^{ku} lowers to delta_k^u in the null chart
         b = quartic_ctx.bundle
         ginv = b.metric.g_inv.values()
-        xup = Tensor(4, "u", [ginv[k, 0] for k in range(4)])
+        xup = Tensor(4, "u", [ginv[k, 0] for k in range(4)]).values()
         x = raise_lower(xup, 0, b.metric.g.values())
         assert list(x.entries) == [F(1), F(0), F(0), F(0)]
 
@@ -162,7 +161,7 @@ class TestPermute:
 
     def test_slot_s_of_result_is_slot_perm_s(self):
         t = Tensor(3, "llu", [F(i) for i in range(27)])
-        p = t.permute((1, 2, 0))
+        p = t.values().permute((1, 2, 0))
         assert p.variance == "lul"
         for a, b, c in itertools.product(range(3), repeat=3):
             assert p[a, b, c] == t[c, a, b]
@@ -232,6 +231,12 @@ def _naive_cyclic_sum(t, slots):
     return out
 
 
+def _numbers(t):
+    """A Tensor of the point values of t's entries (t itself for numbers)."""
+    return Tensor(t.dim, t.variance, [e.value if isinstance(e, Jet) else e
+                                      for e in t.entries])
+
+
 def _random_tensor(rng, kind, n, variance):
     return Tensor(n, variance, [_random_entry(rng, kind)
                                 for _ in range(n ** len(variance))])
@@ -242,12 +247,14 @@ class TestKernelReference:
 
     @pytest.mark.parametrize("kind", ENTRY_KINDS)
     def test_permute_matches_naive_loop(self, kind):
+        """Permuting a tensor's point values (jets are read at the point)."""
         rng = random.Random(f"permute-{kind}")
         for rank in range(1, 6):
             variance = "".join(rng.choice("lu") for _ in range(rank))
             t = _random_tensor(rng, kind, 3, variance)
             for perm in itertools.permutations(range(rank)):
-                _assert_same_entries(t.permute(perm), _naive_permute(t, perm))
+                _assert_same_numbers(t.values().permute(perm),
+                                     _naive_permute(_numbers(t), perm))
 
     @pytest.mark.parametrize("kind", ENTRY_KINDS)
     @pytest.mark.parametrize("metric_kind", ["none", "g_inv", "g"])
@@ -289,9 +296,226 @@ class TestKernelReference:
 
     @pytest.mark.parametrize("kind", ENTRY_KINDS)
     def test_cyclic_sum_matches_naive_loop(self, kind):
+        """Cyclic sums of a tensor's point values (jets are read at the
+        point)."""
         rng = random.Random(f"cyclic-{kind}")
         for rank in range(3, 6):
             t = _random_tensor(rng, kind, 3, "l" * rank)
             for slots in itertools.permutations(range(rank), 3):
-                _assert_same_entries(cyclic_sum(t, slots),
-                                     _naive_cyclic_sum(t, slots))
+                _assert_same_numbers(cyclic_sum(t.values(), slots),
+                                     _naive_cyclic_sum(_numbers(t), slots))
+
+
+# -- value kernels against the Fraction kernels they replaced -------------------
+#
+# The oracles below are the flat-offset kernels that ran on Tensors of
+# Fractions (int 0 for a jet's zero value) or floats before point values
+# became integer numerators over one denominator.  Each value kernel must
+# give the same numbers, of the same type, entry by entry.
+
+
+def _oracle_outer(a, b):
+    return Tensor(a.dim, a.variance + b.variance,
+                  [x * y for x in a.entries for y in b.entries])
+
+
+def _oracle_sub(a, b):
+    return Tensor(a.dim, a.variance,
+                  [x - y for x, y in zip(a.entries, b.entries)])
+
+
+def _oracle_scale(a, c):
+    return Tensor(a.dim, a.variance, [x * c for x in a.entries])
+
+
+def _oracle_sup_norm(t):
+    best = None
+    for v in t.entries:
+        if best is None:
+            best = abs(v)
+        elif v:
+            v = abs(v)
+            if v > best:
+                best = v
+    return best
+
+
+def _oracle_raise_lower(t, slot, metric):
+    n = t.dim
+    flip = "u" if t.variance[slot] == "l" else "l"
+    w = n ** (t.rank - 1 - slot)
+    col = [[(m, metric.entries[m * n + p]) for m in range(n)
+            if metric.entries[m * n + p]] for p in range(n)]
+    out = Tensor.zeros(n, t.variance[:slot] + flip + t.variance[slot + 1:],
+                       t.entries[0]).entries
+    for off, e in enumerate(t.entries):
+        if not e:
+            continue
+        p = off // w % n
+        rest = off - p * w
+        for m, g in col[p]:
+            o = rest + m * w
+            out[o] = out[o] + e * g
+    return Tensor(n, t.variance[:slot] + flip + t.variance[slot + 1:], out)
+
+
+def _oracle_cyclic_sum(t, slots):
+    i, j, k = slots
+    perm1 = list(range(t.rank))
+    perm1[i], perm1[j], perm1[k] = j, k, i
+    perm2 = list(range(t.rank))
+    perm2[i], perm2[j], perm2[k] = k, i, j
+    a = t.entries
+    b, c = _naive_permute(t, perm1).entries, _naive_permute(t, perm2).entries
+    return Tensor(t.dim, t.variance, [x + y + z for x, y, z in zip(a, b, c)])
+
+
+VALUE_KINDS = ["fraction", "int0", "mixed", "float", "jet"]
+
+
+def _number_tensor(rng, kind, n, variance):
+    """(Tensor of numbers for the oracle, the same as Values).
+
+    "int0" zeros are int 0 (a jet's zero value), "fraction" zeros are
+    Fraction(0), "mixed" has both; "jet" reads exact jets' values.
+    """
+    size = n ** len(variance)
+    if kind == "jet":
+        jets = Tensor(n, variance, [_random_entry(rng, "jet")
+                                    for _ in range(size)])
+        return Tensor(n, variance, [e.value for e in jets.entries]), \
+            jets.values()
+    if kind == "mixed":
+        entries = [_random_entry(rng, rng.choice(["fraction", "int0"]))
+                   for _ in range(size)]
+    else:
+        entries = [_random_entry(rng, kind) for _ in range(size)]
+    t = Tensor(n, variance, entries)
+    return t, t.values()
+
+
+def _assert_same_numbers(got, want):
+    """A Values tensor against an oracle Tensor: equal numbers of identical
+    type, entry by entry."""
+    assert isinstance(got, Values)
+    assert (got.dim, got.variance) == (want.dim, want.variance)
+    got_entries = got.entries
+    assert len(got_entries) == len(want.entries)
+    for a, b in zip(got_entries, want.entries):
+        assert type(a) is type(b) and a == b, (a, b)
+
+
+def _dims(rank):
+    return 2 if rank >= 6 else 3
+
+
+class TestValueKernels:
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_values_read_back_the_numbers(self, kind):
+        rng = random.Random(f"read-{kind}")
+        for rank in range(0, 7):
+            t, v = _number_tensor(rng, kind, _dims(rank), "l" * rank)
+            _assert_same_numbers(v, t)
+            got, want = sup_norm(v), _oracle_sup_norm(t)
+            assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_permute(self, kind):
+        rng = random.Random(f"vpermute-{kind}")
+        for rank in range(1, 7):
+            variance = "".join(rng.choice("lu") for _ in range(rank))
+            t, v = _number_tensor(rng, kind, _dims(rank), variance)
+            perms = list(itertools.permutations(range(rank)))
+            for perm in rng.sample(perms, min(len(perms), 12)):
+                _assert_same_numbers(v.permute(perm), _naive_permute(t, perm))
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_raise_lower(self, kind):
+        rng = random.Random(f"vraise-{kind}")
+        for rank in range(1, 7):
+            n = _dims(rank)
+            for slot in range(rank):
+                variance = "".join(rng.choice("lu") for _ in range(rank))
+                t, v = _number_tensor(rng, kind, n, variance)
+                mt, mv = _number_tensor(
+                    rng, kind, n, "uu" if variance[slot] == "l" else "ll")
+                _assert_same_numbers(raise_lower(v, slot, mv),
+                                     _oracle_raise_lower(t, slot, mt))
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    @pytest.mark.parametrize("metric_kind", ["none", "g_inv", "g"])
+    def test_contract(self, kind, metric_kind):
+        rng = random.Random(f"vcontract-{kind}-{metric_kind}")
+        for rank in range(2, 7):
+            n = _dims(rank)
+            for a, b in itertools.combinations(range(rank), 2):
+                variance = [rng.choice("lu") for _ in range(rank)]
+                variance[a], variance[b] = {"none": ("l", "u"),
+                                            "g_inv": ("l", "l"),
+                                            "g": ("u", "u")}[metric_kind]
+                t, v = _number_tensor(rng, kind, n, "".join(variance))
+                mt = mv = None
+                if metric_kind != "none":
+                    mt, mv = _number_tensor(
+                        rng, kind, n, "uu" if metric_kind == "g_inv" else "ll")
+                _assert_same_numbers(contract(v, a, b, mv),
+                                     _naive_contract(t, a, b, mt))
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_cyclic_sum(self, kind):
+        rng = random.Random(f"vcyclic-{kind}")
+        for rank in range(3, 7):
+            t, v = _number_tensor(rng, kind, _dims(rank), "l" * rank)
+            for slots in rng.sample(
+                    list(itertools.permutations(range(rank), 3)), 6):
+                _assert_same_numbers(cyclic_sum(v, slots),
+                                     _oracle_cyclic_sum(t, slots))
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_sub_scale_outer(self, kind):
+        rng = random.Random(f"vsub-{kind}")
+        for rank in range(1, 4):
+            n = _dims(rank)
+            t, v = _number_tensor(rng, kind, n, "l" * rank)
+            u, w = _number_tensor(rng, kind, n, "l" * rank)
+            _assert_same_numbers(v - w, _oracle_sub(t, u))
+            _assert_same_numbers(v - v, _oracle_sub(t, t))
+            c = 0.75 if kind == "float" else F(-3, 4)
+            _assert_same_numbers(v.scale(c), _oracle_scale(t, c))
+            _assert_same_numbers(v.outer(w), _oracle_outer(t, u))
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_cyclic_sum_outer(self, kind):
+        """cyclic_sum(x (x) t, (0, 1, 2)) without forming x (x) t."""
+        rng = random.Random(f"vcyclic-outer-{kind}")
+        for rank in range(2, 6):
+            n = _dims(rank + 1)
+            for _ in range(3):
+                xt, xv = _number_tensor(rng, kind, n, "l")
+                t, v = _number_tensor(rng, kind, n, "l" * rank)
+                _assert_same_numbers(
+                    cyclic_sum_outer(xv, v),
+                    _oracle_cyclic_sum(_oracle_outer(xt, t), (0, 1, 2)))
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_contract_outer(self, kind):
+        """contract(x (x) t, 0, slot + 1) without forming x (x) t."""
+        rng = random.Random(f"vcontract-outer-{kind}")
+        for rank in range(1, 6):
+            n = _dims(rank + 1)
+            for slot in range(rank):
+                variance = "".join(rng.choice("lu") for _ in range(rank))
+                xvar = "u" if variance[slot] == "l" else "l"
+                xt, xv = _number_tensor(rng, kind, n, xvar)
+                t, v = _number_tensor(rng, kind, n, variance)
+                _assert_same_numbers(
+                    contract_outer(xv, v, slot),
+                    _naive_contract(_oracle_outer(xt, t), 0, slot + 1))
+
+    def test_mixed_kinds_refused(self):
+        t = Tensor(2, "l", [F(1), F(2)])
+        g = Tensor(2, "uu", [F(1), F(0), F(0), F(1)])
+        with pytest.raises(ValueError):
+            raise_lower(t.values(), 0, g)
+        with pytest.raises(ValueError):
+            raise_lower(t, 0, g.values())
