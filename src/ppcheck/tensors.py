@@ -10,10 +10,11 @@ c[0]/den, in float mode floats over 1.  The kernels run on those integers
 or floats; a number is made only for an entry that leaves a kernel (via
 `entries`, `[]` or `sup_norm`) as a witness or a reported residual, and
 it has the type the Fraction algebra on jet values gave it, so reports
-stay byte-identical: a Fraction, or for a zero entry `zero` -- int 0 where
-every value it came from was a jet's exact zero (Jet.value reads those as
-int 0), Fraction(0) where a Fraction took part, 0.0 in float mode.  `zero`
-is one number, or one per entry where a kernel mixes the two.
+stay byte-identical: a Fraction, or for a zero entry `zero` -- int 0 for a
+jet's exact zero (Jet.value reads those as int 0) and for a sum,
+difference or product of such zeros only, Fraction(0) where a Fraction
+took part or a contraction made the entry, 0.0 in float mode.  `zero` is
+one number, or one per entry where a kernel mixes the two.
 
 `raise_lower` and `contract` take either kind of tensor; `cyclic_sum`,
 `sup_norm` and the fused `contract_outer` and `cyclic_sum_outer`, which
