@@ -204,7 +204,7 @@ class Values:
 
     def scale(self, c) -> "Values":
         """Every entry times the number c."""
-        if not self.exact or isinstance(c, float):
+        if not self.exact:
             return Values(self.dim, self.variance,
                           [x * c for x in self.num], 1, 0.0)
         c = Fraction(c)
