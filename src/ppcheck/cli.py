@@ -1,15 +1,9 @@
-"""Command-line front end: batch runs, theorem bundles, family discovery.
-
-Point evaluation is pure, so it can run on a thread pool; rows are sorted
-afterwards so parallel and serial runs emit byte-identical reports.
-"""
+"""Command-line front end: batch runs, theorem bundles, family discovery."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .checks import CHECKS, ERROR, ORDER_BUDGET, CheckResult, PointContext
@@ -31,7 +25,8 @@ def _requested_checks(config: RunConfig):
     names = list(config.checks) if config.checks else list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise ConfigError(f"unknown checks requested: {', '.join(unknown)}")
+        raise ConfigError("unknown checks requested: "
+                          + ", ".join(map(repr, unknown)))
     return names
 
 
@@ -45,18 +40,25 @@ def _validate_budgets(names, jet_order: int):
                           f"insufficient for: {detail}")
 
 
-def _usable_point(spec: MetricSpec, point, config: RunConfig, notes: list):
-    """Return a bundle at the point, nudging away from metric degeneracy."""
+def _checked_point(spec: MetricSpec, point, config: RunConfig, names,
+                   notes: list) -> list:
+    """Check results at the point, nudged away from metric degeneracy; empty
+    when every nudge is degenerate too.
+
+    The point's bundle lives only in this call, so it is released before
+    the next point's metric is built.
+    """
     candidate = point
     for attempt in range(MAX_RESAMPLES + 1):
         try:
             m = metric_at_point(spec, candidate, config.jet_order, config.mode)
-            return candidate, CurvatureBundle(m)
         except DegeneratePointError:
             notes.append(f"degenerate metric at {encode_value(list(candidate))};"
                          " resampled")
             candidate = perturb_point(point, attempt + 1)
-    return None, None
+            continue
+        return _evaluate(spec, candidate, CurvatureBundle(m), config, names)
+    return []
 
 
 def _evaluate(spec, point, bundle, config, names):
@@ -78,35 +80,17 @@ def _evaluate(spec, point, bundle, config, names):
 
 
 def run(spec: MetricSpec, config: RunConfig, threads: int = 1) -> Report:
-    """Evaluate all requested checks at every sampled point."""
+    """Evaluate all requested checks at every sampled point, one point at a
+    time.  `threads` is accepted and ignored (bench/worker.py passes it)."""
     names = _requested_checks(config)
     _validate_budgets(names, config.jet_order)
-    points = sample_points(spec, config.points)
     notes: list = []
-    usable = []
-    for idx, pt in enumerate(points):
-        resolved, bundle = _usable_point(spec, pt, config, notes)
-        if resolved is not None:
-            usable.append((idx, resolved, bundle))
-    if not usable:
-        raise RunError("all sampled points are degenerate for this metric")
-
-    def work(k):
-        # drop the point's bundle as its checks start, so the bundle and
-        # what it caches die with them: at most one bundle per worker holds
-        # computed curvature
-        idx, pt, bundle = usable[k]
-        usable[k] = None
-        return [(idx, r) for r in _evaluate(spec, pt, bundle, config, names)]
-
     indexed = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(work, range(len(usable))):
-                indexed.extend(chunk)
-    else:
-        for k in range(len(usable)):
-            indexed.extend(work(k))
+    for idx, pt in enumerate(sample_points(spec, config.points)):
+        indexed.extend((idx, r) for r in
+                       _checked_point(spec, pt, config, names, notes))
+    if not indexed:
+        raise RunError("all sampled points are degenerate for this metric")
     header = {
         "version": ENGINE_VERSION,
         "mode": config.mode,
@@ -141,14 +125,13 @@ THEOREM_BUNDLES = {
 }
 
 
-def theorem_suite(name: str, spec: MetricSpec, config: RunConfig,
-                  threads: int = 1) -> Report:
+def theorem_suite(name: str, spec: MetricSpec, config: RunConfig) -> Report:
     """Run one theorem's hypothesis-plus-conclusion bundle."""
     if name not in THEOREM_BUNDLES:
         raise ConfigError(f"unknown theorem id {name!r}; "
                           f"known: {', '.join(sorted(THEOREM_BUNDLES))}")
     hypothesis, bundle = THEOREM_BUNDLES[name]
-    report = run(spec, replace(config, checks=tuple(bundle)), threads=threads)
+    report = run(spec, replace(config, checks=tuple(bundle)))
     report.header["theorem"] = name
     hypo_rows = [r for r in report.rows if r.name == hypothesis]
     if any(r.status in ("fail", "error") for r in hypo_rows):
@@ -186,8 +169,15 @@ def _load_config(path: str):
     return parse_metric_config(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that main reports them as one `error:` line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppcheck",
         description="verify curvature identities of polynomial metrics "
                     "at sample points")
@@ -197,36 +187,33 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("json", "text"), default="json")
-    p_run.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p_thm = sub.add_parser("theorems", help="run a theorem bundle")
     p_thm.add_argument("--name", required=True)
     p_thm.add_argument("--config", required=True)
     p_thm.add_argument("--out", default=None)
     p_thm.add_argument("--format", choices=("json", "text"), default="json")
-    p_thm.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p_fam = sub.add_parser("families", help="list built-in metric families")
     p_fam.add_argument("--list", action="store_true", default=True)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "families":
             sys.stdout.write(list_families())
             return 0
         spec, config = _load_config(args.config)
         if args.command == "run":
-            report = run(spec, config, threads=max(1, args.threads))
+            report = run(spec, config)
         else:
-            report = theorem_suite(args.name, spec, config,
-                                   threads=max(1, args.threads))
+            report = theorem_suite(args.name, spec, config)
         text = emit_report(report, args.out, args.format)
         if args.out is None:
             sys.stdout.write(text)
         if report.verdict == "hypotheses not met":
             return 0
         return 0 if all_clear(report) else 1
-    except (ConfigError, RunError, OSError) as exc:
+    except (argparse.ArgumentError, ConfigError, RunError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

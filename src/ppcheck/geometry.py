@@ -321,11 +321,10 @@ class CurvatureBundle:
     nabla g = 0).
 
     Point-value attributes (Values, see tensors): `weyl_mixed`,
-    `nabla_weyl_mixed`, `nabla2_weyl_mixed` (the last slot of the Weyl
-    forms raised), `div_weyl`, `double_div_weyl` and `lap_ricci`,
-    `lap_weyl`, `lap_riemann`.  Raising and contracting are pointwise
-    algebra, so they are done on point values and `g_inv`'s, never on
-    jets.  `values(name)` gives the point values of a jet attribute, or of
+    `nabla_weyl_mixed` (the last slot of the Weyl forms raised),
+    `div_weyl`, `double_div_weyl` and `lap_ricci`, `lap_weyl`,
+    `lap_riemann`.  Raising and contracting are pointwise algebra, so they
+    are done on point values and `g_inv`'s, never on jets.  `values(name)` gives the point values of a jet attribute, or of
     the metric's `g` and `g_inv`, computed once per bundle.
 
     Jet order budgets: Weyl needs K>=2, first covariant derivatives K>=3,
@@ -557,14 +556,9 @@ class CurvatureBundle:
         return self._laplacian("nabla2_riemann")
 
     @cached_property
-    def nabla2_weyl_mixed(self) -> Values:
-        """The last slot of `nabla2_weyl` raised."""
-        return self._raised("nabla2_weyl")
-
-    @cached_property
     def double_div_weyl(self) -> Values:
         """nabla^j nabla^m C_{jklm}, slots (k,l)."""
-        t = self.nabla2_weyl_mixed  # slots (outer, inner, j, k, l, m^)
-        # raise the outer derivative slot and contract with j
-        a = contract(t, 0, 2, self.values("g_inv"))   # (inner, k, l, m^)
-        return _as_jet_values(contract(a, 0, 3))  # inner derivative with m
+        g_inv = self.values("g_inv")
+        t = self.values("nabla2_weyl")  # slots (outer, inner, j, k, l, m)
+        a = contract(t, 0, 2, g_inv)    # outer with j: (inner, k, l, m)
+        return _as_jet_values(contract(a, 0, 3, g_inv))  # inner with m

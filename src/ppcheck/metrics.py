@@ -9,11 +9,14 @@ with polynomial data, so exact-rational jets cover every construction.
 from __future__ import annotations
 
 import json
+import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polynomials import Polynomial, PolynomialError, parse_polynomial
+from .polynomials import (MAX_TERMS, Polynomial, PolynomialError,
+                          parse_polynomial)
 
 FAMILIES = ("ppwave", "brinkmann", "walker", "galaev", "two_symmetric",
             "custom", "perturbed_minkowski")
@@ -53,9 +56,6 @@ class MetricSpec:
             for j in range(i):
                 if self.components[i][j] != self.components[j][i]:
                     raise FamilyError(f"components not symmetric at ({i},{j})")
-
-    def component_strings(self):
-        return [[repr(c) for c in row] for row in self.components]
 
 
 def _zero(coords):
@@ -309,8 +309,12 @@ def conformal_rescale(spec: MetricSpec, factor_poly, kind: str = "square") -> Me
 DEFAULT_U_VALUES = ("1/2", "1", "3/2", "2", "5/2")
 # Input-size bounds, refused before any work: a rank-6 tensor has n^6
 # entries, and a jet of order K in n variables has C(n + K, K) coefficients.
+# The jet size bound C(12, 6) admits n = 8 at K = 4, n = 7 at K = 5 and
+# n = 6 at K = 6, which cost about the same per point, and refuses n = 8
+# at K = 5, which costs about three times as much.
 MAX_DIMENSION = 8
 MAX_JET_ORDER = 6
+MAX_JET_SIZE = 924
 _TRANSVERSE = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), Fraction(-1, 11),
                Fraction(1, 13), Fraction(3, 17), Fraction(-2, 19), Fraction(1, 23))
 
@@ -375,6 +379,10 @@ def perturb_point(point, attempt: int):
 
 # -- configuration document ---------------------------------------------------
 
+# A decimal exponent of four or more significant digits, as Fraction reads it
+_LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](?:_?[0-9]){3}")
+
+
 def _integer(value, name: str) -> int:
     """An integer field; a string holding an integer also counts."""
     if not isinstance(value, (int, str)) or isinstance(value, bool):
@@ -387,10 +395,10 @@ def _integer(value, name: str) -> int:
 
 
 def _dimension(n: int, name: str) -> int:
-    """A chart dimension n read from field `name`, refused above the bound."""
-    if n > MAX_DIMENSION:
-        raise ConfigError(f"field {name!r} gives dimension n = {n}; at most "
-                          f"{MAX_DIMENSION} is supported")
+    """A chart dimension n read from field `name`, refused outside the bound."""
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ConfigError(f"field {name!r} gives dimension n = {n}; 1 to "
+                          f"{MAX_DIMENSION} are supported")
     return n
 
 
@@ -400,6 +408,10 @@ def _rational(value, name: str) -> Fraction:
             or isinstance(value, bool)):
         raise ConfigError(f"field {name!r} must be a rational number, "
                           f"got {value!r}")
+    if isinstance(value, str) and _LONG_EXPONENT.search(value):
+        # Fraction("1e9999999") would compute 10**9999999
+        raise ConfigError(f"field {name!r} has a decimal exponent of 1000 "
+                          f"or more, got {value!r}")
     try:
         return Fraction(value)
     except (ValueError, OverflowError, ZeroDivisionError):
@@ -434,7 +446,9 @@ def parse_metric_config(text: str):
     """Parse a JSON configuration document into (MetricSpec, RunConfig)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError: malformed JSON, or an integer above Python's digit
+        # limit; RecursionError: arrays or objects nested too deeply
         raise ConfigError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -464,6 +478,11 @@ def parse_metric_config(text: str):
             or not 2 <= jet_order <= MAX_JET_ORDER):
         raise ConfigError("field 'jet_order' must be an integer in "
                           f"2..{MAX_JET_ORDER}")
+    jet_size = math.comb(spec.n + jet_order, jet_order)
+    if jet_size > MAX_JET_SIZE:
+        raise ConfigError(
+            f"n = {spec.n} with 'jet_order' {jet_order} gives jets of "
+            f"{jet_size} coefficients; at most {MAX_JET_SIZE} are supported")
     pts = doc.get("points", {})
     if not isinstance(pts, dict):
         raise ConfigError("field 'points' must be an object")
@@ -544,10 +563,16 @@ def _build_from_config(family, doc, params):
             comp = _polynomial_rows(comp, "params.components")
         return build_custom(comp, coords=coords)
     if family == "perturbed_minkowski":
+        n = _dimension(_integer(doc.get("n", 4), "n"), "n")
+        degree = _integer(params.get("degree", 2), "params.degree")
+        if degree > 0 and math.comb(n + degree, n) > MAX_TERMS:
+            raise ConfigError(
+                f"field 'params.degree' {degree} gives components of "
+                f"{math.comb(n + degree, n)} terms at n = {n}; at most "
+                f"{MAX_TERMS} are supported")
         return build_perturbed_minkowski(
-            seed=_integer(params.get("seed", 0), "params.seed"),
-            n=_dimension(_integer(doc.get("n", 4), "n"), "n"),
-            max_degree=_integer(params.get("degree", 2), "params.degree"))
+            seed=_integer(params.get("seed", 0), "params.seed"), n=n,
+            max_degree=degree)
     if doc.get("d") is not None:
         d = _dimension(_integer(doc["d"], "d") + 2, "d") - 2
     elif doc.get("n") is not None:

@@ -7,12 +7,21 @@ only when a jet is instantiated in float mode.
 from __future__ import annotations
 
 import ast
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 
-# Largest `^` exponent parse_polynomial accepts; it multiplies that many times.
+# Size bounds parse_polynomial holds every partial result to, each checked
+# before the operation that could pass it.  A `^` exponent is the number of
+# products that form the power.  A sum of a and b has at most
+# len(a) + len(b) terms and a product at most len(a) * len(b), which is
+# also the product's work.  A product's degree is the sum of its factors'.
+# A product of constants has at most the sum of their bits.
 MAX_EXPONENT = 32
+MAX_TERMS = 1000
+MAX_DEGREE = 32
+MAX_CONSTANT_BITS = 1024
 
 
 class PolynomialError(ValueError):
@@ -208,17 +217,53 @@ _ALLOWED = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
             ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
 
 
+def _terms(x) -> int:
+    return len(x.terms) if isinstance(x, Polynomial) else 1
+
+
+def _degree(x) -> int:
+    return x.degree() if isinstance(x, Polynomial) else 0
+
+
+def _bits(c: Fraction) -> int:
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
 def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse expressions like "u*(x1^2 + 2*x2^2)" or "3/4*x1" over a chart.
 
     `^` is accepted as the power operator.  Division is only allowed with a
-    constant divisor (rational syntax "p/q").
+    constant divisor (rational syntax "p/q").  An expression that would pass
+    one of the size bounds above is refused before that work is done.
     """
     variables = tuple(variables)
     try:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
-    except SyntaxError as e:
-        raise PolynomialError(f"cannot parse polynomial {text!r}: {e}") from None
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as e:
+        # ValueError: null bytes before Python 3.11; RecursionError and
+        # MemoryError: nesting too deep for the parser
+        raise PolynomialError(f"cannot parse polynomial {text!r}: "
+                              f"{type(e).__name__}: {e}") from None
+
+    def refuse(what, value, bound):
+        raise PolynomialError(f"{what} {value} above the bound {bound} "
+                              f"in {text!r}")
+
+    def add(a, b):
+        if _terms(a) + _terms(b) > MAX_TERMS:
+            refuse("term count up to", _terms(a) + _terms(b), MAX_TERMS)
+        return a + b
+
+    def product(a, b):
+        if isinstance(a, Polynomial) or isinstance(b, Polynomial):
+            if _degree(a) + _degree(b) > MAX_DEGREE:
+                refuse("degree", _degree(a) + _degree(b), MAX_DEGREE)
+            if _terms(a) * _terms(b) > MAX_TERMS:
+                refuse("term count up to", _terms(a) * _terms(b), MAX_TERMS)
+        elif _bits(a) + _bits(b) > MAX_CONSTANT_BITS:
+            refuse("constant size in bits", _bits(a) + _bits(b),
+                   MAX_CONSTANT_BITS)
+        return a * b
 
     def ev(node):
         if not isinstance(node, _ALLOWED):
@@ -226,40 +271,49 @@ def parse_polynomial(text: str, variables) -> Polynomial:
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
+            if (isinstance(node.value, bool)
+                    or not isinstance(node.value, (int, float))
+                    or not math.isfinite(node.value)):
                 raise PolynomialError(f"bad constant {node.value!r} in {text!r}")
             return _as_fraction(node.value)
         if isinstance(node, ast.Name):
             return Polynomial.variable(variables, node.id)
         if isinstance(node, ast.UnaryOp):
+            if not isinstance(node.op, (ast.USub, ast.UAdd)):
+                raise PolynomialError(f"unsupported operator in {text!r}")
             v = ev(node.operand)
             return -v if isinstance(node.op, ast.USub) else v
         # BinOp
         left, right = ev(node.left), ev(node.right)
         if isinstance(node.op, ast.Add):
-            return left + right
+            return add(left, right)
         if isinstance(node.op, ast.Sub):
-            return left - right
+            return add(left, -right)
         if isinstance(node.op, ast.Mult):
-            return left * right
+            return product(left, right)
         if isinstance(node.op, ast.Div):
             if isinstance(right, Polynomial):
                 raise PolynomialError(f"division by a polynomial in {text!r}")
             if right == 0:
                 raise PolynomialError(f"division by zero in {text!r}")
-            if isinstance(left, Polynomial):
-                return left * (Fraction(1) / right)
-            return left / right
+            return product(left, 1 / right)
         if isinstance(node.op, ast.Pow):
             if isinstance(right, Polynomial) or right.denominator != 1 or right < 0:
                 raise PolynomialError(f"exponent must be a non-negative integer in {text!r}")
             if right > MAX_EXPONENT:
-                raise PolynomialError(f"exponent {right} above the bound "
-                                      f"{MAX_EXPONENT} in {text!r}")
-            return left ** int(right)
+                refuse("exponent", right, MAX_EXPONENT)
+            out = (Polynomial.constant(variables, 1)
+                   if isinstance(left, Polynomial) else Fraction(1))
+            for _ in range(int(right)):
+                out = product(out, left)
+            return out
         raise PolynomialError(f"unsupported operator in {text!r}")
 
-    out = ev(tree)
+    try:
+        out = ev(tree)
+    except RecursionError:
+        raise PolynomialError(
+            f"polynomial {text!r} is nested too deeply") from None
     if not isinstance(out, Polynomial):
         out = Polynomial.constant(variables, out)
     return out

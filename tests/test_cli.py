@@ -45,7 +45,7 @@ VACUUM = """
 @pytest.fixture(scope="module")
 def flagship_report():
     spec, config = parse_metric_config(FLAGSHIP)
-    return run(spec, config, threads=1)
+    return run(spec, config)
 
 
 class TestRun:
@@ -111,13 +111,40 @@ class TestRun:
         monkeypatch.setattr(cli, "_evaluate", spy)
         spec, config = parse_metric_config(
             FLAGSHIP.replace('"olszak"]', '"olszak"], "jet_order": 3'))
-        run(spec, config, threads=1)
+        run(spec, config)
         assert alive == [[], [False], [False, False]]
+
+    def test_next_metric_built_after_the_point_before_is_checked(
+            self, monkeypatch):
+        """Point k+1's metric is built only after point k's checks have run
+        and point k's bundle is gone."""
+        build, evaluate = cli.metric_at_point, cli._evaluate
+        events, bundles = [], []
+
+        def spy_build(*args):
+            gc.collect()
+            events.append(("build", [ref() is not None for ref in bundles]))
+            return build(*args)
+
+        def spy_evaluate(spec, point, bundle, config, names):
+            bundles.append(weakref.ref(bundle))
+            results = evaluate(spec, point, bundle, config, names)
+            events.append(("checked", len(results)))
+            return results
+
+        monkeypatch.setattr(cli, "metric_at_point", spy_build)
+        monkeypatch.setattr(cli, "_evaluate", spy_evaluate)
+        spec, config = parse_metric_config(
+            FLAGSHIP.replace('"olszak"]', '"olszak"], "jet_order": 3'))
+        run(spec, config)
+        assert events == [("build", []), ("checked", 5),
+                          ("build", [False]), ("checked", 5),
+                          ("build", [False, False]), ("checked", 5)]
 
     def test_parallel_serial_identical(self):
         spec, config = parse_metric_config(FLAGSHIP)
-        a = report_to_json(run(spec, config, threads=1))
-        b = report_to_json(run(spec, config, threads=4))
+        a = report_to_json(run(spec, config))
+        b = report_to_json(run(spec, config))
         assert a == b
 
 
@@ -253,8 +280,7 @@ class TestMainEntry:
     def test_run_exit_zero_and_output(self, tmp_path, capsys):
         cfg = self.write(tmp_path, FLAGSHIP)
         out = str(tmp_path / "report.json")
-        assert main(["run", "--config", cfg, "--out", out,
-                     "--threads", "2"]) == 0
+        assert main(["run", "--config", cfg, "--out", out]) == 0
         doc = json.loads(open(out).read())
         assert doc["header"]["mode"] == "exact"
 
@@ -283,6 +309,27 @@ class TestMainEntry:
         assert main(["theorems", "--name", "thm_3_8", "--config", cfg,
                      "--format", "text"]) == 0
         assert "verdict: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["run", "--config", "CFG", "--threads", "2"], "--threads"),
+        (["run"], "--config"),
+        (["bogus"], "'bogus'"),
+    ], ids=["removed_threads_flag", "missing_config", "unknown_subcommand"])
+    def test_usage_error_exits_two_with_one_line(self, argv, needle, tmp_path,
+                                                 capsys):
+        cfg = self.write(tmp_path, FLAGSHIP)
+        assert main([cfg if a == "CFG" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize("command", ["run", "theorems"])
+    def test_help_exits_zero_without_threads(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--config" in out and "--threads" not in out
 
     def test_families_subcommand(self, capsys):
         assert main(["families"]) == 0
@@ -368,6 +415,19 @@ OVERSIZED = {
                                         "coords": _NINE}},
         "'params.components'"),
     "jet_order": ({**_FLAGSHIP_DOC, "jet_order": 7}, "'jet_order'"),
+    "jet_size": ({"family": "perturbed_minkowski", "n": 8, "jet_order": 5},
+                 "1287 coefficients"),
+    "polynomial_terms": (
+        {"family": "custom", "params": {"components": {
+            "0,0": "(x0+x1+x2+x3+x4+x5+x6+x7)^12", "7,7": "1"}}},
+        "term count up to"),
+    "polynomial_degree": (
+        {**_FLAGSHIP_DOC, "params": {**_FLAGSHIP_DOC["params"],
+                                     "F": "((x1 + u)^32)^8"}}, "degree 64"),
+    "constant_bits": (
+        {**_FLAGSHIP_DOC, "params": {**_FLAGSHIP_DOC["params"],
+                                     "F": "(2^32)^32 * u"}},
+        "constant size in bits 1026"),
 }
 AT_BOUND = {
     "exponent": {**_FLAGSHIP_DOC, "params": {**_FLAGSHIP_DOC["params"],
@@ -378,10 +438,51 @@ AT_BOUND = {
     "components_key": {"family": "custom",
                        "params": {"components": {"7,7": "1"}}},
     "jet_order": {**_FLAGSHIP_DOC, "jet_order": 6},
+    "jet_size_n6": {"family": "perturbed_minkowski", "n": 6, "jet_order": 6},
+    "jet_size_n7": {"family": "perturbed_minkowski", "n": 7, "jet_order": 5},
+    # term pairs 10 * 10, then exactly 100 * 10
+    "polynomial_terms": {"family": "custom", "params": {"components": {
+        "0,0": "-1", "1,1": "1", "2,2": "1",
+        "3,3": "(x0+x1)^9 * (x2+x3)^9 * (x0+x1+x2)^3"}}},
+    "polynomial_degree": {**_FLAGSHIP_DOC, "params": {
+        **_FLAGSHIP_DOC["params"], "F": "u^16 * (u + 1)^16"}},
+    "constant_bits": {**_FLAGSHIP_DOC, "params": {
+        **_FLAGSHIP_DOC["params"], "F": "(2^32)^31 * u"}},
+    "perturbed_degree": {"family": "perturbed_minkowski", "n": 4,
+                         "params": {"degree": 9}},
+}
+
+# Documents that once ended in a traceback or ran without bound
+MALFORMED_TEXTS = {
+    "json_integer_digits": ("1" + "0" * 5000, "invalid JSON"),
+    "json_nesting": ("[" * 100000, "invalid JSON"),
+    "dimension_zero": (json.dumps({"family": "perturbed_minkowski", "n": 0}),
+                       "'n'"),
+    "perturbed_degree": (json.dumps({"family": "perturbed_minkowski",
+                                     "n": 8, "params": {"degree": 5}}),
+                         "1287 terms"),
+    "rational_exponent": (json.dumps({**_FLAGSHIP_DOC,
+                                      "tolerance": "1e99999999"}),
+                          "decimal exponent"),
+    "infinite_literal": (json.dumps({**_FLAGSHIP_DOC, "params": {
+        **_FLAGSHIP_DOC["params"], "F": "1e999 * u"}}), "bad constant"),
+    "check_name_newline": (json.dumps({**_FLAGSHIP_DOC,
+                                       "checks": ["bianchi\nweyl"]}),
+                           "unknown checks"),
 }
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXTS))
+    def test_malformed_document_exits_two(self, case, tmp_path, capsys):
+        text, needle = MALFORMED_TEXTS[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
     @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
     def test_bad_field_exits_two_with_one_line(self, case, tmp_path, capsys):
         field_text, name = BAD_FIELDS[case]

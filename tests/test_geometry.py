@@ -17,8 +17,8 @@ from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
 from ppcheck.checks import chart_covector_u
 from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
                               DegeneratePointError, ModeError,
-                              OrderBudgetError, SymmetryError, _orbits,
-                              covariant_derivative, metric_at_point)
+                              OrderBudgetError, SymmetryError, _as_jet_values,
+                              _orbits, covariant_derivative, metric_at_point)
 from ppcheck.jets import Jet
 from ppcheck.metrics import PointPlan
 from ppcheck.polynomials import parse_polynomial
@@ -125,26 +125,32 @@ class TestWeyl:
 
 class TestDerivedWeylDerivatives:
     """nabla C and nabla nabla C come from nabla^L of Riemann, Ricci and R,
-    and their (1,3) forms by raising; differentiating C directly is the
+    their (1,3) forms by raising, and the double divergence by contracting
+    nabla nabla C with g_inv twice; differentiating C directly is the
     reference."""
 
     ATTRS = ("nabla_weyl", "nabla_weyl_mixed", "nabla2_weyl",
-             "nabla2_weyl_mixed")
+             "double_div_weyl")
 
     @staticmethod
     def direct(b):
         """Jet references: C differentiated directly, and its (1,3) form
         raised on jets, then differentiated; the bundle's mixed forms are
-        point values, so they are compared with these references' values."""
+        point values, so they are compared with these references' values.
+        The double divergence is the mixed trace of the raised form's second
+        derivative: its outer derivative slot raised onto j, its inner one
+        traced with m."""
         weyl_mixed = raise_lower(
             b.weyl, 3, b.metric.g_inv.truncate(b.weyl.entries[0].order))
         nw = covariant_derivative(b.weyl, b.gamma, "oracle")
         nwm = covariant_derivative(weyl_mixed, b.gamma, "oracle")
+        nnwm = covariant_derivative(nwm, b.gamma, "oracle").values()
+        div = _as_jet_values(
+            contract(contract(nnwm, 0, 2, b.metric.g_inv.values()), 0, 3))
         return {"weyl_mixed": weyl_mixed.values(), "nabla_weyl": nw,
                 "nabla_weyl_mixed": nwm.values(),
                 "nabla2_weyl": covariant_derivative(nw, b.gamma, "oracle"),
-                "nabla2_weyl_mixed": covariant_derivative(nwm, b.gamma,
-                                                          "oracle").values()}
+                "double_div_weyl": div}
 
     @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
     def test_exact_jets_equal_direct_derivatives(self, ctx_name, request):

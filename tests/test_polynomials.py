@@ -1,4 +1,5 @@
 """Sparse multivariate polynomials with rational coefficients."""
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +52,43 @@ class TestParsing:
     def test_calls_rejected(self):
         with pytest.raises(PolynomialError):
             P("abs(u)")
+
+    @pytest.mark.parametrize("text", [
+        "1e999 * u",                    # a float literal that is infinite
+        "~u", "not u",                  # unary operators other than + and -
+        "u\x00",                         # a null byte
+        "-" * 3000 + "u",               # nesting too deep for ast.parse
+        " + ".join(["u"] * 3000),
+    ], ids=["infinite", "invert", "not", "null_byte", "deep_unary",
+            "long_sum"])
+    def test_malformed_input_raises_polynomial_error(self, text):
+        with pytest.raises(PolynomialError):
+            P(text)
+
+    def test_sum_near_the_recursion_limit_parses_or_is_refused(self):
+        # ast.parse accepts it; evaluating it may pass the recursion limit
+        try:
+            P(" + ".join(["u"] * 990))
+        except PolynomialError:
+            pass
+
+    @pytest.mark.parametrize("text, needle", [
+        ("(x1 + x2 + u + 1)^33", "exponent 33"),
+        ("(u + x1)^32 * x2", "degree 33"),
+        ("(u + x1 + x2 + 1)^12", "term count up to"),
+        # 100 * 11 term pairs
+        ("(u + x1)^9 * (x2 + 1)^9 * (u + x2)^10", "term count up to 1100"),
+        ("((9^32)^32)^32", "constant size in bits"),
+    ])
+    def test_size_bounds_refused(self, text, needle):
+        with pytest.raises(PolynomialError, match=re.escape(needle)):
+            P(text)
+
+    def test_sizes_at_the_bounds_accepted(self):
+        assert P("(u + x1)^32").degree() == 32
+        # 10 * 10 term pairs, then exactly 100 * 10
+        assert P("(u + x1)^9 * (x2 + 1)^9 * (u + x2)^9").degree() == 27
+        assert P("(2^32)^31 * u") == P("u") * 2 ** 992
 
 
 class TestAlgebra:
