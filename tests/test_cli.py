@@ -428,6 +428,8 @@ OVERSIZED = {
         {**_FLAGSHIP_DOC, "params": {**_FLAGSHIP_DOC["params"],
                                      "F": "(2^32)^32 * u"}},
         "constant size in bits 1026"),
+    "perturbed_degree": ({"family": "perturbed_minkowski", "n": 8,
+                          "params": {"degree": 5}}, "1287 terms"),
 }
 AT_BOUND = {
     "exponent": {**_FLAGSHIP_DOC, "params": {**_FLAGSHIP_DOC["params"],
@@ -458,9 +460,6 @@ MALFORMED_TEXTS = {
     "json_nesting": ("[" * 100000, "invalid JSON"),
     "dimension_zero": (json.dumps({"family": "perturbed_minkowski", "n": 0}),
                        "'n'"),
-    "perturbed_degree": (json.dumps({"family": "perturbed_minkowski",
-                                     "n": 8, "params": {"degree": 5}}),
-                         "1287 terms"),
     "rational_exponent": (json.dumps({**_FLAGSHIP_DOC,
                                       "tolerance": "1e99999999"}),
                           "decimal exponent"),
