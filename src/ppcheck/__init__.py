@@ -10,15 +10,15 @@ sup-norm residuals.
 from .checks import (CHECKS, ORDER_BUDGET, CheckResult, PointContext,
                      extract_recurrence)
 from .cli import RunError, list_families, main, run, theorem_suite
-from .geometry import (CurvatureBundle, DegeneratePointError, ModeError,
+from .geometry import (CurvatureBundle, DegeneratePointError,
                        OrderBudgetError, covariant_derivative,
-                       metric_at_point)
+                       metric_at_point, rescaled)
 from .jets import EXACT, FLOAT, Jet, SingularJetError, jet_from_polynomial
 from .metrics import (ConfigError, FamilyError, MetricSpec, PointPlan,
                       RunConfig, build_custom, build_galaev,
                       build_perturbed_minkowski, build_ppwave,
-                      build_two_symmetric, build_walker, conformal_rescale,
-                      parse_metric_config, sample_points)
+                      build_two_symmetric, build_walker, parse_metric_config,
+                      sample_points)
 from .polynomials import Polynomial, PolynomialError, parse_polynomial
 from .report import (ENGINE_VERSION, Report, all_clear, build_report,
                      emit_report, report_to_json, report_to_text)
@@ -29,15 +29,15 @@ __version__ = ENGINE_VERSION
 __all__ = [
     "CHECKS", "ORDER_BUDGET", "CheckResult", "PointContext",
     "extract_recurrence", "RunError", "list_families", "main", "run",
-    "theorem_suite", "CurvatureBundle", "DegeneratePointError", "ModeError",
-    "OrderBudgetError", "covariant_derivative",
-    "metric_at_point", "EXACT", "FLOAT", "Jet", "SingularJetError",
+    "theorem_suite", "CurvatureBundle", "DegeneratePointError",
+    "OrderBudgetError", "covariant_derivative", "metric_at_point",
+    "rescaled", "EXACT", "FLOAT", "Jet", "SingularJetError",
     "jet_from_polynomial", "ConfigError", "FamilyError", "MetricSpec",
     "PointPlan", "RunConfig", "build_custom", "build_galaev",
     "build_perturbed_minkowski", "build_ppwave", "build_two_symmetric",
-    "build_walker", "conformal_rescale", "parse_metric_config",
-    "sample_points", "Polynomial", "PolynomialError", "parse_polynomial",
-    "ENGINE_VERSION", "Report", "all_clear", "build_report", "emit_report",
-    "report_to_json", "report_to_text", "Tensor", "contract", "cyclic_sum",
-    "raise_lower", "sup_norm", "__version__",
+    "build_walker", "parse_metric_config", "sample_points", "Polynomial",
+    "PolynomialError", "parse_polynomial", "ENGINE_VERSION", "Report",
+    "all_clear", "build_report", "emit_report", "report_to_json",
+    "report_to_text", "Tensor", "contract", "cyclic_sum", "raise_lower",
+    "sup_norm", "__version__",
 ]

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .geometry import CurvatureBundle, covariant_derivative, metric_at_point
-from .jets import EXACT, Jet, jet_recip
-from .metrics import MetricSpec, conformal_rescale
+from .geometry import CurvatureBundle, covariant_derivative, rescaled
+from .jets import EXACT, Jet, jet_exp, jet_from_polynomial, jet_recip
+from .metrics import MAX_FIELD_COEFFS, MetricSpec
 from .polynomials import Polynomial
 from .tensors import (COV, F0, Tensor, Values, contract, contract_outer,
                       cyclic_sum, cyclic_sum_outer, raise_lower, sup_norm)
@@ -116,17 +116,20 @@ def _parts(x):
     return (x, 1) if isinstance(x, float) else (x.numerator, x.denominator)
 
 
-def chart_covector_u(ctx: PointContext, jets: bool = False):
-    """X = du in chart components (1 in the u slot): a Tensor of jets, or
-    its Values."""
+def chart_covector_u(ctx: PointContext) -> Values:
+    """X = du in chart components (1 in the u slot)."""
     n = ctx.bundle.dim
     one = Fraction(1) if ctx.exact else 1.0
-    if jets:
-        order = ctx.bundle.metric.order
-        return Tensor(n, COV, [Jet.constant(n, order, one, ctx.mode) if i == 0
-                               else Jet.zero(n, order, ctx.mode)
-                               for i in range(n)])
     return Values.of(n, COV, [one if i == 0 else ctx.zero() for i in range(n)])
+
+
+def nabla_chart_covector_u(ctx: PointContext) -> Values:
+    """nabla_i X_j = -Gamma^0_{ij} for X = du, whose chart components are
+    constant."""
+    gam = ctx.bundle.values("gamma")    # Gamma^0_{ij} at offset i*n + j
+    n = gam.dim
+    return Values(n, COV * 2, [-x for x in gam.num[:n * n]], gam.den,
+                  gam.zero)
 
 
 # -- recurrence extraction -----------------------------------------------------
@@ -293,18 +296,23 @@ def check_weyl_divergence_formula(ctx: PointContext) -> CheckResult:
 def check_conformal_invariance(ctx: PointContext) -> CheckResult:
     """(1,3)-Weyl equality under a conformal rescale of the metric.
 
-    Exact mode uses the positive-square factor (1+s)^2; float mode uses the
-    genuine e^{2 sigma} via exponential jets.  Weyl values at a point
-    depend only on the metric 2-jet, so the rescaled bundle is built at
-    jet order 2 whatever the run's order.
+    The rescaled metric jets are the point's own times a factor jet
+    (geometry.rescaled).  Exact mode uses the positive-square factor
+    (1+s)^2; float mode uses the genuine e^{2s} via exponential jets.  Weyl
+    values at a point depend only on the metric 2-jet, so the factor, and
+    with it the rescaled bundle, is built at jet order 2 whatever the run's
+    order.
     """
     b = ctx.bundle
     s = Polynomial.variable(ctx.spec.coords, ctx.spec.coords[0]) * Fraction(1, 5)
-    kind = "square" if ctx.exact else "exp"
-    spec2 = conformal_rescale(ctx.spec, s, kind=kind)
-    m2 = metric_at_point(spec2, ctx.point, 2, ctx.mode)
+    sj = jet_from_polynomial(s, ctx.point, 2, ctx.mode)
+    if ctx.exact:
+        w = sj + Jet.constant(b.dim, 2, 1, ctx.mode)
+        factor = w * w
+    else:
+        factor = jet_exp(sj * 2.0)
     c1 = b.weyl_mixed
-    c2 = CurvatureBundle(m2).weyl_mixed
+    c2 = CurvatureBundle(rescaled(b.metric, factor)).weyl_mixed
     res = relative_residual(sup_norm(c1 - c2), sup_norm(c1))
     notes = f"conformal factor: {'(1+s)^2' if ctx.exact else 'exp(2s)'} with s = {s!r}"
     return _finish("conformal_invariance", ctx, {"weyl_13": res}, notes=notes)
@@ -318,9 +326,8 @@ def check_brinkmann(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
     chart_note = "" if _null_chart(ctx.spec) else \
         "no distinguished null coordinate; using the first chart covector"
-    x = chart_covector_u(ctx, jets=True)
-    nx = covariant_derivative(x, b.gamma, "brinkmann").values()
-    xv = x.values()
+    xv = chart_covector_u(ctx)
+    nx = nabla_chart_covector_u(ctx)
     res = relative_residual(sup_norm(nx), sup_norm(xv))
     xup = raise_lower(xv, 0, b.values("g_inv"))
     null_norm = abs(contract_outer(xup, xv, 0).number(0))
@@ -504,9 +511,7 @@ def check_schimming(ctx: PointContext) -> CheckResult:
     chart_note = "" if _null_chart(ctx.spec) else \
         "no distinguished null coordinate; using the first chart covector"
     x = chart_covector_u(ctx)
-    xj = chart_covector_u(ctx, jets=True)
-    nx = covariant_derivative(xj, b.gamma, "schimming precondition").values()
-    pre = relative_residual(sup_norm(nx), sup_norm(x))
+    pre = relative_residual(sup_norm(nabla_chart_covector_u(ctx)), sup_norm(x))
     riem = b.values("riemann")
     refr = sup_norm(riem)
     ginv = b.values("g_inv")
@@ -954,7 +959,12 @@ def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
 
 
 def check_field_equations(ctx: PointContext) -> CheckResult:
-    """Higher-derivative field operator on Ricci, with the pure-radiation source."""
+    """Field operator [a0 + a1 nabla^2] on Ricci, with the pure-radiation
+    source; raises ValueError for more than the two coefficients a0, a1."""
+    if len(ctx.field_coeffs) > MAX_FIELD_COEFFS:
+        raise ValueError(
+            f"{len(ctx.field_coeffs)} field equation coefficients; at most "
+            f"{MAX_FIELD_COEFFS} (a0 Ricci + a1 nabla^2 Ricci) are supported")
     if not _ppwave_like(ctx.spec):
         return CheckResult("field_equations", ERROR, ctx.zero(), ctx.point,
                            notes="unsupported: needs a built pp-wave family")
@@ -965,16 +975,6 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
     op = ric.scale(coeffs[0])
     if len(coeffs) > 1:
         op = op + lap.scale(coeffs[1])
-    notes = ""
-    higher_certified = False
-    if len(coeffs) > 2:
-        if sup_norm(lap) == 0 or (not ctx.exact and
-                                  _is_vacuous(sup_norm(lap), False)):
-            higher_certified = True
-            notes = ("powers (nabla^2)^p, p >= 2 certified zero: "
-                     "nabla^2 Ricci = 0 holds exactly")
-        else:
-            b.require(2 + 2 * (len(coeffs) - 1), "field_equations higher powers")
     residuals = {"operator_reduces": relative_residual(
         sup_norm(op - ric.scale(coeffs[0])), sup_norm(ric))}
     # Einstein limit: Ricci - R g / 2 against the radiation form psi X (x) X
@@ -994,10 +994,7 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
             expect = float(expect)
         residuals["source_matches_family_psi"] = relative_residual(
             abs(psi - expect), abs(expect), abs(psi))
-    if higher_certified:
-        witnesses["higher_powers"] = "certified zero"
-    return _finish("field_equations", ctx, residuals, witnesses=witnesses,
-                   notes=notes)
+    return _finish("field_equations", ctx, residuals, witnesses=witnesses)
 
 
 # -- registry -------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything is evaluated pointwise: metric components become jets, the
 Levi-Civita connection and curvature tensors are assembled from them, and
-covariant derivatives consume one jet order each.
+covariant derivatives consume one jet order each.  A conformal rescaling
+factor * g is applied to the point's jets (`rescaled`), not to the metric's
+polynomials: g's jets times the factor jet, g^{-1}'s times its reciprocal.
 
 The Weyl tensor is never differentiated.  The connection is metric
 (nabla g = 0), so nabla commutes with the Weyl decomposition: nabla^L C is
@@ -34,8 +36,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import linalg
-from .jets import (EXACT, FLOAT, Jet, OrderBudgetError, as_mode, jet_exp,
-                   jet_from_polynomial)
+from .jets import (EXACT, Jet, OrderBudgetError, as_mode,
+                   jet_from_polynomial, jet_recip)
 from .tensors import COV, CON, Tensor, Values, contract, raise_lower
 
 
@@ -47,52 +49,35 @@ class UnsupportedDimensionError(ValueError):
     """The Weyl tensor needs dimension at least 4."""
 
 
-class ModeError(ValueError):
-    """Operation not representable in the requested arithmetic mode."""
-
-
 class MetricAtPoint:
-    """Symmetric metric jets, their exact inverse jets, and point metadata."""
+    """Symmetric metric jets and their exact inverse jets at one point."""
 
-    def __init__(self, g: Tensor, g_inv: Tensor, point, mode: str,
-                 order: int, coords=None):
+    def __init__(self, g: Tensor, g_inv: Tensor, mode: str, order: int):
         self.g = g
         self.g_inv = g_inv
-        self.point = tuple(point)
         self.mode = mode
         self.order = order
-        self.coords = tuple(coords) if coords else None
         self.dim = g.dim
 
 
 def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint:
     """Evaluate a MetricSpec's component jets at a chart point.
 
-    The inverse metric jet is `linalg.solve(g, identity)`, exact to the
-    jet order in exact mode.  Degeneracy is detected there: a pivot column
-    of g with no nonzero value at the point (det g = 0 there) raises
-    DegeneratePointError.  ModeError is raised when an exponential
-    conformal factor is requested in exact mode.
+    g is symmetric, so each pair i <= j is expanded once and its jet shared
+    by (i, j) and (j, i).  The inverse metric jet is
+    `linalg.solve(g, identity)`, exact to the jet order in exact mode.
+    Degeneracy is detected there: a pivot column of g with no nonzero value
+    at the point (det g = 0 there) raises DegeneratePointError.
     """
     n = spec.n
     point = tuple(as_mode(x, mode) for x in point)
     if len(point) != n:
         raise ValueError(f"point has {len(point)} coordinates, metric has {n}")
-    factor = None
-    if getattr(spec, "conformal_sigma", None) is not None:
-        if mode != FLOAT:
-            raise ModeError(
-                "exponential conformal factor requires float mode; "
-                "use a positive-square factor in exact mode")
-        sigma = jet_from_polynomial(spec.conformal_sigma, point, order, mode)
-        factor = jet_exp(sigma * 2.0)
-    entries = []
+    entries = [None] * (n * n)
     for i in range(n):
-        for j in range(n):
-            jet = jet_from_polynomial(spec.components[i][j], point, order, mode)
-            if factor is not None:
-                jet = jet * factor
-            entries.append(jet)
+        for j in range(i, n):
+            entries[i * n + j] = entries[j * n + i] = jet_from_polynomial(
+                spec.components[i][j], point, order, mode)
     g = Tensor(n, COV * 2, entries)
     one, zero = Jet.constant(n, order, 1, mode), Jet.zero(n, order, mode)
     identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -103,8 +88,22 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
         raise DegeneratePointError(
             f"metric degenerate at point {point}") from None
     g_inv = Tensor(n, CON * 2, [x for row in inv for x in row])
-    return MetricAtPoint(g, g_inv, point, mode, order,
-                         coords=getattr(spec, "coords", None))
+    return MetricAtPoint(g, g_inv, mode, order)
+
+
+def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
+    """The metric jets of factor * g, at the order of the `factor` jet
+    (or of m, if that is lower).
+
+    g's jets are multiplied by `factor` and g^{-1}'s by `jet_recip(factor)`.
+    The truncated inverse is unique, so in exact mode these are literally
+    the jets `metric_at_point` builds from the rescaled components.
+    """
+    recip = jet_recip(factor, "conformal factor")
+    return MetricAtPoint(
+        Tensor(m.dim, COV * 2, [e * factor for e in m.g.entries]),
+        Tensor(m.dim, CON * 2, [e * recip for e in m.g_inv.entries]),
+        m.mode, min(m.order, factor.order))
 
 
 # -- connection and curvature ------------------------------------------------

@@ -5,6 +5,9 @@ All built-in families live in null coordinates (u, x1..xd, v):
   ds^2 = 2 du dv + H du^2 + ...
 
 with polynomial data, so exact-rational jets cover every construction.
+A conformal rescaling is not a construction here: it multiplies a point's
+metric jets by a factor jet (geometry.rescaled), so a MetricSpec is only
+ever its polynomial components.
 """
 from __future__ import annotations
 
@@ -44,7 +47,6 @@ class MetricSpec:
     provenance: dict = field(default_factory=dict, compare=False)
     potential: Polynomial | None = None        # pp-wave H, when applicable
     expected_psi: Polynomial | None = None     # recorded family prediction
-    conformal_sigma: Polynomial | None = None  # float-mode e^{2 sigma} factor
     warnings: tuple = ()
 
     def __post_init__(self):
@@ -278,32 +280,6 @@ def _monomials(nvars: int, max_degree: int):
     return out
 
 
-def conformal_rescale(spec: MetricSpec, factor_poly, kind: str = "square") -> MetricSpec:
-    """Conformally rescale a metric spec.
-
-    kind="square": multiply components by (1 + s)^2, exactly (any mode).
-    kind="exp": attach sigma for the float-mode factor e^{2 sigma}, applied
-    as a truncated exponential jet at each evaluation point.
-    """
-    p = _as_chart_poly(factor_poly, spec.coords)
-    if kind == "square":
-        w = (Polynomial.constant(spec.coords, 1) + p)
-        w2 = w * w
-        comp = tuple(tuple(c * w2 for c in row) for row in spec.components)
-        return MetricSpec(family=spec.family, n=spec.n, coords=spec.coords,
-                          components=comp,
-                          provenance=dict(spec.provenance, conformal=f"(1+{p!r})^2"),
-                          potential=spec.potential, expected_psi=None,
-                          warnings=spec.warnings)
-    if kind == "exp":
-        return MetricSpec(family=spec.family, n=spec.n, coords=spec.coords,
-                          components=spec.components,
-                          provenance=dict(spec.provenance, conformal=f"exp(2*({p!r}))"),
-                          potential=spec.potential, expected_psi=None,
-                          conformal_sigma=p, warnings=spec.warnings)
-    raise ValueError(f"unknown conformal factor kind {kind!r}")
-
-
 # -- run configuration -------------------------------------------------------
 
 DEFAULT_U_VALUES = ("1/2", "1", "3/2", "2", "5/2")
@@ -315,6 +291,8 @@ DEFAULT_U_VALUES = ("1/2", "1", "3/2", "2", "5/2")
 MAX_DIMENSION = 8
 MAX_JET_ORDER = 6
 MAX_JET_SIZE = 924
+# field_equations checks [a0 + a1 nabla^2] Ricci: two coefficients at most
+MAX_FIELD_COEFFS = 2
 _TRANSVERSE = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), Fraction(-1, 11),
                Fraction(1, 13), Fraction(3, 17), Fraction(-2, 19), Fraction(1, 23))
 
@@ -510,9 +488,10 @@ def parse_metric_config(text: str):
         raise ConfigError("field 'tolerance' is a relative residual and must "
                           f"lie in [0, 1], got {doc['tolerance']!r}")
     coeffs = doc.get("field_equation_coeffs", [1, 1])
-    if not isinstance(coeffs, list) or not coeffs:
-        raise ConfigError("field 'field_equation_coeffs' must be a non-empty "
-                          "list of rational numbers")
+    if (not isinstance(coeffs, list) or not coeffs
+            or len(coeffs) > MAX_FIELD_COEFFS):
+        raise ConfigError("field 'field_equation_coeffs' must be a list of "
+                          f"1 to {MAX_FIELD_COEFFS} rational numbers")
     coeffs = tuple(_rational(c, "field_equation_coeffs") for c in coeffs)
     config = RunConfig(mode=mode, jet_order=jet_order, points=plan,
                        tolerance=float(tol), checks=checks, field_coeffs=coeffs)

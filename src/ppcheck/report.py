@@ -2,17 +2,22 @@
 
 Rational values serialize as "p/q" strings so exact-mode reports never
 contain floating-point literals; floats use the shortest round-trip
-decimal that json produces natively.
+decimal that json produces natively.  Integers are written exactly at any
+size: past Python's default int-to-str limit of 4300 digits an integer is
+a string of its digits, and the digits come from `decimal`, which has no
+such limit.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .checks import CheckResult
 
 ENGINE_VERSION = "0.1.0"
+_INT_STR_LIMIT = 10 ** 4300     # json.dumps writes ints below it as numbers
 
 
 @dataclass
@@ -26,9 +31,11 @@ class Report:
 def encode_value(value):
     """JSON-friendly encoding: Fractions as "p/q", containers recursively."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     if isinstance(value, bool) or value is None:
         return value
+    if isinstance(value, int) and abs(value) >= _INT_STR_LIMIT:
+        return str(Decimal(value))
     if isinstance(value, (int, float, str)):
         return value
     if isinstance(value, dict):

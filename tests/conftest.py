@@ -6,7 +6,9 @@ import pytest
 from ppcheck import EXACT, build_galaev, build_perturbed_minkowski, build_ppwave
 from ppcheck.checks import PointContext
 from ppcheck.geometry import CurvatureBundle, metric_at_point
+from ppcheck.jets import Jet
 from ppcheck.polynomials import parse_polynomial
+from ppcheck.tensors import COV, Tensor
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -20,6 +22,14 @@ def make_ctx(spec, point, mode=EXACT, order=4, field_coeffs=(1, 1)):
     m = metric_at_point(spec, point, order, mode)
     return PointContext(spec=spec, point=point, mode=mode,
                         bundle=CurvatureBundle(m), field_coeffs=field_coeffs)
+
+
+def du_jets(ctx):
+    """X = du as a Tensor of constant jets at the bundle's order."""
+    n, order = ctx.bundle.dim, ctx.bundle.metric.order
+    return Tensor(n, COV, [Jet.constant(n, order, 1, ctx.mode) if i == 0
+                           else Jet.zero(n, order, ctx.mode)
+                           for i in range(n)])
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import NC4, make_ctx, poly
-from ppcheck import (EXACT, FLOAT, build_galaev, build_ppwave,
-                     build_two_symmetric, build_walker, linalg)
+from conftest import NC4, du_jets, make_ctx, poly
+from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev, build_ppwave,
+                     build_two_symmetric, build_walker, linalg, run)
 from ppcheck.checks import (CHECKS, PointContext, _chi_quartic,
                             _extract_schimming_d,
                             chart_covector_u, check_collinearity, check_olszak,
-                            extract_recurrence, relative_residual)
+                            extract_recurrence, nabla_chart_covector_u,
+                            relative_residual)
+from ppcheck.geometry import covariant_derivative
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
 from ppcheck.tensors import COV, Tensor, sup_norm
@@ -163,6 +165,27 @@ class TestBrinkmannAndSchimming:
         assert r.status == "fail"
         assert all(v > F(1, 10) for v in r.residuals.values())
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_nabla_du_from_gamma_matches_covariant_derivative(
+            self, mode, flagship_spec, perturbed_spec):
+        """nabla du read off Gamma^0 equals the covariant derivative of du's
+        constant jets, entry types included, with nabla X != 0 on Walker."""
+        one, zero = poly("1"), poly("0")
+        walker = build_walker(poly("v*u*x1"), [zero, zero],
+                              [[one, zero], [zero, one]], d=2)
+        cases = [(flagship_spec, (F(1), F(1, 3), F(-1, 5), F(2, 7), F(1, 2))),
+                 (walker, PT4), (perturbed_spec, PT4)]
+        for spec, pt in cases:
+            ctx = make_ctx(spec, pt, mode=mode)
+            want = covariant_derivative(du_jets(ctx), ctx.bundle.gamma,
+                                        "test").values()
+            got = nabla_chart_covector_u(ctx)
+            assert got == want
+            assert ([type(e) for e in got.entries]
+                    == [type(e) for e in want.entries])
+            if spec is walker:
+                assert sup_norm(got) > 0
+
 
 class TestPureRadiation:
     def test_radiation_wave(self):
@@ -274,13 +297,21 @@ class TestAlphaRecurrent:
 
 
 class TestFieldEquations:
-    def test_flagship_higher_coefficients_certified(self, flagship_spec):
+    def test_more_than_two_coefficients_raise(self, flagship_spec):
         pt = (F(1), F(1, 3), F(-1, 5), F(2, 7), F(1, 2))
         ctx = make_ctx(flagship_spec, pt, field_coeffs=(1, 3, 7))
-        r = CHECKS["field_equations"](ctx)
-        assert r.status == "pass"
-        assert r.witnesses["higher_powers"] == "certified zero"
-        assert r.witnesses["source_T_uu"] == -6   # a0 * psi = 1 * (-6u) at u=1
+        with pytest.raises(ValueError, match="at most 2"):
+            CHECKS["field_equations"](ctx)
+
+    def test_more_than_two_coefficients_make_an_error_row(self,
+                                                          flagship_spec):
+        config = RunConfig(mode=EXACT, points=PointPlan(count=1),
+                           checks=("field_equations", "brinkmann"),
+                           field_coeffs=(1, 3, -100))
+        rows = {r.name: r for r in run(flagship_spec, config).rows}
+        assert rows["brinkmann"].status == "pass"
+        assert rows["field_equations"].status == "error"
+        assert "3 field equation coefficients" in rows["field_equations"].notes
 
     def test_vacuum_wave_source_vanishes(self, vacuum_ctx):
         r = CHECKS["field_equations"](vacuum_ctx)

@@ -1,8 +1,11 @@
 """Front end: run orchestration, theorem bundles, report serialization."""
+import dataclasses
 import gc
 import json
 import os
+import types
 import weakref
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -240,6 +243,19 @@ class TestSerialization:
         assert encode_value(F(-3, 7)) == "-3/7"
         assert encode_value([F(1, 2), 0.5, None]) == ["1/2", 0.5, None]
 
+    def test_values_past_the_int_to_str_limit_encode_exactly(self):
+        big = F(10 ** 5000 + 1, 3)              # a 5001-digit numerator
+        row = CheckResult("bianchi", "fail", big, (F(1),),
+                          witnesses={"n": 7 ** 6000, "small": 12})
+        rep = build_report({"version": "x", "mode": "exact"}, [(0, row)])
+        doc = json.loads(report_to_json(rep))["rows"][0]
+        num, den = doc["residual"].split("/")
+        assert int(Decimal(num)) == big.numerator and den == "3"
+        assert int(Decimal(doc["witnesses"]["n"])) == 7 ** 6000
+        assert doc["witnesses"]["small"] == 12
+        text = report_to_text(rep)
+        assert f"{doc['residual']}  ['1/1']" in text
+
     def test_empty_report(self):
         rep = build_report({"version": "x", "mode": "exact"}, [])
         doc = json.loads(report_to_json(rep))
@@ -269,6 +285,37 @@ class TestSerialization:
     def test_write_failure_surfaced(self, flagship_report):
         with pytest.raises(OSError, match="cannot write report"):
             emit_report(flagship_report, "/nonexistent-dir/r.json", "json")
+
+
+# The package's public API, pinned: a name leaves it only on purpose.
+PUBLIC_API = sorted([
+    "CHECKS", "ORDER_BUDGET", "CheckResult", "PointContext",
+    "extract_recurrence", "RunError", "list_families", "main", "run",
+    "theorem_suite", "CurvatureBundle", "DegeneratePointError",
+    "OrderBudgetError", "covariant_derivative", "metric_at_point",
+    "rescaled", "EXACT", "FLOAT", "Jet", "SingularJetError",
+    "jet_from_polynomial", "ConfigError", "FamilyError", "MetricSpec",
+    "PointPlan", "RunConfig", "build_custom", "build_galaev",
+    "build_perturbed_minkowski", "build_ppwave", "build_two_symmetric",
+    "build_walker", "parse_metric_config", "sample_points", "Polynomial",
+    "PolynomialError", "parse_polynomial", "ENGINE_VERSION", "Report",
+    "all_clear", "build_report", "emit_report", "report_to_json",
+    "report_to_text", "Tensor", "contract", "cyclic_sum", "raise_lower",
+    "sup_norm", "__version__"])
+
+
+def test_public_names_resolve_and_nothing_else_is_exported():
+    import ppcheck
+    assert sorted(ppcheck.__all__) == PUBLIC_API
+    for name in ppcheck.__all__:
+        assert getattr(ppcheck, name, None) is not None, name
+    extra = {name for name, value in vars(ppcheck).items()
+             if not name.startswith("_") and name not in ppcheck.__all__
+             and not isinstance(value, types.ModuleType)}
+    assert not extra
+    assert [f.name for f in dataclasses.fields(ppcheck.MetricSpec)] == [
+        "family", "n", "coords", "components", "provenance", "potential",
+        "expected_psi", "warnings"]
 
 
 class TestMainEntry:
@@ -345,6 +392,8 @@ BAD_FIELDS = {
     "seed_not_integer": ('"points": {"seed": "abc"}', "points.seed"),
     "coeffs_not_rational": ('"field_equation_coeffs": ["x", "y"]',
                             "field_equation_coeffs"),
+    "coeffs_too_many": ('"field_equation_coeffs": [1, 3, 7]',
+                        "field_equation_coeffs"),
     "tolerance_nan": ('"tolerance": "nan"', "tolerance"),
     "tolerance_inf": ('"tolerance": "inf"', "tolerance"),
     "tolerance_negative": ('"tolerance": -1e-9', "tolerance"),

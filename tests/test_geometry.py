@@ -4,24 +4,23 @@ The sign and index conventions are pinned by hand-derived components of
 wave metrics in the null chart, most importantly R_uu for quadratic
 potentials.
 """
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import NC4, make_ctx, poly
+from conftest import NC4, du_jets, make_ctx, poly
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
-                     build_two_symmetric, build_walker, conformal_rescale,
-                     sample_points)
-from ppcheck.checks import chart_covector_u
+                     build_two_symmetric, build_walker, sample_points)
 from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
-                              DegeneratePointError, ModeError,
-                              OrderBudgetError, SymmetryError, _as_jet_values,
-                              _orbits, covariant_derivative, metric_at_point)
-from ppcheck.jets import Jet
+                              DegeneratePointError, OrderBudgetError,
+                              SymmetryError, _as_jet_values, _orbits,
+                              covariant_derivative, metric_at_point, rescaled)
+from ppcheck.jets import Jet, JetError, jet_exp, jet_from_polynomial
 from ppcheck.metrics import PointPlan
-from ppcheck.polynomials import parse_polynomial
+from ppcheck.polynomials import Polynomial, parse_polynomial
 from ppcheck.tensors import (CON, COV, Tensor, Values, contract,
                              raise_lower, sup_norm)
 
@@ -34,6 +33,13 @@ def bundle_for(spec, pt=PT, order=4, mode=EXACT):
 
 def flat_spec():
     return build_ppwave(poly("0"), d=2)
+
+
+def exp_rescaled_bundle(spec, sigma, pt=PT, order=4):
+    """Float bundle of e^{2 sigma} g, rescaled on the point's jets."""
+    factor = jet_exp(jet_from_polynomial(sigma, pt, order, FLOAT) * 2.0)
+    return CurvatureBundle(rescaled(metric_at_point(spec, pt, order, FLOAT),
+                                    factor))
 
 
 class TestChristoffel:
@@ -99,9 +105,8 @@ class TestWeyl:
         eta = [[parse_polynomial("-1" if i == j == 0 else
                                  "1" if i == j else "0", coords)
                 for j in range(4)] for i in range(4)]
-        spec = conformal_rescale(build_custom(eta, coords), sigma, kind="exp")
-        b = bundle_for(spec, (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)),
-                       mode=FLOAT)
+        b = exp_rescaled_bundle(build_custom(eta, coords), sigma,
+                                (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)))
         assert sup_norm(b.weyl.values()) < 1e-9
 
     def test_galaev_weyl_nonzero_and_tracefree(self, flagship_ctx):
@@ -164,10 +169,8 @@ class TestDerivedWeylDerivatives:
         assert sup_norm(b.nabla_weyl.values()) > 0
 
     def test_float_exponential_factor_within_tolerance(self):
-        sigma = poly("u/5 + x1*x2/7")
-        spec = conformal_rescale(build_ppwave(poly("u*x1^2 + x2^3"), d=2),
-                                 sigma, kind="exp")
-        b = bundle_for(spec, mode=FLOAT)
+        b = exp_rescaled_bundle(build_ppwave(poly("u*x1^2 + x2^3"), d=2),
+                                poly("u/5 + x1*x2/7"))
         for attr, want in self.direct(b).items():
             got = getattr(b, attr)
             if isinstance(got, Values):
@@ -212,9 +215,8 @@ class TestCovariantDerivative:
         assert not sup_norm(ng.values())
 
     def test_du_covariantly_constant_on_wave(self, quartic_ctx):
-        from ppcheck.checks import chart_covector_u
         b = quartic_ctx.bundle
-        x = chart_covector_u(quartic_ctx, jets=True)
+        x = du_jets(quartic_ctx)
         assert not sup_norm(covariant_derivative(x, b.gamma, "test").values())
 
     def test_nabla_ricci_is_grad_psi_outer_xx(self):
@@ -255,16 +257,53 @@ class TestModesAndErrors:
             metric_at_point(self._rank_losing_spec(), (F(1), F(0)), 2, FLOAT)
 
     def test_exponential_factor_requires_float_mode(self):
-        sigma = poly("u/5")
-        spec = conformal_rescale(build_ppwave(poly("x1^2"), d=2), sigma,
-                                 kind="exp")
-        with pytest.raises(ModeError):
-            metric_at_point(spec, PT, 2, EXACT)
+        sigma = jet_from_polynomial(poly("u/5"), PT, 2, EXACT)
+        with pytest.raises(JetError):
+            jet_exp(sigma * 2)
 
     def test_order_budget_enforced(self):
         b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=2)
         with pytest.raises(OrderBudgetError):
             b.require(4, "test")
+
+
+class TestMetricAtPoint:
+    def test_symmetric_pairs_expanded_once(self, flagship_spec, monkeypatch):
+        from ppcheck import geometry
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return jet_from_polynomial(*args)
+
+        monkeypatch.setattr(geometry, "jet_from_polynomial", counted)
+        pt = (F(1), F(1, 3), F(-1, 5), F(2, 7), F(1, 2))
+        m = metric_at_point(flagship_spec, pt, 3, EXACT)
+        assert len(calls) == 15                 # n(n+1)/2 at n = 5
+        assert m.g.values() == Tensor(5, COV * 2, [
+            c.evaluate(pt) for row in flagship_spec.components
+            for c in row]).values()
+
+    @pytest.mark.parametrize("spec_name", ["flagship_spec", "perturbed_spec"])
+    def test_rescaled_equals_rescaled_components(self, spec_name, request):
+        """rescaled(m, (1+s)^2) is, jet for jet, metric_at_point of the
+        components multiplied by (1+s)^2."""
+        spec = request.getfixturevalue(spec_name)
+        pt = tuple(F(k, 7) for k in range(1, spec.n + 1))
+        w = (poly("1", spec.coords)
+             + Polynomial.variable(spec.coords, spec.coords[0]) * F(1, 5))
+        w2 = w * w
+        scaled = dataclasses.replace(spec, components=tuple(
+            tuple(c * w2 for c in row) for row in spec.components))
+        wj = jet_from_polynomial(w, pt, 2, EXACT)
+        got = rescaled(metric_at_point(spec, pt, 4, EXACT), wj * wj)
+        want = metric_at_point(scaled, pt, 2, EXACT)
+        assert (got.order, got.mode) == (want.order, want.mode) == (2, EXACT)
+        for attr in ("g", "g_inv"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.variance == b.variance
+            assert all(x.order == 2 and x.den == y.den and x.c == y.c
+                       for x, y in zip(a.entries, b.entries, strict=True))
 
 
 class TestBianchiOracles:
@@ -340,7 +379,7 @@ def _oracle_pairs(spec, pt, mode):
     ginv = b.metric.g_inv.truncate(b.nabla_ricci.entries[0].order)
     mixed = raise_lower(raise_lower(b.nabla_ricci, 0, ginv), 2, ginv)
     assert mixed.variance == CON + COV + CON
-    covector = chart_covector_u(ctx, jets=True)
+    covector = du_jets(ctx)
     return [
         ("nabla_riemann", b.nabla_riemann,
          scatter_covariant_derivative(b.riemann, b.gamma)),

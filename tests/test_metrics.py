@@ -6,7 +6,7 @@ import pytest
 from conftest import NC4, NC5, poly
 from ppcheck import (EXACT, build_galaev, build_perturbed_minkowski,
                      build_ppwave, build_two_symmetric, build_walker,
-                     conformal_rescale, parse_metric_config, sample_points)
+                     parse_metric_config, sample_points)
 from ppcheck.metrics import ConfigError, FamilyError, PointPlan
 from ppcheck.polynomials import parse_polynomial
 
@@ -103,20 +103,6 @@ class TestPerturbedMinkowski:
         a = build_perturbed_minkowski(seed=7)
         b = build_perturbed_minkowski(seed=8)
         assert a.components != b.components
-
-
-class TestConformalRescale:
-    def test_square_kind_multiplies_components(self):
-        spec = build_ppwave(poly("x1^2"), d=2)
-        s = poly("u/5")
-        scaled = conformal_rescale(spec, s, kind="square")
-        factor = (poly("1") + s) * (poly("1") + s)
-        assert scaled.components[0][3] == factor
-
-    def test_exp_kind_stores_sigma(self):
-        spec = build_ppwave(poly("x1^2"), d=2)
-        scaled = conformal_rescale(spec, poly("u/5"), kind="exp")
-        assert scaled.conformal_sigma == poly("u/5")
 
 
 class TestSamplePoints:
