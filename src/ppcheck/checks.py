@@ -188,9 +188,9 @@ def extract_recurrence_jets(t: Tensor, nabla_t: Tensor):
     tt = t.truncate(order)
     denom = Jet.zero(n, order, mode)
     for e in tt.entries:
-        if not e.is_zero():
+        if e:
             denom = denom + e * e
-    if denom.is_zero() or not denom.value:
+    if not denom.value:
         return None
     inv = jet_recip(denom, "<T,T> in recurrence extraction")
     alpha = []
@@ -198,7 +198,7 @@ def extract_recurrence_jets(t: Tensor, nabla_t: Tensor):
     for i in range(n):
         num = Jet.zero(n, order, mode)
         for a, b in zip(nabla_t.entries[i * size:(i + 1) * size], tt.entries):
-            if a.is_zero() or b.is_zero():
+            if not (a and b):
                 continue
             num = num + a * b
         alpha.append(num * inv)

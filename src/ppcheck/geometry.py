@@ -8,13 +8,13 @@ polynomials: g's jets times the factor jet, g^{-1}'s times its reciprocal.
 
 The Weyl tensor is never differentiated.  The connection is metric
 (nabla g = 0), so nabla commutes with the Weyl decomposition: nabla^L C is
-that decomposition applied to nabla^L of Riemann, Ricci and R.  Truncated
-jets form a ring and the inverse metric jet is the exact truncated inverse,
-so in exact mode the derived jets equal the directly differentiated ones
-literally, not approximately.  The (1,3) Weyl forms, the divergences and
-the Laplacians are pointwise algebra on those tensors (raising a slot,
-contracting), so they are computed from point values and the inverse
-metric's values (tensors.Values), never as jets.
+that decomposition, in Schouten form, applied to nabla^L of Riemann, Ricci
+and R.  Truncated jets form a ring and the inverse metric jet is the exact
+truncated inverse, so in exact mode the derived jets equal the directly
+differentiated ones literally, not approximately.  nabla nabla C, the
+(1,3) Weyl forms, the divergences and the Laplacians are read only at the
+point, so they are computed from point values and the inverse metric's
+values (tensors.Values), never as jets.
 
 A covariant derivative is computed once per symmetry orbit of its input's
 trailing slots (the caller declares none, a symmetric pair, or Riemann's
@@ -32,6 +32,7 @@ on pp-wave potentials.  The convention-oracle test pins this down.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -126,10 +127,10 @@ def christoffel(m: MetricAtPoint) -> Tensor:
                 acc = Jet.zero(n, m.order - 1, m.mode)
                 for l in range(n):
                     gil = ginv[i, l]
-                    if gil.is_zero():
+                    if not gil:
                         continue
                     s = dg[l][j][k] + dg[l][k][j] - dg[j][l][k]
-                    if s.is_zero():
+                    if not s:
                         continue
                     acc = acc + gil * s
                 acc = acc * half
@@ -310,21 +311,18 @@ def _as_jet_values(t: Values) -> Values:
 class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
-    Jet attributes (Tensors of jets, needed where something is
-    differentiated): `gamma`, `riemann_mixed`, `riemann`, `ricci`,
-    `scalar` (one jet), `weyl`, and the covariant derivatives
-    `nabla_ricci`, `nabla_scalar`, `nabla_riemann`, `nabla_weyl`,
-    `nabla2_ricci`, `nabla2_riemann`, `nabla2_weyl`.  Covariant derivatives
+    Jet attributes (Tensors of jets): `gamma`, `riemann_mixed`,
+    `riemann`, `ricci`, `scalar` (one jet), `weyl`, and the covariant
+    derivatives `nabla_ricci`, `nabla_scalar`, `nabla_riemann`,
+    `nabla_weyl`, `nabla2_ricci`, `nabla2_riemann`.  Covariant derivatives
     are taken of Riemann, Ricci and R only; `weyl`, `nabla_weyl` and
-    `nabla2_weyl` apply the Weyl decomposition to them (exact because
-    nabla g = 0).
+    `nabla2_weyl` apply the Weyl decomposition to them (`_weyl_part`).
 
-    Point-value attributes (Values, see tensors): `weyl_mixed`,
-    `nabla_weyl_mixed` (the last slot of the Weyl forms raised),
-    `div_weyl`, `double_div_weyl` and `lap_ricci`, `lap_weyl`,
-    `lap_riemann`.  Raising and contracting are pointwise algebra, so they
-    are done on point values and `g_inv`'s, never on jets.  `values(name)` gives the point values of a jet attribute, or of
-    the metric's `g` and `g_inv`, computed once per bundle.
+    Point-value attributes (Values, see tensors): `nabla2_weyl`,
+    `weyl_mixed`, `nabla_weyl_mixed` (the last slot of the Weyl forms
+    raised), `div_weyl`, `double_div_weyl` and `lap_ricci`, `lap_weyl`,
+    `lap_riemann`.  `values(name)` gives the point values of a jet
+    attribute, or of the metric's `g` and `g_inv`, once per bundle.
 
     Jet order budgets: Weyl needs K>=2, first covariant derivatives K>=3,
     Laplacians and double derivatives K>=4.  Underbudgeted requests raise
@@ -338,11 +336,14 @@ class CurvatureBundle:
         self._values = {}
 
     def values(self, name: str) -> Values:
-        """Point values of the jet attribute `name` (or "g", "g_inv")."""
+        """Point values of the attribute `name` (or "g", "g_inv"); a
+        point-value attribute is returned as it is."""
         v = self._values.get(name)
         if v is None:
             owner = self.metric if name in ("g", "g_inv") else self
-            v = self._values[name] = getattr(owner, name).values()
+            v = getattr(owner, name)
+            v = self._values[name] = (v if isinstance(v, Values)
+                                      else v.values())
         return v
 
     def _raised(self, name: str) -> Values:
@@ -383,11 +384,11 @@ class CurvatureBundle:
                         for p in range(n):
                             a1 = gam[mm, k, p]
                             b1 = gam[p, j, l]
-                            if not (a1.is_zero() or b1.is_zero()):
+                            if a1 and b1:
                                 acc = acc + a1 * b1
                             a2 = gam[mm, j, p]
                             b2 = gam[p, k, l]
-                            if not (a2.is_zero() or b2.is_zero()):
+                            if a2 and b2:
                                 acc = acc - a2 * b2
                         out[j, k, l, mm] = acc
                         out[k, j, l, mm] = -acc
@@ -410,61 +411,66 @@ class CurvatureBundle:
         return contract(self.ricci, 0, 1,
                         self.metric.g_inv.truncate(self.metric.order - 2)).entries[0]
 
-    def _weyl_part(self, riem: Tensor, ric: Tensor, scal: Tensor) -> Tensor:
+    def _weyl_part(self, riem, ric, scal):
         """The covariant Weyl decomposition applied to nabla^L of its inputs.
 
         `riem`, `ric` and `scal` are nabla^L of R_{jklm}, R_kl and R, with the
-        L derivative slots first.  Because nabla g = 0 the decomposition
-        commutes with nabla, so the result is nabla^L C_{jklm}:
+        L derivative slots first, all jet Tensors or all Values (so is the
+        result).  Because nabla g = 0 the decomposition commutes with nabla,
+        so the result is nabla^L C_{jklm}, in Schouten form:
 
-            C_jklm = R_jklm + (g_jm R_kl - g_km R_jl + g_kl R_jm - g_jl R_km)/(n-2)
-                     - R (g_jm g_kl - g_km g_jl)/((n-1)(n-2)).
+            C_jklm = R_jklm + g_jm P_kl - g_km P_jl + g_kl P_jm - g_jl P_km,
+            P_kl = (R_kl - R g_kl / (2(n-1))) / (n-2).
 
-        Only the nonzero entries of `ric`, `scal` and the metric are visited.
+        One loop visits the nonzero entries of P and the metric.  For exact
+        Values, R_jklm and the g P terms are first put over one common
+        denominator, so the loop runs on integer numerators.
         """
         n = self.dim
         if n < 4:
             raise UnsupportedDimensionError(
                 f"Weyl tensor needs dimension >= 4, metric has n={n}")
-        g = self.metric.g.truncate(riem.entries[0].order).entries
-        g_nz = [(x, y, g[x * n + y]) for x in range(n) for y in range(n)
-                if not g[x * n + y].is_zero()]
-        c1 = as_mode(Fraction(1, n - 2), self.mode)
-        c2 = as_mode(Fraction(-1, (n - 1) * (n - 2)), self.mode)
+        k = 2 * (n - 1)
+        if isinstance(riem, Values):
+            g, den = self.values("g"), riem.den
+            if riem.exact:
+                # P_ab = ric_ab u - scal g_ab w, so that g_xy P_ab is over den
+                e = math.lcm(ric.den, k * scal.den * g.den)
+                den = math.lcm(den, g.den * e * (n - 2))
+                f = den // (g.den * e * (n - 2))
+                u, w = e // ric.den * f, e // (k * scal.den * g.den) * f
+            else:
+                u, w = 1 / (n - 2), 1 / (k * (n - 2))
+            out = [x * (den // riem.den) for x in riem.num]
+            g, ric, scal = g.num, ric.num, scal.num
+        else:
+            g = self.metric.g.truncate(riem.entries[0].order).entries
+            u, w = (as_mode(Fraction(1, d), self.mode)
+                    for d in (n - 2, k * (n - 2)))
+            out, ric, scal = list(riem.entries), ric.entries, scal.entries
+        g_nz = [(x, y, gxy) for x in range(n) for y in range(n)
+                for gxy in (g[x * n + y],) if gxy]
         stride = n ** 4                     # entries per derivative prefix
-        out = list(riem.entries)
-        for off, e in enumerate(ric.entries):
-            if e.is_zero():
-                continue
+        for off, r in enumerate(ric):
             pre, ab = divmod(off, n * n)
+            s, gab = scal[pre], g[ab]
+            p = r * u - s * gab * w if s and gab else r * u
+            if not p:
+                continue
             a, b = divmod(ab, n)
             base = pre * stride
-            e = e * c1
             for x, y, gxy in g_nz:
                 if x == a:                  # the +/- terms cancel in pairs
                     continue
-                t = gxy * e
-                for o in (((x * n + a) * n + b) * n + y,     # g_jm R_kl
-                          ((a * n + x) * n + y) * n + b):    # g_kl R_jm
+                t = gxy * p
+                for o in (((x * n + a) * n + b) * n + y,     # g_jm P_kl
+                          ((a * n + x) * n + y) * n + b):    # g_kl P_jm
                     out[base + o] = out[base + o] + t
-                for o in (((a * n + x) * n + b) * n + y,     # g_km R_jl
-                          ((x * n + a) * n + y) * n + b):    # g_jl R_km
+                for o in (((a * n + x) * n + b) * n + y,     # g_km P_jl
+                          ((x * n + a) * n + y) * n + b):    # g_jl P_km
                     out[base + o] = out[base + o] - t
-        for pre, s in enumerate(scal.entries):
-            if s.is_zero():
-                continue
-            base = pre * stride
-            s = s * c2
-            for x, y, gxy in g_nz:
-                sg = s * gxy
-                for z, w, gzw in g_nz:
-                    if z == x:              # the two terms cancel
-                        continue
-                    t = sg * gzw
-                    o = base + ((x * n + z) * n + w) * n + y
-                    out[o] = out[o] + t
-                    o = base + ((z * n + x) * n + w) * n + y
-                    out[o] = out[o] - t
+        if isinstance(riem, Values):
+            return Values(n, riem.variance, out, den, 0 if riem.exact else 0.0)
         return Tensor(n, riem.variance, out)
 
     @cached_property
@@ -524,12 +530,12 @@ class CurvatureBundle:
                                     "nabla nabla Ricci", SYMMETRIC_PAIR)
 
     @cached_property
-    def nabla2_weyl(self) -> Tensor:
+    def nabla2_weyl(self) -> Values:
+        """nabla nabla C from values; nabla nabla R = g^kl nabla nabla R_kl."""
         self.require(4, "nabla nabla Weyl")
-        nabla2_scalar = covariant_derivative(self.nabla_scalar, self.gamma,
-                                             "nabla nabla R")
-        return self._weyl_part(self.nabla2_riemann, self.nabla2_ricci,
-                               nabla2_scalar)
+        ric = self.values("nabla2_ricci")
+        return self._weyl_part(self.values("nabla2_riemann"), ric,
+                               contract(ric, 2, 3, self.values("g_inv")))
 
     @cached_property
     def nabla2_riemann(self) -> Tensor:

@@ -248,8 +248,8 @@ class Jet:
         """Nonzero coefficients keyed by exponent tuple, read-only."""
         return _CoeffView(self)
 
-    def is_zero(self) -> bool:
-        return not self.nz
+    def __bool__(self) -> bool:
+        return self.nz
 
     def coefficient(self, mi):
         k = self._t.index.get(tuple(mi))
@@ -409,7 +409,7 @@ def jet_recip(a: Jet, name: str = "field") -> Jet:
     power = Jet.constant(a.dim, a.order, 1, a.mode)
     for _ in range(a.order):
         power = power * b
-        if power.is_zero():
+        if not power:
             break
         total = total + power
     return total * inv0
@@ -425,7 +425,7 @@ def jet_exp(a: Jet) -> Jet:
     power = Jet.constant(a.dim, a.order, 1.0, FLOAT)
     for k in range(1, a.order + 1):
         power = power * b
-        if power.is_zero():
+        if not power:
             break
         total = total + power * (1.0 / math.factorial(k))
     return total * math.exp(a0)

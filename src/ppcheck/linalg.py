@@ -23,10 +23,6 @@ def _at_point(x):
     return x.value if isinstance(x, Jet) else x
 
 
-def _is_zero(x):
-    return x.is_zero() if isinstance(x, Jet) else not x
-
-
 def solve(a, b):
     """X with a·X = b; `a` is n x n, `b` is n x m, both lists of rows."""
     n = len(a)
@@ -45,7 +41,7 @@ def solve(a, b):
         top = rows[col]
         for r in range(n):
             f = rows[r][col]
-            if r == col or _is_zero(f):
+            if r == col or not f:
                 continue
             rows[r] = [x - f * y for x, y in zip(rows[r], top)]
     return [row[n:] for row in rows]

@@ -574,8 +574,10 @@ def _build_from_config(family, doc, params):
     if family == "two_symmetric":
         if "a_vec" not in params:
             raise ConfigError("two_symmetric family needs params.a_vec")
-        a_vec = [_rational(str(x), "params.a_vec")
-                 for x in _list(params["a_vec"], "params.a_vec")]
+        a_vec = _list(params["a_vec"], "params.a_vec")
+        if len(a_vec) != d:
+            raise ConfigError(f"need {d} a_vec values, got {len(a_vec)}")
+        a_vec = [_rational(str(x), "params.a_vec") for x in a_vec]
         b_mat = params.get("b_mat")
         if b_mat is not None:
             b_mat = [[_rational(str(x), "params.b_mat")

@@ -255,13 +255,11 @@ def _common(a: Values, b: Values):
 
 
 def _entries(t):
-    """(entries, their zero, nonzero flags) of a Tensor or the numerators of
-    a Values tensor, for the kernels shared by both."""
+    """(entries, their zero) of a Tensor or the numerators of a Values
+    tensor, for the kernels shared by both."""
     if isinstance(t, Values):
-        src = t.num
-        return src, (0 if t.exact else 0.0), list(map(bool, src))
-    src = t.entries
-    return src, zero_like(src[0]), [not _is_zero_entry(e) for e in src]
+        return t.num, (0 if t.exact else 0.0)
+    return t.entries, zero_like(t.entries[0])
 
 
 def _same_kind(t, metric):
@@ -297,10 +295,6 @@ def _flat_offsets(dim: int, weights) -> list:
     return offsets
 
 
-def _is_zero_entry(e):
-    return e.is_zero() if isinstance(e, Jet) else not e
-
-
 # -- kernels on Tensors and Values ---------------------------------------------
 
 def contract(t, slot_a: int, slot_b: int, metric=None):
@@ -330,21 +324,21 @@ def contract(t, slot_a: int, slot_b: int, metric=None):
     keep = [s for s in range(r) if s not in (a, b)]
     n = t.dim
     w = [n ** (r - 1 - s) for s in range(r)]     # weight of each slot in an offset
-    src, zero, nz = _entries(t)
+    src, zero = _entries(t)
     # (offset step, metric factor) for each (p, q) term, p then q, zeros dropped
     if metric is None:
         steps = [(p * (w[a] + w[b]), None) for p in range(n)]
     else:
-        m, _, mnz = _entries(metric)
+        m = _entries(metric)[0]
         steps = [(p * w[a] + q * w[b], m[p * n + q]) for p in range(n)
-                 for q in range(n) if mnz[p * n + q]]
+                 for q in range(n) if m[p * n + q]]
     out = []
     for base in _flat_offsets(n, [w[s] for s in keep]):
         acc = None
         for step, g in steps:
-            if not nz[base + step]:
-                continue
             term = src[base + step]
+            if not term:
+                continue
             if g is not None:
                 term = term * g
             acc = term if acc is None else acc + term
@@ -366,13 +360,13 @@ def raise_lower(t, slot: int, metric):
                + (CON if t.variance[slot] == COV else COV)
                + t.variance[slot + 1:])
     w = n ** (t.rank - 1 - slot)            # weight of the slot in an offset
-    src, zero, nz = _entries(t)
-    m, _, mnz = _entries(metric)
-    col = [[(k, m[k * n + p]) for k in range(n) if mnz[k * n + p]]
+    src, zero = _entries(t)
+    m = _entries(metric)[0]
+    col = [[(k, m[k * n + p]) for k in range(n) if m[k * n + p]]
            for p in range(n)]
     out = [zero] * len(src)
     for off, e in enumerate(src):
-        if not nz[off]:
+        if not e:
             continue
         p = off // w % n
         rest = off - p * w                  # offset with the slot cleared

@@ -586,6 +586,20 @@ class TestInputValidation:
         assert (capsys.readouterr().err
                 == "error: points.u_values must not be empty\n")
 
+    # d sets the dimension; an a_vec of another length once overrode it
+    # silently, past the dimension bound in the first case
+    @pytest.mark.parametrize("d, a_vec", [(2, list(range(12))), (5, [1, 2])])
+    def test_two_symmetric_a_vec_length_must_match_d(self, d, a_vec, tmp_path,
+                                                     capsys):
+        doc = {**_TWO_SYM, "d": d, "params": {"a_vec": a_vec},
+               "jet_order": 2, "checks": ["weyl_trace"],
+               "points": {"strategy": "grid", "count": 1}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: need {d} a_vec values, got {len(a_vec)}\n")
+
     def test_custom_coords_must_match_components(self, tmp_path, capsys):
         doc = {"family": "custom",
                "params": {"components": [["1", 0], [0, "1"]],

@@ -1,20 +1,24 @@
 """Fuzzed input: every polynomial string and configuration document either
 parses or is refused with the parser's own error, never a traceback.
 
-Documents that parse are never run.  Documents that are refused also go
-through `ppcheck run`, which must exit 2 with one `error:` line.  The
-examples are derandomized, so every run of the suite tries the same ones.
+Documents that parse are never run, but must be within the size bounds:
+dimension at most MAX_DIMENSION and jet size at most MAX_JET_SIZE.
+Documents that are refused also go through `ppcheck run`, which must exit
+2 with one `error:` line.  The examples are derandomized, so every run of
+the suite tries the same ones.
 """
 import contextlib
 import io
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcheck.checks import CHECKS
 from ppcheck.cli import main
-from ppcheck.metrics import FAMILIES, ConfigError, parse_metric_config
+from ppcheck.metrics import (FAMILIES, MAX_DIMENSION, MAX_JET_SIZE,
+                             ConfigError, parse_metric_config)
 from ppcheck.polynomials import PolynomialError, parse_polynomial
 
 CHART = ("u", "x1", "x2", "x3", "v")
@@ -104,7 +108,12 @@ FAMILY_PARAMS = {
                {"a_rho": st.lists(polynomials, max_size=4),
                 "gstar": matrices}),
     "galaev": ({"lambda": lambdas}, {"a": polynomials, "F": polynomials}),
-    "two_symmetric": ({"a_vec": st.lists(rationals, max_size=7)},
+    # a_vec lengths up to 14 whatever d is; sorted nonnegative ones pass the
+    # family's ordering check, so that their length decides
+    "two_symmetric": ({"a_vec": st.one_of(
+                           st.lists(st.integers(0, 3), max_size=14).map(
+                               sorted),
+                           st.lists(rationals, max_size=14))},
                       {"b_mat": st.lists(st.lists(rationals, max_size=4),
                                          max_size=4)}),
     "custom": ({"components": components},
@@ -151,10 +160,14 @@ config_texts = st.one_of(documents.map(json.dumps), documents.map(json.dumps),
 @given(text=config_texts)
 def test_config_parses_or_run_exits_two(tmp_path_factory, text):
     try:
-        parse_metric_config(text)
-        return
+        spec, config = parse_metric_config(text)
     except ConfigError:
         pass
+    else:
+        assert spec.n <= MAX_DIMENSION
+        assert math.comb(spec.n + config.jet_order,
+                         config.jet_order) <= MAX_JET_SIZE
+        return
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(text, encoding="utf-8")
     err = io.StringIO()

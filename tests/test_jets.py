@@ -25,7 +25,7 @@ class TestArithmetic:
 
     def test_zero_annihilates(self):
         a = J(2, 3, {(1, 2): F(5, 7), (0, 0): 3})
-        assert (a * Jet.zero(2, 3)).is_zero()
+        assert not a * Jet.zero(2, 3)
 
     def test_two_variable_product_truncates(self):
         a = J(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})   # 1 + x + y

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import NC4, make_ctx, poly
 from ppcheck import EXACT, FLOAT, Jet, build_ppwave
-from ppcheck.tensors import (Tensor, Values, _is_zero_entry, contract,
-                             contract_outer, cyclic_sum, cyclic_sum_outer,
-                             raise_lower, sup_norm, zero_like)
+from ppcheck.tensors import (Tensor, Values, contract, contract_outer,
+                             cyclic_sum, cyclic_sum_outer, raise_lower,
+                             sup_norm, zero_like)
 
 
 def _identity(n):
@@ -203,14 +203,14 @@ def _naive_contract(t, a, b, metric=None):
         for p in range(n):
             for q in (range(n) if metric is not None else (p,)):
                 m = metric[p, q] if metric is not None else None
-                if m is not None and _is_zero_entry(m):
+                if m is not None and not m:
                     continue
                 full = [0] * r
                 for pos, s in enumerate(keep):
                     full[s] = out_idx[pos]
                 full[a], full[b] = p, q
                 term = t[tuple(full)]
-                if _is_zero_entry(term):
+                if not term:
                     continue
                 if m is not None:
                     term = term * m
