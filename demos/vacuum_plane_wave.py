@@ -28,7 +28,7 @@ def main():
     print(f"H = {H!r}, point = {point}")
     print(f"|Riemann| = {sup_norm(bundle.riemann.values())}")
     print(f"|Ricci|   = {sup_norm(bundle.ricci.values())}")
-    print(f"|Weyl|    = {sup_norm(bundle.weyl.values())}\n")
+    print(f"|Weyl|    = {sup_norm(bundle.values('weyl'))}\n")
 
     for name in ("pure_radiation", "ricci_recurrence", "schimming",
                  "field_equations"):

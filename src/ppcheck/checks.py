@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .geometry import CurvatureBundle, covariant_derivative, rescaled
-from .jets import EXACT, Jet, jet_exp, jet_from_polynomial, jet_recip
+from .geometry import CurvatureBundle, rescaled
+from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
 from .metrics import MAX_FIELD_COEFFS, MetricSpec
 from .polynomials import Polynomial
-from .tensors import (COV, F0, Tensor, Values, contract, contract_outer,
+from .tensors import (COV, F0, Values, contract, contract_outer,
                       cyclic_sum, cyclic_sum_outer, raise_lower, sup_norm)
 
 VACUITY_FLOOR = 1e-12
@@ -116,6 +116,20 @@ def _parts(x):
     return (x, 1) if isinstance(x, float) else (x.numerator, x.denominator)
 
 
+def _antisymmetric_norm(t: Values):
+    """max |t_ij.. - t_ji..| over the first two slots of t's values."""
+    n, v = t.dim, t.num
+    w = len(v) // (n * n)                   # entries per (i, j)
+    worst = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for r in range(w):
+                d = abs(v[(i * n + j) * w + r] - v[(j * n + i) * w + r])
+                if d > worst:
+                    worst = d
+    return _ratio(worst, t.den, t.exact)
+
+
 def chart_covector_u(ctx: PointContext) -> Values:
     """X = du in chart components (1 in the u slot)."""
     n = ctx.bundle.dim
@@ -174,43 +188,6 @@ def extract_recurrence(t: Values, nabla_t: Values):
         if m > worst:
             worst = m
     return alpha, relative_residual(worst, sup_norm(nabla_t))
-
-
-def extract_recurrence_jets(t: Tensor, nabla_t: Tensor):
-    """Jet-valued recurrence covector (same projection carried through jets).
-
-    Requires a nonzero constant term of <T,T>; the result's jets expose the
-    derivatives of alpha, which closedness checks differentiate directly.
-    """
-    n = t.dim
-    order = nabla_t.entries[0].order
-    mode = nabla_t.entries[0].mode
-    tt = t.truncate(order)
-    denom = Jet.zero(n, order, mode)
-    for e in tt.entries:
-        if e:
-            denom = denom + e * e
-    if not denom.value:
-        return None
-    inv = jet_recip(denom, "<T,T> in recurrence extraction")
-    alpha = []
-    size = len(tt.entries)
-    for i in range(n):
-        num = Jet.zero(n, order, mode)
-        for a, b in zip(nabla_t.entries[i * size:(i + 1) * size], tt.entries):
-            if not (a and b):
-                continue
-            num = num + a * b
-        alpha.append(num * inv)
-    return Tensor(n, COV, alpha)
-
-
-def _jet_alpha(ctx: PointContext):
-    """Cached jet-valued Weyl recurrence covector alpha (or None)."""
-    if "alpha_jets" not in ctx.cache:
-        b = ctx.bundle
-        ctx.cache["alpha_jets"] = extract_recurrence_jets(b.weyl, b.nabla_weyl)
-    return ctx.cache["alpha_jets"]
 
 
 # -- universal identity checks --------------------------------------------------
@@ -280,12 +257,8 @@ def check_weyl_divergence_formula(ctx: PointContext) -> CheckResult:
     nr = b.values("nabla_ricci")                # (i, k, l)
     ns = b.values("nabla_scalar")               # (i,)
     g = b.values("g")
-    if ctx.exact:
-        c1 = Fraction(n - 3, n - 2)
-        c2 = Fraction(n - 3, 2 * (n - 1) * (n - 2))
-    else:
-        c1 = (n - 3) / (n - 2)
-        c2 = (n - 3) / (2.0 * (n - 1) * (n - 2))
+    c1 = _ratio(n - 3, n - 2, ctx.exact)
+    c2 = _ratio(n - 3, 2 * (n - 1) * (n - 2), ctx.exact)
     gns = g.outer(ns)                           # g_ab nabla_c R
     rhs = ((nr.permute((1, 0, 2)) - nr).scale(c1)
            + (gns.permute((2, 0, 1)) - gns.permute((0, 2, 1))).scale(c2))
@@ -377,8 +350,7 @@ def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
 
 
 def _alpha_values(ctx: PointContext):
-    """Value-level Weyl recurrence covector as Values, and its residual
-    (cached)."""
+    """The Weyl recurrence covector as Values, and its residual (cached)."""
     if "alpha_values" not in ctx.cache:
         b = ctx.bundle
         alpha, res = extract_recurrence(b.values("weyl"),
@@ -387,6 +359,75 @@ def _alpha_values(ctx: PointContext):
             (None, None) if alpha is None
             else (Values.of(b.dim, COV, alpha), res))
     return ctx.cache["alpha_values"]
+
+
+def _alpha_derivatives(ctx: PointContext):
+    """(alpha, d_j alpha_i, nabla_j alpha_i), slots (j, i), of the Weyl
+    recurrence covector from point values (cached); C must not vanish.
+
+    alpha_i = N_i / D with the chart sums N_i = sum_K nabla_i C_K C_K and
+    D = sum_K C_K^2 (extract_recurrence).  As d_j C_K = nabla_j C_K +
+    sum_s Gamma^p_{j k_s} C_{K[s->p]}, and likewise for nabla_i C_K, with
+    F_ab = sum_s sum_{K: k_s=a} C_K C_{K[s->b]}, M_abi the same with
+    nabla_i C_{K[s->b]} for the second factor, and G_ab = Gamma^b_{ja}:
+
+        d_j D / 2 = N_j + G_ab F_ab,
+        D nabla_j alpha_i = sum_K (C_K nabla_j nabla_i C_K + nabla_i C_K
+            nabla_j C_K) + G_ab (M_abi + M_bai) - alpha_i d_j D,
+
+    (d_j N_i's Gamma^p_{ji} N_p cancels) and d_j alpha_i = nabla_j alpha_i
+    + Gamma^p_{ji} alpha_p.  The sums run on integer numerators (floats in
+    float mode); zeros read as int 0, as a jet's value does.
+    """
+    if "alpha_derivatives" in ctx.cache:
+        return ctx.cache["alpha_derivatives"]
+    b = ctx.bundle
+    n = b.dim
+    c, nc, nnc, gam = (b.values(name) for name in
+                       ("weyl", "nabla_weyl", "nabla2_weyl", "gamma"))
+    dl = math.lcm(c.den, nc.den)            # C and nabla C over dl
+    cv = [x * (dl // c.den) for x in c.num]
+    nz = [(o, x) for o, x in enumerate(cv) if x]
+    sq = sum(x * x for _, x in nz)
+    size = len(cv)
+    rows = [[x * (dl // nc.den) for x in nc.num[i * size:(i + 1) * size]]
+            for i in range(n)]
+    hv, gv, dh, dg = nnc.num, gam.num, nnc.den, gam.den
+    rnz = [[(o, y) for o, y in enumerate(row) if y] for row in rows]
+    nn = [sum(row[o] * x for o, x in nz) for row in rows]
+    f, m = [0] * (n * n), [0] * n ** 3
+    for w in (n ** 3, n * n, n, 1):         # weight of slot s in an offset
+        for o, x in nz:
+            a = o // w % n
+            rest = o - a * w
+            for bb in range(n):
+                ob = rest + bb * w
+                f[a * n + bb] += x * cv[ob]
+                for i, row in enumerate(rows):
+                    if row[ob]:
+                        m[(a * n + bb) * n + i] += x * row[ob]
+    nabla, d_alpha = [], []                 # over dh * dg * sq^2
+    for j in range(n):
+        gj = [(a, bb, g) for a in range(n) for bb in range(n)
+              for g in (gv[(bb * n + j) * n + a],) if g]
+        dd = dh * (dg * nn[j] + sum(g * f[a * n + bb] for a, bb, g in gj))
+        for i in range(n):
+            base = (j * n + i) * size
+            hc = sum(hv[base + o] * x for o, x in nz)
+            ee = sum(y * rows[j][o] for o, y in rnz[i])
+            gm = sum(g * (m[(a * n + bb) * n + i] + m[(bb * n + a) * n + i])
+                     for a, bb, g in gj)
+            x = (hc * dl * dg + (ee * dg + gm) * dh) * sq - 2 * nn[i] * dd
+            gp = sum(g * y for g, y in zip(gv[j * n + i::n * n], nn))
+            nabla.append(x)
+            d_alpha.append(x + dh * sq * gp)
+    den = dh * dg * sq * sq
+    ctx.cache["alpha_derivatives"] = out = tuple(
+        Values(n, var, num, d, 0) if ctx.exact
+        else Values(n, var, [x / d for x in num], 1, 0.0)
+        for var, num, d in ((COV, nn, sq), (COV * 2, d_alpha, den),
+                            (COV * 2, nabla, den)))
+    return out
 
 
 def check_conformal_recurrence(ctx: PointContext) -> CheckResult:
@@ -754,44 +795,25 @@ def check_roter_bundle(ctx: PointContext) -> CheckResult:
     """Roter's characterization: nonzero Weyl, recurrence with closed alpha,
     Codazzi Ricci; plus the scalar-curvature consequences R = 0, grad R = 0."""
     b = ctx.bundle
-    n = b.dim
     wnorm = sup_norm(b.values("weyl"))
     if _is_vacuous(wnorm, ctx.exact):
         return CheckResult("roter_bundle", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
     _, rec_res = _alpha_values(ctx)
     residuals = {"recurrence": rec_res}
-    witnesses = {}
-    alpha_jets = _jet_alpha(ctx)
-    if alpha_jets is not None:
-        worst = ctx.zero()
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = abs(alpha_jets[j].derivative(i, "alpha closedness").value
-                        - alpha_jets[i].derivative(j, "alpha closedness").value)
-                if d > worst:
-                    worst = d
-        avals = alpha_jets.values()
-        residuals["alpha_closed"] = relative_residual(worst, sup_norm(avals),
-                                                      Fraction(1) if ctx.exact else 1.0)
-        witnesses["alpha"] = avals.entries
-    nr = b.values("nabla_ricci")
-    rv = nr.num
-    worst = 0                               # Codazzi: nabla_k R_jl = nabla_j R_kl
-    for k in range(n):
-        for j in range(k + 1, n):
-            for l in range(n):
-                d = abs(rv[(k * n + j) * n + l] - rv[(j * n + k) * n + l])
-                if d > worst:
-                    worst = d
-    residuals["codazzi"] = relative_residual(
-        _ratio(worst, nr.den, ctx.exact), sup_norm(nr))
-    rnorm = abs(b.scalar.value)
+    alpha, d_alpha, _ = _alpha_derivatives(ctx)
+    residuals["alpha_closed"] = relative_residual(
+        _antisymmetric_norm(d_alpha), sup_norm(alpha),
+        Fraction(1) if ctx.exact else 1.0)
+    nr = b.values("nabla_ricci")   # Codazzi: nabla_k R_jl = nabla_j R_kl
+    residuals["codazzi"] = relative_residual(_antisymmetric_norm(nr),
+                                             sup_norm(nr))
     residuals["scalar_zero"] = relative_residual(
-        rnorm, sup_norm(b.values("ricci")), wnorm)
+        sup_norm(b.values("scalar")), sup_norm(b.values("ricci")), wnorm)
     residuals["grad_scalar_zero"] = relative_residual(
         sup_norm(b.values("nabla_scalar")), sup_norm(nr), wnorm)
-    return _finish("roter_bundle", ctx, residuals, witnesses=witnesses)
+    return _finish("roter_bundle", ctx, residuals,
+                   witnesses={"alpha": alpha.entries})
 
 
 def check_ricci_recurrence(ctx: PointContext) -> CheckResult:
@@ -905,30 +927,17 @@ def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
     if _is_vacuous(sup_norm(b.values("weyl")), exact):
         return CheckResult("alpha_recurrent", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
-    alpha_jets = _jet_alpha(ctx)
-    if alpha_jets is None:
-        return CheckResult("alpha_recurrent", VACUOUS, ctx.zero(), ctx.point,
-                           notes="no recurrence covector")
-    n = b.dim
-    avals = alpha_jets.values()
+    avals, _, na = _alpha_derivatives(ctx)
     anorm = sup_norm(avals)
     if _is_vacuous(anorm, exact):
         return CheckResult("alpha_recurrent", VACUOUS, ctx.zero(), ctx.point,
                            notes="alpha vanishes at the point")
-    na = covariant_derivative(alpha_jets, b.gamma, "alpha_recurrent").values()
     q, rec_res = extract_recurrence(avals, na)
     residuals = {"recurrence": rec_res}
     nv = na.num
     zero = 0 if exact else 0.0
-    # closedness: nabla alpha symmetric
-    worst = zero
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(nv[i * n + j] - nv[j * n + i])
-            if d > worst:
-                worst = d
-    residuals["closed"] = relative_residual(_ratio(worst, na.den, exact),
-                                            sup_norm(na), anorm)
+    residuals["closed"] = relative_residual(    # nabla alpha symmetric
+        _antisymmetric_norm(na), sup_norm(na), anorm)
     # structure nabla_j alpha_i = rho alpha_j alpha_i
     aa = avals.outer(avals)
     num = den = zero
@@ -980,8 +989,8 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
     # Einstein limit: Ricci - R g / 2 against the radiation form psi X (x) X
     x = chart_covector_u(ctx)
     psi = ric[0, 0]
-    half = Fraction(1, 2) if ctx.exact else 0.5
-    einstein = ric - b.values("g").scale(b.scalar.value * half)
+    einstein = ric - b.values("g").scale(
+        b.values("scalar")[()] * _ratio(1, 2, ctx.exact))
     residuals["einstein_pure_radiation"] = relative_residual(
         sup_norm(einstein - x.outer(x).scale(psi)), sup_norm(ric))
     t_uu = coeffs[0] * psi

@@ -6,15 +6,16 @@ covariant derivatives consume one jet order each.  A conformal rescaling
 factor * g is applied to the point's jets (`rescaled`), not to the metric's
 polynomials: g's jets times the factor jet, g^{-1}'s times its reciprocal.
 
-The Weyl tensor is never differentiated.  The connection is metric
-(nabla g = 0), so nabla commutes with the Weyl decomposition: nabla^L C is
-that decomposition, in Schouten form, applied to nabla^L of Riemann, Ricci
-and R.  Truncated jets form a ring and the inverse metric jet is the exact
-truncated inverse, so in exact mode the derived jets equal the directly
-differentiated ones literally, not approximately.  nabla nabla C, the
-(1,3) Weyl forms, the divergences and the Laplacians are read only at the
-point, so they are computed from point values and the inverse metric's
-values (tensors.Values), never as jets.
+Jets are kept only where a derivative is taken: the metric, the
+Christoffel symbols, Riemann, Ricci and their covariant derivatives.  All
+else is read only at the point, so it is computed from point values
+(tensors.Values), never as jets.  The connection is metric (nabla g = 0),
+so R and nabla R are the inverse metric's traces of the values of Ricci
+and nabla Ricci, and nabla commutes with the Weyl decomposition: C,
+nabla C and nabla nabla C are that decomposition, in Schouten form,
+applied to the values of nabla^L of Riemann, Ricci and R.  The Weyl tensor
+is never differentiated.  The (1,3) Weyl forms, the divergences and the
+Laplacians follow from these values and the inverse metric's.
 
 A covariant derivative is computed once per symmetry orbit of its input's
 trailing slots (the caller declares none, a symmetric pair, or Riemann's
@@ -312,15 +313,14 @@ class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
     Jet attributes (Tensors of jets): `gamma`, `riemann_mixed`,
-    `riemann`, `ricci`, `scalar` (one jet), `weyl`, and the covariant
-    derivatives `nabla_ricci`, `nabla_scalar`, `nabla_riemann`,
-    `nabla_weyl`, `nabla2_ricci`, `nabla2_riemann`.  Covariant derivatives
-    are taken of Riemann, Ricci and R only; `weyl`, `nabla_weyl` and
-    `nabla2_weyl` apply the Weyl decomposition to them (`_weyl_part`).
+    `riemann`, `ricci`, and their covariant derivatives `nabla_ricci`,
+    `nabla_riemann`, `nabla2_ricci`, `nabla2_riemann`.
 
-    Point-value attributes (Values, see tensors): `nabla2_weyl`,
-    `weyl_mixed`, `nabla_weyl_mixed` (the last slot of the Weyl forms
-    raised), `div_weyl`, `double_div_weyl` and `lap_ricci`, `lap_weyl`,
+    Point-value attributes (Values, see tensors): the scalar curvature
+    `scalar` and `nabla_scalar`; `weyl`, `nabla_weyl` and `nabla2_weyl`,
+    the Weyl decomposition of the above (`_weyl_part`); `weyl_mixed`,
+    `nabla_weyl_mixed` (the last slot of the Weyl forms raised),
+    `div_weyl`, `double_div_weyl` and `lap_ricci`, `lap_weyl`,
     `lap_riemann`.  `values(name)` gives the point values of a jet
     attribute, or of the metric's `g` and `g_inv`, once per bundle.
 
@@ -405,49 +405,49 @@ class CurvatureBundle:
         """R_ij = -R_{kij}^k."""
         return -contract(self.riemann_mixed, 0, 3)
 
+    def _trace(self, name: str, a: int = 0) -> Values:
+        """The values of `name` with slots a and a + 1 traced by g^{-1}: a
+        Laplacian for a = 0 on a second derivative."""
+        return _as_jet_values(contract(self.values(name), a, a + 1,
+                                       self.values("g_inv")))
+
     @cached_property
-    def scalar(self) -> Jet:
+    def scalar(self) -> Values:
         """Scalar curvature R = g^{ij} R_ij."""
-        return contract(self.ricci, 0, 1,
-                        self.metric.g_inv.truncate(self.metric.order - 2)).entries[0]
+        return self._trace("ricci")
 
-    def _weyl_part(self, riem, ric, scal):
-        """The covariant Weyl decomposition applied to nabla^L of its inputs.
-
-        `riem`, `ric` and `scal` are nabla^L of R_{jklm}, R_kl and R, with the
-        L derivative slots first, all jet Tensors or all Values (so is the
-        result).  Because nabla g = 0 the decomposition commutes with nabla,
-        so the result is nabla^L C_{jklm}, in Schouten form:
+    def _weyl_part(self, prefix: str) -> Values:
+        """nabla^L C_{jklm}: the Weyl decomposition, in Schouten form, of the
+        values of nabla^L R_{jklm} and nabla^L R_kl (the attributes
+        `prefix + "riemann"` and `prefix + "ricci"`, derivative slots first)
+        and of nabla^L R, their g^{-1} trace.  nabla g = 0, so the
+        decomposition commutes with nabla:
 
             C_jklm = R_jklm + g_jm P_kl - g_km P_jl + g_kl P_jm - g_jl P_km,
             P_kl = (R_kl - R g_kl / (2(n-1))) / (n-2).
 
-        One loop visits the nonzero entries of P and the metric.  For exact
-        Values, R_jklm and the g P terms are first put over one common
-        denominator, so the loop runs on integer numerators.
+        One loop visits the nonzero entries of P and the metric; in exact
+        mode R_jklm and the g P terms are first put over one common
+        denominator, so that it runs on integer numerators.
         """
         n = self.dim
         if n < 4:
             raise UnsupportedDimensionError(
                 f"Weyl tensor needs dimension >= 4, metric has n={n}")
+        riem, ric = (self.values(prefix + x) for x in ("riemann", "ricci"))
+        scal = self._trace(prefix + "ricci", ric.rank - 2)
         k = 2 * (n - 1)
-        if isinstance(riem, Values):
-            g, den = self.values("g"), riem.den
-            if riem.exact:
-                # P_ab = ric_ab u - scal g_ab w, so that g_xy P_ab is over den
-                e = math.lcm(ric.den, k * scal.den * g.den)
-                den = math.lcm(den, g.den * e * (n - 2))
-                f = den // (g.den * e * (n - 2))
-                u, w = e // ric.den * f, e // (k * scal.den * g.den) * f
-            else:
-                u, w = 1 / (n - 2), 1 / (k * (n - 2))
-            out = [x * (den // riem.den) for x in riem.num]
-            g, ric, scal = g.num, ric.num, scal.num
+        g, den = self.values("g"), riem.den
+        if riem.exact:
+            # P_ab = ric_ab u - scal g_ab w, so that g_xy P_ab is over den
+            e = math.lcm(ric.den, k * scal.den * g.den)
+            den = math.lcm(den, g.den * e * (n - 2))
+            f = den // (g.den * e * (n - 2))
+            u, w = e // ric.den * f, e // (k * scal.den * g.den) * f
         else:
-            g = self.metric.g.truncate(riem.entries[0].order).entries
-            u, w = (as_mode(Fraction(1, d), self.mode)
-                    for d in (n - 2, k * (n - 2)))
-            out, ric, scal = list(riem.entries), ric.entries, scal.entries
+            u, w = 1 / (n - 2), 1 / (k * (n - 2))
+        out = [x * (den // riem.den) for x in riem.num]
+        g, ric, scal = g.num, ric.num, scal.num
         g_nz = [(x, y, gxy) for x in range(n) for y in range(n)
                 for gxy in (g[x * n + y],) if gxy]
         stride = n ** 4                     # entries per derivative prefix
@@ -469,15 +469,12 @@ class CurvatureBundle:
                 for o in (((a * n + x) * n + b) * n + y,     # g_km P_jl
                           ((x * n + a) * n + y) * n + b):    # g_jl P_km
                     out[base + o] = out[base + o] - t
-        if isinstance(riem, Values):
-            return Values(n, riem.variance, out, den, 0 if riem.exact else 0.0)
-        return Tensor(n, riem.variance, out)
+        return Values(n, riem.variance, out, den, 0 if riem.exact else 0.0)
 
     @cached_property
-    def weyl(self) -> Tensor:
+    def weyl(self) -> Values:
         """Fully covariant C_{jklm}."""
-        return self._weyl_part(self.riemann, self.ricci,
-                               Tensor(self.dim, "", [self.scalar]))
+        return self._weyl_part("")
 
     @cached_property
     def weyl_mixed(self) -> Values:
@@ -493,11 +490,10 @@ class CurvatureBundle:
                                     SYMMETRIC_PAIR)
 
     @cached_property
-    def nabla_scalar(self) -> Tensor:
+    def nabla_scalar(self) -> Values:
+        """nabla_i R = g^{kl} nabla_i R_kl."""
         self.require(3, "nabla R")
-        n = self.dim
-        return Tensor(n, COV,
-                      [self.scalar.derivative(i, "nabla R") for i in range(n)])
+        return self._trace("nabla_ricci", 1)
 
     @cached_property
     def nabla_riemann(self) -> Tensor:
@@ -506,10 +502,9 @@ class CurvatureBundle:
                                     RIEMANN)
 
     @cached_property
-    def nabla_weyl(self) -> Tensor:
+    def nabla_weyl(self) -> Values:
         self.require(3, "nabla Weyl")
-        return self._weyl_part(self.nabla_riemann, self.nabla_ricci,
-                               self.nabla_scalar)
+        return self._weyl_part("nabla_")
 
     @cached_property
     def nabla_weyl_mixed(self) -> Values:
@@ -531,11 +526,8 @@ class CurvatureBundle:
 
     @cached_property
     def nabla2_weyl(self) -> Values:
-        """nabla nabla C from values; nabla nabla R = g^kl nabla nabla R_kl."""
         self.require(4, "nabla nabla Weyl")
-        ric = self.values("nabla2_ricci")
-        return self._weyl_part(self.values("nabla2_riemann"), ric,
-                               contract(ric, 2, 3, self.values("g_inv")))
+        return self._weyl_part("nabla2_")
 
     @cached_property
     def nabla2_riemann(self) -> Tensor:
@@ -543,22 +535,17 @@ class CurvatureBundle:
         return covariant_derivative(self.nabla_riemann, self.gamma,
                                     "nabla nabla Riemann", RIEMANN)
 
-    def _laplacian(self, name: str) -> Values:
-        """g^{ab} nabla_a nabla_b of a tensor, from the values of `name`."""
-        return _as_jet_values(contract(self.values(name), 0, 1,
-                                       self.values("g_inv")))
-
     @cached_property
     def lap_ricci(self) -> Values:
-        return self._laplacian("nabla2_ricci")
+        return self._trace("nabla2_ricci")
 
     @cached_property
     def lap_weyl(self) -> Values:
-        return self._laplacian("nabla2_weyl")
+        return self._trace("nabla2_weyl")
 
     @cached_property
     def lap_riemann(self) -> Values:
-        return self._laplacian("nabla2_riemann")
+        return self._trace("nabla2_riemann")
 
     @cached_property
     def double_div_weyl(self) -> Values:

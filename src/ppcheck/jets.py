@@ -251,12 +251,6 @@ class Jet:
     def __bool__(self) -> bool:
         return self.nz
 
-    def coefficient(self, mi):
-        k = self._t.index.get(tuple(mi))
-        if k is None:
-            return 0.0 if self.mode == FLOAT else 0
-        return self._scalar(self.c[k])
-
     # -- arithmetic ----------------------------------------------------------
 
     def _mismatch(self, other) -> JetError:

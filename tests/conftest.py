@@ -1,4 +1,5 @@
 """Shared fixtures: metric specs and curvature contexts reused across tests."""
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from ppcheck import EXACT, build_galaev, build_perturbed_minkowski, build_ppwave
 from ppcheck.checks import PointContext
 from ppcheck.geometry import CurvatureBundle, metric_at_point
-from ppcheck.jets import Jet
+from ppcheck.jets import Jet, as_mode
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import COV, Tensor
+from ppcheck.tensors import COV, Tensor, contract
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -30,6 +31,29 @@ def du_jets(ctx):
     return Tensor(n, COV, [Jet.constant(n, order, 1, ctx.mode) if i == 0
                            else Jet.zero(n, order, ctx.mode)
                            for i in range(n)])
+
+
+def textbook_weyl_jets(b):
+    """The bundle's Weyl tensor as jets, from the textbook two-term formula
+
+        C_jklm = R_jklm - (g_jl R_km - g_jm R_kl - g_kl R_jm + g_km R_jl)/(n-2)
+                 + R (g_jl g_km - g_jm g_kl) / ((n-1)(n-2))
+
+    on the Riemann and Ricci jets, with R the g_inv trace of the Ricci
+    jets; a reference that does not go through the bundle's Weyl kernel."""
+    n, mode = b.dim, b.mode
+    riem, ric = b.riemann, b.ricci
+    order = riem.entries[0].order
+    g = b.metric.g.truncate(order)
+    scal = contract(ric, 0, 1, b.metric.g_inv.truncate(order)).entries[0]
+    c1 = as_mode(F(1, n - 2), mode)
+    c2 = as_mode(F(1, (n - 1) * (n - 2)), mode)
+    return Tensor(n, COV * 4, [
+        riem[j, k, l, m]
+        - (g[j, l] * ric[k, m] - g[j, m] * ric[k, l]
+           - g[k, l] * ric[j, m] + g[k, m] * ric[j, l]) * c1
+        + scal * (g[j, l] * g[k, m] - g[j, m] * g[k, l]) * c2
+        for j, k, l, m in itertools.product(range(n), repeat=4)])
 
 
 @pytest.fixture(scope="session")

@@ -4,18 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import NC4, du_jets, make_ctx, poly
+from conftest import NC4, du_jets, make_ctx, poly, textbook_weyl_jets
 from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev, build_ppwave,
                      build_two_symmetric, build_walker, linalg, run)
-from ppcheck.checks import (CHECKS, PointContext, _chi_quartic,
-                            _extract_schimming_d,
+from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
+                            _chi_quartic, _extract_schimming_d,
                             chart_covector_u, check_collinearity, check_olszak,
                             extract_recurrence, nabla_chart_covector_u,
                             relative_residual)
 from ppcheck.geometry import covariant_derivative
+from ppcheck.jets import Jet, jet_recip
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import COV, Tensor, sup_norm
+from ppcheck.tensors import COV, Tensor, Values, sup_norm
 
 NC5 = ("u", "x1", "x2", "x3", "v")
 PT4 = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -294,6 +295,82 @@ class TestAlphaRecurrent:
 
     def test_flat_vacuous(self):
         assert CHECKS["alpha_recurrent"](flat_ctx()).status == "vacuous"
+
+
+def reference_alpha(b):
+    """(alpha, d_j alpha_i, nabla_j alpha_i) on jets, slots (j, i).
+
+    alpha_i = N_i * jet_recip(D) with N_i = sum_K nabla_i C_K C_K and
+    D = sum_K C_K^2 over chart components, C the textbook Weyl jets and
+    nabla C their covariant derivative; alpha's jets are then
+    differentiated directly."""
+    n = b.dim
+    c = textbook_weyl_jets(b)
+    nc = covariant_derivative(c, b.gamma, "reference").entries
+    order = nc[0].order
+    ct = c.truncate(order).entries
+    size = len(ct)
+    zero = Jet.zero(n, order, b.mode)
+    inv = jet_recip(sum((e * e for e in ct if e), zero), "reference")
+    alpha = Tensor(n, COV, [
+        sum((x * e for x, e in zip(nc[i * size:(i + 1) * size], ct)
+             if x and e), zero) * inv for i in range(n)])
+    d_alpha = Values.of(n, COV * 2, [alpha[i].derivative(j).value
+                                     for j in range(n) for i in range(n)])
+    return (alpha.values(), d_alpha,
+            covariant_derivative(alpha, b.gamma, "reference").values())
+
+
+def _closedness(t):
+    n = t.dim
+    return max(abs(t[i, j] - t[j, i]) for i in range(n) for j in range(n))
+
+
+ALPHA_CTXS = ("flagship_ctx", "perturbed_ctx", "quartic_ctx")
+
+
+class TestAlphaDerivatives:
+    """The recurrence covector and its derivatives from the point values of
+    C, nabla C, nabla nabla C and Gamma, against jets differentiated
+    directly."""
+
+    @pytest.mark.parametrize("ctx_name", ALPHA_CTXS)
+    def test_exact_equals_jet_reference(self, ctx_name, request):
+        ctx = request.getfixturevalue(ctx_name)
+        want = reference_alpha(ctx.bundle)
+        got = _alpha_derivatives(ctx)
+        assert got == want
+        assert [type(e) for e in got[0].entries] == \
+            [type(e) for e in want[0].entries]
+        alpha, d_alpha, nabla_alpha = want
+        closed = _closedness(d_alpha)
+        assert closed == _closedness(nabla_alpha)
+        r = CHECKS["roter_bundle"](ctx)
+        assert r.residuals["alpha_closed"] == relative_residual(
+            closed, sup_norm(alpha), 1)
+        assert r.witnesses["alpha"] == alpha.entries
+        assert [type(e) for e in r.witnesses["alpha"]] == \
+            [type(e) for e in alpha.entries]
+        r = CHECKS["alpha_recurrent"](ctx)
+        assert r.witnesses["alpha"] == alpha.entries
+        assert r.residuals["closed"] == relative_residual(
+            closed, sup_norm(nabla_alpha), sup_norm(alpha))
+
+    @pytest.mark.parametrize("ctx_name", ALPHA_CTXS)
+    def test_float_within_rounding(self, ctx_name, request):
+        exact = request.getfixturevalue(ctx_name)
+        ctx = make_ctx(exact.spec, exact.point, FLOAT)
+        want = reference_alpha(ctx.bundle)
+        got = _alpha_derivatives(ctx)
+        for g, w in zip(got, want):
+            scale = max(map(abs, w.num))
+            gap = max(abs(x - y) for x, y in zip(g.num, w.num))
+            assert scale > 0 and gap <= 1e-9 * scale, (gap, scale)
+        alpha, d_alpha, _ = want
+        r = CHECKS["roter_bundle"](ctx)
+        gap = abs(r.residuals["alpha_closed"] - relative_residual(
+            _closedness(d_alpha), sup_norm(alpha), 1.0))
+        assert gap <= 1e-9 * max(map(abs, d_alpha.num))
 
 
 class TestFieldEquations:

@@ -1,11 +1,13 @@
 """Fuzzed input: every polynomial string and configuration document either
 parses or is refused with the parser's own error, never a traceback.
 
-Documents that parse are never run, but must be within the size bounds:
-dimension at most MAX_DIMENSION and jet size at most MAX_JET_SIZE.
-Documents that are refused also go through `ppcheck run`, which must exit
-2 with one `error:` line.  The examples are derandomized, so every run of
-the suite tries the same ones.
+Documents that parse must be within the size bounds: dimension at most
+MAX_DIMENSION and jet size at most MAX_JET_SIZE.  Documents that are
+refused also go through `ppcheck run`, which must exit 2 with one `error:`
+line.  A bounded subset of documents (n <= 4, jet order <= 4, one sample
+point, either mode) is run through `ppcheck run` whether it parses or not:
+each must end in a report or in that exit 2.  The examples are
+derandomized, so every run of the suite tries the same ones.
 """
 import contextlib
 import io
@@ -29,6 +31,7 @@ OPERATORS = ("+", "-", "*", "^", "/")
 JUNK = tuple("~!@#$%&[]{};:,.<>?|`'\"\\ \t\n\x00é_=") + (
     "**", "//", "lambda", "if", "not", "1j", "True", "abs(", "x.y")
 
+RUN_EXAMPLES = 200
 atoms = st.sampled_from(NAMES + RATIONALS)
 
 
@@ -176,3 +179,83 @@ def test_config_parses_or_run_exits_two(tmp_path_factory, text):
         assert main(["run", "--config", str(path)]) == 2
     assert err.getvalue().startswith("error: ")
     assert err.getvalue().count("\n") == 1
+
+
+def _chart_polynomials(names):
+    return st.recursive(st.sampled_from(names + RATIONALS), _grow,
+                        max_leaves=6)
+
+
+wave_polynomials = _chart_polynomials(("u", "x1", "x2", "v"))
+small_rationals = st.sampled_from(("0", "1", "-2", "3/4", "-1/7", "1e308"))
+# parameters that mostly parse at d = 2 (n = 4); custom charts are x0..x3
+SMALL_PARAMS = {
+    "ppwave": ({"H": wave_polynomials}, {}),
+    "brinkmann": ({"H": wave_polynomials}, {}),
+    "walker": ({"H": wave_polynomials},
+               {"a_rho": st.lists(wave_polynomials, min_size=2, max_size=2),
+                "gstar": st.lists(st.lists(wave_polynomials, min_size=2,
+                                           max_size=2), min_size=2,
+                                  max_size=2)}),
+    "galaev": ({"lambda": st.integers(-3, 3).map(lambda k: [k, -k])},
+               {"a": wave_polynomials, "F": wave_polynomials}),
+    "two_symmetric": ({"a_vec": st.lists(st.integers(0, 3), min_size=2,
+                                         max_size=2).map(sorted)},
+                      {"b_mat": st.tuples(small_rationals, small_rationals,
+                                          small_rationals).map(
+                          lambda t: [[t[0], t[1]], [t[1], t[2]]])}),
+    "custom": ({"components": st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+            lambda ij: f"{ij[0]},{ij[1]}"),
+        _chart_polynomials(("x0", "x1", "x2", "x3")),
+        min_size=1, max_size=6)}, {}),
+    "perturbed_minkowski": ({"seed": st.integers(),
+                             "degree": st.integers(1, 2)}, {}),
+}
+assert set(SMALL_PARAMS) == set(FAMILIES)
+
+
+def _small(family):
+    """Documents that stay small if they parse: n <= 4, jet order <= 4,
+    one sample point, up to three checks."""
+    needed, optional = SMALL_PARAMS[family]
+    return st.fixed_dictionaries({
+        "family": st.just(family),
+        "params": st.fixed_dictionaries(needed, optional=optional),
+        "d": st.just(2),
+        "n": st.integers(3, 4),
+        "mode": st.sampled_from(("exact", "float")),
+        "jet_order": st.sampled_from((4, 3, 2)),
+        "points": st.fixed_dictionaries({"count": st.just(1)}, optional={
+            "strategy": st.sampled_from(("grid", "random")),
+            "seed": st.integers(),
+            "u_values": st.lists(small_rationals, min_size=1,
+                                 max_size=2)}),
+        "checks": st.lists(st.sampled_from(sorted(CHECKS)), min_size=1,
+                           max_size=3),
+    }, optional={"tolerance": st.sampled_from(("1e-9", "1/2", 0.001)),
+                 "field_equation_coeffs": st.lists(
+                     small_rationals, min_size=1, max_size=2)})
+
+
+@settings(max_examples=RUN_EXAMPLES, deadline=None, derandomize=True)
+@given(doc=st.sampled_from(FAMILIES).flatmap(_small))
+def test_small_config_runs_to_report_or_exits_two(tmp_path_factory, doc):
+    text = json.dumps(doc)
+    try:
+        spec, config = parse_metric_config(text)
+    except ConfigError:
+        pass
+    else:
+        assert spec.n <= 4 and config.jet_order <= 4
+    path = tmp_path_factory.getbasetemp() / "fuzz-run.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(["run", "--config", str(path)])
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1) and not err.getvalue()
+        assert json.loads(out.getvalue())["rows"]

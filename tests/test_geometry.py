@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import NC4, du_jets, make_ctx, poly
+from conftest import NC4, du_jets, make_ctx, poly, textbook_weyl_jets
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, sample_points)
@@ -21,7 +21,7 @@ from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
 from ppcheck.jets import Jet, JetError, jet_exp, jet_from_polynomial
 from ppcheck.metrics import PointPlan
 from ppcheck.polynomials import Polynomial, parse_polynomial
-from ppcheck.tensors import (CON, COV, Tensor, Values, contract,
+from ppcheck.tensors import (CON, COV, Tensor, contract,
                              raise_lower, sup_norm)
 
 PT = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -92,10 +92,10 @@ class TestRiemannAndRicci:
         b = perturbed_ctx.bundle
         ginv = b.metric.g_inv.values()
         tr = contract(b.ricci.values(), 0, 1, ginv).entries[0]
-        assert tr == b.scalar.value
+        assert tr == b.values("scalar")[()]
 
     def test_wave_scalar_curvature_zero(self, quartic_ctx):
-        assert not quartic_ctx.bundle.scalar.value
+        assert not quartic_ctx.bundle.values("scalar")[()]
 
 
 class TestWeyl:
@@ -107,11 +107,11 @@ class TestWeyl:
                 for j in range(4)] for i in range(4)]
         b = exp_rescaled_bundle(build_custom(eta, coords), sigma,
                                 (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)))
-        assert sup_norm(b.weyl.values()) < 1e-9
+        assert sup_norm(b.values("weyl")) < 1e-9
 
     def test_galaev_weyl_nonzero_and_tracefree(self, flagship_ctx):
         b = flagship_ctx.bundle
-        weyl = b.weyl.values()
+        weyl = b.values("weyl")
         ginv = b.metric.g_inv.values()
         assert sup_norm(weyl) > 0
         for a in range(4):
@@ -129,32 +129,33 @@ class TestWeyl:
 
 
 class TestDerivedWeylDerivatives:
-    """nabla C and nabla nabla C come from nabla^L of Riemann, Ricci and R,
-    their (1,3) forms by raising, and the double divergence by contracting
-    nabla nabla C with g_inv twice; differentiating C directly is the
-    reference."""
+    """C, nabla C and nabla nabla C come from the values of nabla^L of
+    Riemann, Ricci and R, their (1,3) forms by raising, and the double
+    divergence by contracting nabla nabla C with g_inv twice; the textbook
+    Weyl jets differentiated directly are the reference."""
 
     ATTRS = ("nabla_weyl", "nabla_weyl_mixed", "nabla2_weyl",
              "double_div_weyl")
 
     @staticmethod
     def direct(b):
-        """Jet references: C differentiated directly, and its (1,3) form
-        raised on jets, then differentiated; the bundle's mixed forms and
-        nabla nabla C are point values, so they are compared with these
-        references' values.
+        """Jet references: C from the textbook two-term formula on jets,
+        differentiated directly, and its (1,3) form raised on jets, then
+        differentiated; the bundle's Weyl forms are point values, so they
+        are compared with these references' values.
         The double divergence is the mixed trace of the raised form's second
         derivative: its outer derivative slot raised onto j, its inner one
         traced with m."""
+        weyl = textbook_weyl_jets(b)
         weyl_mixed = raise_lower(
-            b.weyl, 3, b.metric.g_inv.truncate(b.weyl.entries[0].order))
-        nw = covariant_derivative(b.weyl, b.gamma, "oracle")
+            weyl, 3, b.metric.g_inv.truncate(weyl.entries[0].order))
+        nw = covariant_derivative(weyl, b.gamma, "oracle")
         nwm = covariant_derivative(weyl_mixed, b.gamma, "oracle")
         nnwm = covariant_derivative(nwm, b.gamma, "oracle").values()
         div = _as_jet_values(
             contract(contract(nnwm, 0, 2, b.metric.g_inv.values()), 0, 3))
-        return {"weyl_mixed": weyl_mixed.values(), "nabla_weyl": nw,
-                "nabla_weyl_mixed": nwm.values(),
+        return {"weyl": weyl.values(), "weyl_mixed": weyl_mixed.values(),
+                "nabla_weyl": nw.values(), "nabla_weyl_mixed": nwm.values(),
                 "nabla2_weyl": covariant_derivative(nw, b.gamma,
                                                     "oracle").values(),
                 "double_div_weyl": div}
@@ -165,25 +166,18 @@ class TestDerivedWeylDerivatives:
         for attr, want in self.direct(b).items():
             got = getattr(b, attr)
             assert got == want, attr
-            if isinstance(got, Values):     # zeros read as a jet's value
-                assert ([type(e) for e in got.entries]
-                        == [type(e) for e in want.entries]), attr
-        assert sup_norm(b.nabla_weyl.values()) > 0
+            # zeros read as a jet's value
+            assert ([type(e) for e in got.entries]
+                    == [type(e) for e in want.entries]), attr
+        assert sup_norm(b.nabla_weyl) > 0
 
     def test_float_exponential_factor_within_tolerance(self):
         b = exp_rescaled_bundle(build_ppwave(poly("u*x1^2 + x2^3"), d=2),
                                 poly("u/5 + x1*x2/7"))
         for attr, want in self.direct(b).items():
             got = getattr(b, attr)
-            if isinstance(got, Values):
-                scale = max(map(abs, want.num))
-                gap = max(abs(g - w) for g, w in zip(got.num, want.num))
-            else:
-                scale = max(abs(c) for e in want.entries
-                            for c in e.coeffs.values())
-                gap = max(abs(g.coefficient(k) - w.coefficient(k))
-                          for g, w in zip(got.entries, want.entries)
-                          for k in set(g.coeffs) | set(w.coeffs))
+            scale = max(map(abs, want.num))
+            gap = max(abs(g - w) for g, w in zip(got.num, want.num))
             assert scale > 0 and gap <= 1e-9 * scale, (attr, gap, scale)
 
     @pytest.mark.parametrize("attr", ATTRS)
@@ -421,7 +415,7 @@ class TestCovariantDerivativeOracle:
         for name, got, want in _oracle_pairs(make_spec(), pt, FLOAT):
             scale = max(abs(c) for e in want.entries
                         for c in e.coeffs.values())
-            gap = max(abs(g.coefficient(k) - w.coefficient(k))
+            gap = max(abs(g.coeffs.get(k, 0) - w.coeffs.get(k, 0))
                       for g, w in zip(got.entries, want.entries)
                       for k in set(g.coeffs) | set(w.coeffs))
             assert scale > 0 and gap <= 1e-12 * scale, (name, gap, scale)
@@ -523,7 +517,7 @@ class TestInverseMetricOracle:
         m = metric_at_point(make_spec(), pt, 4, FLOAT)
         want = neumann_inverse(m.g, 4, FLOAT)
         scale = max(abs(c) for e in want.entries for c in e.coeffs.values())
-        gap = max(abs(g.coefficient(k) - w.coefficient(k))
+        gap = max(abs(g.coeffs.get(k, 0) - w.coeffs.get(k, 0))
                   for g, w in zip(m.g_inv.entries, want.entries)
                   for k in set(g.coeffs) | set(w.coeffs))
         assert all(e.mode == FLOAT for e in m.g_inv.entries)

@@ -53,7 +53,7 @@ class TestCyclicSum:
     def test_olszak_cyclic_sum_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle
         x = Tensor(4, "l", [F(1), F(0), F(0), F(0)]).values()
-        s = cyclic_sum_outer(x, b.weyl.values())
+        s = cyclic_sum_outer(x, b.values("weyl"))
         assert not sup_norm(s)
 
 
@@ -67,7 +67,7 @@ class TestSupNorm:
         assert sup_norm(t.values()) == 3
 
     def test_galaev_weyl_nonzero(self, flagship_ctx):
-        assert sup_norm(flagship_ctx.bundle.weyl.values()) > 0
+        assert sup_norm(flagship_ctx.bundle.values("weyl")) > 0
 
 
 class TestRaiseLower:
