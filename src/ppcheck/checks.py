@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .geometry import CurvatureBundle, rescaled
+from .geometry import CurvatureBundle, _as_jet_values, rescaled
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
 from .metrics import MAX_FIELD_COEFFS, MetricSpec
 from .polynomials import Polynomial
@@ -118,16 +118,8 @@ def _parts(x):
 
 def _antisymmetric_norm(t: Values):
     """max |t_ij.. - t_ji..| over the first two slots of t's values."""
-    n, v = t.dim, t.num
-    w = len(v) // (n * n)                   # entries per (i, j)
-    worst = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for r in range(w):
-                d = abs(v[(i * n + j) * w + r] - v[(j * n + i) * w + r])
-                if d > worst:
-                    worst = d
-    return _ratio(worst, t.den, t.exact)
+    d = t - t.permute((1, 0) + tuple(range(2, t.rank)))
+    return _ratio(max(map(abs, d.num)), d.den, t.exact)
 
 
 def chart_covector_u(ctx: PointContext) -> Values:
@@ -257,8 +249,12 @@ def check_weyl_divergence_formula(ctx: PointContext) -> CheckResult:
     nr = b.values("nabla_ricci")                # (i, k, l)
     ns = b.values("nabla_scalar")               # (i,)
     g = b.values("g")
-    c1 = _ratio(n - 3, n - 2, ctx.exact)
-    c2 = _ratio(n - 3, 2 * (n - 1) * (n - 2), ctx.exact)
+    if ctx.exact:
+        c1 = Fraction(n - 3, n - 2)
+        c2 = Fraction(n - 3, 2 * (n - 1) * (n - 2))
+    else:
+        c1 = (n - 3) / (n - 2)
+        c2 = (n - 3) / (2.0 * (n - 1) * (n - 2))
     gns = g.outer(ns)                           # g_ab nabla_c R
     rhs = ((nr.permute((1, 0, 2)) - nr).scale(c1)
            + (gns.permute((2, 0, 1)) - gns.permute((0, 2, 1))).scale(c2))
@@ -363,38 +359,45 @@ def _alpha_values(ctx: PointContext):
 
 def _alpha_derivatives(ctx: PointContext):
     """(alpha, d_j alpha_i, nabla_j alpha_i), slots (j, i), of the Weyl
-    recurrence covector from point values (cached); C must not vanish.
+    recurrence covector (cached; C must not vanish).  alpha is that of
+    _alpha_values, with zeros as int 0 as roter_bundle and alpha_recurrent
+    report it.
 
-    alpha_i = N_i / D with the chart sums N_i = sum_K nabla_i C_K C_K and
-    D = sum_K C_K^2 (extract_recurrence).  As d_j C_K = nabla_j C_K +
+    alpha_i = N_i / D, with the chart sums N_i = sum_K nabla_i C_K C_K and
+    D = sum_K C_K^2 of extract_recurrence.  As d_j C_K = nabla_j C_K +
     sum_s Gamma^p_{j k_s} C_{K[s->p]}, and likewise for nabla_i C_K, with
     F_ab = sum_s sum_{K: k_s=a} C_K C_{K[s->b]}, M_abi the same with
-    nabla_i C_{K[s->b]} for the second factor, and G_ab = Gamma^b_{ja}:
+    nabla_i C_{K[s->b]} as second factor, and G_ab = Gamma^b_{ja}:
 
         d_j D / 2 = N_j + G_ab F_ab,
         D nabla_j alpha_i = sum_K (C_K nabla_j nabla_i C_K + nabla_i C_K
             nabla_j C_K) + G_ab (M_abi + M_bai) - alpha_i d_j D,
 
-    (d_j N_i's Gamma^p_{ji} N_p cancels) and d_j alpha_i = nabla_j alpha_i
-    + Gamma^p_{ji} alpha_p.  The sums run on integer numerators (floats in
-    float mode); zeros read as int 0, as a jet's value does.
+    and d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p.  The sums run
+    on integer numerators; float mode first divides C and its derivatives
+    by sup|C|, which keeps alpha's derivatives and brings the sums, of
+    degree 4 in C, into range.
     """
     if "alpha_derivatives" in ctx.cache:
         return ctx.cache["alpha_derivatives"]
     b = ctx.bundle
     n = b.dim
+    alpha = _as_jet_values(_alpha_values(ctx)[0])
     c, nc, nnc, gam = (b.values(name) for name in
                        ("weyl", "nabla_weyl", "nabla2_weyl", "gamma"))
     dl = math.lcm(c.den, nc.den)            # C and nabla C over dl
-    cv = [x * (dl // c.den) for x in c.num]
+    s = 1 if ctx.exact else 1 / sup_norm(c)
+    hv = nnc.num if ctx.exact else [x * s for x in nnc.num]
+    cv = [x * k for k in (dl // c.den * s,) for x in c.num]
     nz = [(o, x) for o, x in enumerate(cv) if x]
-    sq = sum(x * x for _, x in nz)
+    sq = sum(x * x for _, x in nz)          # D over dl^2
     size = len(cv)
-    rows = [[x * (dl // nc.den) for x in nc.num[i * size:(i + 1) * size]]
-            for i in range(n)]
-    hv, gv, dh, dg = nnc.num, gam.num, nnc.den, gam.den
+    rows = [[x * k for x in nc.num[i * size:(i + 1) * size]]
+            for k in (dl // nc.den * s,) for i in range(n)]
+    gv, dh, dg = gam.num, nnc.den, gam.den
     rnz = [[(o, y) for o, y in enumerate(row) if y] for row in rows]
-    nn = [sum(row[o] * x for o, x in nz) for row in rows]
+    nn = [x * sq // alpha.den if ctx.exact else x * sq     # N = alpha D
+          for x in alpha.num]
     f, m = [0] * (n * n), [0] * n ** 3
     for w in (n ** 3, n * n, n, 1):         # weight of slot s in an offset
         for o, x in nz:
@@ -422,11 +425,10 @@ def _alpha_derivatives(ctx: PointContext):
             nabla.append(x)
             d_alpha.append(x + dh * sq * gp)
     den = dh * dg * sq * sq
-    ctx.cache["alpha_derivatives"] = out = tuple(
-        Values(n, var, num, d, 0) if ctx.exact
-        else Values(n, var, [x / d for x in num], 1, 0.0)
-        for var, num, d in ((COV, nn, sq), (COV * 2, d_alpha, den),
-                            (COV * 2, nabla, den)))
+    ctx.cache["alpha_derivatives"] = out = (alpha,) + tuple(
+        Values(n, COV * 2, num, den, 0) if ctx.exact
+        else Values(n, COV * 2, [x / den for x in num], 1, 0.0)
+        for num in (d_alpha, nabla))
     return out
 
 

@@ -7,15 +7,13 @@ factor * g is applied to the point's jets (`rescaled`), not to the metric's
 polynomials: g's jets times the factor jet, g^{-1}'s times its reciprocal.
 
 Jets are kept only where a derivative is taken: the metric, the
-Christoffel symbols, Riemann, Ricci and their covariant derivatives.  All
-else is read only at the point, so it is computed from point values
-(tensors.Values), never as jets.  The connection is metric (nabla g = 0),
-so R and nabla R are the inverse metric's traces of the values of Ricci
-and nabla Ricci, and nabla commutes with the Weyl decomposition: C,
-nabla C and nabla nabla C are that decomposition, in Schouten form,
-applied to the values of nabla^L of Riemann, Ricci and R.  The Weyl tensor
-is never differentiated.  The (1,3) Weyl forms, the divergences and the
-Laplacians follow from these values and the inverse metric's.
+Christoffel symbols, Riemann, Ricci and their first covariant derivatives.
+The second ones are taken from these jets straight to point values
+(tensors.Values), and all else is computed from point values.  As
+nabla g = 0, R and nabla R are g^{-1} traces of Ricci's values, and nabla
+commutes with the Weyl decomposition: C, nabla C and nabla nabla C are
+that decomposition, in Schouten form, of the values of nabla^L of Riemann,
+Ricci and R; the Weyl tensor is never differentiated.
 
 A covariant derivative is computed once per symmetry orbit of its input's
 trailing slots (the caller declares none, a symmetric pair, or Riemann's
@@ -192,9 +190,9 @@ def _orbits(n: int, symmetry: str):
     return width, tuple(orbits), tuple(sorted(zeros))
 
 
-def covariant_derivative(t: Tensor, gamma: Tensor,
+def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                          context: str = "covariant derivative",
-                         symmetry: str = NO_SYMMETRY) -> Tensor:
+                         symmetry: str = NO_SYMMETRY) -> Tensor | Values:
     """Prepend a covariant slot: (nabla t)_{i ...} with the usual corrections.
 
     Each output entry is gathered: d_i t[idx], plus Gamma^v_{ip} t[.. p ..]
@@ -209,7 +207,9 @@ def covariant_derivative(t: Tensor, gamma: Tensor,
     check, since there the symmetry holds only to rounding.
 
     Consumes one jet order; raises OrderBudgetError naming `context` when the
-    entries are order-0 jets.
+    entries are order-0 jets.  Given gamma's point values (Values), it
+    returns nabla t's point values and forms no jet: d_i t is read from the
+    first-order coefficients of t's jets and the Gamma terms are numbers.
     """
     n = t.dim
     src = t.entries
@@ -225,36 +225,43 @@ def covariant_derivative(t: Tensor, gamma: Tensor,
     if width > rank:
         raise ValueError(f"{context}: a {symmetry} symmetry needs {width} "
                          f"slots, the tensor has {rank}")
-    gam = gamma.truncate(order - 1).entries   # Gamma^a_{bc} at (a*n + b)*n + c
+    jets = not isinstance(gamma, Values)
+    if jets:
+        zero = Jet.zero(n, order - 1, sample.mode)
+        gam = gamma.truncate(order - 1).entries   # Gamma^a_{bc} at (a*n + b)*n + c
+    else:                                   # numerators over den * dg
+        den, dg = math.lcm(*{e.den for e in src}), gamma.den  # 1 in float mode
+        zero, gam = (0 if sample.mode == EXACT else 0.0), gamma.num
+        src = [e.c[0] * (den // e.den) for e in t.entries]
     # terms[v]: (i, p, Gamma) for each nonzero symbol that feeds a slot of
     # value v in output entry (i; ..) from the input with that slot at p
     con = [[(i, p, g) for i in range(n) for p in range(n)
-            for g in (gam[(v * n + i) * n + p],) if g.nz] for v in range(n)]
+            for g in (gam[(v * n + i) * n + p],) if g] for v in range(n)]
     cov = [[(i, p, g) for i in range(n) for p in range(n)
-            for g in (gam[(p * n + i) * n + v],) if g.nz] for v in range(n)]
+            for g in (gam[(p * n + i) * n + v],) if g] for v in range(n)]
     slots = [(n ** (rank - 1 - s), con if var == CON else cov, var == CON)
              for s, var in enumerate(t.variance)]
     stride = n ** rank                          # weight of the new slot i
     block = n ** width
     if sample.mode == EXACT:
         _check_symmetry(t, symmetry, context)
-    zero = Jet.zero(n, order - 1, sample.mode)
     out = [zero] * (n * stride)
     for base in range(0, stride, block):
         for rep, images in orbits:
             off = base + rep
-            e = src[off]
-            acc = ([e.derivative(i, context) for i in range(n)] if e.nz
-                   else [zero] * n)
+            e = t.entries[off]
+            acc = ([zero] * n if not e else
+                   [e.derivative(i, context) for i in range(n)] if jets else
+                   [x * k for k in (den // e.den * dg,) for x in e.c[1:n + 1]])
             for w, terms, plus in slots:
                 v = off // w % n
                 rest = off - v * w
                 for i, p, g in terms[v]:
                     x = src[rest + p * w]
-                    if x.nz:
+                    if x:
                         acc[i] = acc[i] + g * x if plus else acc[i] - g * x
             for i, a in enumerate(acc):
-                if not a.nz:
+                if not a:
                     continue
                 o = i * stride + base
                 neg = None
@@ -265,7 +272,8 @@ def covariant_derivative(t: Tensor, gamma: Tensor,
                         out[o + img] = neg
                     else:
                         out[o + img] = a
-    return Tensor(n, COV + t.variance, out)
+    return (Tensor(n, COV + t.variance, out) if jets else
+            Values(n, COV + t.variance, out, den * dg, zero))
 
 
 def _check_symmetry(t: Tensor, symmetry: str, context: str):
@@ -313,16 +321,15 @@ class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
     Jet attributes (Tensors of jets): `gamma`, `riemann_mixed`,
-    `riemann`, `ricci`, and their covariant derivatives `nabla_ricci`,
-    `nabla_riemann`, `nabla2_ricci`, `nabla2_riemann`.
+    `riemann`, `ricci`, `nabla_ricci` and `nabla_riemann`.
 
-    Point-value attributes (Values, see tensors): the scalar curvature
-    `scalar` and `nabla_scalar`; `weyl`, `nabla_weyl` and `nabla2_weyl`,
-    the Weyl decomposition of the above (`_weyl_part`); `weyl_mixed`,
-    `nabla_weyl_mixed` (the last slot of the Weyl forms raised),
-    `div_weyl`, `double_div_weyl` and `lap_ricci`, `lap_weyl`,
-    `lap_riemann`.  `values(name)` gives the point values of a jet
-    attribute, or of the metric's `g` and `g_inv`, once per bundle.
+    Point-value attributes (Values, see tensors): `nabla2_ricci`,
+    `nabla2_riemann`; the scalar curvature `scalar` and `nabla_scalar`;
+    `weyl`, `nabla_weyl` and `nabla2_weyl`, the Weyl decomposition of the
+    above (`_weyl_part`); `weyl_mixed`, `nabla_weyl_mixed` (the last slot
+    of the Weyl forms raised), `div_weyl`, `double_div_weyl` and
+    `lap_ricci`, `lap_weyl`, `lap_riemann`.  `values(name)` gives the point
+    values of any attribute, or of the metric's `g` and `g_inv`, once each.
 
     Jet order budgets: Weyl needs K>=2, first covariant derivatives K>=3,
     Laplacians and double derivatives K>=4.  Underbudgeted requests raise
@@ -446,7 +453,7 @@ class CurvatureBundle:
             u, w = e // ric.den * f, e // (k * scal.den * g.den) * f
         else:
             u, w = 1 / (n - 2), 1 / (k * (n - 2))
-        out = [x * (den // riem.den) for x in riem.num]
+        out = [x * q for q in (den // riem.den,) for x in riem.num]
         g, ric, scal = g.num, ric.num, scal.num
         g_nz = [(x, y, gxy) for x in range(n) for y in range(n)
                 for gxy in (g[x * n + y],) if gxy]
@@ -519,9 +526,9 @@ class CurvatureBundle:
     # -- second covariant derivatives and Laplacians --------------------------
 
     @cached_property
-    def nabla2_ricci(self) -> Tensor:
+    def nabla2_ricci(self) -> Values:
         self.require(4, "nabla nabla Ricci")
-        return covariant_derivative(self.nabla_ricci, self.gamma,
+        return covariant_derivative(self.nabla_ricci, self.values("gamma"),
                                     "nabla nabla Ricci", SYMMETRIC_PAIR)
 
     @cached_property
@@ -530,9 +537,9 @@ class CurvatureBundle:
         return self._weyl_part("nabla2_")
 
     @cached_property
-    def nabla2_riemann(self) -> Tensor:
+    def nabla2_riemann(self) -> Values:
         self.require(4, "nabla nabla Riemann")
-        return covariant_derivative(self.nabla_riemann, self.gamma,
+        return covariant_derivative(self.nabla_riemann, self.values("gamma"),
                                     "nabla nabla Riemann", RIEMANN)
 
     @cached_property

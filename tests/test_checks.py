@@ -12,7 +12,7 @@ from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
                             chart_covector_u, check_collinearity, check_olszak,
                             extract_recurrence, nabla_chart_covector_u,
                             relative_residual)
-from ppcheck.geometry import covariant_derivative
+from ppcheck.geometry import CurvatureBundle, covariant_derivative, rescaled
 from ppcheck.jets import Jet, jet_recip
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
@@ -371,6 +371,33 @@ class TestAlphaDerivatives:
         gap = abs(r.residuals["alpha_closed"] - relative_residual(
             _closedness(d_alpha), sup_norm(alpha), 1.0))
         assert gap <= 1e-9 * max(map(abs, d_alpha.num))
+
+    @pytest.mark.parametrize("ctx_name", ALPHA_CTXS)
+    def test_float_weyl_near_1e100(self, ctx_name, request):
+        # g -> 1e100 g multiplies C, nabla C and nabla nabla C by 1e100 and
+        # leaves alpha and its derivatives as they are; sums of degree 4 in
+        # C would overflow
+        exact = request.getfixturevalue(ctx_name)
+        m = make_ctx(exact.spec, exact.point, FLOAT).bundle.metric
+        big = CurvatureBundle(rescaled(m, Jet.constant(m.dim, m.order, 1e100,
+                                                       FLOAT)))
+        ctx = PointContext(spec=exact.spec, point=exact.point, mode=FLOAT,
+                           bundle=big)
+        assert 1e98 < sup_norm(big.values("weyl")) < 1e103
+        want = reference_alpha(big)
+        for g, w in zip(_alpha_derivatives(ctx), want):
+            scale = max(map(abs, w.num))
+            gap = max(abs(x - y) for x, y in zip(g.num, w.num))
+            assert scale > 0 and gap <= 1e-9 * scale, (gap, scale)
+        alpha, d_alpha, nabla_alpha = want
+        r = CHECKS["roter_bundle"](ctx)
+        gap = abs(r.residuals["alpha_closed"] - relative_residual(
+            _closedness(d_alpha), sup_norm(alpha), 1.0))
+        assert gap <= 1e-9 * max(map(abs, d_alpha.num))
+        r = CHECKS["alpha_recurrent"](ctx)
+        gap = abs(r.residuals["closed"] - relative_residual(
+            _closedness(nabla_alpha), sup_norm(nabla_alpha), sup_norm(alpha)))
+        assert gap <= 1e-9
 
 
 class TestFieldEquations:

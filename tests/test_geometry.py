@@ -21,7 +21,7 @@ from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
 from ppcheck.jets import Jet, JetError, jet_exp, jet_from_polynomial
 from ppcheck.metrics import PointPlan
 from ppcheck.polynomials import Polynomial, parse_polynomial
-from ppcheck.tensors import (CON, COV, Tensor, contract,
+from ppcheck.tensors import (CON, COV, Tensor, Values, contract,
                              raise_lower, sup_norm)
 
 PT = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -369,7 +369,9 @@ def _flagship_spec():
 
 def _oracle_pairs(spec, pt, mode):
     """(name, gathered, scattered) for every covariant derivative the
-    bundle takes with a symmetry, plus two taken without one."""
+    bundle takes with a symmetry, plus two taken without one.  The second
+    derivatives are taken from Gamma's point values, so they are compared
+    with the values of the scattered jets."""
     ctx = make_ctx(spec, pt, mode=mode)
     b = ctx.bundle
     ginv = b.metric.g_inv.truncate(b.nabla_ricci.entries[0].order)
@@ -380,11 +382,11 @@ def _oracle_pairs(spec, pt, mode):
         ("nabla_riemann", b.nabla_riemann,
          scatter_covariant_derivative(b.riemann, b.gamma)),
         ("nabla2_riemann", b.nabla2_riemann,
-         scatter_covariant_derivative(b.nabla_riemann, b.gamma)),
+         scatter_covariant_derivative(b.nabla_riemann, b.gamma).values()),
         ("nabla_ricci", b.nabla_ricci,
          scatter_covariant_derivative(b.ricci, b.gamma)),
         ("nabla2_ricci", b.nabla2_ricci,
-         scatter_covariant_derivative(b.nabla_ricci, b.gamma)),
+         scatter_covariant_derivative(b.nabla_ricci, b.gamma).values()),
         ("mixed rank 3", covariant_derivative(mixed, b.gamma),
          scatter_covariant_derivative(mixed, b.gamma)),
         ("brinkmann covector", covariant_derivative(covector, b.gamma),
@@ -399,6 +401,13 @@ ORACLE_CASES = (
                     id=f"perturbed-seed{s}") for s in (7, 13)])
 
 
+def _value_types(t):
+    """The types of t's point values, jets or Values."""
+    if isinstance(t, Values):
+        return [type(x) for x in t.entries]
+    return [type(e.value) for e in t.entries]
+
+
 class TestCovariantDerivativeOracle:
     """The orbit gather against the symmetry-blind scatter it replaced."""
 
@@ -407,17 +416,18 @@ class TestCovariantDerivativeOracle:
         for name, got, want in _oracle_pairs(make_spec(), pt, EXACT):
             assert got.variance == want.variance, name
             assert got == want, name
-            assert [type(e.value) for e in got.entries] == \
-                [type(e.value) for e in want.entries], name
+            assert _value_types(got) == _value_types(want), name
 
     @pytest.mark.parametrize("make_spec,pt", ORACLE_CASES[-2:])
     def test_float_within_rounding(self, make_spec, pt):
         for name, got, want in _oracle_pairs(make_spec(), pt, FLOAT):
-            scale = max(abs(c) for e in want.entries
-                        for c in e.coeffs.values())
-            gap = max(abs(g.coeffs.get(k, 0) - w.coeffs.get(k, 0))
+            pairs = (zip(got.num, want.num) if isinstance(got, Values) else
+                     [(g.coeffs.get(k, 0), w.coeffs.get(k, 0))
                       for g, w in zip(got.entries, want.entries)
-                      for k in set(g.coeffs) | set(w.coeffs))
+                      for k in set(g.coeffs) | set(w.coeffs)])
+            pairs = list(pairs)
+            scale = max(abs(w) for _, w in pairs)
+            gap = max(abs(g - w) for g, w in pairs)
             assert scale > 0 and gap <= 1e-12 * scale, (name, gap, scale)
 
     def test_orbit_counts(self):
@@ -441,6 +451,19 @@ class TestCovariantDerivativeOracle:
         t[2, 1] = t[2, 1] + Jet.constant(b.dim, t[2, 1].order, F(1, 7))
         with pytest.raises(SymmetryError, match="nabla Ricci"):
             covariant_derivative(t, b.gamma, "nabla Ricci", SYMMETRIC_PAIR)
+
+    def test_point_value_derivative_checks_as_the_jet_one(self, perturbed_ctx):
+        b = perturbed_ctx.bundle
+        t = Tensor(b.dim, b.nabla_ricci.variance, b.nabla_ricci.entries)
+        t[0, 2, 1] = t[0, 2, 1] + Jet.constant(b.dim, t[0, 2, 1].order,
+                                               F(1, 7))
+        with pytest.raises(SymmetryError, match="nabla nabla Ricci"):
+            covariant_derivative(t, b.values("gamma"), "nabla nabla Ricci",
+                                 SYMMETRIC_PAIR)
+        order0 = covariant_derivative(b.nabla_ricci, b.gamma)
+        with pytest.raises(OrderBudgetError, match="nabla nabla nabla"):
+            covariant_derivative(order0, b.values("gamma"),
+                                 "nabla nabla nabla Ricci")
 
 
 def _point_inverse(m):
