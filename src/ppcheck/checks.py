@@ -146,9 +146,15 @@ def extract_recurrence(t: Values, nabla_t: Values):
 
     Works on Values.  Returns (alpha_components, residual); alpha is None
     when T vanishes (vacuous).  The residual is sup|nabla T - alpha (x) T|
-    relative to sup|nabla T| (0/0 -> 0).
+    relative to sup|nabla T| (0/0 -> 0).  Float mode first divides T and
+    nabla T by a power of two near sup|T|, an exact scaling that alpha and
+    the residual do not depend on, so that <T,T> cannot overflow.
     """
     n, exact = t.dim, t.exact
+    if not exact and (top := sup_norm(t)):
+        s = math.ldexp(1.0, -math.frexp(top)[1])
+        t, nabla_t = (Values(v.dim, v.variance, [x * s for x in v.num], 1,
+                             0.0) for v in (t, nabla_t))
     a, da, db = t.num, t.den, nabla_t.den
     size = len(a)
     zero = 0 if exact else 0.0
@@ -186,6 +192,9 @@ def extract_recurrence(t: Values, nabla_t: Values):
 
 
 def check_bianchi(ctx: PointContext) -> CheckResult:
+    # Riemann is filled from its pair-symmetry orbits, so the exact symmetry
+    # check in covariant_derivative is vacuous; "first" alone carries the
+    # cyclic identity.
     b = ctx.bundle
     residuals = {}
     for key, name in (("first", "riemann"), ("second", "nabla_riemann")):

@@ -7,26 +7,26 @@ factor * g is applied to the point's jets (`rescaled`), not to the metric's
 polynomials: g's jets times the factor jet, g^{-1}'s times its reciprocal.
 
 Jets are kept only where a derivative is taken: the metric, the
-Christoffel symbols, Riemann, Ricci and their first covariant derivatives.
-The second ones are taken from these jets straight to point values
-(tensors.Values), and all else is computed from point values.  As
+Christoffel symbols of both kinds, Riemann, Ricci and their first covariant
+derivatives.  The second ones are taken from these jets straight to point
+values (tensors.Values), and all else is computed from point values.  As
 nabla g = 0, R and nabla R are g^{-1} traces of Ricci's values, and nabla
 commutes with the Weyl decomposition: C, nabla C and nabla nabla C are
 that decomposition, in Schouten form, of the values of nabla^L of Riemann,
 Ricci and R; the Weyl tensor is never differentiated.
 
-A covariant derivative is computed once per symmetry orbit of its input's
-trailing slots (the caller declares none, a symmetric pair, or Riemann's
-pair symmetries) and the rest of each orbit is filled with that entry or
-its negation.  In exact mode every input entry is first checked literally
-against its orbit's representative and a mismatch raises SymmetryError, so
-the fill never rests on an assumed symmetry; float mode fills without the
-check, since its symmetries hold only to rounding.
+Riemann, Ricci and each covariant derivative are computed once per orbit
+of their (trailing) slots' symmetry -- Riemann's pair symmetries, a
+symmetric pair, or none, as the caller of `covariant_derivative` declares
+-- and the rest of the orbit is filled with that entry or its negation.
+In exact mode every input entry of a covariant derivative is first checked
+literally against its orbit's representative (SymmetryError if not);
+float mode fills without the check, as its symmetries hold to rounding.
 
-Sign convention: the Riemann assembly carries a global minus sign relative
-to the naive dGamma + GammaGamma expression, chosen once so that the Ricci
-contraction R_ij = -R_kij^k reproduces psi = -1/2 * sum_rho d^2 H/dx_rho^2
-on pp-wave potentials.  The convention-oracle test pins this down.
+Sign convention: R_jklm is R_jkl^m = d_k Gamma^m_jl - d_j Gamma^m_kl +
+Gamma^m_kq Gamma^q_jl - Gamma^m_jq Gamma^q_kl lowered by g, with the sign
+chosen so that R_ij = -g^{km} R_kijm reproduces psi = -1/2 * sum_rho
+d^2 H/dx_rho^2 on pp-wave potentials, as the convention-oracle test pins.
 """
 from __future__ import annotations
 
@@ -109,40 +109,34 @@ def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
 # -- connection and curvature ------------------------------------------------
 
 
-def christoffel(m: MetricAtPoint) -> Tensor:
-    """Levi-Civita symbols Gamma^i_{jk} as jets of order K-1, slots (i, j, k)."""
-    if m.order < 1:
-        raise OrderBudgetError("christoffel needs jet order >= 1")
-    n = m.dim
+def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
+    """Levi-Civita symbols of the first kind, Gamma_{l,jk} = (d_j g_lk +
+    d_k g_lj - d_l g_jk)/2, and of the second, Gamma^i_{jk} = g^{il}
+    Gamma_{l,jk}: jets of order K-1, slots (l, j, k) and (i, j, k)."""
+    n, order = m.dim, m.order - 1
     half = as_mode(Fraction(1, 2), m.mode)
     dg = [[[m.g[l, k].derivative(j, "christoffel") for k in range(n)]
            for j in range(n)] for l in range(n)]
     # dg[l][j][k] = d_j g_{lk}
-    out = Tensor.zeros(n, CON + COV + COV, Jet.zero(n, m.order - 1, m.mode))
-    ginv = m.g_inv.truncate(m.order - 1)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = Jet.zero(n, m.order - 1, m.mode)
-                for l in range(n):
-                    gil = ginv[i, l]
-                    if not gil:
-                        continue
-                    s = dg[l][j][k] + dg[l][k][j] - dg[j][l][k]
-                    if not s:
-                        continue
-                    acc = acc + gil * s
-                acc = acc * half
-                out[i, j, k] = acc
-                out[i, k, j] = acc
-    return out
+    zero = Jet.zero(n, order, m.mode)
+    first, second = (Tensor.zeros(n, v, zero) for v in (COV * 3, CON + COV * 2))
+    ginv = m.g_inv.truncate(order).entries
+    for j in range(n):
+        for k in range(j, n):
+            low = [(dg[l][j][k] + dg[l][k][j] - dg[j][l][k]) * half
+                   for l in range(n)]
+            for i in range(n):
+                first[i, j, k] = first[i, k, j] = low[i]
+                second[i, j, k] = second[i, k, j] = sum(
+                    (g * x for g, x in zip(ginv[i * n:(i + 1) * n], low)
+                     if g and x), zero)
+    return first, second
 
 
-# Slot symmetries of a tensor's trailing slots that `covariant_derivative`
-# can exploit: no symmetry, a symmetric pair (Ricci), or Riemann's (antisymmetric
-# in each pair, symmetric under the pair swap).  Each maps to the block's
-# width and its group as (slot permutation, sign) pairs: t[idx permuted] =
-# sign * t[idx].
+# Slot symmetries of a tensor's trailing slots that the orbit fills exploit:
+# no symmetry, a symmetric pair (Ricci), or Riemann's (antisymmetric in each
+# pair, symmetric under the pair swap).  Each maps to the block's width and
+# its group as (slot permutation, sign) pairs: t[idx permuted] = sign * t[idx].
 NO_SYMMETRY = "none"
 SYMMETRIC_PAIR = "symmetric pair"
 RIEMANN = "riemann"
@@ -261,19 +255,30 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                     if x:
                         acc[i] = acc[i] + g * x if plus else acc[i] - g * x
             for i, a in enumerate(acc):
-                if not a:
-                    continue
-                o = i * stride + base
-                neg = None
-                for img, sign in images:
-                    if sign < 0:
-                        if neg is None:
-                            neg = -a
-                        out[o + img] = neg
-                    else:
-                        out[o + img] = a
+                if a:
+                    _fill(out, i * stride + base, images, a)
     return (Tensor(n, COV + t.variance, out) if jets else
             Values(n, COV + t.variance, out, den * dg, zero))
+
+
+def _fill(out: list, base: int, images, a):
+    """Write a, or -a where the sign is negative, at base + each image
+    offset of an orbit (`_orbits`)."""
+    neg = -a
+    for img, sign in images:
+        out[base + img] = a if sign > 0 else neg
+
+
+def _by_orbits(n: int, symmetry: str, zero: Jet, entry) -> Tensor:
+    """The covariant tensor with `symmetry` on all its slots that has
+    entry(*index) at each orbit representative, filled into its orbit."""
+    width, orbits, _ = _orbits(n, symmetry)
+    out = [zero] * n ** width
+    for rep, images in orbits:
+        a = entry(*(rep // n ** p % n for p in range(width - 1, -1, -1)))
+        if a:
+            _fill(out, 0, images, a)
+    return Tensor(n, COV * width, out)
 
 
 def _check_symmetry(t: Tensor, symmetry: str, context: str):
@@ -320,8 +325,8 @@ def _as_jet_values(t: Values) -> Values:
 class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
-    Jet attributes (Tensors of jets): `gamma`, `riemann_mixed`,
-    `riemann`, `ricci`, `nabla_ricci` and `nabla_riemann`.
+    Jet attributes (Tensors of jets): `christoffels` (both kinds), `gamma`
+    (the second kind), `riemann`, `ricci`, `nabla_ricci`, `nabla_riemann`.
 
     Point-value attributes (Values, see tensors): `nabla2_ricci`,
     `nabla2_riemann`; the scalar curvature `scalar` and `nabla_scalar`;
@@ -366,51 +371,46 @@ class CurvatureBundle:
     # -- connection and curvature -----------------------------------------
 
     @cached_property
-    def gamma(self) -> Tensor:
+    def christoffels(self) -> tuple[Tensor, Tensor]:
+        """(Gamma_{l,jk}, Gamma^i_{jk}): the symbols of both kinds."""
         self.require(1, "christoffel symbols")
         return christoffel(self.metric)
 
-    @cached_property
-    def riemann_mixed(self) -> Tensor:
-        """R_{jkl}^m, slots (j,k,l,m), jets of order K-2."""
-        self.require(2, "riemann tensor")
-        n = self.dim
-        gamma = self.gamma
-        order = self.metric.order - 2
-        dgam = [[[[gamma[mm, k, l].derivative(j, "riemann")
-                   for mm in range(n)] for l in range(n)] for k in range(n)]
-                for j in range(n)]
-        gam = gamma.truncate(order)
-        out = Tensor.zeros(n, COV * 3 + CON, Jet.zero(n, order, self.mode))
-        for j in range(n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    for mm in range(n):
-                        # global sign fixed by the pp-wave Ricci oracle
-                        acc = dgam[k][j][l][mm] - dgam[j][k][l][mm]
-                        for p in range(n):
-                            a1 = gam[mm, k, p]
-                            b1 = gam[p, j, l]
-                            if a1 and b1:
-                                acc = acc + a1 * b1
-                            a2 = gam[mm, j, p]
-                            b2 = gam[p, k, l]
-                            if a2 and b2:
-                                acc = acc - a2 * b2
-                        out[j, k, l, mm] = acc
-                        out[k, j, l, mm] = -acc
-        return out
+    gamma = property(lambda self: self.christoffels[1])   # Gamma^i_{jk}
 
     @cached_property
     def riemann(self) -> Tensor:
-        """Fully covariant R_{jklm}."""
-        return raise_lower(self.riemann_mixed, 3,
-                           self.metric.g.truncate(self.metric.order - 2))
+        """Fully covariant R_{jklm}, jets of order K-2, one `entry` per orbit
+        of its pair symmetries: R_jkl^m lowered by g, with d_k g_pm =
+        Gamma_{p,km} + Gamma_{m,kp}.  The global sign is fixed by the
+        pp-wave Ricci oracle."""
+        self.require(2, "riemann tensor")
+        n, order = self.dim, self.metric.order - 2
+        first, second = self.christoffels   # [q, a, b] at q*n^2 + a*n + b
+        g1, g2 = (t.truncate(order).entries for t in (first, second))
+
+        def entry(j, k, l, m):
+            # d_k Gamma_{m,jl} + Gamma_{q,jm} Gamma^q_kl
+            #   - (d_j Gamma_{m,kl} + Gamma_{q,km} Gamma^q_jl)
+            plus, minus = (sum((a * b for a, b in zip(g1[x * n + m::n * n],
+                                                      g2[y * n + l::n * n])
+                                if a and b),
+                               first[m, x, l].derivative(y, "riemann"))
+                           for x, y in ((j, k), (k, j)))
+            return plus - minus
+        return _by_orbits(n, RIEMANN, Jet.zero(n, order, self.mode), entry)
 
     @cached_property
     def ricci(self) -> Tensor:
-        """R_ij = -R_{kij}^k."""
-        return -contract(self.riemann_mixed, 0, 3)
+        """R_ij = -g^{km} R_{kijm}, for i <= j and filled by symmetry."""
+        n, order, riem = self.dim, self.metric.order - 2, self.riemann.entries
+        ginv = self.metric.g_inv.truncate(order).entries
+        zero = Jet.zero(n, order, self.mode)
+
+        def entry(i, j):    # R_kijm = R_ikmj, at i*n^3 + (k*n + m)*n + j
+            return -sum((r * g for r, g in zip(
+                riem[i * n ** 3 + j:(i + 1) * n ** 3:n], ginv) if r and g), zero)
+        return _by_orbits(n, SYMMETRIC_PAIR, zero, entry)
 
     def _trace(self, name: str, a: int = 0) -> Values:
         """The values of `name` with slots a and a + 1 traced by g^{-1}: a

@@ -81,9 +81,6 @@ class Tensor:
     def __setitem__(self, idx, value):
         self.entries[_offset(self.dim, idx)] = value
 
-    def __neg__(self):
-        return Tensor(self.dim, self.variance, [-a for a in self.entries])
-
     def __eq__(self, other):
         return (isinstance(other, Tensor) and self.dim == other.dim
                 and self.variance == other.variance

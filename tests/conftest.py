@@ -9,7 +9,7 @@ from ppcheck.checks import PointContext
 from ppcheck.geometry import CurvatureBundle, metric_at_point
 from ppcheck.jets import Jet, as_mode
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import COV, Tensor, contract
+from ppcheck.tensors import CON, COV, Tensor, contract, raise_lower
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -33,16 +33,42 @@ def du_jets(ctx):
                            for i in range(n)])
 
 
+def textbook_riemann_jets(b):
+    """(R_jklm, R_ij) as jets, by the textbook route: the mixed
+
+        R_jkl^m = d_k Gamma^m_jl - d_j Gamma^m_kl
+                  + Gamma^m_kp Gamma^p_jl - Gamma^m_jp Gamma^p_kl
+
+    from the jets of b.gamma, lowered by g, and R_ij = -R_kij^k; a
+    reference that does not go through the bundle's first-kind symbols or
+    its orbit fill."""
+    n, gam = b.dim, b.gamma
+    order = b.metric.order - 2
+    trunc = gam.truncate(order)
+    mixed = Tensor(n, COV * 3 + CON, [Jet.zero(n, order, b.mode)] * n ** 4)
+    for j, k, l, m in itertools.product(range(n), repeat=4):
+        acc = (gam[m, j, l].derivative(k, "reference")
+               - gam[m, k, l].derivative(j, "reference"))
+        for p in range(n):
+            acc = (acc + trunc[m, k, p] * trunc[p, j, l]
+                   - trunc[m, j, p] * trunc[p, k, l])
+        mixed[j, k, l, m] = acc
+    riem = raise_lower(mixed, 3, b.metric.g.truncate(order))
+    ric = contract(mixed, 0, 3)
+    return riem, Tensor(n, COV * 2, [-e for e in ric.entries])
+
+
 def textbook_weyl_jets(b):
     """The bundle's Weyl tensor as jets, from the textbook two-term formula
 
         C_jklm = R_jklm - (g_jl R_km - g_jm R_kl - g_kl R_jm + g_km R_jl)/(n-2)
                  + R (g_jl g_km - g_jm g_kl) / ((n-1)(n-2))
 
-    on the Riemann and Ricci jets, with R the g_inv trace of the Ricci
-    jets; a reference that does not go through the bundle's Weyl kernel."""
+    on the textbook Riemann and Ricci jets, with R the g_inv trace of the
+    Ricci jets; a reference that does not go through the bundle's Weyl
+    kernel or its curvature assembly."""
     n, mode = b.dim, b.mode
-    riem, ric = b.riemann, b.ricci
+    riem, ric = textbook_riemann_jets(b)
     order = riem.entries[0].order
     g = b.metric.g.truncate(order)
     scal = contract(ric, 0, 1, b.metric.g_inv.truncate(order)).entries[0]

@@ -1,4 +1,5 @@
 """Condition checkers: witnesses, residuals, vacuity, negative controls."""
+import math
 import random
 from fractions import Fraction as F
 
@@ -78,6 +79,28 @@ class TestConformalRecurrence:
     def test_flat_is_vacuous(self):
         r = CHECKS["conformal_recurrence"](flat_ctx())
         assert r.status == "vacuous"
+
+    def test_float_weyl_near_1e160(self, flagship_ctx):
+        # g -> 1e160 g puts |C| past 1e154, where sum_K C_K^2 overflows a
+        # float; alpha and the relative residual do not depend on that scale
+        m = make_ctx(flagship_ctx.spec, flagship_ctx.point,
+                     FLOAT).bundle.metric
+        big = CurvatureBundle(rescaled(m, Jet.constant(m.dim, m.order, 1e160,
+                                                       FLOAT)))
+        ctx = PointContext(spec=flagship_ctx.spec, point=flagship_ctx.point,
+                           mode=FLOAT, bundle=big)
+        assert sup_norm(big.values("weyl")) > 1e155
+        r = CHECKS["conformal_recurrence"](ctx)
+        assert r.status == "pass" and math.isfinite(r.residual)
+        assert r.witnesses["alpha"] == pytest.approx([1, 0, 0, 0, 0],
+                                                     abs=1e-12)
+        for name in ("olszak", "collinearity"):
+            r = CHECKS[name](ctx)
+            numbers = [r.residual, *r.residuals.values()]
+            for w in r.witnesses.values():
+                numbers.extend(w if isinstance(w, list) else [w])
+            assert r.status == "pass", name
+            assert not any(math.isnan(x) for x in numbers), (name, numbers)
 
 
 class TestGalaevAlpha:

@@ -199,6 +199,11 @@ PINNED_REPORTS = {
         "checks": ["bianchi", "conformal_invariance",
                    "weyl_divergence_formula", "ricci_recurrence",
                    "conformal_recurrence"]},
+    # n=5: an orbit table other than the n=4 one of report_generic_exact
+    "report_generic_n5_exact.json": {
+        "family": "perturbed_minkowski", "n": 5,
+        "params": {"seed": 7, "degree": 2}, "mode": "exact", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 1}},
     "report_galaev_d2_exact.json": {
         "family": "galaev", "d": 2,
         "params": {"lambda": [1, -1], "a": "u^2", "F": "u"},

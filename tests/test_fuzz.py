@@ -14,7 +14,7 @@ import io
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppcheck.checks import CHECKS
@@ -161,6 +161,9 @@ config_texts = st.one_of(documents.map(json.dumps), documents.map(json.dumps),
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=config_texts)
+# an a_vec longer than d (n = 9): the derandomized examples never draw one
+@example(text=json.dumps({"family": "two_symmetric",
+                          "params": {"a_vec": [0, 0, 0, 0, 0, 0, 0]}, "d": 2}))
 def test_config_parses_or_run_exits_two(tmp_path_factory, text):
     try:
         spec, config = parse_metric_config(text)

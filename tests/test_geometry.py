@@ -10,7 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import NC4, du_jets, make_ctx, poly, textbook_weyl_jets
+from conftest import (NC4, du_jets, make_ctx, poly, textbook_riemann_jets,
+                      textbook_weyl_jets)
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, sample_points)
@@ -96,6 +97,32 @@ class TestRiemannAndRicci:
 
     def test_wave_scalar_curvature_zero(self, quartic_ctx):
         assert not quartic_ctx.bundle.values("scalar")[()]
+
+    @pytest.mark.parametrize("name", ["flagship_ctx", "perturbed_ctx",
+                                      "quartic_ctx"])
+    def test_jets_equal_textbook_route(self, name, request):
+        """Every coefficient, not only the point value: nabla_riemann and
+        nabla_ricci read the higher ones."""
+        b = request.getfixturevalue(name).bundle
+        riem, ric = textbook_riemann_jets(b)
+        assert b.riemann == riem
+        assert b.ricci == ric
+
+    def test_jets_match_textbook_route_in_float_mode(self, perturbed_spec):
+        b = bundle_for(perturbed_spec, (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)),
+                       mode=FLOAT)
+        for got, want in zip((b.riemann, b.ricci), textbook_riemann_jets(b)):
+            scale = max(abs(x) for e in want.entries for x in e.c)
+            assert scale > 0
+            assert all(abs(x - y) <= 1e-12 * scale
+                       for e, f in zip(got.entries, want.entries)
+                       for x, y in zip(e.c, f.c, strict=True))
+
+    def test_riemann_needs_jet_order_two(self):
+        b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=1)
+        assert b.gamma.entries[0].order == 0
+        with pytest.raises(OrderBudgetError, match="riemann"):
+            b.riemann
 
 
 class TestWeyl:
