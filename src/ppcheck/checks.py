@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .geometry import CurvatureBundle, _as_jet_values, rescaled
+from .geometry import (RIEMANN, CurvatureBundle, _as_jet_values, _orbits,
+                       rescaled)
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
 from .metrics import MAX_FIELD_COEFFS, MetricSpec
 from .polynomials import Polynomial
@@ -382,10 +383,13 @@ def _alpha_derivatives(ctx: PointContext):
         D nabla_j alpha_i = sum_K (C_K nabla_j nabla_i C_K + nabla_i C_K
             nabla_j C_K) + G_ab (M_abi + M_bai) - alpha_i d_j D,
 
-    and d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p.  The sums run
-    on integer numerators; float mode first divides C and its derivatives
-    by sup|C|, which keeps alpha's derivatives and brings the sums, of
-    degree 4 in C, into range.
+    and d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p.  C, nabla C
+    and nabla nabla C have Riemann's symmetries in their last four slots,
+    so the four slot sums of F and M are equal, and a sum over K of a
+    product of two of them runs over one K per orbit, weighted by the orbit
+    size (`geometry._orbits`).  The sums run on integer numerators; float
+    mode first divides C and its derivatives by sup|C|, which keeps alpha's
+    derivatives and brings the sums, of degree 4 in C, into range.
     """
     if "alpha_derivatives" in ctx.cache:
         return ctx.cache["alpha_derivatives"]
@@ -398,20 +402,20 @@ def _alpha_derivatives(ctx: PointContext):
     s = 1 if ctx.exact else 1 / sup_norm(c)
     hv = nnc.num if ctx.exact else [x * s for x in nnc.num]
     cv = [x * k for k in (dl // c.den * s,) for x in c.num]
-    nz = [(o, x) for o, x in enumerate(cv) if x]
-    sq = sum(x * x for _, x in nz)          # D over dl^2
     size = len(cv)
     rows = [[x * k for x in nc.num[i * size:(i + 1) * size]]
             for k in (dl // nc.den * s,) for i in range(n)]
+    reps = [(o, len(images)) for o, images in _orbits(n, RIEMANN)[1]]
+    nz = [(o, k * cv[o]) for o, k in reps if cv[o]]
+    sq = sum(x * cv[o] for o, x in nz)      # D over dl^2
     gv, dh, dg = gam.num, nnc.den, gam.den
-    rnz = [[(o, y) for o, y in enumerate(row) if y] for row in rows]
+    rnz = [[(o, k * row[o]) for o, k in reps if row[o]] for row in rows]
     nn = [x * sq // alpha.den if ctx.exact else x * sq     # N = alpha D
           for x in alpha.num]
-    f, m = [0] * (n * n), [0] * n ** 3
-    for w in (n ** 3, n * n, n, 1):         # weight of slot s in an offset
-        for o, x in nz:
-            a = o // w % n
-            rest = o - a * w
+    f, m, w = [0] * (n * n), [0] * n ** 3, n ** 3
+    for o, x in enumerate(cv):              # slot 0's quarter of F and M
+        if x:
+            a, rest = divmod(o, w)
             for bb in range(n):
                 ob = rest + bb * w
                 f[a * n + bb] += x * cv[ob]
@@ -422,13 +426,13 @@ def _alpha_derivatives(ctx: PointContext):
     for j in range(n):
         gj = [(a, bb, g) for a in range(n) for bb in range(n)
               for g in (gv[(bb * n + j) * n + a],) if g]
-        dd = dh * (dg * nn[j] + sum(g * f[a * n + bb] for a, bb, g in gj))
+        dd = dh * (dg * nn[j] + 4 * sum(g * f[a * n + bb] for a, bb, g in gj))
         for i in range(n):
             base = (j * n + i) * size
             hc = sum(hv[base + o] * x for o, x in nz)
             ee = sum(y * rows[j][o] for o, y in rnz[i])
-            gm = sum(g * (m[(a * n + bb) * n + i] + m[(bb * n + a) * n + i])
-                     for a, bb, g in gj)
+            gm = 4 * sum(g * (m[(a * n + bb) * n + i] + m[(bb * n + a) * n + i])
+                         for a, bb, g in gj)
             x = (hc * dl * dg + (ee * dg + gm) * dh) * sq - 2 * nn[i] * dd
             gp = sum(g * y for g, y in zip(gv[j * n + i::n * n], nn))
             nabla.append(x)

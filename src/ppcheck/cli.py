@@ -46,12 +46,14 @@ def _checked_point(spec: MetricSpec, point, config: RunConfig, names,
     when every nudge is degenerate too.
 
     The point's bundle lives only in this call, so it is released before
-    the next point's metric is built.
+    the next point's metric is built.  Its jets are built only to the
+    deepest order any check reads, as higher orders change no value.
     """
+    order = min(config.jet_order, max(ORDER_BUDGET.values()))
     candidate = point
     for attempt in range(MAX_RESAMPLES + 1):
         try:
-            m = metric_at_point(spec, candidate, config.jet_order, config.mode)
+            m = metric_at_point(spec, candidate, order, config.mode)
         except DegeneratePointError:
             notes.append(f"degenerate metric at {encode_value(list(candidate))};"
                          " resampled")

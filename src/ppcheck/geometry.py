@@ -19,6 +19,9 @@ Riemann, Ricci and each covariant derivative are computed once per orbit
 of their (trailing) slots' symmetry -- Riemann's pair symmetries, a
 symmetric pair, or none, as the caller of `covariant_derivative` declares
 -- and the rest of the orbit is filled with that entry or its negation.
+Each such entry, like each Christoffel symbol of the second kind, is one
+sum of jet products on integer numerators, reduced once (`jets.mac`); a
+second covariant derivative is the same loop at order 0, packed as Values.
 In exact mode every input entry of a covariant derivative is first checked
 literally against its orbit's representative (SymmetryError if not);
 float mode fills without the check, as its symmetries hold to rounding.
@@ -36,8 +39,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import linalg
-from .jets import (EXACT, Jet, OrderBudgetError, as_mode,
-                   jet_from_polynomial, jet_recip)
+from .jets import (EXACT, Jet, OrderBudgetError, _tables, as_mode,
+                   derivative_numerators, from_numerators, jet_from_polynomial,
+                   jet_recip, mac, numerators)
 from .tensors import COV, CON, Tensor, Values, contract, raise_lower
 
 
@@ -118,18 +122,20 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
     dg = [[[m.g[l, k].derivative(j, "christoffel") for k in range(n)]
            for j in range(n)] for l in range(n)]
     # dg[l][j][k] = d_j g_{lk}
-    zero = Jet.zero(n, order, m.mode)
+    t = _tables(n, order)
+    zero = t.zero[m.mode]
     first, second = (Tensor.zeros(n, v, zero) for v in (COV * 3, CON + COV * 2))
-    ginv = m.g_inv.truncate(order).entries
+    ginv, di = numerators(m.g_inv.entries, order)
     for j in range(n):
         for k in range(j, n):
             low = [(dg[l][j][k] + dg[l][k][j] - dg[j][l][k]) * half
                    for l in range(n)]
+            lows, dl = numerators(low, order)
             for i in range(n):
+                acc = mac(zero.c.copy(), t, zip(ginv[i * n:(i + 1) * n], lows))
                 first[i, j, k] = first[i, k, j] = low[i]
-                second[i, j, k] = second[i, k, j] = sum(
-                    (g * x for g, x in zip(ginv[i * n:(i + 1) * n], low)
-                     if g and x), zero)
+                second[i, j, k] = second[i, k, j] = from_numerators(
+                    t, m.mode, acc, di * dl)
     return first, second
 
 
@@ -189,28 +195,28 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                          symmetry: str = NO_SYMMETRY) -> Tensor | Values:
     """Prepend a covariant slot: (nabla t)_{i ...} with the usual corrections.
 
-    Each output entry is gathered: d_i t[idx], plus Gamma^v_{ip} t[.. p ..]
-    for each contravariant slot of value v, minus Gamma^p_{iv} t[.. p ..]
-    for each covariant one, with the nonzero symbols listed once per slot
-    value and zero inputs skipped.  `symmetry` declares the symmetry of t's
-    trailing slots (NO_SYMMETRY, SYMMETRIC_PAIR or RIEMANN); nabla keeps
-    it, so only one entry per orbit is computed and the others are filled
-    with it or its negation.  In exact mode every input entry is first
-    checked literally against its orbit's representative, and a mismatch
-    raises SymmetryError naming `context`; float mode fills without the
-    check, since there the symmetry holds only to rounding.
+    Each output entry is gathered on numerators over the common
+    denominators of t and gamma, and reduced once: d_i t[idx], plus
+    Gamma^v_{ip} t[.. p ..] for each contravariant slot of value v, minus
+    Gamma^p_{iv} t[.. p ..] for each covariant one, skipping zero symbols
+    and inputs.  `symmetry` declares the symmetry of t's trailing slots
+    (NO_SYMMETRY, SYMMETRIC_PAIR or RIEMANN); nabla keeps it, so only one
+    entry per orbit is computed and the others are filled with it or its
+    negation.  In exact mode every input entry is first checked literally
+    against its orbit's representative, and a mismatch raises
+    SymmetryError naming `context`; float mode fills without the check,
+    since there the symmetry holds only to rounding.
 
     Consumes one jet order; raises OrderBudgetError naming `context` when the
-    entries are order-0 jets.  Given gamma's point values (Values), it
-    returns nabla t's point values and forms no jet: d_i t is read from the
-    first-order coefficients of t's jets and the Gamma terms are numbers.
+    entries are order-0 jets.  Given gamma's point values (Values), the
+    same loop runs at order 0: it returns nabla t's point values and forms
+    no jet.
     """
     n = t.dim
-    src = t.entries
-    sample = src[0]
+    sample = t.entries[0]
     if not isinstance(sample, Jet):
         raise TypeError("covariant_derivative needs jet-valued tensors")
-    order = sample.order
+    order, mode = sample.order, sample.mode
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
@@ -220,45 +226,48 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
         raise ValueError(f"{context}: a {symmetry} symmetry needs {width} "
                          f"slots, the tensor has {rank}")
     jets = not isinstance(gamma, Values)
-    if jets:
-        zero = Jet.zero(n, order - 1, sample.mode)
-        gam = gamma.truncate(order - 1).entries   # Gamma^a_{bc} at (a*n + b)*n + c
-    else:                                   # numerators over den * dg
-        den, dg = math.lcm(*{e.den for e in src}), gamma.den  # 1 in float mode
-        zero, gam = (0 if sample.mode == EXACT else 0.0), gamma.num
-        src = [e.c[0] * (den // e.den) for e in t.entries]
-    # terms[v]: (i, p, Gamma) for each nonzero symbol that feeds a slot of
-    # value v in output entry (i; ..) from the input with that slot at p
+    low = order - 1 if jets else 0          # the output order
+    gam, dg = (numerators(gamma.entries, low) if jets else
+               ([[x] if x else None for x in gamma.num], gamma.den))
+    src, den = numerators(t.entries, low)
+    tab = _tables(n, low)
+    zero = tab.zero[mode]
+    # gam[(a*n + b)*n + c] is Gamma^a_{bc} over dg.  terms[v]: (i, p, G) for
+    # each nonzero G = +Gamma^v_ip or -Gamma^p_iv that feeds a slot of value
+    # v in output entry (i; ..) from the input with that slot at p
     con = [[(i, p, g) for i in range(n) for p in range(n)
             for g in (gam[(v * n + i) * n + p],) if g] for v in range(n)]
-    cov = [[(i, p, g) for i in range(n) for p in range(n)
+    cov = [[(i, p, [-x for x in g]) for i in range(n) for p in range(n)
             for g in (gam[(p * n + i) * n + v],) if g] for v in range(n)]
-    slots = [(n ** (rank - 1 - s), con if var == CON else cov, var == CON)
+    slots = [(n ** (rank - 1 - s), con if var == CON else cov)
              for s, var in enumerate(t.variance)]
     stride = n ** rank                          # weight of the new slot i
     block = n ** width
-    if sample.mode == EXACT:
+    if mode == EXACT:
         _check_symmetry(t, symmetry, context)
-    out = [zero] * (n * stride)
+    out = [zero if jets else zero.c[0]] * (n * stride)
     for base in range(0, stride, block):
         for rep, images in orbits:
             off = base + rep
-            e = t.entries[off]
-            acc = ([zero] * n if not e else
-                   [e.derivative(i, context) for i in range(n)] if jets else
-                   [x * k for k in (den // e.den * dg,) for x in e.c[1:n + 1]])
-            for w, terms, plus in slots:
+            pairs = [[] for _ in range(n)]      # (input, G) for entry (i; ..)
+            for w, terms in slots:
                 v = off // w % n
                 rest = off - v * w
                 for i, p, g in terms[v]:
                     x = src[rest + p * w]
                     if x:
-                        acc[i] = acc[i] + g * x if plus else acc[i] - g * x
-            for i, a in enumerate(acc):
-                if a:
-                    _fill(out, i * stride + base, images, a)
+                        pairs[i].append((x, g))
+            e = t.entries[off]
+            k = den // e.den * dg
+            for i, ps in enumerate(pairs):      # entry (i; ..) over den * dg
+                if e or ps:
+                    a = mac(derivative_numerators(e.c, n, low, i, k) if e else
+                            zero.c.copy(), tab, ps)
+                    a = from_numerators(tab, mode, a, den * dg) if jets else a[0]
+                    if a:
+                        _fill(out, i * stride + base, images, a)
     return (Tensor(n, COV + t.variance, out) if jets else
-            Values(n, COV + t.variance, out, den * dg, zero))
+            Values(n, COV + t.variance, out, den * dg, zero.c[0]))
 
 
 def _fill(out: list, base: int, images, a):
@@ -385,32 +394,39 @@ class CurvatureBundle:
         Gamma_{p,km} + Gamma_{m,kp}.  The global sign is fixed by the
         pp-wave Ricci oracle."""
         self.require(2, "riemann tensor")
-        n, order = self.dim, self.metric.order - 2
+        n, order, mode = self.dim, self.metric.order - 2, self.mode
         first, second = self.christoffels   # [q, a, b] at q*n^2 + a*n + b
-        g1, g2 = (t.truncate(order).entries for t in (first, second))
+        t = _tables(n, order)
+        g1, d1 = numerators(first.entries, order + 1)
+        g2, d2 = numerators(second.entries, order)
+        neg2 = [[-x for x in c] if c else None for c in g2]
 
         def entry(j, k, l, m):
             # d_k Gamma_{m,jl} + Gamma_{q,jm} Gamma^q_kl
-            #   - (d_j Gamma_{m,kl} + Gamma_{q,km} Gamma^q_jl)
-            plus, minus = (sum((a * b for a, b in zip(g1[x * n + m::n * n],
-                                                      g2[y * n + l::n * n])
-                                if a and b),
-                               first[m, x, l].derivative(y, "riemann"))
-                           for x, y in ((j, k), (k, j)))
-            return plus - minus
-        return _by_orbits(n, RIEMANN, Jet.zero(n, order, self.mode), entry)
+            #   - (d_j Gamma_{m,kl} + Gamma_{q,km} Gamma^q_jl), over d1 * d2
+            acc = t.zero[mode].c.copy()
+            for x, y, s, g2s in ((j, k, d2, g2), (k, j, -d2, neg2)):
+                c = g1[(m * n + x) * n + l]
+                if c:
+                    acc = [u + v for u, v in zip(acc, derivative_numerators(
+                        c, n, order, y, s))]
+                mac(acc, t, zip(g1[x * n + m::n * n], g2s[y * n + l::n * n]))
+            return from_numerators(t, mode, acc, d1 * d2)
+        return _by_orbits(n, RIEMANN, t.zero[mode], entry)
 
     @cached_property
     def ricci(self) -> Tensor:
         """R_ij = -g^{km} R_{kijm}, for i <= j and filled by symmetry."""
-        n, order, riem = self.dim, self.metric.order - 2, self.riemann.entries
-        ginv = self.metric.g_inv.truncate(order).entries
-        zero = Jet.zero(n, order, self.mode)
+        n, order, mode = self.dim, self.metric.order - 2, self.mode
+        t = _tables(n, order)
+        riem, dr = numerators(self.riemann.entries, order)
+        ginv, di = numerators(self.metric.g_inv.entries, order)
 
         def entry(i, j):    # R_kijm = R_ikmj, at i*n^3 + (k*n + m)*n + j
-            return -sum((r * g for r, g in zip(
-                riem[i * n ** 3 + j:(i + 1) * n ** 3:n], ginv) if r and g), zero)
-        return _by_orbits(n, SYMMETRIC_PAIR, zero, entry)
+            acc = mac(t.zero[mode].c.copy(), t,
+                      zip(riem[i * n ** 3 + j:(i + 1) * n ** 3:n], ginv))
+            return -from_numerators(t, mode, acc, dr * di)
+        return _by_orbits(n, SYMMETRIC_PAIR, t.zero[mode], entry)
 
     def _trace(self, name: str, a: int = 0) -> Values:
         """The values of `name` with slots a and a + 1 traced by g^{-1}: a

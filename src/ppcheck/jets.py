@@ -15,9 +15,13 @@ Every jet carries its arithmetic mode.  An exact jet holds integer
 numerators over one positive common denominator in lowest terms
 (gcd(den, *numerators) == 1), so an operation reduces its result with a
 single `math.gcd` call instead of normalising a `Fraction` per coefficient.
-A float jet holds 64-bit floats.  Jets combine only with jets of the same
-dimension and mode, and a bare number only scales a jet; anything else
-raises JetError.
+A sum of products, such as the contraction g^{il} Gamma_{l,jk}, is reduced
+once in all: its factors' coefficients are put over one denominator per
+tensor (`numerators`), the products are added up on them (`mac`, the one
+product loop, which Jet.__mul__ shares) and the sum becomes a jet
+(`from_numerators`).  A float jet holds 64-bit floats.  Jets combine only
+with jets of the same dimension and mode, and a bare number only scales a
+jet; anything else raises JetError.
 """
 from __future__ import annotations
 
@@ -119,24 +123,60 @@ def _raw(t: _Tables, mode: str, c: list, den: int, nz: bool) -> "Jet":
     return jet
 
 
-def _float(t: _Tables, c: list) -> "Jet":
-    """Float jet of coefficients `c` (the shared zero jet if all vanish)."""
+def from_numerators(t: _Tables, mode: str, c: list, den: int = 1) -> "Jet":
+    """The jet of coefficients `c` at t's order: floats (over 1) or integer
+    numerators over `den` > 0, reduced once; the zero jet if all vanish."""
     if not any(c):
-        return t.zero[FLOAT]
-    return _raw(t, FLOAT, c, 1, True)
-
-
-def _exact(t: _Tables, c: list, den: int) -> "Jet":
-    """Exact jet of numerators `c` over `den` > 0, reduced to lowest terms
-    (the shared zero jet if all vanish)."""
-    if not any(c):
-        return t.zero[EXACT]
+        return t.zero[mode]
     if den != 1:
         g = math.gcd(den, *c)
         if g != 1:
             c = [x // g for x in c]
             den //= g
-    return _raw(t, EXACT, c, den, True)
+    return _raw(t, mode, c, den, True)
+
+
+def numerators(jets, order: int) -> tuple[list, int]:
+    """The coefficients to `order` of same-mode jets over one common
+    denominator: integer numerators over the lcm of the jets' denominators,
+    or floats over 1.  A zero jet gives None."""
+    size = _tables(jets[0].dim, order).size
+    den = 1 if jets[0].mode == FLOAT else math.lcm(*(e.den for e in jets))
+    return [[x * k for x in e.c[:size]] if e.nz else None
+            for e in jets for k in (den // e.den,)], den
+
+
+def mac(acc: list, t: _Tables, pairs) -> list:
+    """acc += sum of a * b over the coefficient lists (a, b) in `pairs`,
+    through t's product table, so to t's order (a and b may run past it);
+    a None factor adds nothing.  Returns acc."""
+    if t.size == 1:                 # order 0: a plain dot product
+        s = acc[0]
+        for a, b in pairs:
+            if a and b:
+                s += a[0] * b[0]
+        acc[0] = s
+        return acc
+    for a, b in pairs:
+        if not (a and b):
+            continue
+        nzb = [j for j, y in enumerate(b) if y]
+        for x, row in zip(a, t.mul):
+            if x:
+                lim = len(row)
+                for j in nzb:
+                    if j >= lim:
+                        break
+                    acc[row[j]] += x * b[j]
+    return acc
+
+
+def derivative_numerators(c: list, dim: int, order: int, i: int,
+                          scale=1) -> list:
+    """The coefficients to `order` of d/dx_i of the coefficient list `c`
+    (of a higher order), times `scale`."""
+    src, factor = _tables(dim, order + 1).deriv[i]
+    return [c[k] * (f * scale) for k, f in zip(src, factor)]
 
 
 class _CoeffView(Mapping):
@@ -217,14 +257,10 @@ class Jet:
     @classmethod
     def constant(cls, dim, order, value, mode=EXACT):
         t = _tables(dim, order)
-        if mode == FLOAT:
-            c = [0.0] * t.size
-            c[0] = float(value)
-            return _float(t, c)
-        value = Fraction(value)
-        c = [0] * t.size
-        c[0] = value.numerator
-        return _exact(t, c, value.denominator)
+        value, c = as_mode(value, mode), t.zero[mode].c.copy()
+        c[0], den = ((value, 1) if mode == FLOAT else
+                     (value.numerator, value.denominator))
+        return from_numerators(t, mode, c, den)
 
     @classmethod
     def zero(cls, dim, order, mode=EXACT):
@@ -274,15 +310,15 @@ class Jet:
         if not a.nz:
             return (b if sign > 0 else -b).truncate(t.order)
         if a.mode == FLOAT:
-            if sign > 0:
-                return _float(t, [x + y for x, y in zip(a.c, b.c)])
-            return _float(t, [x - y for x, y in zip(a.c, b.c)])
+            return from_numerators(t, FLOAT, [x + y if sign > 0 else x - y
+                                              for x, y in zip(a.c, b.c)])
         # numerators over lcm(da, db)
         da, db = a.den, b.den
         g = math.gcd(da, db)
         s, u = da // g, db // g
         ms = s if sign > 0 else -s
-        return _exact(t, [x * u + y * ms for x, y in zip(a.c, b.c)], s * db)
+        return from_numerators(
+            t, EXACT, [x * u + y * ms for x, y in zip(a.c, b.c)], s * db)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -305,13 +341,14 @@ class Jet:
             s = float(s)
             if not self.nz or not s:
                 return t.zero[FLOAT]
-            return _float(t, [x * s for x in self.c])
+            return from_numerators(t, FLOAT, [x * s for x in self.c])
         if isinstance(s, float):
             raise JetError("a float cannot scale an exact jet")
         if not self.nz or not s:
             return t.zero[EXACT]
         p, q = s.numerator, s.denominator
-        return _exact(t, [x * p for x in self.c], self.den * q)
+        return from_numerators(t, EXACT, [x * p for x in self.c],
+                               self.den * q)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -322,23 +359,8 @@ class Jet:
         t = a._t if a.order <= b.order else b._t
         if not (a.nz and b.nz):
             return t.zero[a.mode]
-        bc = b.c
-        if t.size == 1:
-            out = [a.c[0] * bc[0]]
-        else:
-            nzb = [j for j, y in enumerate(bc) if y]
-            out = [0.0 if a.mode == FLOAT else 0] * t.size
-            for x, row in zip(a.c, t.mul):
-                if not x:
-                    continue
-                lim = len(row)
-                for j in nzb:
-                    if j >= lim:
-                        break
-                    out[row[j]] += x * bc[j]
-        if a.mode == FLOAT:
-            return _float(t, out)
-        return _exact(t, out, a.den * b.den)
+        return from_numerators(t, a.mode, mac(t.zero[a.mode].c.copy(), t,
+                                              ((a.c, b.c),)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -365,10 +387,7 @@ class Jet:
         t = _tables(self.dim, order)
         if not self.nz:
             return t.zero[self.mode]
-        c = self.c[:t.size]
-        if self.mode == FLOAT:
-            return _float(t, c)
-        return _exact(t, c, self.den)
+        return from_numerators(t, self.mode, self.c[:t.size], self.den)
 
     def derivative(self, i: int, context: str = "") -> "Jet":
         """Partial derivative along coordinate i; drops the order by one."""
@@ -378,12 +397,8 @@ class Jet:
         t = _tables(self.dim, self.order - 1)
         if not self.nz:
             return t.zero[self.mode]
-        src, factor = self._t.deriv[i]
-        c = self.c
-        out = [c[k] * f for k, f in zip(src, factor)]
-        if self.mode == FLOAT:
-            return _float(t, out)
-        return _exact(t, out, self.den)
+        return from_numerators(t, self.mode, derivative_numerators(
+            self.c, self.dim, t.order, i), self.den)
 
 
 # -- module-level operations (the stable surface used by the pipeline) --------

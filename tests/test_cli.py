@@ -144,6 +144,36 @@ class TestRun:
                           ("build", [False]), ("checked", 5),
                           ("build", [False, False]), ("checked", 5)]
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("doc", [
+        {"family": "galaev", "d": 3,
+         "params": {"lambda": [1, 1, -2], "a": "0", "F": "u"},
+         "points": {"strategy": "grid", "count": 2}},
+        {"family": "perturbed_minkowski", "n": 4,
+         "params": {"seed": 7, "degree": 2},
+         "points": {"strategy": "grid", "count": 1}},
+    ], ids=["galaev", "perturbed_minkowski"])
+    def test_jet_order_past_four_changes_only_the_header(self, doc, mode,
+                                                         monkeypatch):
+        """No check reads a jet past order 4, so jets are built to order 4
+        and K = 5 or 6 reports what K = 4 does, but for header.jet_order."""
+        build, orders = cli.metric_at_point, []
+
+        def spy(spec, point, order, mode):
+            orders.append(order)
+            return build(spec, point, order, mode)
+
+        monkeypatch.setattr(cli, "metric_at_point", spy)
+        reports = []
+        for k in (4, 5, 6):
+            spec, config = parse_metric_config(
+                json.dumps({**doc, "mode": mode, "jet_order": k}))
+            rep = json.loads(report_to_json(run(spec, config)))
+            assert rep["header"].pop("jet_order") == k
+            reports.append(json.dumps(rep, sort_keys=True))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert set(orders) == {4}
+
     def test_parallel_serial_identical(self):
         spec, config = parse_metric_config(FLAGSHIP)
         a = report_to_json(run(spec, config))

@@ -229,13 +229,15 @@ class TestCovariantDerivative:
     def test_metricity_at_random_points(self, spec):
         for pt in sample_points(spec, PointPlan("random", seed=3, count=10)):
             b = bundle_for(spec, pt, order=2)
-            ng = covariant_derivative(b.metric.g, b.gamma, "metricity test")
-            assert not sup_norm(ng.values())
+            for g in (b.metric.g, b.metric.g_inv):
+                ng = covariant_derivative(g, b.gamma, "metricity test")
+                assert not sup_norm(ng.values())
 
     def test_metricity_generic_metric(self, perturbed_ctx):
         b = perturbed_ctx.bundle
-        ng = covariant_derivative(b.metric.g, b.gamma, "metricity test")
-        assert not sup_norm(ng.values())
+        for g in (b.metric.g, b.metric.g_inv):
+            ng = covariant_derivative(g, b.gamma, "metricity test")
+            assert not sup_norm(ng.values())
 
     def test_du_covariantly_constant_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle

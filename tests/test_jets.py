@@ -1,5 +1,6 @@
 """Truncated Taylor jets: arithmetic, reciprocals, polynomial seeding."""
 import math
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from ppcheck.geometry import OrderBudgetError
 from ppcheck.jets import (EXACT, FLOAT, Jet, JetError, SingularJetError,
-                          _tables, jet_from_polynomial, jet_recip)
+                          _tables, from_numerators, jet_from_polynomial,
+                          jet_recip, mac, numerators)
 from ppcheck.polynomials import parse_polynomial
 
 
@@ -245,6 +247,64 @@ class TestModes:
         assert Jet.zero(3, 2, FLOAT) is not Jet.zero(3, 2)
         a = J(3, 2, {(1, 0, 0): 1})
         assert (a - a) is Jet.zero(3, 2)
+
+
+class TestNumeratorKernel:
+    """`mac` on `numerators`, reduced once by `from_numerators`, against the
+    same sum of Jet.__mul__ products."""
+
+    @staticmethod
+    def _pairs(seed, mode):
+        rng = random.Random(seed)
+        dim, out = rng.randint(1, 4), rng.randint(0, 3)
+
+        def jet(order):
+            if rng.random() < 0.2:
+                return Jet.zero(dim, order, mode)
+            return Jet(dim, order, {
+                mi: F(rng.randint(-30, 30), rng.randint(1, 12))
+                for mi in _tables(dim, order).monos if rng.random() < 0.7},
+                mode)
+
+        pairs = [(jet(out + rng.randint(0, 2)), jet(out + rng.randint(0, 2)))
+                 for _ in range(rng.randint(1, 8))]
+        return dim, out, pairs, [rng.random() < 0.5 for _ in pairs]
+
+    @staticmethod
+    def _kernel(dim, out, pairs, negs, mode):
+        t = _tables(dim, out)
+        # a's run past the output order, b's are cut to it
+        a, da = numerators([x for x, _ in pairs], out + 2)
+        b, db = numerators([y for _, y in pairs], out)
+        # a product is subtracted as that of a negated factor
+        pairs = [(x, [-v for v in y] if neg and y else y)
+                 for x, y, neg in zip(a, b, negs)]
+        return from_numerators(t, mode, mac(t.zero[mode].c.copy(), t, pairs),
+                               da * db)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_sum_is_literally_the_sum_of_products(self, seed):
+        dim, out, pairs, negs = self._pairs(seed, EXACT)
+        want = Jet.zero(dim, out)
+        for (x, y), neg in zip(pairs, negs):
+            want = want - x * y if neg else want + x * y
+        got = self._kernel(dim, out, pairs, negs, EXACT)
+        assert (got.order, got.den, got.c) == (out, want.den, want.c)
+        assert got.den > 0 and math.gcd(got.den, *got.c) == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_float_sum_agrees_with_the_sum_of_products(self, seed):
+        dim, out, pairs, negs = self._pairs(seed, FLOAT)
+        want = Jet.zero(dim, out, FLOAT)
+        scale = 0.0
+        for (x, y), neg in zip(pairs, negs):
+            p = (x * y).truncate(out)
+            want = want - p if neg else want + p
+            scale += max(map(abs, p.c))
+        got = self._kernel(dim, out, pairs, negs, FLOAT)
+        assert got.order == out
+        assert all(abs(g - w) <= 1e-15 * scale
+                   for g, w in zip(got.c, want.c))
 
 
 def _table_workout(dim):
