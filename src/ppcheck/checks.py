@@ -120,7 +120,7 @@ def _parts(x):
 def _antisymmetric_norm(t: Values):
     """max |t_ij.. - t_ji..| over the first two slots of t's values."""
     d = t - t.permute((1, 0) + tuple(range(2, t.rank)))
-    return _ratio(max(map(abs, d.num)), d.den, t.exact)
+    return _ratio(max(map(abs, d.num.values()), default=0), d.den, t.exact)
 
 
 def chart_covector_u(ctx: PointContext) -> Values:
@@ -135,7 +135,8 @@ def nabla_chart_covector_u(ctx: PointContext) -> Values:
     constant."""
     gam = ctx.bundle.values("gamma")    # Gamma^0_{ij} at offset i*n + j
     n = gam.dim
-    return Values(n, COV * 2, [-x for x in gam.num[:n * n]], gam.den,
+    return Values(n, COV * 2,
+                  {o: -x for o, x in gam.num.items() if o < n * n}, gam.den,
                   gam.zero)
 
 
@@ -154,35 +155,38 @@ def extract_recurrence(t: Values, nabla_t: Values):
     n, exact = t.dim, t.exact
     if not exact and (top := sup_norm(t)):
         s = math.ldexp(1.0, -math.frexp(top)[1])
-        t, nabla_t = (Values(v.dim, v.variance, [x * s for x in v.num], 1,
-                             0.0) for v in (t, nabla_t))
-    a, da, db = t.num, t.den, nabla_t.den
-    size = len(a)
+        t, nabla_t = (Values(v.dim, v.variance,
+                             {o: x * s for o, x in v.num.items()}, 1, 0.0)
+                      for v in (t, nabla_t))
+    da, db, size = t.den, nabla_t.den, t.size
     zero = 0 if exact else 0.0
-    nz = [o for o, e in enumerate(a) if e]
+    a = {o: e for o, e in t.num.items() if e}
     sq = zero                               # <T,T> over da^2
-    for o in nz:
-        sq = sq + a[o] * a[o]
+    for e in a.values():
+        sq = sq + e * e
     if not sq:
         return None, None
-    rows = [nabla_t.num[i * size:(i + 1) * size] for i in range(n)]
+    rows = [{} for _ in range(n)]           # nabla_i T, by offset in T
+    for o, b in nabla_t.num.items():
+        if b:
+            rows[o // size][o % size] = b
     alpha = []
     for row in rows:
         acc = zero                          # <nabla_i T, T> over db*da
-        for o in nz:
-            if row[o]:
-                acc = acc + row[o] * a[o]
+        for o, e in a.items():
+            b = row.get(o)
+            if b:
+                acc = acc + b * e
         alpha.append(_ratio(acc * da, db * sq, exact))
     worst = F0 if exact else 0.0
     for al, row in zip(alpha, rows):
         p, q = _parts(al)
         kb, ka = q * da, p * db             # |b/db - (p/q) e/da| over db*q*da
         m = zero
-        for b, e in zip(row, a):
-            if b or e:
-                d = abs(b * kb - e * ka)
-                if d > m:
-                    m = d
+        for o in row.keys() | a.keys():
+            d = abs(row.get(o, 0) * kb - a.get(o, 0) * ka)
+            if d > m:
+                m = d
         m = _ratio(m, db * q * da, exact)
         if m > worst:
             worst = m
@@ -400,47 +404,55 @@ def _alpha_derivatives(ctx: PointContext):
                        ("weyl", "nabla_weyl", "nabla2_weyl", "gamma"))
     dl = math.lcm(c.den, nc.den)            # C and nabla C over dl
     s = 1 if ctx.exact else 1 / sup_norm(c)
-    hv = nnc.num if ctx.exact else [x * s for x in nnc.num]
-    cv = [x * k for k in (dl // c.den * s,) for x in c.num]
-    size = len(cv)
-    rows = [[x * k for x in nc.num[i * size:(i + 1) * size]]
-            for k in (dl // nc.den * s,) for i in range(n)]
-    reps = [(o, len(images)) for o, images in _orbits(n, RIEMANN)[1]]
-    nz = [(o, k * cv[o]) for o, k in reps if cv[o]]
+    hv = nnc.num if ctx.exact else {o: x * s for o, x in nnc.num.items()}
+    k = dl // c.den * s
+    cv = {o: x * k for o, x in c.num.items() if x}
+    size, k = c.size, dl // nc.den * s
+    rows = [{} for _ in range(n)]           # nabla_i C, by offset in C
+    for o, x in nc.num.items():
+        if x:
+            rows[o // size][o % size] = x * k
+    weight = dict((o, len(images)) for o, images in _orbits(n, RIEMANN)[1])
+    nz = [(o, weight[o] * x) for o, x in cv.items() if o in weight]
     sq = sum(x * cv[o] for o, x in nz)      # D over dl^2
     gv, dh, dg = gam.num, nnc.den, gam.den
-    rnz = [[(o, k * row[o]) for o, k in reps if row[o]] for row in rows]
-    nn = [x * sq // alpha.den if ctx.exact else x * sq     # N = alpha D
-          for x in alpha.num]
+    rnz = [[(o, weight[o] * y) for o, y in row.items() if o in weight]
+           for row in rows]
+    nn = [alpha.num.get(i, 0) * sq // alpha.den if ctx.exact       # N = alpha D
+          else alpha.num.get(i, 0.0) * sq for i in range(n)]
     f, m, w = [0] * (n * n), [0] * n ** 3, n ** 3
-    for o, x in enumerate(cv):              # slot 0's quarter of F and M
-        if x:
-            a, rest = divmod(o, w)
-            for bb in range(n):
-                ob = rest + bb * w
-                f[a * n + bb] += x * cv[ob]
-                for i, row in enumerate(rows):
-                    if row[ob]:
-                        m[(a * n + bb) * n + i] += x * row[ob]
+    for o, x in cv.items():                 # slot 0's quarter of F and M
+        a, rest = divmod(o, w)
+        for bb in range(n):
+            ob = rest + bb * w
+            y = cv.get(ob)
+            if y:
+                f[a * n + bb] += x * y
+            for i, row in enumerate(rows):
+                y = row.get(ob)
+                if y:
+                    m[(a * n + bb) * n + i] += x * y
     nabla, d_alpha = [], []                 # over dh * dg * sq^2
     for j in range(n):
         gj = [(a, bb, g) for a in range(n) for bb in range(n)
-              for g in (gv[(bb * n + j) * n + a],) if g]
+              for g in (gv.get((bb * n + j) * n + a),) if g]
         dd = dh * (dg * nn[j] + 4 * sum(g * f[a * n + bb] for a, bb, g in gj))
         for i in range(n):
             base = (j * n + i) * size
-            hc = sum(hv[base + o] * x for o, x in nz)
-            ee = sum(y * rows[j][o] for o, y in rnz[i])
+            hc = sum(hv.get(base + o, 0) * x for o, x in nz)
+            ee = sum(y * rows[j].get(o, 0) for o, y in rnz[i])
             gm = 4 * sum(g * (m[(a * n + bb) * n + i] + m[(bb * n + a) * n + i])
                          for a, bb, g in gj)
             x = (hc * dl * dg + (ee * dg + gm) * dh) * sq - 2 * nn[i] * dd
-            gp = sum(g * y for g, y in zip(gv[j * n + i::n * n], nn))
+            gp = sum(gv.get((p * n + j) * n + i, 0) * nn[p] for p in range(n))
             nabla.append(x)
             d_alpha.append(x + dh * sq * gp)
     den = dh * dg * sq * sq
     ctx.cache["alpha_derivatives"] = out = (alpha,) + tuple(
-        Values(n, COV * 2, num, den, 0) if ctx.exact
-        else Values(n, COV * 2, [x / den for x in num], 1, 0.0)
+        Values(n, COV * 2, {o: x for o, x in enumerate(num) if x}, den, 0)
+        if ctx.exact else
+        Values(n, COV * 2, {o: x / den for o, x in enumerate(num) if x}, 1,
+               0.0)
         for num in (d_alpha, nabla))
     return out
 
@@ -605,7 +617,7 @@ def _chi_quartic(quart: Values, x: Values, ctx: PointContext):
     n, exact = x.dim, ctx.exact
     xs, q = x.num, quart.num
     dx4 = x.den ** 4
-    supp = [i for i, v in enumerate(xs) if v]
+    supp = [i for i in range(n) if xs.get(i)]
     x4 = {}                                 # offset -> numerator over dx4
     for i in supp:
         for j in supp:
@@ -615,15 +627,14 @@ def _chi_quartic(quart: Values, x: Values, ctx: PointContext):
     zero = 0 if exact else 0.0
     num = den = zero
     for off, v in x4.items():
-        num = num + q[off] * v
+        num = num + q.get(off, 0) * v
         den = den + v * v
     chi = _ratio(num * dx4, quart.den * den, exact) if den else ctx.zero()
     p, r = _parts(chi)
     kq, kx = r * dx4, p * quart.den         # |t - chi x4| over quart.den*r*dx4
     worst = zero
-    for off, t in enumerate(q):
-        v = x4.get(off)
-        d = abs(t * kq - v * kx) if v else abs(t * kq)
+    for off in q.keys() | x4.keys():
+        d = abs(q.get(off, 0) * kq - x4.get(off, 0) * kx)
         if d > worst:
             worst = d
     return chi, _ratio(worst, quart.den * r * dx4, exact)
@@ -634,34 +645,23 @@ def _double_trace(a: Values, a_slots: str, b: Values, b_slots: str) -> Values:
 
     `a_slots` names the index in each slot of `a` (a permutation of "pjkq"),
     `b_slots` that of `b` (a permutation of "plmq").  Avoids materializing
-    the rank-8 outer product: only nonzero entries of `a` and `b` meet, and
-    each out entry sums its terms in (p, q) order.
+    the rank-8 outer product: only nonzero entries of `a` and `b` meet.
     """
-    n = a.dim
-    wa = {s: n ** (3 - pos) for pos, s in enumerate(a_slots)}
-    wb = {s: n ** (3 - pos) for pos, s in enumerate(b_slots)}
-    av_, bv_ = a.num, b.num
-    rng = range(n)
-    # nonzero b entries for each (p, q), as (l*n + m, value) in (l, m) order
-    b_nz = {}
-    for p in rng:
-        for q in rng:
-            base = p * wb["p"] + q * wb["q"]
-            b_nz[p, q] = [(l * n + m, bv) for l in rng for m in rng
-                          for bv in (bv_[base + l * wb["l"] + m * wb["m"]],)
-                          if bv]
-    out = [0 if a.exact else 0.0] * n ** 4
-    for p in rng:
-        for j in rng:
-            for k in rng:
-                jk = (j * n + k) * n * n
-                for q in rng:
-                    av = av_[p * wa["p"] + j * wa["j"] + k * wa["k"]
-                             + q * wa["q"]]
-                    if not av:
-                        continue
-                    for lm, bv in b_nz[p, q]:
-                        out[jk + lm] = out[jk + lm] + av * bv
+    n, nn = a.dim, a.dim ** 2
+    a = a.permute([a_slots.index(s) for s in "jkpq"])
+    b = b.permute([b_slots.index(s) for s in "pqlm"])
+    rows, cols = {}, {}     # b's (l*n + m, b) for each p*n + q; a's (pq, a)
+    for t, by in ((b, rows), (a, cols)):    # for each j*n + k
+        for o, x in sorted(t.num.items()):
+            if x:
+                by.setdefault(o // nn, []).append((o % nn, x))
+    out = {}
+    for jk, terms in cols.items():
+        acc = [0] * nn                      # this j, k's entries, by l*n + m
+        for pq, av in terms:
+            for lm, bv in rows.get(pq, ()):
+                acc[lm] += av * bv
+        out.update((jk * nn + lm, x) for lm, x in enumerate(acc) if x)
     return Values(n, "llll", out, a.den * b.den, F0 if a.exact else 0.0)
 
 
@@ -683,6 +683,7 @@ def _extract_schimming_d(riem: Values, x: Values, ctx: PointContext):
     n, exact = riem.dim, ctx.exact
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     xs = x.num
+    supp = [i for i in range(n) if xs.get(i)]
     zero = 0 if exact else 0.0
     w = (n ** 3, n ** 2, n, 1)
 
@@ -691,8 +692,8 @@ def _extract_schimming_d(riem: Values, x: Values, ctx: PointContext):
         for (s1, s2), (s3, s4), sign in _SCHIMMING_TERMS:
             for p, q in {(da, db), (db, da)}:
                 base = p * w[s1] + q * w[s2]
-                for i in range(n):
-                    for j in range(n):
+                for i in supp:
+                    for j in supp:
                         off = base + i * w[s3] + j * w[s4]
                         acc = t.get(off, zero)
                         prod = xs[i] * xs[j]
@@ -716,8 +717,9 @@ def _extract_schimming_d(riem: Values, x: Values, ctx: PointContext):
             gram[e][f] = gram[f][e] = _ratio(acc, dx2 * dx2, exact)
         acc = zero
         for off, v in be.items():
-            if rv[off]:
-                acc = acc + v * rv[off]
+            r = rv.get(off)
+            if r:
+                acc = acc + v * r
         rhs[e] = _ratio(acc, dx2 * dr, exact)
     try:
         coeffs = [x for x, in linalg.solve(gram, [[r] for r in rhs])]
@@ -737,13 +739,8 @@ def _extract_schimming_d(riem: Values, x: Values, ctx: PointContext):
                 recon[off] = recon.get(off, zero) + v * c
     kr = dx2 * dc
     worst = zero
-    for off, r in enumerate(rv):
-        rc = recon.get(off)
-        if rc is None:
-            if not r:
-                continue                    # |riem - recon| is 0 here
-            rc = zero
-        delta = abs(r * kr - rc * dr)
+    for off in rv.keys() | recon.keys():
+        delta = abs(rv.get(off, 0) * kr - recon.get(off, 0) * dr)
         if delta > worst:
             worst = delta
     res = relative_residual(_ratio(worst, dr * kr, exact), sup_norm(riem))
@@ -866,7 +863,7 @@ def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
         return CheckResult("eqs_2_3_2_4", VACUOUS, ctx.zero(), ctx.point,
                            notes="Ricci tensor vanishes; d = 0")
     n = b.dim
-    rv = ric.num
+    rv = [ric.num.get(o, 0) for o in range(n * n)]
     i0, j0 = divmod(max(range(n * n), key=lambda o: abs(rv[o])), n)
     pv = rv[i0 * n + j0]
     worst = 0                               # 2x2 minors through the pivot
@@ -881,7 +878,9 @@ def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
         return CheckResult("eqs_2_3_2_4", VACUOUS, rank_one, ctx.point,
                            residuals={"rank_one": rank_one},
                            notes="Ricci is not rank-one")
-    dvec = Values(n, COV, rv[j0::n], ric.den, ric.zero)   # column j0
+    dvec = Values(n, COV, {i: ric.num[o] for i in range(n)    # column j0
+                           for o in (i * n + j0,) if o in ric.num},
+                  ric.den, ric.zero)
     dn = sup_norm(dvec)
     residuals = {}
     for key, name in (("cyclic_weyl", "weyl"), ("cyclic_riemann", "riemann")):
@@ -956,16 +955,17 @@ def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
     # structure nabla_j alpha_i = rho alpha_j alpha_i
     aa = avals.outer(avals)
     num = den = zero
-    for x, y in zip(nv, aa.num):
+    for o, y in aa.num.items():
         if y:
-            num = num + x * y
+            num = num + nv.get(o, 0) * y
             den = den + y * y
     rho = _ratio(num * aa.den, na.den * den, exact) if den else ctx.zero()
     residuals["rank_one_structure"] = relative_residual(
         sup_norm(na - aa.scale(rho)), sup_norm(na), anorm ** 2)
     ginv = b.values("g_inv")
     div = zero
-    for x, y in zip(ginv.num, nv):
+    for o, y in nv.items():
+        x = ginv.num.get(o)
         if x and y:
             div = div + x * y
     residuals["divergence_free"] = relative_residual(

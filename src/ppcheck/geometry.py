@@ -21,7 +21,8 @@ symmetric pair, or none, as the caller of `covariant_derivative` declares
 -- and the rest of the orbit is filled with that entry or its negation.
 Each such entry, like each Christoffel symbol of the second kind, is one
 sum of jet products on integer numerators, reduced once (`jets.mac`); a
-second covariant derivative is the same loop at order 0, packed as Values.
+second covariant derivative is the same gather at order 0, on numbers, into
+sparse Values.
 In exact mode every input entry of a covariant derivative is first checked
 literally against its orbit's representative (SymmetryError if not);
 float mode fills without the check, as its symmetries hold to rounding.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -208,9 +210,9 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     since there the symmetry holds only to rounding.
 
     Consumes one jet order; raises OrderBudgetError naming `context` when the
-    entries are order-0 jets.  Given gamma's point values (Values), the
-    same loop runs at order 0: it returns nabla t's point values and forms
-    no jet.
+    entries are order-0 jets.  Given gamma's point values (Values), it
+    returns nabla t's point values and forms no jet: d_i t is read from
+    t's first-order coefficients and the products are summed on integers.
     """
     n = t.dim
     sample = t.entries[0]
@@ -220,59 +222,83 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
-    width, orbits, zeros = _orbits(n, symmetry)
+    width, orbits, _ = _orbits(n, symmetry)
     rank = t.rank
     if width > rank:
         raise ValueError(f"{context}: a {symmetry} symmetry needs {width} "
                          f"slots, the tensor has {rank}")
-    jets = not isinstance(gamma, Values)
-    low = order - 1 if jets else 0          # the output order
-    gam, dg = (numerators(gamma.entries, low) if jets else
-               ([[x] if x else None for x in gamma.num], gamma.den))
-    src, den = numerators(t.entries, low)
-    tab = _tables(n, low)
-    zero = tab.zero[mode]
-    # gam[(a*n + b)*n + c] is Gamma^a_{bc} over dg.  terms[v]: (i, p, G) for
-    # each nonzero G = +Gamma^v_ip or -Gamma^p_iv that feeds a slot of value
-    # v in output entry (i; ..) from the input with that slot at p
-    con = [[(i, p, g) for i in range(n) for p in range(n)
-            for g in (gam[(v * n + i) * n + p],) if g] for v in range(n)]
-    cov = [[(i, p, [-x for x in g]) for i in range(n) for p in range(n)
-            for g in (gam[(p * n + i) * n + v],) if g] for v in range(n)]
-    slots = [(n ** (rank - 1 - s), con if var == CON else cov)
-             for s, var in enumerate(t.variance)]
-    stride = n ** rank                          # weight of the new slot i
-    block = n ** width
     if mode == EXACT:
         _check_symmetry(t, symmetry, context)
-    out = [zero if jets else zero.c[0]] * (n * stride)
-    for base in range(0, stride, block):
+    jets = t.entries
+    if isinstance(gamma, Values):           # to point values, on numbers
+        den, dg = math.lcm(*(e.den for e in jets)), gamma.den
+        src = {o: e.c[0] * (den // e.den) for o, e in enumerate(jets)
+               if e.c[0]}
+        gam, neg = [gamma.num.get(o, 0) for o in range(n ** 3)], operator.neg
+        first = [_tables(n, 1).deriv[i][0][0] for i in range(n)]
+
+        def entry(e, pairs):    # d_i t at the point is its x_i coefficient
+            k = den // e.den * dg
+            out = []
+            for j, ps in zip(first, pairs):
+                a = e.c[j] * k
+                for x, g in ps:
+                    a += x * g
+                out.append(a)
+            return out
+        out = {}
+    else:
+        low = order - 1                     # the output order
+        gam, dg = numerators(gamma.entries, low)
+        src, den = numerators(jets, low)
+        src = dict(enumerate(src))
+        tab = _tables(n, low)
+        zero = tab.zero[mode]
+
+        def neg(g):
+            return [-x for x in g]
+
+        def entry(e, pairs):
+            k = den // e.den * dg
+            return [from_numerators(tab, mode, mac(
+                derivative_numerators(e.c, n, low, i, k) if e else
+                zero.c.copy(), tab, ps), den * dg) if e or ps else zero
+                for i, ps in enumerate(pairs)]
+        out = [zero] * (n ** (rank + 1))
+    # terms[v]: (i, p, G) for each nonzero G = +Gamma^v_ip or -Gamma^p_iv
+    # that feeds a slot of value v in output entry (i; ..) from the input
+    # with that slot at p; gam[(a*n + b)*n + c] is Gamma^a_{bc}
+    con = [[(i, p, g) for i in range(n) for p in range(n)
+            for g in (gam[(v * n + i) * n + p],) if g] for v in range(n)]
+    cov = [[(i, p, neg(g)) for i in range(n) for p in range(n)
+            for g in (gam[(p * n + i) * n + v],) if g] for v in range(n)]
+    slots = [(w, [[(i, p * w, g) for i, p, g in tv]    # p as an offset step
+                  for tv in (con if var == CON else cov)])
+             for s, var in enumerate(t.variance) for w in (n ** (rank - 1 - s),)]
+    stride = n ** rank                          # weight of the new slot i
+    for base in range(0, stride, n ** width):
         for rep, images in orbits:
             off = base + rep
             pairs = [[] for _ in range(n)]      # (input, G) for entry (i; ..)
             for w, terms in slots:
                 v = off // w % n
                 rest = off - v * w
-                for i, p, g in terms[v]:
-                    x = src[rest + p * w]
+                for i, step, g in terms[v]:
+                    x = src.get(rest + step)
                     if x:
                         pairs[i].append((x, g))
-            e = t.entries[off]
-            k = den // e.den * dg
-            for i, ps in enumerate(pairs):      # entry (i; ..) over den * dg
-                if e or ps:
-                    a = mac(derivative_numerators(e.c, n, low, i, k) if e else
-                            zero.c.copy(), tab, ps)
-                    a = from_numerators(tab, mode, a, den * dg) if jets else a[0]
-                    if a:
-                        _fill(out, i * stride + base, images, a)
-    return (Tensor(n, COV + t.variance, out) if jets else
-            Values(n, COV + t.variance, out, den * dg, zero.c[0]))
+            for i, a in enumerate(entry(jets[off], pairs)):
+                if a:
+                    _fill(out, i * stride + base, images, a)
+    if isinstance(gamma, Values):
+        return Values(n, COV + t.variance, out, den * dg,
+                      0 if mode == EXACT else 0.0)
+    return Tensor(n, COV + t.variance, out)
 
 
-def _fill(out: list, base: int, images, a):
+def _fill(out, base: int, images, a):
     """Write a, or -a where the sign is negative, at base + each image
-    offset of an orbit (`_orbits`)."""
+    offset of an orbit (`_orbits`), into a list or a dict."""
     neg = -a
     for img, sign in images:
         out[base + img] = a if sign > 0 else neg
@@ -328,7 +354,8 @@ def _as_jet_values(t: Values) -> Values:
     """t with its zeros read as int 0, as the values of a jet tensor are
     (Jet.value reads an exact zero as int 0), so a point-value attribute
     leaves its kernels with the types its jet form's values had."""
-    return Values(t.dim, t.variance, t.num, t.den, 0 if t.exact else 0.0)
+    return Values(t.dim, t.variance, {o: x for o, x in t.num.items() if x},
+                  t.den, 0 if t.exact else 0.0)
 
 
 class CurvatureBundle:
@@ -451,7 +478,8 @@ class CurvatureBundle:
 
         One loop visits the nonzero entries of P and the metric; in exact
         mode R_jklm and the g P terms are first put over one common
-        denominator, so that it runs on integer numerators.
+        denominator, so that it runs on integer numerators.  Entries that
+        sum to zero are dropped: they leave as int 0, as a jet's zero.
         """
         n = self.dim
         if n < 4:
@@ -469,30 +497,39 @@ class CurvatureBundle:
             u, w = e // ric.den * f, e // (k * scal.den * g.den) * f
         else:
             u, w = 1 / (n - 2), 1 / (k * (n - 2))
-        out = [x * q for q in (den // riem.den,) for x in riem.num]
+        q = den // riem.den
+        out = {o: x * q for o, x in riem.num.items()}
         g, ric, scal = g.num, ric.num, scal.num
-        g_nz = [(x, y, gxy) for x in range(n) for y in range(n)
-                for gxy in (g[x * n + y],) if gxy]
-        stride = n ** 4                     # entries per derivative prefix
-        for off, r in enumerate(ric):
-            pre, ab = divmod(off, n * n)
-            s, gab = scal[pre], g[ab]
-            p = r * u - s * gab * w if s and gab else r * u
-            if not p:
-                continue
-            a, b = divmod(ab, n)
-            base = pre * stride
-            for x, y, gxy in g_nz:
-                if x == a:                  # the +/- terms cancel in pairs
-                    continue
-                t = gxy * p
-                for o in (((x * n + a) * n + b) * n + y,     # g_jm P_kl
-                          ((a * n + x) * n + y) * n + b):    # g_kl P_jm
-                    out[base + o] = out[base + o] + t
-                for o in (((a * n + x) * n + b) * n + y,     # g_km P_jl
-                          ((x * n + a) * n + y) * n + b):    # g_jl P_km
-                    out[base + o] = out[base + o] - t
-        return Values(n, riem.variance, out, den, 0 if riem.exact else 0.0)
+        big_p = {o: r * u for o, r in ric.items()}
+        for pre, s in scal.items():
+            for ab, gab in g.items():
+                if s and gab:
+                    o = pre * n * n + ab
+                    big_p[o] = big_p.get(o, 0) - s * gab * w
+        # for each P_ab: (g_xy, the offsets where +g_xy P_ab and -g_xy P_ab
+        # go); x = a is left out, as there the +/- terms cancel in pairs
+        g_p = [[(gxy, ((x * n + a) * n + b) * n + y,     # g_jm P_kl
+                 ((a * n + x) * n + y) * n + b,          # g_kl P_jm
+                 ((a * n + x) * n + b) * n + y,          # g_km P_jl
+                 ((x * n + a) * n + y) * n + b)          # g_jl P_km
+                for xy, gxy in g.items() for x, y in (divmod(xy, n),)
+                if gxy and x != a] for a in range(n) for b in range(n)]
+        get = out.get
+        for off, p in big_p.items():
+            if p:
+                pre, ab = divmod(off, n * n)
+                base = pre * n ** 4
+                for gxy, o1, o2, o3, o4 in g_p[ab]:
+                    t = gxy * p
+                    o1, o2, o3, o4 = o1 + base, o2 + base, o3 + base, o4 + base
+                    out[o1] = get(o1, 0) + t
+                    out[o2] = get(o2, 0) + t
+                    out[o3] = get(o3, 0) - t
+                    out[o4] = get(o4, 0) - t
+        for o in [o for o, x in out.items() if not x]:
+            del out[o]
+        return Values(n, riem.variance, out,
+                      den, 0 if riem.exact else 0.0)
 
     @cached_property
     def weyl(self) -> Values:

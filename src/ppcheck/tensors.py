@@ -1,29 +1,33 @@
-"""Dense chart-component tensors over jets, and their point values.
+"""Dense chart-component tensors over jets, and their sparse point values.
 
 A Tensor keeps its entries (jets, or plain numbers) in a flat row-major
 list; variance is a per-slot string of 'l' (covariant) or 'u'
 (contravariant).
 
-Values holds a tensor's point values: in exact mode integer numerators
-over one positive common denominator `den`, read straight from each jet's
-c[0]/den, in float mode floats over 1.  The kernels run on those integers
-or floats; a number is made only for an entry that leaves a kernel (via
-`entries`, `[]` or `sup_norm`) as a witness or a reported residual, and
-it has the type the Fraction algebra on jet values gave it, so reports
-stay byte-identical: a Fraction, or for a zero entry `zero` -- int 0 for a
-jet's exact zero (Jet.value reads those as int 0) and for a sum,
-difference or product of such zeros only, Fraction(0) where a Fraction
-took part or a contraction made the entry, 0.0 in float mode.  `zero` is
-one number, or one per entry where a kernel mixes the two.
+Values holds a tensor's point values sparsely: the dict `num` maps the
+row-major offset of each entry a kernel wrote to its numerator over one
+positive denominator `den` (read straight from each jet's c[0]/den), or
+to its float in float mode.  The kernels (all those below take Values)
+iterate `num` and never visit an unwritten entry.  A number is made only
+for an entry that leaves a kernel (via `entries`, `[]` or `sup_norm`), of
+the type the Fraction algebra on jet values gave it, so reports stay
+byte-identical.  One rule gives that type:
 
-`raise_lower` and `contract` take either kind of tensor; `cyclic_sum`,
-`sup_norm` and the fused `contract_outer` and `cyclic_sum_outer`, which
-never form the outer product they stand for, take Values.
+- an entry missing from `num` leaves as the scalar `zero`: int 0 (a jet's
+  exact zero, as Jet.value reads it), Fraction(0), or 0.0;
+- an entry in `num` leaves as Fraction(numerator, den), so as Fraction(0)
+  where the numerator is 0 (in float mode, as its float).
+
+So a kernel whose Fraction form gives int 0 only where int zeros alone
+met (a sum or product of such zeros) keeps each entry it touched, even
+one that cancels to 0; one whose sums start from Fraction(0) has that
+`zero` and may drop them.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .jets import FLOAT, Jet
 
@@ -34,14 +38,6 @@ F0 = Fraction(0)
 
 class TensorError(ValueError):
     pass
-
-
-def zero_like(sample):
-    if isinstance(sample, Jet):
-        return Jet.zero(sample.dim, sample.order, sample.mode)
-    if isinstance(sample, float):
-        return 0.0
-    return Fraction(0)
 
 
 def _offset(dim, idx) -> int:
@@ -67,9 +63,9 @@ class Tensor:
         self.entries = entries
 
     @classmethod
-    def zeros(cls, dim: int, variance: str, sample):
-        z = zero_like(sample)
-        return cls(dim, variance, [z] * (dim ** len(variance)))
+    def zeros(cls, dim: int, variance: str, zero):
+        """The tensor with every entry `zero` (a zero jet or number)."""
+        return cls(dim, variance, [zero] * (dim ** len(variance)))
 
     @property
     def rank(self) -> int:
@@ -93,18 +89,10 @@ class Tensor:
         src = self.entries
         if not isinstance(src[0], Jet):
             return Values.of(self.dim, self.variance, src)
-        if src[0].mode == FLOAT:
-            return Values(self.dim, self.variance, [e.c[0] for e in src], 1,
-                          0.0)
-        den = math.lcm(*(e.den for e in src if e.c[0]))
+        den = math.lcm(*(e.den for e in src if e.c[0]))  # 1 for float jets
         return Values(self.dim, self.variance,
-                      [e.c[0] * (den // e.den) if e.c[0] else 0 for e in src],
-                      den, 0)
-
-    def truncate(self, order: int) -> "Tensor":
-        return Tensor(self.dim, self.variance,
-                      [e.truncate(order) if isinstance(e, Jet) else e
-                       for e in self.entries])
+                      {o: e.c[0] * (den // e.den) for o, e in enumerate(src)
+                       if e.c[0]}, den, 0.0 if src[0].mode == FLOAT else 0)
 
 
 class Values:
@@ -112,7 +100,8 @@ class Values:
 
     __slots__ = ("dim", "variance", "num", "den", "zero")
 
-    def __init__(self, dim: int, variance: str, num, den: int = 1, zero=0):
+    def __init__(self, dim: int, variance: str, num: dict, den: int = 1,
+                 zero=0):
         self.dim = dim
         self.variance = variance
         self.num = num
@@ -127,19 +116,25 @@ class Values:
             raise TensorError(f"need {dim ** len(variance)} entries for "
                               f"rank {len(variance)}, got {len(numbers)}")
         if any(isinstance(x, float) for x in numbers):
-            return cls(dim, variance, [float(x) for x in numbers], 1, 0.0)
-        fr = [Fraction(x) for x in numbers]
-        den = math.lcm(*(f.denominator for f in fr))
-        ints = {type(x) is int for x in numbers if not x}
-        zero = (0 if ints == {True} else F0) if len(ints) < 2 else \
-            [0 if type(x) is int else F0 for x in numbers]
+            return cls(dim, variance,
+                       {o: float(x) for o, x in enumerate(numbers) if x},
+                       1, 0.0)
+        # int zeros are left out; then a Fraction(0) must be written
+        int0 = any(type(x) is int and not x for x in numbers)
+        fr = {o: Fraction(x) for o, x in enumerate(numbers)
+              if x or (int0 and type(x) is not int)}
+        den = math.lcm(*(f.denominator for f in fr.values()))
         return cls(dim, variance,
-                   [f.numerator * (den // f.denominator) for f in fr], den,
-                   zero)
+                   {o: f.numerator * (den // f.denominator)
+                    for o, f in fr.items()}, den, 0 if int0 else F0)
 
     @property
     def rank(self) -> int:
         return len(self.variance)
+
+    @property
+    def size(self) -> int:
+        return self.dim ** len(self.variance)
 
     @property
     def exact(self) -> bool:
@@ -147,36 +142,30 @@ class Values:
 
     def number(self, off: int):
         """Entry `off` as the number that leaves a kernel."""
-        x = self.num[off]
-        if not self.exact:
-            return x
-        if x:
-            return Fraction(x, self.den)
-        return self.zero[off] if type(self.zero) is list else self.zero
+        x = self.num.get(off)
+        if x is None:
+            return self.zero
+        return Fraction(x, self.den) if self.exact else x
 
     @property
     def entries(self) -> list:
-        return [self.number(o) for o in range(len(self.num))]
+        out = [self.zero] * self.size
+        for o, x in self.num.items():
+            out[o] = Fraction(x, self.den) if self.exact else x
+        return out
 
     def __getitem__(self, idx):
         return self.number(_offset(self.dim, idx))
 
     def __eq__(self, other):
-        return (isinstance(other, Values) and self.dim == other.dim
-                and self.variance == other.variance
-                and all(a * other.den == b * self.den
-                        for a, b in zip(self.num, other.num)))
+        if not (isinstance(other, Values) and self.dim == other.dim
+                and self.variance == other.variance):
+            return False
+        a, b = self.num, other.num
+        return all(a.get(o, 0) * other.den == b.get(o, 0) * self.den
+                   for o in a.keys() | b.keys())
 
     __hash__ = None
-
-    def _int_zeros(self):
-        """Which entries leave as int 0; None when none do."""
-        z = self.zero
-        if type(z) is list:
-            return [not x and type(y) is int for x, y in zip(self.num, z)]
-        if type(z) is int:
-            return [not x for x in self.num]
-        return None
 
     def _combine(self, other: "Values", sign: int) -> "Values":
         if self.dim != other.dim or self.variance != other.variance:
@@ -184,14 +173,15 @@ class Values:
                 f"tensor mismatch: ({self.dim},{self.variance}) vs "
                 f"({other.dim},{other.variance})")
         a, b, den = _common(self, other)
-        num = ([x + y for x, y in zip(a, b)] if sign > 0
-               else [x - y for x, y in zip(a, b)])
-        zero = 0.0
-        if self.exact:
-            fa, fb = self._int_zeros(), other._int_zeros()
-            zero = F0 if fa is None or fb is None else \
-                _zeros([x and y for x, y in zip(fa, fb)])
-        return Values(self.dim, self.variance, num, den, zero)
+        num = dict(a)                       # a cancelled sum stays written
+        get = num.get
+        if sign > 0:
+            for o, y in b.items():
+                num[o] = get(o, 0) + y
+        else:
+            for o, y in b.items():
+                num[o] = get(o, 0) - y
+        return Values(self.dim, self.variance, num, den, _meet(self, other))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -203,42 +193,51 @@ class Values:
         """Every entry times the number c."""
         if not self.exact:
             return Values(self.dim, self.variance,
-                          [x * c for x in self.num], 1, 0.0)
+                          {o: x * c for o, x in self.num.items()}, 1, 0.0)
         c = Fraction(c)
+        k = c.numerator
         return Values(self.dim, self.variance,
-                      [x * c.numerator for x in self.num],
+                      {o: x * k for o, x in self.num.items()} if k else {},
                       self.den * c.denominator, F0)
 
     def outer(self, other: "Values") -> "Values":
         """Outer product: the slots of self, then those of other."""
-        a, b = self.num, other.num
-        zero = 0.0
-        if self.exact:
-            fa, fb = self._int_zeros(), other._int_zeros()
-            zero = F0 if fa is None or fb is None else \
-                _zeros([x and y for x in fa for y in fb])
-        return Values(self.dim, self.variance + other.variance,
-                      [x * y for x in a for y in b], self.den * other.den,
-                      zero)
+        a, b, size = self.num, other.num, other.size
+        num = {oa * size + ob: x * y for oa, x in a.items()
+               for ob, y in b.items()}
+        zero = _meet(self, other)
+        if type(zero) is int:       # a written factor makes a Fraction(0)
+            for oa in a:
+                for ob in range(size):
+                    num.setdefault(oa * size + ob, 0)
+            for ob in b:
+                for oa in range(self.size):
+                    num.setdefault(oa * size + ob, 0)
+        return Values(self.dim, self.variance + other.variance, num,
+                      self.den * other.den, zero)
 
     def permute(self, perm) -> "Values":
         """Slot permutation: slot s of the result is slot perm[s] of self,
         that is, result[idx[perm[0]], idx[perm[1]], ...] = self[idx]."""
-        offs = _permuted_offsets(self, perm)
-        src, z = self.num, self.zero
-        return Values(self.dim, "".join(self.variance[p] for p in perm),
-                      [src[o] for o in offs], self.den,
-                      [z[o] for o in offs] if type(z) is list else z)
+        perm = tuple(perm)
+        n, r = self.dim, self.rank
+        if sorted(perm) != list(range(r)):
+            raise TensorError(f"bad permutation {perm}")
+        w = [0] * r                         # weight of each slot of self
+        for s, p in enumerate(perm):
+            w[p] = n ** (r - 1 - s)
+        m, hi, lo = _remap(n, tuple(w))
+        return Values(n, "".join(self.variance[p] for p in perm),
+                      {hi[o // m] + lo[o % m]: x for o, x in self.num.items()},
+                      self.den, self.zero)
 
 
-def _zeros(int_zero):
-    """The `zero` of Values whose entries flagged in int_zero leave as int 0
-    and the rest as Fraction(0): one number when they agree."""
-    if all(int_zero):
-        return 0
-    if not any(int_zero):
-        return F0
-    return [0 if f else F0 for f in int_zero]
+def _meet(a: Values, b: Values):
+    """The zero of a kernel whose entries are sums or products of entries
+    of a and b: int 0 where only int zeros met, so only if both have it."""
+    if not a.exact:
+        return 0.0
+    return 0 if type(a.zero) is int and type(b.zero) is int else F0
 
 
 def _common(a: Values, b: Values):
@@ -247,39 +246,13 @@ def _common(a: Values, b: Values):
         return a.num, b.num, a.den
     den = math.lcm(a.den, b.den)
     ka, kb = den // a.den, den // b.den
-    return ([x * ka for x in a.num] if ka != 1 else a.num,
-            [x * kb for x in b.num] if kb != 1 else b.num, den)
+    return ({o: x * ka for o, x in a.num.items()} if ka != 1 else a.num,
+            {o: x * kb for o, x in b.num.items()} if kb != 1 else b.num, den)
 
 
-def _entries(t):
-    """(entries, their zero) of a Tensor or the numerators of a Values
-    tensor, for the kernels shared by both."""
-    if isinstance(t, Values):
-        return t.num, (0 if t.exact else 0.0)
-    return t.entries, zero_like(t.entries[0])
-
-
-def _same_kind(t, metric):
-    if metric is not None and isinstance(t, Values) != isinstance(metric, Values):
-        raise TensorError("a Values tensor needs a Values metric, a Tensor "
-                          "a Tensor metric")
-
-
-def _result(t, variance: str, entries, metric=None):
-    """A kernel's output in the kind of t: a Values result is Fraction
-    arithmetic in the old kernels, so its zeros leave as Fraction(0)."""
-    if isinstance(t, Values):
-        den = t.den * (metric.den if metric is not None else 1)
-        return Values(t.dim, variance, entries, den, F0 if t.exact else 0.0)
-    return Tensor(t.dim, variance, entries)
-
-
-def _permuted_offsets(t, perm) -> list:
-    perm = tuple(perm)
-    if sorted(perm) != list(range(t.rank)):
-        raise TensorError(f"bad permutation {perm}")
-    n, r = t.dim, t.rank
-    return _flat_offsets(n, [n ** (r - 1 - p) for p in perm])
+def _need_values(*ts):
+    if not all(isinstance(t, Values) for t in ts if t is not None):
+        raise TensorError("the kernel takes Values; use Tensor.values()")
 
 
 def _flat_offsets(dim: int, weights) -> list:
@@ -292,15 +265,25 @@ def _flat_offsets(dim: int, weights) -> list:
     return offsets
 
 
-# -- kernels on Tensors and Values ---------------------------------------------
+@cache
+def _remap(dim: int, weights: tuple):
+    """(m, hi, lo) with sum_s idx[s] * weights[s] = hi[off // m] +
+    lo[off % m] for the row-major offset off of idx: two tables of about
+    the square root of the tensor's size."""
+    h = len(weights) // 2
+    return (dim ** (len(weights) - h), _flat_offsets(dim, weights[:h]),
+            _flat_offsets(dim, weights[h:]))
 
-def contract(t, slot_a: int, slot_b: int, metric=None):
+
+# -- kernels on Values ---------------------------------------------------------
+
+def contract(t: Values, slot_a: int, slot_b: int, metric: Values | None = None):
     """Einstein contraction of two slots.
 
     Opposite-variance slots are traced directly; same-variance slots require
     the matching metric (inverse metric for two covariant slots, metric for
-    two contravariant slots).  Each output entry sums its nonzero terms in
-    (p, q) order.
+    two contravariant slots).  Each output entry t touches sums its terms
+    in (p, q) order, from Fraction(0).
     """
     r = t.rank
     if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
@@ -317,60 +300,66 @@ def contract(t, slot_a: int, slot_b: int, metric=None):
             raise TensorError(
                 f"contraction of two '{va}' slots needs a '{want}' metric, "
                 f"got '{metric.variance}'")
-    _same_kind(t, metric)
+    _need_values(t, metric)
     keep = [s for s in range(r) if s not in (a, b)]
     n = t.dim
-    w = [n ** (r - 1 - s) for s in range(r)]     # weight of each slot in an offset
-    src, zero = _entries(t)
-    # (offset step, metric factor) for each (p, q) term, p then q, zeros dropped
+    w = [n ** (r - 1 - s) for s in range(r)]    # slot weights in t
+    wo = [0] * r                                # and in the output
+    for pos, s in enumerate(keep):
+        wo[s] = n ** (len(keep) - 1 - pos)
+    m, hi, lo = _remap(n, tuple(wo))            # t's offset -> output's
+    mb, hb, lb = _remap(n, tuple(w[s] for s in keep))   # and back
     if metric is None:
-        steps = [(p * (w[a] + w[b]), None) for p in range(n)]
+        steps, den = [(p * (w[a] + w[b]), 1) for p in range(n)], t.den
     else:
-        m = _entries(metric)[0]
-        steps = [(p * w[a] + q * w[b], m[p * n + q]) for p in range(n)
-                 for q in range(n) if m[p * n + q]]
-    out = []
-    for base in _flat_offsets(n, [w[s] for s in keep]):
-        acc = None
+        steps = [(pq // n * w[a] + pq % n * w[b], g)
+                 for pq, g in sorted(metric.num.items()) if g]
+        den = t.den * metric.den
+    src = t.num
+    out = {}
+    for k in {hi[o // m] + lo[o % m] for o in src}:
+        base, acc = hb[k // mb] + lb[k % mb], 0
         for step, g in steps:
-            term = src[base + step]
-            if not term:
-                continue
-            if g is not None:
-                term = term * g
-            acc = term if acc is None else acc + term
-        out.append(zero if acc is None else acc)
-    return _result(t, "".join(t.variance[s] for s in keep), out, metric)
+            x = src.get(base + step)
+            if x:
+                acc += x * g
+        if acc:
+            out[k] = acc
+    return Values(n, "".join(t.variance[s] for s in keep), out, den,
+                  F0 if t.exact else 0.0)
 
 
-def raise_lower(t, slot: int, metric):
-    """Flip the variance of one slot with the supplied metric or inverse."""
+def raise_lower(t: Values, slot: int, metric: Values):
+    """Flip the variance of one slot with the supplied metric or inverse:
+    out[.. k ..] = sum_p metric[k, p] t[.. p ..], the sums in p order
+    from Fraction(0)."""
     if not (0 <= slot < t.rank):
         raise TensorError(f"slot {slot} out of range")
     want = CON * 2 if t.variance[slot] == COV else COV * 2
     if metric.variance != want:
         raise TensorError(
             f"raising/lowering a '{t.variance[slot]}' slot needs a '{want}' metric")
-    _same_kind(t, metric)
+    _need_values(t, metric)
     n = t.dim
     new_var = (t.variance[:slot]
                + (CON if t.variance[slot] == COV else COV)
                + t.variance[slot + 1:])
     w = n ** (t.rank - 1 - slot)            # weight of the slot in an offset
-    src, zero = _entries(t)
-    m = _entries(metric)[0]
-    col = [[(k, m[k * n + p]) for k in range(n) if m[k * n + p]]
-           for p in range(n)]
-    out = [zero] * len(src)
-    for off, e in enumerate(src):
-        if not e:
-            continue
-        p = off // w % n
-        rest = off - p * w                  # offset with the slot cleared
-        for k, g in col[p]:
-            o = rest + k * w
-            out[o] = out[o] + e * g
-    return _result(t, new_var, out, metric)
+    g = metric.num
+    rows = [[(p, x) for p in range(n) for x in (g.get(k * n + p),) if x]
+            for k in range(n)]
+    src = t.num
+    out = {}
+    for rest in {o - o // w % n * w for o in src}:   # the slot cleared
+        col = [src.get(rest + p * w) for p in range(n)]
+        for k, row in enumerate(rows):
+            acc = 0
+            for p, gx in row:
+                if col[p]:
+                    acc += col[p] * gx
+            if acc:
+                out[rest + k * w] = acc
+    return Values(n, new_var, out, t.den * metric.den, F0 if t.exact else 0.0)
 
 
 def cyclic_sum(t, slots):
@@ -394,7 +383,7 @@ def sup_norm(t: Values):
     All zero: entry 0's zero (int 0, Fraction(0) or 0.0), as the max over
     Fractions starting from entry 0 gave it.
     """
-    best = max(map(abs, t.num))
+    best = max(map(abs, t.num.values()), default=0)
     if not best:
         return abs(t.number(0))
     return Fraction(best, t.den) if t.exact else best
@@ -404,61 +393,32 @@ def sup_norm(t: Values):
 
 def contract_outer(x: Values, t: Values, slot: int) -> Values:
     """contract(x (x) t, 0, slot + 1) for a vector x, without forming x (x) t:
-    out[..] = sum_p x[p] t[.. p ..], over the nonzero x[p] in p order."""
+    out[..] = sum_p x[p] t[.. p ..], over the written t entries whose x[p]
+    is nonzero."""
     if x.rank != 1 or x.variance == t.variance[slot]:
         raise TensorError("contract_outer needs a vector of the opposite "
                           "variance to the slot")
     n, r = t.dim, t.rank
     w = n ** (r - 1 - slot)
-    src = t.num
-    bases = _flat_offsets(n, [n ** (r - 1 - s) for s in range(r) if s != slot])
-    out = [0 if t.exact else 0.0] * len(bases)
-    for p, xp in enumerate(x.num):
-        if not xp:
-            continue
-        step = p * w
-        for o, base in enumerate(bases):
-            e = src[base + step]
-            if e:
-                out[o] = out[o] + xp * e
+    xs = x.num
+    out = {}
+    for o, e in t.num.items():
+        hi, rest = divmod(o, w * n)
+        p, lo = divmod(rest, w)
+        xp = xs.get(p)
+        if xp and e:
+            k = hi * w + lo
+            out[k] = out.get(k, 0) + xp * e
     return Values(n, t.variance[:slot] + t.variance[slot + 1:], out,
                   x.den * t.den, F0 if t.exact else 0.0)
 
 
 def cyclic_sum_outer(x: Values, t: Values) -> Values:
-    """cyclic_sum(x (x) t, (0, 1, 2)) for a covector x, without forming x (x) t.
-
-    Entry (i, j, k, ...) is x_i t[j, k, ...] + x_k t[i, j, ...] +
-    x_j t[k, i, ...], added in that order; only nonzero x entries and
-    nonzero t entries meet.
-    """
+    """cyclic_sum(x (x) t, (0, 1, 2)) for a covector x: entry (i, j, k, ...)
+    is x_i t[j, k, ...] + x_k t[i, j, ...] + x_j t[k, i, ...], added in
+    that order.  The outer product holds only the written pairs."""
     if x.rank != 1 or t.rank < 2 or x.variance != t.variance[0] \
             or t.variance[0] != t.variance[1]:
         raise TensorError("cyclic_sum_outer needs a covector and a tensor "
                           "whose first two slots share its variance")
-    n, r = t.dim, t.rank
-    w0, w1, w2 = n ** r, n ** (r - 1), n ** (r - 2)
-    src = t.num
-    out = [0 if t.exact else 0.0] * (n * len(src))
-    xs = [(a, xa) for a, xa in enumerate(x.num) if xa]
-    ts = [(off // w1, off // w2 % n, off % w2, e)
-          for off, e in enumerate(src) if e]
-    for place in ((w0, w1, w2), (w2, w0, w1), (w1, w2, w0)):
-        # (weight of the x index, of t's first, of t's second index)
-        wx, wp, wq = place
-        for a, xa in xs:
-            for p, q, rest, e in ts:
-                o = a * wx + p * wp + q * wq + rest
-                out[o] = out[o] + xa * e
-    zero = 0.0
-    if t.exact:
-        fx, ft = x._int_zeros(), t._int_zeros()
-        zero = F0
-        if fx is not None and ft is not None:
-            zero = _zeros([fx[i] and fx[j] and fx[k]
-                           and ft[(j * n + k) * w2 + rest]
-                           and ft[(i * n + j) * w2 + rest]
-                           and ft[(k * n + i) * w2 + rest]
-                           for i in range(n) for j in range(n)
-                           for k in range(n) for rest in range(w2)])
-    return Values(n, x.variance + t.variance, out, x.den * t.den, zero)
+    return cyclic_sum(x.outer(t), (0, 1, 2))

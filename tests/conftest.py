@@ -9,7 +9,7 @@ from ppcheck.checks import PointContext
 from ppcheck.geometry import CurvatureBundle, metric_at_point
 from ppcheck.jets import Jet, as_mode
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import CON, COV, Tensor, contract, raise_lower
+from ppcheck.tensors import CON, COV, Tensor
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -33,6 +33,63 @@ def du_jets(ctx):
                            for i in range(n)])
 
 
+def zero_of(x):
+    """The zero a sum of terms like x starts from: the zero jet of x's
+    shape, 0.0, or Fraction(0) for an exact number."""
+    if isinstance(x, Jet):
+        return Jet.zero(x.dim, x.order, x.mode)
+    return 0.0 if isinstance(x, float) else F(0)
+
+
+def truncated(t, order):
+    """The Tensor of t's jets truncated to `order`."""
+    return Tensor(t.dim, t.variance, [e.truncate(order) for e in t.entries])
+
+
+def naive_raise_lower(t, slot, metric):
+    """out[J] = sum_p t[J with p in the slot] * metric[J[slot], p], over a
+    Tensor of jets or numbers, tuple by tuple."""
+    n = t.dim
+    flip = "u" if t.variance[slot] == "l" else "l"
+    out = Tensor.zeros(n, t.variance[:slot] + flip + t.variance[slot + 1:],
+                       zero_of(t.entries[0]))
+    for idx in itertools.product(range(n), repeat=t.rank):
+        acc = out[idx]
+        for p in range(n):
+            e = t[idx[:slot] + (p,) + idx[slot + 1:]]
+            acc = acc + e * metric[idx[slot], p]
+        out[idx] = acc
+    return out
+
+
+def naive_contract(t, a, b, metric=None):
+    """Tuple-indexed contraction of a Tensor of jets or numbers: p-then-q
+    sums that skip zero factors and start from the first nonzero term; an
+    empty sum is zero_of(entry 0)."""
+    n, r = t.dim, t.rank
+    keep = [s for s in range(r) if s not in (a, b)]
+    entries = []
+    for out_idx in itertools.product(range(n), repeat=len(keep)):
+        acc = None
+        for p in range(n):
+            for q in (range(n) if metric is not None else (p,)):
+                m = metric[p, q] if metric is not None else None
+                if m is not None and not m:
+                    continue
+                full = [0] * r
+                for pos, s in enumerate(keep):
+                    full[s] = out_idx[pos]
+                full[a], full[b] = p, q
+                term = t[tuple(full)]
+                if not term:
+                    continue
+                if m is not None:
+                    term = term * m
+                acc = term if acc is None else acc + term
+        entries.append(zero_of(t.entries[0]) if acc is None else acc)
+    return Tensor(n, "".join(t.variance[s] for s in keep), entries)
+
+
 def textbook_riemann_jets(b):
     """(R_jklm, R_ij) as jets, by the textbook route: the mixed
 
@@ -44,7 +101,7 @@ def textbook_riemann_jets(b):
     its orbit fill."""
     n, gam = b.dim, b.gamma
     order = b.metric.order - 2
-    trunc = gam.truncate(order)
+    trunc = truncated(gam, order)
     mixed = Tensor(n, COV * 3 + CON, [Jet.zero(n, order, b.mode)] * n ** 4)
     for j, k, l, m in itertools.product(range(n), repeat=4):
         acc = (gam[m, j, l].derivative(k, "reference")
@@ -53,8 +110,8 @@ def textbook_riemann_jets(b):
             acc = (acc + trunc[m, k, p] * trunc[p, j, l]
                    - trunc[m, j, p] * trunc[p, k, l])
         mixed[j, k, l, m] = acc
-    riem = raise_lower(mixed, 3, b.metric.g.truncate(order))
-    ric = contract(mixed, 0, 3)
+    riem = naive_raise_lower(mixed, 3, truncated(b.metric.g, order))
+    ric = naive_contract(mixed, 0, 3)
     return riem, Tensor(n, COV * 2, [-e for e in ric.entries])
 
 
@@ -70,8 +127,9 @@ def textbook_weyl_jets(b):
     n, mode = b.dim, b.mode
     riem, ric = textbook_riemann_jets(b)
     order = riem.entries[0].order
-    g = b.metric.g.truncate(order)
-    scal = contract(ric, 0, 1, b.metric.g_inv.truncate(order)).entries[0]
+    g = truncated(b.metric.g, order)
+    scal = naive_contract(ric, 0, 1,
+                          truncated(b.metric.g_inv, order)).entries[0]
     c1 = as_mode(F(1, n - 2), mode)
     c2 = as_mode(F(1, (n - 1) * (n - 2)), mode)
     return Tensor(n, COV * 4, [

@@ -234,6 +234,13 @@ PINNED_REPORTS = {
         "family": "perturbed_minkowski", "n": 5,
         "params": {"seed": 7, "degree": 2}, "mode": "exact", "jet_order": 4,
         "points": {"strategy": "grid", "count": 1}},
+    # n=8, the largest accepted dimension: rank-6 second derivatives at 8^6
+    # offsets, almost all of them zero on this pp-wave
+    "report_galaev_d6_exact.json": {
+        "family": "galaev", "d": 6,
+        "params": {"lambda": [1, 1, 1, 1, 1, -5], "a": "0", "F": "u"},
+        "mode": "exact", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 1}},
     "report_galaev_d2_exact.json": {
         "family": "galaev", "d": 2,
         "params": {"lambda": [1, -1], "a": "u^2", "F": "u"},

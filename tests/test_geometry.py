@@ -10,8 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (NC4, du_jets, make_ctx, poly, textbook_riemann_jets,
-                      textbook_weyl_jets)
+from conftest import (NC4, du_jets, make_ctx, naive_raise_lower, poly,
+                      textbook_riemann_jets, textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, sample_points)
@@ -22,8 +22,7 @@ from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
 from ppcheck.jets import Jet, JetError, jet_exp, jet_from_polynomial
 from ppcheck.metrics import PointPlan
 from ppcheck.polynomials import Polynomial, parse_polynomial
-from ppcheck.tensors import (CON, COV, Tensor, Values, contract,
-                             raise_lower, sup_norm)
+from ppcheck.tensors import CON, COV, Tensor, Values, contract, sup_norm
 
 PT = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
 
@@ -174,8 +173,8 @@ class TestDerivedWeylDerivatives:
         derivative: its outer derivative slot raised onto j, its inner one
         traced with m."""
         weyl = textbook_weyl_jets(b)
-        weyl_mixed = raise_lower(
-            weyl, 3, b.metric.g_inv.truncate(weyl.entries[0].order))
+        weyl_mixed = naive_raise_lower(
+            weyl, 3, truncated(b.metric.g_inv, weyl.entries[0].order))
         nw = covariant_derivative(weyl, b.gamma, "oracle")
         nwm = covariant_derivative(weyl_mixed, b.gamma, "oracle")
         nnwm = covariant_derivative(nwm, b.gamma, "oracle").values()
@@ -203,8 +202,8 @@ class TestDerivedWeylDerivatives:
                                 poly("u/5 + x1*x2/7"))
         for attr, want in self.direct(b).items():
             got = getattr(b, attr)
-            scale = max(map(abs, want.num))
-            gap = max(abs(g - w) for g, w in zip(got.num, want.num))
+            scale = max(map(abs, want.entries))
+            gap = max(abs(g - w) for g, w in zip(got.entries, want.entries))
             assert scale > 0 and gap <= 1e-9 * scale, (attr, gap, scale)
 
     @pytest.mark.parametrize("attr", ATTRS)
@@ -349,7 +348,7 @@ def scatter_covariant_derivative(t, gamma, context="reference"):
     n = t.dim
     sample = t.entries[0]
     order = sample.order
-    gam = gamma.truncate(order - 1).entries
+    gam = truncated(gamma, order - 1).entries
     rank = t.rank
     stride = n ** rank
     out = [Jet.zero(n, order - 1, sample.mode)] * (n * stride)
@@ -403,8 +402,9 @@ def _oracle_pairs(spec, pt, mode):
     with the values of the scattered jets."""
     ctx = make_ctx(spec, pt, mode=mode)
     b = ctx.bundle
-    ginv = b.metric.g_inv.truncate(b.nabla_ricci.entries[0].order)
-    mixed = raise_lower(raise_lower(b.nabla_ricci, 0, ginv), 2, ginv)
+    ginv = truncated(b.metric.g_inv, b.nabla_ricci.entries[0].order)
+    mixed = naive_raise_lower(naive_raise_lower(b.nabla_ricci, 0, ginv), 2,
+                              ginv)
     assert mixed.variance == CON + COV + CON
     covector = du_jets(ctx)
     return [
@@ -450,7 +450,7 @@ class TestCovariantDerivativeOracle:
     @pytest.mark.parametrize("make_spec,pt", ORACLE_CASES[-2:])
     def test_float_within_rounding(self, make_spec, pt):
         for name, got, want in _oracle_pairs(make_spec(), pt, FLOAT):
-            pairs = (zip(got.num, want.num) if isinstance(got, Values) else
+            pairs = (zip(got.entries, want.entries) if isinstance(got, Values) else
                      [(g.coeffs.get(k, 0), w.coeffs.get(k, 0))
                       for g, w in zip(got.entries, want.entries)
                       for k in set(g.coeffs) | set(w.coeffs)])

@@ -5,16 +5,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import NC4, make_ctx, poly
+from conftest import (NC4, make_ctx, naive_contract, naive_raise_lower, poly,
+                      zero_of)
 from ppcheck import EXACT, FLOAT, Jet, build_ppwave
 from ppcheck.tensors import (Tensor, Values, contract, contract_outer,
                              cyclic_sum, cyclic_sum_outer, raise_lower,
-                             sup_norm, zero_like)
+                             sup_norm)
 
 
 def _identity(n):
     """The mixed identity delta_i^j with Fraction entries."""
-    return Tensor(n, "lu", [F(int(i == j)) for i in range(n) for j in range(n)])
+    return Values.of(n, "lu",
+                     [F(int(i == j)) for i in range(n) for j in range(n)])
 
 
 class TestContraction:
@@ -24,7 +26,7 @@ class TestContraction:
     def test_metric_times_inverse_is_identity(self, vacuum_ctx):
         m = vacuum_ctx.bundle.metric
         prod = raise_lower(m.g.values(), 1, m.g_inv.values())
-        assert prod == _identity(4).values()
+        assert prod == _identity(4)
 
     def test_ppwave_scalar_curvature_vanishes(self, quartic_ctx):
         b = quartic_ctx.bundle
@@ -33,7 +35,7 @@ class TestContraction:
         assert not sup_norm(contract(ric, 0, 1, ginv))
 
     def test_same_variance_needs_metric(self):
-        t = Tensor.zeros(3, "ll", F(0))
+        t = Values.of(3, "ll", [F(0)] * 9)
         with pytest.raises(ValueError):
             contract(t, 0, 1)
 
@@ -87,28 +89,11 @@ class TestRaiseLower:
         assert list(x.entries) == [F(1), F(0), F(0), F(0)]
 
     def test_minkowski_flips_time_sign(self):
-        eta = Tensor(4, "ll", [F(0)] * 16)
-        eta[0, 0] = F(-1)
-        for i in range(1, 4):
-            eta[i, i] = F(1)
-        v = Tensor(4, "u", [F(2), F(3), F(0), F(0)])
+        eta = Values.of(4, "ll", [F(-1) if i == j == 0 else F(int(i == j))
+                                  for i in range(4) for j in range(4)])
+        v = Values.of(4, "u", [F(2), F(3), F(0), F(0)])
         low = raise_lower(v, 0, eta)
         assert list(low.entries) == [F(-2), F(3), F(0), F(0)]
-
-
-def _naive_raise_lower(t, slot, metric):
-    """out[J] = sum_p t[J with p in the slot] * metric[J[slot], p]."""
-    n = t.dim
-    flip = "u" if t.variance[slot] == "l" else "l"
-    out = Tensor.zeros(n, t.variance[:slot] + flip + t.variance[slot + 1:],
-                       t.entries[0])
-    for idx in itertools.product(range(n), repeat=t.rank):
-        acc = out[idx]
-        for p in range(n):
-            e = t[idx[:slot] + (p,) + idx[slot + 1:]]
-            acc = acc + e * metric[idx[slot], p]
-        out[idx] = acc
-    return out
 
 
 def _random_entry(rng, kind):
@@ -149,8 +134,8 @@ class TestRaiseLowerReference:
                     metric = Tensor(n, "uu" if flip == "l" else "ll",
                                     [_random_entry(rng, kind)
                                      for _ in range(n * n)])
-                    assert (raise_lower(t, slot, metric)
-                            == _naive_raise_lower(t, slot, metric))
+                    assert (raise_lower(t.values(), slot, metric.values())
+                            == naive_raise_lower(t, slot, metric).values())
 
 
 class TestPermute:
@@ -170,20 +155,10 @@ class TestPermute:
 ENTRY_KINDS = ["fraction", "int0", "float", "jet", "float_jet"]
 
 
-def _assert_same_entries(got, want):
-    """Equal entries of identical type (and jet mode), slot by slot."""
-    assert (got.dim, got.variance) == (want.dim, want.variance)
-    assert len(got.entries) == len(want.entries)
-    for a, b in zip(got.entries, want.entries):
-        assert type(a) is type(b) and a == b
-        if isinstance(a, Jet):
-            assert a.mode == b.mode
-
-
 def _naive_permute(t, perm):
     """result[J] = t[I] with I[perm[s]] = J[s]: slot s reads slot perm[s]."""
     out = Tensor.zeros(t.dim, "".join(t.variance[p] for p in perm),
-                       t.entries[0])
+                       zero_of(t.entries[0]))
     for idx in itertools.product(range(t.dim), repeat=t.rank):
         src = [0] * t.rank
         for s, p in enumerate(perm):
@@ -192,37 +167,10 @@ def _naive_permute(t, perm):
     return out
 
 
-def _naive_contract(t, a, b, metric=None):
-    """Tuple-indexed contraction: p-then-q sums that skip zero factors and
-    start from the first nonzero term; an empty sum is zero_like(entry 0)."""
-    n, r = t.dim, t.rank
-    keep = [s for s in range(r) if s not in (a, b)]
-    entries = []
-    for out_idx in itertools.product(range(n), repeat=len(keep)):
-        acc = None
-        for p in range(n):
-            for q in (range(n) if metric is not None else (p,)):
-                m = metric[p, q] if metric is not None else None
-                if m is not None and not m:
-                    continue
-                full = [0] * r
-                for pos, s in enumerate(keep):
-                    full[s] = out_idx[pos]
-                full[a], full[b] = p, q
-                term = t[tuple(full)]
-                if not term:
-                    continue
-                if m is not None:
-                    term = term * m
-                acc = term if acc is None else acc + term
-        entries.append(zero_like(t.entries[0]) if acc is None else acc)
-    return Tensor(n, "".join(t.variance[s] for s in keep), entries)
-
-
 def _naive_cyclic_sum(t, slots):
     """S[idx] = t[idx] + t[idx cycled once] + t[idx cycled twice]."""
     i, j, k = slots
-    out = Tensor.zeros(t.dim, t.variance, t.entries[0])
+    out = Tensor.zeros(t.dim, t.variance, zero_of(t.entries[0]))
     for idx in itertools.product(range(t.dim), repeat=t.rank):
         once, twice = list(idx), list(idx)
         once[i], once[j], once[k] = idx[k], idx[i], idx[j]
@@ -258,15 +206,9 @@ class TestKernelReference:
 
     @pytest.mark.parametrize("kind", ENTRY_KINDS)
     @pytest.mark.parametrize("metric_kind", ["none", "g_inv", "g"])
-    def test_contract_matches_naive_loop(self, kind, metric_kind, monkeypatch):
-        products = []
-        mul = Jet.__mul__
-
-        def counting_mul(x, y):
-            products.append(1)
-            return mul(x, y)
-
-        monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    def test_contract_matches_naive_loop(self, kind, metric_kind):
+        """Contracting a tensor's point values (jets are read at the
+        point) against the tuple-indexed loop on those numbers."""
         rng = random.Random(f"contract-{kind}-{metric_kind}")
         n = 3
         for rank in range(2, 6):
@@ -279,18 +221,16 @@ class TestKernelReference:
                 metric = None if metric_kind == "none" else \
                     _random_tensor(rng, kind, n,
                                    "uu" if metric_kind == "g_inv" else "ll")
-                del products[:]
-                got = contract(t, a, b, metric)
-                got_products = len(products)
-                del products[:]
-                want = _naive_contract(t, a, b, metric)
-                _assert_same_entries(got, want)
-                assert got_products == len(products)
+                mv = None if metric is None else metric.values()
+                want = naive_contract(_numbers(t), a, b,
+                                      None if metric is None
+                                      else _numbers(metric))
+                _assert_same_numbers(contract(t.values(), a, b, mv), want)
                 # the slot order of the call does not matter
-                _assert_same_entries(contract(t, b, a, metric), want)
+                _assert_same_numbers(contract(t.values(), b, a, mv), want)
 
     def test_contract_to_rank_zero_of_int_zeros_is_fraction(self):
-        t = Tensor(2, "lu", [0, F(3), 0, 0])
+        t = Values.of(2, "lu", [0, F(3), 0, 0])
         tr = contract(t, 0, 1)
         assert tr.variance == "" and type(tr.entries[0]) is F
 
@@ -347,7 +287,7 @@ def _oracle_raise_lower(t, slot, metric):
     col = [[(m, metric.entries[m * n + p]) for m in range(n)
             if metric.entries[m * n + p]] for p in range(n)]
     out = Tensor.zeros(n, t.variance[:slot] + flip + t.variance[slot + 1:],
-                       t.entries[0]).entries
+                       zero_of(t.entries[0])).entries
     for off, e in enumerate(t.entries):
         if not e:
             continue
@@ -459,7 +399,7 @@ class TestValueKernels:
                     mt, mv = _number_tensor(
                         rng, kind, n, "uu" if metric_kind == "g_inv" else "ll")
                 _assert_same_numbers(contract(v, a, b, mv),
-                                     _naive_contract(t, a, b, mt))
+                                     naive_contract(t, a, b, mt))
 
     @pytest.mark.parametrize("kind", VALUE_KINDS)
     def test_cyclic_sum(self, kind):
@@ -510,7 +450,7 @@ class TestValueKernels:
                 t, v = _number_tensor(rng, kind, n, variance)
                 _assert_same_numbers(
                     contract_outer(xv, v, slot),
-                    _naive_contract(_oracle_outer(xt, t), 0, slot + 1))
+                    naive_contract(_oracle_outer(xt, t), 0, slot + 1))
 
     def test_mixed_kinds_refused(self):
         t = Tensor(2, "l", [F(1), F(2)])
@@ -519,3 +459,227 @@ class TestValueKernels:
             raise_lower(t.values(), 0, g)
         with pytest.raises(ValueError):
             raise_lower(t, 0, g.values())
+
+
+# -- zero kinds: every Values kernel against plain number lists -----------------
+#
+# An exact zero leaves a kernel as int 0 (a jet's exact zero, reported as 0)
+# or Fraction(0) (reported as "0/1").  The references below run Python's own
+# arithmetic on lists of Fractions, ints and floats, as the Fraction kernels
+# did: a sum, difference or product is int 0 only where every number that
+# met was int 0; scale multiplies by a Fraction, and contractions and
+# raised slots are sums that start from Fraction(0).  Each kernel must give
+# the reference's numbers and the type of every zero.
+
+
+def _zk_numbers(rng, exact, size, density, style):
+    """`size` numbers, about `density` of them nonzero; exact zeros are int
+    0, Fraction(0) or either ("mixed")."""
+    out = []
+    for _ in range(size):
+        if rng.random() < density:
+            out.append(F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 7)) if exact
+                       else rng.uniform(-2.0, 2.0))
+        elif not exact:
+            out.append(0.0)
+        else:
+            out.append(rng.choice((0, F(0))) if style == "mixed"
+                       else 0 if style == "int0" else F(0))
+    return out
+
+
+def _zk_canceller(rng, a, exact, style):
+    """A list that is -a at about half of a's nonzero entries, random
+    elsewhere, so that a + it cancels there."""
+    fresh = _zk_numbers(rng, exact, len(a), 0.5, style)
+    return [-x if x and rng.random() < 0.5 else y for x, y in zip(a, fresh)]
+
+
+def _zk_offset(n, idx):
+    off = 0
+    for i in idx:
+        off = off * n + i
+    return off
+
+
+def _zk_permute(n, r, a, perm):
+    out = []
+    for idx in itertools.product(range(n), repeat=r):
+        src = [0] * r
+        for s, p in enumerate(perm):
+            src[p] = idx[s]
+        out.append(a[_zk_offset(n, src)])
+    return out
+
+
+def _zk_contract(n, r, a, sa, sb, metric, zero):
+    """Sum over p (and q, with a metric) of the nonzero terms, from zero."""
+    keep = [s for s in range(r) if s not in (sa, sb)]
+    out = []
+    for kept in itertools.product(range(n), repeat=len(keep)):
+        acc = zero
+        for p in range(n):
+            for q in (range(n) if metric is not None else (p,)):
+                full = [0] * r
+                for pos, s in enumerate(keep):
+                    full[s] = kept[pos]
+                full[sa], full[sb] = p, q
+                term = a[_zk_offset(n, full)]
+                if metric is not None:
+                    term = term * metric[p * n + q]
+                if term:
+                    acc = acc + term
+        out.append(acc)
+    return out
+
+
+def _zk_raise_lower(n, r, a, slot, metric, zero):
+    out = []
+    for idx in itertools.product(range(n), repeat=r):
+        acc = zero
+        for p in range(n):
+            term = (a[_zk_offset(n, idx[:slot] + (p,) + idx[slot + 1:])]
+                    * metric[idx[slot] * n + p])
+            if term:
+                acc = acc + term
+        out.append(acc)
+    return out
+
+
+def _zk_cyclic_sum(n, r, a, slots):
+    i, j, k = slots
+    out = []
+    for idx in itertools.product(range(n), repeat=r):
+        once, twice = list(idx), list(idx)
+        once[i], once[j], once[k] = idx[k], idx[i], idx[j]
+        twice[i], twice[j], twice[k] = idx[j], idx[k], idx[i]
+        out.append(a[_zk_offset(n, idx)] + a[_zk_offset(n, once)]
+                   + a[_zk_offset(n, twice)])
+    return out
+
+
+def _zk_sup_norm(a):
+    best = abs(a[0])
+    for x in a:
+        if x and abs(x) > best:
+            best = abs(x)
+    return best
+
+
+def _relabel(v, slot, var):
+    """v with the variance of one slot set to var, entries as they are."""
+    return Values(v.dim, v.variance[:slot] + var + v.variance[slot + 1:],
+                  v.num, v.den, v.zero)
+
+
+def _zk_same(got, want):
+    """got, a number or a Values tensor's entries, against the reference:
+    equal, and of the same type, entry by entry."""
+    if isinstance(got, Values):
+        got = got.entries
+    if not isinstance(want, list):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y) and x == y, (x, y)
+
+
+class TestZeroKindOracle:
+    """Seeded random Values at n = 2..5 and ranks 1..4, sparse and dense,
+    with int 0 and Fraction(0) zeros, in exact and float mode."""
+
+    STYLES = ("int0", "fraction", "mixed")
+
+    def _inputs(self, rng, exact, n, variance, density, style):
+        """(Values, reference list) pairs: numbers read in with Values.of,
+        and, in exact mode, a kernel sum of them that cancels in places.
+        Float sums are left out: the references add in offset order, and a
+        kernel's output need not hold its entries in that order."""
+        size = n ** len(variance)
+        a = _zk_numbers(rng, exact, size, density, style)
+        v = Values.of(n, variance, a)
+        pairs = [(v, a)]
+        if exact:
+            b = _zk_canceller(rng, a, exact, style)
+            pairs.append((v + Values.of(n, variance, b),
+                          [x + y for x, y in zip(a, b)]))
+        return pairs
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_kernel(self, exact, n):
+        from ppcheck.geometry import _as_jet_values
+        rng = random.Random(f"zero-kinds-{n}-{exact}")
+        zero = F(0) if exact else 0.0
+        c = F(-3, 4) if exact else -0.75
+        for rank in range(1, 5):
+            for density in (0.15, 0.8):
+                style = rng.choice(self.STYLES)
+                variance = "".join(rng.choice("lu") for _ in range(rank))
+                for v, a in self._inputs(rng, exact, n, variance, density,
+                                         style):
+                    _zk_same(v, a)
+                    _zk_same(sup_norm(v), _zk_sup_norm(a))
+                    for off in (0, len(a) - 1):
+                        _zk_same(v.number(off), a[off])
+                    _zk_same(_as_jet_values(v),
+                             [x if x or not exact else 0 for x in a])
+                    # + and -, with one another and with a second tensor
+                    for w, b in self._inputs(rng, exact, n, variance,
+                                             1 - density, style):
+                        _zk_same(v + w, [x + y for x, y in zip(a, b)])
+                        _zk_same(v - w, [x - y for x, y in zip(a, b)])
+                        _zk_same(w - v, [y - x for x, y in zip(a, b)])
+                    _zk_same(v - v, [x - x for x in a])
+                    _zk_same(v.scale(c), [x * c for x in a])
+                    _zk_same(v.scale(zero), [x * zero for x in a])
+                    perm = list(range(rank))
+                    rng.shuffle(perm)
+                    _zk_same(v.permute(perm), _zk_permute(n, rank, a, perm))
+                    # outer products with a vector, on either side
+                    for xv, x in self._inputs(rng, exact, n, "l", density,
+                                              rng.choice(self.STYLES)):
+                        _zk_same(v.outer(xv), [p * q for p in a for q in x])
+                        _zk_same(xv.outer(v), [p * q for p in x for q in a])
+                    # raising a slot, with a metric of either density
+                    slot = rng.randrange(rank)
+                    mvar = "uu" if variance[slot] == "l" else "ll"
+                    for mv, m in self._inputs(rng, exact, n, mvar,
+                                              rng.choice((0.3, 0.9)), style):
+                        _zk_same(raise_lower(v, slot, mv),
+                                 _zk_raise_lower(n, rank, a, slot, m, zero))
+                    if rank >= 2:
+                        sa, sb = sorted(rng.sample(range(rank), 2))
+                        flip = "u" if variance[sa] == "l" else "l"
+                        _zk_same(contract(_relabel(v, sb, flip), sa, sb),
+                                 _zk_contract(n, rank, a, sa, sb, None, zero))
+                        same = _relabel(v, sb, variance[sa])
+                        mvar = "uu" if variance[sa] == "l" else "ll"
+                        for mv, m in self._inputs(rng, exact, n, mvar, 0.5,
+                                                  style):
+                            _zk_same(contract(same, sa, sb, mv),
+                                     _zk_contract(n, rank, a, sa, sb, m,
+                                                  zero))
+                    # contract_outer: contract(x (x) v, 0, slot + 1)
+                    xvar = "u" if variance[slot] == "l" else "l"
+                    for xv, x in self._inputs(rng, exact, n, xvar, density,
+                                              style):
+                        _zk_same(contract_outer(xv, v, slot),
+                                 _zk_contract(n, rank + 1,
+                                              [p * q for p in x for q in a],
+                                              0, slot + 1, None, zero))
+                    low = Values(n, "l" * rank, v.num, v.den, v.zero)
+                    if rank >= 3:
+                        slots = tuple(rng.sample(range(rank), 3))
+                        _zk_same(cyclic_sum(low, slots),
+                                 _zk_cyclic_sum(n, rank, a, slots))
+                    if rank >= 2:
+                        for xv, x in self._inputs(rng, exact, n, "l",
+                                                  rng.choice((0.2, 0.9)),
+                                                  rng.choice(self.STYLES)):
+                            _zk_same(cyclic_sum_outer(xv, low),
+                                     _zk_cyclic_sum(
+                                         n, rank + 1,
+                                         [p * q for p in x for q in a],
+                                         (0, 1, 2)))
