@@ -28,14 +28,6 @@ class PolynomialError(ValueError):
     """Malformed polynomial expression or incompatible operands."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        # exact binary value of the literal; callers wanting decimals should
-        # write "p/q" instead
-        return Fraction(x)
-    return Fraction(x)
-
-
 class Polynomial:
     """Polynomial over a fixed ordered tuple of chart variables.
 
@@ -55,7 +47,7 @@ class Polynomial:
                 raise PolynomialError(f"exponent tuple {mi} does not match variables {self.variables}")
             if any(e < 0 for e in mi):
                 raise PolynomialError(f"negative exponent in {mi}")
-            c = _as_fraction(c)
+            c = Fraction(c)
             if c:
                 clean[mi] = clean.get(mi, Fraction(0)) + c
                 if not clean[mi]:
@@ -109,7 +101,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = _as_fraction(other)
+            c = Fraction(other)
             return Polynomial(self.variables, {mi: v * c for mi, v in self.terms.items()})
         self._check(other)
         terms: dict[tuple, Fraction] = {}
@@ -275,7 +267,9 @@ def parse_polynomial(text: str, variables) -> Polynomial:
                     or not isinstance(node.value, (int, float))
                     or not math.isfinite(node.value)):
                 raise PolynomialError(f"bad constant {node.value!r} in {text!r}")
-            return _as_fraction(node.value)
+            # a float literal's exact binary value; write "p/q" for a
+            # decimal
+            return Fraction(node.value)
         if isinstance(node, ast.Name):
             return Polynomial.variable(variables, node.id)
         if isinstance(node, ast.UnaryOp):

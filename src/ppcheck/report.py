@@ -2,14 +2,16 @@
 
 Rational values serialize as "p/q" strings so exact-mode reports never
 contain floating-point literals; floats use the shortest round-trip
-decimal that json produces natively.  Integers are written exactly at any
-size: past Python's default int-to-str limit of 4300 digits an integer is
-a string of its digits, and the digits come from `decimal`, which has no
-such limit.
+decimal that json produces natively, and a NaN or infinity is the string
+"nan", "inf" or "-inf", so a report is always strict JSON.  Integers are
+written exactly at any size: past Python's default int-to-str limit of
+4300 digits an integer is a string of its digits, and the digits come
+from `decimal`, which has no such limit.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -36,6 +38,8 @@ def encode_value(value):
         return value
     if isinstance(value, int) and abs(value) >= _INT_STR_LIMIT:
         return str(Decimal(value))
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)                   # "nan", "inf", "-inf"
     if isinstance(value, (int, float, str)):
         return value
     if isinstance(value, dict):

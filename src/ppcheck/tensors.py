@@ -8,9 +8,13 @@ Values holds a tensor's point values sparsely: the dict `num` maps the
 row-major offset of each entry a kernel wrote to its numerator over one
 positive denominator `den` (read straight from each jet's c[0]/den), or
 to its float in float mode.  The kernels (all those below take Values)
-iterate `num` and never visit an unwritten entry.  A number is made only
-for an entry that leaves a kernel (via `entries`, `[]` or `sup_norm`), of
-the type the Fraction algebra on jet values gave it, so reports stay
+iterate `num` and never visit an unwritten entry.  `tensordot` is the one
+contraction of two tensors, a chart sum over a's last k slots and b's
+first k, and `dot` the full one, returning a number; a vector contracted
+with a tensor, a double trace and the inner products of a least-squares
+fit are all one or the other.  A number is made only for an entry that
+leaves a kernel (via `entries`, `[]`, `sup_norm` or `dot`), of the type
+the Fraction algebra on jet values gave it, so reports stay
 byte-identical.  One rule gives that type:
 
 - an entry missing from `num` leaves as the scalar `zero`: int 0 (a jet's
@@ -377,6 +381,39 @@ def cyclic_sum(t, slots):
     return t + t.permute(perm1) + t.permute(perm2)
 
 
+def tensordot(a: Values, b: Values, k: int) -> Values:
+    """out[I, J] = sum_P a[I, P] b[P, J], P over a's last k slots and b's
+    first k: a chart sum, so the caller pairs the variances.  Each entry
+    sums its terms in ascending P order, from Fraction(0)."""
+    _need_values(a, b)
+    if a.dim != b.dim or not 0 <= k <= min(a.rank, b.rank):
+        raise TensorError(f"cannot contract {k} slots of ({a.dim},"
+                          f"{a.variance}) with ({b.dim},{b.variance})")
+    n, mp, mj = a.dim, a.dim ** k, b.dim ** (b.rank - k)
+    rows = {}                               # P -> b's (J, entry)
+    for o, y in b.num.items():
+        if y:
+            rows.setdefault(o // mj, []).append((o % mj, y))
+    out = {}
+    get = out.get
+    for o, x in sorted(a.num.items()):
+        if x:
+            i, p = divmod(o, mp)
+            base = i * mj
+            for j, y in rows.get(p, ()):
+                out[base + j] = get(base + j, 0) + x * y
+    return Values(n, a.variance[:a.rank - k] + b.variance[k:], out,
+                  a.den * b.den, F0 if a.exact else 0.0)
+
+
+def dot(a: Values, b: Values):
+    """sum_O a[O] b[O] over two tensors of one shape, as a number (a
+    Fraction, or a float), summed in ascending offset order."""
+    an, bn = a.num, b.num
+    acc = sum(an[o] * bn[o] for o in sorted(an.keys() & bn.keys()))
+    return Fraction(acc, a.den * b.den) if a.exact else float(acc)
+
+
 def sup_norm(t: Values):
     """Max absolute value of t's entries.
 
@@ -387,38 +424,3 @@ def sup_norm(t: Values):
     if not best:
         return abs(t.number(0))
     return Fraction(best, t.den) if t.exact else best
-
-
-# -- fused kernels on Values ---------------------------------------------------
-
-def contract_outer(x: Values, t: Values, slot: int) -> Values:
-    """contract(x (x) t, 0, slot + 1) for a vector x, without forming x (x) t:
-    out[..] = sum_p x[p] t[.. p ..], over the written t entries whose x[p]
-    is nonzero."""
-    if x.rank != 1 or x.variance == t.variance[slot]:
-        raise TensorError("contract_outer needs a vector of the opposite "
-                          "variance to the slot")
-    n, r = t.dim, t.rank
-    w = n ** (r - 1 - slot)
-    xs = x.num
-    out = {}
-    for o, e in t.num.items():
-        hi, rest = divmod(o, w * n)
-        p, lo = divmod(rest, w)
-        xp = xs.get(p)
-        if xp and e:
-            k = hi * w + lo
-            out[k] = out.get(k, 0) + xp * e
-    return Values(n, t.variance[:slot] + t.variance[slot + 1:], out,
-                  x.den * t.den, F0 if t.exact else 0.0)
-
-
-def cyclic_sum_outer(x: Values, t: Values) -> Values:
-    """cyclic_sum(x (x) t, (0, 1, 2)) for a covector x: entry (i, j, k, ...)
-    is x_i t[j, k, ...] + x_k t[i, j, ...] + x_j t[k, i, ...], added in
-    that order.  The outer product holds only the written pairs."""
-    if x.rank != 1 or t.rank < 2 or x.variance != t.variance[0] \
-            or t.variance[0] != t.variance[1]:
-        raise TensorError("cyclic_sum_outer needs a covector and a tensor "
-                          "whose first two slots share its variance")
-    return cyclic_sum(x.outer(t), (0, 1, 2))

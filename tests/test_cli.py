@@ -298,6 +298,11 @@ class TestSerialization:
         text = report_to_text(rep)
         assert f"{doc['residual']}  ['1/1']" in text
 
+    def test_non_finite_floats_encode_as_strings(self):
+        inf = float("inf")
+        assert encode_value([float("nan"), inf, -inf, 1.5]) == [
+            "nan", "inf", "-inf", 1.5]
+
     def test_empty_report(self):
         rep = build_report({"version": "x", "mode": "exact"}, [])
         doc = json.loads(report_to_json(rep))
@@ -681,3 +686,43 @@ class TestCheckIsolation:
         assert "'weyl_trace'" in notes
         assert "UnsupportedDimensionError" in notes
         assert "dimension >= 4" in notes
+
+
+class TestOverflowingFloatPoints:
+    """Float runs at a huge u, where the curvature values overflow."""
+
+    @staticmethod
+    def _run(doc):
+        spec, config = parse_metric_config(json.dumps(doc))
+        return run(spec, config)
+
+    def test_conformal_invariance_at_huge_u(self):
+        # exp(2s) overflows at s = u/5; the factor exp(2(s - s(p))) is a
+        # constant multiple of it and stays finite
+        rep = self._run({"family": "galaev", "d": 3,
+                         "params": {"lambda": [1, 1, -2], "F": "u"},
+                         "mode": "float", "jet_order": 2,
+                         "points": {"count": 1, "u_values": ["1e200"]},
+                         "checks": ["conformal_invariance"]})
+        row, = rep.rows
+        assert row.status == "pass" and row.residual == 0.0
+        assert row.notes == "conformal factor: exp(2s) with s = 1/5*u"
+
+    def test_nan_residuals_are_strict_json_and_the_headline(self):
+        rep = self._run({"family": "galaev", "d": 2,
+                         "params": {"lambda": [1, -1], "F": "u"},
+                         "mode": "float", "jet_order": 4,
+                         "points": {"count": 1, "u_values": ["1e308"]}})
+
+        def refuse(constant):
+            raise ValueError(f"bare {constant} in the report")
+
+        doc = json.loads(report_to_json(rep), parse_constant=refuse)
+        nan_rows = [r for r in doc["rows"]
+                    if "nan" in r.get("residuals", {}).values()]
+        assert len(nan_rows) >= 10
+        for r in nan_rows:
+            assert r["status"] == "fail" and r["residual"] == "nan", r
+        assert any(line.split()[2] == "nan"
+                   for line in report_to_text(rep).splitlines()[3:]
+                   if line.strip())

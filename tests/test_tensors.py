@@ -8,9 +8,8 @@ import pytest
 from conftest import (NC4, make_ctx, naive_contract, naive_raise_lower, poly,
                       zero_of)
 from ppcheck import EXACT, FLOAT, Jet, build_ppwave
-from ppcheck.tensors import (Tensor, Values, contract, contract_outer,
-                             cyclic_sum, cyclic_sum_outer, raise_lower,
-                             sup_norm)
+from ppcheck.tensors import (Tensor, Values, contract, cyclic_sum, dot,
+                             raise_lower, sup_norm, tensordot)
 
 
 def _identity(n):
@@ -55,7 +54,7 @@ class TestCyclicSum:
     def test_olszak_cyclic_sum_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle
         x = Tensor(4, "l", [F(1), F(0), F(0), F(0)]).values()
-        s = cyclic_sum_outer(x, b.values("weyl"))
+        s = cyclic_sum(x.outer(b.values("weyl")), (0, 1, 2))
         assert not sup_norm(s)
 
 
@@ -426,7 +425,8 @@ class TestValueKernels:
 
     @pytest.mark.parametrize("kind", VALUE_KINDS)
     def test_cyclic_sum_outer(self, kind):
-        """cyclic_sum(x (x) t, (0, 1, 2)) without forming x (x) t."""
+        """cyclic_sum(x (x) t, (0, 1, 2)): the outer product holds only
+        the written pairs."""
         rng = random.Random(f"vcyclic-outer-{kind}")
         for rank in range(2, 6):
             n = _dims(rank + 1)
@@ -434,23 +434,26 @@ class TestValueKernels:
                 xt, xv = _number_tensor(rng, kind, n, "l")
                 t, v = _number_tensor(rng, kind, n, "l" * rank)
                 _assert_same_numbers(
-                    cyclic_sum_outer(xv, v),
+                    cyclic_sum(xv.outer(v), (0, 1, 2)),
                     _oracle_cyclic_sum(_oracle_outer(xt, t), (0, 1, 2)))
 
     @pytest.mark.parametrize("kind", VALUE_KINDS)
     def test_contract_outer(self, kind):
-        """contract(x (x) t, 0, slot + 1) without forming x (x) t."""
+        """A vector contracted with t's first or last slot, without forming
+        the outer product: tensordot(x, t, 1) is contract(x (x) t, 0, 1),
+        tensordot(t, x, 1) is contract(t (x) x, rank - 1, rank)."""
         rng = random.Random(f"vcontract-outer-{kind}")
         for rank in range(1, 6):
             n = _dims(rank + 1)
-            for slot in range(rank):
-                variance = "".join(rng.choice("lu") for _ in range(rank))
-                xvar = "u" if variance[slot] == "l" else "l"
-                xt, xv = _number_tensor(rng, kind, n, xvar)
-                t, v = _number_tensor(rng, kind, n, variance)
-                _assert_same_numbers(
-                    contract_outer(xv, v, slot),
-                    naive_contract(_oracle_outer(xt, t), 0, slot + 1))
+            variance = "".join(rng.choice("lu") for _ in range(rank))
+            xt, xv = _number_tensor(rng, kind, n, "u")
+            t, v = _number_tensor(rng, kind, n, variance)
+            _assert_same_numbers(
+                tensordot(xv, v, 1),
+                naive_contract(_oracle_outer(xt, t), 0, 1))
+            _assert_same_numbers(
+                tensordot(v, xv, 1),
+                naive_contract(_oracle_outer(t, xt), rank - 1, rank))
 
     def test_mixed_kinds_refused(self):
         t = Tensor(2, "l", [F(1), F(2)])
@@ -531,6 +534,22 @@ def _zk_contract(n, r, a, sa, sb, metric, zero):
                 if term:
                     acc = acc + term
         out.append(acc)
+    return out
+
+
+def _zk_tensordot(n, ra, a, rb, b, k, zero):
+    """out[I, J] = the nonzero a[I, P] b[P, J] summed over P in ascending
+    order, from zero."""
+    mp, mj = n ** k, n ** (rb - k)
+    out = []
+    for i in range(n ** (ra - k)):
+        for j in range(mj):
+            acc = zero
+            for p in range(mp):
+                term = a[i * mp + p] * b[p * mj + j]
+                if term:
+                    acc = acc + term
+            out.append(acc)
     return out
 
 
@@ -661,14 +680,17 @@ class TestZeroKindOracle:
                             _zk_same(contract(same, sa, sb, mv),
                                      _zk_contract(n, rank, a, sa, sb, m,
                                                   zero))
-                    # contract_outer: contract(x (x) v, 0, slot + 1)
-                    xvar = "u" if variance[slot] == "l" else "l"
-                    for xv, x in self._inputs(rng, exact, n, xvar, density,
+                    # a vector contracted with the first or the last slot
+                    for xv, x in self._inputs(rng, exact, n, "u", density,
                                               style):
-                        _zk_same(contract_outer(xv, v, slot),
+                        _zk_same(tensordot(xv, v, 1),
                                  _zk_contract(n, rank + 1,
                                               [p * q for p in x for q in a],
-                                              0, slot + 1, None, zero))
+                                              0, 1, None, zero))
+                        _zk_same(tensordot(v, xv, 1),
+                                 _zk_contract(n, rank + 1,
+                                              [p * q for p in a for q in x],
+                                              rank - 1, rank, None, zero))
                     low = Values(n, "l" * rank, v.num, v.den, v.zero)
                     if rank >= 3:
                         slots = tuple(rng.sample(range(rank), 3))
@@ -678,8 +700,46 @@ class TestZeroKindOracle:
                         for xv, x in self._inputs(rng, exact, n, "l",
                                                   rng.choice((0.2, 0.9)),
                                                   rng.choice(self.STYLES)):
-                            _zk_same(cyclic_sum_outer(xv, low),
+                            _zk_same(cyclic_sum(xv.outer(low), (0, 1, 2)),
                                      _zk_cyclic_sum(
                                          n, rank + 1,
                                          [p * q for p in x for q in a],
                                          (0, 1, 2)))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tensordot_and_dot(self, exact, n):
+        """tensordot at every k, and dot, for ranks 0..4.  Each operand is
+        also taken permuted, so its entries are held out of offset order,
+        and float sums show whether they were added in offset order."""
+        rng = random.Random(f"tensordot-{n}-{exact}")
+        zero = F(0) if exact else 0.0
+        for ra, rb in itertools.product(range(5), repeat=2):
+            for k in range(min(ra, rb) + 1):
+                if n ** (ra + rb - k) > 4096:   # the reference's loop count
+                    continue
+                va = "".join(rng.choice("lu") for _ in range(ra))
+                vb = "".join(rng.choice("lu") for _ in range(rb))
+                style = rng.choice(self.STYLES)
+                perm_a, perm_b = list(range(ra)), list(range(rb))
+                rng.shuffle(perm_a)
+                rng.shuffle(perm_b)
+                for v, a in self._inputs(rng, exact, n, va,
+                                         rng.choice((0.15, 0.8)), style):
+                    for w, b in self._inputs(rng, exact, n, vb,
+                                             rng.choice((0.15, 0.8)), style):
+                        for (v, a), (w, b) in (
+                                ((v, a), (w, b)),
+                                ((v.permute(perm_a),
+                                  _zk_permute(n, ra, a, perm_a)),
+                                 (w.permute(perm_b),
+                                  _zk_permute(n, rb, b, perm_b)))):
+                            got = tensordot(v, w, k)
+                            assert got.variance == (v.variance[:ra - k]
+                                                    + w.variance[k:])
+                            _zk_same(got, _zk_tensordot(n, ra, a, rb, b, k,
+                                                        zero))
+                            if k == ra == rb:
+                                _zk_same(dot(v, w),
+                                         _zk_tensordot(n, ra, a, rb, b, k,
+                                                       zero)[0])
