@@ -115,7 +115,7 @@ def _ratio(num, den: int, exact: bool):
 def _antisymmetric_norm(t: Values):
     """max |t_ij.. - t_ji..| over the first two slots of t's values."""
     d = t - t.permute((1, 0) + tuple(range(2, t.rank)))
-    return _ratio(max(map(abs, d.num.values()), default=0), d.den, t.exact)
+    return sup_norm(d) or _ratio(0, 1, t.exact)
 
 
 def chart_covector_u(ctx: PointContext) -> Values:
@@ -231,12 +231,8 @@ def check_weyl_divergence_formula(ctx: PointContext) -> CheckResult:
     nr = b.values("nabla_ricci")                # (i, k, l)
     ns = b.values("nabla_scalar")               # (i,)
     g = b.values("g")
-    if ctx.exact:
-        c1 = Fraction(n - 3, n - 2)
-        c2 = Fraction(n - 3, 2 * (n - 1) * (n - 2))
-    else:
-        c1 = (n - 3) / (n - 2)
-        c2 = (n - 3) / (2.0 * (n - 1) * (n - 2))
+    c1 = _ratio(n - 3, n - 2, ctx.exact)
+    c2 = _ratio(n - 3, 2 * (n - 1) * (n - 2), ctx.exact)
     gns = g.outer(ns)                           # g_ab nabla_c R
     rhs = ((nr.permute((1, 0, 2)) - nr).scale(c1)
            + (gns.permute((2, 0, 1)) - gns.permute((0, 2, 1))).scale(c2))
@@ -340,11 +336,22 @@ def _alpha_values(ctx: PointContext):
     return ctx.cache["alpha_values"]
 
 
+def _per_orbit(t: Values) -> Values:
+    """t at one entry per Riemann orbit of its last four slots, times the
+    orbit's size: where t and u have Riemann's symmetries in those slots,
+    tensordot(_per_orbit(t), u, 4) is tensordot(t, u, 4)."""
+    get, num = t.num.get, {}
+    for base in range(0, t.size, t.dim ** 4):
+        for rep, images in _orbits(t.dim, RIEMANN)[1]:
+            if x := get(base + rep):
+                num[base + rep] = x * len(images)
+    return Values(t.dim, t.variance, num, t.den, t.zero)
+
+
 def _alpha_derivatives(ctx: PointContext):
     """(alpha, d_j alpha_i, nabla_j alpha_i), slots (j, i), of the Weyl
-    recurrence covector (cached; C must not vanish).  alpha is that of
-    _alpha_values, with zeros as int 0 as roter_bundle and alpha_recurrent
-    report it.
+    recurrence covector (cached; C must not vanish), their zeros int 0 as
+    roter_bundle and alpha_recurrent report alpha's.
 
     alpha_i = N_i / D, with the chart sums N_i = sum_K nabla_i C_K C_K and
     D = sum_K C_K^2 of extract_recurrence.  As d_j C_K = nabla_j C_K +
@@ -356,73 +363,35 @@ def _alpha_derivatives(ctx: PointContext):
         D nabla_j alpha_i = sum_K (C_K nabla_j nabla_i C_K + nabla_i C_K
             nabla_j C_K) + G_ab (M_abi + M_bai) - alpha_i d_j D,
 
-    and d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p.  C, nabla C
-    and nabla nabla C have Riemann's symmetries in their last four slots,
-    so the four slot sums of F and M are equal, and a sum over K of a
-    product of two of them runs over one K per orbit, weighted by the orbit
-    size (`geometry._orbits`).  The sums run on integer numerators; float
-    mode first divides C and its derivatives by sup|C|, which keeps alpha's
-    derivatives and brings the sums, of degree 4 in C, into range.
+    and d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p.  C and its
+    derivatives have Riemann's symmetries in their last four slots, so F
+    and M are four times their slot-0 sums, and the sums over K run over
+    one K per orbit (`_per_orbit`).  Float mode first divides C and its
+    derivatives by sup|C|, which keeps alpha's derivatives and brings the
+    sums, of degree 4 in C, into range.
     """
     if "alpha_derivatives" in ctx.cache:
         return ctx.cache["alpha_derivatives"]
     b = ctx.bundle
-    n = b.dim
-    alpha = _as_jet_values(_alpha_values(ctx)[0])
-    c, nc, nnc, gam = (b.values(name) for name in
-                       ("weyl", "nabla_weyl", "nabla2_weyl", "gamma"))
-    dl = math.lcm(c.den, nc.den)            # C and nabla C over dl
-    s = 1 if ctx.exact else 1 / sup_norm(c)
-    hv = nnc.num if ctx.exact else {o: x * s for o, x in nnc.num.items()}
-    k = dl // c.den * s
-    cv = {o: x * k for o, x in c.num.items() if x}
-    size, k = c.size, dl // nc.den * s
-    rows = [{} for _ in range(n)]           # nabla_i C, by offset in C
-    for o, x in nc.num.items():
-        if x:
-            rows[o // size][o % size] = x * k
-    weight = dict((o, len(images)) for o, images in _orbits(n, RIEMANN)[1])
-    nz = [(o, weight[o] * x) for o, x in cv.items() if o in weight]
-    sq = sum(x * cv[o] for o, x in nz)      # D over dl^2
-    gv, dh, dg = gam.num, nnc.den, gam.den
-    rnz = [[(o, weight[o] * y) for o, y in row.items() if o in weight]
-           for row in rows]
-    nn = [alpha.num.get(i, 0) * sq // alpha.den if ctx.exact       # N = alpha D
-          else alpha.num.get(i, 0.0) * sq for i in range(n)]
-    f, m, w = [0] * (n * n), [0] * n ** 3, n ** 3
-    for o, x in cv.items():                 # slot 0's quarter of F and M
-        a, rest = divmod(o, w)
-        for bb in range(n):
-            ob = rest + bb * w
-            y = cv.get(ob)
-            if y:
-                f[a * n + bb] += x * y
-            for i, row in enumerate(rows):
-                y = row.get(ob)
-                if y:
-                    m[(a * n + bb) * n + i] += x * y
-    nabla, d_alpha = [], []                 # over dh * dg * sq^2
-    for j in range(n):
-        gj = [(a, bb, g) for a in range(n) for bb in range(n)
-              for g in (gv.get((bb * n + j) * n + a),) if g]
-        dd = dh * (dg * nn[j] + 4 * sum(g * f[a * n + bb] for a, bb, g in gj))
-        for i in range(n):
-            base = (j * n + i) * size
-            hc = sum(hv.get(base + o, 0) * x for o, x in nz)
-            ee = sum(y * rows[j].get(o, 0) for o, y in rnz[i])
-            gm = 4 * sum(g * (m[(a * n + bb) * n + i] + m[(bb * n + a) * n + i])
-                         for a, bb, g in gj)
-            x = (hc * dl * dg + (ee * dg + gm) * dh) * sq - 2 * nn[i] * dd
-            gp = sum(gv.get((p * n + j) * n + i, 0) * nn[p] for p in range(n))
-            nabla.append(x)
-            d_alpha.append(x + dh * sq * gp)
-    den = dh * dg * sq * sq
-    ctx.cache["alpha_derivatives"] = out = (alpha,) + tuple(
-        Values(n, COV * 2, {o: x for o, x in enumerate(num) if x}, den, 0)
-        if ctx.exact else
-        Values(n, COV * 2, {o: x / den for o, x in enumerate(num) if x}, 1,
-               0.0)
-        for num in (d_alpha, nabla))
+    alpha, gam = _as_jet_values(_alpha_values(ctx)[0]), b.values("gamma")
+    c, nc, nnc = (b.values("weyl"), b.values("nabla_weyl"),
+                  _per_orbit(b.values("nabla2_weyl")))
+    if not ctx.exact:
+        s = 1 / sup_norm(c)
+        c, nc, nnc = c.scale(s), nc.scale(s), nnc.scale(s)
+    d, nc_k = dot(_per_orbit(c), c), _per_orbit(nc)
+    num = tensordot(nc_k, c, 4)                     # N_i
+    c_a = c.permute((1, 2, 3, 0))                   # C_abcd at (b, c, d, a)
+    f = tensordot(c, c_a, 3).scale(4)               # F_ab
+    m = tensordot(nc, c_a, 3).permute((2, 1, 0)).scale(4)   # M_abi
+    g = gam.permute((1, 2, 0))                      # G_ab at (j, a, b)
+    half_dd = num + tensordot(g, f, 2)              # d_j D / 2
+    top = (tensordot(nnc, c, 4) + tensordot(g, m + m.permute((1, 0, 2)), 2)
+           + tensordot(nc_k, nc.permute((1, 2, 3, 4, 0)), 4))
+    nabla = (top.scale(d) - half_dd.outer(num).scale(2)).scale(1 / d ** 2)
+    ctx.cache["alpha_derivatives"] = out = (
+        alpha, _as_jet_values(nabla + tensordot(alpha, gam, 1)),
+        _as_jet_values(nabla))
     return out
 
 
@@ -747,6 +716,9 @@ def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
                            notes="Ricci tensor vanishes; d = 0")
     n = b.dim
     rv = [ric.num.get(o, 0) for o in range(n * n)]
+    if not ctx.exact:       # minors of degree 2: a power of two keeps range
+        s = math.ldexp(1.0, -math.frexp(rnorm)[1])
+        rv, rnorm = [x * s for x in rv], rnorm * s
     i0, j0 = divmod(max(range(n * n), key=lambda o: abs(rv[o])), n)
     pv = rv[i0 * n + j0]
     worst = 0                               # 2x2 minors through the pivot
@@ -789,8 +761,7 @@ def check_laplacians(ctx: PointContext) -> CheckResult:
         "lap_riemann": relative_residual(sup_norm(b.lap_riemann), riem_norm),
     }
     lhs = b.double_div_weyl
-    coeff = -(Fraction(n - 3, n - 2) if ctx.exact else (n - 3) / (n - 2))
-    rhs = b.lap_ricci.scale(coeff)
+    rhs = b.lap_ricci.scale(-_ratio(n - 3, n - 2, ctx.exact))
     residuals["double_divergence_relation"] = relative_residual(
         sup_norm(lhs - rhs), sup_norm(lhs), sup_norm(rhs),
         sup_norm(b.values("nabla_ricci")))
@@ -808,8 +779,7 @@ def check_semisymmetry(ctx: PointContext) -> CheckResult:
     residuals = {}
     for key in ("ricci", "weyl", "riemann"):
         vals = b.values(f"nabla2_{key}")
-        perm = list(range(vals.rank))
-        perm[0], perm[1] = 1, 0
+        perm = (1, 0) + tuple(range(2, vals.rank))
         residuals[f"commutator_{key}"] = relative_residual(
             sup_norm(vals - vals.permute(perm)), sup_norm(vals),
             sup_norm(b.values(f"nabla_{key}")))

@@ -59,6 +59,9 @@ def _checked_point(spec: MetricSpec, point, config: RunConfig, names,
                          " resampled")
             candidate = perturb_point(point, attempt + 1)
             continue
+        except OverflowError as exc:    # a float metric out of range
+            raise RunError(f"float overflow in the metric at "
+                           f"{encode_value(list(candidate))}: {exc}") from exc
         return _evaluate(spec, candidate, CurvatureBundle(m), config, names)
     return []
 

@@ -26,7 +26,6 @@ jet; anything else raises JetError.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 
@@ -179,37 +178,6 @@ def derivative_numerators(c: list, dim: int, order: int, i: int,
     return [c[k] * (f * scale) for k, f in zip(src, factor)]
 
 
-class _CoeffView(Mapping):
-    """Read-only mapping of a jet's nonzero coefficients by exponent tuple.
-
-    Keys and the count come straight from the dense list; a value becomes a
-    number only when it is read.
-    """
-
-    __slots__ = ("_jet",)
-
-    def __init__(self, jet: "Jet"):
-        self._jet = jet
-
-    def __getitem__(self, mi):
-        jet = self._jet
-        k = jet._t.index.get(mi)
-        if k is None or not jet.c[k]:
-            raise KeyError(mi)
-        return jet._scalar(jet.c[k])
-
-    def __iter__(self):
-        monos = self._jet._t.monos
-        return (monos[k] for k, x in enumerate(self._jet.c) if x)
-
-    def __len__(self):
-        c = self._jet.c
-        return len(c) - c.count(0)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-
 class Jet:
     """Truncated Taylor expansion in `dim` variables, immutable by convention.
 
@@ -280,9 +248,10 @@ class Jet:
         return self._scalar(self.c[0])
 
     @property
-    def coeffs(self) -> Mapping:
-        """Nonzero coefficients keyed by exponent tuple, read-only."""
-        return _CoeffView(self)
+    def coeffs(self) -> dict:
+        """A new dict of the nonzero coefficients keyed by exponent tuple."""
+        monos = self._t.monos
+        return {monos[k]: self._scalar(x) for k, x in enumerate(self.c) if x}
 
     def __bool__(self) -> bool:
         return self.nz

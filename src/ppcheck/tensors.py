@@ -415,12 +415,15 @@ def dot(a: Values, b: Values):
 
 
 def sup_norm(t: Values):
-    """Max absolute value of t's entries.
+    """Max absolute value of t's entries; NaN if one is NaN, which `max`
+    alone would skip unless it came first.
 
     All zero: entry 0's zero (int 0, Fraction(0) or 0.0), as the max over
     Fractions starting from entry 0 gave it.
     """
     best = max(map(abs, t.num.values()), default=0)
+    if not t.exact and math.isnan(sum(map(abs, t.num.values()))):
+        return math.nan
     if not best:
         return abs(t.number(0))
     return Fraction(best, t.den) if t.exact else best

@@ -10,7 +10,7 @@ from conftest import (NC4, du_jets, make_ctx, poly, textbook_weyl_jets,
 from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev, build_ppwave,
                      build_two_symmetric, build_walker, linalg, run)
 from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
-                            _chi_quartic, _extract_schimming_d,
+                            _antisymmetric_norm, _chi_quartic, _extract_schimming_d,
                             chart_covector_u, check_collinearity, check_olszak,
                             extract_recurrence, nabla_chart_covector_u,
                             relative_residual)
@@ -422,6 +422,22 @@ class TestAlphaDerivatives:
         gap = abs(r.residuals["closed"] - relative_residual(
             _closedness(nabla_alpha), sup_norm(nabla_alpha), sup_norm(alpha)))
         assert gap <= 1e-9
+
+
+class TestAntisymmetricNorm:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_nan_entry_at_either_key_order(self, reverse):
+        # symmetric but for a NaN on the diagonal, where t_ii - t_ii is NaN
+        items = [(0, 1.0), (1, 2.0), (2, 2.0), (3, float("nan"))]
+        items = items[::-1] if reverse else items
+        norm = _antisymmetric_norm(Values(2, "ll", dict(items), 1, 0.0))
+        assert norm != norm
+
+    def test_symmetric_is_fraction_zero(self):
+        got = _antisymmetric_norm(Values(2, "ll", {1: 3, 2: 3}, 2, 0))
+        assert got == 0 and type(got) is F
+        got = _antisymmetric_norm(Values(2, "ll", {1: 3.0, 2: 3.0}, 1, 0.0))
+        assert got == 0 and type(got) is float
 
 
 class TestFieldEquations:

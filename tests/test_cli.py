@@ -726,3 +726,34 @@ class TestOverflowingFloatPoints:
         assert any(line.split()[2] == "nan"
                    for line in report_to_text(rep).splitlines()[3:]
                    if line.strip())
+
+    def test_rank_one_minors_of_a_huge_ricci(self):
+        # Ricci is about 1e160 here: its 2x2 minors overflow unless scaled
+        rep = self._run({"family": "ppwave", "d": 2,
+                         "params": {"H": "u^2*x1^2 + x2^2"},
+                         "mode": "float", "jet_order": 2,
+                         "points": {"count": 1, "u_values": ["1e80"]},
+                         "checks": ["eqs_2_3_2_4"]})
+        row, = rep.rows
+        assert row.status != "error", row.notes
+        assert "rank_one" not in row.residuals     # found rank one
+
+    @pytest.mark.parametrize("metric, u", [
+        ({"family": "galaev", "d": 3,
+          "params": {"lambda": [1, 1, -2], "a": "u", "F": "u^3"}}, "1e120"),
+        ({"family": "ppwave", "d": 2,
+          "params": {"H": "u^5*x1^2 - x2^2*u^3 + x1*x2"}}, "1e62"),
+    ], ids=["galaev_1e120", "ppwave_1e62"])
+    def test_overflowing_metric_exits_two(self, metric, u, tmp_path, capsys):
+        # a power of u past the double range overflows the metric's jets
+        doc = dict(metric, mode="float", jet_order=4,
+                   points={"strategy": "grid", "count": 1, "u_values": [u]})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: float overflow in the metric at ")
+        assert err.count("\n") == 1
+        spec, config = parse_metric_config(json.dumps(
+            dict(doc, mode="exact", checks=["bianchi"])))
+        assert all_clear(run(spec, config))     # exact mode has no range

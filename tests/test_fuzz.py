@@ -6,8 +6,11 @@ MAX_DIMENSION and jet size at most MAX_JET_SIZE.  Documents that are
 refused also go through `ppcheck run`, which must exit 2 with one `error:`
 line.  A bounded subset of documents (n <= 4, jet order <= 4, one sample
 point, either mode) is run through `ppcheck run` whether it parses or not:
-each must end in a report or in that exit 2.  The examples are
-derandomized, so every run of the suite tries the same ones.
+each must end in a report or in that exit 2.  So must a float galaev or
+pp-wave point at a huge |u| (1e20 to 1e300), where powers of u up to 8
+leave the double range; a row that passes there has finite residuals.
+The examples are derandomized, so every run of the suite tries the same
+ones.
 """
 import contextlib
 import io
@@ -32,6 +35,7 @@ JUNK = tuple("~!@#$%&[]{};:,.<>?|`'\"\\ \t\n\x00é_=") + (
     "**", "//", "lambda", "if", "not", "1j", "True", "abs(", "x.y")
 
 RUN_EXAMPLES = 200
+LARGE_U_EXAMPLES = 120
 atoms = st.sampled_from(NAMES + RATIONALS)
 
 
@@ -262,3 +266,50 @@ def test_small_config_runs_to_report_or_exits_two(tmp_path_factory, doc):
     else:
         assert code in (0, 1) and not err.getvalue()
         assert json.loads(out.getvalue())["rows"]
+
+
+huge_u = st.tuples(st.sampled_from(("", "-")), st.integers(20, 300)).map(
+    lambda t: f"{t[0]}1e{t[1]}")
+u_polynomials = st.lists(
+    st.tuples(st.sampled_from(("1", "-2", "3/4")), st.integers(0, 8)),
+    min_size=1, max_size=2).map(
+        lambda terms: " + ".join(f"{c}*u^{k}" for c, k in terms))
+LARGE_U_PARAMS = {
+    "galaev": st.fixed_dictionaries({
+        "lambda": st.sampled_from(([1, -1], [1, 1, -2])),
+        "a": u_polynomials, "F": u_polynomials}),
+    "ppwave": st.tuples(u_polynomials, u_polynomials).map(
+        lambda t: {"H": f"({t[0]})*x1^2 - ({t[1]})*x2^2 + x1*x2"}),
+}
+
+
+def _large_u(family):
+    return st.tuples(LARGE_U_PARAMS[family], huge_u).map(lambda t: {
+        "family": family, "d": len(t[0].get("lambda", (0, 0))),
+        "params": t[0], "mode": "float", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 1, "u_values": [t[1]]}})
+
+
+def _refuse(constant):
+    raise ValueError(f"bare {constant} in the report")
+
+
+@settings(max_examples=LARGE_U_EXAMPLES, deadline=None, derandomize=True)
+@given(doc=st.sampled_from(sorted(LARGE_U_PARAMS)).flatmap(_large_u))
+def test_large_u_float_point_reports_or_exits_two(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz-large-u.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(["run", "--config", str(path)])
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        return
+    assert code in (0, 1) and not err.getvalue()
+    rows = json.loads(out.getvalue(), parse_constant=_refuse)["rows"]
+    assert rows
+    for row in rows:
+        if row["status"] == "pass":
+            for r in (row["residual"], *row.get("residuals", {}).values()):
+                assert isinstance(r, float) and math.isfinite(r), row

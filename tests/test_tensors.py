@@ -70,6 +70,15 @@ class TestSupNorm:
     def test_galaev_weyl_nonzero(self, flagship_ctx):
         assert sup_norm(flagship_ctx.bundle.values("weyl")) > 0
 
+    @pytest.mark.parametrize("items", [
+        [(0, 1.0), (1, float("nan"))], [(1, float("nan")), (0, 1.0)],
+        [(0, 0.0), (1, float("nan"))], [(1, float("nan")), (0, -0.0)],
+        [(0, float("inf")), (1, float("nan"))]])
+    def test_nan_entry_at_either_key_order(self, items):
+        # max never replaces a value by a NaN it is compared with
+        norm = sup_norm(Values(2, "l", dict(items), 1, 0.0))
+        assert norm != norm
+
 
 class TestRaiseLower:
     def test_involution(self, quartic_ctx):
