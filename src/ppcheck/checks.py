@@ -106,6 +106,15 @@ def _ppwave_like(spec: MetricSpec) -> bool:
         and spec.potential is not None
 
 
+def _float(x) -> float:
+    """A rational x as a float, or +-inf where its magnitude is past the
+    float range, so that a residual against it is non-finite and fails."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _ratio(num, den: int, exact: bool):
     """num/den as a reported number: a Fraction in exact mode (Fraction(0)
     for 0), a float otherwise."""
@@ -458,7 +467,7 @@ def galaev_alpha_closed_forms(spec: MetricSpec, point, mode):
             dv = omega2.derivative(name).evaluate(point)
             vec.append(dv / (2 * val))
         if mode != EXACT:
-            vec = [float(x) for x in vec]
+            vec = [_float(x) for x in vec]
         out[key] = vec
     return out
 
@@ -626,13 +635,13 @@ def check_pure_radiation(ctx: PointContext) -> CheckResult:
     psi_poly = ctx.spec.expected_psi
     psi_expected = psi_poly.evaluate(ctx.point)
     if ctx.mode != EXACT:
-        psi_expected = float(psi_expected)
+        psi_expected = _float(psi_expected)
     residuals["psi_matches_potential"] = relative_residual(
         abs(psi - psi_expected), abs(psi_expected), abs(psi))
     # gradient of psi against X
     grad = [psi_poly.derivative(name).evaluate(ctx.point)
             for name in ctx.spec.coords]
-    grad = Values.of(b.dim, COV, grad if ctx.exact else map(float, grad))
+    grad = Values.of(b.dim, COV, grad if ctx.exact else map(_float, grad))
     lam = grad[0]
     grad_parallel = relative_residual(sup_norm(grad - x.scale(lam)),
                                       sup_norm(grad))
@@ -857,7 +866,7 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
     if psi_poly is not None:
         expect = psi_poly.evaluate(ctx.point)
         if ctx.mode != EXACT:
-            expect = float(expect)
+            expect = _float(expect)
         residuals["source_matches_family_psi"] = relative_residual(
             abs(psi - expect), abs(expect), abs(psi))
     return _finish("field_equations", ctx, residuals, witnesses=witnesses)

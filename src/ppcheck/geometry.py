@@ -8,7 +8,9 @@ polynomials: g's jets times the factor jet, g^{-1}'s times its reciprocal.
 
 Jets are kept only where a derivative is taken: the metric, the
 Christoffel symbols of both kinds, Riemann, Ricci and their first covariant
-derivatives.  The second ones are taken from these jets straight to point
+derivatives, each only to the order that is read: for g's jets of order
+K, Gamma_{l,jk} is of order K-1 and g^{-1}, Gamma^i_jk, Riemann and Ricci
+of order K-2.  The second ones are taken from these jets straight to point
 values (tensors.Values), and all else is computed from point values.  As
 nabla g = 0, R and nabla R are g^{-1} traces of Ricci's values, and nabla
 commutes with the Weyl decomposition: C, nabla C and nabla nabla C are
@@ -56,7 +58,9 @@ class UnsupportedDimensionError(ValueError):
 
 
 class MetricAtPoint:
-    """Symmetric metric jets and their exact inverse jets at one point."""
+    """Symmetric metric jets g of order `order` (K) at one point, and the
+    inverse metric jets g^{-1} of order max(K - 2, 0), the deepest any
+    consumer reads (Ricci, and Gamma^i_jk for nabla and Riemann)."""
 
     def __init__(self, g: Tensor, g_inv: Tensor, mode: str, order: int):
         self.g = g
@@ -66,14 +70,25 @@ class MetricAtPoint:
         self.dim = g.dim
 
 
+def _inverse_order(order: int) -> int:
+    """The order of g^{-1}'s jets for g's jets of `order`."""
+    return max(order - 2, 0)
+
+
 def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint:
     """Evaluate a MetricSpec's component jets at a chart point.
 
     g is symmetric, so each pair i <= j is expanded once and its jet shared
-    by (i, j) and (j, i).  The inverse metric jet is
-    `linalg.solve(g, identity)`, exact to the jet order in exact mode.
-    Degeneracy is detected there: a pivot column of g with no nonzero value
-    at the point (det g = 0 there) raises DegeneratePointError.
+    by (i, j) and (j, i).  g^{-1} is the power series on the inverse at the
+    point, X0 = g(p)^{-1} from `linalg.solve` on numbers: with H = g - g(p),
+    which has no constant term, X = X0 - X0 H X, so X <- X0 - (X0 H) X
+    gains one order a step from X = X0, and _inverse_order(order) steps give
+    the unique truncated inverse (Geddes, Czapor & Labahn, Algorithms for
+    Computer Algebra, ch. 4).  Every iterate is symmetric, so entry (i, j)
+    is formed for i <= j only, as one sum on integer numerators reduced
+    once (`jets.mac`).  Degeneracy is detected by the solve: a pivot column
+    of g(p) with no nonzero entry (det g = 0 there) raises
+    DegeneratePointError.
     """
     n = spec.n
     point = tuple(as_mode(x, mode) for x in point)
@@ -84,32 +99,63 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
         for j in range(i, n):
             entries[i * n + j] = entries[j * n + i] = jet_from_polynomial(
                 spec.components[i][j], point, order, mode)
-    g = Tensor(n, COV * 2, entries)
-    one, zero = Jet.constant(n, order, 1, mode), Jet.zero(n, order, mode)
-    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    one, zero = as_mode(1, mode), as_mode(0, mode)
     try:
-        inv = linalg.solve([entries[i * n:(i + 1) * n] for i in range(n)],
-                           identity)
+        x0 = linalg.solve([[e.value for e in entries[i * n:(i + 1) * n]]
+                           for i in range(n)],
+                          [[one if i == j else zero for j in range(n)]
+                           for i in range(n)])
     except linalg.SingularMatrixError:
         raise DegeneratePointError(
             f"metric degenerate at point {point}") from None
-    g_inv = Tensor(n, CON * 2, [x for row in inv for x in row])
-    return MetricAtPoint(g, g_inv, mode, order)
+    low = _inverse_order(order)
+    t = _tables(n, low)
+    x0 = [x for row in x0 for x in row]
+    if mode == EXACT:                       # X0 as integers over d0
+        d0 = math.lcm(*(x.denominator for x in x0))
+        x0 = [x.numerator * (d0 // x.denominator) for x in x0]
+    else:
+        d0 = 1
+    h, dh = numerators(entries, low)        # H = g - g(p) over dh
+    for c in h:
+        if c:
+            c[0] = 0
+    # -P = -X0 H over d0 * dh, with -X0's entries as order-0 coefficients
+    neg_x0 = [[-v] for v in x0]
+    neg_p = [mac(t.zero[mode].c.copy(), t,
+                 zip(neg_x0[i * n:(i + 1) * n], h[k::n]))
+             for i in range(n) for k in range(n)]
+    x = [from_numerators(t, mode, [v] + t.zero[mode].c[1:], d0) for v in x0]
+    for _ in range(low):
+        xs, dx = numerators(x, low)
+        scale = dh * dx                     # X0's place over d0 * dh * dx
+        for i in range(n):
+            for j in range(i, n):
+                acc = t.zero[mode].c.copy()
+                acc[0] = x0[i * n + j] * scale
+                mac(acc, t, zip(neg_p[i * n:(i + 1) * n], xs[j::n]))
+                x[i * n + j] = x[j * n + i] = from_numerators(
+                    t, mode, acc, d0 * scale)
+    return MetricAtPoint(Tensor(n, COV * 2, entries), Tensor(n, CON * 2, x),
+                         mode, order)
 
 
 def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
     """The metric jets of factor * g, at the order of the `factor` jet
     (or of m, if that is lower).
 
-    g's jets are multiplied by `factor` and g^{-1}'s by `jet_recip(factor)`.
-    The truncated inverse is unique, so in exact mode these are literally
-    the jets `metric_at_point` builds from the rescaled components.
+    g's jets are multiplied by `factor`, and g^{-1}'s by the reciprocal of
+    `factor`, two orders lower, as `metric_at_point` keeps them.  The
+    truncated inverse is unique, so in exact mode these are literally the
+    jets `metric_at_point` builds from the rescaled components.
     """
-    recip = jet_recip(factor, "conformal factor")
+    order = min(m.order, factor.order)
+    recip = jet_recip(factor.truncate(_inverse_order(order)),
+                      "conformal factor")
     return MetricAtPoint(
         Tensor(m.dim, COV * 2, [e * factor for e in m.g.entries]),
         Tensor(m.dim, CON * 2, [e * recip for e in m.g_inv.entries]),
-        m.mode, min(m.order, factor.order))
+        m.mode, order)
 
 
 # -- connection and curvature ------------------------------------------------
@@ -117,9 +163,11 @@ def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
 
 def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
     """Levi-Civita symbols of the first kind, Gamma_{l,jk} = (d_j g_lk +
-    d_k g_lj - d_l g_jk)/2, and of the second, Gamma^i_{jk} = g^{il}
-    Gamma_{l,jk}: jets of order K-1, slots (l, j, k) and (i, j, k)."""
-    n, order = m.dim, m.order - 1
+    d_k g_lj - d_l g_jk)/2, jets of order K-1 (Riemann differentiates
+    them), and of the second, Gamma^i_{jk} = g^{il} Gamma_{l,jk}, jets of
+    g^{-1}'s order, K-2 (every reader takes them at or below it); slots
+    (l, j, k) and (i, j, k)."""
+    n, order = m.dim, m.g_inv.entries[0].order     # Gamma^i_jk's
     half = as_mode(Fraction(1, 2), m.mode)
     dg = [[[m.g[l, k].derivative(j, "christoffel") for k in range(n)]
            for j in range(n)] for l in range(n)]
@@ -209,7 +257,8 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     SymmetryError naming `context`; float mode fills without the check,
     since there the symmetry holds only to rounding.
 
-    Consumes one jet order; raises OrderBudgetError naming `context` when the
+    The output is of order min(order of t - 1, order of gamma), as it reads
+    gamma at that order; raises OrderBudgetError naming `context` when t's
     entries are order-0 jets.  Given gamma's point values (Values), it
     returns nabla t's point values and forms no jet: d_i t is read from
     t's first-order coefficients and the products are summed on integers.
@@ -247,8 +296,8 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                 out.append(a)
             return out
         out = {}
-    else:
-        low = order - 1                     # the output order
+    else:                                   # the output order
+        low = min(order - 1, gamma.entries[0].order)
         gam, dg = numerators(gamma.entries, low)
         src, den = numerators(jets, low)
         src = dict(enumerate(src))
@@ -363,6 +412,10 @@ class CurvatureBundle:
 
     Jet attributes (Tensors of jets): `christoffels` (both kinds), `gamma`
     (the second kind), `riemann`, `ricci`, `nabla_ricci`, `nabla_riemann`.
+    For the metric's jets of order K (`metric.order`, which the budgets
+    below count), Gamma_{l,jk} is of order K-1, g^{-1} (`metric.g_inv`, the
+    series on the inverse at the point), `gamma`, `riemann` and `ricci` of
+    order K-2, and each covariant derivative one order lower.
 
     Point-value attributes (Values, see tensors): `nabla2_ricci`,
     `nabla2_riemann`; the scalar curvature `scalar` and `nabla_scalar`;

@@ -109,6 +109,14 @@ def _tables(dim: int, order: int) -> _Tables:
     return _Tables(dim, order)
 
 
+def _checked_tables(dim: int, order: int, mode: str) -> _Tables:
+    if order < 0:
+        raise JetError(f"negative jet order {order}")
+    if mode not in (EXACT, FLOAT):
+        raise JetError(f"unknown arithmetic mode {mode!r}")
+    return _tables(dim, order)
+
+
 def _raw(t: _Tables, mode: str, c: list, den: int, nz: bool) -> "Jet":
     """Assemble a jet from coefficients already in stored form."""
     jet = object.__new__(Jet)
@@ -138,7 +146,11 @@ def from_numerators(t: _Tables, mode: str, c: list, den: int = 1) -> "Jet":
 def numerators(jets, order: int) -> tuple[list, int]:
     """The coefficients to `order` of same-mode jets over one common
     denominator: integer numerators over the lcm of the jets' denominators,
-    or floats over 1.  A zero jet gives None."""
+    or floats over 1.  A zero jet gives None.  A jet of a lower order than
+    `order` raises JetError: its missing coefficients are unknown, not 0."""
+    short = min(e.order for e in jets)
+    if short < order:
+        raise JetError(f"a jet of order {short} read to order {order}")
     size = _tables(jets[0].dim, order).size
     den = 1 if jets[0].mode == FLOAT else math.lcm(*(e.den for e in jets))
     return [[x * k for x in e.c[:size]] if e.nz else None
@@ -190,11 +202,7 @@ class Jet:
     __slots__ = ("dim", "order", "mode", "c", "den", "nz", "_t")
 
     def __init__(self, dim: int, order: int, coeffs=None, mode: str = EXACT):
-        if order < 0:
-            raise JetError(f"negative jet order {order}")
-        if mode not in (EXACT, FLOAT):
-            raise JetError(f"unknown arithmetic mode {mode!r}")
-        t = _tables(dim, order)
+        t = _checked_tables(dim, order, mode)
         values = [0] * t.size
         for mi, v in (coeffs or {}).items():
             mi = tuple(mi)
@@ -209,9 +217,10 @@ class Jet:
         if mode == FLOAT:
             c, den = [float(v) for v in values], 1
         else:
-            values = [Fraction(v) for v in values]
-            den = math.lcm(*(v.denominator for v in values))
-            c = [v.numerator * (den // v.denominator) for v in values]
+            values = [Fraction(v) if v else 0 for v in values]
+            den = math.lcm(*(v.denominator for v in values if v))
+            c = [v.numerator * (den // v.denominator) if v else 0
+                 for v in values]
         self.dim = dim
         self.order = order
         self.mode = mode
@@ -413,33 +422,46 @@ def jet_from_polynomial(p: Polynomial, point, order: int, mode: str = EXACT) -> 
     """Exact Taylor shift of a polynomial to `point`, truncated at `order`.
 
     The result's coefficient at beta is the Taylor coefficient of p about the
-    point, i.e. d^beta p(point) / beta!.
+    point, i.e. d^beta p(point) / beta!: each term's binomial expansion of
+    prod_i (p_i + delta_i)^e_i, truncated on degree.  In exact mode it is
+    summed on integer numerators over one common denominator and reduced
+    once; a polynomial with no terms gives the shared zero jet.
     """
     point = tuple(point)
     dim = len(p.variables)
     if len(point) != dim:
         raise JetError(f"point has {len(point)} coordinates, chart has {dim}")
+    t = _checked_tables(dim, order, mode)
+    if not p.terms:
+        return t.zero[mode]
     point = tuple(as_mode(x, mode) for x in point)
-    zero_mi = (0,) * dim
-    coeffs: dict = {}
-    for mono, c in p.terms.items():
-        c = as_mode(c, mode)
-        # expand prod_i (p_i + delta_i)^e_i by binomials, truncating on degree
-        partial = {zero_mi: c}
+    # with p_i = a_i / b_i (b_i = 1 for a float), a term c x^e is over
+    # lc prod_i b_i^top_i (top_i: the highest power of x_i in p); its
+    # numerator at delta^k is c lc prod_i b_i^(top_i - e_i) times
+    # prod_i comb(e_i, k_i) a_i^(e_i - k_i) b_i^k_i
+    exact = mode == EXACT
+    ab = [(x.numerator, x.denominator) if exact else (x, 1) for x in point]
+    top = [max(mono[i] for mono in p.terms) for i in range(dim)]
+    lc = math.lcm(*(v.denominator for v in p.terms.values())) if exact else 1
+    c = t.zero[mode].c.copy()
+    factors = {}
+    for mono, v in p.terms.items():
+        num = v.numerator * (lc // v.denominator) if exact else float(v)
+        # the terms of the expansion have distinct multi-indices
+        partial = [((0,) * dim, 0, num * math.prod(
+            b ** (m - e) for (_, b), e, m in zip(ab, mono, top)))]
         for i, e in enumerate(mono):
-            if e == 0:
+            if not e:
                 continue
-            nxt: dict = {}
-            for k in range(0, e + 1):
-                factor = as_mode(math.comb(e, k), mode) * point[i] ** (e - k)
-                for mi, v in partial.items():
-                    if sum(mi) + k > order:
-                        continue
-                    new = list(mi)
-                    new[i] += k
-                    new = tuple(new)
-                    nxt[new] = nxt.get(new, 0) + v * factor
-            partial = nxt
-        for mi, v in partial.items():
-            coeffs[mi] = coeffs.get(mi, 0) + v
-    return Jet(dim, order, coeffs, mode)
+            fs = factors.get((i, e))
+            if fs is None:
+                a, b = ab[i]
+                fs = factors[i, e] = [math.comb(e, k) * a ** (e - k) * b ** k
+                                      for k in range(min(e, order) + 1)]
+            partial = [(mi[:i] + (k,) + mi[i + 1:], d + k, x * f)
+                       for mi, d, x in partial
+                       for k, f in enumerate(fs) if d + k <= order]
+        for mi, _, x in partial:
+            c[t.index[mi]] += x
+    return from_numerators(t, mode, c, lc * math.prod(
+        b ** m for (_, b), m in zip(ab, top)))

@@ -7,7 +7,8 @@ import pytest
 from ppcheck import EXACT, build_galaev, build_perturbed_minkowski, build_ppwave
 from ppcheck.checks import PointContext
 from ppcheck.geometry import CurvatureBundle, metric_at_point
-from ppcheck.jets import Jet, as_mode
+from ppcheck.jets import Jet, as_mode, jet_recip
+from ppcheck.linalg import SingularMatrixError
 from ppcheck.polynomials import parse_polynomial
 from ppcheck.tensors import CON, COV, Tensor
 
@@ -90,16 +91,80 @@ def naive_contract(t, a, b, metric=None):
     return Tensor(n, "".join(t.variance[s] for s in keep), entries)
 
 
+def _at_point(x):
+    return x.value if isinstance(x, Jet) else x
+
+
+def jet_solve(a, b):
+    """X with a·X = b by Gauss-Jordan elimination on a matrix of jets (or
+    numbers), with partial pivoting on the values at the point.
+
+    A jet whose constant term is nonzero is a unit of the truncated jet
+    ring, so the loop inverts a jet matrix exactly to its order: each jet
+    pivot is inverted with `jet_recip`, and every product reduces as it
+    goes.  A column with no nonzero value at the point raises
+    SingularMatrixError.  The reference for the inverse metric series of
+    `metric_at_point`, by an independent algorithm."""
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(_at_point(rows[r][col])))
+        p = rows[pivot][col]
+        if not _at_point(p):
+            raise SingularMatrixError("matrix is singular at the point")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        if isinstance(p, Jet):
+            inv = jet_recip(p)
+            rows[col] = [x * inv for x in rows[col]]
+        else:
+            rows[col] = [x / p for x in rows[col]]
+        top = rows[col]
+        for r in range(n):
+            f = rows[r][col]
+            if r == col or not f:
+                continue
+            rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+    return [row[n:] for row in rows]
+
+
+def reference_inverse(m):
+    """g^{-1} as jets of g's own order K, by `jet_solve(g, identity)`."""
+    n, order, mode = m.dim, m.order, m.mode
+    one, zero = Jet.constant(n, order, 1, mode), Jet.zero(n, order, mode)
+    inv = jet_solve([[m.g[i, j] for j in range(n)] for i in range(n)],
+                    [[one if i == j else zero for j in range(n)]
+                     for i in range(n)])
+    return Tensor(n, CON * 2, [x for row in inv for x in row])
+
+
+def reference_gamma(m):
+    """Gamma^i_jk = g^{il} (d_j g_lk + d_k g_lj - d_l g_jk) / 2 as jets of
+    order K-1, one order above the bundle's, on the reference inverse and
+    plain jet arithmetic."""
+    n, order, mode = m.dim, m.order - 1, m.mode
+    ginv = truncated(reference_inverse(m), order)
+    half = as_mode(F(1, 2), mode)
+    out = Tensor.zeros(n, CON + COV * 2, Jet.zero(n, order, mode))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        acc = out[i, j, k]
+        for l in range(n):
+            acc = acc + ginv[i, l] * (m.g[l, k].derivative(j)
+                                      + m.g[l, j].derivative(k)
+                                      - m.g[j, k].derivative(l))
+        out[i, j, k] = acc * half
+    return out
+
+
 def textbook_riemann_jets(b):
     """(R_jklm, R_ij) as jets, by the textbook route: the mixed
 
         R_jkl^m = d_k Gamma^m_jl - d_j Gamma^m_kl
                   + Gamma^m_kp Gamma^p_jl - Gamma^m_jp Gamma^p_kl
 
-    from the jets of b.gamma, lowered by g, and R_ij = -R_kij^k; a
-    reference that does not go through the bundle's first-kind symbols or
-    its orbit fill."""
-    n, gam = b.dim, b.gamma
+    from the jets of `reference_gamma`, lowered by g, and R_ij = -R_kij^k;
+    a reference that goes through none of the bundle's Christoffel
+    symbols, its inverse metric series or its orbit fill."""
+    n, gam = b.dim, reference_gamma(b.metric)
     order = b.metric.order - 2
     trunc = truncated(gam, order)
     mixed = Tensor(n, COV * 3 + CON, [Jet.zero(n, order, b.mode)] * n ** 4)

@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import types
 import weakref
@@ -726,6 +727,20 @@ class TestOverflowingFloatPoints:
         assert any(line.split()[2] == "nan"
                    for line in report_to_text(rep).splitlines()[3:]
                    if line.strip())
+
+    def test_expected_psi_past_the_float_range_fails(self):
+        # psi of the potential is a Fraction past the double range here; it
+        # reads as +-inf, so its rows fail on a non-finite residual
+        rep = self._run({"family": "galaev", "d": 2,
+                         "params": {"lambda": [1, -1], "F": "u"},
+                         "mode": "float", "jet_order": 4,
+                         "points": {"count": 1, "u_values": ["1e308"]}})
+        rows = {r.name: r for r in rep.rows}
+        for name in ("pure_radiation", "field_equations"):
+            row = rows[name]
+            assert row.status == "fail", (name, row.notes)
+            assert not math.isfinite(row.residual), name
+        assert not any("OverflowError" in (r.notes or "") for r in rep.rows)
 
     def test_rank_one_minors_of_a_huge_ricci(self):
         # Ricci is about 1e160 here: its 2x2 minors overflow unless scaled

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (NC4, du_jets, make_ctx, naive_raise_lower, poly,
+                      reference_gamma, reference_inverse,
                       textbook_riemann_jets, textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
@@ -227,7 +228,7 @@ class TestCovariantDerivative:
     ])
     def test_metricity_at_random_points(self, spec):
         for pt in sample_points(spec, PointPlan("random", seed=3, count=10)):
-            b = bundle_for(spec, pt, order=2)
+            b = bundle_for(spec, pt, order=3)   # g^{-1} at order 1
             for g in (b.metric.g, b.metric.g_inv):
                 ng = covariant_derivative(g, b.gamma, "metricity test")
                 assert not sup_norm(ng.values())
@@ -237,6 +238,18 @@ class TestCovariantDerivative:
         for g in (b.metric.g, b.metric.g_inv):
             ng = covariant_derivative(g, b.gamma, "metricity test")
             assert not sup_norm(ng.values())
+
+    def test_output_order_is_the_lower_of_t_and_gamma(self, perturbed_ctx):
+        """nabla of order-K jets with Gamma at order K - 2 is the order-K-2
+        truncation of nabla with Gamma at order K - 1."""
+        b = perturbed_ctx.bundle
+        x = du_jets(perturbed_ctx)                      # order 4
+        full = covariant_derivative(x, reference_gamma(b.metric))
+        got = covariant_derivative(x, truncated(reference_gamma(b.metric), 2))
+        assert {e.order for e in full.entries} == {3}
+        assert {e.order for e in got.entries} == {2}
+        assert got == truncated(full, 2)
+        assert sup_norm(got.values()) > 0
 
     def test_du_covariantly_constant_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle
@@ -319,15 +332,18 @@ class TestMetricAtPoint:
         w2 = w * w
         scaled = dataclasses.replace(spec, components=tuple(
             tuple(c * w2 for c in row) for row in spec.components))
-        wj = jet_from_polynomial(w, pt, 2, EXACT)
-        got = rescaled(metric_at_point(spec, pt, 4, EXACT), wj * wj)
-        want = metric_at_point(scaled, pt, 2, EXACT)
-        assert (got.order, got.mode) == (want.order, want.mode) == (2, EXACT)
-        for attr in ("g", "g_inv"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.variance == b.variance
-            assert all(x.order == 2 and x.den == y.den and x.c == y.c
-                       for x, y in zip(a.entries, b.entries, strict=True))
+        for order in (2, 4):    # g^{-1} at order - 2
+            wj = jet_from_polynomial(w, pt, order, EXACT)
+            got = rescaled(metric_at_point(spec, pt, 4, EXACT), wj * wj)
+            want = metric_at_point(scaled, pt, order, EXACT)
+            assert ((got.order, got.mode) == (want.order, want.mode)
+                    == (order, EXACT))
+            for attr, o in (("g", order), ("g_inv", order - 2)):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.variance == b.variance
+                assert all(x.order == o and x.den == y.den and x.c == y.c
+                           for x, y in zip(a.entries, b.entries,
+                                           strict=True))
 
 
 class TestBianchiOracles:
@@ -347,11 +363,11 @@ def scatter_covariant_derivative(t, gamma, context="reference"):
     entry it feeds, with no symmetry assumed."""
     n = t.dim
     sample = t.entries[0]
-    order = sample.order
-    gam = truncated(gamma, order - 1).entries
+    low = min(sample.order - 1, gamma.entries[0].order)   # output order
+    gam = truncated(gamma, low).entries
     rank = t.rank
     stride = n ** rank
-    out = [Jet.zero(n, order - 1, sample.mode)] * (n * stride)
+    out = [Jet.zero(n, low, sample.mode)] * (n * stride)
     indices = itertools.product(range(n), repeat=t.rank)
     for off, (idx, e) in enumerate(zip(indices, t.entries)):
         if not e:
@@ -495,71 +511,20 @@ class TestCovariantDerivativeOracle:
                                  "nabla nabla nabla Ricci")
 
 
-def _point_inverse(m):
-    """Inverse of a number matrix by Gauss-Jordan with partial pivoting."""
-    n = len(m)
-    one = 1.0 if isinstance(m[0][0], float) else F(1)
-    a = [list(row) + [one * (i == j) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        a[col], a[pivot] = a[pivot], a[col]
-        a[col] = [x / a[col][col] for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def neumann_inverse(g, order, mode):
-    """Inverse metric jets by the terminating Neumann series around g0 = g(p).
-
-    E = g - g0 has no constant term, so (-g0^-1 E)^k dies past k = K and
-    sum_k (-g0^-1 E)^k g0^-1 is the exact truncated inverse: an algorithm
-    independent of the jet elimination in `metric_at_point`.
-    """
-    n = g.dim
-    g0 = [[g[i, j].value for j in range(n)] for i in range(n)]
-    inv0 = _point_inverse(g0)
-    const = lambda v: Jet.constant(n, order, v, mode)
-    zero = Jet.zero(n, order, mode)
-
-    def matmul(a, b):
-        out = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-        return out
-
-    m = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                m[i][j] = m[i][j] + (g[k, j] - const(g0[k][j])) * -inv0[i][k]
-    total = [[const(int(i == j)) for j in range(n)] for i in range(n)]
-    power = total
-    for _ in range(order):
-        power = matmul(power, m)
-        total = [[t + p for t, p in zip(tr, pr)]
-                 for tr, pr in zip(total, power)]
-    inv = matmul(total, [[const(v) for v in row] for row in inv0])
-    return Tensor(n, CON * 2, [e for row in inv for e in row])
-
-
 INVERSE_CASES = ORACLE_CASES + [pytest.param(
     lambda: build_perturbed_minkowski(seed=7, n=5), GENERIC_PT + (F(1, 13),),
     id="perturbed-n5")]
 
 
 class TestInverseMetricOracle:
-    """The eliminated inverse metric jets against the Neumann series."""
+    """The inverse metric series against Gauss-Jordan elimination on the
+    jet matrix (`jet_solve`), both at order K - 2."""
 
     @pytest.mark.parametrize("make_spec,pt", INVERSE_CASES)
     def test_exact_jets_literally_equal(self, make_spec, pt):
         m = metric_at_point(make_spec(), pt, 4, EXACT)
-        want = neumann_inverse(m.g, 4, EXACT)
+        want = truncated(reference_inverse(m), 2)
+        assert all(e.order == 2 for e in m.g_inv.entries)
         assert m.g_inv == want
         assert [type(e.value) for e in m.g_inv.entries] == \
             [type(e.value) for e in want.entries]
@@ -567,10 +532,27 @@ class TestInverseMetricOracle:
     @pytest.mark.parametrize("make_spec,pt", INVERSE_CASES)
     def test_float_within_rounding(self, make_spec, pt):
         m = metric_at_point(make_spec(), pt, 4, FLOAT)
-        want = neumann_inverse(m.g, 4, FLOAT)
+        want = truncated(reference_inverse(m), 2)
         scale = max(abs(c) for e in want.entries for c in e.coeffs.values())
         gap = max(abs(g.coeffs.get(k, 0) - w.coeffs.get(k, 0))
                   for g, w in zip(m.g_inv.entries, want.entries)
                   for k in set(g.coeffs) | set(w.coeffs))
-        assert all(e.mode == FLOAT for e in m.g_inv.entries)
+        assert all(e.mode == FLOAT and e.order == 2 for e in m.g_inv.entries)
         assert scale > 0 and gap <= 1e-12 * scale, (gap, scale)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("make_spec,pt", INVERSE_CASES)
+    def test_defining_property(self, make_spec, pt, mode):
+        """g g^{-1} is the identity up to terms of order K - 1."""
+        m = metric_at_point(make_spec(), pt, 4, mode)
+        n = m.dim
+        for i, j in itertools.product(range(n), repeat=2):
+            got = Jet.zero(n, 2, mode)
+            for k in range(n):
+                got = got + m.g[i, k] * m.g_inv[k, j]
+            want = Jet.constant(n, 2, int(i == j), mode)
+            if mode == EXACT:
+                assert got == want, (i, j)
+            else:
+                assert all(abs(x - y) <= 1e-12 for x, y in
+                           zip(got.c, want.c, strict=True)), (i, j)

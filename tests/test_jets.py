@@ -273,14 +273,25 @@ class TestNumeratorKernel:
     @staticmethod
     def _kernel(dim, out, pairs, negs, mode):
         t = _tables(dim, out)
-        # a's run past the output order, b's are cut to it
-        a, da = numerators([x for x, _ in pairs], out + 2)
+        # a's run past the output order where all of them do (numerators
+        # refuses to read a jet past its own order), b's are cut to it
+        a, da = numerators([x for x, _ in pairs],
+                           min(x.order for x, _ in pairs))
         b, db = numerators([y for _, y in pairs], out)
         # a product is subtracted as that of a negated factor
         pairs = [(x, [-v for v in y] if neg and y else y)
                  for x, y, neg in zip(a, b, negs)]
         return from_numerators(t, mode, mac(t.zero[mode].c.copy(), t, pairs),
                                da * db)
+
+    def test_a_jet_below_the_order_is_refused(self):
+        # its coefficients past its order are unknown, not zero
+        low = Jet(2, 1, {(0, 1): 1})
+        with pytest.raises(JetError, match="order 1 read to order 2"):
+            numerators([Jet(2, 3, {(1, 0): 1}), low], 2)
+        with pytest.raises(JetError):
+            numerators([Jet.zero(2, 1)], 2)
+        assert numerators([low], 1) == ([[0, 0, 1]], 1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_sum_is_literally_the_sum_of_products(self, seed):

@@ -1,4 +1,4 @@
-"""The one Gauss-Jordan routine: a·X = b over Fractions, floats and jets."""
+"""The one Gauss-Jordan routine: a·X = b over Fractions and floats."""
 import itertools
 from fractions import Fraction as F
 
@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import jet_solve
+from ppcheck import build_custom
+from ppcheck.geometry import DegeneratePointError, metric_at_point
 from ppcheck.jets import EXACT, Jet
 from ppcheck.linalg import SingularMatrixError, solve
+from ppcheck.polynomials import parse_polynomial
 
 
 def matmul(a, b):
@@ -49,11 +53,18 @@ def test_more_singular_matrices_rejected(a):
         solve(a, identity(len(a)))
 
 
+# The jet elimination is the tests' reference for the inverse metric series
+# (conftest.jet_solve); `solve` itself takes numbers only.
+
 def test_jet_with_zero_value_is_singular():
     # x is not a unit of the jet ring: its value at the point is 0
     x = Jet(1, 2, {(1,): 1})
     with pytest.raises(SingularMatrixError):
-        solve([[x]], [[Jet.constant(1, 2, 1)]])
+        jet_solve([[x]], [[Jet.constant(1, 2, 1)]])
+    coords = ("x",)
+    spec = build_custom([[parse_polynomial("x", coords)]], coords)
+    with pytest.raises(DegeneratePointError):
+        metric_at_point(spec, (F(0),), 2, EXACT)
 
 
 def test_jet_inverse_is_exact_to_the_order():
@@ -61,11 +72,18 @@ def test_jet_inverse_is_exact_to_the_order():
     one, zero = Jet.constant(2, 3, 1), Jet.zero(2, 3)
     a = [[Jet(2, 3, {(0, 0): 1, (1, 0): 1}), Jet(2, 3, {(0, 1): 1})],
          [Jet(2, 3, {(0, 1): 1}), Jet.constant(2, 3, 2)]]
-    x = solve(a, [[one, zero], [zero, one]])
+    x = jet_solve(a, [[one, zero], [zero, one]])
     prod = [[a[i][0] * x[0][j] + a[i][1] * x[1][j] for j in range(2)]
             for i in range(2)]
     assert prod == [[one, zero], [zero, one]]
     assert all(e.mode == EXACT for row in x for e in row)
+    # the same matrix as a metric at the origin: its series inverse is the
+    # elimination's to order K - 2
+    coords = ("x", "y")
+    spec = build_custom([[parse_polynomial(t, coords) for t in row]
+                         for row in (("1 + x", "y"), ("y", "2"))], coords)
+    m = metric_at_point(spec, (F(0), F(0)), 3, EXACT)
+    assert m.g_inv.entries == [e.truncate(1) for row in x for e in row]
 
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=9)
