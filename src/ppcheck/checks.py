@@ -4,6 +4,10 @@ Every checker consumes a PointContext (one metric, one point, one curvature
 bundle) and returns a CheckResult.  Residuals are relative sup-norm
 quantities; in exact mode a check passes only when its residual is exactly
 zero, in float mode when it is within the run tolerance.
+
+`@check(k)` registers `check_<name>` in CHECKS and its order budget k in
+ORDER_BUDGET: the largest `needs` (geometry.stage) of the stages it may
+read, and so the order a run of it builds its points to.
 """
 from __future__ import annotations
 
@@ -26,6 +30,17 @@ PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
 ERROR = "error"
+
+CHECKS, ORDER_BUDGET = {}, {}
+
+
+def check(budget: int):
+    """Register `check_<name>` as the check `name` with its order budget."""
+    def register(fn):
+        name = fn.__name__.removeprefix("check_")
+        CHECKS[name], ORDER_BUDGET[name] = fn, budget
+        return fn
+    return register
 
 
 @dataclass
@@ -61,17 +76,31 @@ class PointContext:
 
 
 def relative_residual(num_norm, *ref_norms):
-    """sup-norm residual relative to the largest reference scale.
+    """sup-norm residual relative to the largest reference scale: NaN if
+    a reference is NaN (nothing is known then), else zero for a zero
+    numerator, and the absolute value for a zero reference."""
+    if any(r != r for r in ref_norms):
+        return math.nan
+    ref = max(ref_norms, default=0)
+    return num_norm / ref if num_norm and ref else num_norm
 
-    Zero numerator is zero regardless; a zero reference with nonzero
-    numerator falls back to the absolute value.
-    """
-    if not num_norm:
-        return num_norm
-    ref = max(ref_norms) if ref_norms else 0
-    if not ref:
-        return num_norm
-    return num_norm / ref
+
+def _pow2(norm) -> float:
+    """A power of two near 1/norm (1.0 for a zero or non-finite norm):
+    scaling floats by it is exact, and keeps their products in range."""
+    return math.ldexp(1.0, -math.frexp(norm)[1])
+
+
+def _cyclic_residual(x: Values, t: Values):
+    """sup|x_i t_jk.. + x_j t_ki.. + x_k t_ij..| relative to sup|x| sup|t|;
+    float mode first scales x and t by `_pow2` of their norms, which keeps
+    the products in range and the residual as it is."""
+    xn, tn = sup_norm(x), sup_norm(t)
+    if not t.exact:
+        a, b = _pow2(xn), _pow2(tn)
+        x, t, xn, tn = x.scale(a), t.scale(b), xn * a, tn * b
+    return relative_residual(sup_norm(cyclic_sum(x.outer(t), (0, 1, 2))),
+                             xn * tn)
 
 
 def _is_vacuous(norm, exact: bool) -> bool:
@@ -159,7 +188,7 @@ def extract_recurrence(t: Values, nabla_t: Values):
     <T,T> cannot overflow.
     """
     if not t.exact and (top := sup_norm(t)):
-        s = math.ldexp(1.0, -math.frexp(top)[1])
+        s = _pow2(top)
         t, nabla_t = t.scale(s), nabla_t.scale(s)
     d = dot(t, t)
     if not d:
@@ -173,6 +202,7 @@ def extract_recurrence(t: Values, nabla_t: Values):
 # -- universal identity checks --------------------------------------------------
 
 
+@check(3)
 def check_bianchi(ctx: PointContext) -> CheckResult:
     # Riemann is filled from its pair-symmetry orbits, so the exact symmetry
     # check in covariant_derivative is vacuous; "first" alone carries the
@@ -186,6 +216,7 @@ def check_bianchi(ctx: PointContext) -> CheckResult:
     return _finish("bianchi", ctx, residuals)
 
 
+@check(2)
 def check_weyl_trace(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
     weyl = b.values("weyl")
@@ -199,6 +230,7 @@ def check_weyl_trace(ctx: PointContext) -> CheckResult:
     return _finish("weyl_trace", ctx, residuals)
 
 
+@check(3)
 def check_weyl_cyclic_identity(ctx: PointContext) -> CheckResult:
     """General cyclic Weyl-derivative identity with the 1/(n-3) divergence side."""
     b = ctx.bundle
@@ -230,6 +262,7 @@ def check_weyl_cyclic_identity(ctx: PointContext) -> CheckResult:
     return _finish("weyl_cyclic_identity", ctx, {"identity": res})
 
 
+@check(3)
 def check_weyl_divergence_formula(ctx: PointContext) -> CheckResult:
     """div C against its Ricci/scalar-curvature expression:
     div C_jkl = (n-3)/(n-2) (nabla_k R_jl - nabla_j R_kl)
@@ -249,6 +282,7 @@ def check_weyl_divergence_formula(ctx: PointContext) -> CheckResult:
     return _finish("weyl_divergence_formula", ctx, {"identity": res})
 
 
+@check(2)
 def check_conformal_invariance(ctx: PointContext) -> CheckResult:
     """(1,3)-Weyl equality under a conformal rescale of the metric.
 
@@ -278,6 +312,7 @@ def check_conformal_invariance(ctx: PointContext) -> CheckResult:
 # -- pp-wave structure checks ----------------------------------------------------
 
 
+@check(2)
 def check_brinkmann(ctx: PointContext) -> CheckResult:
     """X = du covariantly constant (and null): the Brinkmann property."""
     b = ctx.bundle
@@ -301,11 +336,12 @@ def check_brinkmann(ctx: PointContext) -> CheckResult:
                    witnesses=witnesses, notes=notes)
 
 
+@check(3)
 def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
     """Cyclic Weyl condition for a covector, plus its contracted consequences."""
     b = ctx.bundle
     weyl = b.values("weyl")
-    if _is_vacuous(sup_norm(weyl), ctx.exact):
+    if _is_vacuous(refc := sup_norm(weyl), ctx.exact):
         return CheckResult("olszak", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
     notes = ""
@@ -320,9 +356,7 @@ def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
                                    notes="no candidate covector")
             notes = "X = extracted Weyl recurrence covector"
     xnorm = sup_norm(x)
-    refc = sup_norm(weyl)
-    cyc = cyclic_sum(x.outer(weyl), (0, 1, 2))
-    res_cyc = relative_residual(sup_norm(cyc), xnorm * refc)
+    res_cyc = _cyclic_residual(x, weyl)
     xup = raise_lower(x, 0, b.values("g_inv"))
     trace = tensordot(weyl, xup, 1)
     res_trace = relative_residual(sup_norm(trace), xnorm * refc)
@@ -404,6 +438,7 @@ def _alpha_derivatives(ctx: PointContext):
     return out
 
 
+@check(3)
 def check_conformal_recurrence(ctx: PointContext) -> CheckResult:
     return _weyl_recurrence("conformal_recurrence", ctx)
 
@@ -472,6 +507,7 @@ def galaev_alpha_closed_forms(spec: MetricSpec, point, mode):
     return out
 
 
+@check(3)
 def check_galaev_alpha(ctx: PointContext) -> CheckResult:
     """Extracted recurrence covector against the closed-form gradient oracle."""
     if ctx.spec.family != "galaev":
@@ -480,6 +516,7 @@ def check_galaev_alpha(ctx: PointContext) -> CheckResult:
     return _weyl_recurrence("galaev_alpha", ctx)
 
 
+@check(3)
 def check_collinearity(ctx: PointContext, alpha: Values | None = None,
                        x: Values | None = None) -> CheckResult:
     """alpha = mu X on the largest X component, residual on the rest."""
@@ -508,6 +545,7 @@ def check_collinearity(ctx: PointContext, alpha: Values | None = None,
                    witnesses={"mu": mu, "alpha": als})
 
 
+@check(2)
 def check_schimming(ctx: PointContext) -> CheckResult:
     """The pp-wave curvature conditions for a covariantly constant null X.
 
@@ -529,11 +567,15 @@ def check_schimming(ctx: PointContext) -> CheckResult:
         failure = "brinkmann precondition failed: nabla X != 0"
         notes = f"{notes}; {failure}" if notes else failure
     # (a) cyclic condition
-    residuals["cyclic"] = relative_residual(
-        sup_norm(cyclic_sum(x.outer(riem), (0, 1, 2))), sup_norm(x) * refr)
+    residuals["cyclic"] = _cyclic_residual(x, riem)
     # (b) decomposition with a symmetric D, least squares over D
     dmat, dres = _extract_schimming_d(riem, x, ctx)
     residuals["decomposition"] = dres
+    # (c) and (d) are of degree 2 in R: float mode scales R by _pow2 first,
+    # and chi back
+    if not ctx.exact:
+        s = _pow2(refr)
+        riem, refr = riem.scale(s), refr * s
     # (c) quartic chi condition: T_{jklm} = R^p_{jk}^q R_{plmq}
     a_t = raise_lower(raise_lower(riem, 0, ginv), 3, ginv)  # (p^, j, k, q^)
     quart = tensordot(a_t.permute((1, 2, 0, 3)),         # (j, k, p^, q^)
@@ -545,8 +587,8 @@ def check_schimming(ctx: PointContext) -> CheckResult:
     r_up = raise_lower(raise_lower(riem, 2, ginv), 3, ginv)   # (j,k,p^,q^)
     square = tensordot(r_up, riem, 2)
     residuals["riemann_square"] = relative_residual(sup_norm(square), refr * refr)
-    return _finish("schimming", ctx, residuals,
-                   witnesses={"D": dmat, "chi": chi}, notes=notes)
+    return _finish("schimming", ctx, residuals, notes=notes, witnesses={
+        "D": dmat, "chi": chi if ctx.exact else chi / s / s})
 
 
 def _chi_quartic(quart: Values, x: Values, ctx: PointContext):
@@ -618,6 +660,7 @@ def _extract_schimming_d(riem: Values, x: Values, ctx: PointContext):
     return dmat, res
 
 
+@check(3)
 def check_pure_radiation(ctx: PointContext) -> CheckResult:
     """Ricci = psi X (x) X with psi from the potential; Lemma-style biconditional
     between divergence-free Weyl and the gradient of psi being along X."""
@@ -664,6 +707,7 @@ def check_pure_radiation(ctx: PointContext) -> CheckResult:
                    notes=notes)
 
 
+@check(4)
 def check_roter_bundle(ctx: PointContext) -> CheckResult:
     """Roter's characterization: nonzero Weyl, recurrence with closed alpha,
     Codazzi Ricci; plus the scalar-curvature consequences R = 0, grad R = 0."""
@@ -689,6 +733,7 @@ def check_roter_bundle(ctx: PointContext) -> CheckResult:
                    witnesses={"alpha": alpha.entries})
 
 
+@check(3)
 def check_ricci_recurrence(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
     ric = b.values("ricci")
@@ -710,6 +755,7 @@ def check_ricci_recurrence(ctx: PointContext) -> CheckResult:
                    witnesses={"omega": omega})
 
 
+@check(2)
 def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
     """Cyclic Weyl/Riemann conditions for a rank-one Ricci tensor.
 
@@ -726,7 +772,7 @@ def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
     n = b.dim
     rv = [ric.num.get(o, 0) for o in range(n * n)]
     if not ctx.exact:       # minors of degree 2: a power of two keeps range
-        s = math.ldexp(1.0, -math.frexp(rnorm)[1])
+        s = _pow2(rnorm)
         rv, rnorm = [x * s for x in rv], rnorm * s
     i0, j0 = divmod(max(range(n * n), key=lambda o: abs(rv[o])), n)
     pv = rv[i0 * n + j0]
@@ -745,21 +791,18 @@ def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
     dvec = Values(n, COV, {i: ric.num[o] for i in range(n)    # column j0
                            for o in (i * n + j0,) if o in ric.num},
                   ric.den, ric.zero)
-    dn = sup_norm(dvec)
-    residuals = {}
-    for key, name in (("cyclic_weyl", "weyl"), ("cyclic_riemann", "riemann")):
-        t = b.values(name)
-        residuals[key] = relative_residual(
-            sup_norm(cyclic_sum(dvec.outer(t), (0, 1, 2))), dn * sup_norm(t))
+    residuals = {key: _cyclic_residual(dvec, b.values(name))
+                 for key, name in (("cyclic_weyl", "weyl"),
+                                   ("cyclic_riemann", "riemann"))}
     eps = (pv > 0) - (pv < 0)
     return _finish("eqs_2_3_2_4", ctx, residuals,
                    witnesses={"d_direction": dvec.entries, "epsilon": eps})
 
 
+@check(4)
 def check_laplacians(ctx: PointContext) -> CheckResult:
     """Laplacians of Ricci/Weyl/Riemann and the double-divergence relation."""
     b = ctx.bundle
-    b.require(4, "laplacians")
     n = b.dim
     riem_norm = sup_norm(b.values("riemann"))
     residuals = {
@@ -781,10 +824,10 @@ def check_laplacians(ctx: PointContext) -> CheckResult:
     return result
 
 
+@check(4)
 def check_semisymmetry(ctx: PointContext) -> CheckResult:
     """Commutators [nabla, nabla] annihilating Ricci, Weyl and Riemann."""
     b = ctx.bundle
-    b.require(4, "semisymmetry")
     residuals = {}
     for key in ("ricci", "weyl", "riemann"):
         vals = b.values(f"nabla2_{key}")
@@ -795,6 +838,7 @@ def check_semisymmetry(ctx: PointContext) -> CheckResult:
     return _finish("semisymmetry", ctx, residuals)
 
 
+@check(4)
 def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
     """The recurrence covector is itself recurrent, with the structure
     nabla_j alpha_i = rho alpha_i alpha_j, divergence-free and C-transversal."""
@@ -833,6 +877,7 @@ def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
                               "rho": rho, "alpha": alpha})
 
 
+@check(4)
 def check_field_equations(ctx: PointContext) -> CheckResult:
     """Field operator [a0 + a1 nabla^2] on Ricci, with the pure-radiation
     source; raises ValueError for more than the two coefficients a0, a1."""
@@ -870,51 +915,3 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
         residuals["source_matches_family_psi"] = relative_residual(
             abs(psi - expect), abs(expect), abs(psi))
     return _finish("field_equations", ctx, residuals, witnesses=witnesses)
-
-
-# -- registry -------------------------------------------------------------------
-
-CHECKS = {
-    "bianchi": check_bianchi,
-    "weyl_trace": check_weyl_trace,
-    "weyl_cyclic_identity": check_weyl_cyclic_identity,
-    "weyl_divergence_formula": check_weyl_divergence_formula,
-    "brinkmann": check_brinkmann,
-    "schimming": check_schimming,
-    "olszak": check_olszak,
-    "conformal_recurrence": check_conformal_recurrence,
-    "galaev_alpha": check_galaev_alpha,
-    "collinearity": check_collinearity,
-    "roter_bundle": check_roter_bundle,
-    "ricci_recurrence": check_ricci_recurrence,
-    "eqs_2_3_2_4": check_eqs_2_3_2_4,
-    "pure_radiation": check_pure_radiation,
-    "laplacians": check_laplacians,
-    "semisymmetry": check_semisymmetry,
-    "alpha_recurrent": check_alpha_recurrent,
-    "field_equations": check_field_equations,
-    "conformal_invariance": check_conformal_invariance,
-}
-
-# minimum jet order each check needs; enforced before a run starts
-ORDER_BUDGET = {
-    "bianchi": 3,
-    "weyl_trace": 2,
-    "weyl_cyclic_identity": 3,
-    "weyl_divergence_formula": 3,
-    "brinkmann": 2,
-    "schimming": 2,
-    "olszak": 2,
-    "conformal_recurrence": 3,
-    "galaev_alpha": 3,
-    "collinearity": 3,
-    "roter_bundle": 4,
-    "ricci_recurrence": 3,
-    "eqs_2_3_2_4": 2,
-    "pure_radiation": 3,
-    "laplacians": 4,
-    "semisymmetry": 4,
-    "alpha_recurrent": 4,
-    "field_equations": 4,
-    "conformal_invariance": 2,
-}

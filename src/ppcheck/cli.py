@@ -22,22 +22,19 @@ MAX_RESAMPLES = 5
 
 
 def _requested_checks(config: RunConfig):
+    """The requested check names; ConfigError for an unknown name or for
+    an order budget above the run's `jet_order`."""
     names = list(config.checks) if config.checks else list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ConfigError("unknown checks requested: "
                           + ", ".join(map(repr, unknown)))
+    short = [n for n in names if ORDER_BUDGET[n] > config.jet_order]
+    if short:
+        detail = ", ".join(f"{n} (needs K>={ORDER_BUDGET[n]})" for n in short)
+        raise ConfigError(f"jet order {max(map(ORDER_BUDGET.get, short))} "
+                          f"required; insufficient for: {detail}")
     return names
-
-
-def _validate_budgets(names, jet_order: int):
-    offenders = [(n, ORDER_BUDGET[n]) for n in names
-                 if ORDER_BUDGET[n] > jet_order]
-    if offenders:
-        worst = max(k for _, k in offenders)
-        detail = ", ".join(f"{n} (needs K>={k})" for n, k in offenders)
-        raise ConfigError(f"jet order {worst} required; "
-                          f"insufficient for: {detail}")
 
 
 def _checked_point(spec: MetricSpec, point, config: RunConfig, names,
@@ -46,10 +43,10 @@ def _checked_point(spec: MetricSpec, point, config: RunConfig, names,
     when every nudge is degenerate too.
 
     The point's bundle lives only in this call, so it is released before
-    the next point's metric is built.  Its jets are built only to the
-    deepest order any check reads, as higher orders change no value.
+    the next point's metric is built.  Its jets are built to the largest
+    order budget among the checks, as higher orders change no value.
     """
-    order = min(config.jet_order, max(ORDER_BUDGET.values()))
+    order = max(ORDER_BUDGET[name] for name in names)
     candidate = point
     for attempt in range(MAX_RESAMPLES + 1):
         try:
@@ -88,7 +85,6 @@ def run(spec: MetricSpec, config: RunConfig, threads: int = 1) -> Report:
     """Evaluate all requested checks at every sampled point, one point at a
     time.  `threads` is accepted and ignored (bench/worker.py passes it)."""
     names = _requested_checks(config)
-    _validate_budgets(names, config.jet_order)
     notes: list = []
     indexed = []
     for idx, pt in enumerate(sample_points(spec, config.points)):

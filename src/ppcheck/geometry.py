@@ -40,7 +40,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from . import linalg
 from .jets import (EXACT, Jet, OrderBudgetError, _tables, as_mode,
@@ -86,9 +86,10 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
     the unique truncated inverse (Geddes, Czapor & Labahn, Algorithms for
     Computer Algebra, ch. 4).  Every iterate is symmetric, so entry (i, j)
     is formed for i <= j only, as one sum on integer numerators reduced
-    once (`jets.mac`).  Degeneracy is detected by the solve: a pivot column
-    of g(p) with no nonzero entry (det g = 0 there) raises
-    DegeneratePointError.
+    once (`jets.mac`); X0 is made symmetric too, by its upper triangle, so
+    that float g^{-1}(p) does not depend on K.  Degeneracy is detected by
+    the solve: a pivot column of g(p) with no nonzero entry (det g = 0
+    there) raises DegeneratePointError.
     """
     n = spec.n
     point = tuple(as_mode(x, mode) for x in point)
@@ -110,7 +111,8 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
             f"metric degenerate at point {point}") from None
     low = _inverse_order(order)
     t = _tables(n, low)
-    x0 = [x for row in x0 for x in row]
+    # the upper triangle, mirrored: a float solve is symmetric only to rounding
+    x0 = [x0[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]
     if mode == EXACT:                       # X0 as integers over d0
         d0 = math.lcm(*(x.denominator for x in x0))
         x0 = [x.numerator * (d0 // x.denominator) for x in x0]
@@ -407,27 +409,44 @@ def _as_jet_values(t: Values) -> Values:
                   t.den, 0 if t.exact else 0.0)
 
 
+class stage:
+    """`@stage(needs)`: a CurvatureBundle attribute computed on its first
+    read, which raises OrderBudgetError naming it if g's jets are of an
+    order K below `needs`, and then kept on the instance, so that later
+    reads are plain attribute lookups.  Read from the class, it is itself."""
+
+    def __init__(self, needs: int):
+        self.needs = needs
+
+    def __call__(self, method):
+        self.method, self.__doc__ = method, method.__doc__
+        return self
+
+    def __get__(self, bundle, owner=None):
+        if bundle is None:
+            return self
+        name, order = self.method.__name__, bundle.metric.order
+        if order < self.needs:
+            raise OrderBudgetError(
+                f"{name} needs jet order {self.needs}, run has K={order}")
+        value = bundle.__dict__[name] = self.method(bundle)
+        return value
+
+
 class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
-    Jet attributes (Tensors of jets): `christoffels` (both kinds), `gamma`
-    (the second kind), `riemann`, `ricci`, `nabla_ricci`, `nabla_riemann`.
-    For the metric's jets of order K (`metric.order`, which the budgets
-    below count), Gamma_{l,jk} is of order K-1, g^{-1} (`metric.g_inv`, the
-    series on the inverse at the point), `gamma`, `riemann` and `ricci` of
-    order K-2, and each covariant derivative one order lower.
-
-    Point-value attributes (Values, see tensors): `nabla2_ricci`,
-    `nabla2_riemann`; the scalar curvature `scalar` and `nabla_scalar`;
-    `weyl`, `nabla_weyl` and `nabla2_weyl`, the Weyl decomposition of the
-    above (`_weyl_part`); `weyl_mixed`, `nabla_weyl_mixed` (the last slot
-    of the Weyl forms raised), `div_weyl`, `double_div_weyl` and
-    `lap_ricci`, `lap_weyl`, `lap_riemann`.  `values(name)` gives the point
-    values of any attribute, or of the metric's `g` and `g_inv`, once each.
-
-    Jet order budgets: Weyl needs K>=2, first covariant derivatives K>=3,
-    Laplacians and double derivatives K>=4.  Underbudgeted requests raise
-    OrderBudgetError instead of silently truncating.
+    Jet attributes (Tensors of jets, to the orders the module docstring
+    gives): `christoffels` (both kinds), `gamma` (the second kind),
+    `riemann`, `ricci`, `nabla_ricci`, `nabla_riemann`.  All others are
+    point values (Values, see tensors): the Weyl forms (`_weyl_part`, and
+    `weyl_mixed`, `nabla_weyl_mixed` with the last slot raised), `scalar`,
+    `nabla_scalar`, the second derivatives, divergences and Laplacians.
+    `values(name)` gives the point values of any attribute, or of the
+    metric's `g` and `g_inv`, once each.  Each attribute is a `stage` that
+    states the least order K of g's jets (`metric.order`) it needs: 1 for
+    the Christoffel symbols, 2 for curvature, and one more for each
+    covariant derivative in it.
     """
 
     def __init__(self, metric: MetricAtPoint):
@@ -452,28 +471,21 @@ class CurvatureBundle:
         t = self.values(name)
         return _as_jet_values(raise_lower(t, t.rank - 1, self.values("g_inv")))
 
-    def require(self, needed: int, what: str):
-        if self.metric.order < needed:
-            raise OrderBudgetError(
-                f"{what} needs jet order {needed}, run has K={self.metric.order}")
-
     # -- connection and curvature -----------------------------------------
 
-    @cached_property
+    @stage(1)
     def christoffels(self) -> tuple[Tensor, Tensor]:
         """(Gamma_{l,jk}, Gamma^i_{jk}): the symbols of both kinds."""
-        self.require(1, "christoffel symbols")
         return christoffel(self.metric)
 
     gamma = property(lambda self: self.christoffels[1])   # Gamma^i_{jk}
 
-    @cached_property
+    @stage(2)
     def riemann(self) -> Tensor:
         """Fully covariant R_{jklm}, jets of order K-2, one `entry` per orbit
         of its pair symmetries: R_jkl^m lowered by g, with d_k g_pm =
         Gamma_{p,km} + Gamma_{m,kp}.  The global sign is fixed by the
         pp-wave Ricci oracle."""
-        self.require(2, "riemann tensor")
         n, order, mode = self.dim, self.metric.order - 2, self.mode
         first, second = self.christoffels   # [q, a, b] at q*n^2 + a*n + b
         t = _tables(n, order)
@@ -494,7 +506,7 @@ class CurvatureBundle:
             return from_numerators(t, mode, acc, d1 * d2)
         return _by_orbits(n, RIEMANN, t.zero[mode], entry)
 
-    @cached_property
+    @stage(2)
     def ricci(self) -> Tensor:
         """R_ij = -g^{km} R_{kijm}, for i <= j and filled by symmetry."""
         n, order, mode = self.dim, self.metric.order - 2, self.mode
@@ -514,7 +526,7 @@ class CurvatureBundle:
         return _as_jet_values(contract(self.values(name), a, a + 1,
                                        self.values("g_inv")))
 
-    @cached_property
+    @stage(2)
     def scalar(self) -> Values:
         """Scalar curvature R = g^{ij} R_ij."""
         return self._trace("ricci")
@@ -584,83 +596,76 @@ class CurvatureBundle:
         return Values(n, riem.variance, out,
                       den, 0 if riem.exact else 0.0)
 
-    @cached_property
+    @stage(2)
     def weyl(self) -> Values:
         """Fully covariant C_{jklm}."""
         return self._weyl_part("")
 
-    @cached_property
+    @stage(2)
     def weyl_mixed(self) -> Values:
         """C_{jkl}^m, the last slot of `weyl` raised; conformally invariant."""
         return self._raised("weyl")
 
     # -- first covariant derivatives ----------------------------------------
 
-    @cached_property
+    @stage(3)
     def nabla_ricci(self) -> Tensor:
-        self.require(3, "nabla Ricci")
         return covariant_derivative(self.ricci, self.gamma, "nabla Ricci",
                                     SYMMETRIC_PAIR)
 
-    @cached_property
+    @stage(3)
     def nabla_scalar(self) -> Values:
         """nabla_i R = g^{kl} nabla_i R_kl."""
-        self.require(3, "nabla R")
         return self._trace("nabla_ricci", 1)
 
-    @cached_property
+    @stage(3)
     def nabla_riemann(self) -> Tensor:
-        self.require(3, "nabla Riemann")
         return covariant_derivative(self.riemann, self.gamma, "nabla Riemann",
                                     RIEMANN)
 
-    @cached_property
+    @stage(3)
     def nabla_weyl(self) -> Values:
-        self.require(3, "nabla Weyl")
         return self._weyl_part("nabla_")
 
-    @cached_property
+    @stage(3)
     def nabla_weyl_mixed(self) -> Values:
         """nabla_i C_{jkl}^m, the last slot of `nabla_weyl` raised."""
         return self._raised("nabla_weyl")
 
-    @cached_property
+    @stage(3)
     def div_weyl(self) -> Values:
         """nabla_m C_{jkl}^m, slots (j,k,l)."""
         return _as_jet_values(contract(self.nabla_weyl_mixed, 0, 4))
 
     # -- second covariant derivatives and Laplacians --------------------------
 
-    @cached_property
+    @stage(4)
     def nabla2_ricci(self) -> Values:
-        self.require(4, "nabla nabla Ricci")
         return covariant_derivative(self.nabla_ricci, self.values("gamma"),
                                     "nabla nabla Ricci", SYMMETRIC_PAIR)
 
-    @cached_property
+    @stage(4)
     def nabla2_weyl(self) -> Values:
-        self.require(4, "nabla nabla Weyl")
         return self._weyl_part("nabla2_")
 
-    @cached_property
+    @stage(4)
     def nabla2_riemann(self) -> Values:
-        self.require(4, "nabla nabla Riemann")
         return covariant_derivative(self.nabla_riemann, self.values("gamma"),
                                     "nabla nabla Riemann", RIEMANN)
 
-    @cached_property
+    @stage(4)
     def lap_ricci(self) -> Values:
         return self._trace("nabla2_ricci")
 
-    @cached_property
+    @stage(4)
     def lap_weyl(self) -> Values:
         return self._trace("nabla2_weyl")
 
-    @cached_property
+    @stage(4)
     def lap_riemann(self) -> Values:
         return self._trace("nabla2_riemann")
 
-    @cached_property
+    @stage(4)
     def double_div_weyl(self) -> Values:
         """nabla^j nabla^m C_{jklm}, slots (k,l)."""
         g_inv = self.values("g_inv")

@@ -241,7 +241,7 @@ class Jet:
 
     @classmethod
     def zero(cls, dim, order, mode=EXACT):
-        return _tables(dim, order).zero[mode]
+        return _checked_tables(dim, order, mode).zero[mode]
 
     # -- basic queries -------------------------------------------------------
 

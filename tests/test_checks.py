@@ -212,6 +212,18 @@ class TestBrinkmannAndSchimming:
                 assert sup_norm(got) > 0
 
 
+class TestRelativeResidual:
+    def test_relative_to_the_largest_reference(self):
+        assert relative_residual(F(1), F(2), F(4)) == F(1, 4)
+        assert relative_residual(F(0), F(2)) == 0
+        assert relative_residual(3.0, 0.0) == 3.0     # absolute fallback
+
+    @pytest.mark.parametrize("num", [0.0, 1.5])
+    def test_nan_reference_makes_it_nan(self, num):
+        for refs in ((math.nan,), (1.0, math.nan), (math.nan, 1.0)):
+            assert math.isnan(relative_residual(num, *refs)), refs
+
+
 class TestPureRadiation:
     def test_radiation_wave(self):
         ctx = make_ctx(build_ppwave(poly("x1^2 + x2^2"), d=2), PT4)

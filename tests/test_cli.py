@@ -13,7 +13,7 @@ import pytest
 
 from ppcheck import (RunConfig, all_clear, build_report, emit_report,
                      parse_metric_config, report_to_json, report_to_text)
-from ppcheck.checks import CheckResult
+from ppcheck.checks import ORDER_BUDGET, CheckResult
 from ppcheck import cli
 from ppcheck.cli import (RunError, list_families, main, run, theorem_suite)
 from ppcheck.metrics import ConfigError, PointPlan
@@ -668,6 +668,43 @@ class TestInputValidation:
         assert config.tolerance == 1e-6
 
 
+class TestOrderBudgets:
+    """A run is built to the largest budget among its checks, so each
+    check's budget must cover every stage it may read."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("metric", [
+        {"family": "galaev", "d": 3,
+         "params": {"lambda": [1, 1, -2], "a": "0", "F": "u"}},
+        {"family": "perturbed_minkowski", "n": 4, "params": {"seed": 7}},
+    ], ids=["galaev_d3", "perturbed_minkowski_n4"])
+    def test_every_check_runs_at_its_budget(self, metric, mode):
+        for order in sorted(set(ORDER_BUDGET.values())):
+            names = sorted(n for n, k in ORDER_BUDGET.items() if k == order)
+            spec, config = parse_metric_config(json.dumps(dict(
+                metric, mode=mode, jet_order=order, checks=names,
+                points={"strategy": "random", "count": 1, "seed": 3})))
+            rows = run(spec, config).rows
+            assert [r.name for r in rows] == names
+            assert not [r.notes for r in rows
+                        if "OrderBudgetError" in r.notes], order
+
+    def test_olszak_off_the_null_chart_needs_nabla_weyl(self, tmp_path,
+                                                         capsys):
+        # without a null u, olszak's covector is the Weyl recurrence
+        # covector, read from nabla C
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "family": "perturbed_minkowski", "n": 4, "params": {"seed": 7},
+            "mode": "exact", "jet_order": 2,
+            "points": {"strategy": "random", "count": 1, "seed": 3},
+            "checks": ["olszak"]}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: jet order 3 required; insufficient for: olszak "
+            "(needs K>=3)\n")
+
+
 class TestCheckIsolation:
     def test_raising_check_becomes_error_row(self, tmp_path):
         doc = {"family": "custom",
@@ -752,6 +789,45 @@ class TestOverflowingFloatPoints:
         row, = rep.rows
         assert row.status != "error", row.notes
         assert "rank_one" not in row.residuals     # found rank one
+
+    def test_degree_two_products_of_a_huge_curvature(self):
+        # Ricci and Riemann are about 1e160 here: the cyclic residuals, the
+        # chi quartic and the Riemann square are of degree 2 in them
+        doc = {"family": "ppwave", "d": 2, "params": {"H": "u^2*x1^2 + x2^2"},
+               "jet_order": 4, "points": {"count": 1, "u_values": ["1e80"]},
+               "checks": ["eqs_2_3_2_4", "schimming", "pure_radiation"]}
+        exact, flt = (self._run(dict(doc, mode=m)).rows
+                      for m in ("exact", "float"))
+        assert [(r.name, r.status) for r in flt] == \
+            [(r.name, r.status) for r in exact] == \
+            [("eqs_2_3_2_4", "pass"), ("pure_radiation", "pass"),
+             ("schimming", "pass")]
+        # witnesses of the curvature, not of it scaled
+        e, f = ({r.name: r.witnesses for r in rows} for rows in (exact, flt))
+        assert f["eqs_2_3_2_4"]["d_direction"] == pytest.approx(
+            [float(x) for x in e["eqs_2_3_2_4"]["d_direction"]], rel=1e-12)
+        assert sum(f["schimming"]["D"], []) == pytest.approx(
+            [float(x) for x in sum(e["schimming"]["D"], [])], rel=1e-12)
+        assert e["schimming"]["chi"] > 2 ** 1024    # past the float range
+        assert f["schimming"]["chi"] == math.inf
+
+    def test_nan_reference_makes_a_nan_residual(self):
+        # psi = -2u is past the float range here, so Ricci is -inf and C is
+        # NaN; a residual relative to C reads NaN even where its numerator
+        # vanishes
+        rep = self._run({"family": "galaev", "d": 2,
+                         "params": {"lambda": [1, -1], "F": "u"},
+                         "mode": "float", "jet_order": 4,
+                         "points": {"count": 1, "u_values": ["1e308"]}})
+        rows = {r.name: r for r in rep.rows}
+        assert math.isnan(rows["weyl_trace"].residuals["trace_23"])
+        lap = rows["laplacians"]
+        assert lap.status == "fail" and math.isnan(lap.residuals["lap_weyl"])
+        # H = u (x1^2 + x2^2) is conformally flat: nabla C is exactly zero,
+        # in float mode too, so this row's div C = 0 is a true finding
+        row = rows["pure_radiation"]
+        assert row.witnesses["div_weyl_residual"] == 0.0
+        assert row.notes == "grad psi parallel to X and div C = 0"
 
     @pytest.mark.parametrize("metric, u", [
         ({"family": "galaev", "d": 3,

@@ -300,8 +300,15 @@ class TestModesAndErrors:
 
     def test_order_budget_enforced(self):
         b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=2)
-        with pytest.raises(OrderBudgetError):
-            b.require(4, "test")
+        with pytest.raises(OrderBudgetError, match="nabla2_ricci needs jet "
+                                                   "order 4, run has K=2"):
+            b.nabla2_ricci
+
+    def test_stage_is_computed_once_and_read_from_the_class(self):
+        b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=2)
+        assert "riemann" not in vars(b)
+        assert b.riemann is b.riemann and "riemann" in vars(b)
+        assert CurvatureBundle.nabla2_ricci.needs == 4
 
 
 class TestMetricAtPoint:
@@ -344,6 +351,33 @@ class TestMetricAtPoint:
                 assert all(x.order == o and x.den == y.den and x.c == y.c
                            for x, y in zip(a.entries, b.entries,
                                            strict=True))
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: build_perturbed_minkowski(seed=7),
+        lambda: build_walker(poly("u*x1^2 + v*x2 + x1*x2*v^2"),
+                             [poly("u*x2"), poly("x1^2")],
+                             [[poly("1 + x1^2"), poly("0")],
+                              [poly("0"), poly("1")]], d=2),
+    ], ids=["perturbed_minkowski", "walker"])
+    def test_float_point_values_do_not_depend_on_the_order(self, make_spec):
+        """Float g^{-1}(p) is exactly symmetric, and each stage's values at
+        the point are the same doubles at every order K that defines it,
+        so a run may build a point to the order its checks read."""
+        spec = make_spec()
+        pt = (F(1, 3), F(-1, 5), F(2, 7), F(1, 11))
+        names = {2: ("g_inv", "weyl"), 3: ("nabla_ricci", "nabla_weyl"),
+                 4: ("nabla2_riemann",)}
+        got = {}
+        for order in range(2, 6):
+            b = bundle_for(spec, pt, order, FLOAT)
+            g_inv = b.values("g_inv")
+            assert g_inv == g_inv.permute((1, 0)), order
+            for needs, stages in names.items():
+                if needs <= order:
+                    for name in stages:
+                        got.setdefault(name, []).append(b.values(name).num)
+        for name, seen in got.items():
+            assert all(v == seen[0] for v in seen), name
 
 
 class TestBianchiOracles:

@@ -248,6 +248,17 @@ class TestModes:
         a = J(3, 2, {(1, 0, 0): 1})
         assert (a - a) is Jet.zero(3, 2)
 
+    @pytest.mark.parametrize("args, match", [
+        ((2, -1), "negative jet order -1"),
+        ((2, 1, "fast"), "unknown arithmetic mode 'fast'"),
+    ], ids=["negative_order", "unknown_mode"])
+    def test_zero_validates_as_the_constructor(self, args, match):
+        dim, order, *mode = args
+        with pytest.raises(JetError, match=match):
+            Jet(dim, order, None, *mode)
+        with pytest.raises(JetError, match=match):
+            Jet.zero(*args)
+
 
 class TestNumeratorKernel:
     """`mac` on `numerators`, reduced once by `from_numerators`, against the
