@@ -286,8 +286,9 @@ DEFAULT_U_VALUES = ("1/2", "1", "3/2", "2", "5/2")
 # Input-size bounds, refused before any work: a rank-6 tensor has n^6
 # entries, and a jet of order K in n variables has C(n + K, K) coefficients.
 # The jet size bound C(12, 6) admits n = 8 at K = 4, n = 7 at K = 5 and
-# n = 6 at K = 6, which cost about the same per point, and refuses n = 8
-# at K = 5, which costs about three times as much.
+# n = 6 at K = 6, and refuses n = 8 at K = 5.  It bounds the configured
+# `jet_order` only: a run builds its jets to the largest budget among its
+# checks, at most 4, so a K above 4 costs what 4 costs.
 MAX_DIMENSION = 8
 MAX_JET_ORDER = 6
 MAX_JET_SIZE = 924
@@ -480,8 +481,11 @@ def parse_metric_config(text: str):
         raise ConfigError("points.count must be between 1 and 25")
     checks = doc.get("checks")
     if checks is not None:
-        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-            raise ConfigError("field 'checks' must be a list of check names")
+        if (not isinstance(checks, list) or not checks
+                or not all(isinstance(c, str) for c in checks)
+                or len(set(checks)) != len(checks)):
+            raise ConfigError("field 'checks' must be a non-empty list of "
+                              "distinct check names (omit it for every check)")
         checks = tuple(checks)
     tol = _rational(doc.get("tolerance", 1e-9), "tolerance")
     if not 0 <= tol <= 1:

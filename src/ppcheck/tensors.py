@@ -12,7 +12,11 @@ iterate `num` and never visit an unwritten entry.  `tensordot` is the one
 contraction of two tensors, a chart sum over a's last k slots and b's
 first k, and `dot` the full one, returning a number; a vector contracted
 with a tensor, a double trace and the inner products of a least-squares
-fit are all one or the other.  A number is made only for an entry that
+fit are all one or the other.  `contract` and `raise_lower` are
+`tensordot` too, after a `permute` that moves the summed slots to the
+front, with the metric (or the identity, for a mixed trace); so one rule
+orders every sum: each entry adds its nonzero terms in ascending order of
+the summed index, from Fraction(0).  A number is made only for an entry that
 leaves a kernel (via `entries`, `[]`, `sup_norm` or `dot`), of the type
 the Fraction algebra on jet values gave it, so reports stay
 byte-identical.  One rule gives that type:
@@ -225,6 +229,8 @@ class Values:
         that is, result[idx[perm[0]], idx[perm[1]], ...] = self[idx]."""
         perm = tuple(perm)
         n, r = self.dim, self.rank
+        if perm == tuple(range(r)):
+            return self                     # Values are never written to
         if sorted(perm) != list(range(r)):
             raise TensorError(f"bad permutation {perm}")
         w = [0] * r                         # weight of each slot of self
@@ -286,8 +292,8 @@ def contract(t: Values, slot_a: int, slot_b: int, metric: Values | None = None):
 
     Opposite-variance slots are traced directly; same-variance slots require
     the matching metric (inverse metric for two covariant slots, metric for
-    two contravariant slots).  Each output entry t touches sums its terms
-    in (p, q) order, from Fraction(0).
+    two contravariant slots).  The two slots are moved to the front and
+    contracted with the metric, or with the identity, by `tensordot`.
     """
     r = t.rank
     if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
@@ -305,38 +311,18 @@ def contract(t: Values, slot_a: int, slot_b: int, metric: Values | None = None):
                 f"contraction of two '{va}' slots needs a '{want}' metric, "
                 f"got '{metric.variance}'")
     _need_values(t, metric)
-    keep = [s for s in range(r) if s not in (a, b)]
     n = t.dim
-    w = [n ** (r - 1 - s) for s in range(r)]    # slot weights in t
-    wo = [0] * r                                # and in the output
-    for pos, s in enumerate(keep):
-        wo[s] = n ** (len(keep) - 1 - pos)
-    m, hi, lo = _remap(n, tuple(wo))            # t's offset -> output's
-    mb, hb, lb = _remap(n, tuple(w[s] for s in keep))   # and back
     if metric is None:
-        steps, den = [(p * (w[a] + w[b]), 1) for p in range(n)], t.den
-    else:
-        steps = [(pq // n * w[a] + pq % n * w[b], g)
-                 for pq, g in sorted(metric.num.items()) if g]
-        den = t.den * metric.den
-    src = t.num
-    out = {}
-    for k in {hi[o // m] + lo[o % m] for o in src}:
-        base, acc = hb[k // mb] + lb[k % mb], 0
-        for step, g in steps:
-            x = src.get(base + step)
-            if x:
-                acc += x * g
-        if acc:
-            out[k] = acc
-    return Values(n, "".join(t.variance[s] for s in keep), out, den,
-                  F0 if t.exact else 0.0)
+        metric = Values(n, va + vb, {p * (n + 1): 1 for p in range(n)}, 1,
+                        t.zero)
+    keep = [s for s in range(r) if s not in (a, b)]
+    return tensordot(metric, t.permute([a, b] + keep), 2)
 
 
 def raise_lower(t: Values, slot: int, metric: Values):
     """Flip the variance of one slot with the supplied metric or inverse:
-    out[.. k ..] = sum_p metric[k, p] t[.. p ..], the sums in p order
-    from Fraction(0)."""
+    out[.. k ..] = sum_p metric[k, p] t[.. p ..], by `tensordot` with the
+    slot moved to the front and back."""
     if not (0 <= slot < t.rank):
         raise TensorError(f"slot {slot} out of range")
     want = CON * 2 if t.variance[slot] == COV else COV * 2
@@ -344,26 +330,9 @@ def raise_lower(t: Values, slot: int, metric: Values):
         raise TensorError(
             f"raising/lowering a '{t.variance[slot]}' slot needs a '{want}' metric")
     _need_values(t, metric)
-    n = t.dim
-    new_var = (t.variance[:slot]
-               + (CON if t.variance[slot] == COV else COV)
-               + t.variance[slot + 1:])
-    w = n ** (t.rank - 1 - slot)            # weight of the slot in an offset
-    g = metric.num
-    rows = [[(p, x) for p in range(n) for x in (g.get(k * n + p),) if x]
-            for k in range(n)]
-    src = t.num
-    out = {}
-    for rest in {o - o // w % n * w for o in src}:   # the slot cleared
-        col = [src.get(rest + p * w) for p in range(n)]
-        for k, row in enumerate(rows):
-            acc = 0
-            for p, gx in row:
-                if col[p]:
-                    acc += col[p] * gx
-            if acc:
-                out[rest + k * w] = acc
-    return Values(n, new_var, out, t.den * metric.den, F0 if t.exact else 0.0)
+    rest = [s for s in range(t.rank) if s != slot]
+    out = tensordot(metric, t.permute([slot] + rest), 1)
+    return out.permute([*range(1, slot + 1), 0, *range(slot + 1, t.rank)])
 
 
 def cyclic_sum(t, slots):
@@ -384,7 +353,8 @@ def cyclic_sum(t, slots):
 def tensordot(a: Values, b: Values, k: int) -> Values:
     """out[I, J] = sum_P a[I, P] b[P, J], P over a's last k slots and b's
     first k: a chart sum, so the caller pairs the variances.  Each entry
-    sums its terms in ascending P order, from Fraction(0)."""
+    sums its nonzero terms in ascending P order, from Fraction(0), in a
+    list the size of the output, and is kept only if it is not zero."""
     _need_values(a, b)
     if a.dim != b.dim or not 0 <= k <= min(a.rank, b.rank):
         raise TensorError(f"cannot contract {k} slots of ({a.dim},"
@@ -394,16 +364,16 @@ def tensordot(a: Values, b: Values, k: int) -> Values:
     for o, y in b.num.items():
         if y:
             rows.setdefault(o // mj, []).append((o % mj, y))
-    out = {}
-    get = out.get
+    out = [0] * (n ** (a.rank - k) * mj)
     for o, x in sorted(a.num.items()):
         if x:
             i, p = divmod(o, mp)
             base = i * mj
             for j, y in rows.get(p, ()):
-                out[base + j] = get(base + j, 0) + x * y
-    return Values(n, a.variance[:a.rank - k] + b.variance[k:], out,
-                  a.den * b.den, F0 if a.exact else 0.0)
+                out[base + j] += x * y
+    return Values(n, a.variance[:a.rank - k] + b.variance[k:],
+                  {o: x for o, x in enumerate(out) if x}, a.den * b.den,
+                  F0 if a.exact else 0.0)
 
 
 def dot(a: Values, b: Values):

@@ -445,6 +445,9 @@ BAD_FIELDS = {
     "tolerance_nan": ('"tolerance": "nan"', "tolerance"),
     "tolerance_inf": ('"tolerance": "inf"', "tolerance"),
     "tolerance_negative": ('"tolerance": -1e-9', "tolerance"),
+    # an empty list used to run every check, a repeated name twice
+    "checks_empty": ('"checks": []', "checks"),
+    "checks_repeated": ('"checks": ["bianchi", "bianchi"]', "checks"),
 }
 
 _GALAEV = {"family": "galaev", "d": 3, "params": {"a": "0", "F": "u"}}

@@ -1,0 +1,81 @@
+"""Exact and float mode give every check the same verdict.
+
+Float mode sums the terms that exact mode sums on integer numerators, in
+the same order, and passes a check on a relative residual below the
+tolerance where exact mode asks for a residual of zero.  So at a moderate
+u, away from the range of doubles, each float status must equal the exact
+one.  The metrics are drawn from the paper's pp-wave families (galaev,
+ppwave and two_symmetric) by hypothesis, derandomized, so every run of
+the suite tries the same ones.
+"""
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppcheck.cli import run
+from ppcheck.metrics import parse_metric_config
+
+EXAMPLES = 60
+COEFFS = ("1", "-1", "2", "-3", "1/2", "-2/3")
+
+
+def _sum(terms):
+    return " + ".join(_product(f"({c})", m) for c, m in terms)
+
+
+def _product(*factors):
+    return "*".join(f for f in factors if f != "1") or "1"
+
+
+def _power(name, k):
+    return "1" if k == 0 else name if k == 1 else f"{name}^{k}"
+
+
+# a(u), F(u): at most two terms of degree at most 3 in u
+u_polynomials = st.lists(
+    st.tuples(st.sampled_from(COEFFS), st.integers(0, 3).map(
+        lambda k: _power("u", k))), min_size=1, max_size=2).map(_sum)
+
+
+def _galaev(d):
+    return st.tuples(
+        st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1),
+        u_polynomials, u_polynomials).map(lambda t: {
+            "family": "galaev", "d": d,
+            "params": {"lambda": t[0] + [-sum(t[0])], "a": t[1], "F": t[2]}})
+
+
+def _ppwave(d):
+    xs = [f"x{i + 1}" for i in range(d)]
+    monomial = st.tuples(st.integers(0, 2), st.sampled_from(xs),
+                         st.sampled_from(xs), st.integers(0, 2)).map(
+        lambda t: _product(_power("u", t[0]), t[1], _power(t[2], t[3])))
+    return st.lists(st.tuples(st.sampled_from(COEFFS), monomial),
+                    min_size=1, max_size=3).map(lambda terms: {
+                        "family": "ppwave", "d": d, "params": {"H": _sum(terms)}})
+
+
+def _two_symmetric(d):
+    return st.lists(st.integers(0, 3), min_size=d, max_size=d).map(
+        lambda a: {"family": "two_symmetric", "d": d,
+                   "params": {"a_vec": sorted(a)}})
+
+
+metrics = st.tuples(st.sampled_from((_galaev, _ppwave, _two_symmetric)),
+                    st.sampled_from((2, 3))).flatmap(lambda t: t[0](t[1]))
+
+
+def _statuses(doc, mode, u):
+    spec, config = parse_metric_config(json.dumps({
+        **doc, "mode": mode, "jet_order": 4,
+        "points": {"strategy": "grid", "count": 1, "u_values": [u]}}))
+    return [(r.name, r.status) for r in run(spec, config).rows]
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(doc=metrics, u=st.sampled_from(("1/2", "3/2", "2", "-5/3")))
+def test_float_verdicts_equal_exact_verdicts(doc, u):
+    exact = _statuses(doc, "exact", u)
+    assert len(exact) == 19
+    assert _statuses(doc, "float", u) == exact

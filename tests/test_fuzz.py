@@ -239,7 +239,7 @@ def _small(family):
             "u_values": st.lists(small_rationals, min_size=1,
                                  max_size=2)}),
         "checks": st.lists(st.sampled_from(sorted(CHECKS)), min_size=1,
-                           max_size=3),
+                           max_size=3, unique=True),
     }, optional={"tolerance": st.sampled_from(("1e-9", "1/2", 0.001)),
                  "field_equation_coeffs": st.lists(
                      small_rationals, min_size=1, max_size=2)})
