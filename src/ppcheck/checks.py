@@ -12,8 +12,8 @@ read, and so the order a run of it builds its points to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .geometry import (RIEMANN, CurvatureBundle, _as_jet_values, _orbits,
@@ -43,26 +43,24 @@ def check(budget: int):
     return register
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    residual: object            # Fraction or float
-    point: tuple
-    witnesses: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    notes: str = ""
+    def __init__(self, name: str, status: str, residual, point: tuple,
+                 witnesses: dict | None = None, residuals: dict | None = None,
+                 notes: str = ""):
+        self.name, self.status, self.point = name, status, point
+        self.residual = residual            # Fraction or float
+        self.witnesses = {} if witnesses is None else witnesses
+        self.residuals = {} if residuals is None else residuals
+        self.notes = notes
 
 
-@dataclass
 class PointContext:
-    spec: MetricSpec
-    point: tuple
-    mode: str
-    bundle: CurvatureBundle
-    tolerance: float = 1e-9
-    field_coeffs: tuple = (1, 1)
-    cache: dict = field(default_factory=dict)
+    def __init__(self, spec: MetricSpec, point: tuple, mode: str,
+                 bundle: CurvatureBundle, tolerance: float = 1e-9,
+                 field_coeffs: tuple = (1, 1), cache: dict | None = None):
+        self.spec, self.point, self.mode, self.bundle = spec, point, mode, bundle
+        self.tolerance, self.field_coeffs = tolerance, field_coeffs
+        self.cache = {} if cache is None else cache
 
     @property
     def exact(self) -> bool:
@@ -122,7 +120,7 @@ def _finish(name, ctx, residuals: dict, witnesses=None, notes="",
     if status is None:
         status = PASS if all(_passes(r, ctx) for r in residuals.values()) else FAIL
     return CheckResult(name=name, status=status, residual=primary,
-                       point=ctx.point, witnesses=witnesses or {},
+                       point=ctx.point, witnesses=witnesses,
                        residuals=residuals, notes=notes)
 
 
@@ -477,15 +475,29 @@ def galaev_alpha_closed_forms(spec: MetricSpec, point, mode):
     Computes both trace conventions (subtracting 1/n and 1/d of the
     transverse Laplacian) since the family is insensitive to the choice.
     """
-    H = spec.potential
-    coords = spec.coords
-    d = spec.n - 2
     out = {}
-    for key, denom in (("half_dlog_omega2_n", spec.n), ("half_dlog_omega2_d", d)):
-        trace = Polynomial(coords, {})
-        for rho in range(1, d + 1):
-            xr = f"x{rho}"
-            trace = trace + H.derivative(xr).derivative(xr)
+    for key, (omega2, grad) in _omega2_gradients(spec.potential, spec.n):
+        val = omega2.evaluate(point)
+        vec = [dv.evaluate(point) / (2 * val) if val else Fraction(0)
+               for dv in grad]
+        if mode != EXACT:
+            vec = [_float(x) for x in vec]
+        out[key] = vec
+    return out
+
+
+@cache
+def _omega2_gradients(H: Polynomial, n: int):
+    """((key, (Omega^2, its gradient)), ...) for both trace conventions;
+    they depend only on the potential, so each is built once per H."""
+    coords = H.variables
+    d = n - 2
+    trace = Polynomial(coords, {})
+    for rho in range(1, d + 1):
+        xr = f"x{rho}"
+        trace = trace + H.derivative(xr).derivative(xr)
+    out = []
+    for key, denom in (("half_dlog_omega2_n", n), ("half_dlog_omega2_d", d)):
         omega2 = Polynomial(coords, {})
         for mu in range(1, d + 1):
             for nu in range(1, d + 1):
@@ -493,18 +505,8 @@ def galaev_alpha_closed_forms(spec: MetricSpec, point, mode):
                 if mu == nu:
                     om = om - trace * Fraction(1, denom)
                 omega2 = omega2 + om * om
-        val = omega2.evaluate(point)
-        vec = []
-        for name in coords:
-            if not val:
-                vec.append(Fraction(0))
-                continue
-            dv = omega2.derivative(name).evaluate(point)
-            vec.append(dv / (2 * val))
-        if mode != EXACT:
-            vec = [_float(x) for x in vec]
-        out[key] = vec
-    return out
+        out.append((key, (omega2, tuple(map(omega2.derivative, coords)))))
+    return tuple(out)
 
 
 @check(3)

@@ -1,10 +1,7 @@
 """Command-line front end: batch runs, theorem bundles, family discovery."""
 from __future__ import annotations
 
-import argparse
 import sys
-import traceback
-from dataclasses import replace
 
 from .checks import CHECKS, ERROR, ORDER_BUDGET, CheckResult, PointContext
 from .geometry import CurvatureBundle, DegeneratePointError, metric_at_point
@@ -73,7 +70,10 @@ def _evaluate(spec, point, bundle, config, names):
         try:
             results.append(CHECKS[name](ctx))
         except Exception as exc:    # one failing check must not end the run
-            where = traceback.extract_tb(exc.__traceback__)[-1].name
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            where = tb.tb_frame.f_code.co_name
             results.append(CheckResult(
                 name, ERROR, ctx.zero(), point,
                 notes=f"check {name!r} raised {type(exc).__name__} "
@@ -132,7 +132,7 @@ def theorem_suite(name: str, spec: MetricSpec, config: RunConfig) -> Report:
         raise ConfigError(f"unknown theorem id {name!r}; "
                           f"known: {', '.join(sorted(THEOREM_BUNDLES))}")
     hypothesis, bundle = THEOREM_BUNDLES[name]
-    report = run(spec, replace(config, checks=tuple(bundle)))
+    report = run(spec, config._replace(checks=tuple(bundle)))
     report.header["theorem"] = name
     hypo_rows = [r for r in report.rows if r.name == hypothesis]
     if any(r.status in ("fail", "error") for r in hypo_rows):
@@ -170,14 +170,15 @@ def _load_config(path: str):
     return parse_metric_config(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so that main reports them as one `error:` line."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
 def main(argv=None) -> int:
+    import argparse     # here, so that `import ppcheck` does not load it
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises usage errors, for main to report as one `error:` line."""
+
+        def error(self, message):
+            raise argparse.ArgumentError(None, message)
+
     parser = _Parser(
         prog="ppcheck",
         description="verify curvature identities of polynomial metrics "
@@ -195,8 +196,7 @@ def main(argv=None) -> int:
     p_thm.add_argument("--out", default=None)
     p_thm.add_argument("--format", choices=("json", "text"), default="json")
 
-    p_fam = sub.add_parser("families", help="list built-in metric families")
-    p_fam.add_argument("--list", action="store_true", default=True)
+    sub.add_parser("families", help="list built-in metric families")
 
     try:
         args = parser.parse_args(argv)

@@ -15,8 +15,8 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polynomials import (MAX_TERMS, Polynomial, PolynomialError,
                           parse_polynomial)
@@ -37,27 +37,42 @@ def null_chart(d: int):
     return ("u",) + tuple(f"x{i}" for i in range(1, d + 1)) + ("v",)
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """A symmetric matrix of polynomial components over a coordinate chart."""
+class _MetricFields(NamedTuple):
     family: str
     n: int
     coords: tuple
     components: tuple            # n x n tuple-of-tuples of Polynomial
-    provenance: dict = field(default_factory=dict, compare=False)
+    provenance: dict | None = None             # a fresh {} when omitted
     potential: Polynomial | None = None        # pp-wave H, when applicable
     expected_psi: Polynomial | None = None     # recorded family prediction
     warnings: tuple = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise FamilyError(f"unknown family {self.family!r}")
-        if len(self.components) != self.n or any(len(r) != self.n for r in self.components):
+
+class MetricSpec(_MetricFields):
+    """A symmetric matrix of polynomial components over a coordinate chart.
+
+    An immutable tuple, validated on construction; `_replace` copies with
+    changes and validates the copy too.
+    """
+    __slots__ = ()
+
+    def __new__(cls, family, n, coords, components, provenance=None,
+                potential=None, expected_psi=None, warnings=()):
+        if family not in FAMILIES:
+            raise FamilyError(f"unknown family {family!r}")
+        if len(components) != n or any(len(r) != n for r in components):
             raise FamilyError("component matrix shape does not match dimension")
-        for i in range(self.n):
+        for i in range(n):
             for j in range(i):
-                if self.components[i][j] != self.components[j][i]:
+                if components[i][j] != components[j][i]:
                     raise FamilyError(f"components not symmetric at ({i},{j})")
+        return super().__new__(cls, family, n, coords, components,
+                               {} if provenance is None else provenance,
+                               potential, expected_psi, warnings)
+
+    @classmethod
+    def _make(cls, iterable):    # NamedTuple's own skips __new__
+        return cls(*iterable)
 
 
 def _zero(coords):
@@ -298,16 +313,14 @@ _TRANSVERSE = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), Fraction(-1, 11)
                Fraction(1, 13), Fraction(3, 17), Fraction(-2, 19), Fraction(1, 23))
 
 
-@dataclass(frozen=True)
-class PointPlan:
+class PointPlan(NamedTuple):
     strategy: str = "grid"          # "grid" | "random"
     seed: int = 0
     count: int = 5
     u_values: tuple = DEFAULT_U_VALUES
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     mode: str                      # "exact" | "float"
     jet_order: int = 4
     points: PointPlan = PointPlan()

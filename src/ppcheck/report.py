@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,12 +21,12 @@ ENGINE_VERSION = "0.1.0"
 _INT_STR_LIMIT = 10 ** 4300     # json.dumps writes ints below it as numbers
 
 
-@dataclass
 class Report:
-    header: dict
-    rows: list            # of CheckResult
-    summary: dict = field(default_factory=dict)
-    verdict: str | None = None
+    def __init__(self, header: dict, rows: list, summary: dict | None = None,
+                 verdict: str | None = None):
+        self.header, self.rows = header, rows       # rows: of CheckResult
+        self.summary = {} if summary is None else summary
+        self.verdict = verdict
 
 
 def encode_value(value):

@@ -1,9 +1,11 @@
 """Front end: run orchestration, theorem bundles, report serialization."""
-import dataclasses
 import gc
+import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import types
 import weakref
 from decimal import Decimal
@@ -13,11 +15,13 @@ import pytest
 
 from ppcheck import (RunConfig, all_clear, build_report, emit_report,
                      parse_metric_config, report_to_json, report_to_text)
-from ppcheck.checks import ORDER_BUDGET, CheckResult
+from ppcheck.checks import ORDER_BUDGET, CheckResult, PointContext
 from ppcheck import cli
 from ppcheck.cli import (RunError, list_families, main, run, theorem_suite)
-from ppcheck.metrics import ConfigError, PointPlan
-from ppcheck.report import encode_value
+from ppcheck.metrics import (DEFAULT_U_VALUES, ConfigError, FamilyError,
+                             MetricSpec, PointPlan)
+from ppcheck.polynomials import Polynomial
+from ppcheck.report import Report, encode_value
 
 HERE = os.path.dirname(__file__)
 
@@ -361,9 +365,114 @@ def test_public_names_resolve_and_nothing_else_is_exported():
              if not name.startswith("_") and name not in ppcheck.__all__
              and not isinstance(value, types.ModuleType)}
     assert not extra
-    assert [f.name for f in dataclasses.fields(ppcheck.MetricSpec)] == [
+    assert list(ppcheck.MetricSpec._fields) == [
         "family", "n", "coords", "components", "provenance", "potential",
         "expected_psi", "warnings"]
+
+
+def test_import_leaves_out_modules_no_run_uses():
+    """`import ppcheck` loads neither `dataclasses` (with `inspect`) nor
+    the CLI's `argparse` and `traceback`; `main` imports what it needs."""
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import ppcheck\n"
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'traceback'}"
+            " & set(sys.modules)))\n"
+            "sys.exit(ppcheck.main(['families']))\n")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, os.path.join(HERE, os.pardir, "src")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert "built-in metric families:" in proc.stdout
+
+
+class TestRecordTypes:
+    """The six public record types keep their constructors: parameters,
+    order and defaults; the three tuple types are immutable."""
+
+    COORDS = ("x", "y")
+    ONE = Polynomial.constant(COORDS, 1)
+    X = Polynomial.variable(COORDS, "x")
+
+    def spec(self, **changes):
+        fields = {"family": "custom", "n": 2, "coords": self.COORDS,
+                  "components": ((self.ONE, self.X), (self.X, self.ONE))}
+        return MetricSpec(**{**fields, **changes})
+
+    @pytest.mark.parametrize("cls, params", [
+        (MetricSpec, ["family", "n", "coords", "components", "provenance",
+                      "potential", "expected_psi", "warnings"]),
+        (PointPlan, ["strategy", "seed", "count", "u_values"]),
+        (RunConfig, ["mode", "jet_order", "points", "tolerance", "checks",
+                     "field_coeffs"]),
+        (CheckResult, ["name", "status", "residual", "point", "witnesses",
+                       "residuals", "notes"]),
+        (PointContext, ["spec", "point", "mode", "bundle", "tolerance",
+                        "field_coeffs", "cache"]),
+        (Report, ["header", "rows", "summary", "verdict"]),
+    ], ids=lambda x: getattr(x, "__name__", ""))
+    def test_constructor_parameters_in_order(self, cls, params):
+        assert list(inspect.signature(cls).parameters) == params
+
+    def test_defaults(self):
+        spec = self.spec()
+        assert (spec.provenance, spec.potential, spec.expected_psi,
+                spec.warnings) == ({}, None, None, ())
+        plan = PointPlan("grid", seed=0, count=5)      # as the demos call it
+        assert tuple(plan) == ("grid", 0, 5, DEFAULT_U_VALUES)
+        assert tuple(PointPlan()) == tuple(plan)
+        config = RunConfig("exact")
+        assert (config.jet_order, tuple(config.points), config.tolerance,
+                config.checks, config.field_coeffs) == (
+                    4, tuple(plan), 1e-9, None, (1, 1))
+        row = CheckResult("bianchi", "pass", 0, (1,))
+        assert (row.witnesses, row.residuals, row.notes) == ({}, {}, "")
+        ctx = PointContext(spec, (1, 2), "exact", None)
+        assert (ctx.tolerance, ctx.field_coeffs, ctx.cache) == (
+            1e-9, (1, 1), {})
+        report = Report({}, [])
+        assert (report.summary, report.verdict) == ({}, None)
+        report.verdict = "pass"                 # theorem_suite sets it
+        assert report.verdict == "pass"
+
+    def test_default_dicts_are_not_shared(self):
+        a, b = self.spec(), self.spec()
+        assert a.provenance is not b.provenance
+        r1, r2 = (CheckResult("bianchi", "pass", 0, ()) for _ in range(2))
+        assert r1.witnesses is not r2.witnesses
+        assert r1.residuals is not r2.residuals
+        c1, c2 = (PointContext(a, (), "exact", None) for _ in range(2))
+        assert c1.cache is not c2.cache
+        assert Report({}, []).summary is not Report({}, []).summary
+
+    @pytest.mark.parametrize("make, attr", [
+        (lambda self: self.spec(), "n"),
+        (lambda self: PointPlan(), "count"),
+        (lambda self: RunConfig("exact"), "mode"),
+    ], ids=["MetricSpec", "PointPlan", "RunConfig"])
+    def test_tuple_types_are_immutable(self, make, attr):
+        record = make(self)
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 3)
+        with pytest.raises(AttributeError):
+            record.extra = 3
+
+    def test_metric_spec_validates_on_every_construction_path(self):
+        zero = Polynomial.constant(self.COORDS, 0)
+        skew = ((self.ONE, self.X), (zero, self.ONE))
+        spec = self.spec()
+        for build in (lambda: self.spec(components=skew),
+                      lambda: spec._replace(components=skew),
+                      lambda: MetricSpec._make(spec[:3] + (skew,))):
+            with pytest.raises(FamilyError,
+                               match=r"components not symmetric at \(1,0\)"):
+                build()
+        with pytest.raises(FamilyError, match="unknown family 'bogus'"):
+            spec._replace(family="bogus")
+        with pytest.raises(FamilyError, match="shape does not match"):
+            spec._replace(n=3)
+        assert spec._replace(warnings=("w",)).warnings == ("w",)
 
 
 class TestMainEntry:
@@ -409,7 +518,9 @@ class TestMainEntry:
         (["run", "--config", "CFG", "--threads", "2"], "--threads"),
         (["run"], "--config"),
         (["bogus"], "'bogus'"),
-    ], ids=["removed_threads_flag", "missing_config", "unknown_subcommand"])
+        (["families", "--list"], "--list"),
+    ], ids=["removed_threads_flag", "missing_config", "unknown_subcommand",
+            "removed_list_flag"])
     def test_usage_error_exits_two_with_one_line(self, argv, needle, tmp_path,
                                                  capsys):
         cfg = self.write(tmp_path, FLAGSHIP)
@@ -727,6 +838,7 @@ class TestCheckIsolation:
         assert "'weyl_trace'" in notes
         assert "UnsupportedDimensionError" in notes
         assert "dimension >= 4" in notes
+        assert "in _weyl_part" in notes     # the frame that raised
 
 
 class TestOverflowingFloatPoints:

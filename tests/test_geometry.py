@@ -4,7 +4,6 @@ The sign and index conventions are pinned by hand-derived components of
 wave metrics in the null chart, most importantly R_uu for quadratic
 potentials.
 """
-import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -337,7 +336,7 @@ class TestMetricAtPoint:
         w = (poly("1", spec.coords)
              + Polynomial.variable(spec.coords, spec.coords[0]) * F(1, 5))
         w2 = w * w
-        scaled = dataclasses.replace(spec, components=tuple(
+        scaled = spec._replace(components=tuple(
             tuple(c * w2 for c in row) for row in spec.components))
         for order in (2, 4):    # g^{-1} at order - 2
             wj = jet_from_polynomial(w, pt, order, EXACT)
