@@ -17,6 +17,10 @@ commutes with the Weyl decomposition: C, nabla C and nabla nabla C are
 that decomposition, in Schouten form, of the values of nabla^L of Riemann,
 Ricci and R; the Weyl tensor is never differentiated.
 
+A jet tensor (tensors.Tensor) holds its nonzero jets only, and every
+kernel here visits those and the orbits they reach, never the n^rank
+index space: a pp-wave's curvature lives in R_{uiuj} alone.
+
 Riemann, Ricci and each covariant derivative are computed once per orbit
 of their (trailing) slots' symmetry -- Riemann's pair symmetries, a
 symmetric pair, or none, as the caller of `covariant_derivative` declares
@@ -24,10 +28,14 @@ symmetric pair, or none, as the caller of `covariant_derivative` declares
 Each such entry, like each Christoffel symbol of the second kind, is one
 sum of jet products on integer numerators, reduced once (`jets.mac`); a
 second covariant derivative is the same gather at order 0, on numbers, into
-sparse Values.
+sparse Values.  Each sums the same nonzero terms in the same order as a
+visit of every index would, so exact results are identical and float ones
+bit-identical.
 In exact mode every input entry of a covariant derivative is first checked
-literally against its orbit's representative (SymmetryError if not);
-float mode fills without the check, as its symmetries hold to rounding.
+literally against its orbit's representative (SymmetryError if not), at
+each orbit that holds a nonzero entry, an all-zero orbit having the
+symmetry trivially; float mode fills without the check, as its symmetries
+hold to rounding.
 
 Sign convention: R_jklm is R_jkl^m = d_k Gamma^m_jl - d_j Gamma^m_kl +
 Gamma^m_kq Gamma^q_jl - Gamma^m_jq Gamma^q_kl lowered by g, with the sign
@@ -86,23 +94,26 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
     the unique truncated inverse (Geddes, Czapor & Labahn, Algorithms for
     Computer Algebra, ch. 4).  Every iterate is symmetric, so entry (i, j)
     is formed for i <= j only, as one sum on integer numerators reduced
-    once (`jets.mac`); X0 is made symmetric too, by its upper triangle, so
-    that float g^{-1}(p) does not depend on K.  Degeneracy is detected by
-    the solve: a pivot column of g(p) with no nonzero entry (det g = 0
-    there) raises DegeneratePointError.
+    once (`jets.mac`) over the nonzero entries of X0 H and X; X0 is made
+    symmetric too, by its upper triangle, so that float g^{-1}(p) does not
+    depend on K.  Degeneracy is detected by the solve: a pivot column of
+    g(p) with no nonzero entry (det g = 0 there) raises
+    DegeneratePointError.
     """
     n = spec.n
     point = tuple(as_mode(x, mode) for x in point)
     if len(point) != n:
         raise ValueError(f"point has {len(point)} coordinates, metric has {n}")
-    entries = [None] * (n * n)
+    entries = {}
     for i in range(n):
         for j in range(i, n):
-            entries[i * n + j] = entries[j * n + i] = jet_from_polynomial(
-                spec.components[i][j], point, order, mode)
+            e = jet_from_polynomial(spec.components[i][j], point, order, mode)
+            if e:
+                entries[i * n + j] = entries[j * n + i] = e
+    g = Tensor.sparse(n, COV * 2, entries, Jet.zero(n, order, mode))
     one, zero = as_mode(1, mode), as_mode(0, mode)
     try:
-        x0 = linalg.solve([[e.value for e in entries[i * n:(i + 1) * n]]
+        x0 = linalg.solve([[g[i, j].value for j in range(n)]
                            for i in range(n)],
                           [[one if i == j else zero for j in range(n)]
                            for i in range(n)])
@@ -111,6 +122,7 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
             f"metric degenerate at point {point}") from None
     low = _inverse_order(order)
     t = _tables(n, low)
+    blank = t.zero[mode].c
     # the upper triangle, mirrored: a float solve is symmetric only to rounding
     x0 = [x0[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]
     if mode == EXACT:                       # X0 as integers over d0
@@ -118,27 +130,33 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
         x0 = [x.numerator * (d0 // x.denominator) for x in x0]
     else:
         d0 = 1
-    h, dh = numerators(entries, low)        # H = g - g(p) over dh
-    for c in h:
-        if c:
-            c[0] = 0
+    h, dh = g.numerators(low)               # H = g - g(p) over dh
+    h = {o: [0] + c[1:] for o, c in h.items() if any(c[1:])}
     # -P = -X0 H over d0 * dh, with -X0's entries as order-0 coefficients
     neg_x0 = [[-v] for v in x0]
-    neg_p = [mac(t.zero[mode].c.copy(), t,
-                 zip(neg_x0[i * n:(i + 1) * n], h[k::n]))
-             for i in range(n) for k in range(n)]
-    x = [from_numerators(t, mode, [v] + t.zero[mode].c[1:], d0) for v in x0]
+    neg_p = {}
+    for i in range(n):
+        for k in range(n):
+            c = mac(blank.copy(), t, zip(neg_x0[i * n:(i + 1) * n],
+                                         map(h.get, range(k, n * n, n))))
+            if any(c):
+                neg_p[i * n + k] = c
+    x = {o: from_numerators(t, mode, [v] + blank[1:], d0)
+         for o, v in enumerate(x0) if v}
     for _ in range(low):
         xs, dx = numerators(x, low)
         scale = dh * dx                     # X0's place over d0 * dh * dx
+        x = {}
         for i in range(n):
             for j in range(i, n):
-                acc = t.zero[mode].c.copy()
+                acc = blank.copy()
                 acc[0] = x0[i * n + j] * scale
-                mac(acc, t, zip(neg_p[i * n:(i + 1) * n], xs[j::n]))
-                x[i * n + j] = x[j * n + i] = from_numerators(
-                    t, mode, acc, d0 * scale)
-    return MetricAtPoint(Tensor(n, COV * 2, entries), Tensor(n, CON * 2, x),
+                mac(acc, t, zip(map(neg_p.get, range(i * n, (i + 1) * n)),
+                                map(xs.get, range(j, n * n, n))))
+                e = from_numerators(t, mode, acc, d0 * scale)
+                if e:
+                    x[i * n + j] = x[j * n + i] = e
+    return MetricAtPoint(g, Tensor.sparse(n, CON * 2, x, t.zero[mode]),
                          mode, order)
 
 
@@ -154,10 +172,13 @@ def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
     order = min(m.order, factor.order)
     recip = jet_recip(factor.truncate(_inverse_order(order)),
                       "conformal factor")
-    return MetricAtPoint(
-        Tensor(m.dim, COV * 2, [e * factor for e in m.g.entries]),
-        Tensor(m.dim, CON * 2, [e * recip for e in m.g_inv.entries]),
-        m.mode, order)
+
+    def times(t, f):        # a jet cut to a lower order may vanish
+        return Tensor.sparse(t.dim, t.variance,
+                             {o: p for o, e in t.nonzero.items()
+                              for p in (e * f,) if p}, t.zero * f)
+    return MetricAtPoint(times(m.g, factor), times(m.g_inv, recip),
+                         m.mode, order)
 
 
 # -- connection and curvature ------------------------------------------------
@@ -168,27 +189,50 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
     d_k g_lj - d_l g_jk)/2, jets of order K-1 (Riemann differentiates
     them), and of the second, Gamma^i_{jk} = g^{il} Gamma_{l,jk}, jets of
     g^{-1}'s order, K-2 (every reader takes them at or below it); slots
-    (l, j, k) and (i, j, k)."""
-    n, order = m.dim, m.g_inv.entries[0].order     # Gamma^i_jk's
+    (l, j, k) and (i, j, k).  A symbol of the first kind whose three
+    derivatives of g vanish is not formed, and one of the second kind sums
+    over the nonzero ones only."""
+    n, order = m.dim, m.g_inv.zero.order          # Gamma^i_jk's
     half = as_mode(Fraction(1, 2), m.mode)
-    dg = [[[m.g[l, k].derivative(j, "christoffel") for k in range(n)]
-           for j in range(n)] for l in range(n)]
-    # dg[l][j][k] = d_j g_{lk}
+    zero1 = m.g.zero.derivative(0, "christoffel")  # order K-1
+    dg = {}                                 # (l*n + k)*n + j: d_j g_{lk}
+    for lk, e in m.g.nonzero.items():
+        l, k = divmod(lk, n)
+        if l <= k:                          # g_{kl} is the same jet
+            for j in range(n):
+                d = e.derivative(j, "christoffel")
+                if d:
+                    dg[lk * n + j] = dg[(k * n + l) * n + j] = d
     t = _tables(n, order)
     zero = t.zero[m.mode]
-    first, second = (Tensor.zeros(n, v, zero) for v in (COV * 3, CON + COV * 2))
-    ginv, di = numerators(m.g_inv.entries, order)
+    first, second = {}, {}
+    ginv, di = m.g_inv.numerators(order)
     for j in range(n):
         for k in range(j, n):
-            low = [(dg[l][j][k] + dg[l][k][j] - dg[j][l][k]) * half
-                   for l in range(n)]
+            low = {}
+            for l in range(n):
+                a, b, c = (dg.get((l * n + k) * n + j),
+                           dg.get((l * n + j) * n + k),
+                           dg.get((j * n + k) * n + l))
+                if a or b or c:
+                    v = ((a or zero1) + (b or zero1) - (c or zero1)) * half
+                    if v:
+                        low[l] = first[(l * n + j) * n + k] = \
+                            first[(l * n + k) * n + j] = v
+            if not low:
+                continue
             lows, dl = numerators(low, order)
             for i in range(n):
-                acc = mac(zero.c.copy(), t, zip(ginv[i * n:(i + 1) * n], lows))
-                first[i, j, k] = first[i, k, j] = low[i]
-                second[i, j, k] = second[i, k, j] = from_numerators(
-                    t, m.mode, acc, di * dl)
-    return first, second
+                pairs = [(ginv[i * n + l], c) for l, c in lows.items()
+                         if i * n + l in ginv]
+                if pairs:
+                    e = from_numerators(t, m.mode, mac(zero.c.copy(), t, pairs),
+                                        di * dl)
+                    if e:
+                        second[(i * n + j) * n + k] = \
+                            second[(i * n + k) * n + j] = e
+    return (Tensor.sparse(n, COV * 3, first, zero1),
+            Tensor.sparse(n, CON + COV * 2, second, zero))
 
 
 # Slot symmetries of a tensor's trailing slots that the orbit fills exploit:
@@ -242,6 +286,34 @@ def _orbits(n: int, symmetry: str):
     return width, tuple(orbits), tuple(sorted(zeros))
 
 
+@cache
+def _orbit_index(n: int, symmetry: str) -> list:
+    """For each offset of the symmetry's trailing block, the number of its
+    orbit in `_orbits`, or -1 where the symmetry forces it to vanish."""
+    width, orbits, _ = _orbits(n, symmetry)
+    index = [-1] * n ** width
+    for k, (_, images) in enumerate(orbits):
+        for img, _ in images:
+            index[img] = k
+    return index
+
+
+@cache
+def _near_orbits(n: int, symmetry: str) -> list:
+    """For each orbit k of `_orbits`, the orbits of the block offsets one
+    slot change away from its representative, k among them."""
+    width, orbits, _ = _orbits(n, symmetry)
+    index, near = _orbit_index(n, symmetry), []
+    for k, (rep, _) in enumerate(orbits):
+        ks = {k}
+        for w in (n ** s for s in range(width)):
+            r = rep - rep // w % n * w
+            ks.update(index[r:r + n * w:w])
+        ks.discard(-1)
+        near.append(tuple(ks))
+    return near
+
+
 def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                          context: str = "covariant derivative",
                          symmetry: str = NO_SYMMETRY) -> Tensor | Values:
@@ -254,10 +326,13 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     and inputs.  `symmetry` declares the symmetry of t's trailing slots
     (NO_SYMMETRY, SYMMETRIC_PAIR or RIEMANN); nabla keeps it, so only one
     entry per orbit is computed and the others are filled with it or its
-    negation.  In exact mode every input entry is first checked literally
-    against its orbit's representative, and a mismatch raises
-    SymmetryError naming `context`; float mode fills without the check,
-    since there the symmetry holds only to rounding.
+    negation.  Only the orbits within one slot change of a nonzero orbit
+    representative of t are visited, in the order of their leading slots
+    and then of `_orbits`; no other entry can be nonzero.  In exact mode
+    every input entry is first checked literally against its orbit's
+    representative, and a mismatch raises SymmetryError naming `context`;
+    float mode fills without the check, since there the symmetry holds
+    only to rounding.
 
     The output is of order min(order of t - 1, order of gamma), as it reads
     gamma at that order; raises OrderBudgetError naming `context` when t's
@@ -265,11 +340,10 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     returns nabla t's point values and forms no jet: d_i t is read from
     t's first-order coefficients and the products are summed on integers.
     """
-    n = t.dim
-    sample = t.entries[0]
-    if not isinstance(sample, Jet):
+    n, zero = t.dim, t.zero
+    if not isinstance(zero, Jet):
         raise TypeError("covariant_derivative needs jet-valued tensors")
-    order, mode = sample.order, sample.mode
+    order, mode = zero.order, zero.mode
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
@@ -280,12 +354,12 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                          f"slots, the tensor has {rank}")
     if mode == EXACT:
         _check_symmetry(t, symmetry, context)
-    jets = t.entries
+    jets = t.nonzero
     if isinstance(gamma, Values):           # to point values, on numbers
-        den, dg = math.lcm(*(e.den for e in jets)), gamma.den
-        src = {o: e.c[0] * (den // e.den) for o, e in enumerate(jets)
+        den, dg = math.lcm(*(e.den for e in jets.values())), gamma.den
+        src = {o: e.c[0] * (den // e.den) for o, e in jets.items()
                if e.c[0]}
-        gam, neg = [gamma.num.get(o, 0) for o in range(n ** 3)], operator.neg
+        gam, neg = gamma.num, operator.neg
         first = [_tables(n, 1).deriv[i][0][0] for i in range(n)]
 
         def entry(e, pairs):    # d_i t at the point is its x_i coefficient
@@ -297,14 +371,12 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                     a += x * g
                 out.append(a)
             return out
-        out = {}
     else:                                   # the output order
-        low = min(order - 1, gamma.entries[0].order)
-        gam, dg = numerators(gamma.entries, low)
-        src, den = numerators(jets, low)
-        src = dict(enumerate(src))
+        low = min(order - 1, gamma.zero.order)
+        gam, dg = gamma.numerators(low)
+        src, den = t.numerators(low)
         tab = _tables(n, low)
-        zero = tab.zero[mode]
+        blank = tab.zero[mode]
 
         def neg(g):
             return [-x for x in g]
@@ -313,75 +385,115 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
             k = den // e.den * dg
             return [from_numerators(tab, mode, mac(
                 derivative_numerators(e.c, n, low, i, k) if e else
-                zero.c.copy(), tab, ps), den * dg) if e or ps else zero
+                blank.c.copy(), tab, ps), den * dg) if e or ps else blank
                 for i, ps in enumerate(pairs)]
-        out = [zero] * (n ** (rank + 1))
     # terms[v]: (i, p, G) for each nonzero G = +Gamma^v_ip or -Gamma^p_iv
     # that feeds a slot of value v in output entry (i; ..) from the input
-    # with that slot at p; gam[(a*n + b)*n + c] is Gamma^a_{bc}
-    con = [[(i, p, g) for i in range(n) for p in range(n)
-            for g in (gam[(v * n + i) * n + p],) if g] for v in range(n)]
-    cov = [[(i, p, neg(g)) for i in range(n) for p in range(n)
-            for g in (gam[(p * n + i) * n + v],) if g] for v in range(n)]
+    # with that slot at p; gam[(a*n + b)*n + c] is Gamma^a_{bc}.  For each
+    # (v, i) the p run in ascending order.
+    con, cov = [[] for _ in range(n)], [[] for _ in range(n)]
+    for o, g in sorted(gam.items()):
+        if g:
+            a, b, c = o // (n * n), o // n % n, o % n
+            con[a].append((b, c, g))
+            cov[c].append((b, a, neg(g)))
+    weights = [n ** (rank - 1 - s) for s in range(rank)]
     slots = [(w, [[(i, p * w, g) for i, p, g in tv]    # p as an offset step
                   for tv in (con if var == CON else cov)])
-             for s, var in enumerate(t.variance) for w in (n ** (rank - 1 - s),)]
+             for var, w in zip(t.variance, weights)]
+    # the orbits, by leading offset, within one slot change of a nonzero
+    # representative: an entry fed by an orbit's image is fed by its
+    # representative in the image of that entry
+    index, block = _orbit_index(n, symmetry), n ** width
+    near = _near_orbits(n, symmetry)
+    lead = [w for w in weights if w >= block]
+    visit = {}
+    for o in jets:
+        b = o % block
+        k = index[b]
+        if k < 0 or orbits[k][0] != b:
+            continue
+        base = o - b
+        visit.setdefault(base, set()).update(near[k])
+        for w in lead:
+            r = base - base // w % n * w
+            for q in range(r, r + n * w, w):
+                visit.setdefault(q, set()).add(k)
     stride = n ** rank                          # weight of the new slot i
-    for base in range(0, stride, n ** width):
-        for rep, images in orbits:
-            off = base + rep
-            pairs = [[] for _ in range(n)]      # (input, G) for entry (i; ..)
-            for w, terms in slots:
-                v = off // w % n
-                rest = off - v * w
-                for i, step, g in terms[v]:
-                    x = src.get(rest + step)
-                    if x:
-                        pairs[i].append((x, g))
-            for i, a in enumerate(entry(jets[off], pairs)):
-                if a:
-                    _fill(out, i * stride + base, images, a)
+    out = {}
+    for base, k in sorted((base, k) for base, ks in visit.items()
+                          for k in ks):
+        rep, images = orbits[k]
+        off = base + rep
+        pairs = [[] for _ in range(n)]          # (input, G) for entry (i; ..)
+        for w, terms in slots:
+            v = off // w % n
+            rest = off - v * w
+            for i, step, g in terms[v]:
+                x = src.get(rest + step)
+                if x:
+                    pairs[i].append((x, g))
+        for i, a in enumerate(entry(jets.get(off, zero), pairs)):
+            if a:
+                _fill(out, i * stride + base, images, a)
     if isinstance(gamma, Values):
         return Values(n, COV + t.variance, out, den * dg,
                       0 if mode == EXACT else 0.0)
-    return Tensor(n, COV + t.variance, out)
+    return Tensor.sparse(n, COV + t.variance, out, blank)
 
 
-def _fill(out, base: int, images, a):
+def _fill(out: dict, base: int, images, a):
     """Write a, or -a where the sign is negative, at base + each image
-    offset of an orbit (`_orbits`), into a list or a dict."""
+    offset of an orbit (`_orbits`)."""
     neg = -a
     for img, sign in images:
         out[base + img] = a if sign > 0 else neg
 
 
-def _by_orbits(n: int, symmetry: str, zero: Jet, entry) -> Tensor:
+def _by_orbits(n: int, symmetry: str, zero: Jet, entry, reached) -> Tensor:
     """The covariant tensor with `symmetry` on all its slots that has
-    entry(*index) at each orbit representative, filled into its orbit."""
+    entry(*index) at the representative of each orbit numbered in the set
+    `reached` (-1, a forced zero, is passed over), filled into its orbit,
+    and `zero` elsewhere, where the caller knows its entries vanish."""
     width, orbits, _ = _orbits(n, symmetry)
-    out = [zero] * n ** width
-    for rep, images in orbits:
+    out = {}
+    for k in sorted(reached):
+        if k < 0:
+            continue
+        rep, images = orbits[k]
         a = entry(*(rep // n ** p % n for p in range(width - 1, -1, -1)))
         if a:
             _fill(out, 0, images, a)
-    return Tensor(n, COV * width, out)
+    return Tensor.sparse(n, COV * width, out, zero)
 
 
 def _check_symmetry(t: Tensor, symmetry: str, context: str):
     """Raise SymmetryError unless every block of t's trailing slots
-    literally has the declared symmetry."""
-    n, rank, src = t.dim, t.rank, t.entries
+    literally has the declared symmetry.  Only the orbits that hold a
+    nonzero entry can break it, and only a nonzero entry can break a
+    forced zero; they are checked in the order of a check of every block,
+    orbit and image, so the first error is the one that check meets."""
+    n, rank, src, zero = t.dim, t.rank, t.nonzero, t.zero
     width, orbits, zeros = _orbits(n, symmetry)
+    if not width:
+        return
+    index, block = _orbit_index(n, symmetry), n ** width
 
     def where(o):
         return tuple(o // n ** (rank - 1 - s) % n for s in range(rank))
 
-    for base in range(0, len(src), n ** width):
-        for rep, images in orbits:
-            e = src[base + rep]
+    held = {}                   # leading offset -> orbits (-1: forced zero)
+    for o in src:
+        held.setdefault(o - o % block, set()).add(index[o % block])
+    for base in sorted(held):
+        for k in sorted(held[base]):
+            if k < 0:
+                continue
+            rep, images = orbits[k]
+            e = src.get(base + rep, zero)
             neg = None
             for img, sign in images[1:]:
-                x = src[base + img]
+                x = src.get(base + img, zero)
                 if sign < 0:
                     if neg is None:
                         neg = -e
@@ -394,11 +506,13 @@ def _check_symmetry(t: Tensor, symmetry: str, context: str):
                         f"{'+' if sign > 0 else '-'}entry "
                         f"{where(base + rep)} under the declared {symmetry} "
                         "symmetry")
-        for z in zeros:
-            if src[base + z].nz:
-                raise SymmetryError(
-                    f"{context}: entry {where(base + z)} is nonzero but the "
-                    f"declared {symmetry} symmetry forces it to vanish")
+        if -1 in held[base]:
+            for z in zeros:
+                if src.get(base + z, zero).nz:
+                    raise SymmetryError(
+                        f"{context}: entry {where(base + z)} is nonzero but "
+                        f"the declared {symmetry} symmetry forces it to "
+                        "vanish")
 
 
 def _as_jet_values(t: Values) -> Values:
@@ -483,42 +597,71 @@ class CurvatureBundle:
     @stage(2)
     def riemann(self) -> Tensor:
         """Fully covariant R_{jklm}, jets of order K-2, one `entry` per orbit
-        of its pair symmetries: R_jkl^m lowered by g, with d_k g_pm =
-        Gamma_{p,km} + Gamma_{m,kp}.  The global sign is fixed by the
-        pp-wave Ricci oracle."""
+        of its pair symmetries that a nonzero symbol enters: R_jkl^m
+        lowered by g, with d_k g_pm = Gamma_{p,km} + Gamma_{m,kp}.  The
+        global sign is fixed by the pp-wave Ricci oracle."""
         n, order, mode = self.dim, self.metric.order - 2, self.mode
         first, second = self.christoffels   # [q, a, b] at q*n^2 + a*n + b
         t = _tables(n, order)
-        g1, d1 = numerators(first.entries, order + 1)
-        g2, d2 = numerators(second.entries, order)
-        neg2 = [[-x for x in c] if c else None for c in g2]
+        g1, d1 = first.numerators(order + 1)
+        g2, d2 = second.numerators(order)
+        neg2 = {o: [-x for x in c] for o, c in g2.items()}
+        n2, n3 = n * n, n ** 3
 
         def entry(j, k, l, m):
             # d_k Gamma_{m,jl} + Gamma_{q,jm} Gamma^q_kl
             #   - (d_j Gamma_{m,kl} + Gamma_{q,km} Gamma^q_jl), over d1 * d2
             acc = t.zero[mode].c.copy()
             for x, y, s, g2s in ((j, k, d2, g2), (k, j, -d2, neg2)):
-                c = g1[(m * n + x) * n + l]
+                c = g1.get((m * n + x) * n + l)
                 if c:
                     acc = [u + v for u, v in zip(acc, derivative_numerators(
                         c, n, order, y, s))]
-                mac(acc, t, zip(g1[x * n + m::n * n], g2s[y * n + l::n * n]))
+                mac(acc, t, zip(map(g1.get, range(x * n + m, n3, n2)),
+                                map(g2s.get, range(y * n + l, n3, n2))))
             return from_numerators(t, mode, acc, d1 * d2)
-        return _by_orbits(n, RIEMANN, t.zero[mode], entry)
+
+        # the orbits of the (j, k, l, m) whose entry reads a nonzero symbol:
+        # Gamma_{m,ab} in d_k Gamma_{m,jl} at (a, k, b, m) and in
+        # d_j Gamma_{m,kl} at (j, a, b, m); then, unless every orbit is
+        # reached, the products Gamma_{q,jm} Gamma^q_kl and Gamma_{q,km}
+        # Gamma^q_jl of nonzero symbols
+        index = _orbit_index(n, RIEMANN)
+        reached = set()
+        for o in g1:
+            m, a, b = o // n2, o // n % n, o % n
+            reached.update(index[a * n3 + b * n + m:(a + 1) * n3:n2])
+            reached.update(index[a * n2 + b * n + m::n3])
+        reached.discard(-1)
+        if len(reached) < len(_orbits(n, RIEMANN)[1]):
+            for lo in range(0, n3, n2):
+                fs = [o - lo for o in g1 if lo <= o < lo + n2]
+                ss = [o - lo for o in g2 if lo <= o < lo + n2]
+                reached.update(index[(f // n * n2 + s) * n + f % n]
+                               for f in fs for s in ss)
+                reached.update(index[((s // n * n + f // n) * n + s % n) * n
+                                     + f % n] for f in fs for s in ss)
+        return _by_orbits(n, RIEMANN, t.zero[mode], entry, reached)
 
     @stage(2)
     def ricci(self) -> Tensor:
-        """R_ij = -g^{km} R_{kijm}, for i <= j and filled by symmetry."""
+        """R_ij = -g^{km} R_{kijm}, for i <= j in an orbit that a nonzero
+        R_ikmj reaches, and filled by symmetry."""
         n, order, mode = self.dim, self.metric.order - 2, self.mode
         t = _tables(n, order)
-        riem, dr = numerators(self.riemann.entries, order)
-        ginv, di = numerators(self.metric.g_inv.entries, order)
+        riem, dr = self.riemann.numerators(order)
+        ginv, di = self.metric.g_inv.numerators(order)
+        ginv = list(map(ginv.get, range(n * n)))
+        n3 = n ** 3
 
         def entry(i, j):    # R_kijm = R_ikmj, at i*n^3 + (k*n + m)*n + j
             acc = mac(t.zero[mode].c.copy(), t,
-                      zip(riem[i * n ** 3 + j:(i + 1) * n ** 3:n], ginv))
+                      zip(map(riem.get, range(i * n3 + j, (i + 1) * n3, n)),
+                          ginv))
             return -from_numerators(t, mode, acc, dr * di)
-        return _by_orbits(n, SYMMETRIC_PAIR, t.zero[mode], entry)
+        index = _orbit_index(n, SYMMETRIC_PAIR)
+        return _by_orbits(n, SYMMETRIC_PAIR, t.zero[mode], entry,
+                          {index[o // n3 * n + o % n] for o in riem})
 
     def _trace(self, name: str, a: int = 0) -> Values:
         """The values of `name` with slots a and a + 1 traced by g^{-1}: a

@@ -9,7 +9,8 @@ monomial of degree 0, then those of degree 1, and so on up to K (the
 homogeneous-degree storage of TaylorSeries.jl), so truncating to a lower
 order is a prefix slice.  For each (dim, order) the index, a product table
 (i, j) -> k holding only the pairs within the order, and a derivative table
-per variable are built on first use and cached.
+per variable are built on first use and cached, the product table on the
+first product at that order.
 
 Every jet carries its arithmetic mode.  An exact jet holds integer
 numerators over one positive common denominator in lowest terms
@@ -66,10 +67,12 @@ def _monomials_of_degree(dim: int, degree: int):
 
 
 class _Tables:
-    """Graded monomial index and operation tables for one (dim, order)."""
+    """Graded monomial index and operation tables for one (dim, order); the
+    product table `mul` is built on its first read, as a run multiplies at
+    fewer orders than it indexes."""
 
-    __slots__ = ("dim", "order", "size", "monos", "index", "mul", "deriv",
-                 "zero")
+    __slots__ = ("dim", "order", "size", "monos", "index", "ends", "mul",
+                 "deriv", "zero")
 
     def __init__(self, dim: int, order: int):
         monos = [mi for d in range(order + 1)
@@ -86,11 +89,7 @@ class _Tables:
         self.size = len(monos)
         self.monos = monos
         self.index = index
-        # mul[i][j] is the index of monos[i] * monos[j]; row i stops at the
-        # last j that keeps the product within the order
-        self.mul = [[index[tuple(a + b for a, b in zip(mi, mj))]
-                     for mj in monos[:ends[order - sum(mi)]]]
-                    for mi in monos]
+        self.ends = ends
         # deriv[v] = (src, factor): coefficient k of d/dx_v is
         # factor[k] * c[src[k]], for k over the order-1 index
         self.deriv = []
@@ -102,6 +101,17 @@ class _Tables:
                 self.deriv.append((src, [mi[v] + 1 for mi in lower]))
         self.zero = {EXACT: _raw(self, EXACT, [0] * self.size, 1, False),
                      FLOAT: _raw(self, FLOAT, [0.0] * self.size, 1, False)}
+
+    def __getattr__(self, name):        # only an unset slot reads here
+        if name != "mul":
+            raise AttributeError(name)
+        # mul[i][j] is the index of monos[i] * monos[j]; row i stops at the
+        # last j that keeps the product within the order
+        monos, index, ends = self.monos, self.index, self.ends
+        self.mul = [[index[tuple(a + b for a, b in zip(mi, mj))]
+                     for mj in monos[:ends[self.order - sum(mi)]]]
+                    for mi in monos]
+        return self.mul
 
 
 @cache
@@ -143,16 +153,27 @@ def from_numerators(t: _Tables, mode: str, c: list, den: int = 1) -> "Jet":
     return _raw(t, mode, c, den, True)
 
 
-def numerators(jets, order: int) -> tuple[list, int]:
+def numerators(jets, order: int, floor: int | None = None):
     """The coefficients to `order` of same-mode jets over one common
     denominator: integer numerators over the lcm of the jets' denominators,
-    or floats over 1.  A zero jet gives None.  A jet of a lower order than
-    `order` raises JetError: its missing coefficients are unknown, not 0."""
-    short = min(e.order for e in jets)
+    or floats over 1.  Given a list, a zero jet gives None; given a dict
+    (a sparse tensor's nonzero jets by offset), the result is a dict keyed
+    alike with its zero jets left out.  A jet of a lower order than
+    `order`, or a `floor` (the order of the jets a sparse tensor leaves
+    out) below it, raises JetError: its missing coefficients are unknown,
+    not 0."""
+    keyed = isinstance(jets, dict)
+    seq = list(jets.values()) if keyed else jets
+    short = min([e.order for e in seq] + ([] if floor is None else [floor]))
     if short < order:
         raise JetError(f"a jet of order {short} read to order {order}")
-    size = _tables(jets[0].dim, order).size
-    den = 1 if jets[0].mode == FLOAT else math.lcm(*(e.den for e in jets))
+    if not seq:
+        return {}, 1
+    size = _tables(seq[0].dim, order).size
+    den = 1 if seq[0].mode == FLOAT else math.lcm(*(e.den for e in seq))
+    if keyed:
+        return {o: [x * k for x in e.c[:size]]
+                for o, e in jets.items() if e.nz for k in (den // e.den,)}, den
     return [[x * k for x in e.c[:size]] if e.nz else None
             for e in jets for k in (den // e.den,)], den
 

@@ -1,16 +1,18 @@
-"""Dense chart-component tensors over jets, and their sparse point values.
+"""Sparse chart-component tensors over jets, and their sparse point values.
 
-A Tensor keeps its entries (jets, or plain numbers) in a flat row-major
-list; variance is a per-slot string of 'l' (covariant) or 'u'
-(contravariant).
+A Tensor keeps its nonzero entries (jets, or plain numbers) in a dict from
+row-major offset to entry, and reads every other entry as its one zero, a
+zero jet of its order; variance is a per-slot string of 'l' (covariant) or
+'u' (contravariant).  `entries` and `[]` read it as a dense tensor.
 
 Values holds a tensor's point values sparsely: the dict `num` maps the
 row-major offset of each entry a kernel wrote to its numerator over one
 positive denominator `den` (read straight from each jet's c[0]/den), or
 to its float in float mode.  The kernels (all those below take Values)
-iterate `num` and never visit an unwritten entry.  `tensordot` is the one
-contraction of two tensors, a chart sum over a's last k slots and b's
-first k, and `dot` the full one, returning a number; a vector contracted
+iterate `num` and never visit an unwritten entry; a contraction costs its
+products, as its sums go into a dict when they are few.  `tensordot` is
+the one contraction of two tensors, a chart sum over a's last k slots and
+b's first k, and `dot` the full one, returning a number; a vector contracted
 with a tensor, a double trace and the inner products of a least-squares
 fit are all one or the other.  `contract` and `raise_lower` are
 `tensordot` too, after a `permute` that moves the summed slots to the
@@ -34,10 +36,11 @@ one that cancels to 0; one whose sums start from Fraction(0) has that
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
-from .jets import FLOAT, Jet
+from .jets import FLOAT, Jet, numerators
 
 COV = "l"
 CON = "u"
@@ -58,7 +61,19 @@ def _offset(dim, idx) -> int:
 
 
 class Tensor:
-    __slots__ = ("dim", "variance", "entries")
+    """Chart components of jets (or plain numbers), held sparsely: `nonzero`
+    maps the row-major offset of each entry other than the fill `zero` to
+    it, and every other entry reads as `zero`.  A jet tensor's `zero` is the
+    zero jet of its order, so a kernel that reads it to a higher order
+    still raises JetError (`numerators`).
+
+    A dense list of entries is taken as it is given: the fill is its first
+    zero (a zero jet, or a zero number), and an entry is left out only if
+    it reads back as the same zero, so `entries` and `[]` return what was
+    put in (a zero number reads back as the fill if it has its type).
+    """
+
+    __slots__ = ("dim", "variance", "nonzero", "zero")
 
     def __init__(self, dim: int, variance: str, entries):
         self.dim = dim
@@ -68,22 +83,50 @@ class Tensor:
             raise TensorError(
                 f"need {dim ** len(self.variance)} entries for rank {len(self.variance)}, "
                 f"got {len(entries)}")
-        self.entries = entries
+        zero = next((e for e in entries if not e), None)
+        if zero is None:
+            first = entries[0]
+            zero = (Jet.zero(first.dim, min(e.order for e in entries),
+                             first.mode) if isinstance(first, Jet)
+                    else 0.0 if isinstance(first, float) else F0)
+        self.zero = zero
+        self.nonzero = {o: e for o, e in enumerate(entries)
+                        if not _is_fill(e, zero)}
+
+    @classmethod
+    def sparse(cls, dim: int, variance: str, nonzero: dict, zero):
+        """The tensor whose entries are `nonzero`'s, by offset, and `zero`
+        elsewhere; `nonzero` is taken as it is, not copied or checked."""
+        t = object.__new__(cls)
+        t.dim, t.variance, t.nonzero, t.zero = dim, variance, nonzero, zero
+        return t
 
     @classmethod
     def zeros(cls, dim: int, variance: str, zero):
         """The tensor with every entry `zero` (a zero jet or number)."""
-        return cls(dim, variance, [zero] * (dim ** len(variance)))
+        return cls.sparse(dim, str(variance), {}, zero)
 
     @property
     def rank(self) -> int:
         return len(self.variance)
 
+    @property
+    def entries(self) -> list:
+        """A new dense list of the entries, in row-major order."""
+        out = [self.zero] * self.dim ** len(self.variance)
+        for o, e in self.nonzero.items():
+            out[o] = e
+        return out
+
     def __getitem__(self, idx):
-        return self.entries[_offset(self.dim, idx)]
+        return self.nonzero.get(_offset(self.dim, idx), self.zero)
 
     def __setitem__(self, idx, value):
-        self.entries[_offset(self.dim, idx)] = value
+        off = _offset(self.dim, idx)
+        if _is_fill(value, self.zero):
+            self.nonzero.pop(off, None)
+        else:
+            self.nonzero[off] = value
 
     def __eq__(self, other):
         return (isinstance(other, Tensor) and self.dim == other.dim
@@ -92,15 +135,31 @@ class Tensor:
 
     __hash__ = None
 
+    def numerators(self, order: int) -> tuple[dict, int]:
+        """`jets.numerators` of the nonzero jets, keyed by offset; a JetError
+        too if the tensor's own order is below `order`."""
+        return numerators(self.nonzero, order, self.zero.order)
+
     def values(self) -> "Values":
         """Point values: the jets' constant terms, or the numbers held."""
-        src = self.entries
-        if not isinstance(src[0], Jet):
-            return Values.of(self.dim, self.variance, src)
-        den = math.lcm(*(e.den for e in src if e.c[0]))  # 1 for float jets
+        zero = self.zero
+        if not isinstance(zero, Jet):
+            return Values.of(self.dim, self.variance, self.entries)
+        src = self.nonzero
+        den = math.lcm(*(e.den for e in src.values() if e.c[0]))  # 1: float
         return Values(self.dim, self.variance,
-                      {o: e.c[0] * (den // e.den) for o, e in enumerate(src)
-                       if e.c[0]}, den, 0.0 if src[0].mode == FLOAT else 0)
+                      {o: e.c[0] * (den // e.den) for o in sorted(src)
+                       for e in (src[o],) if e.c[0]},
+                      den, 0.0 if zero.mode == FLOAT else 0)
+
+
+def _is_fill(x, zero) -> bool:
+    """Whether the entry x reads back as the fill `zero`: a zero jet of its
+    dimension, order and mode, or a zero number of its type."""
+    if isinstance(zero, Jet):
+        return (isinstance(x, Jet) and not x.nz and x.order == zero.order
+                and x.mode == zero.mode and x.dim == zero.dim)
+    return type(x) is type(zero) and not x
 
 
 class Values:
@@ -353,8 +412,11 @@ def cyclic_sum(t, slots):
 def tensordot(a: Values, b: Values, k: int) -> Values:
     """out[I, J] = sum_P a[I, P] b[P, J], P over a's last k slots and b's
     first k: a chart sum, so the caller pairs the variances.  Each entry
-    sums its nonzero terms in ascending P order, from Fraction(0), in a
-    list the size of the output, and is kept only if it is not zero."""
+    sums its nonzero terms in ascending P order, from Fraction(0), and is
+    kept only if it is not zero.  The sums go into a list the size of the
+    output, or into a dict when a quarter of the output outnumbers the
+    products (at most a's entries times b's longest row), so that a
+    contraction costs its products."""
     _need_values(a, b)
     if a.dim != b.dim or not 0 <= k <= min(a.rank, b.rank):
         raise TensorError(f"cannot contract {k} slots of ({a.dim},"
@@ -364,7 +426,10 @@ def tensordot(a: Values, b: Values, k: int) -> Values:
     for o, y in b.num.items():
         if y:
             rows.setdefault(o // mj, []).append((o % mj, y))
-    out = [0] * (n ** (a.rank - k) * mj)
+    size = n ** (a.rank - k) * mj
+    longest = max(map(len, rows.values()), default=0)
+    out = (defaultdict(int) if 4 * len(a.num) * longest < size
+           else [0] * size)
     for o, x in sorted(a.num.items()):
         if x:
             i, p = divmod(o, mp)
@@ -372,8 +437,10 @@ def tensordot(a: Values, b: Values, k: int) -> Values:
             for j, y in rows.get(p, ()):
                 out[base + j] += x * y
     return Values(n, a.variance[:a.rank - k] + b.variance[k:],
-                  {o: x for o, x in enumerate(out) if x}, a.den * b.den,
-                  F0 if a.exact else 0.0)
+                  {o: x for o, x in enumerate(out) if x}
+                  if isinstance(out, list) else
+                  {o: out[o] for o in sorted(out) if out[o]},
+                  a.den * b.den, F0 if a.exact else 0.0)
 
 
 def dot(a: Values, b: Values):

@@ -1,16 +1,20 @@
 """Shared fixtures: metric specs and curvature contexts reused across tests."""
 import itertools
+import math
+import operator
 from fractions import Fraction as F
 
 import pytest
 
-from ppcheck import EXACT, build_galaev, build_perturbed_minkowski, build_ppwave
+from ppcheck import build_galaev, build_perturbed_minkowski, build_ppwave
 from ppcheck.checks import PointContext
-from ppcheck.geometry import CurvatureBundle, metric_at_point
-from ppcheck.jets import Jet, as_mode, jet_recip
+from ppcheck.geometry import (NO_SYMMETRY, CurvatureBundle, OrderBudgetError,
+                              SymmetryError, _orbits, metric_at_point)
+from ppcheck.jets import (EXACT, Jet, _tables, as_mode, derivative_numerators,
+                          from_numerators, jet_recip, mac, numerators)
 from ppcheck.linalg import SingularMatrixError
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import CON, COV, Tensor
+from ppcheck.tensors import CON, COV, Tensor, Values
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -203,6 +207,129 @@ def textbook_weyl_jets(b):
            - g[k, l] * ric[j, m] + g[k, m] * ric[j, l]) * c1
         + scal * (g[j, l] * g[k, m] - g[j, m] * g[k, l]) * c2
         for j, k, l, m in itertools.product(range(n), repeat=4)])
+
+
+def _dense_fill(out, base, images, a):
+    neg = -a
+    for img, sign in images:
+        out[base + img] = a if sign > 0 else neg
+
+
+def dense_check_symmetry(t, symmetry, context):
+    """The reference for `geometry._check_symmetry`: every block of t's
+    trailing slots, every orbit and every image, in that order, on the
+    dense list of t's entries."""
+    n, rank, src = t.dim, t.rank, t.entries
+    width, orbits, zeros = _orbits(n, symmetry)
+
+    def where(o):
+        return tuple(o // n ** (rank - 1 - s) % n for s in range(rank))
+
+    for base in range(0, len(src), n ** width):
+        for rep, images in orbits:
+            e = src[base + rep]
+            neg = None
+            for img, sign in images[1:]:
+                x = src[base + img]
+                if sign < 0:
+                    if neg is None:
+                        neg = -e
+                    ok = x is neg or x == neg
+                else:
+                    ok = x is e or x == e
+                if not ok:
+                    raise SymmetryError(
+                        f"{context}: entry {where(base + img)} is not "
+                        f"{'+' if sign > 0 else '-'}entry "
+                        f"{where(base + rep)} under the declared {symmetry} "
+                        "symmetry")
+        for z in zeros:
+            if src[base + z].nz:
+                raise SymmetryError(
+                    f"{context}: entry {where(base + z)} is nonzero but the "
+                    f"declared {symmetry} symmetry forces it to vanish")
+
+
+def dense_covariant_derivative(t, gamma, context="covariant derivative",
+                               symmetry=NO_SYMMETRY):
+    """The reference for `geometry.covariant_derivative`: the orbit gather
+    over every (leading offset, orbit) pair, on dense lists of t's and
+    gamma's entries, into a dense list of output jets or a dict of
+    numerators; the same sums in the same order, so its results are equal
+    to the sparse kernel's, and bit-equal in float mode."""
+    n = t.dim
+    sample = t.entries[0]
+    order, mode = sample.order, sample.mode
+    if order == 0:
+        raise OrderBudgetError(
+            f"jet order exhausted: {context} would need order >= 1")
+    width, orbits, _ = _orbits(n, symmetry)
+    rank = t.rank
+    if mode == EXACT:
+        dense_check_symmetry(t, symmetry, context)
+    jets = t.entries
+    if isinstance(gamma, Values):
+        den, dg = math.lcm(*(e.den for e in jets)), gamma.den
+        src = {o: e.c[0] * (den // e.den) for o, e in enumerate(jets)
+               if e.c[0]}
+        gam, neg = [gamma.num.get(o, 0) for o in range(n ** 3)], operator.neg
+        first = [_tables(n, 1).deriv[i][0][0] for i in range(n)]
+
+        def entry(e, pairs):
+            k = den // e.den * dg
+            out = []
+            for j, ps in zip(first, pairs):
+                a = e.c[j] * k
+                for x, g in ps:
+                    a += x * g
+                out.append(a)
+            return out
+        out = {}
+    else:
+        low = min(order - 1, gamma.entries[0].order)
+        gam, dg = numerators(gamma.entries, low)
+        src, den = numerators(jets, low)
+        src = dict(enumerate(src))
+        tab = _tables(n, low)
+        zero = tab.zero[mode]
+
+        def neg(g):
+            return [-x for x in g]
+
+        def entry(e, pairs):
+            k = den // e.den * dg
+            return [from_numerators(tab, mode, mac(
+                derivative_numerators(e.c, n, low, i, k) if e else
+                zero.c.copy(), tab, ps), den * dg) if e or ps else zero
+                for i, ps in enumerate(pairs)]
+        out = [zero] * (n ** (rank + 1))
+    con = [[(i, p, g) for i in range(n) for p in range(n)
+            for g in (gam[(v * n + i) * n + p],) if g] for v in range(n)]
+    cov = [[(i, p, neg(g)) for i in range(n) for p in range(n)
+            for g in (gam[(p * n + i) * n + v],) if g] for v in range(n)]
+    slots = [(w, [[(i, p * w, g) for i, p, g in tv]
+                  for tv in (con if var == CON else cov)])
+             for s, var in enumerate(t.variance)
+             for w in (n ** (rank - 1 - s),)]
+    stride = n ** rank
+    for base in range(0, stride, n ** width):
+        for rep, images in orbits:
+            off = base + rep
+            pairs = [[] for _ in range(n)]
+            for w, terms in slots:
+                v = off // w % n
+                rest = off - v * w
+                for i, step, g in terms[v]:
+                    x = src.get(rest + step)
+                    if x:
+                        pairs[i].append((x, g))
+            for i, a in enumerate(entry(jets[off], pairs)):
+                if a:
+                    _dense_fill(out, i * stride + base, images, a)
+    if isinstance(gamma, Values):
+        return Values(n, COV + t.variance, out, den * dg,
+                      0 if mode == EXACT else 0.0)
+    return Tensor(n, COV + t.variance, out)
 
 
 @pytest.fixture(scope="session")

@@ -387,6 +387,30 @@ def test_import_leaves_out_modules_no_run_uses():
     assert "built-in metric families:" in proc.stdout
 
 
+def _python_m_ppcheck(*args, cwd):
+    """`python -W error::RuntimeWarning -m ppcheck ARGS` on this tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(
+        os.path.join(HERE, os.pardir, "src")))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ppcheck",
+         *args], capture_output=True, text=True, timeout=120, cwd=cwd,
+        env=env)
+
+
+def test_python_m_ppcheck_runs_the_cli(tmp_path):
+    """The package runs as a module, with no runpy warning (made an
+    error here), and keeps the CLI's exit statuses."""
+    proc = _python_m_ppcheck("families", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "built-in metric families:" in proc.stdout
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"family": "galaev", "d": 3, "mode": "exact"')
+    proc = _python_m_ppcheck("run", "--config", str(bad), cwd=tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 class TestRecordTypes:
     """The six public record types keep their constructors: parameters,
     order and defaults; the three tuple types are immutable."""
@@ -502,6 +526,25 @@ class TestMainEntry:
         cfg = self.write(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out",
                      str(tmp_path / "r.json")]) == 1
+
+    def test_flat_five_dimensional_metric_gives_a_report(self, tmp_path,
+                                                         capsys):
+        """The flat n=5 custom metric in exact mode, whose jet tensors hold
+        no entry: a report of every check at both points, none of whose
+        error rows is a raised exception, and no traceback."""
+        cfg = self.write(tmp_path, json.dumps({
+            "family": "custom",
+            "params": {"components": {"0,1": "1", "2,2": "1", "3,3": "1",
+                                      "4,4": "1"}},
+            "mode": "exact", "points": {"strategy": "grid", "count": 2}}))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) in (0, 1)
+        text = out.read_text()
+        rows = json.loads(text)["rows"]
+        assert len(rows) == 2 * len(ORDER_BUDGET)
+        assert not [r for r in rows if "raised" in r.get("notes", "")]
+        captured = capsys.readouterr()
+        assert "Traceback" not in text + captured.out + captured.err
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = self.write(tmp_path, FLAGSHIP.replace("[1, 1, -2]", "[1, 1, 1]"))

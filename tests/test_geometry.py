@@ -5,21 +5,27 @@ wave metrics in the null chart, most importantly R_uu for quadratic
 potentials.
 """
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (NC4, du_jets, make_ctx, naive_raise_lower, poly,
+from conftest import (NC4, dense_check_symmetry, dense_covariant_derivative,
+                      du_jets, make_ctx, naive_raise_lower, poly,
                       reference_gamma, reference_inverse,
                       textbook_riemann_jets, textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, sample_points)
-from ppcheck.geometry import (RIEMANN, SYMMETRIC_PAIR, CurvatureBundle,
-                              DegeneratePointError, OrderBudgetError,
-                              SymmetryError, _as_jet_values, _orbits,
+from ppcheck.geometry import (NO_SYMMETRY, RIEMANN, SYMMETRIC_PAIR,
+                              CurvatureBundle, DegeneratePointError,
+                              OrderBudgetError, SymmetryError, _as_jet_values,
+                              _check_symmetry, _orbits,
                               covariant_derivative, metric_at_point, rescaled)
-from ppcheck.jets import Jet, JetError, jet_exp, jet_from_polynomial
+from ppcheck.jets import (Jet, JetError, _tables, jet_exp,
+                          jet_from_polynomial)
 from ppcheck.metrics import PointPlan
 from ppcheck.polynomials import Polynomial, parse_polynomial
 from ppcheck.tensors import CON, COV, Tensor, Values, contract, sup_norm
@@ -589,3 +595,148 @@ class TestInverseMetricOracle:
             else:
                 assert all(abs(x - y) <= 1e-12 for x, y in
                            zip(got.c, want.c, strict=True)), (i, j)
+
+
+# -- the sparse kernels against their dense references ------------------------
+
+FILLS = {"empty": 0.0, "sparse": 0.1, "dense": 0.8}
+SYMMETRIES = (NO_SYMMETRY, SYMMETRIC_PAIR, RIEMANN)
+
+
+def _random_jet(rng, n, order, mode):
+    """A nonzero jet with random coefficients on some monomials."""
+    while True:
+        coeffs = {mi: (F(rng.randint(-6, 6), rng.randint(1, 5))
+                       if mode == EXACT else rng.uniform(-2.0, 2.0))
+                  for mi in _tables(n, order).monos if rng.random() < 0.5}
+        jet = Jet(n, order, coeffs, mode)
+        if jet:
+            return jet
+
+
+def _symmetric_tensor(rng, n, variance, symmetry, fill, order, mode):
+    """A jet tensor with `symmetry` on its trailing slots: each orbit of
+    each block gets a random jet with probability `fill`."""
+    width, orbits, _ = _orbits(n, symmetry)
+    t = Tensor.zeros(n, variance, Jet.zero(n, order, mode))
+    for base in range(0, n ** len(variance), n ** width):
+        for _, images in orbits:
+            if rng.random() < fill:
+                e = _random_jet(rng, n, order, mode)
+                for img, sign in images:
+                    t[base + img] = e if sign > 0 else -e
+    return t
+
+
+def _random_gamma(rng, n, fill, order, mode):
+    """Symbols Gamma^a_bc, not symmetric, each nonzero with probability
+    `fill`."""
+    return Tensor(n, CON + COV * 2, [
+        _random_jet(rng, n, order, mode) if rng.random() < fill
+        else Jet.zero(n, order, mode) for _ in range(n ** 3)])
+
+
+def _bits(x):
+    """A kernel's result as a string that tells apart any two results that
+    are not identical: jets' orders, denominators and coefficients, and
+    Values' numerators in insertion order, with the sign of a float zero."""
+    if isinstance(x, Values):
+        return repr((x.variance, x.den, type(x.zero), list(x.num.items())))
+    return repr((x.variance, [(e.order, e.mode, e.den, e.c)
+                              for e in x.entries]))
+
+
+def _symmetry_outcome(t, symmetry, check):
+    """The SymmetryError message of check(t), or None if it passes."""
+    try:
+        check(t, symmetry, "oracle")
+    except SymmetryError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _derivative_cases(draw):
+    symmetry = draw(st.sampled_from(SYMMETRIES))
+    width = _orbits(2, symmetry)[0]
+    n = draw(st.sampled_from((2, 3) if width == 4 else (2, 3, 4)))
+    extra = draw(st.integers(0 if width else 1, 1 if width == 4 else 2))
+    variance = draw(st.text("lu", min_size=width + extra,
+                            max_size=width + extra))
+    return (symmetry, n, variance, draw(st.sampled_from(sorted(FILLS))),
+            draw(st.sampled_from(sorted(FILLS))),
+            draw(st.sampled_from((EXACT, FLOAT))), draw(st.booleans()),
+            draw(st.integers(0, 2 ** 32)))
+
+
+class TestSparseKernelsAgainstDenseOracle:
+    """covariant_derivative and _check_symmetry on sparse tensors against
+    the dense loops they replaced (conftest), on random tensors with no,
+    few or most orbits filled: equal results, bit-equal in float mode, and
+    the same first SymmetryError."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_derivative_cases())
+    def test_covariant_derivative_equals_the_dense_gather(self, case):
+        symmetry, n, variance, fill_t, fill_g, mode, values, seed = case
+        rng = random.Random(seed)
+        order = rng.randint(1, 3)
+        t = _symmetric_tensor(rng, n, variance, symmetry, FILLS[fill_t],
+                              order, mode)
+        gamma = _random_gamma(rng, n, FILLS[fill_g],
+                              max(order - rng.randint(0, 1), 1), mode)
+        if values:
+            gamma = gamma.values()
+        got = covariant_derivative(t, gamma, "oracle", symmetry)
+        want = dense_covariant_derivative(t, gamma, "oracle", symmetry)
+        assert _bits(got) == _bits(want)
+        if not isinstance(got, Values):
+            assert got.zero.order == want.entries[0].order
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_derivative_cases(), breaks=st.integers(1, 4),
+           forced=st.booleans())
+    def test_symmetry_check_meets_the_same_first_error(self, case, breaks,
+                                                        forced):
+        symmetry, n, variance, fill, _, _, _, seed = case
+        rng = random.Random(seed)
+        t = _symmetric_tensor(rng, n, variance, symmetry, FILLS[fill], 2,
+                              EXACT)
+        for _ in range(breaks):     # an entry set to some other jet
+            t[rng.randrange(n ** t.rank)] = _random_jet(rng, n, 2, EXACT)
+        width, _, zeros = _orbits(n, symmetry)
+        if forced and zeros:        # a nonzero entry the symmetry forbids
+            base = rng.randrange(n ** (t.rank - width)) * n ** width
+            t[base + rng.choice(zeros)] = _random_jet(rng, n, 2, EXACT)
+        assert (_symmetry_outcome(t, symmetry, _check_symmetry)
+                == _symmetry_outcome(t, symmetry, dense_check_symmetry))
+
+    def test_several_violations_give_the_dense_first_message(self):
+        rng = random.Random(5)
+        t = _symmetric_tensor(rng, 3, "lllll", RIEMANN, 0.8, 2, EXACT)
+        t[2, 0, 1, 2, 1] = _random_jet(rng, 3, 2, EXACT)
+        t[1, 0, 1, 0, 2] = _random_jet(rng, 3, 2, EXACT)
+        t[0, 2, 2, 0, 1] = _random_jet(rng, 3, 2, EXACT)   # forced zero
+        want = _symmetry_outcome(t, RIEMANN, dense_check_symmetry)
+        assert want == ("oracle: entry (0, 2, 2, 0, 1) is nonzero but the "
+                        "declared riemann symmetry forces it to vanish")
+        assert _symmetry_outcome(t, RIEMANN, _check_symmetry) == want
+        t[0, 2, 2, 0, 1] = Jet.zero(3, 2)
+        want = _symmetry_outcome(t, RIEMANN, dense_check_symmetry)
+        assert want.startswith("oracle: entry (1, ")
+        assert _symmetry_outcome(t, RIEMANN, _check_symmetry) == want
+
+
+def test_flat_five_dimensional_custom_metric_has_empty_jet_tensors():
+    """A flat n=5 metric: every jet tensor of the bundle holds no entry,
+    and every stage and check still gives its value."""
+    spec = build_custom(
+        [[parse_polynomial("1" if {i, j} == {0, 1} or i == j > 1 else "0",
+                           tuple(f"x{k}" for k in range(5)))
+          for j in range(5)] for i in range(5)],
+        tuple(f"x{k}" for k in range(5)))
+    b = bundle_for(spec, tuple(F(k, 7) for k in range(1, 6)))
+    for name in ("riemann", "ricci", "nabla_riemann", "nabla_ricci"):
+        assert getattr(b, name).nonzero == {}, name
+    assert b.christoffels[0].nonzero == b.gamma.nonzero == {}
+    assert not b.nabla2_riemann.num and not b.lap_weyl.num

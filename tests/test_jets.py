@@ -14,6 +14,7 @@ from ppcheck.jets import (EXACT, FLOAT, Jet, JetError, SingularJetError,
                           _tables, from_numerators, jet_from_polynomial,
                           jet_recip, mac, numerators)
 from ppcheck.polynomials import parse_polynomial
+from ppcheck.tensors import Tensor
 
 
 def J(dim, order, coeffs):
@@ -303,6 +304,12 @@ class TestNumeratorKernel:
         with pytest.raises(JetError):
             numerators([Jet.zero(2, 1)], 2)
         assert numerators([low], 1) == ([[0, 0, 1]], 1)
+        # a sparse tensor's left-out entries are zero jets of its order
+        with pytest.raises(JetError, match="order 1 read to order 2"):
+            Tensor.zeros(2, "l", Jet.zero(2, 1)).numerators(2)
+        sparse = Tensor(2, "ll", [low, Jet.zero(2, 1), Jet.zero(2, 1), low])
+        assert sparse.nonzero == {0: low, 3: low}
+        assert sparse.numerators(1) == ({0: [0, 0, 1], 3: [0, 0, 1]}, 1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_sum_is_literally_the_sum_of_products(self, seed):
@@ -349,3 +356,19 @@ def test_tables_built_concurrently():
     finally:
         sys.setswitchinterval(old)
     assert all(result == want[dim] for dim, result in got)
+
+
+def test_product_table_is_built_on_the_first_product():
+    """`mul` is left unbuilt by indexing, derivatives and sums at an order,
+    and built once by the first product there."""
+    _tables.cache_clear()
+    t = _tables(3, 4)
+    unbuilt = type(t).__dict__["mul"]          # the slot, read directly
+    a = Jet(3, 4, {(1, 0, 0): F(1, 3), (0, 2, 1): 2})
+    b = (a + a * F(2)) - a - a
+    with pytest.raises(AttributeError):
+        unbuilt.__get__(t)
+    assert (b * a).coeffs == {(2, 0, 0): F(1, 9), (1, 2, 1): F(4, 3)}
+    assert a.derivative(0).coeffs == {(0, 0, 0): F(1, 3)}
+    table = unbuilt.__get__(t)
+    assert t.mul is table and len(table) == t.size

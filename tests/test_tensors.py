@@ -716,6 +716,42 @@ class TestZeroKindOracle:
                                          (0, 1, 2)))
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("fill", [1, 3, 0.05, 0.3, 1.0])
+    def test_tensordot_holds_ascending_sums(self, exact, fill):
+        """Whether the sums go into a list or, for few products, a dict,
+        tensordot's numerators are each entry's nonzero terms added in
+        ascending P order from 0, held in ascending offset order: the same
+        numbers, bit for bit in float mode, and the same dict order."""
+        rng = random.Random(f"tensordot-order-{exact}-{fill}")
+        n = 4
+        for ra, rb, k in ((2, 4, 1), (4, 2, 1), (3, 3, 1), (4, 4, 2),
+                          (2, 5, 2), (1, 5, 1)):
+            nums = []
+            for rank in (ra, rb):
+                size = n ** rank
+                keys = (rng.sample(range(size), fill) if type(fill) is int else
+                        [o for o in range(size) if rng.random() < fill])
+                rng.shuffle(keys)           # held out of offset order
+                nums.append({o: rng.randint(-9, 9) if exact
+                             else rng.uniform(-1, 1) for o in keys})
+            a, b = (Values(n, "l" * r, num, 3, 0 if exact else 0.0)
+                    for r, num in zip((ra, rb), nums))
+            got = tensordot(a, b, k)
+            mp, mj = n ** k, n ** (rb - k)
+            want = {}
+            for i in range(n ** (ra - k)):
+                for j in range(mj):
+                    acc = 0
+                    for p in range(mp):
+                        x, y = a.num.get(i * mp + p), b.num.get(p * mj + j)
+                        if x and y:
+                            acc += x * y
+                    if acc:
+                        want[i * mj + j] = acc
+            assert repr(list(got.num.items())) == repr(list(want.items()))
+            assert got.den == 9
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_tensordot_and_dot(self, exact, n):
         """tensordot at every k, and dot, for ranks 0..4.  Each operand is
