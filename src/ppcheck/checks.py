@@ -19,7 +19,7 @@ from . import linalg
 from .geometry import (RIEMANN, CurvatureBundle, _as_jet_values, _orbits,
                        rescaled)
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
-from .metrics import MAX_FIELD_COEFFS, MetricSpec
+from .metrics import MAX_FIELD_COEFFS, MetricSpec, _transverse_laplacian
 from .polynomials import Polynomial
 from .tensors import (COV, Values, contract, cyclic_sum, dot, raise_lower,
                       sup_norm, tensordot)
@@ -492,10 +492,7 @@ def _omega2_gradients(H: Polynomial, n: int):
     they depend only on the potential, so each is built once per H."""
     coords = H.variables
     d = n - 2
-    trace = Polynomial(coords, {})
-    for rho in range(1, d + 1):
-        xr = f"x{rho}"
-        trace = trace + H.derivative(xr).derivative(xr)
+    trace = _transverse_laplacian(H, coords)
     out = []
     for key, denom in (("half_dlog_omega2_n", n), ("half_dlog_omega2_d", d)):
         omega2 = Polynomial(coords, {})

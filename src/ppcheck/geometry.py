@@ -13,9 +13,9 @@ K, Gamma_{l,jk} is of order K-1 and g^{-1}, Gamma^i_jk, Riemann and Ricci
 of order K-2.  The second ones are taken from these jets straight to point
 values (tensors.Values), and all else is computed from point values.  As
 nabla g = 0, R and nabla R are g^{-1} traces of Ricci's values, and nabla
-commutes with the Weyl decomposition: C, nabla C and nabla nabla C are
-that decomposition, in Schouten form, of the values of nabla^L of Riemann,
-Ricci and R; the Weyl tensor is never differentiated.
+commutes with the Weyl decomposition: C, nabla C, nabla nabla C and Delta C
+are that decomposition, in Schouten form, of the values of nabla^L (or
+Delta) of Riemann, Ricci and R; the Weyl tensor is never differentiated.
 
 A jet tensor (tensors.Tensor) holds its nonzero jets only, and every
 kernel here visits those and the orbits they reach, never the n^rank
@@ -110,7 +110,7 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
             e = jet_from_polynomial(spec.components[i][j], point, order, mode)
             if e:
                 entries[i * n + j] = entries[j * n + i] = e
-    g = Tensor.sparse(n, COV * 2, entries, Jet.zero(n, order, mode))
+    g = Tensor(n, COV * 2, entries, Jet.zero(n, order, mode))
     one, zero = as_mode(1, mode), as_mode(0, mode)
     try:
         x0 = linalg.solve([[g[i, j].value for j in range(n)]
@@ -156,7 +156,7 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
                 e = from_numerators(t, mode, acc, d0 * scale)
                 if e:
                     x[i * n + j] = x[j * n + i] = e
-    return MetricAtPoint(g, Tensor.sparse(n, CON * 2, x, t.zero[mode]),
+    return MetricAtPoint(g, Tensor(n, CON * 2, x, t.zero[mode]),
                          mode, order)
 
 
@@ -174,9 +174,8 @@ def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
                       "conformal factor")
 
     def times(t, f):        # a jet cut to a lower order may vanish
-        return Tensor.sparse(t.dim, t.variance,
-                             {o: p for o, e in t.nonzero.items()
-                              for p in (e * f,) if p}, t.zero * f)
+        return Tensor(t.dim, t.variance, {o: p for o, e in t.nonzero.items()
+                                          for p in (e * f,) if p}, t.zero * f)
     return MetricAtPoint(times(m.g, factor), times(m.g_inv, recip),
                          m.mode, order)
 
@@ -231,8 +230,8 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
                     if e:
                         second[(i * n + j) * n + k] = \
                             second[(i * n + k) * n + j] = e
-    return (Tensor.sparse(n, COV * 3, first, zero1),
-            Tensor.sparse(n, CON + COV * 2, second, zero))
+    return (Tensor(n, COV * 3, first, zero1),
+            Tensor(n, CON + COV * 2, second, zero))
 
 
 # Slot symmetries of a tensor's trailing slots that the orbit fills exploit:
@@ -439,7 +438,7 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     if isinstance(gamma, Values):
         return Values(n, COV + t.variance, out, den * dg,
                       0 if mode == EXACT else 0.0)
-    return Tensor.sparse(n, COV + t.variance, out, blank)
+    return Tensor(n, COV + t.variance, out, blank)
 
 
 def _fill(out: dict, base: int, images, a):
@@ -464,7 +463,7 @@ def _by_orbits(n: int, symmetry: str, zero: Jet, entry, reached) -> Tensor:
         a = entry(*(rep // n ** p % n for p in range(width - 1, -1, -1)))
         if a:
             _fill(out, 0, images, a)
-    return Tensor.sparse(n, COV * width, out, zero)
+    return Tensor(n, COV * width, out, zero)
 
 
 def _check_symmetry(t: Tensor, symmetry: str, context: str):
@@ -674,61 +673,50 @@ class CurvatureBundle:
         """Scalar curvature R = g^{ij} R_ij."""
         return self._trace("ricci")
 
-    def _weyl_part(self, prefix: str) -> Values:
-        """nabla^L C_{jklm}: the Weyl decomposition, in Schouten form, of the
-        values of nabla^L R_{jklm} and nabla^L R_kl (the attributes
-        `prefix + "riemann"` and `prefix + "ricci"`, derivative slots first)
-        and of nabla^L R, their g^{-1} trace.  nabla g = 0, so the
+    def _weyl_part(self, riem: Values, ric: Values, scal: Values) -> Values:
+        """nabla^L C_{jklm}: the Weyl decomposition, in Schouten form, of
+        the values riem, ric and scal of nabla^L R_{jklm}, nabla^L R_kl and
+        nabla^L R, derivative slots first.  nabla g = 0, so the
         decomposition commutes with nabla:
 
             C_jklm = R_jklm + g_jm P_kl - g_km P_jl + g_kl P_jm - g_jl P_km,
             P_kl = (R_kl - R g_kl / (2(n-1))) / (n-2).
 
-        One loop visits the nonzero entries of P and the metric; in exact
-        mode R_jklm and the g P terms are first put over one common
-        denominator, so that it runs on integer numerators.  Entries that
-        sum to zero are dropped: they leave as int 0, as a jet's zero.
+        P is Values algebra; one loop adds the g P terms over the nonzero
+        entries of P and the metric to R_jklm, on numerators over one
+        common denominator in exact mode.  Entries that sum to zero are
+        dropped: they leave as int 0, as a jet's zero.
         """
         n = self.dim
         if n < 4:
             raise UnsupportedDimensionError(
                 f"Weyl tensor needs dimension >= 4, metric has n={n}")
-        riem, ric = (self.values(prefix + x) for x in ("riemann", "ricci"))
-        scal = self._trace(prefix + "ricci", ric.rank - 2)
-        k = 2 * (n - 1)
-        g, den = self.values("g"), riem.den
-        if riem.exact:
-            # P_ab = ric_ab u - scal g_ab w, so that g_xy P_ab is over den
-            e = math.lcm(ric.den, k * scal.den * g.den)
-            den = math.lcm(den, g.den * e * (n - 2))
-            f = den // (g.den * e * (n - 2))
-            u, w = e // ric.den * f, e // (k * scal.den * g.den) * f
-        else:
-            u, w = 1 / (n - 2), 1 / (k * (n - 2))
-        q = den // riem.den
+        g = self.values("g")
+        # scaled before `outer`, so that it has no int zero to fill
+        p = (ric - scal.scale(Fraction(1, 2 * (n - 1))).outer(g)).scale(
+            Fraction(1, n - 2))
+        den = math.lcm(riem.den, p.den * g.den)
+        q, f = den // riem.den, den // (p.den * g.den)
         out = {o: x * q for o, x in riem.num.items()}
-        g, ric, scal = g.num, ric.num, scal.num
-        big_p = {o: r * u for o, r in ric.items()}
-        for pre, s in scal.items():
-            for ab, gab in g.items():
-                if s and gab:
-                    o = pre * n * n + ab
-                    big_p[o] = big_p.get(o, 0) - s * gab * w
-        # for each P_ab: (g_xy, the offsets where +g_xy P_ab and -g_xy P_ab
-        # go); x = a is left out, as there the +/- terms cancel in pairs
-        g_p = [[(gxy, ((x * n + a) * n + b) * n + y,     # g_jm P_kl
-                 ((a * n + x) * n + y) * n + b,          # g_kl P_jm
-                 ((a * n + x) * n + b) * n + y,          # g_km P_jl
-                 ((x * n + a) * n + y) * n + b)          # g_jl P_km
-                for xy, gxy in g.items() for x, y in (divmod(xy, n),)
-                if gxy and x != a] for a in range(n) for b in range(n)]
-        get = out.get
-        for off, p in big_p.items():
-            if p:
+        gs = [(divmod(xy, n), gxy * f) for xy, gxy in g.num.items() if gxy]
+        rows, get = {}, out.get
+        for off, pab in p.num.items():
+            if pab:
                 pre, ab = divmod(off, n * n)
+                row = rows.get(ab)
+                if row is None:     # built for the P_ab that are written
+                    a, b = divmod(ab, n)
+                    # (g_xy, the offsets where +g_xy P_ab and -g_xy P_ab go);
+                    # x = a is left out: there the +/- terms cancel in pairs
+                    row = rows[ab] = [
+                        (gxy, ((x * n + a) * n + b) * n + y,    # g_jm P_kl
+                         ((a * n + x) * n + y) * n + b,         # g_kl P_jm
+                         ((a * n + x) * n + b) * n + y,         # g_km P_jl
+                         ((x * n + a) * n + y) * n + b)         # g_jl P_km
+                        for (x, y), gxy in gs if x != a]
                 base = pre * n ** 4
-                for gxy, o1, o2, o3, o4 in g_p[ab]:
-                    t = gxy * p
+                for gxy, o1, o2, o3, o4 in row:
+                    t = gxy * pab
                     o1, o2, o3, o4 = o1 + base, o2 + base, o3 + base, o4 + base
                     out[o1] = get(o1, 0) + t
                     out[o2] = get(o2, 0) + t
@@ -742,7 +730,8 @@ class CurvatureBundle:
     @stage(2)
     def weyl(self) -> Values:
         """Fully covariant C_{jklm}."""
-        return self._weyl_part("")
+        return self._weyl_part(self.values("riemann"), self.values("ricci"),
+                               self.scalar)
 
     @stage(2)
     def weyl_mixed(self) -> Values:
@@ -768,7 +757,8 @@ class CurvatureBundle:
 
     @stage(3)
     def nabla_weyl(self) -> Values:
-        return self._weyl_part("nabla_")
+        return self._weyl_part(self.values("nabla_riemann"),
+                               self.values("nabla_ricci"), self.nabla_scalar)
 
     @stage(3)
     def nabla_weyl_mixed(self) -> Values:
@@ -789,7 +779,8 @@ class CurvatureBundle:
 
     @stage(4)
     def nabla2_weyl(self) -> Values:
-        return self._weyl_part("nabla2_")
+        return self._weyl_part(self.nabla2_riemann, self.nabla2_ricci,
+                               self._trace("nabla2_ricci", 2))
 
     @stage(4)
     def nabla2_riemann(self) -> Values:
@@ -802,7 +793,10 @@ class CurvatureBundle:
 
     @stage(4)
     def lap_weyl(self) -> Values:
-        return self._trace("nabla2_weyl")
+        """Delta C, the decomposition of Delta Riemann, Delta Ricci and
+        Delta R = g^{kl} Delta R_kl."""
+        return self._weyl_part(self.lap_riemann, self.lap_ricci,
+                               self._trace("lap_ricci"))
 
     @stage(4)
     def lap_riemann(self) -> Values:

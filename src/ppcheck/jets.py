@@ -22,7 +22,10 @@ tensor (`numerators`), the products are added up on them (`mac`, the one
 product loop, which Jet.__mul__ shares) and the sum becomes a jet
 (`from_numerators`).  A float jet holds 64-bit floats.  Jets combine only
 with jets of the same dimension and mode, and a bare number only scales a
-jet; anything else raises JetError.
+jet; anything else raises JetError.  A jet is made by `Jet.zero`,
+`Jet.constant`, `jet_from_polynomial` (a jet of given coefficients is that
+of their polynomial at the origin) or an operation on jets, never from a
+coefficient dict.
 """
 from __future__ import annotations
 
@@ -212,7 +215,7 @@ def derivative_numerators(c: list, dim: int, order: int, i: int,
 
 
 class Jet:
-    """Truncated Taylor expansion in `dim` variables, immutable by convention.
+    """Truncated Taylor expansion in `dim` variables, never written to.
 
     `c` lists the coefficients in graded monomial order.  In exact mode they
     are integer numerators over the positive denominator `den`, in lowest
@@ -221,34 +224,6 @@ class Jet:
     """
 
     __slots__ = ("dim", "order", "mode", "c", "den", "nz", "_t")
-
-    def __init__(self, dim: int, order: int, coeffs=None, mode: str = EXACT):
-        t = _checked_tables(dim, order, mode)
-        values = [0] * t.size
-        for mi, v in (coeffs or {}).items():
-            mi = tuple(mi)
-            if len(mi) != dim:
-                raise JetError(f"multi-index {mi} does not match dimension {dim}")
-            if sum(mi) > order or not v:
-                continue
-            k = t.index.get(mi)
-            if k is None:
-                raise JetError(f"bad multi-index {mi}")
-            values[k] = v
-        if mode == FLOAT:
-            c, den = [float(v) for v in values], 1
-        else:
-            values = [Fraction(v) if v else 0 for v in values]
-            den = math.lcm(*(v.denominator for v in values if v))
-            c = [v.numerator * (den // v.denominator) if v else 0
-                 for v in values]
-        self.dim = dim
-        self.order = order
-        self.mode = mode
-        self.c = c
-        self.den = den
-        self.nz = any(c)
-        self._t = t
 
     # -- constructors ------------------------------------------------------
 
@@ -375,8 +350,8 @@ class Jet:
         return hash((self.dim, self.order, frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        return (f"Jet(dim={self.dim}, order={self.order}, mode={self.mode}, "
-                f"{self.coeffs!r})")
+        return (f"<Jet dim={self.dim} order={self.order} {self.mode} "
+                f"{self.coeffs!r}>")
 
     # -- structure -------------------------------------------------------------
 

@@ -146,18 +146,14 @@ def build_galaev(d: int, lambdas, a, F) -> MetricSpec:
     for rho, lam in enumerate(lambdas, start=1):
         xr = Polynomial.variable(coords, f"x{rho}")
         H = H + xr * xr * (a + F * (lam * lam))
-    spec = build_ppwave(H, d, family="galaev")
     warnings = ()
     if d == 2:
         warnings = ("galaev with d=2 has identically zero Weyl tensor "
                     "(lambda_1^2 = lambda_2^2 forced); conformal-recurrence "
                     "checks are vacuous",)
-    n = d + 2
-    return MetricSpec(
-        family="galaev", n=n, coords=coords, components=spec.components,
+    return build_ppwave(H, d, family="galaev")._replace(
         provenance={"d": d, "lambda": [str(l) for l in lambdas],
-                    "a": repr(a), "F": repr(F)},
-        potential=H, expected_psi=spec.expected_psi, warnings=warnings)
+                    "a": repr(a), "F": repr(F)}, warnings=warnings)
 
 
 def build_two_symmetric(a_vec, b_mat) -> MetricSpec:
@@ -186,14 +182,12 @@ def build_two_symmetric(a_vec, b_mat) -> MetricSpec:
             coeff = b[mu][nu] + (u * a_vec[mu] if mu == nu else 0)
             if isinstance(coeff, Polynomial) or coeff:
                 H = H + xm * xn * coeff
-    spec = build_ppwave(H, d, family="two_symmetric")
+    # the closed form, an oracle that does not go through H's Laplacian
     psi = -(u * sum(a_vec) + sum(b[m][m] for m in range(d)))
-    return MetricSpec(
-        family="two_symmetric", n=d + 2, coords=coords,
-        components=spec.components,
+    return build_ppwave(H, d, family="two_symmetric")._replace(
         provenance={"d": d, "a_vec": [str(x) for x in a_vec],
                     "b_mat": [[str(x) for x in row] for row in b]},
-        potential=H, expected_psi=psi)
+        expected_psi=psi)
 
 
 def build_walker(H, a_rho, gstar, d: int) -> MetricSpec:

@@ -113,14 +113,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise PolynomialError(f"exponent must be a non-negative integer, got {k!r}")
-        out = Polynomial.constant(self.variables, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.variables == other.variables

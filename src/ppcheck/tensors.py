@@ -1,9 +1,11 @@
 """Sparse chart-component tensors over jets, and their sparse point values.
 
-A Tensor keeps its nonzero entries (jets, or plain numbers) in a dict from
-row-major offset to entry, and reads every other entry as its one zero, a
-zero jet of its order; variance is a per-slot string of 'l' (covariant) or
-'u' (contravariant).  `entries` and `[]` read it as a dense tensor.
+A Tensor keeps its nonzero jets in a dict from row-major offset to jet,
+and reads every other entry as its one zero, a zero jet of its order;
+variance is a per-slot string of 'l' (covariant) or 'u' (contravariant).
+`entries` and `[]` read it as a dense tensor.  It is built once, from that
+dict and zero, and never written to.  Plain numbers are Values
+(`Values.of`).
 
 Values holds a tensor's point values sparsely: the dict `num` maps the
 row-major offset of each entry a kernel wrote to its numerator over one
@@ -61,50 +63,17 @@ def _offset(dim, idx) -> int:
 
 
 class Tensor:
-    """Chart components of jets (or plain numbers), held sparsely: `nonzero`
-    maps the row-major offset of each entry other than the fill `zero` to
-    it, and every other entry reads as `zero`.  A jet tensor's `zero` is the
-    zero jet of its order, so a kernel that reads it to a higher order
-    still raises JetError (`numerators`).
-
-    A dense list of entries is taken as it is given: the fill is its first
-    zero (a zero jet, or a zero number), and an entry is left out only if
-    it reads back as the same zero, so `entries` and `[]` return what was
-    put in (a zero number reads back as the fill if it has its type).
-    """
+    """Chart components of jets, held sparsely and never written to:
+    `nonzero` maps the row-major offset of each nonzero jet to it, taken as
+    it is (not copied or checked), and every other entry reads as `zero`,
+    the zero jet of the tensor's order, so a kernel that reads it to a
+    higher order still raises JetError (`numerators`)."""
 
     __slots__ = ("dim", "variance", "nonzero", "zero")
 
-    def __init__(self, dim: int, variance: str, entries):
-        self.dim = dim
-        self.variance = str(variance)
-        entries = list(entries)
-        if len(entries) != dim ** len(self.variance):
-            raise TensorError(
-                f"need {dim ** len(self.variance)} entries for rank {len(self.variance)}, "
-                f"got {len(entries)}")
-        zero = next((e for e in entries if not e), None)
-        if zero is None:
-            first = entries[0]
-            zero = (Jet.zero(first.dim, min(e.order for e in entries),
-                             first.mode) if isinstance(first, Jet)
-                    else 0.0 if isinstance(first, float) else F0)
-        self.zero = zero
-        self.nonzero = {o: e for o, e in enumerate(entries)
-                        if not _is_fill(e, zero)}
-
-    @classmethod
-    def sparse(cls, dim: int, variance: str, nonzero: dict, zero):
-        """The tensor whose entries are `nonzero`'s, by offset, and `zero`
-        elsewhere; `nonzero` is taken as it is, not copied or checked."""
-        t = object.__new__(cls)
-        t.dim, t.variance, t.nonzero, t.zero = dim, variance, nonzero, zero
-        return t
-
-    @classmethod
-    def zeros(cls, dim: int, variance: str, zero):
-        """The tensor with every entry `zero` (a zero jet or number)."""
-        return cls.sparse(dim, str(variance), {}, zero)
+    def __init__(self, dim: int, variance: str, nonzero: dict, zero: Jet):
+        self.dim, self.variance, self.nonzero, self.zero = (
+            dim, variance, nonzero, zero)
 
     @property
     def rank(self) -> int:
@@ -121,45 +90,19 @@ class Tensor:
     def __getitem__(self, idx):
         return self.nonzero.get(_offset(self.dim, idx), self.zero)
 
-    def __setitem__(self, idx, value):
-        off = _offset(self.dim, idx)
-        if _is_fill(value, self.zero):
-            self.nonzero.pop(off, None)
-        else:
-            self.nonzero[off] = value
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor) and self.dim == other.dim
-                and self.variance == other.variance
-                and self.entries == other.entries)
-
-    __hash__ = None
-
     def numerators(self, order: int) -> tuple[dict, int]:
         """`jets.numerators` of the nonzero jets, keyed by offset; a JetError
         too if the tensor's own order is below `order`."""
         return numerators(self.nonzero, order, self.zero.order)
 
     def values(self) -> "Values":
-        """Point values: the jets' constant terms, or the numbers held."""
-        zero = self.zero
-        if not isinstance(zero, Jet):
-            return Values.of(self.dim, self.variance, self.entries)
+        """Point values: the jets' constant terms."""
         src = self.nonzero
         den = math.lcm(*(e.den for e in src.values() if e.c[0]))  # 1: float
         return Values(self.dim, self.variance,
                       {o: e.c[0] * (den // e.den) for o in sorted(src)
                        for e in (src[o],) if e.c[0]},
-                      den, 0.0 if zero.mode == FLOAT else 0)
-
-
-def _is_fill(x, zero) -> bool:
-    """Whether the entry x reads back as the fill `zero`: a zero jet of its
-    dimension, order and mode, or a zero number of its type."""
-    if isinstance(zero, Jet):
-        return (isinstance(x, Jet) and not x.nz and x.order == zero.order
-                and x.mode == zero.mode and x.dim == zero.dim)
-    return type(x) is type(zero) and not x
+                      den, 0.0 if self.zero.mode == FLOAT else 0)
 
 
 class Values:

@@ -11,10 +11,11 @@ from ppcheck.checks import PointContext
 from ppcheck.geometry import (NO_SYMMETRY, CurvatureBundle, OrderBudgetError,
                               SymmetryError, _orbits, metric_at_point)
 from ppcheck.jets import (EXACT, Jet, _tables, as_mode, derivative_numerators,
-                          from_numerators, jet_recip, mac, numerators)
+                          from_numerators, jet_from_polynomial, jet_recip, mac,
+                          numerators)
 from ppcheck.linalg import SingularMatrixError
-from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import CON, COV, Tensor, Values
+from ppcheck.polynomials import Polynomial, parse_polynomial
+from ppcheck.tensors import CON, COV, Tensor, Values, _offset
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -30,12 +31,42 @@ def make_ctx(spec, point, mode=EXACT, order=4, field_coeffs=(1, 1)):
                         bundle=CurvatureBundle(m), field_coeffs=field_coeffs)
 
 
+def jet(dim, order, coeffs, mode=EXACT):
+    """The jet whose Taylor coefficients are `coeffs` (exponent tuple ->
+    number): that of their polynomial at the origin."""
+    chart = tuple(f"x{i}" for i in range(dim))
+    return jet_from_polynomial(Polynomial(chart, coeffs), (0,) * dim, order,
+                               mode)
+
+
+def jet_tensor(dim, variance, jets, zero):
+    """The Tensor of a dense list of jets, reading `zero` where one
+    vanishes."""
+    return Tensor(dim, variance, {o: e for o, e in enumerate(jets) if e},
+                  zero)
+
+
+def dense(dim, variance, entries, zero):
+    """Entries as what holds them: a Tensor of jets, `zero` (a zero jet)
+    where one vanishes, or the Values of numbers."""
+    if isinstance(zero, Jet):
+        return jet_tensor(dim, variance, entries, zero)
+    return Values.of(dim, variance, entries)
+
+
+def replaced(t, idx, e):
+    """The jet Tensor t with its entry at idx (an index tuple or offset)
+    replaced by e."""
+    entries = t.entries
+    entries[_offset(t.dim, idx)] = e
+    return jet_tensor(t.dim, t.variance, entries, t.zero)
+
+
 def du_jets(ctx):
     """X = du as a Tensor of constant jets at the bundle's order."""
     n, order = ctx.bundle.dim, ctx.bundle.metric.order
-    return Tensor(n, COV, [Jet.constant(n, order, 1, ctx.mode) if i == 0
-                           else Jet.zero(n, order, ctx.mode)
-                           for i in range(n)])
+    return Tensor(n, COV, {0: Jet.constant(n, order, 1, ctx.mode)},
+                  Jet.zero(n, order, ctx.mode))
 
 
 def zero_of(x):
@@ -48,27 +79,28 @@ def zero_of(x):
 
 def truncated(t, order):
     """The Tensor of t's jets truncated to `order`."""
-    return Tensor(t.dim, t.variance, [e.truncate(order) for e in t.entries])
+    return jet_tensor(t.dim, t.variance, [e.truncate(order) for e in t.entries],
+                      t.zero.truncate(order))
 
 
 def naive_raise_lower(t, slot, metric):
     """out[J] = sum_p t[J with p in the slot] * metric[J[slot], p], over a
-    Tensor of jets or numbers, tuple by tuple."""
-    n = t.dim
-    flip = "u" if t.variance[slot] == "l" else "l"
-    out = Tensor.zeros(n, t.variance[:slot] + flip + t.variance[slot + 1:],
-                       zero_of(t.entries[0]))
+    Tensor of jets or Values, tuple by tuple."""
+    n, zero = t.dim, zero_of(t.entries[0])
+    out = []
     for idx in itertools.product(range(n), repeat=t.rank):
-        acc = out[idx]
+        acc = zero
         for p in range(n):
             e = t[idx[:slot] + (p,) + idx[slot + 1:]]
             acc = acc + e * metric[idx[slot], p]
-        out[idx] = acc
-    return out
+        out.append(acc)
+    flip = "u" if t.variance[slot] == "l" else "l"
+    return dense(n, t.variance[:slot] + flip + t.variance[slot + 1:], out,
+                 zero)
 
 
 def naive_contract(t, a, b, metric=None):
-    """Tuple-indexed contraction of a Tensor of jets or numbers: p-then-q
+    """Tuple-indexed contraction of a Tensor of jets or Values: p-then-q
     sums that skip zero factors and start from the first nonzero term; an
     empty sum is zero_of(entry 0)."""
     n, r = t.dim, t.rank
@@ -92,7 +124,8 @@ def naive_contract(t, a, b, metric=None):
                     term = term * m
                 acc = term if acc is None else acc + term
         entries.append(zero_of(t.entries[0]) if acc is None else acc)
-    return Tensor(n, "".join(t.variance[s] for s in keep), entries)
+    return dense(n, "".join(t.variance[s] for s in keep), entries,
+                 zero_of(t.entries[0]))
 
 
 def _at_point(x):
@@ -138,7 +171,7 @@ def reference_inverse(m):
     inv = jet_solve([[m.g[i, j] for j in range(n)] for i in range(n)],
                     [[one if i == j else zero for j in range(n)]
                      for i in range(n)])
-    return Tensor(n, CON * 2, [x for row in inv for x in row])
+    return jet_tensor(n, CON * 2, [x for row in inv for x in row], zero)
 
 
 def reference_gamma(m):
@@ -147,16 +180,16 @@ def reference_gamma(m):
     plain jet arithmetic."""
     n, order, mode = m.dim, m.order - 1, m.mode
     ginv = truncated(reference_inverse(m), order)
-    half = as_mode(F(1, 2), mode)
-    out = Tensor.zeros(n, CON + COV * 2, Jet.zero(n, order, mode))
+    half, zero = as_mode(F(1, 2), mode), Jet.zero(n, order, mode)
+    out = []
     for i, j, k in itertools.product(range(n), repeat=3):
-        acc = out[i, j, k]
+        acc = zero
         for l in range(n):
             acc = acc + ginv[i, l] * (m.g[l, k].derivative(j)
                                       + m.g[l, j].derivative(k)
                                       - m.g[j, k].derivative(l))
-        out[i, j, k] = acc * half
-    return out
+        out.append(acc * half)
+    return jet_tensor(n, CON + COV * 2, out, zero)
 
 
 def textbook_riemann_jets(b):
@@ -170,18 +203,19 @@ def textbook_riemann_jets(b):
     symbols, its inverse metric series or its orbit fill."""
     n, gam = b.dim, reference_gamma(b.metric)
     order = b.metric.order - 2
-    trunc = truncated(gam, order)
-    mixed = Tensor(n, COV * 3 + CON, [Jet.zero(n, order, b.mode)] * n ** 4)
+    trunc, zero = truncated(gam, order), Jet.zero(n, order, b.mode)
+    mixed = []
     for j, k, l, m in itertools.product(range(n), repeat=4):
         acc = (gam[m, j, l].derivative(k, "reference")
                - gam[m, k, l].derivative(j, "reference"))
         for p in range(n):
             acc = (acc + trunc[m, k, p] * trunc[p, j, l]
                    - trunc[m, j, p] * trunc[p, k, l])
-        mixed[j, k, l, m] = acc
+        mixed.append(acc)
+    mixed = jet_tensor(n, COV * 3 + CON, mixed, zero)
     riem = naive_raise_lower(mixed, 3, truncated(b.metric.g, order))
     ric = naive_contract(mixed, 0, 3)
-    return riem, Tensor(n, COV * 2, [-e for e in ric.entries])
+    return riem, jet_tensor(n, COV * 2, [-e for e in ric.entries], zero)
 
 
 def textbook_weyl_jets(b):
@@ -201,12 +235,12 @@ def textbook_weyl_jets(b):
                           truncated(b.metric.g_inv, order)).entries[0]
     c1 = as_mode(F(1, n - 2), mode)
     c2 = as_mode(F(1, (n - 1) * (n - 2)), mode)
-    return Tensor(n, COV * 4, [
+    return jet_tensor(n, COV * 4, [
         riem[j, k, l, m]
         - (g[j, l] * ric[k, m] - g[j, m] * ric[k, l]
            - g[k, l] * ric[j, m] + g[k, m] * ric[j, l]) * c1
         + scal * (g[j, l] * g[k, m] - g[j, m] * g[k, l]) * c2
-        for j, k, l, m in itertools.product(range(n), repeat=4)])
+        for j, k, l, m in itertools.product(range(n), repeat=4)], riem.zero)
 
 
 def _dense_fill(out, base, images, a):
@@ -329,7 +363,7 @@ def dense_covariant_derivative(t, gamma, context="covariant derivative",
     if isinstance(gamma, Values):
         return Values(n, COV + t.variance, out, den * dg,
                       0 if mode == EXACT else 0.0)
-    return Tensor(n, COV + t.variance, out)
+    return jet_tensor(n, COV + t.variance, out, zero)
 
 
 @pytest.fixture(scope="session")

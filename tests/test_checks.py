@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (NC4, du_jets, make_ctx, poly, textbook_weyl_jets,
-                      truncated)
+from conftest import (NC4, du_jets, jet_tensor, make_ctx, poly,
+                      textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev, build_ppwave,
                      build_two_symmetric, build_walker, linalg, run)
 from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
@@ -18,7 +18,7 @@ from ppcheck.geometry import CurvatureBundle, covariant_derivative, rescaled
 from ppcheck.jets import Jet, jet_recip
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import COV, Tensor, Values, sup_norm
+from ppcheck.tensors import COV, Values, sup_norm
 
 NC5 = ("u", "x1", "x2", "x3", "v")
 PT4 = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -35,31 +35,26 @@ def two_sym_ctx(pt=PT4):
 
 class TestExtractRecurrence:
     def test_constant_field_gives_zero_covector(self):
-        t = Tensor(3, "l", [F(1), F(2), F(0)])
-        nt = Tensor.zeros(3, "ll", F(0))
-        alpha, res = extract_recurrence(t.values(), nt.values())
+        t = Values.of(3, "l", [F(1), F(2), F(0)])
+        alpha, res = extract_recurrence(t, Values.of(3, "ll", [F(0)] * 9))
         assert alpha == [0, 0, 0] and res == 0
 
     def test_exact_multiple_recovered(self):
-        t = Tensor(2, "l", [F(3), F(5)])
-        nt = Tensor.zeros(2, "ll", F(0))
-        for i, a in enumerate((F(2), F(-7))):
-            for j in range(2):
-                nt[i, j] = a * t.entries[j]
-        alpha, res = extract_recurrence(t.values(), nt.values())
+        t = [F(3), F(5)]
+        nt = Values.of(2, "ll", [a * x for a in (F(2), F(-7)) for x in t])
+        alpha, res = extract_recurrence(Values.of(2, "l", t), nt)
         assert alpha == [F(2), F(-7)] and res == 0
 
     def test_vacuous_on_zero_tensor(self):
-        t = Tensor(2, "l", [F(0), F(0)])
-        alpha, res = extract_recurrence(
-            t.values(), Tensor.zeros(2, "ll", F(0)).values())
+        alpha, res = extract_recurrence(Values.of(2, "l", [F(0), F(0)]),
+                                        Values.of(2, "ll", [F(0)] * 4))
         assert alpha is None and res is None
 
     def test_nonrecurrent_has_residual(self):
-        t = Tensor(2, "l", [F(1), F(0)])
-        nt = Tensor.zeros(2, "ll", F(0))
-        nt[0, 1] = F(1)   # derivative not proportional to t
-        _, res = extract_recurrence(t.values(), nt.values())
+        t = Values.of(2, "l", [F(1), F(0)])
+        # derivative not proportional to t: only nt[0, 1] is nonzero
+        nt = Values.of(2, "ll", [F(0), F(1), F(0), F(0)])
+        _, res = extract_recurrence(t, nt)
         assert res > 0
 
 
@@ -135,7 +130,7 @@ class TestCollinearity:
         assert r.status == "pass" and r.witnesses["mu"] == F(1, 2)
 
     def test_orthogonal_covectors_fail(self, flagship_ctx):
-        alpha = Tensor(5, "l", [F(0), F(1), F(0), F(0), F(0)]).values()
+        alpha = Values.of(5, "l", [F(0), F(1), F(0), F(0), F(0)])
         r = check_collinearity(flagship_ctx, alpha=alpha)
         assert r.status == "fail" and r.residual == 1
 
@@ -146,14 +141,13 @@ class TestOlszak:
         assert r.status == "pass" and r.residual == 0
 
     def test_dv_fails_on_galaev(self, flagship_ctx):
-        dv = Tensor(5, "l", [F(0)] * 4 + [F(1)]).values()
+        dv = Values.of(5, "l", [F(0)] * 4 + [F(1)])
         r = check_olszak(flagship_ctx, x=dv)
         assert r.status == "fail"
 
     def test_extracted_alpha_in_distribution(self, flagship_ctx):
-        alpha = Tensor(5, "l",
-                       CHECKS["conformal_recurrence"](flagship_ctx)
-                       .witnesses["alpha"]).values()
+        alpha = Values.of(5, "l", CHECKS["conformal_recurrence"](flagship_ctx)
+                          .witnesses["alpha"])
         r = check_olszak(flagship_ctx, x=alpha)
         assert r.status == "pass"
 
@@ -348,9 +342,9 @@ def reference_alpha(b):
     size = len(ct)
     zero = Jet.zero(n, order, b.mode)
     inv = jet_recip(sum((e * e for e in ct if e), zero), "reference")
-    alpha = Tensor(n, COV, [
+    alpha = jet_tensor(n, COV, [
         sum((x * e for x, e in zip(nc[i * size:(i + 1) * size], ct)
-             if x and e), zero) * inv for i in range(n)])
+             if x and e), zero) * inv for i in range(n)], zero)
     d_alpha = Values.of(n, COV * 2, [alpha[i].derivative(j).value
                                      for j in range(n) for i in range(n)])
     return (alpha.values(), d_alpha,
@@ -500,29 +494,27 @@ class TestUniversalIdentities:
 
 def _dense_schimming_d(riem, x, ctx):
     """Reference: the tuple-indexed dense least squares over all n^4 entries,
-    on Tensors of the numbers the Values riem and x stand for."""
-    riem = Tensor(riem.dim, riem.variance, riem.entries)
-    x = Tensor(x.dim, x.variance, x.entries)
-    n = riem.dim
+    on the numbers the Values riem and x stand for."""
+    n, xs = riem.dim, x.entries
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
 
     def model(da, db):
-        t = Tensor.zeros(n, "llll", ctx.zero())
+        t = [ctx.zero()] * n ** 4
         for j in range(n):
             for k in range(n):
                 for l in range(n):
                     for m in range(n):
                         val = ctx.zero()
                         if (k, l) == (da, db) or (k, l) == (db, da):
-                            val = val + x.entries[j] * x.entries[m]
+                            val = val + xs[j] * xs[m]
                         if (m, k) == (da, db) or (m, k) == (db, da):
-                            val = val - x.entries[j] * x.entries[l]
+                            val = val - xs[j] * xs[l]
                         if (j, l) == (da, db) or (j, l) == (db, da):
-                            val = val - x.entries[k] * x.entries[m]
+                            val = val - xs[k] * xs[m]
                         if (j, m) == (da, db) or (j, m) == (db, da):
-                            val = val + x.entries[k] * x.entries[l]
+                            val = val + xs[k] * xs[l]
                         if val:
-                            t[j, k, l, m] = val
+                            t[((j * n + k) * n + l) * n + m] = val
         return t
 
     basis = [model(a, b) for a, b in pairs]
@@ -532,11 +524,11 @@ def _dense_schimming_d(riem, x, ctx):
     for e in range(k):
         for f in range(e, k):
             acc = ctx.zero()
-            for p, q in zip(basis[e].entries, basis[f].entries):
+            for p, q in zip(basis[e], basis[f]):
                 acc = acc + p * q
             gram[e][f] = gram[f][e] = acc
         acc = ctx.zero()
-        for p, q in zip(basis[e].entries, riem.entries):
+        for p, q in zip(basis[e], riem.entries):
             acc = acc + p * q
         rhs[e] = acc
     try:
@@ -546,14 +538,14 @@ def _dense_schimming_d(riem, x, ctx):
         for e in range(k):
             if gram[e][e]:
                 coeffs[e] = rhs[e] / gram[e][e]
-    recon = Tensor.zeros(n, "llll", ctx.zero()).entries
+    recon = [ctx.zero()] * n ** 4
     for c, bt in zip(coeffs, basis):
         if c:
-            recon = [r + e * c for r, e in zip(recon, bt.entries)]
+            recon = [r + e * c for r, e in zip(recon, bt)]
     res = relative_residual(
-        sup_norm(Tensor(n, "llll", [r - e for r, e in zip(riem.entries,
-                                                          recon)]).values()),
-        sup_norm(riem.values()))
+        sup_norm(Values.of(n, "llll", [r - e for r, e in zip(riem.entries,
+                                                             recon)])),
+        sup_norm(riem))
     dmat = [[ctx.zero()] * n for _ in range(n)]
     for (a, b), c in zip(pairs, coeffs):
         dmat[a][b] = dmat[b][a] = c
@@ -584,10 +576,10 @@ class TestSchimmingDReference:
         ctx = PointContext(spec=None, point=(), mode=EXACT, bundle=None)
         n = 4
         # int 0 beside Fractions, as in exact value tensors
-        riem = Tensor(n, "llll", [
+        riem = Values.of(n, "llll", [
             F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4
-            else 0 for _ in range(n ** 4)]).values()
-        x = Tensor(n, COV, [F(2), F(0), F(-1, 3), F(5, 2)]).values()
+            else 0 for _ in range(n ** 4)])
+        x = Values.of(n, COV, [F(2), F(0), F(-1, 3), F(5, 2)])
         got = _extract_schimming_d(riem, x, ctx)
         self._assert_identical(got, _dense_schimming_d(riem, x, ctx))
         assert got[1] != 0
@@ -597,12 +589,12 @@ class TestSchimmingDReference:
         ctx = make_ctx(flagship_spec, pt, mode=FLOAT, order=2)
         rng = random.Random(5)
         riem = ctx.bundle.riemann.values()
-        noisy = Tensor(5, "llll", [e + rng.uniform(-0.1, 0.1)
-                                   if rng.random() < 0.2 else e
-                                   for e in riem.entries]).values()
+        noisy = Values.of(5, "llll", [e + rng.uniform(-0.1, 0.1)
+                                      if rng.random() < 0.2 else e
+                                      for e in riem.entries])
         for t, x in ((riem, chart_covector_u(ctx)),
                      (noisy,
-                      Tensor(5, COV, [0.5, -1.0, 0.0, 2.0, 0.25]).values())):
+                      Values.of(5, COV, [0.5, -1.0, 0.0, 2.0, 0.25]))):
             (dmat, res), (dmat_ref, res_ref) = (
                 _extract_schimming_d(t, x, ctx), _dense_schimming_d(t, x, ctx))
             assert type(res) is float and abs(res - res_ref) <= 1e-12
@@ -644,8 +636,8 @@ class TestChiQuarticReference:
                      if rng.random() < 0.5 else F(0) for _ in range(n ** 4)]
             if mode == FLOAT:
                 x, quart = [float(v) for v in x], [float(v) for v in quart]
-            xv = Tensor(n, COV, x).values()
-            qv = Tensor(n, "llll", quart).values()
+            xv = Values.of(n, COV, x)
+            qv = Values.of(n, "llll", quart)
             got = _chi_quartic(qv, xv, ctx)
             want = _fraction_chi_quartic(qv, xv, ctx)
             for a, b in zip(got, want):

@@ -4,12 +4,16 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
 import weakref
+from contextlib import redirect_stdout
 from decimal import Decimal
 from fractions import Fraction as F
+from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +374,25 @@ def test_public_names_resolve_and_nothing_else_is_exported():
         "expected_psi", "warnings"]
 
 
+def test_readme_library_use_runs():
+    """The two `python` blocks under README "Library use", run in order in
+    one namespace: the first prints the line its comment shows, and the
+    second's rescaled `C2` equals the bundle's own `weyl_mixed`."""
+    readme = Path(HERE).parent.joinpath("README.md").read_text("utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    shown = [line[2:] for line in blocks[0].splitlines()
+             if line.startswith("# pass ")]
+    assert shown and shown[0].startswith("pass [Fraction(1, 1), ")
+    scope, out = {}, StringIO()
+    with redirect_stdout(out):
+        for block in blocks:
+            exec(block, scope)
+    assert out.getvalue().splitlines() == shown
+    assert scope["C2"] == scope["ctx"].bundle.weyl_mixed
+
+
 def test_import_leaves_out_modules_no_run_uses():
     """`import ppcheck` loads neither `dataclasses` (with `inspect`) nor
     the CLI's `argparse` and `traceback`; `main` imports what it needs."""
@@ -509,7 +532,7 @@ class TestMainEntry:
         cfg = self.write(tmp_path, FLAGSHIP)
         out = str(tmp_path / "report.json")
         assert main(["run", "--config", cfg, "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["header"]["mode"] == "exact"
 
     def test_run_exit_one_on_failures(self, tmp_path):

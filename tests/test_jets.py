@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import jet as J
 from ppcheck.geometry import OrderBudgetError
 from ppcheck.jets import (EXACT, FLOAT, Jet, JetError, SingularJetError,
                           _tables, from_numerators, jet_from_polynomial,
                           jet_recip, mac, numerators)
-from ppcheck.polynomials import parse_polynomial
+from ppcheck.polynomials import Polynomial, parse_polynomial
 from ppcheck.tensors import Tensor
-
-
-def J(dim, order, coeffs):
-    return Jet(dim, order, {k: F(v) for k, v in coeffs.items()})
 
 
 class TestArithmetic:
@@ -120,7 +117,7 @@ def jet_strategy(order=3):
     monos = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
         lambda mi: sum(mi) <= order)
     return st.dictionaries(monos, fracs, max_size=4).map(
-        lambda d: Jet(2, order, {k: v for k, v in d.items() if v}))
+        lambda d: J(2, order, d))
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,7 +201,7 @@ def _assert_matches(jet, want, mode, order):
 @given(sparse_jet_pairs())
 def test_dense_kernel_matches_dict_reference(case):
     dim, mode, (oa, da), (ob, db), s = case
-    a, b = Jet(dim, oa, da, mode), Jet(dim, ob, db, mode)
+    a, b = J(dim, oa, da, mode), J(dim, ob, db, mode)
     low = min(oa, ob)
     _assert_matches(a + b, _ref_add(da, db, low), mode, low)
     _assert_matches(a - b, _ref_add(da, db, low, -1), mode, low)
@@ -223,14 +220,14 @@ def test_dense_kernel_matches_dict_reference(case):
 
 class TestModes:
     def test_float_zero_constant_reads_float_zero(self):
-        a = Jet(2, 2, {(1, 0): 1.5}, FLOAT)
+        a = J(2, 2, {(1, 0): 1.5}, FLOAT)
         assert a.value == 0.0 and isinstance(a.value, float)
         two = Jet.constant(2, 2, 2.0, FLOAT)
         assert jet_recip(a + two).mode == FLOAT
 
     def test_mixing_modes_raises(self):
         a = J(2, 2, {(0, 0): 1, (1, 0): F(1, 3)})
-        b = Jet(2, 2, {(0, 1): 0.5}, FLOAT)
+        b = J(2, 2, {(0, 1): 0.5}, FLOAT)
         ops = (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a,
                lambda: a * b, lambda: b * a, lambda: a * 0.5,
                lambda: a + 1, lambda: 1 + a, lambda: a - F(1, 2),
@@ -254,9 +251,11 @@ class TestModes:
         ((2, 1, "fast"), "unknown arithmetic mode 'fast'"),
     ], ids=["negative_order", "unknown_mode"])
     def test_zero_validates_as_the_constructor(self, args, match):
+        """Jet.zero refuses what jet_from_polynomial refuses."""
         dim, order, *mode = args
+        one = Polynomial.constant(("x", "y")[:dim], 1)
         with pytest.raises(JetError, match=match):
-            Jet(dim, order, None, *mode)
+            jet_from_polynomial(one, (0,) * dim, order, *mode)
         with pytest.raises(JetError, match=match):
             Jet.zero(*args)
 
@@ -273,7 +272,7 @@ class TestNumeratorKernel:
         def jet(order):
             if rng.random() < 0.2:
                 return Jet.zero(dim, order, mode)
-            return Jet(dim, order, {
+            return J(dim, order, {
                 mi: F(rng.randint(-30, 30), rng.randint(1, 12))
                 for mi in _tables(dim, order).monos if rng.random() < 0.7},
                 mode)
@@ -298,17 +297,16 @@ class TestNumeratorKernel:
 
     def test_a_jet_below_the_order_is_refused(self):
         # its coefficients past its order are unknown, not zero
-        low = Jet(2, 1, {(0, 1): 1})
+        low = J(2, 1, {(0, 1): 1})
         with pytest.raises(JetError, match="order 1 read to order 2"):
-            numerators([Jet(2, 3, {(1, 0): 1}), low], 2)
+            numerators([J(2, 3, {(1, 0): 1}), low], 2)
         with pytest.raises(JetError):
             numerators([Jet.zero(2, 1)], 2)
         assert numerators([low], 1) == ([[0, 0, 1]], 1)
         # a sparse tensor's left-out entries are zero jets of its order
         with pytest.raises(JetError, match="order 1 read to order 2"):
-            Tensor.zeros(2, "l", Jet.zero(2, 1)).numerators(2)
-        sparse = Tensor(2, "ll", [low, Jet.zero(2, 1), Jet.zero(2, 1), low])
-        assert sparse.nonzero == {0: low, 3: low}
+            Tensor(2, "l", {}, Jet.zero(2, 1)).numerators(2)
+        sparse = Tensor(2, "ll", {0: low, 3: low}, Jet.zero(2, 1))
         assert sparse.numerators(1) == ({0: [0, 0, 1], 3: [0, 0, 1]}, 1)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -337,7 +335,7 @@ class TestNumeratorKernel:
 
 
 def _table_workout(dim):
-    a = Jet(dim, 3, {(1,) + (0,) * (dim - 1): F(1, 3), (0,) * dim: 2})
+    a = J(dim, 3, {(1,) + (0,) * (dim - 1): F(1, 3), (0,) * dim: 2})
     b = jet_recip(a) * a.derivative(0) - a.truncate(2)
     return dict(b.coeffs)
 
@@ -364,7 +362,7 @@ def test_product_table_is_built_on_the_first_product():
     _tables.cache_clear()
     t = _tables(3, 4)
     unbuilt = type(t).__dict__["mul"]          # the slot, read directly
-    a = Jet(3, 4, {(1, 0, 0): F(1, 3), (0, 2, 1): 2})
+    a = J(3, 4, {(1, 0, 0): F(1, 3), (0, 2, 1): 2})
     b = (a + a * F(2)) - a - a
     with pytest.raises(AttributeError):
         unbuilt.__get__(t)

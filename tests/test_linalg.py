@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jet_solve
+from conftest import jet, jet_solve
 from ppcheck import build_custom
 from ppcheck.geometry import DegeneratePointError, metric_at_point
 from ppcheck.jets import EXACT, Jet
@@ -58,7 +58,7 @@ def test_more_singular_matrices_rejected(a):
 
 def test_jet_with_zero_value_is_singular():
     # x is not a unit of the jet ring: its value at the point is 0
-    x = Jet(1, 2, {(1,): 1})
+    x = jet(1, 2, {(1,): 1})
     with pytest.raises(SingularMatrixError):
         jet_solve([[x]], [[Jet.constant(1, 2, 1)]])
     coords = ("x",)
@@ -70,8 +70,8 @@ def test_jet_with_zero_value_is_singular():
 def test_jet_inverse_is_exact_to_the_order():
     # [[1 + x, y], [y, 2]]: a·X is the identity jet matrix, literally
     one, zero = Jet.constant(2, 3, 1), Jet.zero(2, 3)
-    a = [[Jet(2, 3, {(0, 0): 1, (1, 0): 1}), Jet(2, 3, {(0, 1): 1})],
-         [Jet(2, 3, {(0, 1): 1}), Jet.constant(2, 3, 2)]]
+    a = [[jet(2, 3, {(0, 0): 1, (1, 0): 1}), jet(2, 3, {(0, 1): 1})],
+         [jet(2, 3, {(0, 1): 1}), Jet.constant(2, 3, 2)]]
     x = jet_solve(a, [[one, zero], [zero, one]])
     prod = [[a[i][0] * x[0][j] + a[i][1] * x[1][j] for j in range(2)]
             for i in range(2)]

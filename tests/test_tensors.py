@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (NC4, make_ctx, naive_contract, naive_raise_lower, poly,
-                      zero_of)
+from conftest import (NC4, jet, jet_tensor, make_ctx, naive_contract,
+                      naive_raise_lower, poly, zero_of)
 from ppcheck import EXACT, FLOAT, Jet, build_ppwave
 from ppcheck.tensors import (Tensor, Values, contract, cyclic_sum, dot,
                              raise_lower, sup_norm, tensordot)
@@ -41,31 +41,28 @@ class TestContraction:
 
 class TestCyclicSum:
     def test_three_term_sum_on_unit_entry(self):
-        t = Tensor.zeros(2, "lll", F(0))
-        t[0, 0, 1] = F(1)
-        s = cyclic_sum(t.values(), (0, 1, 2))
+        t = Values.of(2, "lll", [F(int(o == 1)) for o in range(8)])
+        s = cyclic_sum(t, (0, 1, 2))
         # entries at the three cyclic placements of the single unit
         assert s[0, 0, 1] == 1 and s[0, 1, 0] == 1 and s[1, 0, 0] == 1
 
     def test_zero_tensor(self):
-        t = Tensor.zeros(3, "lll", F(0))
-        assert not sup_norm(cyclic_sum(t.values(), (0, 1, 2)))
+        t = Values.of(3, "lll", [F(0)] * 27)
+        assert not sup_norm(cyclic_sum(t, (0, 1, 2)))
 
     def test_olszak_cyclic_sum_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle
-        x = Tensor(4, "l", [F(1), F(0), F(0), F(0)]).values()
+        x = Values.of(4, "l", [F(1), F(0), F(0), F(0)])
         s = cyclic_sum(x.outer(b.values("weyl")), (0, 1, 2))
         assert not sup_norm(s)
 
 
 class TestSupNorm:
     def test_zero(self):
-        assert sup_norm(Tensor.zeros(2, "l", F(0)).values()) == 0
+        assert sup_norm(Values.of(2, "l", [F(0), F(0)])) == 0
 
     def test_single_negative_entry(self):
-        t = Tensor.zeros(2, "l", F(0))
-        t[1] = F(-3)
-        assert sup_norm(t.values()) == 3
+        assert sup_norm(Values.of(2, "l", [F(0), F(-3)])) == 3
 
     def test_galaev_weyl_nonzero(self, flagship_ctx):
         assert sup_norm(flagship_ctx.bundle.values("weyl")) > 0
@@ -92,7 +89,7 @@ class TestRaiseLower:
         # X^k = g^{ku} lowers to delta_k^u in the null chart
         b = quartic_ctx.bundle
         ginv = b.metric.g_inv.values()
-        xup = Tensor(4, "u", [ginv[k, 0] for k in range(4)]).values()
+        xup = Values.of(4, "u", [ginv[k, 0] for k in range(4)])
         x = raise_lower(xup, 0, b.metric.g.values())
         assert list(x.entries) == [F(1), F(0), F(0), F(0)]
 
@@ -123,7 +120,7 @@ def _random_entry(rng, kind):
                    else rng.uniform(-1.0, 1.0))
               for mi in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
               if rng.random() < 0.6}
-    return Jet(2, 2, coeffs, mode)
+    return jet(2, 2, coeffs, mode)
 
 
 class TestRaiseLowerReference:
@@ -136,14 +133,12 @@ class TestRaiseLowerReference:
                 for flip in ("l", "u"):
                     variance = "".join(rng.choice("lu") for _ in range(rank))
                     variance = variance[:slot] + flip + variance[slot + 1:]
-                    t = Tensor(n, variance, [_random_entry(rng, kind)
-                                             for _ in range(n ** rank)])
+                    t = _random_tensor(rng, kind, n, variance)
                     # not symmetric, so a swapped metric index shows
-                    metric = Tensor(n, "uu" if flip == "l" else "ll",
-                                    [_random_entry(rng, kind)
-                                     for _ in range(n * n)])
-                    assert (raise_lower(t.values(), slot, metric.values())
-                            == naive_raise_lower(t, slot, metric).values())
+                    metric = _random_tensor(rng, kind, n,
+                                            "uu" if flip == "l" else "ll")
+                    assert (raise_lower(_point(t), slot, _point(metric))
+                            == _point(naive_raise_lower(t, slot, metric)))
 
 
 class TestPermute:
@@ -153,8 +148,8 @@ class TestPermute:
         assert not sup_norm(r + swapped)
 
     def test_slot_s_of_result_is_slot_perm_s(self):
-        t = Tensor(3, "llu", [F(i) for i in range(27)])
-        p = t.values().permute((1, 2, 0))
+        t = Values.of(3, "llu", [F(i) for i in range(27)])
+        p = t.permute((1, 2, 0))
         assert p.variance == "lul"
         for a, b, c in itertools.product(range(3), repeat=3):
             assert p[a, b, c] == t[c, a, b]
@@ -165,37 +160,48 @@ ENTRY_KINDS = ["fraction", "int0", "float", "jet", "float_jet"]
 
 def _naive_permute(t, perm):
     """result[J] = t[I] with I[perm[s]] = J[s]: slot s reads slot perm[s]."""
-    out = Tensor.zeros(t.dim, "".join(t.variance[p] for p in perm),
-                       zero_of(t.entries[0]))
+    out = []
     for idx in itertools.product(range(t.dim), repeat=t.rank):
         src = [0] * t.rank
         for s, p in enumerate(perm):
             src[p] = idx[s]
-        out[idx] = t[tuple(src)]
-    return out
+        out.append(t[tuple(src)])
+    return Values.of(t.dim, "".join(t.variance[p] for p in perm), out)
 
 
 def _naive_cyclic_sum(t, slots):
     """S[idx] = t[idx] + t[idx cycled once] + t[idx cycled twice]."""
     i, j, k = slots
-    out = Tensor.zeros(t.dim, t.variance, zero_of(t.entries[0]))
+    out = []
     for idx in itertools.product(range(t.dim), repeat=t.rank):
         once, twice = list(idx), list(idx)
         once[i], once[j], once[k] = idx[k], idx[i], idx[j]
         twice[i], twice[j], twice[k] = idx[j], idx[k], idx[i]
-        out[idx] = t[idx] + t[tuple(once)] + t[tuple(twice)]
-    return out
+        out.append(t[idx] + t[tuple(once)] + t[tuple(twice)])
+    return Values.of(t.dim, t.variance, out)
+
+
+def _point(t):
+    """The point values of a Tensor of jets; Values as they are."""
+    return t.values() if isinstance(t, Tensor) else t
 
 
 def _numbers(t):
-    """A Tensor of the point values of t's entries (t itself for numbers)."""
-    return Tensor(t.dim, t.variance, [e.value if isinstance(e, Jet) else e
-                                      for e in t.entries])
+    """The Values of the point values of t's entries, one by one (t itself
+    for Values)."""
+    if isinstance(t, Values):
+        return t
+    return Values.of(t.dim, t.variance, [e.value for e in t.entries])
 
 
 def _random_tensor(rng, kind, n, variance):
-    return Tensor(n, variance, [_random_entry(rng, kind)
-                                for _ in range(n ** len(variance))])
+    """A Tensor of random jets (kind "jet" or "float_jet") or the Values of
+    random numbers."""
+    entries = [_random_entry(rng, kind) for _ in range(n ** len(variance))]
+    if kind in ("jet", "float_jet"):
+        return jet_tensor(n, variance, entries,
+                          Jet.zero(2, 2, EXACT if kind == "jet" else FLOAT))
+    return Values.of(n, variance, entries)
 
 
 class TestKernelReference:
@@ -209,7 +215,7 @@ class TestKernelReference:
             variance = "".join(rng.choice("lu") for _ in range(rank))
             t = _random_tensor(rng, kind, 3, variance)
             for perm in itertools.permutations(range(rank)):
-                _assert_same_numbers(t.values().permute(perm),
+                _assert_same_numbers(_point(t).permute(perm),
                                      _naive_permute(_numbers(t), perm))
 
     @pytest.mark.parametrize("kind", ENTRY_KINDS)
@@ -229,13 +235,13 @@ class TestKernelReference:
                 metric = None if metric_kind == "none" else \
                     _random_tensor(rng, kind, n,
                                    "uu" if metric_kind == "g_inv" else "ll")
-                mv = None if metric is None else metric.values()
+                mv = None if metric is None else _point(metric)
                 want = naive_contract(_numbers(t), a, b,
                                       None if metric is None
                                       else _numbers(metric))
-                _assert_same_numbers(contract(t.values(), a, b, mv), want)
+                _assert_same_numbers(contract(_point(t), a, b, mv), want)
                 # the slot order of the call does not matter
-                _assert_same_numbers(contract(t.values(), b, a, mv), want)
+                _assert_same_numbers(contract(_point(t), b, a, mv), want)
 
     def test_contract_to_rank_zero_of_int_zeros_is_fraction(self):
         t = Values.of(2, "lu", [0, F(3), 0, 0])
@@ -250,7 +256,7 @@ class TestKernelReference:
         for rank in range(3, 6):
             t = _random_tensor(rng, kind, 3, "l" * rank)
             for slots in itertools.permutations(range(rank), 3):
-                _assert_same_numbers(cyclic_sum(t.values(), slots),
+                _assert_same_numbers(cyclic_sum(_point(t), slots),
                                      _naive_cyclic_sum(_numbers(t), slots))
 
 
@@ -263,22 +269,22 @@ class TestKernelReference:
 
 
 def _oracle_outer(a, b):
-    return Tensor(a.dim, a.variance + b.variance,
-                  [x * y for x in a.entries for y in b.entries])
+    return Values.of(a.dim, a.variance + b.variance,
+                     [x * y for x in a.entries for y in b.entries])
 
 
 def _oracle_sub(a, b):
-    return Tensor(a.dim, a.variance,
-                  [x - y for x, y in zip(a.entries, b.entries)])
+    return Values.of(a.dim, a.variance,
+                     [x - y for x, y in zip(a.entries, b.entries)])
 
 
 def _oracle_scale(a, c):
-    return Tensor(a.dim, a.variance, [x * c for x in a.entries])
+    return Values.of(a.dim, a.variance, [x * c for x in a.entries])
 
 
-def _oracle_sup_norm(t):
+def _oracle_sup_norm(numbers):
     best = None
-    for v in t.entries:
+    for v in numbers:
         if best is None:
             best = abs(v)
         elif v:
@@ -294,8 +300,7 @@ def _oracle_raise_lower(t, slot, metric):
     w = n ** (t.rank - 1 - slot)
     col = [[(m, metric.entries[m * n + p]) for m in range(n)
             if metric.entries[m * n + p]] for p in range(n)]
-    out = Tensor.zeros(n, t.variance[:slot] + flip + t.variance[slot + 1:],
-                       zero_of(t.entries[0])).entries
+    out = [zero_of(t.entries[0])] * len(t.entries)
     for off, e in enumerate(t.entries):
         if not e:
             continue
@@ -304,7 +309,7 @@ def _oracle_raise_lower(t, slot, metric):
         for m, g in col[p]:
             o = rest + m * w
             out[o] = out[o] + e * g
-    return Tensor(n, t.variance[:slot] + flip + t.variance[slot + 1:], out)
+    return Values.of(n, t.variance[:slot] + flip + t.variance[slot + 1:], out)
 
 
 def _oracle_cyclic_sum(t, slots):
@@ -315,35 +320,35 @@ def _oracle_cyclic_sum(t, slots):
     perm2[i], perm2[j], perm2[k] = k, i, j
     a = t.entries
     b, c = _naive_permute(t, perm1).entries, _naive_permute(t, perm2).entries
-    return Tensor(t.dim, t.variance, [x + y + z for x, y, z in zip(a, b, c)])
+    return Values.of(t.dim, t.variance, [x + y + z for x, y, z in zip(a, b, c)])
 
 
 VALUE_KINDS = ["fraction", "int0", "mixed", "float", "jet"]
 
 
 def _number_tensor(rng, kind, n, variance):
-    """(Tensor of numbers for the oracle, the same as Values).
+    """(numbers, the oracle's Values of them, the kernels' Values): the
+    two Values are made apart, the kernels' from jets for kind "jet".
 
     "int0" zeros are int 0 (a jet's zero value), "fraction" zeros are
     Fraction(0), "mixed" has both; "jet" reads exact jets' values.
     """
     size = n ** len(variance)
     if kind == "jet":
-        jets = Tensor(n, variance, [_random_entry(rng, "jet")
-                                    for _ in range(size)])
-        return Tensor(n, variance, [e.value for e in jets.entries]), \
-            jets.values()
+        jets = _random_tensor(rng, "jet", n, variance)
+        numbers = [e.value for e in jets.entries]
+        return numbers, Values.of(n, variance, numbers), jets.values()
     if kind == "mixed":
-        entries = [_random_entry(rng, rng.choice(["fraction", "int0"]))
+        numbers = [_random_entry(rng, rng.choice(["fraction", "int0"]))
                    for _ in range(size)]
     else:
-        entries = [_random_entry(rng, kind) for _ in range(size)]
-    t = Tensor(n, variance, entries)
-    return t, t.values()
+        numbers = [_random_entry(rng, kind) for _ in range(size)]
+    return (numbers, Values.of(n, variance, numbers),
+            Values.of(n, variance, numbers))
 
 
 def _assert_same_numbers(got, want):
-    """A Values tensor against an oracle Tensor: equal numbers of identical
+    """A Values tensor against the oracle's: equal numbers of identical
     type, entry by entry."""
     assert isinstance(got, Values)
     assert (got.dim, got.variance) == (want.dim, want.variance)
@@ -362,9 +367,10 @@ class TestValueKernels:
     def test_values_read_back_the_numbers(self, kind):
         rng = random.Random(f"read-{kind}")
         for rank in range(0, 7):
-            t, v = _number_tensor(rng, kind, _dims(rank), "l" * rank)
-            _assert_same_numbers(v, t)
-            got, want = sup_norm(v), _oracle_sup_norm(t)
+            numbers, _, v = _number_tensor(rng, kind, _dims(rank), "l" * rank)
+            assert [(type(x), x) for x in v.entries] == \
+                [(type(x), x) for x in numbers]
+            got, want = sup_norm(v), _oracle_sup_norm(numbers)
             assert type(got) is type(want) and got == want
 
     @pytest.mark.parametrize("kind", VALUE_KINDS)
@@ -372,7 +378,7 @@ class TestValueKernels:
         rng = random.Random(f"vpermute-{kind}")
         for rank in range(1, 7):
             variance = "".join(rng.choice("lu") for _ in range(rank))
-            t, v = _number_tensor(rng, kind, _dims(rank), variance)
+            _, t, v = _number_tensor(rng, kind, _dims(rank), variance)
             perms = list(itertools.permutations(range(rank)))
             for perm in rng.sample(perms, min(len(perms), 12)):
                 _assert_same_numbers(v.permute(perm), _naive_permute(t, perm))
@@ -384,8 +390,8 @@ class TestValueKernels:
             n = _dims(rank)
             for slot in range(rank):
                 variance = "".join(rng.choice("lu") for _ in range(rank))
-                t, v = _number_tensor(rng, kind, n, variance)
-                mt, mv = _number_tensor(
+                _, t, v = _number_tensor(rng, kind, n, variance)
+                _, mt, mv = _number_tensor(
                     rng, kind, n, "uu" if variance[slot] == "l" else "ll")
                 _assert_same_numbers(raise_lower(v, slot, mv),
                                      _oracle_raise_lower(t, slot, mt))
@@ -401,10 +407,10 @@ class TestValueKernels:
                 variance[a], variance[b] = {"none": ("l", "u"),
                                             "g_inv": ("l", "l"),
                                             "g": ("u", "u")}[metric_kind]
-                t, v = _number_tensor(rng, kind, n, "".join(variance))
+                _, t, v = _number_tensor(rng, kind, n, "".join(variance))
                 mt = mv = None
                 if metric_kind != "none":
-                    mt, mv = _number_tensor(
+                    _, mt, mv = _number_tensor(
                         rng, kind, n, "uu" if metric_kind == "g_inv" else "ll")
                 _assert_same_numbers(contract(v, a, b, mv),
                                      naive_contract(t, a, b, mt))
@@ -413,7 +419,7 @@ class TestValueKernels:
     def test_cyclic_sum(self, kind):
         rng = random.Random(f"vcyclic-{kind}")
         for rank in range(3, 7):
-            t, v = _number_tensor(rng, kind, _dims(rank), "l" * rank)
+            _, t, v = _number_tensor(rng, kind, _dims(rank), "l" * rank)
             for slots in rng.sample(
                     list(itertools.permutations(range(rank), 3)), 6):
                 _assert_same_numbers(cyclic_sum(v, slots),
@@ -424,8 +430,8 @@ class TestValueKernels:
         rng = random.Random(f"vsub-{kind}")
         for rank in range(1, 4):
             n = _dims(rank)
-            t, v = _number_tensor(rng, kind, n, "l" * rank)
-            u, w = _number_tensor(rng, kind, n, "l" * rank)
+            _, t, v = _number_tensor(rng, kind, n, "l" * rank)
+            _, u, w = _number_tensor(rng, kind, n, "l" * rank)
             _assert_same_numbers(v - w, _oracle_sub(t, u))
             _assert_same_numbers(v - v, _oracle_sub(t, t))
             c = 0.75 if kind == "float" else F(-3, 4)
@@ -440,8 +446,8 @@ class TestValueKernels:
         for rank in range(2, 6):
             n = _dims(rank + 1)
             for _ in range(3):
-                xt, xv = _number_tensor(rng, kind, n, "l")
-                t, v = _number_tensor(rng, kind, n, "l" * rank)
+                _, xt, xv = _number_tensor(rng, kind, n, "l")
+                _, t, v = _number_tensor(rng, kind, n, "l" * rank)
                 _assert_same_numbers(
                     cyclic_sum(xv.outer(v), (0, 1, 2)),
                     _oracle_cyclic_sum(_oracle_outer(xt, t), (0, 1, 2)))
@@ -455,8 +461,8 @@ class TestValueKernels:
         for rank in range(1, 6):
             n = _dims(rank + 1)
             variance = "".join(rng.choice("lu") for _ in range(rank))
-            xt, xv = _number_tensor(rng, kind, n, "u")
-            t, v = _number_tensor(rng, kind, n, variance)
+            _, xt, xv = _number_tensor(rng, kind, n, "u")
+            _, t, v = _number_tensor(rng, kind, n, variance)
             _assert_same_numbers(
                 tensordot(xv, v, 1),
                 naive_contract(_oracle_outer(xt, t), 0, 1))
@@ -465,8 +471,12 @@ class TestValueKernels:
                 naive_contract(_oracle_outer(t, xt), rank - 1, rank))
 
     def test_mixed_kinds_refused(self):
-        t = Tensor(2, "l", [F(1), F(2)])
-        g = Tensor(2, "uu", [F(1), F(0), F(0), F(1)])
+        """The kernels take Values: a Tensor of jets is refused, as tensor
+        or as metric."""
+        zero = Jet.zero(2, 0)
+        one = Jet.constant(2, 0, 1)
+        t = jet_tensor(2, "l", [one, one * 2], zero)
+        g = jet_tensor(2, "uu", [one, zero, zero, one], zero)
         with pytest.raises(ValueError):
             raise_lower(t.values(), 0, g)
         with pytest.raises(ValueError):
