@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from . import linalg
 from .geometry import (RIEMANN, CurvatureBundle, _as_jet_values, _orbits,
                        rescaled)
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
@@ -57,10 +56,10 @@ class CheckResult:
 class PointContext:
     def __init__(self, spec: MetricSpec, point: tuple, mode: str,
                  bundle: CurvatureBundle, tolerance: float = 1e-9,
-                 field_coeffs: tuple = (1, 1), cache: dict | None = None):
+                 field_coeffs: tuple = (1, 1)):
         self.spec, self.point, self.mode, self.bundle = spec, point, mode, bundle
         self.tolerance, self.field_coeffs = tolerance, field_coeffs
-        self.cache = {} if cache is None else cache
+        self.cache = {}
 
     @property
     def exact(self) -> bool:
@@ -551,6 +550,15 @@ def check_schimming(ctx: PointContext) -> CheckResult:
     Four sub-conditions: the cyclic Riemann condition, the rank-one-D
     decomposition, the chi-quartic contraction and the vanishing
     Riemann-square; preceded by the Brinkmann precondition nabla X = 0.
+
+    X is du, so the least-squares D and chi are read off the curvature.
+    B(D)_jklm = X_j X_m D_kl - X_j X_l D_mk - X_k X_m D_jl + X_k X_l D_jm
+    sends each D = X (.) Y to zero: the fit leaves those D_0a free, and
+    they are reported as 0.  Each other D_ab is B(D) at the entries with
+    one 0 in each slot pair, where Riemann, filled from its pair-symmetry
+    orbits, is exactly +-R_0ab0; so D_ab = R_0ab0 fits them with no error,
+    and the residual is R off them.  Likewise chi = T_0000, the one entry
+    of X^4, and the residual is T at every other entry.
     """
     b = ctx.bundle
     chart_note = "" if _null_chart(ctx.spec) else \
@@ -567,21 +575,27 @@ def check_schimming(ctx: PointContext) -> CheckResult:
         notes = f"{notes}; {failure}" if notes else failure
     # (a) cyclic condition
     residuals["cyclic"] = _cyclic_residual(x, riem)
-    # (b) decomposition with a symmetric D, least squares over D
-    dmat, dres = _extract_schimming_d(riem, x, ctx)
-    residuals["decomposition"] = dres
+    # (b) R = B(D), and B(D) is R where each slot pair has one 0; R - B(D),
+    # not R's other entries alone, keeps the NaN of a non-finite entry
+    n, zero = riem.dim, ctx.zero()
+    fit = _entries(riem, lambda j, k, l, m: (not j) != (not k)
+                   and (not l) != (not m), zero)
+    residuals["decomposition"] = relative_residual(sup_norm(riem - fit), refr)
+    dmat = [[zero + riem[0, a, c, 0] if a and c else zero for c in range(n)]
+            for a in range(n)]
     # (c) and (d) are of degree 2 in R: float mode scales R by _pow2 first,
     # and chi back
     if not ctx.exact:
         s = _pow2(refr)
         riem, refr = riem.scale(s), refr * s
-    # (c) quartic chi condition: T_{jklm} = R^p_{jk}^q R_{plmq}
+    # (c) quartic chi condition: T_{jklm} = R^p_{jk}^q R_{plmq} = chi X^4
     a_t = raise_lower(raise_lower(riem, 0, ginv), 3, ginv)  # (p^, j, k, q^)
     quart = tensordot(a_t.permute((1, 2, 0, 3)),         # (j, k, p^, q^)
                       riem.permute((0, 3, 1, 2)), 2)      # (p, q, l, m)
-    chi, chi_res = _chi_quartic(quart, x, ctx)
-    residuals["chi_quartic"] = relative_residual(chi_res, sup_norm(quart),
-                                                 refr * refr)
+    chi = quart[0, 0, 0, 0]
+    chi_fit = _entries(quart, lambda *idx: not any(idx), zero)
+    residuals["chi_quartic"] = relative_residual(
+        sup_norm(quart - chi_fit), sup_norm(quart), refr * refr)
     # (d) R_{jk}^{pq} R_{pqlm} = 0
     r_up = raise_lower(raise_lower(riem, 2, ginv), 3, ginv)   # (j,k,p^,q^)
     square = tensordot(r_up, riem, 2)
@@ -590,73 +604,13 @@ def check_schimming(ctx: PointContext) -> CheckResult:
         "D": dmat, "chi": chi if ctx.exact else chi / s / s})
 
 
-def _chi_quartic(quart: Values, x: Values, ctx: PointContext):
-    """Least-squares chi for T = chi x (x) x (x) x (x) x, and
-    sup|T - chi x^4|."""
-    x4 = x.outer(x).outer(x).outer(x)
-    sq = dot(x4, x4)
-    chi = dot(quart, x4) / sq if sq else ctx.zero()
-    return chi, sup_norm(quart - x4.scale(chi))
-
-
-# D-basis terms of the rank-one decomposition
-#   B(D)_{jklm} = x_j x_m D_kl - x_j x_l D_mk - x_k x_m D_jl + x_k x_l D_jm,
-# each as (slots of D, slots of the x x factor, sign), slots counted j=0..m=3
-_SCHIMMING_TERMS = (((1, 2), (0, 3), 1), ((3, 1), (0, 2), -1),
-                    ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1))
-
-
-def _extract_schimming_d(riem: Values, x: Values, ctx: PointContext):
-    """Least-squares symmetric D for the rank-one curvature decomposition.
-
-    Each basis tensor B(E_ab) is Values over x.den^2 holding only the
-    entries on x's support, so the Gram matrix, right-hand sides,
-    reconstruction and residual visit only those.
-    """
-    n = riem.dim
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    xs = x.num
-    supp = [i for i in range(n) if xs.get(i)]
-    w = (n ** 3, n ** 2, n, 1)
-
-    def model(da, db):
-        t = {}
-        for (s1, s2), (s3, s4), sign in _SCHIMMING_TERMS:
-            for p, q in {(da, db), (db, da)}:
-                base = p * w[s1] + q * w[s2]
-                for i in supp:
-                    for j in supp:
-                        off = base + i * w[s3] + j * w[s4]
-                        acc = t.get(off, 0)
-                        prod = xs[i] * xs[j]
-                        t[off] = acc + prod if sign > 0 else acc - prod
-        return Values(n, COV * 4, {off: v for off, v in t.items() if v},
-                      x.den ** 2, ctx.zero())
-
-    basis = [model(a, b) for a, b in pairs]
-    k = len(pairs)
-    gram = [[None] * k for _ in range(k)]
-    for e in range(k):
-        for f in range(e, k):
-            gram[e][f] = gram[f][e] = dot(basis[e], basis[f])
-    rhs = [dot(be, riem) for be in basis]
-    try:
-        coeffs = [x for x, in linalg.solve(gram, [[r] for r in rhs])]
-    except linalg.SingularMatrixError:
-        # degenerate normal equations: drop unconstrained directions
-        coeffs = [ctx.zero()] * k
-        for e in range(k):
-            if gram[e][e]:
-                coeffs[e] = rhs[e] / gram[e][e]
-    recon = Values(n, COV * 4, {}, 1, ctx.zero())
-    for c, bt in zip(coeffs, basis):
-        if c:
-            recon = recon + bt.scale(c)
-    res = relative_residual(sup_norm(riem - recon), sup_norm(riem))
-    dmat = [[ctx.zero()] * n for _ in range(n)]
-    for (a, b), c in zip(pairs, coeffs):
-        dmat[a][b] = dmat[b][a] = c
-    return dmat, res
+def _entries(t: Values, keep, zero) -> Values:
+    """The rank-4 t at the entries (j, k, l, m) `keep` admits, else `zero`."""
+    n = t.dim
+    return Values(n, t.variance,
+                  {o: x for o, x in t.num.items()
+                   if keep(o // n ** 3, o // n ** 2 % n, o // n % n, o % n)},
+                  t.den, zero)
 
 
 @check(3)

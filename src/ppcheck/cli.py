@@ -5,8 +5,8 @@ import sys
 
 from .checks import CHECKS, ERROR, ORDER_BUDGET, CheckResult, PointContext
 from .geometry import CurvatureBundle, DegeneratePointError, metric_at_point
-from .metrics import (ConfigError, MetricSpec, RunConfig, parse_metric_config,
-                      perturb_point, sample_points)
+from .metrics import (FAMILY_SCHEMAS, ConfigError, MetricSpec, RunConfig,
+                      parse_metric_config, perturb_point, sample_points)
 from .report import (ENGINE_VERSION, Report, all_clear, build_report,
                      emit_report, encode_value)
 
@@ -144,20 +144,11 @@ def theorem_suite(name: str, spec: MetricSpec, config: RunConfig) -> Report:
     return report
 
 
-FAMILY_SCHEMAS = {
-    "ppwave": "params: {H: polynomial in (u, x1..xd)}; d: transverse dimension",
-    "galaev": "params: {lambda: [integers, sum 0], a: poly in u, F: poly in u}; d",
-    "two_symmetric": "params: {a_vec: [d rationals], b_mat: [[d x d symmetric]]}",
-    "walker": "params: {H: poly in (u, x, v), a: [d polys], gstar: [[d x d]]}; d",
-    "custom": "params: {components: {\"i,j\": polynomial}, coords: [names]}",
-    "perturbed_minkowski": "params: {seed: integer, degree: 1|2}; n",
-}
-
-
 def list_families() -> str:
     lines = ["built-in metric families:"]
-    for name in FAMILY_SCHEMAS:
-        lines.append(f"  {name:20s} {FAMILY_SCHEMAS[name]}")
+    for name, (params, size) in FAMILY_SCHEMAS.items():
+        keys = ", ".join(f"{k}: {v}" for k, v in params.items())
+        lines.append(f"  {name:20s} params: {{{keys}}}; {size}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,10 +2,9 @@
 
 Entries are numbers: Fractions in exact mode, floats in float mode.  The
 pivot of each column is the entry of largest absolute value, and a column
-with no nonzero entry raises SingularMatrixError.  Sizes are small (the
-metric at a point is at most 8x8, the Schimming normal equations at most
-36x36), so partial pivoting is plenty.  The inverse metric jets are a
-series on `solve`'s inverse at the point (geometry.metric_at_point).
+with no nonzero entry raises SingularMatrixError.  Its one use inverts the
+metric at a point, at most 8x8, so partial pivoting is plenty; the inverse
+metric jets are a series on that inverse (geometry.metric_at_point).
 """
 from __future__ import annotations
 

@@ -42,7 +42,6 @@ class _MetricFields(NamedTuple):
     n: int
     coords: tuple
     components: tuple            # n x n tuple-of-tuples of Polynomial
-    provenance: dict | None = None             # a fresh {} when omitted
     potential: Polynomial | None = None        # pp-wave H, when applicable
     expected_psi: Polynomial | None = None     # recorded family prediction
     warnings: tuple = ()
@@ -56,8 +55,8 @@ class MetricSpec(_MetricFields):
     """
     __slots__ = ()
 
-    def __new__(cls, family, n, coords, components, provenance=None,
-                potential=None, expected_psi=None, warnings=()):
+    def __new__(cls, family, n, coords, components, potential=None,
+                expected_psi=None, warnings=()):
         if family not in FAMILIES:
             raise FamilyError(f"unknown family {family!r}")
         if len(components) != n or any(len(r) != n for r in components):
@@ -67,7 +66,6 @@ class MetricSpec(_MetricFields):
                 if components[i][j] != components[j][i]:
                     raise FamilyError(f"components not symmetric at ({i},{j})")
         return super().__new__(cls, family, n, coords, components,
-                               {} if provenance is None else provenance,
                                potential, expected_psi, warnings)
 
     @classmethod
@@ -117,7 +115,6 @@ def build_ppwave(H, d: int, family: str = "ppwave") -> MetricSpec:
     return MetricSpec(
         family=family, n=d + 2, coords=coords,
         components=_ppwave_components(coords, H),
-        provenance={"d": d, "H": repr(H)},
         potential=H, expected_psi=psi)
 
 
@@ -151,9 +148,7 @@ def build_galaev(d: int, lambdas, a, F) -> MetricSpec:
         warnings = ("galaev with d=2 has identically zero Weyl tensor "
                     "(lambda_1^2 = lambda_2^2 forced); conformal-recurrence "
                     "checks are vacuous",)
-    return build_ppwave(H, d, family="galaev")._replace(
-        provenance={"d": d, "lambda": [str(l) for l in lambdas],
-                    "a": repr(a), "F": repr(F)}, warnings=warnings)
+    return build_ppwave(H, d, family="galaev")._replace(warnings=warnings)
 
 
 def build_two_symmetric(a_vec, b_mat) -> MetricSpec:
@@ -185,8 +180,6 @@ def build_two_symmetric(a_vec, b_mat) -> MetricSpec:
     # the closed form, an oracle that does not go through H's Laplacian
     psi = -(u * sum(a_vec) + sum(b[m][m] for m in range(d)))
     return build_ppwave(H, d, family="two_symmetric")._replace(
-        provenance={"d": d, "a_vec": [str(x) for x in a_vec],
-                    "b_mat": [[str(x) for x in row] for row in b]},
         expected_psi=psi)
 
 
@@ -225,7 +218,6 @@ def build_walker(H, a_rho, gstar, d: int) -> MetricSpec:
     return MetricSpec(
         family="walker", n=n, coords=coords,
         components=tuple(tuple(row) for row in comp),
-        provenance={"d": d, "H": repr(H)},
         potential=H)
 
 
@@ -246,8 +238,7 @@ def build_custom(components, coords=None) -> MetricSpec:
             if comp[i][j] != comp[j][i]:
                 raise FamilyError(f"custom components not symmetric at ({i},{j})")
     return MetricSpec(family="custom", n=n, coords=coords,
-                      components=tuple(tuple(row) for row in comp),
-                      provenance={"coords": list(coords)})
+                      components=tuple(tuple(row) for row in comp))
 
 
 def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> MetricSpec:
@@ -271,8 +262,7 @@ def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> Met
             p = Polynomial(coords, terms)
             comp[i][j] = comp[j][i] = p
     return MetricSpec(family="custom", n=n, coords=coords,
-                      components=tuple(tuple(row) for row in comp),
-                      provenance={"kind": "perturbed_minkowski", "seed": seed})
+                      components=tuple(tuple(row) for row in comp))
 
 
 def _monomials(nvars: int, max_degree: int):
@@ -428,6 +418,27 @@ def _polynomial_rows(value, name: str) -> list:
             for row in _list(value, name)]
 
 
+# Each family's params keys, with what each holds, and the fields that size
+# it: `ppcheck families` prints this table, and a config's params may hold
+# no other key.
+_PPWAVE_PARAMS = {"H": "polynomial in (u, x1..xd)"}
+FAMILY_SCHEMAS = {
+    "ppwave": (_PPWAVE_PARAMS, "d: transverse dimension"),
+    "brinkmann": (_PPWAVE_PARAMS, "d; another name for ppwave"),
+    "galaev": ({"lambda": "[d rationals, sum 0]", "a": "polynomial in u",
+                "F": "polynomial in u"}, "d"),
+    "two_symmetric": ({"a_vec": "[d rationals, 0 <= a_1 <= ... <= a_d]",
+                       "b_mat": "[[d x d symmetric rationals]]"}, "d"),
+    "walker": ({"H": "polynomial in (u, x1..xd, v)",
+                "a_rho": "[d polynomials]", "gstar": "[[d x d polynomials]]"},
+               "d"),
+    "custom": ({"components": '{"i,j": polynomial} or [[polynomials]]',
+                "coords": "[names]"}, "n from the components"),
+    "perturbed_minkowski": ({"seed": "integer", "degree": "integer"},
+                            "n (default 4)"),
+}
+
+
 def parse_metric_config(text: str):
     """Parse a JSON configuration document into (MetricSpec, RunConfig)."""
     try:
@@ -449,6 +460,11 @@ def parse_metric_config(text: str):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'params' must be an object")
+    reads = FAMILY_SCHEMAS[family][0]
+    for key in params:
+        if key not in reads:
+            raise ConfigError(f"unknown params key {key!r} for family "
+                              f"{family!r}; it reads {', '.join(reads)}")
     try:
         spec = _build_from_config(family, doc, params)
     except (FamilyError, PolynomialError) as e:

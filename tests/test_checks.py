@@ -1,17 +1,18 @@
 """Condition checkers: witnesses, residuals, vacuity, negative controls."""
+import itertools
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import (NC4, du_jets, jet_tensor, make_ctx, poly,
-                      textbook_weyl_jets, truncated)
-from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev, build_ppwave,
+from conftest import (NC4, du_jets, jet_tensor, make_ctx, naive_raise_lower,
+                      poly, textbook_weyl_jets, truncated)
+from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev,
+                     build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, linalg, run)
 from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
-                            _antisymmetric_norm, _chi_quartic, _extract_schimming_d,
-                            chart_covector_u, check_collinearity, check_olszak,
+                            _antisymmetric_norm, chart_covector_u,
+                            check_collinearity, check_olszak,
                             extract_recurrence, nabla_chart_covector_u,
                             relative_residual)
 from ppcheck.geometry import CurvatureBundle, covariant_derivative, rescaled
@@ -552,55 +553,75 @@ def _dense_schimming_d(riem, x, ctx):
     return dmat, res
 
 
+def _schimming_points(case):
+    """(spec, points) of a config the Schimming references cover: every
+    grid point of the flagship, or two points of another family."""
+    one, zero = poly("1"), poly("0")
+    if case == "flagship":
+        spec = build_galaev(3, [1, 1, -2], parse_polynomial("0", NC5),
+                            parse_polynomial("u", NC5))
+        return spec, sample_points(spec, PointPlan(count=5))
+    spec = {
+        "ppwave": lambda: build_ppwave(poly("x1^4 + u*x1*x2 - x2^2"), d=2),
+        "two_symmetric": lambda: build_two_symmetric(
+            [F(1), F(2)], [[F(0), F(1, 3)], [F(1, 3), F(1)]]),
+        "walker": lambda: build_walker(poly("v*u*x1 + x2^2"),
+                                       [poly("u*x1"), zero],
+                                       [[one, zero], [zero, one]], d=2),
+        "perturbed_minkowski": lambda: build_perturbed_minkowski(seed=7),
+    }[case]()
+    plan = (PointPlan("random", seed=3, count=2)
+            if case == "perturbed_minkowski" else PointPlan(count=2))
+    return spec, sample_points(spec, plan)
+
+
+SCHIMMING_CASES = ("flagship", "ppwave", "two_symmetric", "walker",
+                   "perturbed_minkowski")
+
+
+def _schimming_rows(case, mode):
+    """(ctx, check_schimming's row) at each point of the case."""
+    spec, points = _schimming_points(case)
+    for pt in points:
+        ctx = make_ctx(spec, pt, mode=mode, order=2)
+        yield ctx, CHECKS["schimming"](ctx)
+
+
 class TestSchimmingDReference:
-    """The sparse Schimming D extraction against the dense reference."""
+    """check_schimming's D, read off Riemann at X = du, against the dense
+    least squares over all n^4 entries."""
 
     @staticmethod
-    def _assert_identical(got, want):
-        (dmat, res), (dmat_ref, res_ref) = got, want
+    def _assert_identical(row, want):
+        dmat_ref, res_ref = want
+        res = row.residuals["decomposition"]
         assert type(res) is type(res_ref) and res == res_ref
-        for row, row_ref in zip(dmat, dmat_ref):
-            for a, b in zip(row, row_ref):
+        for got, ref in zip(row.witnesses["D"], dmat_ref):
+            for a, b in zip(got, ref):
                 assert type(a) is type(b) and a == b
 
-    def test_flagship_points(self, flagship_spec):
-        for pt in sample_points(flagship_spec, PointPlan(count=5)):
-            ctx = make_ctx(flagship_spec, pt, order=2)
-            riem = ctx.bundle.riemann.values()
-            x = chart_covector_u(ctx)
-            self._assert_identical(_extract_schimming_d(riem, x, ctx),
-                                   _dense_schimming_d(riem, x, ctx))
+    def test_flagship_points(self):
+        for ctx, row in _schimming_rows("flagship", EXACT):
+            self._assert_identical(row, _dense_schimming_d(
+                ctx.bundle.values("riemann"), chart_covector_u(ctx), ctx))
 
-    def test_random_exact_tensor_and_covector(self):
-        rng = random.Random(11)
-        ctx = PointContext(spec=None, point=(), mode=EXACT, bundle=None)
-        n = 4
-        # int 0 beside Fractions, as in exact value tensors
-        riem = Values.of(n, "llll", [
-            F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4
-            else 0 for _ in range(n ** 4)])
-        x = Values.of(n, COV, [F(2), F(0), F(-1, 3), F(5, 2)])
-        got = _extract_schimming_d(riem, x, ctx)
-        self._assert_identical(got, _dense_schimming_d(riem, x, ctx))
-        assert got[1] != 0
+    @pytest.mark.parametrize("case", SCHIMMING_CASES[1:])
+    def test_family_points(self, case):
+        for ctx, row in _schimming_rows(case, EXACT):
+            self._assert_identical(row, _dense_schimming_d(
+                ctx.bundle.values("riemann"), chart_covector_u(ctx), ctx))
 
-    def test_float_mode_within_tolerance(self, flagship_spec):
-        pt = (F(3, 2), F(1, 3), F(-1, 5), F(2, 7), F(1, 2))
-        ctx = make_ctx(flagship_spec, pt, mode=FLOAT, order=2)
-        rng = random.Random(5)
-        riem = ctx.bundle.riemann.values()
-        noisy = Values.of(5, "llll", [e + rng.uniform(-0.1, 0.1)
-                                      if rng.random() < 0.2 else e
-                                      for e in riem.entries])
-        for t, x in ((riem, chart_covector_u(ctx)),
-                     (noisy,
-                      Values.of(5, COV, [0.5, -1.0, 0.0, 2.0, 0.25]))):
-            (dmat, res), (dmat_ref, res_ref) = (
-                _extract_schimming_d(t, x, ctx), _dense_schimming_d(t, x, ctx))
-            assert type(res) is float and abs(res - res_ref) <= 1e-12
-            for row, row_ref in zip(dmat, dmat_ref):
-                for a, b in zip(row, row_ref):
-                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    def test_float_mode_within_tolerance(self):
+        for case in SCHIMMING_CASES:
+            for ctx, row in _schimming_rows(case, FLOAT):
+                dmat_ref, res_ref = _dense_schimming_d(
+                    ctx.bundle.values("riemann"), chart_covector_u(ctx), ctx)
+                res = row.residuals["decomposition"]
+                assert type(res) is float and abs(res - res_ref) <= 1e-12
+                for got, ref in zip(row.witnesses["D"], dmat_ref):
+                    for a, b in zip(got, ref):
+                        assert type(a) is float
+                        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 def _fraction_chi_quartic(quart, x, ctx):
@@ -620,25 +641,42 @@ def _fraction_chi_quartic(quart, x, ctx):
     return chi, worst
 
 
+def _quartic(ctx):
+    """T_jklm = R^p_jk^q R_plmq at the point, summed tuple by tuple."""
+    b = ctx.bundle
+    riem, ginv = b.values("riemann"), b.values("g_inv")
+    up = naive_raise_lower(naive_raise_lower(riem, 0, ginv), 3, ginv)
+    n = riem.dim
+    out = []
+    for j, k, l, m in itertools.product(range(n), repeat=4):
+        acc = ctx.zero()
+        for p in range(n):
+            for q in range(n):
+                acc = acc + up[p, j, k, q] * riem[p, l, m, q]
+        out.append(acc)
+    return Values.of(n, "llll", out)
+
+
 class TestChiQuarticReference:
-    """The support-only chi-quartic fit against the dense x^4 reference."""
+    """check_schimming's chi, read off T at X = du, against the fit over
+    the dense x^4."""
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_random_quartics(self, mode):
-        rng = random.Random(f"chi-{mode}")
-        ctx = PointContext(spec=None, point=(), mode=mode, bundle=None)
-        n = 4
-        for _ in range(20):
-            support = rng.sample(range(n), rng.randint(1, n))
-            x = [F(rng.randint(-4, 4), rng.randint(1, 3)) if i in support
-                 else F(0) for i in range(n)]
-            quart = [F(rng.randint(-9, 9), rng.randint(1, 5))
-                     if rng.random() < 0.5 else F(0) for _ in range(n ** 4)]
-            if mode == FLOAT:
-                x, quart = [float(v) for v in x], [float(v) for v in quart]
-            xv = Values.of(n, COV, x)
-            qv = Values.of(n, "llll", quart)
-            got = _chi_quartic(qv, xv, ctx)
-            want = _fraction_chi_quartic(qv, xv, ctx)
-            for a, b in zip(got, want):
-                assert type(a) is type(b) and a == b, (got, want)
+    def test_every_point(self, mode):
+        for case in SCHIMMING_CASES:
+            for ctx, row in _schimming_rows(case, mode):
+                quart = _quartic(ctx)
+                chi_ref, worst = _fraction_chi_quartic(
+                    quart, chart_covector_u(ctx), ctx)
+                refr = sup_norm(ctx.bundle.values("riemann"))
+                res_ref = relative_residual(worst, sup_norm(quart),
+                                            refr * refr)
+                chi, res = row.witnesses["chi"], row.residuals["chi_quartic"]
+                assert type(chi) is type(chi_ref)
+                assert type(res) is type(res_ref)
+                if mode == EXACT:
+                    assert (chi, res) == (chi_ref, res_ref)
+                else:
+                    scale = max(1.0, sup_norm(quart))
+                    assert abs(chi - chi_ref) <= 1e-12 * scale
+                    assert abs(res - res_ref) <= 1e-12

@@ -22,8 +22,8 @@ from ppcheck import (RunConfig, all_clear, build_report, emit_report,
 from ppcheck.checks import ORDER_BUDGET, CheckResult, PointContext
 from ppcheck import cli
 from ppcheck.cli import (RunError, list_families, main, run, theorem_suite)
-from ppcheck.metrics import (DEFAULT_U_VALUES, ConfigError, FamilyError,
-                             MetricSpec, PointPlan)
+from ppcheck.metrics import (DEFAULT_U_VALUES, FAMILY_SCHEMAS, ConfigError,
+                             FamilyError, MetricSpec, PointPlan)
 from ppcheck.polynomials import Polynomial
 from ppcheck.report import Report, encode_value
 
@@ -370,8 +370,8 @@ def test_public_names_resolve_and_nothing_else_is_exported():
              and not isinstance(value, types.ModuleType)}
     assert not extra
     assert list(ppcheck.MetricSpec._fields) == [
-        "family", "n", "coords", "components", "provenance", "potential",
-        "expected_psi", "warnings"]
+        "family", "n", "coords", "components", "potential", "expected_psi",
+        "warnings"]
 
 
 def test_readme_library_use_runs():
@@ -448,15 +448,15 @@ class TestRecordTypes:
         return MetricSpec(**{**fields, **changes})
 
     @pytest.mark.parametrize("cls, params", [
-        (MetricSpec, ["family", "n", "coords", "components", "provenance",
-                      "potential", "expected_psi", "warnings"]),
+        (MetricSpec, ["family", "n", "coords", "components", "potential",
+                      "expected_psi", "warnings"]),
         (PointPlan, ["strategy", "seed", "count", "u_values"]),
         (RunConfig, ["mode", "jet_order", "points", "tolerance", "checks",
                      "field_coeffs"]),
         (CheckResult, ["name", "status", "residual", "point", "witnesses",
                        "residuals", "notes"]),
         (PointContext, ["spec", "point", "mode", "bundle", "tolerance",
-                        "field_coeffs", "cache"]),
+                        "field_coeffs"]),
         (Report, ["header", "rows", "summary", "verdict"]),
     ], ids=lambda x: getattr(x, "__name__", ""))
     def test_constructor_parameters_in_order(self, cls, params):
@@ -464,8 +464,8 @@ class TestRecordTypes:
 
     def test_defaults(self):
         spec = self.spec()
-        assert (spec.provenance, spec.potential, spec.expected_psi,
-                spec.warnings) == ({}, None, None, ())
+        assert (spec.potential, spec.expected_psi, spec.warnings) == (
+            None, None, ())
         plan = PointPlan("grid", seed=0, count=5)      # as the demos call it
         assert tuple(plan) == ("grid", 0, 5, DEFAULT_U_VALUES)
         assert tuple(PointPlan()) == tuple(plan)
@@ -484,12 +484,11 @@ class TestRecordTypes:
         assert report.verdict == "pass"
 
     def test_default_dicts_are_not_shared(self):
-        a, b = self.spec(), self.spec()
-        assert a.provenance is not b.provenance
         r1, r2 = (CheckResult("bianchi", "pass", 0, ()) for _ in range(2))
         assert r1.witnesses is not r2.witnesses
         assert r1.residuals is not r2.residuals
-        c1, c2 = (PointContext(a, (), "exact", None) for _ in range(2))
+        c1, c2 = (PointContext(self.spec(), (), "exact", None)
+                  for _ in range(2))
         assert c1.cache is not c2.cache
         assert Report({}, []).summary is not Report({}, []).summary
 
@@ -611,6 +610,61 @@ class TestMainEntry:
 
     def test_list_families_helper(self):
         assert "galaev" in list_families()
+
+
+# A config of each family whose params hold every key `ppcheck families`
+# names for it
+EVERY_PARAM = {
+    "ppwave": {"d": 2, "params": {"H": "u*x1^2 - x2^2"}},
+    "brinkmann": {"d": 2, "params": {"H": "x1*x2*u"}},
+    "galaev": {"d": 3, "params": {"lambda": [1, "1/2", "-3/2"], "a": "u",
+                                  "F": "u^2"}},
+    "two_symmetric": {"d": 2, "params": {"a_vec": [1, 2],
+                                         "b_mat": [[1, 0], [0, "1/3"]]}},
+    "walker": {"d": 2, "params": {"H": "v*x1 + u*x2^2", "a_rho": ["u", "x1"],
+                                  "gstar": [["1", "0"], ["0", "2"]]}},
+    "custom": {"params": {"components": {"0,1": "1", "2,2": "1",
+                                         "3,3": "1 + x^2"},
+                          "coords": ["t", "r", "x", "y"]}},
+    "perturbed_minkowski": {"n": 4, "params": {"seed": 3, "degree": 1}},
+}
+
+
+class TestFamilyParams:
+    """The params keys a family reads are those `ppcheck families` lists;
+    any other key exits 2, as a misspelt one would build another metric."""
+
+    @staticmethod
+    def run_main(tmp_path, family, params, doc):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            **doc, "family": family, "params": params, "mode": "exact",
+            "points": {"strategy": "grid", "count": 1},
+            "checks": ["bianchi", "brinkmann"]}))
+        return main(["run", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("family", sorted(EVERY_PARAM))
+    def test_every_listed_key_is_accepted(self, family, tmp_path, capsys):
+        line = next(ln for ln in list_families().splitlines()
+                    if ln.split()[0] == family)
+        doc = EVERY_PARAM[family]
+        assert set(doc["params"]) == set(FAMILY_SCHEMAS[family][0])
+        assert all(f"{key}: " in line for key in doc["params"])
+        assert self.run_main(tmp_path, family, doc["params"], doc) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, key", [
+        *((family, "bogus") for family in sorted(EVERY_PARAM)),
+        ("walker", "a"),            # a_rho misspelt
+        ("galaev", "f"),            # F misspelt
+    ])
+    def test_unknown_key_exits_two(self, family, key, tmp_path, capsys):
+        doc = EVERY_PARAM[family]
+        params = {**doc["params"], key: "u"}
+        assert self.run_main(tmp_path, family, params, doc) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
 
 
 BAD_FIELDS = {

@@ -6,7 +6,8 @@ tolerance where exact mode asks for a residual of zero.  So at a moderate
 u, away from the range of doubles, each float status must equal the exact
 one.  The metrics are drawn from the paper's pp-wave families (galaev,
 ppwave and two_symmetric) by hypothesis, derandomized, so every run of
-the suite tries the same ones.
+the suite tries the same ones.  Schimming's D and chi, read off the
+curvature, agree between the modes too.
 """
 import json
 
@@ -66,16 +67,28 @@ metrics = st.tuples(st.sampled_from((_galaev, _ppwave, _two_symmetric)),
                     st.sampled_from((2, 3))).flatmap(lambda t: t[0](t[1]))
 
 
-def _statuses(doc, mode, u):
+def _rows(doc, mode, u):
     spec, config = parse_metric_config(json.dumps({
         **doc, "mode": mode, "jet_order": 4,
         "points": {"strategy": "grid", "count": 1, "u_values": [u]}}))
-    return [(r.name, r.status) for r in run(spec, config).rows]
+    return run(spec, config).rows
+
+
+def _assert_close(got, want):
+    """Float witnesses within 1e-9 of the largest exact entry."""
+    tol = 1e-9 * max(map(abs, want))
+    assert all(abs(g - w) <= tol for g, w in zip(got, want)), (got, want)
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
 @given(doc=metrics, u=st.sampled_from(("1/2", "3/2", "2", "-5/3")))
 def test_float_verdicts_equal_exact_verdicts(doc, u):
-    exact = _statuses(doc, "exact", u)
+    """Equal statuses, and Schimming's D and chi witnesses agree."""
+    exact, floats = _rows(doc, "exact", u), _rows(doc, "float", u)
     assert len(exact) == 19
-    assert _statuses(doc, "float", u) == exact
+    assert [(r.name, r.status) for r in floats] == [
+        (r.name, r.status) for r in exact]
+    e, f = (next(r for r in rows if r.name == "schimming")
+            for rows in (exact, floats))
+    _assert_close(sum(f.witnesses["D"], []), sum(e.witnesses["D"], []))
+    _assert_close([f.witnesses["chi"]], [e.witnesses["chi"]])
