@@ -18,7 +18,8 @@ from functools import cache
 from .geometry import (RIEMANN, CurvatureBundle, _as_jet_values, _orbits,
                        rescaled)
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
-from .metrics import MAX_FIELD_COEFFS, MetricSpec, _transverse_laplacian
+from .metrics import (MAX_FIELD_COEFFS, MetricSpec, _transverse_laplacian,
+                      has_null_chart)
 from .polynomials import Polynomial
 from .tensors import (COV, Values, contract, cyclic_sum, dot, raise_lower,
                       sup_norm, tensordot)
@@ -123,15 +124,6 @@ def _finish(name, ctx, residuals: dict, witnesses=None, notes="",
                        residuals=residuals, notes=notes)
 
 
-def _null_chart(spec: MetricSpec) -> bool:
-    return bool(spec.coords) and spec.coords[0] == "u"
-
-
-def _ppwave_like(spec: MetricSpec) -> bool:
-    return spec.family in ("ppwave", "brinkmann", "galaev", "two_symmetric") \
-        and spec.potential is not None
-
-
 def _float(x) -> float:
     """A rational x as a float, or +-inf where its magnitude is past the
     float range, so that a residual against it is non-finite and fails."""
@@ -139,6 +131,17 @@ def _float(x) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _family_psi(ctx: PointContext):
+    """The built pp-wave's psi at the point, and its chart gradient as
+    Values; in float mode each through `_float`."""
+    psi = ctx.spec.expected_psi
+    vals = [psi.evaluate(ctx.point)]
+    vals += (psi.derivative(x).evaluate(ctx.point) for x in ctx.spec.coords)
+    if not ctx.exact:
+        vals = [_float(x) for x in vals]
+    return vals[0], Values.of(ctx.bundle.dim, COV, vals[1:])
 
 
 def _ratio(num, den: int, exact: bool):
@@ -235,11 +238,7 @@ def check_weyl_cyclic_identity(ctx: PointContext) -> CheckResult:
     ncm = b.nabla_weyl_mixed                   # (i, j, k, l, m^)
     lhs = cyclic_sum(ncm, (0, 1, 2))
     div1 = b.div_weyl                          # nabla_p C_{jkl}^p, slots (j,k,l)
-    # nabla_p C_{jk}^{mp} = g^{ma} g^{pb} nabla_p C_{jkab} (metricity lets the
-    # inverse metric pass through nabla, so value-level contraction suffices)
-    ginv = b.values("g_inv")
-    nw = b.values("nabla_weyl")                # (p, j, k, a, b)
-    div2 = raise_lower(contract(nw, 0, 4, ginv), 2, ginv)   # (j, k, m^)
+    div2 = raise_lower(div1, 2, b.values("g_inv"))   # nabla_p C_{jk}^{mp}
     g = b.values("g")
     one = Fraction(1) if ctx.exact else 1.0
     kron = Values.of(n, "lu", [one if i == j else ctx.zero()
@@ -313,7 +312,7 @@ def check_conformal_invariance(ctx: PointContext) -> CheckResult:
 def check_brinkmann(ctx: PointContext) -> CheckResult:
     """X = du covariantly constant (and null): the Brinkmann property."""
     b = ctx.bundle
-    chart_note = "" if _null_chart(ctx.spec) else \
+    chart_note = "" if has_null_chart(ctx.spec) else \
         "no distinguished null coordinate; using the first chart covector"
     xv = chart_covector_u(ctx)
     nx = nabla_chart_covector_u(ctx)
@@ -343,7 +342,7 @@ def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
                            notes="Weyl tensor vanishes")
     notes = ""
     if x is None:
-        if _null_chart(ctx.spec):
+        if has_null_chart(ctx.spec):
             x = chart_covector_u(ctx)
             notes = "X = du"
         else:
@@ -519,7 +518,7 @@ def check_collinearity(ctx: PointContext, alpha: Values | None = None,
                        x: Values | None = None) -> CheckResult:
     """alpha = mu X on the largest X component, residual on the rest."""
     if x is None:
-        if not _null_chart(ctx.spec):
+        if not has_null_chart(ctx.spec):
             return CheckResult("collinearity", ERROR, ctx.zero(), ctx.point,
                                notes="no null chart to supply X = du")
         x = chart_covector_u(ctx)
@@ -561,7 +560,7 @@ def check_schimming(ctx: PointContext) -> CheckResult:
     of X^4, and the residual is T at every other entry.
     """
     b = ctx.bundle
-    chart_note = "" if _null_chart(ctx.spec) else \
+    chart_note = "" if has_null_chart(ctx.spec) else \
         "no distinguished null coordinate; using the first chart covector"
     x = chart_covector_u(ctx)
     pre = relative_residual(sup_norm(nabla_chart_covector_u(ctx)), sup_norm(x))
@@ -617,7 +616,7 @@ def _entries(t: Values, keep, zero) -> Values:
 def check_pure_radiation(ctx: PointContext) -> CheckResult:
     """Ricci = psi X (x) X with psi from the potential; Lemma-style biconditional
     between divergence-free Weyl and the gradient of psi being along X."""
-    if not _ppwave_like(ctx.spec):
+    if ctx.spec.expected_psi is None:
         return CheckResult("pure_radiation", ERROR, ctx.zero(), ctx.point,
                            notes="unsupported: needs a built pp-wave family")
     b = ctx.bundle
@@ -628,16 +627,10 @@ def check_pure_radiation(ctx: PointContext) -> CheckResult:
         "ricci_form": relative_residual(
             sup_norm(ric - x.outer(x).scale(psi)), sup_norm(ric)),
     }
-    psi_poly = ctx.spec.expected_psi
-    psi_expected = psi_poly.evaluate(ctx.point)
-    if ctx.mode != EXACT:
-        psi_expected = _float(psi_expected)
+    psi_expected, grad = _family_psi(ctx)
     residuals["psi_matches_potential"] = relative_residual(
         abs(psi - psi_expected), abs(psi_expected), abs(psi))
     # gradient of psi against X
-    grad = [psi_poly.derivative(name).evaluate(ctx.point)
-            for name in ctx.spec.coords]
-    grad = Values.of(b.dim, COV, grad if ctx.exact else map(_float, grad))
     lam = grad[0]
     grad_parallel = relative_residual(sup_norm(grad - x.scale(lam)),
                                       sup_norm(grad))
@@ -838,7 +831,7 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
         raise ValueError(
             f"{len(ctx.field_coeffs)} field equation coefficients; at most "
             f"{MAX_FIELD_COEFFS} (a0 Ricci + a1 nabla^2 Ricci) are supported")
-    if not _ppwave_like(ctx.spec):
+    if ctx.spec.expected_psi is None:
         return CheckResult("field_equations", ERROR, ctx.zero(), ctx.point,
                            notes="unsupported: needs a built pp-wave family")
     b = ctx.bundle
@@ -860,11 +853,7 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
     t_uu = coeffs[0] * psi
     witnesses = {"psi": psi, "source_T_uu": t_uu,
                  "radiation_sign": (psi > 0) - (psi < 0)}
-    psi_poly = ctx.spec.expected_psi
-    if psi_poly is not None:
-        expect = psi_poly.evaluate(ctx.point)
-        if ctx.mode != EXACT:
-            expect = _float(expect)
-        residuals["source_matches_family_psi"] = relative_residual(
-            abs(psi - expect), abs(expect), abs(psi))
+    expect, _ = _family_psi(ctx)
+    residuals["source_matches_family_psi"] = relative_residual(
+        abs(psi - expect), abs(expect), abs(psi))
     return _finish("field_equations", ctx, residuals, witnesses=witnesses)

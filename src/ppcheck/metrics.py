@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
+from .jets import _monomials_of_degree
 from .polynomials import (MAX_TERMS, Polynomial, PolynomialError,
                           parse_polynomial)
 
@@ -34,7 +35,17 @@ class ConfigError(ValueError):
 
 
 def null_chart(d: int):
+    """The chart (u, x1..xd, v) of every built-in family but custom ones;
+    FamilyError for d < 2."""
+    if d < 2:
+        raise FamilyError(f"a null chart needs d >= 2 transverse coordinates, "
+                          f"got {d}")
     return ("u",) + tuple(f"x{i}" for i in range(1, d + 1)) + ("v",)
+
+
+def has_null_chart(spec) -> bool:
+    """Whether spec's chart starts with u, as a null chart does: X = du."""
+    return bool(spec.coords) and spec.coords[0] == "u"
 
 
 class _MetricFields(NamedTuple):
@@ -105,8 +116,6 @@ def _transverse_laplacian(H: Polynomial, coords) -> Polynomial:
 
 def build_ppwave(H, d: int, family: str = "ppwave") -> MetricSpec:
     """Metric 2dudv + H(x,u)du^2 + sum dx^2 in the chart (u, x1..xd, v)."""
-    if d < 2:
-        raise FamilyError(f"pp-wave needs d >= 2 transverse coordinates, got {d}")
     coords = null_chart(d)
     H = _as_chart_poly(H, coords)
     if H.depends_on("v"):
@@ -125,14 +134,12 @@ def build_galaev(d: int, lambdas, a, F) -> MetricSpec:
     psi = -(d a(u) + F(u) sum lambda^2); it depends on u only, which is the
     property every downstream identity uses.
     """
-    if d < 2:
-        raise FamilyError(f"galaev family needs d >= 2, got {d}")
+    coords = null_chart(d)
     lambdas = [Fraction(x) for x in lambdas]
     if len(lambdas) != d:
         raise FamilyError(f"need {d} lambda values, got {len(lambdas)}")
     if sum(lambdas) != 0:
         raise FamilyError("lambda sum must be zero")
-    coords = null_chart(d)
     a = _as_chart_poly(a, coords)
     F = _as_chart_poly(F, coords)
     for p, name in ((a, "a"), (F, "F")):
@@ -155,8 +162,7 @@ def build_two_symmetric(a_vec, b_mat) -> MetricSpec:
     """Two-symmetric potential H = sum (u a_mu delta + b_munu) x^mu x^nu."""
     a_vec = [Fraction(x) for x in a_vec]
     d = len(a_vec)
-    if d < 2:
-        raise FamilyError(f"two_symmetric needs d >= 2, got {d}")
+    coords = null_chart(d)
     if any(a_vec[i] > a_vec[i + 1] for i in range(d - 1)) or a_vec[0] < 0:
         raise FamilyError("need 0 <= a_1 <= ... <= a_d")
     b = [[Fraction(x) for x in row] for row in b_mat] if b_mat else \
@@ -167,7 +173,6 @@ def build_two_symmetric(a_vec, b_mat) -> MetricSpec:
         for j in range(i):
             if b[i][j] != b[j][i]:
                 raise FamilyError("b matrix must be symmetric")
-    coords = null_chart(d)
     u = Polynomial.variable(coords, "u")
     H = _zero(coords)
     for mu in range(d):
@@ -184,41 +189,32 @@ def build_two_symmetric(a_vec, b_mat) -> MetricSpec:
 
 
 def build_walker(H, a_rho, gstar, d: int) -> MetricSpec:
-    """General Walker-form metric; H may depend on v, g* and a_rho may not."""
-    if d < 2:
-        raise FamilyError(f"walker needs d >= 2, got {d}")
+    """General Walker-form metric; H may depend on v, g* and a_rho may not.
+
+    The pp-wave's components with g_{u x_r} = a_rho/2 and, when given, the
+    transverse block g*; MetricSpec refuses an a_rho or a g* of the wrong
+    shape, and a g* that is not symmetric.
+    """
     coords = null_chart(d)
     H = _as_chart_poly(H, coords)
-    a_rho = [_as_chart_poly(p, coords) for p in (a_rho or [0] * d)]
-    if len(a_rho) != d:
-        raise FamilyError(f"need {d} entries in a_rho")
-    if gstar is None:
-        gstar = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    gs = [[_as_chart_poly(p, coords) for p in row] for row in gstar]
-    if len(gs) != d or any(len(r) != d for r in gs):
-        raise FamilyError("g* must be d x d")
-    for row in gs:
-        if not any(p.terms for p in row):
-            raise FamilyError("g* has a zero row; transverse block degenerate")
-    for name, polys in (("a_rho", a_rho), ("g*", [p for r in gs for p in r])):
-        for p in polys:
-            if p.depends_on("v"):
-                raise FamilyError(f"{name} must not depend on v")
-    n = d + 2
-    comp = [[_zero(coords) for _ in range(n)] for _ in range(n)]
-    one = Polynomial.constant(coords, 1)
-    comp[0][0] = H
-    comp[0][n - 1] = comp[n - 1][0] = one
-    half = Fraction(1, 2)
-    for r in range(d):
-        comp[0][r + 1] = comp[r + 1][0] = a_rho[r] * half
-        for c in range(d):
-            if r <= c:
-                comp[r + 1][c + 1] = comp[c + 1][r + 1] = gs[r][c]
-    return MetricSpec(
-        family="walker", n=n, coords=coords,
-        components=tuple(tuple(row) for row in comp),
-        potential=H)
+    comp = [list(row) for row in _ppwave_components(coords, H)]
+    if gstar is not None:
+        zero = _zero(coords)
+        comp[1:-1] = ([zero, *(_as_chart_poly(p, coords) for p in row), zero]
+                      for row in gstar)
+    gs = [row[1:-1] for row in comp[1:-1]]
+    if not all(any(p.terms for p in row) for row in gs):
+        raise FamilyError("g* has a zero row; transverse block degenerate")
+    half = [_as_chart_poly(p, coords) * Fraction(1, 2)
+            for p in a_rho or [0] * d]
+    for name, polys in (("a_rho", half), ("g*", [p for r in gs for p in r])):
+        if any(p.depends_on("v") for p in polys):
+            raise FamilyError(f"{name} must not depend on v")
+    comp[0][1:-1] = half
+    for row, a in zip(comp[1:-1], half):
+        row[0] = a
+    return MetricSpec(family="walker", n=d + 2, coords=coords,
+                      components=tuple(map(tuple, comp)), potential=H)
 
 
 def build_custom(components, coords=None) -> MetricSpec:
@@ -230,15 +226,8 @@ def build_custom(components, coords=None) -> MetricSpec:
     if len(coords) != n or len(set(coords)) != n:
         raise FamilyError(f"custom metric needs {n} distinct coordinate "
                           f"names, got {list(coords)}")
-    comp = [[_as_chart_poly(p, coords) for p in row] for row in components]
-    if any(len(r) != n for r in comp):
-        raise FamilyError("custom components must form a square matrix")
-    for i in range(n):
-        for j in range(i):
-            if comp[i][j] != comp[j][i]:
-                raise FamilyError(f"custom components not symmetric at ({i},{j})")
-    return MetricSpec(family="custom", n=n, coords=coords,
-                      components=tuple(tuple(row) for row in comp))
+    return MetricSpec(family="custom", n=n, coords=coords, components=tuple(
+        tuple(_as_chart_poly(p, coords) for p in row) for row in components))
 
 
 def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> MetricSpec:
@@ -249,7 +238,8 @@ def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> Met
     """
     rng = random.Random(seed)
     coords = tuple(f"x{i}" for i in range(n))
-    monos = [m for m in _monomials(n, max_degree) if sum(m) > 0]
+    monos = sorted(m for k in range(1, max_degree + 1)
+                   for m in _monomials_of_degree(n, k))
     comp = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -263,20 +253,6 @@ def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> Met
             comp[i][j] = comp[j][i] = p
     return MetricSpec(family="custom", n=n, coords=coords,
                       components=tuple(tuple(row) for row in comp))
-
-
-def _monomials(nvars: int, max_degree: int):
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], nvars, max_degree)
-    return out
 
 
 # -- run configuration -------------------------------------------------------
@@ -318,8 +294,7 @@ def sample_points(spec: MetricSpec, plan: PointPlan):
     n = spec.n
     pts = []
     if plan.strategy == "grid":
-        has_null_chart = spec.coords and spec.coords[0] == "u"
-        if has_null_chart:
+        if has_null_chart(spec):
             for k, ustr in enumerate(plan.u_values[: plan.count]):
                 u = Fraction(ustr)
                 pt = [u]
@@ -430,7 +405,8 @@ FAMILY_SCHEMAS = {
     "two_symmetric": ({"a_vec": "[d rationals, 0 <= a_1 <= ... <= a_d]",
                        "b_mat": "[[d x d symmetric rationals]]"}, "d"),
     "walker": ({"H": "polynomial in (u, x1..xd, v)",
-                "a_rho": "[d polynomials]", "gstar": "[[d x d polynomials]]"},
+                "a_rho": "[d polynomials]",
+                "gstar": "[[d x d symmetric polynomials]]"},
                "d"),
     "custom": ({"components": '{"i,j": polynomial} or [[polynomials]]',
                 "coords": "[names]"}, "n from the components"),
@@ -571,7 +547,10 @@ def _build_from_config(family, doc, params):
     if family == "perturbed_minkowski":
         n = _dimension(_integer(doc.get("n", 4), "n"), "n")
         degree = _integer(params.get("degree", 2), "params.degree")
-        if degree > 0 and math.comb(n + degree, n) > MAX_TERMS:
+        if degree < 0:
+            raise ConfigError(f"field 'params.degree' must not be negative, "
+                              f"got {degree}")
+        if math.comb(n + degree, n) > MAX_TERMS:
             raise ConfigError(
                 f"field 'params.degree' {degree} gives components of "
                 f"{math.comb(n + degree, n)} terms at n = {n}; at most "

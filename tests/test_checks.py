@@ -472,6 +472,16 @@ class TestFieldEquations:
         assert CHECKS["field_equations"](quartic_ctx).status == "fail"
 
 
+@pytest.mark.parametrize("name", ["pure_radiation", "field_equations"])
+def test_ppwave_spec_without_psi_is_unsupported(name):
+    """A spec is a built pp-wave when it carries expected_psi; one that has
+    a pp-wave's family and potential but no psi gets the unsupported row."""
+    spec = build_ppwave(poly("x1^2 + x2^2"), d=2)._replace(expected_psi=None)
+    r = CHECKS[name](make_ctx(spec, PT4))
+    assert (r.status, r.notes) == (
+        "error", "unsupported: needs a built pp-wave family")
+
+
 class TestConformalInvariance:
     def test_exact_square_factor(self, flagship_ctx):
         r = CHECKS["conformal_invariance"](flagship_ctx)

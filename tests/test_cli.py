@@ -785,12 +785,17 @@ AT_BOUND = {
                          "params": {"degree": 9}},
 }
 
-# Documents that once ended in a traceback or ran without bound
+# Documents that once ended in a traceback, ran without bound, or ran
+# another metric than the one asked for
 MALFORMED_TEXTS = {
     "json_integer_digits": ("1" + "0" * 5000, "invalid JSON"),
     "json_nesting": ("[" * 100000, "invalid JSON"),
     "dimension_zero": (json.dumps({"family": "perturbed_minkowski", "n": 0}),
                        "'n'"),
+    # ran flat Minkowski, with no perturbation at all
+    "perturbed_degree_negative": (json.dumps({
+        "family": "perturbed_minkowski", "n": 4, "params": {"degree": -3}}),
+        "'params.degree'"),
     "rational_exponent": (json.dumps({**_FLAGSHIP_DOC,
                                       "tolerance": "1e99999999"}),
                           "decimal exponent"),
@@ -881,6 +886,31 @@ class TestInputValidation:
         assert main(["run", "--config", str(cfg)]) == 2
         assert (capsys.readouterr().err
                 == f"error: need {d} a_vec values, got {len(a_vec)}\n")
+
+    # the families of the null chart (u, x1..xd, v); two_symmetric's d = 0
+    # with an empty a_vec must be refused before a_vec is indexed
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    @pytest.mark.parametrize("family, params", [
+        ("ppwave", {"H": "x1^2"}), ("brinkmann", {"H": "x1^2"}),
+        ("galaev", {"lambda": [], "F": "u"}), ("two_symmetric", {"a_vec": []}),
+        ("walker", {"H": "x1^2"})])
+    def test_null_chart_needs_two_transverse_coordinates(
+            self, family, params, d, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"family": family, "d": d,
+                                   "params": params}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    # only the upper triangle of g* was read, so g*_21 = 0 became x1
+    def test_walker_gstar_must_be_symmetric(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**_WALKER, "params": {
+            "H": "x1^2", "gstar": [["1", "x1"], ["0", "1"]]}}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (capsys.readouterr().err
+                == "error: components not symmetric at (2,1)\n")
 
     def test_custom_coords_must_match_components(self, tmp_path, capsys):
         doc = {"family": "custom",

@@ -1,4 +1,5 @@
 """Metric-family constructors, invariants, and configuration ingestion."""
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +93,36 @@ class TestWalker:
                             [[one, zero], [zero, one]], d=2)
         assert spec.family == "walker"
 
+    def test_components(self):
+        H, a1, a2, g12 = poly("v*x1"), poly("u"), poly("x2"), poly("x1")
+        one, two, zero = poly("1"), poly("2"), poly("0")
+        spec = build_walker(H, [a1, a2], [[one, g12], [g12, two]], d=2)
+        h1, h2 = a1 * F(1, 2), a2 * F(1, 2)
+        assert spec.components == ((H, h1, h2, one), (h1, one, g12, zero),
+                                   (h2, g12, two, zero),
+                                   (one, zero, zero, zero))
+        default = build_walker(H, None, None, d=2)
+        assert default.components == ((H, zero, zero, one),
+                                      (zero, one, zero, zero),
+                                      (zero, zero, one, zero),
+                                      (one, zero, zero, zero))
+
+    def test_asymmetric_gstar_rejected(self):
+        one, zero = poly("1"), poly("0")
+        with pytest.raises(FamilyError, match=r"not symmetric at \(2,1\)"):
+            build_walker(poly("x1^2"), None, [[one, poly("x1")], [zero, one]],
+                         d=2)
+
+    @pytest.mark.parametrize("a_rho, gstar", [
+        (["0"], None), (["0", "0", "0"], None),
+        (None, [["1", "0"]]), (None, [["1", "0"], ["0", "1"], ["1", "0"]]),
+        (None, [["1", "0"], ["0", "1", "0"]]), (None, [["1"], ["0", "1"]]),
+        (None, [])], ids=["a_rho_1", "a_rho_3", "gstar_1_row", "gstar_3_rows",
+                          "gstar_long_row", "gstar_short_row", "gstar_empty"])
+    def test_wrong_shape_rejected(self, a_rho, gstar):
+        with pytest.raises(FamilyError, match="shape does not match"):
+            build_walker(poly("x1^2"), a_rho, gstar, d=2)
+
 
 class TestPerturbedMinkowski:
     def test_seed_determinism(self):
@@ -103,6 +134,15 @@ class TestPerturbedMinkowski:
         a = build_perturbed_minkowski(seed=7)
         b = build_perturbed_minkowski(seed=8)
         assert a.components != b.components
+
+    def test_degree_four_pinned(self):
+        """Every coefficient at n = 8 and degree 4, in the order of its
+        terms, which float jet sums follow."""
+        spec = build_perturbed_minkowski(seed=1, n=8, max_degree=4)
+        text = repr([[list(p.terms.items()) for p in row]
+                     for row in spec.components])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3b9783d8466d85e339aa6f584176599fc6c7c97bb7a1dc1b81f74863cc31addb")
 
 
 class TestSamplePoints:
