@@ -97,6 +97,10 @@ def _cyclic_residual(x: Values, t: Values):
     if not t.exact:
         a, b = _pow2(xn), _pow2(tn)
         x, t, xn, tn = x.scale(a), t.scale(b), xn * a, tn * b
+    elif 0 in x.num or 0 in t.num:
+        # `outer`'s int-zero fill would write offset 0, so a zero residual
+        # leaves as Fraction(0); a Fraction(0) zero gives it without the fill
+        x = x.scale(1)
     return relative_residual(sup_norm(cyclic_sum(x.outer(t), (0, 1, 2))),
                              xn * tn)
 
@@ -378,13 +382,14 @@ def _alpha_values(ctx: PointContext):
 def _per_orbit(t: Values) -> Values:
     """t at one entry per Riemann orbit of its last four slots, times the
     orbit's size: where t and u have Riemann's symmetries in those slots,
-    tensordot(_per_orbit(t), u, 4) is tensordot(t, u, 4)."""
-    get, num = t.num.get, {}
-    for base in range(0, t.size, t.dim ** 4):
-        for rep, images in _orbits(t.dim, RIEMANN)[1]:
-            if x := get(base + rep):
-                num[base + rep] = x * len(images)
-    return Values(t.dim, t.variance, num, t.den, t.zero)
+    tensordot(_per_orbit(t), u, 4) is tensordot(t, u, 4).  Only t's
+    written entries are visited."""
+    sizes = {rep: len(images) for rep, images in _orbits(t.dim, RIEMANN)[1]}
+    block, num = t.dim ** 4, t.num
+    reps = sorted(o for o in num if o % block in sizes)
+    return Values(t.dim, t.variance,
+                  {o: x * sizes[o % block] for o in reps if (x := num[o])},
+                  t.den, t.zero)
 
 
 def _alpha_derivatives(ctx: PointContext):

@@ -526,7 +526,9 @@ class stage:
     """`@stage(needs)`: a CurvatureBundle attribute computed on its first
     read, which raises OrderBudgetError naming it if g's jets are of an
     order K below `needs`, and then kept on the instance, so that later
-    reads are plain attribute lookups.  Read from the class, it is itself."""
+    reads are plain attribute lookups; point values (Values) are kept in
+    lowest terms, so the kernels that read them work on the smallest
+    numbers.  Read from the class, it is itself."""
 
     def __init__(self, needs: int):
         self.needs = needs
@@ -542,7 +544,10 @@ class stage:
         if order < self.needs:
             raise OrderBudgetError(
                 f"{name} needs jet order {self.needs}, run has K={order}")
-        value = bundle.__dict__[name] = self.method(bundle)
+        value = self.method(bundle)
+        if isinstance(value, Values):
+            value = value.reduced()
+        bundle.__dict__[name] = value
         return value
 
 
@@ -692,9 +697,10 @@ class CurvatureBundle:
             raise UnsupportedDimensionError(
                 f"Weyl tensor needs dimension >= 4, metric has n={n}")
         g = self.values("g")
-        # scaled before `outer`, so that it has no int zero to fill
+        # scaled before `outer`, so that it has no int zero to fill; reduced,
+        # as P's den is most of the common den below
         p = (ric - scal.scale(Fraction(1, 2 * (n - 1))).outer(g)).scale(
-            Fraction(1, n - 2))
+            Fraction(1, n - 2)).reduced()
         den = math.lcm(riem.den, p.den * g.den)
         q, f = den // riem.den, den // (p.den * g.den)
         out = {o: x * q for o, x in riem.num.items()}

@@ -72,6 +72,7 @@ class MetricSpec(_MetricFields):
             raise FamilyError(f"unknown family {family!r}")
         if len(components) != n or any(len(r) != n for r in components):
             raise FamilyError("component matrix shape does not match dimension")
+        _check_coords(coords, n)
         for i in range(n):
             for j in range(i):
                 if components[i][j] != components[j][i]:
@@ -82,6 +83,15 @@ class MetricSpec(_MetricFields):
     @classmethod
     def _make(cls, iterable):    # NamedTuple's own skips __new__
         return cls(*iterable)
+
+
+def _check_coords(coords, n: int):
+    """FamilyError unless coords holds n distinct non-empty strings."""
+    if not (isinstance(coords, (tuple, list)) and len(coords) == n
+            and all(isinstance(c, str) and c for c in coords)
+            and len(set(coords)) == n):
+        raise FamilyError(f"metric needs {n} distinct coordinate names, "
+                          f"got {coords!r}")
 
 
 def _zero(coords):
@@ -223,9 +233,7 @@ def build_custom(components, coords=None) -> MetricSpec:
     if coords is None:
         coords = tuple(f"x{i}" for i in range(n))
     coords = tuple(coords)
-    if len(coords) != n or len(set(coords)) != n:
-        raise FamilyError(f"custom metric needs {n} distinct coordinate "
-                          f"names, got {list(coords)}")
+    _check_coords(coords, n)
     return MetricSpec(family="custom", n=n, coords=coords, components=tuple(
         tuple(_as_chart_poly(p, coords) for p in row) for row in components))
 

@@ -9,8 +9,11 @@ dict and zero, and never written to.  Plain numbers are Values
 
 Values holds a tensor's point values sparsely: the dict `num` maps the
 row-major offset of each entry a kernel wrote to its numerator over one
-positive denominator `den` (read straight from each jet's c[0]/den), or
-to its float in float mode.  The kernels (all those below take Values)
+positive denominator `den`, or to its float in float mode.
+`Tensor.values` and each stage of a curvature bundle (geometry.stage)
+leave exact values in lowest terms (`Values.reduced`); a kernel's own
+result is not reduced, since a gcd on every transient costs more than
+the smaller numbers save.  The kernels (all those below take Values)
 iterate `num` and never visit an unwritten entry; a contraction costs its
 products, as its sums go into a dict when they are few.  `tensordot` is
 the one contraction of two tensors, a chart sum over a's last k slots and
@@ -96,13 +99,15 @@ class Tensor:
         return numerators(self.nonzero, order, self.zero.order)
 
     def values(self) -> "Values":
-        """Point values: the jets' constant terms."""
+        """Point values: the jets' constant terms, in lowest terms (each
+        jet's den is that of its whole series, often a multiple of what
+        its constant term needs)."""
         src = self.nonzero
         den = math.lcm(*(e.den for e in src.values() if e.c[0]))  # 1: float
         return Values(self.dim, self.variance,
                       {o: e.c[0] * (den // e.den) for o in sorted(src)
                        for e in (src[o],) if e.c[0]},
-                      den, 0.0 if self.zero.mode == FLOAT else 0)
+                      den, 0.0 if self.zero.mode == FLOAT else 0).reduced()
 
 
 class Values:
@@ -225,6 +230,18 @@ class Values:
                     num.setdefault(oa * size + ob, 0)
         return Values(self.dim, self.variance + other.variance, num,
                       self.den * other.den, zero)
+
+    def reduced(self) -> "Values":
+        """The same values in lowest terms: den and every numerator divided
+        by their gcd.  Float values, over 1, are returned as they are."""
+        if self.den == 1:
+            return self
+        k = math.gcd(self.den, *self.num.values())
+        if k == 1:
+            return self
+        return Values(self.dim, self.variance,
+                      {o: x // k for o, x in self.num.items()},
+                      self.den // k, self.zero)
 
     def permute(self, perm) -> "Values":
         """Slot permutation: slot s of the result is slot perm[s] of self,

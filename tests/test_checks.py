@@ -11,15 +11,17 @@ from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, linalg, run)
 from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
-                            _antisymmetric_norm, chart_covector_u,
+                            _antisymmetric_norm, _cyclic_residual, _per_orbit,
+                            chart_covector_u,
                             check_collinearity, check_olszak,
                             extract_recurrence, nabla_chart_covector_u,
                             relative_residual)
-from ppcheck.geometry import CurvatureBundle, covariant_derivative, rescaled
+from ppcheck.geometry import (RIEMANN, CurvatureBundle, _orbits,
+                              covariant_derivative, rescaled)
 from ppcheck.jets import Jet, jet_recip
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import COV, Values, sup_norm
+from ppcheck.tensors import COV, Values, cyclic_sum, sup_norm
 
 NC5 = ("u", "x1", "x2", "x3", "v")
 PT4 = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -291,6 +293,67 @@ class TestEqs234:
 
     def test_vacuum_vacuous(self, vacuum_ctx):
         assert CHECKS["eqs_2_3_2_4"](vacuum_ctx).status == "vacuous"
+
+
+def _filled_cyclic_residual(x, t):
+    """The exact cyclic residual through `outer`'s int-zero fill."""
+    return relative_residual(sup_norm(cyclic_sum(x.outer(t), (0, 1, 2))),
+                             sup_norm(x) * sup_norm(t))
+
+
+class TestCyclicResidual:
+    """With a written offset 0 in x or t, x is given a Fraction(0) zero
+    before `outer`; otherwise the fill stays.  Either way the residual is
+    the filled one, down to the type of a zero."""
+
+    @pytest.mark.parametrize("xs, ts, zero", [
+        ({0: 2}, {4: 3, 5: -1}, 0),         # x writes offset 0
+        ({1: 2}, {0: 3, 7: 1}, 0),          # t writes offset 0
+        ({1: 2, 2: -1}, {5: 3}, 0),         # neither does
+        ({0: 1}, {}, 0),                    # zero residual, offset 0 written
+        ({1: 1}, {}, 0),                    # zero residual, int 0
+        ({0: 0}, {}, 0),                    # a written zero numerator
+        ({2: 1}, {0: 0}, 0),
+        ({1: 2}, {5: 3}, F(0)),
+        ({0: 2}, {}, F(0)),
+    ])
+    def test_matches_the_filled_outer(self, xs, ts, zero):
+        x = Values(3, "l", xs, 5, zero)
+        t = Values(3, "ll", ts, 7, zero)
+        got, want = _cyclic_residual(x, t), _filled_cyclic_residual(x, t)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
+    def test_on_the_ricci_column(self, ctx_name, request):
+        b = request.getfixturevalue(ctx_name).bundle
+        ric, n = b.values("ricci"), b.dim
+        for j in range(n):
+            x = Values(n, COV, {i: ric.num[i * n + j] for i in range(n)
+                                if i * n + j in ric.num}, ric.den, ric.zero)
+            for name in ("weyl", "riemann"):
+                t = b.values(name)
+                got = _cyclic_residual(x, t)
+                want = _filled_cyclic_residual(x, t)
+                assert got == want and type(got) is type(want)
+
+
+def _dense_per_orbit(t):
+    """`_per_orbit` by a visit of every orbit of every block."""
+    get, num = t.num.get, {}
+    for base in range(0, t.size, t.dim ** 4):
+        for rep, images in _orbits(t.dim, RIEMANN)[1]:
+            if x := get(base + rep):
+                num[base + rep] = x * len(images)
+    return Values(t.dim, t.variance, num, t.den, t.zero)
+
+
+@pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
+@pytest.mark.parametrize("name", ["weyl", "nabla_weyl", "nabla2_weyl"])
+def test_per_orbit_visits_written_entries(ctx_name, name, request):
+    t = request.getfixturevalue(ctx_name).bundle.values(name)
+    got, want = _per_orbit(t), _dense_per_orbit(t)
+    assert list(got.num.items()) == list(want.num.items())
+    assert got.den == want.den and type(got.zero) is type(want.zero)
 
 
 class TestLaplaciansAndSemisymmetry:

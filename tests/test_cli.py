@@ -17,15 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from ppcheck import (RunConfig, all_clear, build_report, emit_report,
-                     parse_metric_config, report_to_json, report_to_text)
+from ppcheck import (RunConfig, all_clear, build_ppwave, build_report,
+                     emit_report, parse_metric_config, report_to_json,
+                     report_to_text)
 from ppcheck.checks import ORDER_BUDGET, CheckResult, PointContext
+from ppcheck.geometry import CurvatureBundle
 from ppcheck import cli
 from ppcheck.cli import (RunError, list_families, main, run, theorem_suite)
 from ppcheck.metrics import (DEFAULT_U_VALUES, FAMILY_SCHEMAS, ConfigError,
                              FamilyError, MetricSpec, PointPlan)
 from ppcheck.polynomials import Polynomial
 from ppcheck.report import Report, encode_value
+from ppcheck.tensors import Values
 
 HERE = os.path.dirname(__file__)
 
@@ -264,6 +267,11 @@ PINNED_REPORTS = {
         "params": {"a_vec": [0, 2], "b_mat": [[1, 2], [2, -1]]},
         "mode": "exact", "jet_order": 4,
         "points": {"strategy": "grid", "count": 2}},
+    # the densest: where the point values shed the most common factor
+    "report_generic_n6_exact.json": {
+        "family": "perturbed_minkowski", "n": 6,
+        "params": {"seed": 7, "degree": 2}, "mode": "exact", "jet_order": 4,
+        "points": {"strategy": "grid", "count": 1}},
     # g_00 = -1 + 3*x0 vanishes at the first grid point, which is resampled
     "report_resample_exact.json": {
         "family": "custom",
@@ -278,6 +286,29 @@ def test_exact_report_byte_identical(name):
     spec, config = parse_metric_config(json.dumps(PINNED_REPORTS[name]))
     with open(os.path.join(HERE, "data", name), encoding="utf-8") as fh:
         assert report_to_json(run(spec, config)) == fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_point_values_in_lowest_terms(name, monkeypatch):
+    """Every exact point value a stage returned in the run, and the values
+    of g, g^{-1} and each jet stage, rescaled bundles' too, have
+    gcd(den, *num) = 1."""
+    bundles, init = [], CurvatureBundle.__init__
+
+    def record(self, metric):
+        init(self, metric)
+        bundles.append(self)
+    monkeypatch.setattr(CurvatureBundle, "__init__", record)
+    run(*parse_metric_config(json.dumps(PINNED_REPORTS[name])))
+    assert bundles
+    for b in bundles:
+        names = ["g", "g_inv", "gamma"] + [
+            s for s in ("riemann", "ricci", "nabla_ricci", "nabla_riemann")
+            if vars(CurvatureBundle)[s].needs <= b.metric.order]
+        values = [b.values(s) for s in names] + [
+            v for v in vars(b).values() if isinstance(v, Values)]
+        for v in values:
+            assert v.exact and math.gcd(v.den, *v.num.values()) == 1
 
 
 def test_pinned_resample_report_has_its_note():
@@ -519,6 +550,19 @@ class TestRecordTypes:
         with pytest.raises(FamilyError, match="shape does not match"):
             spec._replace(n=3)
         assert spec._replace(warnings=("w",)).warnings == ("w",)
+
+    @pytest.mark.parametrize("coords", [
+        ("u", "x1", "x2"), ("u", "x1", "x1", "v"), ("u", "", "x2", "v"),
+        ("u", "x1", "x2", 3), "ux1x2v"])
+    def test_metric_spec_refuses_bad_coords(self, coords):
+        # each n distinct non-empty names; three names once got a bare
+        # ValueError out of run()
+        spec = build_ppwave("x1^2", 2)
+        with pytest.raises(FamilyError,
+                           match="needs 4 distinct coordinate names"):
+            spec._replace(coords=coords)
+        with pytest.raises(FamilyError):
+            self.spec(coords=("x", "x"))
 
 
 class TestMainEntry:

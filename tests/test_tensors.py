@@ -1,5 +1,6 @@
 """Chart-component tensors: contraction, cyclic sums, index shuffling."""
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -37,6 +38,37 @@ class TestContraction:
         t = Values.of(3, "ll", [F(0)] * 9)
         with pytest.raises(ValueError):
             contract(t, 0, 1)
+
+
+class TestLowestTerms:
+    """`Values.reduced` divides out the content of the numerators and den;
+    `Tensor.values` leaves in lowest terms."""
+
+    def test_divides_out_the_content(self):
+        v = Values(3, "l", {2: 6, 0: -4, 1: 0}, 10, 0)
+        r = v.reduced()
+        assert (r.num, r.den, r.zero) == ({2: 3, 0: -2, 1: 0}, 5, 0)
+        assert list(r.num) == [2, 0, 1]
+        _assert_same_numbers(r, v)
+
+    def test_zero_numerators_leave_over_one(self):
+        for v in (Values(2, "l", {1: 0}, 12, F(0)), Values(2, "l", {}, 12)):
+            r = v.reduced()
+            assert r.den == 1 and r.num == v.num
+            _assert_same_numbers(r, v)
+
+    def test_lowest_terms_and_float_values_are_kept(self):
+        v = Values(2, "l", {0: 3, 1: 4}, 10, 0)
+        f = Values(2, "l", {0: 0.5}, 1, 0.0)
+        assert v.reduced() is v and f.reduced() is f
+
+    def test_tensor_values(self, perturbed_ctx):
+        b = perturbed_ctx.bundle
+        for t in (b.metric.g, b.metric.g_inv, b.gamma, b.riemann, b.ricci,
+                  b.nabla_riemann):
+            v = t.values()
+            assert math.gcd(v.den, *v.num.values()) == 1
+            assert v.entries == [e.value for e in t.entries]
 
 
 class TestCyclicSum:
