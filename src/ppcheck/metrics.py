@@ -22,8 +22,27 @@ from .jets import _monomials_of_degree
 from .polynomials import (MAX_TERMS, Polynomial, PolynomialError,
                           parse_polynomial)
 
-FAMILIES = ("ppwave", "brinkmann", "walker", "galaev", "two_symmetric",
-            "custom", "perturbed_minkowski")
+# Each family's params keys, with what each holds, and the fields that size
+# it: `ppcheck families` prints this table, and a config's params may hold
+# no other key.
+_PPWAVE_PARAMS = {"H": "polynomial in (u, x1..xd)"}
+FAMILY_SCHEMAS = {
+    "ppwave": (_PPWAVE_PARAMS, "d: transverse dimension"),
+    "brinkmann": (_PPWAVE_PARAMS, "d; another name for ppwave"),
+    "walker": ({"H": "polynomial in (u, x1..xd, v)",
+                "a_rho": "[d polynomials]",
+                "gstar": "[[d x d symmetric polynomials]]"},
+               "d"),
+    "galaev": ({"lambda": "[d rationals, sum 0]", "a": "polynomial in u",
+                "F": "polynomial in u"}, "d"),
+    "two_symmetric": ({"a_vec": "[d rationals, 0 <= a_1 <= ... <= a_d]",
+                       "b_mat": "[[d x d symmetric rationals]]"}, "d"),
+    "custom": ({"components": '{"i,j": polynomial} or [[polynomials]]',
+                "coords": "[names]"}, "n from the components"),
+    "perturbed_minkowski": ({"seed": "integer", "degree": "integer"},
+                            "n (default 4)"),
+}
+FAMILIES = tuple(FAMILY_SCHEMAS)
 
 
 class FamilyError(ValueError):
@@ -46,6 +65,11 @@ def null_chart(d: int):
 def has_null_chart(spec) -> bool:
     """Whether spec's chart starts with u, as a null chart does: X = du."""
     return bool(spec.coords) and spec.coords[0] == "u"
+
+
+def _validated_make(cls, iterable):
+    """A record's `_make`: NamedTuple's own skips the validating `__new__`."""
+    return cls(*iterable)
 
 
 class _MetricFields(NamedTuple):
@@ -72,6 +96,7 @@ class MetricSpec(_MetricFields):
             raise FamilyError(f"unknown family {family!r}")
         if len(components) != n or any(len(r) != n for r in components):
             raise FamilyError("component matrix shape does not match dimension")
+        _check_dimension(n)
         _check_coords(coords, n)
         for i in range(n):
             for j in range(i):
@@ -80,9 +105,14 @@ class MetricSpec(_MetricFields):
         return super().__new__(cls, family, n, coords, components,
                                potential, expected_psi, warnings)
 
-    @classmethod
-    def _make(cls, iterable):    # NamedTuple's own skips __new__
-        return cls(*iterable)
+    _make = classmethod(_validated_make)
+
+
+def _check_dimension(n: int):
+    """FamilyError unless 1 <= n <= MAX_DIMENSION."""
+    if not 1 <= n <= MAX_DIMENSION:
+        raise FamilyError(f"dimension n = {n}; 1 to {MAX_DIMENSION} are "
+                          "supported")
 
 
 def _check_coords(coords, n: int):
@@ -244,6 +274,7 @@ def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> Met
     Perturbation coefficients are rationals k/16 with |k| <= 4 (so within
     [-1/4, 1/4]); used as the generic non-pp-wave control metric.
     """
+    _check_dimension(n)
     rng = random.Random(seed)
     coords = tuple(f"x{i}" for i in range(n))
     monos = sorted(m for k in range(1, max_degree + 1)
@@ -281,63 +312,6 @@ _TRANSVERSE = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), Fraction(-1, 11)
                Fraction(1, 13), Fraction(3, 17), Fraction(-2, 19), Fraction(1, 23))
 
 
-class PointPlan(NamedTuple):
-    strategy: str = "grid"          # "grid" | "random"
-    seed: int = 0
-    count: int = 5
-    u_values: tuple = DEFAULT_U_VALUES
-
-
-class RunConfig(NamedTuple):
-    mode: str                      # "exact" | "float"
-    jet_order: int = 4
-    points: PointPlan = PointPlan()
-    tolerance: float = 1e-9
-    checks: tuple | None = None    # None means every registered check
-    field_coeffs: tuple = (1, 1)
-
-
-def sample_points(spec: MetricSpec, plan: PointPlan):
-    """Deterministic chart points for a run; degenerate ones are replaced later."""
-    n = spec.n
-    pts = []
-    if plan.strategy == "grid":
-        if has_null_chart(spec):
-            for k, ustr in enumerate(plan.u_values[: plan.count]):
-                u = Fraction(ustr)
-                pt = [u]
-                for r in range(n - 2):
-                    pt.append(_TRANSVERSE[(r + k) % len(_TRANSVERSE)])
-                pt.append(Fraction(1, 7) + Fraction(k, 9))
-                pts.append(tuple(pt))
-        else:
-            for k in range(plan.count):
-                pts.append(tuple(
-                    _TRANSVERSE[(i + k) % len(_TRANSVERSE)] * (1 + Fraction(k, 7))
-                    for i in range(n)))
-    elif plan.strategy == "random":
-        rng = random.Random(plan.seed)
-        for _ in range(plan.count):
-            pt = []
-            for i, name in enumerate(spec.coords):
-                if name == "u":
-                    pt.append(Fraction(rng.randint(1, 12), 4))
-                else:
-                    pt.append(Fraction(rng.randint(-4, 4), rng.randint(5, 11)))
-            pts.append(tuple(pt))
-    else:
-        raise ConfigError(f"unknown point strategy {plan.strategy!r}")
-    return pts
-
-
-def perturb_point(point, attempt: int):
-    """Deterministic nudge used when a sampled point is degenerate."""
-    shift = Fraction(attempt, 17)
-    return tuple(x + shift * Fraction(1, k + 3) for k, x in enumerate(point))
-
-
-# -- configuration document ---------------------------------------------------
-
 # A decimal exponent of four or more significant digits, as Fraction reads it
 _LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](?:_?[0-9]){3}")
 
@@ -353,17 +327,10 @@ def _integer(value, name: str) -> int:
             f"field {name!r} must be an integer, got {value!r}") from None
 
 
-def _dimension(n: int, name: str) -> int:
-    """A chart dimension n read from field `name`, refused outside the bound."""
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ConfigError(f"field {name!r} gives dimension n = {n}; 1 to "
-                          f"{MAX_DIMENSION} are supported")
-    return n
-
-
 def _rational(value, name: str) -> Fraction:
-    """A finite rational field: an integer, a float, or a string like "-3/7"."""
-    if (not isinstance(value, (int, float, str))
+    """A finite rational field: an integer, a float, a Fraction, or a
+    string like "-3/7"."""
+    if (not isinstance(value, (int, float, str, Fraction))
             or isinstance(value, bool)):
         raise ConfigError(f"field {name!r} must be a rational number, "
                           f"got {value!r}")
@@ -380,9 +347,132 @@ def _rational(value, name: str) -> Fraction:
 
 def _list(value, name: str) -> list:
     """A list field, e.g. the per-coordinate numbers of a family."""
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise ConfigError(f"field {name!r} must be a list, got {value!r}")
     return value
+
+
+class _PlanFields(NamedTuple):
+    strategy: str                  # "grid" | "random"
+    seed: int
+    count: int
+    u_values: tuple
+
+
+class PointPlan(_PlanFields):
+    """How a run samples its points; validated on construction, `_replace`
+    and `_make` included, with the configuration document's bounds and
+    messages (ConfigError).  seed and count may be integer strings."""
+    __slots__ = ()
+
+    def __new__(cls, strategy="grid", seed=0, count=5,
+                u_values=DEFAULT_U_VALUES):
+        seed = _integer(seed, "points.seed")
+        count = _integer(count, "points.count")
+        u_values = tuple(_list(u_values, "points.u_values"))
+        if not u_values:
+            raise ConfigError("points.u_values must not be empty")
+        for u in u_values:
+            _rational(u, "points.u_values")     # sample_points reads them
+        if strategy not in ("grid", "random"):
+            raise ConfigError("points.strategy must be 'grid' or 'random', "
+                              f"got {strategy!r}")
+        if not 1 <= count <= 25:
+            raise ConfigError("points.count must be between 1 and 25")
+        return super().__new__(cls, strategy, seed, count, u_values)
+
+    _make = classmethod(_validated_make)
+
+
+class _RunFields(NamedTuple):
+    mode: str                      # "exact" | "float"
+    jet_order: int
+    points: PointPlan
+    tolerance: float               # kept as a float
+    checks: tuple | None           # None means every registered check
+    field_coeffs: tuple            # kept as Fractions
+
+
+class RunConfig(_RunFields):
+    """How a run evaluates its checks, validated as PointPlan is.  The jet
+    size, which needs the metric's n too, is checked by `cli.run`."""
+    __slots__ = ()
+
+    def __new__(cls, mode, jet_order=4, points=PointPlan(), tolerance=1e-9,
+                checks=None, field_coeffs=(1, 1)):
+        if mode not in ("exact", "float"):
+            raise ConfigError("field 'mode' must be 'exact' or 'float', "
+                              f"got {mode!r}")
+        if (not isinstance(jet_order, int)
+                or not 2 <= jet_order <= MAX_JET_ORDER):
+            raise ConfigError("field 'jet_order' must be an integer in "
+                              f"2..{MAX_JET_ORDER}")
+        if not isinstance(points, PointPlan):
+            raise ConfigError("field 'points' must be a PointPlan")
+        if checks is not None:
+            if (not isinstance(checks, (list, tuple)) or not checks
+                    or not all(isinstance(c, str) for c in checks)
+                    or len(set(checks)) != len(checks)):
+                raise ConfigError("field 'checks' must be a non-empty list "
+                                  "of distinct check names (omit it for "
+                                  "every check)")
+            checks = tuple(checks)
+        tol = _rational(tolerance, "tolerance")
+        if not 0 <= tol <= 1:
+            raise ConfigError("field 'tolerance' is a relative residual and "
+                              f"must lie in [0, 1], got {tolerance!r}")
+        if (not isinstance(field_coeffs, (list, tuple))
+                or not 1 <= len(field_coeffs) <= MAX_FIELD_COEFFS):
+            raise ConfigError("field 'field_equation_coeffs' must be a list "
+                              f"of 1 to {MAX_FIELD_COEFFS} rational numbers")
+        return super().__new__(
+            cls, mode, jet_order, points, float(tol), checks,
+            tuple(_rational(c, "field_equation_coeffs") for c in field_coeffs))
+
+    _make = classmethod(_validated_make)
+
+
+def sample_points(spec: MetricSpec, plan: PointPlan):
+    """Deterministic chart points for a run; degenerate ones are replaced
+    later.  The plan vetted its own fields, so this raises nothing."""
+    n = spec.n
+    pts = []
+    if plan.strategy == "grid":
+        if has_null_chart(spec):
+            for k, u in enumerate(plan.u_values[: plan.count]):
+                transverse = (_TRANSVERSE[(r + k) % len(_TRANSVERSE)]
+                              for r in range(n - 2))
+                pts.append((Fraction(u), *transverse,
+                            Fraction(1, 7) + Fraction(k, 9)))
+        else:
+            for k in range(plan.count):
+                pts.append(tuple(
+                    _TRANSVERSE[(i + k) % len(_TRANSVERSE)] * (1 + Fraction(k, 7))
+                    for i in range(n)))
+    else:                          # "random"
+        rng = random.Random(plan.seed)
+        for _ in range(plan.count):
+            pts.append(tuple(
+                Fraction(rng.randint(1, 12), 4) if name == "u"
+                else Fraction(rng.randint(-4, 4), rng.randint(5, 11))
+                for name in spec.coords))
+    return pts
+
+
+def perturb_point(point, attempt: int):
+    """Deterministic nudge used when a sampled point is degenerate."""
+    shift = Fraction(attempt, 17)
+    return tuple(x + shift * Fraction(1, k + 3) for k, x in enumerate(point))
+
+
+# -- configuration document ---------------------------------------------------
+
+def _dimension(n: int, name: str) -> int:
+    """A chart dimension n read from field `name`, refused outside the bound."""
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ConfigError(f"field {name!r} gives dimension n = {n}; 1 to "
+                          f"{MAX_DIMENSION} are supported")
+    return n
 
 
 def _polynomial(value, name: str):
@@ -401,30 +491,9 @@ def _polynomial_rows(value, name: str) -> list:
             for row in _list(value, name)]
 
 
-# Each family's params keys, with what each holds, and the fields that size
-# it: `ppcheck families` prints this table, and a config's params may hold
-# no other key.
-_PPWAVE_PARAMS = {"H": "polynomial in (u, x1..xd)"}
-FAMILY_SCHEMAS = {
-    "ppwave": (_PPWAVE_PARAMS, "d: transverse dimension"),
-    "brinkmann": (_PPWAVE_PARAMS, "d; another name for ppwave"),
-    "galaev": ({"lambda": "[d rationals, sum 0]", "a": "polynomial in u",
-                "F": "polynomial in u"}, "d"),
-    "two_symmetric": ({"a_vec": "[d rationals, 0 <= a_1 <= ... <= a_d]",
-                       "b_mat": "[[d x d symmetric rationals]]"}, "d"),
-    "walker": ({"H": "polynomial in (u, x1..xd, v)",
-                "a_rho": "[d polynomials]",
-                "gstar": "[[d x d symmetric polynomials]]"},
-               "d"),
-    "custom": ({"components": '{"i,j": polynomial} or [[polynomials]]',
-                "coords": "[names]"}, "n from the components"),
-    "perturbed_minkowski": ({"seed": "integer", "degree": "integer"},
-                            "n (default 4)"),
-}
-
-
 def parse_metric_config(text: str):
-    """Parse a JSON configuration document into (MetricSpec, RunConfig)."""
+    """Parse a JSON configuration document into (MetricSpec, RunConfig); the
+    records check their own fields' bounds, and `cli.run` the jet size."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -453,59 +522,20 @@ def parse_metric_config(text: str):
         spec = _build_from_config(family, doc, params)
     except (FamilyError, PolynomialError) as e:
         raise ConfigError(str(e)) from None
-
-    mode = doc.get("mode")
-    if mode is None:
-        mode = "exact" if spec.n <= 5 else "float"
-    if mode not in ("exact", "float"):
-        raise ConfigError(f"field 'mode' must be 'exact' or 'float', got {mode!r}")
-    jet_order = doc.get("jet_order", 4)
-    if (not isinstance(jet_order, int)
-            or not 2 <= jet_order <= MAX_JET_ORDER):
-        raise ConfigError("field 'jet_order' must be an integer in "
-                          f"2..{MAX_JET_ORDER}")
-    jet_size = math.comb(spec.n + jet_order, jet_order)
-    if jet_size > MAX_JET_SIZE:
-        raise ConfigError(
-            f"n = {spec.n} with 'jet_order' {jet_order} gives jets of "
-            f"{jet_size} coefficients; at most {MAX_JET_SIZE} are supported")
     pts = doc.get("points", {})
     if not isinstance(pts, dict):
         raise ConfigError("field 'points' must be an object")
     plan = PointPlan(
-        strategy=pts.get("strategy", "grid"),
-        seed=_integer(pts.get("seed", 0), "points.seed"),
-        count=_integer(pts.get("count", 5), "points.count"),
-        u_values=tuple(str(x) for x in _list(
-            pts.get("u_values", list(DEFAULT_U_VALUES)), "points.u_values")))
-    if not plan.u_values:
-        raise ConfigError("points.u_values must not be empty")
-    for u in plan.u_values:
-        _rational(u, "points.u_values")     # sample_points reads them later
-    if plan.strategy not in ("grid", "random"):
-        raise ConfigError(f"points.strategy must be 'grid' or 'random', got {plan.strategy!r}")
-    if plan.count < 1 or plan.count > 25:
-        raise ConfigError("points.count must be between 1 and 25")
-    checks = doc.get("checks")
-    if checks is not None:
-        if (not isinstance(checks, list) or not checks
-                or not all(isinstance(c, str) for c in checks)
-                or len(set(checks)) != len(checks)):
-            raise ConfigError("field 'checks' must be a non-empty list of "
-                              "distinct check names (omit it for every check)")
-        checks = tuple(checks)
-    tol = _rational(doc.get("tolerance", 1e-9), "tolerance")
-    if not 0 <= tol <= 1:
-        raise ConfigError("field 'tolerance' is a relative residual and must "
-                          f"lie in [0, 1], got {doc['tolerance']!r}")
-    coeffs = doc.get("field_equation_coeffs", [1, 1])
-    if (not isinstance(coeffs, list) or not coeffs
-            or len(coeffs) > MAX_FIELD_COEFFS):
-        raise ConfigError("field 'field_equation_coeffs' must be a list of "
-                          f"1 to {MAX_FIELD_COEFFS} rational numbers")
-    coeffs = tuple(_rational(c, "field_equation_coeffs") for c in coeffs)
-    config = RunConfig(mode=mode, jet_order=jet_order, points=plan,
-                       tolerance=float(tol), checks=checks, field_coeffs=coeffs)
+        strategy=pts.get("strategy", "grid"), seed=pts.get("seed", 0),
+        count=pts.get("count", 5),
+        u_values=[str(x) for x in _list(pts.get("u_values", DEFAULT_U_VALUES),
+                                        "points.u_values")])
+    mode = doc.get("mode")
+    config = RunConfig(
+        mode=("exact" if spec.n <= 5 else "float") if mode is None else mode,
+        jet_order=doc.get("jet_order", 4), points=plan,
+        tolerance=doc.get("tolerance", 1e-9), checks=doc.get("checks"),
+        field_coeffs=doc.get("field_equation_coeffs", [1, 1]))
     return spec, config
 
 
@@ -542,9 +572,6 @@ def _build_from_config(family, doc, params):
         coords = params.get("coords")
         if coords is not None:
             coords = _list(coords, "params.coords")
-            if not all(isinstance(c, str) for c in coords):
-                raise ConfigError("field 'params.coords' must be a list of "
-                                  f"coordinate names, got {coords!r}")
         if isinstance(comp, dict):
             comp = _component_matrix(comp, coords)
         else:
@@ -598,16 +625,14 @@ def _build_from_config(family, doc, params):
                       for x in _list(row, "params.b_mat")]
                      for row in _list(b_mat, "params.b_mat")]
         return build_two_symmetric(a_vec, b_mat)
-    if family == "walker":
-        if "H" not in params:
-            raise ConfigError("walker family needs params.H")
-        a_rho = params.get("a_rho")
-        if a_rho is not None:
-            a_rho = [_polynomial(p, "params.a_rho")
-                     for p in _list(a_rho, "params.a_rho")]
-        gstar = params.get("gstar")
-        if gstar is not None:
-            gstar = _polynomial_rows(gstar, "params.gstar")
-        return build_walker(_polynomial(params["H"], "params.H"), a_rho,
-                            gstar, d)
-    raise ConfigError(f"unsupported family {family!r}")
+    # walker, the one family left
+    if "H" not in params:
+        raise ConfigError("walker family needs params.H")
+    a_rho = params.get("a_rho")
+    if a_rho is not None:
+        a_rho = [_polynomial(p, "params.a_rho")
+                 for p in _list(a_rho, "params.a_rho")]
+    gstar = params.get("gstar")
+    if gstar is not None:
+        gstar = _polynomial_rows(gstar, "params.gstar")
+    return build_walker(_polynomial(params["H"], "params.H"), a_rho, gstar, d)

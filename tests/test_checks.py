@@ -7,9 +7,9 @@ import pytest
 
 from conftest import (NC4, du_jets, jet_tensor, make_ctx, naive_raise_lower,
                       poly, textbook_weyl_jets, truncated)
-from ppcheck import (EXACT, FLOAT, RunConfig, build_galaev,
+from ppcheck import (EXACT, FLOAT, ConfigError, RunConfig, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
-                     build_two_symmetric, build_walker, linalg, run)
+                     build_two_symmetric, build_walker, linalg)
 from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
                             _antisymmetric_norm, _cyclic_residual, _per_orbit,
                             chart_covector_u,
@@ -517,15 +517,16 @@ class TestFieldEquations:
         with pytest.raises(ValueError, match="at most 2"):
             CHECKS["field_equations"](ctx)
 
-    def test_more_than_two_coefficients_make_an_error_row(self,
-                                                          flagship_spec):
+    def test_more_than_two_coefficients_refused_by_the_run_config(self):
+        # so a run never reaches the check's own guard above
         config = RunConfig(mode=EXACT, points=PointPlan(count=1),
-                           checks=("field_equations", "brinkmann"),
-                           field_coeffs=(1, 3, -100))
-        rows = {r.name: r for r in run(flagship_spec, config).rows}
-        assert rows["brinkmann"].status == "pass"
-        assert rows["field_equations"].status == "error"
-        assert "3 field equation coefficients" in rows["field_equations"].notes
+                           checks=("field_equations", "brinkmann"))
+        for build in (
+                lambda: config._replace(field_coeffs=(1, 3, -100)),
+                lambda: RunConfig._make((*config[:5], (1, 3, -100))),
+                lambda: RunConfig(EXACT, field_coeffs=(1, 3, -100))):
+            with pytest.raises(ConfigError, match="1 to 2 rational numbers"):
+                build()
 
     def test_vacuum_wave_source_vanishes(self, vacuum_ctx):
         r = CHECKS["field_equations"](vacuum_ctx)

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from ppcheck import (RunConfig, all_clear, build_ppwave, build_report,
-                     emit_report, parse_metric_config, report_to_json,
-                     report_to_text)
+from ppcheck import (RunConfig, all_clear, build_perturbed_minkowski,
+                     build_ppwave, build_report, emit_report,
+                     parse_metric_config, report_to_json, report_to_text)
 from ppcheck.checks import ORDER_BUDGET, CheckResult, PointContext
 from ppcheck.geometry import CurvatureBundle
 from ppcheck import cli
@@ -95,6 +95,20 @@ class TestRun:
         spec, config = parse_metric_config(bad)
         with pytest.raises(ConfigError, match="jet order 4 required"):
             run(spec, config)
+
+    @pytest.mark.parametrize("call", [
+        run, lambda spec, config: theorem_suite("thm_3_8", spec, config)],
+        ids=["run", "theorem_suite"])
+    def test_jet_size_refused_before_any_jet(self, call, monkeypatch):
+        # n = 8 at jet order 5: C(13, 5) = 1287 coefficients per jet
+        def unreachable(*args):
+            raise AssertionError("built a metric past the jet size bound")
+        monkeypatch.setattr(cli, "metric_at_point", unreachable)
+        spec = build_perturbed_minkowski(seed=0, n=8)
+        config = RunConfig("float", jet_order=5, points=PointPlan(count=1))
+        with pytest.raises(ConfigError, match=r"n = 8 with 'jet_order' 5 "
+                                              "gives jets of 1287 coeff"):
+            call(spec, config)
 
     def test_unknown_check_rejected(self):
         bad = FLAGSHIP.replace('"olszak"', '"olszak2"')

@@ -1,30 +1,38 @@
 """Fuzzed input: every polynomial string and configuration document either
 parses or is refused with the parser's own error, never a traceback.
 
-Documents that parse must be within the size bounds: dimension at most
-MAX_DIMENSION and jet size at most MAX_JET_SIZE.  Documents that are
-refused also go through `ppcheck run`, which must exit 2 with one `error:`
-line.  A bounded subset of documents (n <= 4, jet order <= 4, one sample
-point, either mode) is run through `ppcheck run` whether it parses or not:
-each must end in a report or in that exit 2.  So must a float galaev or
-pp-wave point at a huge |u| (1e20 to 1e300), where powers of u up to 8
-leave the double range; a row that passes there has finite residuals.
-The examples are derandomized, so every run of the suite tries the same
-ones.
+Documents that parse must be within the dimension bound MAX_DIMENSION.
+Documents that are refused, and those that parse to jets of more than
+MAX_JET_SIZE coefficients, also go through `ppcheck run`, which must exit
+2 with one `error:` line.  A bounded subset of documents (n <= 4, jet
+order <= 4, one sample point, either mode) is run through `ppcheck run`
+whether it parses or not: each must end in a report or in that exit 2.
+So must a float galaev or pp-wave point at a huge |u| (1e20 to 1e300),
+where powers of u up to 8 leave the double range; a row that passes there
+has finite residuals.  The examples are derandomized, so every run of the
+suite tries the same ones.
+
+The run records themselves are fuzzed too, with fields mostly in range and
+sometimes out of range or of another type: each record is built or refused
+with ConfigError, and a record that is built runs a small pp-wave to a
+report or to the package's ConfigError or RunError.
 """
 import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppcheck.checks import CHECKS
-from ppcheck.cli import main
+from ppcheck.cli import RunError, main, run
 from ppcheck.metrics import (FAMILIES, MAX_DIMENSION, MAX_JET_SIZE,
-                             ConfigError, parse_metric_config)
+                             ConfigError, PointPlan, RunConfig, build_ppwave,
+                             parse_metric_config)
 from ppcheck.polynomials import PolynomialError, parse_polynomial
+from ppcheck.report import Report
 
 CHART = ("u", "x1", "x2", "x3", "v")
 NAMES = ("u", "v", "x0", "x1", "x2", "x3", "x7", "y")
@@ -35,6 +43,7 @@ JUNK = tuple("~!@#$%&[]{};:,.<>?|`'\"\\ \t\n\x00é_=") + (
     "**", "//", "lambda", "if", "not", "1j", "True", "abs(", "x.y")
 
 RUN_EXAMPLES = 200
+RECORD_EXAMPLES = 300
 LARGE_U_EXAMPLES = 120
 atoms = st.sampled_from(NAMES + RATIONALS)
 
@@ -175,9 +184,9 @@ def test_config_parses_or_run_exits_two(tmp_path_factory, text):
         pass
     else:
         assert spec.n <= MAX_DIMENSION
-        assert math.comb(spec.n + config.jet_order,
-                         config.jet_order) <= MAX_JET_SIZE
-        return
+        if math.comb(spec.n + config.jet_order,
+                     config.jet_order) <= MAX_JET_SIZE:
+            return
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(text, encoding="utf-8")
     err = io.StringIO()
@@ -313,3 +322,61 @@ def test_large_u_float_point_reports_or_exits_two(tmp_path_factory, doc):
         if row["status"] == "pass":
             for r in (row["residual"], *row.get("residuals", {}).values()):
                 assert isinstance(r, float) and math.isfinite(r), row
+
+
+def _or_bad(good, bad):
+    """Mostly a value in range, sometimes one that is out of range or of
+    another type."""
+    return st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(bad) if k == 0 else good)
+
+
+# Fields whose in-range values keep a run small: three points at most, one
+# check, jet order 2.  Of the checks a record takes, an unknown name, one
+# whose budget is above 2, and None (every check) are refused by run().
+plan_fields = st.builds(
+    dict,
+    strategy=_or_bad(st.sampled_from(("grid", "random")),
+                     ("spiral", "", None, 3, ["grid"])),
+    seed=_or_bad(st.integers(-5, 5) | st.just("7"),
+                 ("x", 1.5, None, True, [1], "1" * 5000)),
+    count=_or_bad(st.sampled_from((1, 3, "2")),
+                  (0, -1, 26, "x", 1.5, True, None)),
+    u_values=_or_bad(st.lists(st.sampled_from(
+        ("1/2", "-3", 1.5, Fraction(2, 3), 0)), min_size=1, max_size=3),
+        ((), ("abc",), ("1e9999",), ("1/0",), "12", 5, None, (True,),
+         (float("nan"),), (float("inf"),), ([1],))))
+config_fields = st.builds(
+    dict,
+    mode=_or_bad(st.sampled_from(("exact", "float")),
+                 ("bogus", "EXACT", 1, ["exact"])),
+    jet_order=_or_bad(st.just(2), (0, 1, 7, 99, -1, "2", 2.0, True, None)),
+    tolerance=_or_bad(st.sampled_from((1e-9, 0, 1, "1/2", Fraction(1, 3))),
+                      (-1, 2, "nan", "inf", float("nan"), "1e99999", None,
+                       True, "x", [0])),
+    checks=_or_bad(st.sampled_from((
+        ("weyl_trace",), ("brinkmann",), ("schimming",),
+        ("conformal_invariance",), ("eqs_2_3_2_4",), ["weyl_trace"],
+        ("bogus",), ("olszak",), None)),
+        ((), "weyl_trace", ("weyl_trace", "weyl_trace"), (3,),
+         [["weyl_trace"]])),
+    field_coeffs=_or_bad(st.lists(st.sampled_from((1, "1/2", -2.5)),
+                                  min_size=1, max_size=2),
+                         ((), (1, 1, 1), ("a",), 5, None, (float("nan"),),
+                          ("1e9999",), (True,))))
+SMALL_WAVE = build_ppwave("u*x1^2 - x2^2 + x1*x2", 2)
+
+
+@settings(max_examples=RECORD_EXAMPLES, deadline=None, derandomize=True)
+@given(plan=plan_fields, fields=config_fields)
+def test_record_is_refused_or_runs_to_report(plan, fields):
+    try:
+        config = RunConfig(points=PointPlan(**plan), **fields)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
+    try:
+        report = run(SMALL_WAVE, config)
+    except (ConfigError, RunError):
+        return
+    assert isinstance(report, Report) and report.rows

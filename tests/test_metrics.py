@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import NC4, NC5, poly
-from ppcheck import (EXACT, build_galaev, build_perturbed_minkowski,
-                     build_ppwave, build_two_symmetric, build_walker,
+from ppcheck import (EXACT, build_custom, build_galaev,
+                     build_perturbed_minkowski, build_ppwave,
+                     build_two_symmetric, build_walker, metrics,
                      parse_metric_config, sample_points)
-from ppcheck.metrics import ConfigError, FamilyError, PointPlan
+from ppcheck.metrics import ConfigError, FamilyError, PointPlan, RunConfig
 from ppcheck.polynomials import parse_polynomial
 
 
@@ -158,6 +159,83 @@ class TestSamplePoints:
         b = sample_points(flagship_spec, PointPlan("random", seed=1, count=4))
         c = sample_points(flagship_spec, PointPlan("random", seed=2, count=4))
         assert a == b and a != c
+
+
+# Library calls that once got past the configuration document's bounds,
+# with the message each is refused with now
+REFUSED_FIELDS = {
+    "count_zero": (PointPlan(), {"count": 0},
+                   "points.count must be between 1 and 25"),
+    "count_float": (PointPlan(), {"count": 1.5},
+                    "'points.count' must be an integer"),
+    "u_values_empty": (PointPlan(), {"u_values": ()},
+                       "points.u_values must not be empty"),
+    "u_value_text": (PointPlan(), {"u_values": ("abc",)},
+                     "'points.u_values' must be a finite rational number"),
+    "u_value_exponent": (PointPlan(), {"u_values": ("1e9999",)},
+                         "decimal exponent of 1000 or more"),
+    "strategy": (PointPlan(), {"strategy": "spiral"},
+                 "points.strategy must be 'grid' or 'random'"),
+    "mode": (RunConfig("exact"), {"mode": "bogus"},
+             "'mode' must be 'exact' or 'float', got 'bogus'"),
+    "jet_order": (RunConfig("exact"), {"jet_order": 99},
+                  r"'jet_order' must be an integer in 2\.\.6"),
+    "points": (RunConfig("exact"), {"points": {"count": 1}},
+               "'points' must be a PointPlan"),
+    "tolerance": (RunConfig("exact"), {"tolerance": -1},
+                  r"must lie in \[0, 1\], got -1"),
+    "checks_empty": (RunConfig("exact"), {"checks": ()},
+                     "'checks' must be a non-empty list"),
+    "checks_string": (RunConfig("exact"), {"checks": "weyl_trace"},
+                      "'checks' must be a non-empty list"),
+    "checks_repeated": (RunConfig("exact"), {"checks": ("bianchi",) * 2},
+                        "'checks' must be a non-empty list"),
+    "coeffs_three": (RunConfig("exact"), {"field_coeffs": (1, 1, 1)},
+                     "list of 1 to 2 rational numbers"),
+    "coeffs_text": (RunConfig("exact"), {"field_coeffs": ("a",)},
+                    "'field_equation_coeffs' must be a finite rational"),
+}
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize("case", sorted(REFUSED_FIELDS))
+    def test_refused_on_every_construction_path(self, case):
+        record, changes, match = REFUSED_FIELDS[case]
+        cls, fields = type(record), {**record._asdict(), **changes}
+        for build in (lambda: cls(**fields),
+                      lambda: record._replace(**changes),
+                      lambda: cls._make(fields.values())):
+            with pytest.raises(ConfigError, match=match):
+                build()
+
+    def test_fields_kept_in_one_form(self):
+        plan = PointPlan(seed="7", count="2", u_values=["1", F(3, 2)])
+        assert tuple(plan) == ("grid", 7, 2, ("1", F(3, 2)))
+        config = RunConfig("float", tolerance=F(1, 4), checks=["bianchi"],
+                           field_coeffs=["1/2"])
+        assert (config.tolerance, config.checks, config.field_coeffs) == (
+            0.25, ("bianchi",), (F(1, 2),))
+        assert type(config.tolerance) is float
+        assert RunConfig._make(config) == config
+        assert config._replace(jet_order=2).jet_order == 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_perturbed_minkowski(1, n=12),
+        lambda: build_ppwave("x1^2", 12),
+        lambda: build_custom([["1"] * 9] * 9),
+    ], ids=["perturbed_minkowski", "ppwave", "custom"])
+    def test_metric_past_max_dimension_refused(self, build):
+        with pytest.raises(FamilyError, match=r"dimension n = (9|12|14); "
+                                              "1 to 8 are supported"):
+            build()
+
+    def test_perturbed_minkowski_checks_n_before_any_monomial(
+            self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("drew monomials for an oversized metric")
+        monkeypatch.setattr(metrics, "_monomials_of_degree", unreachable)
+        with pytest.raises(FamilyError, match="dimension n = 1000"):
+            build_perturbed_minkowski(1, n=1000)
 
 
 MINIMAL = """
