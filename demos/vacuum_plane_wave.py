@@ -26,8 +26,8 @@ def main():
     ctx = PointContext(spec=spec, point=point, mode=EXACT, bundle=bundle)
 
     print(f"H = {H!r}, point = {point}")
-    print(f"|Riemann| = {sup_norm(bundle.riemann.values())}")
-    print(f"|Ricci|   = {sup_norm(bundle.ricci.values())}")
+    print(f"|Riemann| = {sup_norm(bundle.values('riemann'))}")
+    print(f"|Ricci|   = {sup_norm(bundle.values('ricci'))}")
     print(f"|Weyl|    = {sup_norm(bundle.values('weyl'))}\n")
 
     for name in ("pure_radiation", "ricci_recurrence", "schimming",

@@ -7,22 +7,23 @@ factor * g is applied to the point's jets (`rescaled`), not to the metric's
 polynomials: g's jets times the factor jet, g^{-1}'s times its reciprocal.
 
 Jets are kept only where a derivative is taken: the metric, the
-Christoffel symbols of both kinds, Riemann, Ricci and their first covariant
-derivatives, each only to the order that is read: for g's jets of order
-K, Gamma_{l,jk} is of order K-1 and g^{-1}, Gamma^i_jk, Riemann and Ricci
-of order K-2.  The second ones are taken from these jets straight to point
-values (tensors.Values), and all else is computed from point values.  As
-nabla g = 0, R and nabla R are g^{-1} traces of Ricci's values, and nabla
-commutes with the Weyl decomposition: C, nabla C, nabla nabla C and Delta C
-are that decomposition, in Schouten form, of the values of nabla^L (or
-Delta) of Riemann, Ricci and R; the Weyl tensor is never differentiated.
+Christoffel symbols of both kinds, Riemann and nabla Riemann, each only to
+the order that is read: for g's jets of order K, Gamma_{l,jk} is of order
+K-1 and g^{-1}, Gamma^i_jk and Riemann of order K-2.  nabla nabla Riemann
+is taken from these jets straight to point values (tensors.Values), and
+all else is computed from point values.  As nabla g = 0, nabla^L Ricci is
+a -g^{-1} trace of nabla^L Riemann's values, R and nabla R are g^{-1}
+traces of Ricci's values, and nabla commutes with the Weyl decomposition:
+C, nabla C, nabla nabla C and Delta C are that decomposition, in Schouten
+form, of the values of nabla^L (or Delta) of Riemann, Ricci and R; only
+Riemann is differentiated.
 
 A jet tensor (tensors.Tensor) holds its nonzero jets only, and every
 kernel here visits those and the orbits they reach, never the n^rank
 index space: a pp-wave's curvature lives in R_{uiuj} alone.
 
-Riemann, Ricci and each covariant derivative are computed once per orbit
-of their (trailing) slots' symmetry -- Riemann's pair symmetries, a
+Riemann and each covariant derivative are computed once per orbit of
+their (trailing) slots' symmetry -- Riemann's pair symmetries, a
 symmetric pair, or none, as the caller of `covariant_derivative` declares
 -- and the rest of the orbit is filled with that entry or its negation.
 Each such entry, like each Christoffel symbol of the second kind, is one
@@ -68,7 +69,7 @@ class UnsupportedDimensionError(ValueError):
 class MetricAtPoint:
     """Symmetric metric jets g of order `order` (K) at one point, and the
     inverse metric jets g^{-1} of order max(K - 2, 0), the deepest any
-    consumer reads (Ricci, and Gamma^i_jk for nabla and Riemann)."""
+    consumer reads (Gamma^i_jk, for nabla and Riemann)."""
 
     def __init__(self, g: Tensor, g_inv: Tensor, mode: str, order: int):
         self.g = g
@@ -235,8 +236,9 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
 
 
 # Slot symmetries of a tensor's trailing slots that the orbit fills exploit:
-# no symmetry, a symmetric pair (Ricci), or Riemann's (antisymmetric in each
-# pair, symmetric under the pair swap).  Each maps to the block's width and
+# no symmetry, a symmetric pair (such as Ricci's, for a caller holding its
+# jets), or Riemann's (antisymmetric in each pair, symmetric under the pair
+# swap), the one the bundle declares.  Each maps to the block's width and
 # its group as (slot permutation, sign) pairs: t[idx permuted] = sign * t[idx].
 NO_SYMMETRY = "none"
 SYMMETRIC_PAIR = "symmetric pair"
@@ -449,12 +451,13 @@ def _fill(out: dict, base: int, images, a):
         out[base + img] = a if sign > 0 else neg
 
 
-def _by_orbits(n: int, symmetry: str, zero: Jet, entry, reached) -> Tensor:
-    """The covariant tensor with `symmetry` on all its slots that has
-    entry(*index) at the representative of each orbit numbered in the set
-    `reached` (-1, a forced zero, is passed over), filled into its orbit,
-    and `zero` elsewhere, where the caller knows its entries vanish."""
-    width, orbits, _ = _orbits(n, symmetry)
+def _by_orbits(n: int, zero: Jet, entry, reached) -> Tensor:
+    """The rank-4 covariant tensor with Riemann's symmetries that has
+    entry(j, k, l, m) at the representative of each orbit numbered in the
+    set `reached` (-1, a forced zero, is passed over), filled into its
+    orbit, and `zero` elsewhere, where the caller knows its entries
+    vanish."""
+    width, orbits, _ = _orbits(n, RIEMANN)
     out = {}
     for k in sorted(reached):
         if k < 0:
@@ -556,10 +559,11 @@ class CurvatureBundle:
 
     Jet attributes (Tensors of jets, to the orders the module docstring
     gives): `christoffels` (both kinds), `gamma` (the second kind),
-    `riemann`, `ricci`, `nabla_ricci`, `nabla_riemann`.  All others are
-    point values (Values, see tensors): the Weyl forms (`_weyl_part`, and
-    `weyl_mixed`, `nabla_weyl_mixed` with the last slot raised), `scalar`,
-    `nabla_scalar`, the second derivatives, divergences and Laplacians.
+    `riemann`, `nabla_riemann`.  All others are point values (Values, see
+    tensors): `ricci`, `nabla_ricci` and `nabla2_ricci` (`_ricci`), the
+    Weyl forms (`_weyl_part`, and `weyl_mixed`, `nabla_weyl_mixed` with the
+    last slot raised), `scalar`, `nabla_scalar`, `nabla2_riemann`, the
+    divergences and Laplacians.
     `values(name)` gives the point values of any attribute, or of the
     metric's `g` and `g_inv`, once each.  Each attribute is a `stage` that
     states the least order K of g's jets (`metric.order`) it needs: 1 for
@@ -645,33 +649,24 @@ class CurvatureBundle:
                                for f in fs for s in ss)
                 reached.update(index[((s // n * n + f // n) * n + s % n) * n
                                      + f % n] for f in fs for s in ss)
-        return _by_orbits(n, RIEMANN, t.zero[mode], entry, reached)
+        return _by_orbits(n, t.zero[mode], entry, reached)
 
     @stage(2)
-    def ricci(self) -> Tensor:
-        """R_ij = -g^{km} R_{kijm}, for i <= j in an orbit that a nonzero
-        R_ikmj reaches, and filled by symmetry."""
-        n, order, mode = self.dim, self.metric.order - 2, self.mode
-        t = _tables(n, order)
-        riem, dr = self.riemann.numerators(order)
-        ginv, di = self.metric.g_inv.numerators(order)
-        ginv = list(map(ginv.get, range(n * n)))
-        n3 = n ** 3
-
-        def entry(i, j):    # R_kijm = R_ikmj, at i*n^3 + (k*n + m)*n + j
-            acc = mac(t.zero[mode].c.copy(), t,
-                      zip(map(riem.get, range(i * n3 + j, (i + 1) * n3, n)),
-                          ginv))
-            return -from_numerators(t, mode, acc, dr * di)
-        index = _orbit_index(n, SYMMETRIC_PAIR)
-        return _by_orbits(n, SYMMETRIC_PAIR, t.zero[mode], entry,
-                          {index[o // n3 * n + o % n] for o in riem})
+    def ricci(self) -> Values:
+        """R_ij = -g^{km} R_{kijm}."""
+        return self._ricci("riemann")
 
     def _trace(self, name: str, a: int = 0) -> Values:
         """The values of `name` with slots a and a + 1 traced by g^{-1}: a
         Laplacian for a = 0 on a second derivative."""
         return _as_jet_values(contract(self.values(name), a, a + 1,
                                        self.values("g_inv")))
+
+    def _ricci(self, name: str, a: int = 0) -> Values:
+        """nabla^a R_ij = -g^{km} nabla^a R_{kijm}: the values of `name`,
+        nabla^a Riemann, with slots a and a + 3 traced by -g^{-1}."""
+        return _as_jet_values(contract(self.values(name), a, a + 3,
+                                       self.values("g_inv")).scale(-1))
 
     @stage(2)
     def scalar(self) -> Values:
@@ -747,9 +742,8 @@ class CurvatureBundle:
     # -- first covariant derivatives ----------------------------------------
 
     @stage(3)
-    def nabla_ricci(self) -> Tensor:
-        return covariant_derivative(self.ricci, self.gamma, "nabla Ricci",
-                                    SYMMETRIC_PAIR)
+    def nabla_ricci(self) -> Values:
+        return self._ricci("nabla_riemann", 1)
 
     @stage(3)
     def nabla_scalar(self) -> Values:
@@ -780,8 +774,7 @@ class CurvatureBundle:
 
     @stage(4)
     def nabla2_ricci(self) -> Values:
-        return covariant_derivative(self.nabla_ricci, self.values("gamma"),
-                                    "nabla nabla Ricci", SYMMETRIC_PAIR)
+        return self._ricci("nabla2_riemann", 2)
 
     @stage(4)
     def nabla2_weyl(self) -> Values:

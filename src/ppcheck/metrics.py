@@ -272,9 +272,20 @@ def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> Met
     """Minkowski plus a seeded random symmetric polynomial perturbation.
 
     Perturbation coefficients are rationals k/16 with |k| <= 4 (so within
-    [-1/4, 1/4]); used as the generic non-pp-wave control metric.
+    [-1/4, 1/4]); used as the generic non-pp-wave control metric.  Before
+    any monomial is drawn, FamilyError refuses n outside 1..MAX_DIMENSION,
+    a negative max_degree, and components of more than MAX_TERMS terms,
+    the last two with the configuration document's messages.
     """
     _check_dimension(n)
+    if max_degree < 0:
+        raise FamilyError(f"field 'params.degree' must not be negative, "
+                          f"got {max_degree}")
+    terms = math.comb(n + max_degree, n)
+    if terms > MAX_TERMS:
+        raise FamilyError(
+            f"field 'params.degree' {max_degree} gives components of "
+            f"{terms} terms at n = {n}; at most {MAX_TERMS} are supported")
     rng = random.Random(seed)
     coords = tuple(f"x{i}" for i in range(n))
     monos = sorted(m for k in range(1, max_degree + 1)
@@ -582,14 +593,6 @@ def _build_from_config(family, doc, params):
     if family == "perturbed_minkowski":
         n = _dimension(_integer(doc.get("n", 4), "n"), "n")
         degree = _integer(params.get("degree", 2), "params.degree")
-        if degree < 0:
-            raise ConfigError(f"field 'params.degree' must not be negative, "
-                              f"got {degree}")
-        if math.comb(n + degree, n) > MAX_TERMS:
-            raise ConfigError(
-                f"field 'params.degree' {degree} gives components of "
-                f"{math.comb(n + degree, n)} terms at n = {n}; at most "
-                f"{MAX_TERMS} are supported")
         return build_perturbed_minkowski(
             seed=_integer(params.get("seed", 0), "params.seed"), n=n,
             max_degree=degree)

@@ -43,7 +43,7 @@ def test_criterion_01_convention_oracle():
         spec = build_ppwave(poly(text), d=2)
         for pt in sample_points(spec, PointPlan("random", seed=11, count=10)):
             ctx = make_ctx(spec, pt, order=2)
-            ric = ctx.bundle.ricci.values()
+            ric = ctx.bundle.ricci
             psi = spec.expected_psi.evaluate(pt)
             for idx in itertools.product(range(4), repeat=2):
                 want = psi if idx == (0, 0) else 0

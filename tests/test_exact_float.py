@@ -7,7 +7,9 @@ u, away from the range of doubles, each float status must equal the exact
 one.  The metrics are drawn from the paper's pp-wave families (galaev,
 ppwave and two_symmetric) by hypothesis, derandomized, so every run of
 the suite tries the same ones.  Schimming's D and chi, read off the
-curvature, agree between the modes too.
+curvature, agree between the modes too.  The generic control
+(perturbed_minkowski, n = 4) is drawn as well: there Ricci and its
+derivatives are dense, where a pp-wave's are psi du du.
 """
 import json
 
@@ -67,10 +69,12 @@ metrics = st.tuples(st.sampled_from((_galaev, _ppwave, _two_symmetric)),
                     st.sampled_from((2, 3))).flatmap(lambda t: t[0](t[1]))
 
 
-def _rows(doc, mode, u):
+def _rows(doc, mode, u=None, strategy="grid"):
+    points = {"strategy": strategy, "count": 1}
+    if u is not None:
+        points["u_values"] = [u]
     spec, config = parse_metric_config(json.dumps({
-        **doc, "mode": mode, "jet_order": 4,
-        "points": {"strategy": "grid", "count": 1, "u_values": [u]}}))
+        **doc, "mode": mode, "jet_order": 4, "points": points}))
     return run(spec, config).rows
 
 
@@ -92,3 +96,17 @@ def test_float_verdicts_equal_exact_verdicts(doc, u):
             for rows in (exact, floats))
     _assert_close(sum(f.witnesses["D"], []), sum(e.witnesses["D"], []))
     _assert_close([f.witnesses["chi"]], [e.witnesses["chi"]])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(1, 12), degree=st.sampled_from((1, 2)),
+       strategy=st.sampled_from(("grid", "random")))
+def test_generic_control_verdicts_equal_exact_verdicts(seed, degree,
+                                                       strategy):
+    doc = {"family": "perturbed_minkowski", "n": 4,
+           "params": {"seed": seed, "degree": degree}}
+    exact = _rows(doc, "exact", strategy=strategy)
+    floats = _rows(doc, "float", strategy=strategy)
+    assert len(exact) == 19
+    assert [(r.name, r.status) for r in floats] == [
+        (r.name, r.status) for r in exact]

@@ -19,8 +19,8 @@ from conftest import (NC4, dense_check_symmetry, dense_covariant_derivative,
                       textbook_riemann_jets, textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
-                     build_two_symmetric, build_walker, parse_metric_config,
-                     sample_points)
+                     build_two_symmetric, build_walker, checks,
+                     parse_metric_config, sample_points)
 from ppcheck.geometry import (NO_SYMMETRY, RIEMANN, SYMMETRIC_PAIR,
                               CurvatureBundle, DegeneratePointError,
                               OrderBudgetError, SymmetryError, _as_jet_values,
@@ -88,22 +88,22 @@ class TestRiemannAndRicci:
     def test_vacuum_wave(self):
         b = bundle_for(build_ppwave(poly("x1^2 - x2^2"), d=2))
         assert sup_norm(b.riemann.values()) > 0
-        assert not sup_norm(b.ricci.values())
+        assert not sup_norm(b.ricci)
 
     def test_radiation_wave_ricci_uu(self):
         b = bundle_for(build_ppwave(poly("x1^2 + x2^2"), d=2))
-        ric = b.ricci.values()
+        ric = b.ricci
         assert ric[0, 0] == -2
         assert sum(1 for e in ric.entries if e) == 1
 
     def test_ricci_symmetric_generic(self, perturbed_ctx):
-        ric = perturbed_ctx.bundle.ricci.values()
+        ric = perturbed_ctx.bundle.ricci
         assert ric == ric.permute((1, 0))
 
     def test_scalar_is_ricci_trace(self, perturbed_ctx):
         b = perturbed_ctx.bundle
         ginv = b.metric.g_inv.values()
-        tr = contract(b.ricci.values(), 0, 1, ginv).entries[0]
+        tr = contract(b.ricci, 0, 1, ginv).entries[0]
         assert tr == b.values("scalar")[()]
 
     def test_wave_scalar_curvature_zero(self, quartic_ctx):
@@ -112,22 +112,29 @@ class TestRiemannAndRicci:
     @pytest.mark.parametrize("name", ["flagship_ctx", "perturbed_ctx",
                                       "quartic_ctx"])
     def test_jets_equal_textbook_route(self, name, request):
-        """Every coefficient, not only the point value: nabla_riemann and
-        nabla_ricci read the higher ones."""
+        """Riemann in every coefficient, not only the point value:
+        nabla_riemann reads the higher ones; Ricci, a trace of Riemann's
+        values, in its values and their types."""
         b = request.getfixturevalue(name).bundle
         riem, ric = textbook_riemann_jets(b)
         assert same_jets(b.riemann, riem)
-        assert same_jets(b.ricci, ric)
+        assert b.ricci.entries == ric.values().entries
+        assert _value_types(b.ricci) == _value_types(ric)
 
     def test_jets_match_textbook_route_in_float_mode(self, perturbed_spec):
         b = bundle_for(perturbed_spec, (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)),
                        mode=FLOAT)
-        for got, want in zip((b.riemann, b.ricci), textbook_riemann_jets(b)):
-            scale = max(abs(x) for e in want.entries for x in e.c)
-            assert scale > 0
-            assert all(abs(x - y) <= 1e-12 * scale
-                       for e, f in zip(got.entries, want.entries)
-                       for x, y in zip(e.c, f.c, strict=True))
+        riem, ric = textbook_riemann_jets(b)
+        scale = max(abs(x) for e in riem.entries for x in e.c)
+        assert scale > 0
+        assert all(abs(x - y) <= 1e-12 * scale
+                   for e, f in zip(b.riemann.entries, riem.entries)
+                   for x, y in zip(e.c, f.c, strict=True))
+        want = ric.values().entries
+        scale = max(map(abs, want))
+        assert scale > 0
+        assert all(abs(x - y) <= 1e-12 * scale
+                   for x, y in zip(b.ricci.entries, want, strict=True))
 
     def test_riemann_needs_jet_order_two(self):
         b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=1)
@@ -291,7 +298,7 @@ class TestCovariantDerivative:
     def test_nabla_ricci_is_grad_psi_outer_xx(self):
         spec = build_ppwave(poly("u*(x1^2 + 2*x2^2)"), d=2)
         b = bundle_for(spec, PT)
-        nr = b.nabla_ricci.values()
+        nr = b.nabla_ricci
         grad = [spec.expected_psi.derivative(nm).evaluate(PT) for nm in NC4]
         assert nr == Values.of(4, "lll", [grad[o // 16] if o % 16 == 0
                                           else F(0) for o in range(64)])
@@ -477,14 +484,17 @@ def _flagship_spec():
 
 def _oracle_pairs(spec, pt, mode):
     """(name, gathered, scattered) for every covariant derivative the
-    bundle takes with a symmetry, plus two taken without one.  The second
-    derivatives are taken from Gamma's point values, so they are compared
-    with the values of the scattered jets."""
+    bundle takes, Riemann's, plus the two of the textbook Ricci jets with
+    the symmetric pair declared and two taken without a symmetry.  The
+    second derivatives are taken from Gamma's point values, so they are
+    compared with the values of the scattered jets."""
     ctx = make_ctx(spec, pt, mode=mode)
     b = ctx.bundle
-    ginv = truncated(b.metric.g_inv, b.nabla_ricci.entries[0].order)
-    mixed = naive_raise_lower(naive_raise_lower(b.nabla_ricci, 0, ginv), 2,
-                              ginv)
+    ric = textbook_riemann_jets(b)[1]
+    nabla_ric = covariant_derivative(ric, b.gamma, "nabla Ricci",
+                                     SYMMETRIC_PAIR)
+    ginv = truncated(b.metric.g_inv, nabla_ric.zero.order)
+    mixed = naive_raise_lower(naive_raise_lower(nabla_ric, 0, ginv), 2, ginv)
     assert mixed.variance == CON + COV + CON
     covector = du_jets(ctx)
     return [
@@ -492,10 +502,11 @@ def _oracle_pairs(spec, pt, mode):
          scatter_covariant_derivative(b.riemann, b.gamma)),
         ("nabla2_riemann", b.nabla2_riemann,
          scatter_covariant_derivative(b.nabla_riemann, b.gamma).values()),
-        ("nabla_ricci", b.nabla_ricci,
-         scatter_covariant_derivative(b.ricci, b.gamma)),
-        ("nabla2_ricci", b.nabla2_ricci,
-         scatter_covariant_derivative(b.nabla_ricci, b.gamma).values()),
+        ("nabla Ricci jets", nabla_ric,
+         scatter_covariant_derivative(ric, b.gamma)),
+        ("nabla nabla Ricci", covariant_derivative(
+            nabla_ric, b.values("gamma"), "nabla nabla Ricci", SYMMETRIC_PAIR),
+         scatter_covariant_derivative(nabla_ric, b.gamma).values()),
         ("mixed rank 3", covariant_derivative(mixed, b.gamma),
          scatter_covariant_derivative(mixed, b.gamma)),
         ("brinkmann covector", covariant_derivative(covector, b.gamma),
@@ -557,7 +568,7 @@ class TestCovariantDerivativeOracle:
 
     def test_broken_pair_symmetry_raises_in_exact_mode(self, perturbed_ctx):
         b = perturbed_ctx.bundle
-        t = b.ricci
+        t = textbook_riemann_jets(b)[1]
         t = replaced(t, (2, 1), t[2, 1] + Jet.constant(b.dim, t[2, 1].order,
                                                        F(1, 7)))
         with pytest.raises(SymmetryError, match="nabla Ricci"):
@@ -565,16 +576,88 @@ class TestCovariantDerivativeOracle:
 
     def test_point_value_derivative_checks_as_the_jet_one(self, perturbed_ctx):
         b = perturbed_ctx.bundle
-        t = b.nabla_ricci
-        t = replaced(t, (0, 2, 1), t[0, 2, 1] + Jet.constant(
-            b.dim, t[0, 2, 1].order, F(1, 7)))
+        nabla_ric = covariant_derivative(textbook_riemann_jets(b)[1], b.gamma,
+                                         "nabla Ricci", SYMMETRIC_PAIR)
+        t = replaced(nabla_ric, (0, 2, 1), nabla_ric[0, 2, 1] + Jet.constant(
+            b.dim, nabla_ric.zero.order, F(1, 7)))
         with pytest.raises(SymmetryError, match="nabla nabla Ricci"):
             covariant_derivative(t, b.values("gamma"), "nabla nabla Ricci",
                                  SYMMETRIC_PAIR)
-        order0 = covariant_derivative(b.nabla_ricci, b.gamma)
+        order0 = covariant_derivative(nabla_ric, b.gamma)
         with pytest.raises(OrderBudgetError, match="nabla nabla nabla"):
             covariant_derivative(order0, b.values("gamma"),
                                  "nabla nabla nabla Ricci")
+
+
+RICCI_STAGES = (("ricci", "riemann"), ("nabla_ricci", "nabla_riemann"),
+                 ("nabla2_ricci", "nabla2_riemann"))
+
+
+def _ricci_by_jets(b):
+    """{stage: values} for the Ricci stages that b's order defines, by the
+    route of jets: the textbook Ricci jets, then `covariant_derivative`
+    with the symmetric pair declared, once to jets and once to values."""
+    ric = textbook_riemann_jets(b)[1]
+    out = {"ricci": ric.values()}
+    if b.metric.order >= 3:
+        nabla_ric = covariant_derivative(ric, b.gamma, "nabla Ricci",
+                                         SYMMETRIC_PAIR)
+        out["nabla_ricci"] = nabla_ric.values()
+    if b.metric.order >= 4:
+        out["nabla2_ricci"] = covariant_derivative(
+            nabla_ric, b.values("gamma"), "nabla nabla Ricci", SYMMETRIC_PAIR)
+    return out
+
+
+def _bundles(ctx, monkeypatch):
+    """ctx's bundle, and the K = 2 bundle of the rescaled metric that
+    conformal_invariance builds at ctx's point and reads Weyl from."""
+    built = []
+
+    class Recorded(CurvatureBundle):
+        def __init__(self, metric):
+            super().__init__(metric)
+            built.append(self)
+    monkeypatch.setattr(checks, "CurvatureBundle", Recorded)
+    checks.check_conformal_invariance(ctx)
+    (rescaled_bundle,) = built
+    assert rescaled_bundle.metric.order == 2
+    assert "ricci" in vars(rescaled_bundle)
+    return [ctx.bundle, rescaled_bundle]
+
+
+class TestRicciTraceRoute:
+    """Ricci, nabla Ricci and nabla nabla Ricci, -g^{-1} traces of the
+    values of Riemann and its derivatives, against the route of jets they
+    replaced, at three points and on the rescaled bundle of
+    conformal_invariance there (Ricci alone, at K = 2)."""
+
+    @pytest.mark.parametrize("name", ["flagship_ctx", "perturbed_ctx",
+                                      "quartic_ctx"])
+    def test_exact_values_literally_equal(self, name, request, monkeypatch):
+        for b in _bundles(request.getfixturevalue(name), monkeypatch):
+            want = _ricci_by_jets(b)
+            assert len(want) == b.metric.order - 1
+            for stage, w in want.items():
+                got = getattr(b, stage)
+                assert got.variance == w.variance, stage
+                assert got.entries == w.entries, stage
+                assert _value_types(got) == _value_types(w), stage
+
+    @pytest.mark.parametrize("name", ["flagship_ctx", "perturbed_ctx",
+                                      "quartic_ctx"])
+    def test_float_within_rounding(self, name, request, monkeypatch):
+        exact = request.getfixturevalue(name)
+        ctx = make_ctx(exact.spec, exact.point, mode=FLOAT)
+        for b in _bundles(ctx, monkeypatch):
+            want = _ricci_by_jets(b)
+            g_inv = sup_norm(b.values("g_inv"))
+            for stage, source in RICCI_STAGES[:len(want)]:
+                got, w = getattr(b, stage), want[stage]
+                scale = sup_norm(b.values(source)) * g_inv
+                gap = max(abs(x - y) for x, y in zip(got.entries, w.entries,
+                                                     strict=True))
+                assert gap <= 1e-12 * scale, (stage, gap, scale)
 
 
 INVERSE_CASES = ORACLE_CASES + [pytest.param(
@@ -758,15 +841,18 @@ class TestSparseKernelsAgainstDenseOracle:
 
 
 def test_flat_five_dimensional_custom_metric_has_empty_jet_tensors():
-    """A flat n=5 metric: every jet tensor of the bundle holds no entry,
-    and every stage and check still gives its value."""
+    """A flat n=5 metric: every jet tensor and every Ricci stage of the
+    bundle holds no entry, and every stage and check still gives its
+    value."""
     spec = build_custom(
         [[parse_polynomial("1" if {i, j} == {0, 1} or i == j > 1 else "0",
                            tuple(f"x{k}" for k in range(5)))
           for j in range(5)] for i in range(5)],
         tuple(f"x{k}" for k in range(5)))
     b = bundle_for(spec, tuple(F(k, 7) for k in range(1, 6)))
-    for name in ("riemann", "ricci", "nabla_riemann", "nabla_ricci"):
+    for name in ("riemann", "nabla_riemann"):
         assert getattr(b, name).nonzero == {}, name
+    for name in ("ricci", "nabla_ricci", "nabla2_ricci"):
+        assert getattr(b, name).num == {}, name
     assert b.christoffels[0].nonzero == b.gamma.nonzero == {}
     assert not b.nabla2_riemann.num and not b.lap_weyl.num

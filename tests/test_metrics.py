@@ -1,5 +1,6 @@
 """Metric-family constructors, invariants, and configuration ingestion."""
 import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -236,6 +237,19 @@ class TestRecordValidation:
         monkeypatch.setattr(metrics, "_monomials_of_degree", unreachable)
         with pytest.raises(FamilyError, match="dimension n = 1000"):
             build_perturbed_minkowski(1, n=1000)
+
+    @pytest.mark.parametrize("n,degree,message", [
+        (4, -3, "'params.degree' must not be negative, got -3"),
+        (8, 6, "'params.degree' 6 gives components of 3003 terms at n = 8; "
+               "at most 1000 are supported"),
+    ], ids=["negative", "too_many_terms"])
+    def test_perturbed_minkowski_checks_degree_before_any_monomial(
+            self, n, degree, message, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("drew monomials for a refused degree")
+        monkeypatch.setattr(metrics, "_monomials_of_degree", unreachable)
+        with pytest.raises(FamilyError, match=re.escape(message)):
+            build_perturbed_minkowski(1, n=n, max_degree=degree)
 
 
 MINIMAL = """
