@@ -11,8 +11,7 @@ from .checks import (CHECKS, ORDER_BUDGET, CheckResult, PointContext,
                      extract_recurrence)
 from .cli import RunError, list_families, main, run, theorem_suite
 from .geometry import (CurvatureBundle, DegeneratePointError,
-                       OrderBudgetError, covariant_derivative,
-                       metric_at_point, rescaled)
+                       OrderBudgetError, metric_at_point, rescaled)
 from .jets import EXACT, FLOAT, Jet, SingularJetError, jet_from_polynomial
 from .metrics import (ConfigError, FamilyError, MetricSpec, PointPlan,
                       RunConfig, build_custom, build_galaev,
@@ -30,7 +29,7 @@ __all__ = [
     "CHECKS", "ORDER_BUDGET", "CheckResult", "PointContext",
     "extract_recurrence", "RunError", "list_families", "main", "run",
     "theorem_suite", "CurvatureBundle", "DegeneratePointError",
-    "OrderBudgetError", "covariant_derivative", "metric_at_point",
+    "OrderBudgetError", "metric_at_point",
     "rescaled", "EXACT", "FLOAT", "Jet", "SingularJetError",
     "jet_from_polynomial", "ConfigError", "FamilyError", "MetricSpec",
     "PointPlan", "RunConfig", "build_custom", "build_galaev",

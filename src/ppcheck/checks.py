@@ -15,8 +15,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .geometry import (RIEMANN, CurvatureBundle, _as_jet_values, _orbits,
-                       rescaled)
+from .geometry import CurvatureBundle, _as_jet_values, _orbits, rescaled
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
 from .metrics import (MAX_FIELD_COEFFS, MetricSpec, _transverse_laplacian,
                       has_null_chart)
@@ -208,9 +207,9 @@ def extract_recurrence(t: Values, nabla_t: Values):
 
 @check(3)
 def check_bianchi(ctx: PointContext) -> CheckResult:
-    # Riemann is filled from its pair-symmetry orbits, so the exact symmetry
-    # check in covariant_derivative is vacuous; "first" alone carries the
-    # cyclic identity.
+    # Riemann and nabla Riemann are filled from their pair-symmetry orbits,
+    # so those symmetries hold by construction; the cyclic sums are what
+    # an orbit fill does not impose.
     b = ctx.bundle
     residuals = {}
     for key, name in (("first", "riemann"), ("second", "nabla_riemann")):
@@ -384,7 +383,7 @@ def _per_orbit(t: Values) -> Values:
     orbit's size: where t and u have Riemann's symmetries in those slots,
     tensordot(_per_orbit(t), u, 4) is tensordot(t, u, 4).  Only t's
     written entries are visited."""
-    sizes = {rep: len(images) for rep, images in _orbits(t.dim, RIEMANN)[1]}
+    sizes = {rep: len(images) for rep, images in _orbits(t.dim)}
     block, num = t.dim ** 4, t.num
     reps = sorted(o for o in num if o % block in sizes)
     return Values(t.dim, t.variance,

@@ -22,21 +22,18 @@ A jet tensor (tensors.Tensor) holds its nonzero jets only, and every
 kernel here visits those and the orbits they reach, never the n^rank
 index space: a pp-wave's curvature lives in R_{uiuj} alone.
 
-Riemann and each covariant derivative are computed once per orbit of
-their (trailing) slots' symmetry -- Riemann's pair symmetries, a
-symmetric pair, or none, as the caller of `covariant_derivative` declares
--- and the rest of the orbit is filled with that entry or its negation.
-Each such entry, like each Christoffel symbol of the second kind, is one
-sum of jet products on integer numerators, reduced once (`jets.mac`); a
-second covariant derivative is the same gather at order 0, on numbers, into
-sparse Values.  Each sums the same nonzero terms in the same order as a
-visit of every index would, so exact results are identical and float ones
-bit-identical.
-In exact mode every input entry of a covariant derivative is first checked
-literally against its orbit's representative (SymmetryError if not), at
-each orbit that holds a nonzero entry, an all-zero orbit having the
-symmetry trivially; float mode fills without the check, as its symmetries
-hold to rounding.
+Riemann and its covariant derivatives are computed once per orbit of
+Riemann's pair symmetries on their last four slots, and the rest of the
+orbit is filled with that entry or its negation (Martin-Garcia, xPerm,
+Comput. Phys. Commun. 179:597, 2008).  Each such entry, like each
+Christoffel symbol of the second kind, is one sum of jet products on
+integer numerators, reduced once (`jets.mac`); a second covariant
+derivative is the same gather at order 0, on numbers, into sparse Values.
+Each sums the same nonzero terms in the same order as a visit of every
+index would, so exact results are identical and float ones bit-identical.
+The pair symmetries hold by construction, as every entry of an orbit is
+written from its representative, so they are not checked at run time;
+the cyclic identity, which no orbit fill imposes, is what `bianchi` tests.
 
 Sign convention: R_jklm is R_jkl^m = d_k Gamma^m_jl - d_j Gamma^m_kl +
 Gamma^m_kq Gamma^q_jl - Gamma^m_jq Gamma^q_kl lowered by g, with the sign
@@ -235,79 +232,58 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
             Tensor(n, CON + COV * 2, second, zero))
 
 
-# Slot symmetries of a tensor's trailing slots that the orbit fills exploit:
-# no symmetry, a symmetric pair (such as Ricci's, for a caller holding its
-# jets), or Riemann's (antisymmetric in each pair, symmetric under the pair
-# swap), the one the bundle declares.  Each maps to the block's width and
-# its group as (slot permutation, sign) pairs: t[idx permuted] = sign * t[idx].
-NO_SYMMETRY = "none"
-SYMMETRIC_PAIR = "symmetric pair"
-RIEMANN = "riemann"
-_SYMMETRY_GROUPS = {
-    NO_SYMMETRY: (0, (((), 1),)),
-    SYMMETRIC_PAIR: (2, (((0, 1), 1), ((1, 0), 1))),
-    RIEMANN: (4, (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1),
+# Riemann's symmetries on the last four slots of a tensor (antisymmetric in
+# each pair, symmetric under the pair swap), as (slot permutation, sign)
+# pairs: t[idx permuted] = sign * t[idx].
+_RIEMANN_GROUP = (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1),
                   ((1, 0, 3, 2), 1), ((2, 3, 0, 1), 1), ((3, 2, 0, 1), -1),
-                  ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1))),
-}
-
-
-class SymmetryError(ValueError):
-    """A tensor lacks the slot symmetry its caller declared."""
+                  ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1))
 
 
 @cache
-def _orbits(n: int, symmetry: str):
-    """Orbits of the symmetry group on the offsets of its trailing block.
-
-    Returns (width, orbits, zeros): `orbits` lists (rep, images) with rep
-    the smallest offset of the orbit and images its (offset, sign) pairs,
-    rep first with sign 1, so that t[image] = sign * t[rep]; `zeros` are
-    the offsets the symmetry forces to vanish (an entry equal to its own
-    negative).
+def _orbits(n: int) -> tuple:
+    """Orbits of Riemann's symmetries on the n^4 offsets of a block of four
+    slots, as (rep, images): rep the smallest offset of the orbit, images
+    its (offset, sign) pairs, rep first with sign 1, so that t[image] =
+    sign * t[rep].  An offset the symmetries force to vanish (an entry equal
+    to its own negative) is in no orbit.
     """
-    width, group = _SYMMETRY_GROUPS[symmetry]
-    seen = set()
-    orbits, zeros = [], []
-    for rep, idx in enumerate(itertools.product(range(n), repeat=width)):
+    seen, orbits = set(), []
+    for rep, idx in enumerate(itertools.product(range(n), repeat=4)):
         if rep in seen:
             continue
         signs = {}
-        for perm, sign in group:
+        for perm, sign in _RIEMANN_GROUP:
             img = 0
             for p in perm:
                 img = img * n + idx[p]
             signs.setdefault(img, set()).add(sign)
         seen.update(signs)
-        if any(len(s) > 1 for s in signs.values()):
-            zeros.extend(sorted(signs))
-        else:
+        if all(len(s) == 1 for s in signs.values()):
             orbits.append((rep, tuple((img, s.pop())
                                       for img, s in signs.items())))
-    return width, tuple(orbits), tuple(sorted(zeros))
+    return tuple(orbits)
 
 
 @cache
-def _orbit_index(n: int, symmetry: str) -> list:
-    """For each offset of the symmetry's trailing block, the number of its
-    orbit in `_orbits`, or -1 where the symmetry forces it to vanish."""
-    width, orbits, _ = _orbits(n, symmetry)
-    index = [-1] * n ** width
-    for k, (_, images) in enumerate(orbits):
+def _orbit_index(n: int) -> list:
+    """For each offset of a block of four slots, the number of its orbit in
+    `_orbits`, or -1 where Riemann's symmetries force it to vanish."""
+    index = [-1] * n ** 4
+    for k, (_, images) in enumerate(_orbits(n)):
         for img, _ in images:
             index[img] = k
     return index
 
 
 @cache
-def _near_orbits(n: int, symmetry: str) -> list:
+def _near_orbits(n: int) -> list:
     """For each orbit k of `_orbits`, the orbits of the block offsets one
     slot change away from its representative, k among them."""
-    width, orbits, _ = _orbits(n, symmetry)
-    index, near = _orbit_index(n, symmetry), []
-    for k, (rep, _) in enumerate(orbits):
+    index, near = _orbit_index(n), []
+    for k, (rep, _) in enumerate(_orbits(n)):
         ks = {k}
-        for w in (n ** s for s in range(width)):
+        for w in (1, n, n * n, n ** 3):
             r = rep - rep // w % n * w
             ks.update(index[r:r + n * w:w])
         ks.discard(-1)
@@ -316,24 +292,22 @@ def _near_orbits(n: int, symmetry: str) -> list:
 
 
 def covariant_derivative(t: Tensor, gamma: Tensor | Values,
-                         context: str = "covariant derivative",
-                         symmetry: str = NO_SYMMETRY) -> Tensor | Values:
-    """Prepend a covariant slot: (nabla t)_{i ...} with the usual corrections.
+                         context: str = "covariant derivative"
+                         ) -> Tensor | Values:
+    """Prepend a covariant slot to t, a jet tensor whose last four slots
+    have Riemann's symmetries: (nabla t)_{i ...} with the usual corrections.
 
     Each output entry is gathered on numerators over the common
     denominators of t and gamma, and reduced once: d_i t[idx], plus
     Gamma^v_{ip} t[.. p ..] for each contravariant slot of value v, minus
     Gamma^p_{iv} t[.. p ..] for each covariant one, skipping zero symbols
-    and inputs.  `symmetry` declares the symmetry of t's trailing slots
-    (NO_SYMMETRY, SYMMETRIC_PAIR or RIEMANN); nabla keeps it, so only one
-    entry per orbit is computed and the others are filled with it or its
-    negation.  Only the orbits within one slot change of a nonzero orbit
-    representative of t are visited, in the order of their leading slots
-    and then of `_orbits`; no other entry can be nonzero.  In exact mode
-    every input entry is first checked literally against its orbit's
-    representative, and a mismatch raises SymmetryError naming `context`;
-    float mode fills without the check, since there the symmetry holds
-    only to rounding.
+    and inputs.  nabla keeps the symmetries, so only the representative of
+    each orbit (`_orbits`) is computed, and the others are filled with it
+    or its negation; the symmetries are not checked, so t must hold them
+    literally, as the orbit fills of Riemann and nabla Riemann do.  Only
+    the orbits within one slot change of a nonzero orbit representative of
+    t are visited, in the order of their leading slots and then of
+    `_orbits`; no other entry can be nonzero.
 
     The output is of order min(order of t - 1, order of gamma), as it reads
     gamma at that order; raises OrderBudgetError naming `context` when t's
@@ -342,19 +316,11 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     t's first-order coefficients and the products are summed on integers.
     """
     n, zero = t.dim, t.zero
-    if not isinstance(zero, Jet):
-        raise TypeError("covariant_derivative needs jet-valued tensors")
     order, mode = zero.order, zero.mode
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
-    width, orbits, _ = _orbits(n, symmetry)
-    rank = t.rank
-    if width > rank:
-        raise ValueError(f"{context}: a {symmetry} symmetry needs {width} "
-                         f"slots, the tensor has {rank}")
-    if mode == EXACT:
-        _check_symmetry(t, symmetry, context)
+    orbits, rank = _orbits(n), t.rank
     jets = t.nonzero
     if isinstance(gamma, Values):           # to point values, on numbers
         den, dg = math.lcm(*(e.den for e in jets.values())), gamma.den
@@ -405,8 +371,7 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     # the orbits, by leading offset, within one slot change of a nonzero
     # representative: an entry fed by an orbit's image is fed by its
     # representative in the image of that entry
-    index, block = _orbit_index(n, symmetry), n ** width
-    near = _near_orbits(n, symmetry)
+    index, near, block = _orbit_index(n), _near_orbits(n), n ** 4
     lead = [w for w in weights if w >= block]
     visit = {}
     for o in jets:
@@ -457,64 +422,15 @@ def _by_orbits(n: int, zero: Jet, entry, reached) -> Tensor:
     set `reached` (-1, a forced zero, is passed over), filled into its
     orbit, and `zero` elsewhere, where the caller knows its entries
     vanish."""
-    width, orbits, _ = _orbits(n, RIEMANN)
-    out = {}
+    orbits, out = _orbits(n), {}
     for k in sorted(reached):
         if k < 0:
             continue
         rep, images = orbits[k]
-        a = entry(*(rep // n ** p % n for p in range(width - 1, -1, -1)))
+        a = entry(*(rep // n ** p % n for p in (3, 2, 1, 0)))
         if a:
             _fill(out, 0, images, a)
-    return Tensor(n, COV * width, out, zero)
-
-
-def _check_symmetry(t: Tensor, symmetry: str, context: str):
-    """Raise SymmetryError unless every block of t's trailing slots
-    literally has the declared symmetry.  Only the orbits that hold a
-    nonzero entry can break it, and only a nonzero entry can break a
-    forced zero; they are checked in the order of a check of every block,
-    orbit and image, so the first error is the one that check meets."""
-    n, rank, src, zero = t.dim, t.rank, t.nonzero, t.zero
-    width, orbits, zeros = _orbits(n, symmetry)
-    if not width:
-        return
-    index, block = _orbit_index(n, symmetry), n ** width
-
-    def where(o):
-        return tuple(o // n ** (rank - 1 - s) % n for s in range(rank))
-
-    held = {}                   # leading offset -> orbits (-1: forced zero)
-    for o in src:
-        held.setdefault(o - o % block, set()).add(index[o % block])
-    for base in sorted(held):
-        for k in sorted(held[base]):
-            if k < 0:
-                continue
-            rep, images = orbits[k]
-            e = src.get(base + rep, zero)
-            neg = None
-            for img, sign in images[1:]:
-                x = src.get(base + img, zero)
-                if sign < 0:
-                    if neg is None:
-                        neg = -e
-                    ok = x is neg or x == neg
-                else:
-                    ok = x is e or x == e
-                if not ok:
-                    raise SymmetryError(
-                        f"{context}: entry {where(base + img)} is not "
-                        f"{'+' if sign > 0 else '-'}entry "
-                        f"{where(base + rep)} under the declared {symmetry} "
-                        "symmetry")
-        if -1 in held[base]:
-            for z in zeros:
-                if src.get(base + z, zero).nz:
-                    raise SymmetryError(
-                        f"{context}: entry {where(base + z)} is nonzero but "
-                        f"the declared {symmetry} symmetry forces it to "
-                        "vanish")
+    return Tensor(n, COV * 4, out, zero)
 
 
 def _as_jet_values(t: Values) -> Values:
@@ -634,14 +550,14 @@ class CurvatureBundle:
         # d_j Gamma_{m,kl} at (j, a, b, m); then, unless every orbit is
         # reached, the products Gamma_{q,jm} Gamma^q_kl and Gamma_{q,km}
         # Gamma^q_jl of nonzero symbols
-        index = _orbit_index(n, RIEMANN)
+        index = _orbit_index(n)
         reached = set()
         for o in g1:
             m, a, b = o // n2, o // n % n, o % n
             reached.update(index[a * n3 + b * n + m:(a + 1) * n3:n2])
             reached.update(index[a * n2 + b * n + m::n3])
         reached.discard(-1)
-        if len(reached) < len(_orbits(n, RIEMANN)[1]):
+        if len(reached) < len(_orbits(n)):
             for lo in range(0, n3, n2):
                 fs = [o - lo for o in g1 if lo <= o < lo + n2]
                 ss = [o - lo for o in g2 if lo <= o < lo + n2]
@@ -752,8 +668,7 @@ class CurvatureBundle:
 
     @stage(3)
     def nabla_riemann(self) -> Tensor:
-        return covariant_derivative(self.riemann, self.gamma, "nabla Riemann",
-                                    RIEMANN)
+        return covariant_derivative(self.riemann, self.gamma, "nabla Riemann")
 
     @stage(3)
     def nabla_weyl(self) -> Values:
@@ -784,7 +699,7 @@ class CurvatureBundle:
     @stage(4)
     def nabla2_riemann(self) -> Values:
         return covariant_derivative(self.nabla_riemann, self.values("gamma"),
-                                    "nabla nabla Riemann", RIEMANN)
+                                    "nabla nabla Riemann")
 
     @stage(4)
     def lap_ricci(self) -> Values:

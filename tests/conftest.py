@@ -8,14 +8,14 @@ import pytest
 
 from ppcheck import build_galaev, build_perturbed_minkowski, build_ppwave
 from ppcheck.checks import PointContext
-from ppcheck.geometry import (NO_SYMMETRY, CurvatureBundle, OrderBudgetError,
-                              SymmetryError, _orbits, metric_at_point)
+from ppcheck.geometry import (CurvatureBundle, OrderBudgetError, _orbits,
+                              metric_at_point)
 from ppcheck.jets import (EXACT, Jet, _tables, as_mode, derivative_numerators,
                           from_numerators, jet_from_polynomial, jet_recip, mac,
                           numerators)
 from ppcheck.linalg import SingularMatrixError
 from ppcheck.polynomials import Polynomial, parse_polynomial
-from ppcheck.tensors import CON, COV, Tensor, Values, _offset
+from ppcheck.tensors import CON, COV, Tensor, Values
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -52,14 +52,6 @@ def dense(dim, variance, entries, zero):
     if isinstance(zero, Jet):
         return jet_tensor(dim, variance, entries, zero)
     return Values.of(dim, variance, entries)
-
-
-def replaced(t, idx, e):
-    """The jet Tensor t with its entry at idx (an index tuple or offset)
-    replaced by e."""
-    entries = t.entries
-    entries[_offset(t.dim, idx)] = e
-    return jet_tensor(t.dim, t.variance, entries, t.zero)
 
 
 def du_jets(ctx):
@@ -249,58 +241,24 @@ def _dense_fill(out, base, images, a):
         out[base + img] = a if sign > 0 else neg
 
 
-def dense_check_symmetry(t, symmetry, context):
-    """The reference for `geometry._check_symmetry`: every block of t's
-    trailing slots, every orbit and every image, in that order, on the
-    dense list of t's entries."""
-    n, rank, src = t.dim, t.rank, t.entries
-    width, orbits, zeros = _orbits(n, symmetry)
-
-    def where(o):
-        return tuple(o // n ** (rank - 1 - s) % n for s in range(rank))
-
-    for base in range(0, len(src), n ** width):
-        for rep, images in orbits:
-            e = src[base + rep]
-            neg = None
-            for img, sign in images[1:]:
-                x = src[base + img]
-                if sign < 0:
-                    if neg is None:
-                        neg = -e
-                    ok = x is neg or x == neg
-                else:
-                    ok = x is e or x == e
-                if not ok:
-                    raise SymmetryError(
-                        f"{context}: entry {where(base + img)} is not "
-                        f"{'+' if sign > 0 else '-'}entry "
-                        f"{where(base + rep)} under the declared {symmetry} "
-                        "symmetry")
-        for z in zeros:
-            if src[base + z].nz:
-                raise SymmetryError(
-                    f"{context}: entry {where(base + z)} is nonzero but the "
-                    f"declared {symmetry} symmetry forces it to vanish")
-
-
 def dense_covariant_derivative(t, gamma, context="covariant derivative",
-                               symmetry=NO_SYMMETRY):
-    """The reference for `geometry.covariant_derivative`: the orbit gather
-    over every (leading offset, orbit) pair, on dense lists of t's and
-    gamma's entries, into a dense list of output jets or a dict of
-    numerators; the same sums in the same order, so its results are equal
-    to the sparse kernel's, and bit-equal in float mode."""
+                               riemann=False):
+    """nabla t, the orbit gather over every (leading offset, orbit) pair,
+    on dense lists of t's and gamma's entries, into a dense list of output
+    jets or a dict of numerators.  With `riemann`, t's last four slots have
+    Riemann's symmetries, and it is the reference for
+    `geometry.covariant_derivative`: the same sums in the same order, so
+    its results are equal to the sparse kernel's, and bit-equal in float
+    mode.  Without, each offset is its own orbit, a covariant derivative
+    of any jet tensor."""
     n = t.dim
     sample = t.entries[0]
     order, mode = sample.order, sample.mode
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
-    width, orbits, _ = _orbits(n, symmetry)
+    width, orbits = (4, _orbits(n)) if riemann else (0, ((0, ((0, 1),)),))
     rank = t.rank
-    if mode == EXACT:
-        dense_check_symmetry(t, symmetry, context)
     jets = t.entries
     if isinstance(gamma, Values):
         den, dg = math.lcm(*(e.den for e in jets)), gamma.den

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (NC4, du_jets, jet_tensor, make_ctx, naive_raise_lower,
-                      poly, textbook_weyl_jets, truncated)
+from conftest import (NC4, dense_covariant_derivative, du_jets, jet_tensor,
+                      make_ctx, naive_raise_lower, poly, textbook_weyl_jets,
+                      truncated)
 from ppcheck import (EXACT, FLOAT, ConfigError, RunConfig, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, linalg)
@@ -16,8 +17,7 @@ from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
                             check_collinearity, check_olszak,
                             extract_recurrence, nabla_chart_covector_u,
                             relative_residual)
-from ppcheck.geometry import (RIEMANN, CurvatureBundle, _orbits,
-                              covariant_derivative, rescaled)
+from ppcheck.geometry import CurvatureBundle, _orbits, rescaled
 from ppcheck.jets import Jet, jet_recip
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
@@ -199,8 +199,8 @@ class TestBrinkmannAndSchimming:
                  (walker, PT4), (perturbed_spec, PT4)]
         for spec, pt in cases:
             ctx = make_ctx(spec, pt, mode=mode)
-            want = covariant_derivative(du_jets(ctx), ctx.bundle.gamma,
-                                        "test").values()
+            want = dense_covariant_derivative(du_jets(ctx), ctx.bundle.gamma,
+                                              "test").values()
             got = nabla_chart_covector_u(ctx)
             assert got == want
             assert ([type(e) for e in got.entries]
@@ -341,7 +341,7 @@ def _dense_per_orbit(t):
     """`_per_orbit` by a visit of every orbit of every block."""
     get, num = t.num.get, {}
     for base in range(0, t.size, t.dim ** 4):
-        for rep, images in _orbits(t.dim, RIEMANN)[1]:
+        for rep, images in _orbits(t.dim):
             if x := get(base + rep):
                 num[base + rep] = x * len(images)
     return Values(t.dim, t.variance, num, t.den, t.zero)
@@ -400,7 +400,7 @@ def reference_alpha(b):
     differentiated directly."""
     n = b.dim
     c = textbook_weyl_jets(b)
-    nc = covariant_derivative(c, b.gamma, "reference").entries
+    nc = dense_covariant_derivative(c, b.gamma, "reference").entries
     order = nc[0].order
     ct = truncated(c, order).entries
     size = len(ct)
@@ -412,7 +412,7 @@ def reference_alpha(b):
     d_alpha = Values.of(n, COV * 2, [alpha[i].derivative(j).value
                                      for j in range(n) for i in range(n)])
     return (alpha.values(), d_alpha,
-            covariant_derivative(alpha, b.gamma, "reference").values())
+            dense_covariant_derivative(alpha, b.gamma, "reference").values())
 
 
 def _closedness(t):

@@ -393,8 +393,7 @@ PUBLIC_API = sorted([
     "CHECKS", "ORDER_BUDGET", "CheckResult", "PointContext",
     "extract_recurrence", "RunError", "list_families", "main", "run",
     "theorem_suite", "CurvatureBundle", "DegeneratePointError",
-    "OrderBudgetError", "covariant_derivative", "metric_at_point",
-    "rescaled", "EXACT", "FLOAT", "Jet", "SingularJetError",
+    "OrderBudgetError", "metric_at_point", "rescaled", "EXACT", "FLOAT", "Jet", "SingularJetError",
     "jet_from_polynomial", "ConfigError", "FamilyError", "MetricSpec",
     "PointPlan", "RunConfig", "build_custom", "build_galaev",
     "build_perturbed_minkowski", "build_ppwave", "build_two_symmetric",
