@@ -26,9 +26,9 @@ def main():
     ctx = PointContext(spec=spec, point=point, mode=EXACT, bundle=bundle)
 
     print(f"H = {H!r}, point = {point}")
-    print(f"|Riemann| = {sup_norm(bundle.values('riemann'))}")
-    print(f"|Ricci|   = {sup_norm(bundle.values('ricci'))}")
-    print(f"|Weyl|    = {sup_norm(bundle.values('weyl'))}\n")
+    print(f"|Riemann| = {sup_norm(bundle.riemann)}")
+    print(f"|Ricci|   = {sup_norm(bundle.ricci)}")
+    print(f"|Weyl|    = {sup_norm(bundle.weyl)}\n")
 
     for name in ("pure_radiation", "ricci_recurrence", "schimming",
                  "field_equations"):

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .geometry import CurvatureBundle, _as_jet_values, _orbits, rescaled
+from .geometry import CurvatureBundle, _orbits, rescaled
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
 from .metrics import (MAX_FIELD_COEFFS, MetricSpec, _transverse_laplacian,
                       has_null_chart)
@@ -169,7 +169,7 @@ def chart_covector_u(ctx: PointContext) -> Values:
 def nabla_chart_covector_u(ctx: PointContext) -> Values:
     """nabla_i X_j = -Gamma^0_{ij} for X = du, whose chart components are
     constant."""
-    gam = ctx.bundle.values("gamma")    # Gamma^0_{ij} at offset i*n + j
+    gam = ctx.bundle.gamma      # Gamma^0_{ij} at offset i*n + j
     n = gam.dim
     return Values(n, COV * 2,
                   {o: -x for o, x in gam.num.items() if o < n * n}, gam.den,
@@ -213,7 +213,7 @@ def check_bianchi(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
     residuals = {}
     for key, name in (("first", "riemann"), ("second", "nabla_riemann")):
-        t = b.values(name)
+        t = getattr(b, name)
         residuals[key] = relative_residual(
             sup_norm(cyclic_sum(t, (0, 1, 2))), sup_norm(t))
     return _finish("bianchi", ctx, residuals)
@@ -222,8 +222,8 @@ def check_bianchi(ctx: PointContext) -> CheckResult:
 @check(2)
 def check_weyl_trace(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
-    weyl = b.values("weyl")
-    ginv = b.values("g_inv")
+    weyl = b.weyl
+    ginv = b.g_inv
     ref = sup_norm(weyl)
     residuals = {}
     for a in range(4):
@@ -241,8 +241,8 @@ def check_weyl_cyclic_identity(ctx: PointContext) -> CheckResult:
     ncm = b.nabla_weyl_mixed                   # (i, j, k, l, m^)
     lhs = cyclic_sum(ncm, (0, 1, 2))
     div1 = b.div_weyl                          # nabla_p C_{jkl}^p, slots (j,k,l)
-    div2 = raise_lower(div1, 2, b.values("g_inv"))   # nabla_p C_{jk}^{mp}
-    g = b.values("g")
+    div2 = raise_lower(div1, 2, b.g_inv)   # nabla_p C_{jk}^{mp}
+    g = b.g
     one = Fraction(1) if ctx.exact else 1.0
     kron = Values.of(n, "lu", [one if i == j else ctx.zero()
                                for i in range(n) for j in range(n)])
@@ -269,9 +269,9 @@ def check_weyl_divergence_formula(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
     n = b.dim
     lhs = b.div_weyl                            # (j, k, l)
-    nr = b.values("nabla_ricci")                # (i, k, l)
-    ns = b.values("nabla_scalar")               # (i,)
-    g = b.values("g")
+    nr = b.nabla_ricci                          # (i, k, l)
+    ns = b.nabla_scalar                         # (i,)
+    g = b.g
     c1 = _ratio(n - 3, n - 2, ctx.exact)
     c2 = _ratio(n - 3, 2 * (n - 1) * (n - 2), ctx.exact)
     gns = g.outer(ns)                           # g_ab nabla_c R
@@ -320,7 +320,7 @@ def check_brinkmann(ctx: PointContext) -> CheckResult:
     xv = chart_covector_u(ctx)
     nx = nabla_chart_covector_u(ctx)
     res = relative_residual(sup_norm(nx), sup_norm(xv))
-    xup = raise_lower(xv, 0, b.values("g_inv"))
+    xup = raise_lower(xv, 0, b.g_inv)
     null_norm = abs(dot(xup, xv))
     witnesses = {}
     notes = chart_note
@@ -339,7 +339,7 @@ def check_brinkmann(ctx: PointContext) -> CheckResult:
 def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
     """Cyclic Weyl condition for a covector, plus its contracted consequences."""
     b = ctx.bundle
-    weyl = b.values("weyl")
+    weyl = b.weyl
     if _is_vacuous(refc := sup_norm(weyl), ctx.exact):
         return CheckResult("olszak", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
@@ -356,7 +356,7 @@ def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
             notes = "X = extracted Weyl recurrence covector"
     xnorm = sup_norm(x)
     res_cyc = _cyclic_residual(x, weyl)
-    xup = raise_lower(x, 0, b.values("g_inv"))
+    xup = raise_lower(x, 0, b.g_inv)
     trace = tensordot(weyl, xup, 1)
     res_trace = relative_residual(sup_norm(trace), xnorm * refc)
     norm2 = abs(dot(xup, x))
@@ -370,8 +370,7 @@ def _alpha_values(ctx: PointContext):
     """The Weyl recurrence covector as Values, and its residual (cached)."""
     if "alpha_values" not in ctx.cache:
         b = ctx.bundle
-        alpha, res = extract_recurrence(b.values("weyl"),
-                                        b.values("nabla_weyl"))
+        alpha, res = extract_recurrence(b.weyl, b.nabla_weyl)
         ctx.cache["alpha_values"] = (
             (None, None) if alpha is None
             else (Values.of(b.dim, COV, alpha), res))
@@ -416,9 +415,8 @@ def _alpha_derivatives(ctx: PointContext):
     if "alpha_derivatives" in ctx.cache:
         return ctx.cache["alpha_derivatives"]
     b = ctx.bundle
-    alpha, gam = _as_jet_values(_alpha_values(ctx)[0]), b.values("gamma")
-    c, nc, nnc = (b.values("weyl"), b.values("nabla_weyl"),
-                  _per_orbit(b.values("nabla2_weyl")))
+    alpha, gam = _alpha_values(ctx)[0].normal(), b.gamma
+    c, nc, nnc = b.weyl, b.nabla_weyl, _per_orbit(b.nabla2_weyl)
     if not ctx.exact:
         s = 1 / sup_norm(c)
         c, nc, nnc = c.scale(s), nc.scale(s), nnc.scale(s)
@@ -433,8 +431,7 @@ def _alpha_derivatives(ctx: PointContext):
            + tensordot(nc_k, nc.permute((1, 2, 3, 4, 0)), 4))
     nabla = (top.scale(d) - half_dd.outer(num).scale(2)).scale(1 / d ** 2)
     ctx.cache["alpha_derivatives"] = out = (
-        alpha, _as_jet_values(nabla + tensordot(alpha, gam, 1)),
-        _as_jet_values(nabla))
+        alpha, (nabla + tensordot(alpha, gam, 1)).normal(), nabla.normal())
     return out
 
 
@@ -446,7 +443,7 @@ def check_conformal_recurrence(ctx: PointContext) -> CheckResult:
 def _weyl_recurrence(name: str, ctx: PointContext) -> CheckResult:
     """Weyl recurrence residual; on the galaev family also the match of the
     extracted covector with its two closed forms, one of which must agree."""
-    weyl = ctx.bundle.values("weyl")
+    weyl = ctx.bundle.weyl
     if _is_vacuous(sup_norm(weyl), ctx.exact):
         return CheckResult(name, VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
@@ -527,7 +524,7 @@ def check_collinearity(ctx: PointContext, alpha: Values | None = None,
                                notes="no null chart to supply X = du")
         x = chart_covector_u(ctx)
     if alpha is None:
-        weyl = ctx.bundle.values("weyl")
+        weyl = ctx.bundle.weyl
         if _is_vacuous(sup_norm(weyl), ctx.exact):
             return CheckResult("collinearity", VACUOUS, ctx.zero(), ctx.point,
                                notes="Weyl tensor vanishes; no recurrence covector")
@@ -568,9 +565,9 @@ def check_schimming(ctx: PointContext) -> CheckResult:
         "no distinguished null coordinate; using the first chart covector"
     x = chart_covector_u(ctx)
     pre = relative_residual(sup_norm(nabla_chart_covector_u(ctx)), sup_norm(x))
-    riem = b.values("riemann")
+    riem = b.riemann
     refr = sup_norm(riem)
-    ginv = b.values("g_inv")
+    ginv = b.g_inv
     residuals = {"brinkmann_precondition": pre}
     notes = chart_note
     if not _passes(pre, ctx):
@@ -625,7 +622,7 @@ def check_pure_radiation(ctx: PointContext) -> CheckResult:
                            notes="unsupported: needs a built pp-wave family")
     b = ctx.bundle
     x = chart_covector_u(ctx)
-    ric = b.values("ricci")
+    ric = b.ricci
     psi = ric[0, 0]
     residuals = {
         "ricci_form": relative_residual(
@@ -639,7 +636,7 @@ def check_pure_radiation(ctx: PointContext) -> CheckResult:
     grad_parallel = relative_residual(sup_norm(grad - x.scale(lam)),
                                       sup_norm(grad))
     div_res = relative_residual(sup_norm(b.div_weyl),
-                                sup_norm(b.values("nabla_weyl")))
+                                sup_norm(b.nabla_weyl))
     parallel_ok = _passes(grad_parallel, ctx)
     div_ok = _passes(div_res, ctx)
     biconditional = ctx.zero() if parallel_ok == div_ok else \
@@ -662,7 +659,7 @@ def check_roter_bundle(ctx: PointContext) -> CheckResult:
     """Roter's characterization: nonzero Weyl, recurrence with closed alpha,
     Codazzi Ricci; plus the scalar-curvature consequences R = 0, grad R = 0."""
     b = ctx.bundle
-    wnorm = sup_norm(b.values("weyl"))
+    wnorm = sup_norm(b.weyl)
     if _is_vacuous(wnorm, ctx.exact):
         return CheckResult("roter_bundle", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
@@ -672,13 +669,13 @@ def check_roter_bundle(ctx: PointContext) -> CheckResult:
     residuals["alpha_closed"] = relative_residual(
         _antisymmetric_norm(d_alpha), sup_norm(alpha),
         Fraction(1) if ctx.exact else 1.0)
-    nr = b.values("nabla_ricci")   # Codazzi: nabla_k R_jl = nabla_j R_kl
+    nr = b.nabla_ricci      # Codazzi: nabla_k R_jl = nabla_j R_kl
     residuals["codazzi"] = relative_residual(_antisymmetric_norm(nr),
                                              sup_norm(nr))
     residuals["scalar_zero"] = relative_residual(
-        sup_norm(b.values("scalar")), sup_norm(b.values("ricci")), wnorm)
+        sup_norm(b.scalar), sup_norm(b.ricci), wnorm)
     residuals["grad_scalar_zero"] = relative_residual(
-        sup_norm(b.values("nabla_scalar")), sup_norm(nr), wnorm)
+        sup_norm(b.nabla_scalar), sup_norm(nr), wnorm)
     return _finish("roter_bundle", ctx, residuals,
                    witnesses={"alpha": alpha.entries})
 
@@ -686,13 +683,13 @@ def check_roter_bundle(ctx: PointContext) -> CheckResult:
 @check(3)
 def check_ricci_recurrence(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
-    ric = b.values("ricci")
+    ric = b.ricci
     if _is_vacuous(sup_norm(ric), ctx.exact):
         return CheckResult("ricci_recurrence", VACUOUS, ctx.zero(), ctx.point,
                            notes="Ricci tensor vanishes (vacuum)")
-    omega, res = extract_recurrence(ric, b.values("nabla_ricci"))
+    omega, res = extract_recurrence(ric, b.nabla_ricci)
     om = Values.of(b.dim, COV, omega)
-    om_up = raise_lower(om, 0, b.values("g_inv"))
+    om_up = raise_lower(om, 0, b.g_inv)
     null_norm = abs(dot(om_up, om))
     onorm = sup_norm(om)
     res_null = relative_residual(null_norm, onorm * onorm) if onorm else ctx.zero()
@@ -714,7 +711,7 @@ def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
     does not affect them.
     """
     b = ctx.bundle
-    ric = b.values("ricci")
+    ric = b.ricci
     rnorm = sup_norm(ric)
     if _is_vacuous(rnorm, ctx.exact):
         return CheckResult("eqs_2_3_2_4", VACUOUS, ctx.zero(), ctx.point,
@@ -741,7 +738,7 @@ def check_eqs_2_3_2_4(ctx: PointContext) -> CheckResult:
     dvec = Values(n, COV, {i: ric.num[o] for i in range(n)    # column j0
                            for o in (i * n + j0,) if o in ric.num},
                   ric.den, ric.zero)
-    residuals = {key: _cyclic_residual(dvec, b.values(name))
+    residuals = {key: _cyclic_residual(dvec, getattr(b, name))
                  for key, name in (("cyclic_weyl", "weyl"),
                                    ("cyclic_riemann", "riemann"))}
     eps = (pv > 0) - (pv < 0)
@@ -754,21 +751,21 @@ def check_laplacians(ctx: PointContext) -> CheckResult:
     """Laplacians of Ricci/Weyl/Riemann and the double-divergence relation."""
     b = ctx.bundle
     n = b.dim
-    riem_norm = sup_norm(b.values("riemann"))
+    riem_norm = sup_norm(b.riemann)
     residuals = {
         "lap_ricci": relative_residual(sup_norm(b.lap_ricci),
-                                       sup_norm(b.values("ricci")), riem_norm),
+                                       sup_norm(b.ricci), riem_norm),
         "lap_weyl": relative_residual(sup_norm(b.lap_weyl),
-                                      sup_norm(b.values("weyl"))),
+                                      sup_norm(b.weyl)),
         "lap_riemann": relative_residual(sup_norm(b.lap_riemann), riem_norm),
     }
     lhs = b.double_div_weyl
     rhs = b.lap_ricci.scale(-_ratio(n - 3, n - 2, ctx.exact))
     residuals["double_divergence_relation"] = relative_residual(
         sup_norm(lhs - rhs), sup_norm(lhs), sup_norm(rhs),
-        sup_norm(b.values("nabla_ricci")))
+        sup_norm(b.nabla_ricci))
     # reported for the two-symmetric family; not part of the pass criterion
-    two_sym = relative_residual(sup_norm(b.values("nabla2_riemann")), riem_norm)
+    two_sym = relative_residual(sup_norm(b.nabla2_riemann), riem_norm)
     result = _finish("laplacians", ctx, residuals)
     result.witnesses["second_nabla_riemann_residual"] = two_sym
     return result
@@ -780,11 +777,11 @@ def check_semisymmetry(ctx: PointContext) -> CheckResult:
     b = ctx.bundle
     residuals = {}
     for key in ("ricci", "weyl", "riemann"):
-        vals = b.values(f"nabla2_{key}")
+        vals = getattr(b, f"nabla2_{key}")
         perm = (1, 0) + tuple(range(2, vals.rank))
         residuals[f"commutator_{key}"] = relative_residual(
             sup_norm(vals - vals.permute(perm)), sup_norm(vals),
-            sup_norm(b.values(f"nabla_{key}")))
+            sup_norm(getattr(b, f"nabla_{key}")))
     return _finish("semisymmetry", ctx, residuals)
 
 
@@ -794,7 +791,7 @@ def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
     nabla_j alpha_i = rho alpha_i alpha_j, divergence-free and C-transversal."""
     b = ctx.bundle
     exact = ctx.exact
-    if _is_vacuous(sup_norm(b.values("weyl")), exact):
+    if _is_vacuous(sup_norm(b.weyl), exact):
         return CheckResult("alpha_recurrent", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
     avals, _, na = _alpha_derivatives(ctx)
@@ -812,11 +809,11 @@ def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
     rho = dot(na, aa) / sq if sq else ctx.zero()
     residuals["rank_one_structure"] = relative_residual(
         sup_norm(na - aa.scale(rho)), sup_norm(na), anorm ** 2)
-    ginv = b.values("g_inv")
+    ginv = b.g_inv
     residuals["divergence_free"] = relative_residual(
         abs(dot(na, ginv)), sup_norm(na), anorm)
     # alpha^i nabla_i C = 0
-    nw = b.values("nabla_weyl")
+    nw = b.nabla_weyl
     transv = tensordot(raise_lower(avals, 0, ginv), nw, 1)
     residuals["transversal"] = relative_residual(
         sup_norm(transv), anorm * sup_norm(nw))
@@ -840,7 +837,7 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
                            notes="unsupported: needs a built pp-wave family")
     b = ctx.bundle
     coeffs = [Fraction(c) if ctx.exact else float(c) for c in ctx.field_coeffs]
-    ric = b.values("ricci")
+    ric = b.ricci
     lap = b.lap_ricci
     op = ric.scale(coeffs[0])
     if len(coeffs) > 1:
@@ -850,8 +847,8 @@ def check_field_equations(ctx: PointContext) -> CheckResult:
     # Einstein limit: Ricci - R g / 2 against the radiation form psi X (x) X
     x = chart_covector_u(ctx)
     psi = ric[0, 0]
-    einstein = ric - b.values("g").scale(
-        b.values("scalar")[()] * _ratio(1, 2, ctx.exact))
+    einstein = ric - b.g.scale(
+        b.scalar[()] * _ratio(1, 2, ctx.exact))
     residuals["einstein_pure_radiation"] = relative_residual(
         sup_norm(einstein - x.outer(x).scale(psi)), sup_norm(ric))
     t_uu = coeffs[0] * psi

@@ -11,12 +11,13 @@ Christoffel symbols of both kinds, Riemann and nabla Riemann, each only to
 the order that is read: for g's jets of order K, Gamma_{l,jk} is of order
 K-1 and g^{-1}, Gamma^i_jk and Riemann of order K-2.  nabla nabla Riemann
 is taken from these jets straight to point values (tensors.Values), and
-all else is computed from point values.  As nabla g = 0, nabla^L Ricci is
-a -g^{-1} trace of nabla^L Riemann's values, R and nabla R are g^{-1}
-traces of Ricci's values, and nabla commutes with the Weyl decomposition:
-C, nabla C, nabla nabla C and Delta C are that decomposition, in Schouten
-form, of the values of nabla^L (or Delta) of Riemann, Ricci and R; only
-Riemann is differentiated.
+all else is computed from point values; a check reads each of them, in
+one normal form, from a `stage` of CurvatureBundle.  As nabla g = 0,
+nabla^L Ricci is a -g^{-1} trace of nabla^L Riemann's values, R and
+nabla R are g^{-1} traces of Ricci's values, and nabla commutes with the
+Weyl decomposition: C, nabla C, nabla nabla C and Delta C are that
+decomposition, in Schouten form, of the values of nabla^L (or Delta) of
+Riemann, Ricci and R; only Riemann is differentiated.
 
 A jet tensor (tensors.Tensor) holds its nonzero jets only, and every
 kernel here visits those and the orbits they reach, never the n^rank
@@ -294,13 +295,12 @@ def _near_orbits(n: int) -> list:
 def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                          context: str = "covariant derivative"
                          ) -> Tensor | Values:
-    """Prepend a covariant slot to t, a jet tensor whose last four slots
-    have Riemann's symmetries: (nabla t)_{i ...} with the usual corrections.
+    """Prepend a covariant slot to t, a fully covariant jet tensor whose
+    last four slots have Riemann's symmetries: (nabla t)_{i ...}.
 
     Each output entry is gathered on numerators over the common
-    denominators of t and gamma, and reduced once: d_i t[idx], plus
-    Gamma^v_{ip} t[.. p ..] for each contravariant slot of value v, minus
-    Gamma^p_{iv} t[.. p ..] for each covariant one, skipping zero symbols
+    denominators of t and gamma, and reduced once: d_i t[idx], minus
+    Gamma^p_{iv} t[.. p ..] for each slot of value v, skipping zero symbols
     and inputs.  nabla keeps the symmetries, so only the representative of
     each orbit (`_orbits`) is computed, and the others are filled with it
     or its negation; the symmetries are not checked, so t must hold them
@@ -354,20 +354,18 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                 derivative_numerators(e.c, n, low, i, k) if e else
                 blank.c.copy(), tab, ps), den * dg) if e or ps else blank
                 for i, ps in enumerate(pairs)]
-    # terms[v]: (i, p, G) for each nonzero G = +Gamma^v_ip or -Gamma^p_iv
-    # that feeds a slot of value v in output entry (i; ..) from the input
-    # with that slot at p; gam[(a*n + b)*n + c] is Gamma^a_{bc}.  For each
-    # (v, i) the p run in ascending order.
-    con, cov = [[] for _ in range(n)], [[] for _ in range(n)]
+    # cov[v]: (i, p, G) for each nonzero G = -Gamma^p_iv that feeds a
+    # slot of value v in output entry (i; ..) from the input with that slot
+    # at p; gam[(a*n + b)*n + c] is Gamma^a_{bc}.  For each (v, i) the p
+    # run in ascending order.
+    cov = [[] for _ in range(n)]
     for o, g in sorted(gam.items()):
         if g:
             a, b, c = o // (n * n), o // n % n, o % n
-            con[a].append((b, c, g))
             cov[c].append((b, a, neg(g)))
     weights = [n ** (rank - 1 - s) for s in range(rank)]
     slots = [(w, [[(i, p * w, g) for i, p, g in tv]    # p as an offset step
-                  for tv in (con if var == CON else cov)])
-             for var, w in zip(t.variance, weights)]
+                  for tv in cov]) for w in weights]
     # the orbits, by leading offset, within one slot change of a nonzero
     # representative: an entry fed by an orbit's image is fed by its
     # representative in the image of that entry
@@ -433,21 +431,14 @@ def _by_orbits(n: int, zero: Jet, entry, reached) -> Tensor:
     return Tensor(n, COV * 4, out, zero)
 
 
-def _as_jet_values(t: Values) -> Values:
-    """t with its zeros read as int 0, as the values of a jet tensor are
-    (Jet.value reads an exact zero as int 0), so a point-value attribute
-    leaves its kernels with the types its jet form's values had."""
-    return Values(t.dim, t.variance, {o: x for o, x in t.num.items() if x},
-                  t.den, 0 if t.exact else 0.0)
-
-
 class stage:
     """`@stage(needs)`: a CurvatureBundle attribute computed on its first
     read, which raises OrderBudgetError naming it if g's jets are of an
     order K below `needs`, and then kept on the instance, so that later
-    reads are plain attribute lookups; point values (Values) are kept in
-    lowest terms, so the kernels that read them work on the smallest
-    numbers.  Read from the class, it is itself."""
+    reads are plain attribute lookups.  Point values (Values) are put in
+    normal form here (`Values.normal`), and nowhere else in this module, so
+    the kernels that read them work on the smallest numbers and see a
+    jet's zero.  Read from the class, it is itself."""
 
     def __init__(self, needs: int):
         self.needs = needs
@@ -465,7 +456,7 @@ class stage:
                 f"{name} needs jet order {self.needs}, run has K={order}")
         value = self.method(bundle)
         if isinstance(value, Values):
-            value = value.reduced()
+            value = value.normal()
         bundle.__dict__[name] = value
         return value
 
@@ -473,41 +464,37 @@ class stage:
 class CurvatureBundle:
     """All curvature data of one metric at one point, computed lazily.
 
-    Jet attributes (Tensors of jets, to the orders the module docstring
-    gives): `christoffels` (both kinds), `gamma` (the second kind),
-    `riemann`, `nabla_riemann`.  All others are point values (Values, see
-    tensors): `ricci`, `nabla_ricci` and `nabla2_ricci` (`_ricci`), the
+    Every attribute is a `stage`.  Those a check reads are point values
+    (Values, see tensors): the metric's `g` and `g_inv`, `gamma` (Gamma^i_jk),
+    `riemann`, `ricci`, `nabla_ricci` and `nabla2_ricci` (`_ricci`), the
     Weyl forms (`_weyl_part`, and `weyl_mixed`, `nabla_weyl_mixed` with the
-    last slot raised), `scalar`, `nabla_scalar`, `nabla2_riemann`, the
-    divergences and Laplacians.
-    `values(name)` gives the point values of any attribute, or of the
-    metric's `g` and `g_inv`, once each.  Each attribute is a `stage` that
-    states the least order K of g's jets (`metric.order`) it needs: 1 for
-    the Christoffel symbols, 2 for curvature, and one more for each
-    covariant derivative in it.
+    last slot raised), `scalar`, `nabla_scalar`, `nabla_riemann`,
+    `nabla2_riemann`, the divergences and Laplacians.  The jet stages they
+    are taken from are Tensors of jets, to the orders the module docstring
+    gives: `christoffels` (both kinds), `riemann_jets` and
+    `nabla_riemann_jets`.  Each stage states the least order K of g's jets
+    (`metric.order`) it needs: 1 for the Christoffel symbols, 2 for
+    curvature, and one more for each covariant derivative in it.
     """
 
     def __init__(self, metric: MetricAtPoint):
         self.metric = metric
         self.dim = metric.dim
         self.mode = metric.mode
-        self._values = {}
 
-    def values(self, name: str) -> Values:
-        """Point values of the attribute `name` (or "g", "g_inv"); a
-        point-value attribute is returned as it is."""
-        v = self._values.get(name)
-        if v is None:
-            owner = self.metric if name in ("g", "g_inv") else self
-            v = getattr(owner, name)
-            v = self._values[name] = (v if isinstance(v, Values)
-                                      else v.values())
-        return v
+    @stage(0)
+    def g(self) -> Values:
+        """The metric g_ij."""
+        return self.metric.g.values()
 
-    def _raised(self, name: str) -> Values:
-        """Point values of `name` with the last slot raised."""
-        t = self.values(name)
-        return _as_jet_values(raise_lower(t, t.rank - 1, self.values("g_inv")))
+    @stage(0)
+    def g_inv(self) -> Values:
+        """The inverse metric g^ij."""
+        return self.metric.g_inv.values()
+
+    def _raised(self, t: Values) -> Values:
+        """t with the last slot raised."""
+        return raise_lower(t, t.rank - 1, self.g_inv)
 
     # -- connection and curvature -----------------------------------------
 
@@ -516,10 +503,13 @@ class CurvatureBundle:
         """(Gamma_{l,jk}, Gamma^i_{jk}): the symbols of both kinds."""
         return christoffel(self.metric)
 
-    gamma = property(lambda self: self.christoffels[1])   # Gamma^i_{jk}
+    @stage(1)
+    def gamma(self) -> Values:
+        """Gamma^i_{jk}, the symbols of the second kind."""
+        return self.christoffels[1].values()
 
     @stage(2)
-    def riemann(self) -> Tensor:
+    def riemann_jets(self) -> Tensor:
         """Fully covariant R_{jklm}, jets of order K-2, one `entry` per orbit
         of its pair symmetries that a nonzero symbol enters: R_jkl^m
         lowered by g, with d_k g_pm = Gamma_{p,km} + Gamma_{m,kp}.  The
@@ -568,26 +558,29 @@ class CurvatureBundle:
         return _by_orbits(n, t.zero[mode], entry, reached)
 
     @stage(2)
+    def riemann(self) -> Values:
+        """Fully covariant R_{jklm}."""
+        return self.riemann_jets.values()
+
+    @stage(2)
     def ricci(self) -> Values:
         """R_ij = -g^{km} R_{kijm}."""
-        return self._ricci("riemann")
+        return self._ricci(self.riemann)
 
-    def _trace(self, name: str, a: int = 0) -> Values:
-        """The values of `name` with slots a and a + 1 traced by g^{-1}: a
-        Laplacian for a = 0 on a second derivative."""
-        return _as_jet_values(contract(self.values(name), a, a + 1,
-                                       self.values("g_inv")))
+    def _trace(self, t: Values, a: int = 0) -> Values:
+        """t with slots a and a + 1 traced by g^{-1}: a Laplacian for a = 0
+        on a second derivative."""
+        return contract(t, a, a + 1, self.g_inv)
 
-    def _ricci(self, name: str, a: int = 0) -> Values:
-        """nabla^a R_ij = -g^{km} nabla^a R_{kijm}: the values of `name`,
-        nabla^a Riemann, with slots a and a + 3 traced by -g^{-1}."""
-        return _as_jet_values(contract(self.values(name), a, a + 3,
-                                       self.values("g_inv")).scale(-1))
+    def _ricci(self, t: Values, a: int = 0) -> Values:
+        """nabla^a R_ij = -g^{km} nabla^a R_{kijm}: t, nabla^a Riemann, with
+        slots a and a + 3 traced by -g^{-1}."""
+        return contract(t, a, a + 3, self.g_inv).scale(-1)
 
     @stage(2)
     def scalar(self) -> Values:
         """Scalar curvature R = g^{ij} R_ij."""
-        return self._trace("ricci")
+        return self._trace(self.ricci)
 
     def _weyl_part(self, riem: Values, ric: Values, scal: Values) -> Values:
         """nabla^L C_{jklm}: the Weyl decomposition, in Schouten form, of
@@ -600,126 +593,127 @@ class CurvatureBundle:
 
         P is Values algebra; one loop adds the g P terms over the nonzero
         entries of P and the metric to R_jklm, on numerators over one
-        common denominator in exact mode.  Entries that sum to zero are
-        dropped: they leave as int 0, as a jet's zero.
+        common denominator in exact mode.  Entries that sum to zero stay
+        written, for the stage to drop.
         """
         n = self.dim
         if n < 4:
             raise UnsupportedDimensionError(
                 f"Weyl tensor needs dimension >= 4, metric has n={n}")
-        g = self.values("g")
-        # scaled before `outer`, so that it has no int zero to fill; reduced,
-        # as P's den is most of the common den below
+        g = self.g
+        # scaled before `outer`, so that it has no int zero to fill; in
+        # normal form, as P's den is most of the common den below
         p = (ric - scal.scale(Fraction(1, 2 * (n - 1))).outer(g)).scale(
-            Fraction(1, n - 2)).reduced()
+            Fraction(1, n - 2)).normal()
         den = math.lcm(riem.den, p.den * g.den)
         q, f = den // riem.den, den // (p.den * g.den)
         out = {o: x * q for o, x in riem.num.items()}
-        gs = [(divmod(xy, n), gxy * f) for xy, gxy in g.num.items() if gxy]
+        gs = [(divmod(xy, n), gxy * f) for xy, gxy in g.num.items()]
         rows, get = {}, out.get
         for off, pab in p.num.items():
-            if pab:
-                pre, ab = divmod(off, n * n)
-                row = rows.get(ab)
-                if row is None:     # built for the P_ab that are written
-                    a, b = divmod(ab, n)
-                    # (g_xy, the offsets where +g_xy P_ab and -g_xy P_ab go);
-                    # x = a is left out: there the +/- terms cancel in pairs
-                    row = rows[ab] = [
-                        (gxy, ((x * n + a) * n + b) * n + y,    # g_jm P_kl
-                         ((a * n + x) * n + y) * n + b,         # g_kl P_jm
-                         ((a * n + x) * n + b) * n + y,         # g_km P_jl
-                         ((x * n + a) * n + y) * n + b)         # g_jl P_km
-                        for (x, y), gxy in gs if x != a]
-                base = pre * n ** 4
-                for gxy, o1, o2, o3, o4 in row:
-                    t = gxy * pab
-                    o1, o2, o3, o4 = o1 + base, o2 + base, o3 + base, o4 + base
-                    out[o1] = get(o1, 0) + t
-                    out[o2] = get(o2, 0) + t
-                    out[o3] = get(o3, 0) - t
-                    out[o4] = get(o4, 0) - t
-        for o in [o for o, x in out.items() if not x]:
-            del out[o]
-        return Values(n, riem.variance, out,
-                      den, 0 if riem.exact else 0.0)
+            pre, ab = divmod(off, n * n)
+            row = rows.get(ab)
+            if row is None:     # built for the P_ab that are written
+                a, b = divmod(ab, n)
+                # (g_xy, the offsets where +g_xy P_ab and -g_xy P_ab go);
+                # x = a is left out: there the +/- terms cancel in pairs
+                row = rows[ab] = [
+                    (gxy, ((x * n + a) * n + b) * n + y,    # g_jm P_kl
+                     ((a * n + x) * n + y) * n + b,         # g_kl P_jm
+                     ((a * n + x) * n + b) * n + y,         # g_km P_jl
+                     ((x * n + a) * n + y) * n + b)         # g_jl P_km
+                    for (x, y), gxy in gs if x != a]
+            base = pre * n ** 4
+            for gxy, o1, o2, o3, o4 in row:
+                t = gxy * pab
+                o1, o2, o3, o4 = o1 + base, o2 + base, o3 + base, o4 + base
+                out[o1] = get(o1, 0) + t
+                out[o2] = get(o2, 0) + t
+                out[o3] = get(o3, 0) - t
+                out[o4] = get(o4, 0) - t
+        return Values(n, riem.variance, out, den, riem.zero)
 
     @stage(2)
     def weyl(self) -> Values:
         """Fully covariant C_{jklm}."""
-        return self._weyl_part(self.values("riemann"), self.values("ricci"),
-                               self.scalar)
+        return self._weyl_part(self.riemann, self.ricci, self.scalar)
 
     @stage(2)
     def weyl_mixed(self) -> Values:
         """C_{jkl}^m, the last slot of `weyl` raised; conformally invariant."""
-        return self._raised("weyl")
+        return self._raised(self.weyl)
 
     # -- first covariant derivatives ----------------------------------------
 
     @stage(3)
     def nabla_ricci(self) -> Values:
-        return self._ricci("nabla_riemann", 1)
+        return self._ricci(self.nabla_riemann, 1)
 
     @stage(3)
     def nabla_scalar(self) -> Values:
         """nabla_i R = g^{kl} nabla_i R_kl."""
-        return self._trace("nabla_ricci", 1)
+        return self._trace(self.nabla_ricci, 1)
 
     @stage(3)
-    def nabla_riemann(self) -> Tensor:
-        return covariant_derivative(self.riemann, self.gamma, "nabla Riemann")
+    def nabla_riemann_jets(self) -> Tensor:
+        """nabla_i R_{jklm}, jets of order K-3."""
+        return covariant_derivative(self.riemann_jets, self.christoffels[1],
+                                    "nabla Riemann")
+
+    @stage(3)
+    def nabla_riemann(self) -> Values:
+        return self.nabla_riemann_jets.values()
 
     @stage(3)
     def nabla_weyl(self) -> Values:
-        return self._weyl_part(self.values("nabla_riemann"),
-                               self.values("nabla_ricci"), self.nabla_scalar)
+        return self._weyl_part(self.nabla_riemann, self.nabla_ricci,
+                               self.nabla_scalar)
 
     @stage(3)
     def nabla_weyl_mixed(self) -> Values:
         """nabla_i C_{jkl}^m, the last slot of `nabla_weyl` raised."""
-        return self._raised("nabla_weyl")
+        return self._raised(self.nabla_weyl)
 
     @stage(3)
     def div_weyl(self) -> Values:
         """nabla_m C_{jkl}^m, slots (j,k,l)."""
-        return _as_jet_values(contract(self.nabla_weyl_mixed, 0, 4))
+        return contract(self.nabla_weyl_mixed, 0, 4)
 
     # -- second covariant derivatives and Laplacians --------------------------
 
     @stage(4)
     def nabla2_ricci(self) -> Values:
-        return self._ricci("nabla2_riemann", 2)
+        return self._ricci(self.nabla2_riemann, 2)
 
     @stage(4)
     def nabla2_weyl(self) -> Values:
         return self._weyl_part(self.nabla2_riemann, self.nabla2_ricci,
-                               self._trace("nabla2_ricci", 2))
+                               self._trace(self.nabla2_ricci, 2))
 
     @stage(4)
     def nabla2_riemann(self) -> Values:
-        return covariant_derivative(self.nabla_riemann, self.values("gamma"),
+        return covariant_derivative(self.nabla_riemann_jets, self.gamma,
                                     "nabla nabla Riemann")
 
     @stage(4)
     def lap_ricci(self) -> Values:
-        return self._trace("nabla2_ricci")
+        return self._trace(self.nabla2_ricci)
 
     @stage(4)
     def lap_weyl(self) -> Values:
         """Delta C, the decomposition of Delta Riemann, Delta Ricci and
         Delta R = g^{kl} Delta R_kl."""
         return self._weyl_part(self.lap_riemann, self.lap_ricci,
-                               self._trace("lap_ricci"))
+                               self._trace(self.lap_ricci))
 
     @stage(4)
     def lap_riemann(self) -> Values:
-        return self._trace("nabla2_riemann")
+        return self._trace(self.nabla2_riemann)
 
     @stage(4)
     def double_div_weyl(self) -> Values:
         """nabla^j nabla^m C_{jklm}, slots (k,l)."""
-        g_inv = self.values("g_inv")
-        t = self.values("nabla2_weyl")  # slots (outer, inner, j, k, l, m)
+        g_inv = self.g_inv
+        t = self.nabla2_weyl            # slots (outer, inner, j, k, l, m)
         a = contract(t, 0, 2, g_inv)    # outer with j: (inner, k, l, m)
-        return _as_jet_values(contract(a, 0, 3, g_inv))  # inner with m
+        return contract(a, 0, 3, g_inv)     # inner with m

@@ -156,17 +156,15 @@ def from_numerators(t: _Tables, mode: str, c: list, den: int = 1) -> "Jet":
     return _raw(t, mode, c, den, True)
 
 
-def numerators(jets, order: int, floor: int | None = None):
-    """The coefficients to `order` of same-mode jets over one common
-    denominator: integer numerators over the lcm of the jets' denominators,
-    or floats over 1.  Given a list, a zero jet gives None; given a dict
-    (a sparse tensor's nonzero jets by offset), the result is a dict keyed
-    alike with its zero jets left out.  A jet of a lower order than
-    `order`, or a `floor` (the order of the jets a sparse tensor leaves
-    out) below it, raises JetError: its missing coefficients are unknown,
-    not 0."""
-    keyed = isinstance(jets, dict)
-    seq = list(jets.values()) if keyed else jets
+def numerators(jets: dict, order: int, floor: int | None = None):
+    """The coefficients to `order` of same-mode jets, keyed (a sparse
+    tensor's nonzero jets by offset), over one common denominator: a dict
+    keyed alike, with its zero jets left out, of integer numerators over
+    the lcm of the jets' denominators, or of floats over 1.  A jet of a
+    lower order than `order`, or a `floor` (the order of the jets a sparse
+    tensor leaves out) below it, raises JetError: its missing coefficients
+    are unknown, not 0."""
+    seq = list(jets.values())
     short = min([e.order for e in seq] + ([] if floor is None else [floor]))
     if short < order:
         raise JetError(f"a jet of order {short} read to order {order}")
@@ -174,11 +172,8 @@ def numerators(jets, order: int, floor: int | None = None):
         return {}, 1
     size = _tables(seq[0].dim, order).size
     den = 1 if seq[0].mode == FLOAT else math.lcm(*(e.den for e in seq))
-    if keyed:
-        return {o: [x * k for x in e.c[:size]]
-                for o, e in jets.items() if e.nz for k in (den // e.den,)}, den
-    return [[x * k for x in e.c[:size]] if e.nz else None
-            for e in jets for k in (den // e.den,)], den
+    return {o: [x * k for x in e.c[:size]]
+            for o, e in jets.items() if e.nz for k in (den // e.den,)}, den
 
 
 def mac(acc: list, t: _Tables, pairs) -> list:
@@ -339,15 +334,9 @@ class Jet:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not (isinstance(other, Jet) and self.dim == other.dim
-                and self.order == other.order):
-            return False
-        if self.mode == other.mode:
-            return self.den == other.den and self.c == other.c
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, self.order, frozenset(self.coeffs.items())))
+        return (isinstance(other, Jet) and self.dim == other.dim
+                and self.order == other.order and self.mode == other.mode
+                and self.den == other.den and self.c == other.c)
 
     def __repr__(self):
         return (f"<Jet dim={self.dim} order={self.order} {self.mode} "

@@ -11,8 +11,9 @@ Values holds a tensor's point values sparsely: the dict `num` maps the
 row-major offset of each entry a kernel wrote to its numerator over one
 positive denominator `den`, or to its float in float mode.
 `Tensor.values` and each stage of a curvature bundle (geometry.stage)
-leave exact values in lowest terms (`Values.reduced`); a kernel's own
-result is not reduced, since a gcd on every transient costs more than
+leave values in one normal form (`Values.normal`): no written zero, a
+jet's zero elsewhere, and exact values in lowest terms; a kernel's own
+result is not normalised, since a gcd on every transient costs more than
 the smaller numbers save.  The kernels (all those below take Values)
 iterate `num` and never visit an unwritten entry; a contraction costs its
 products, as its sums go into a dict when they are few.  `tensordot` is
@@ -99,7 +100,7 @@ class Tensor:
         return numerators(self.nonzero, order, self.zero.order)
 
     def values(self) -> "Values":
-        """Point values: the jets' constant terms, in lowest terms (each
+        """Point values: the jets' constant terms, in normal form (each
         jet's den is that of its whole series, often a multiple of what
         its constant term needs)."""
         src = self.nonzero
@@ -107,7 +108,7 @@ class Tensor:
         return Values(self.dim, self.variance,
                       {o: e.c[0] * (den // e.den) for o in sorted(src)
                        for e in (src[o],) if e.c[0]},
-                      den, 0.0 if self.zero.mode == FLOAT else 0).reduced()
+                      den, 0.0 if self.zero.mode == FLOAT else 0).normal()
 
 
 class Values:
@@ -231,17 +232,19 @@ class Values:
         return Values(self.dim, self.variance + other.variance, num,
                       self.den * other.den, zero)
 
-    def reduced(self) -> "Values":
-        """The same values in lowest terms: den and every numerator divided
-        by their gcd.  Float values, over 1, are returned as they are."""
-        if self.den == 1:
+    def normal(self) -> "Values":
+        """The same values in normal form: no written zero, so every other
+        entry reads as a jet's zero (int 0, or 0.0), and exact ones in
+        lowest terms, den and every numerator divided by their gcd.  Values
+        already in it are returned as they are."""
+        zero = 0 if self.exact else 0.0
+        k = math.gcd(self.den, *self.num.values()) if self.den != 1 else 1
+        if k == 1 and type(self.zero) is type(zero) and all(self.num.values()):
             return self
-        k = math.gcd(self.den, *self.num.values())
-        if k == 1:
-            return self
+        num = self.num.items()
         return Values(self.dim, self.variance,
-                      {o: x // k for o, x in self.num.items()},
-                      self.den // k, self.zero)
+                      {o: x // k for o, x in num if x} if k != 1 else
+                      {o: x for o, x in num if x}, self.den // k, zero)
 
     def permute(self, perm) -> "Values":
         """Slot permutation: slot s of the result is slot perm[s] of self,

@@ -264,7 +264,7 @@ def dense_covariant_derivative(t, gamma, context="covariant derivative",
         den, dg = math.lcm(*(e.den for e in jets)), gamma.den
         src = {o: e.c[0] * (den // e.den) for o, e in enumerate(jets)
                if e.c[0]}
-        gam, neg = [gamma.num.get(o, 0) for o in range(n ** 3)], operator.neg
+        gam, neg = gamma.num, operator.neg
         first = [_tables(n, 1).deriv[i][0][0] for i in range(n)]
 
         def entry(e, pairs):
@@ -279,9 +279,8 @@ def dense_covariant_derivative(t, gamma, context="covariant derivative",
         out = {}
     else:
         low = min(order - 1, gamma.entries[0].order)
-        gam, dg = numerators(gamma.entries, low)
-        src, den = numerators(jets, low)
-        src = dict(enumerate(src))
+        gam, dg = numerators(dict(enumerate(gamma.entries)), low)
+        src, den = numerators(dict(enumerate(jets)), low)
         tab = _tables(n, low)
         zero = tab.zero[mode]
 
@@ -296,9 +295,9 @@ def dense_covariant_derivative(t, gamma, context="covariant derivative",
                 for i, ps in enumerate(pairs)]
         out = [zero] * (n ** (rank + 1))
     con = [[(i, p, g) for i in range(n) for p in range(n)
-            for g in (gam[(v * n + i) * n + p],) if g] for v in range(n)]
+            for g in (gam.get((v * n + i) * n + p),) if g] for v in range(n)]
     cov = [[(i, p, neg(g)) for i in range(n) for p in range(n)
-            for g in (gam[(p * n + i) * n + v],) if g] for v in range(n)]
+            for g in (gam.get((p * n + i) * n + v),) if g] for v in range(n)]
     slots = [(w, [[(i, p * w, g) for i, p, g in tv]
                   for tv in (con if var == CON else cov)])
              for s, var in enumerate(t.variance)

@@ -48,7 +48,7 @@ def test_criterion_01_convention_oracle():
             for idx in itertools.product(range(4), repeat=2):
                 want = psi if idx == (0, 0) else 0
                 ok = ok and ric[idx] == want
-            ok = ok and not ctx.bundle.values("scalar")[()]
+            ok = ok and not ctx.bundle.scalar[()]
     announce(1, "Ricci = psi X(x)X with psi = -(1/2) tr Hess H; R = 0", ok)
 
 

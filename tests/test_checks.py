@@ -88,7 +88,7 @@ class TestConformalRecurrence:
                                                        FLOAT)))
         ctx = PointContext(spec=flagship_ctx.spec, point=flagship_ctx.point,
                            mode=FLOAT, bundle=big)
-        assert sup_norm(big.values("weyl")) > 1e155
+        assert sup_norm(big.weyl) > 1e155
         r = CHECKS["conformal_recurrence"](ctx)
         assert r.status == "pass" and math.isfinite(r.residual)
         assert r.witnesses["alpha"] == pytest.approx([1, 0, 0, 0, 0],
@@ -199,8 +199,8 @@ class TestBrinkmannAndSchimming:
                  (walker, PT4), (perturbed_spec, PT4)]
         for spec, pt in cases:
             ctx = make_ctx(spec, pt, mode=mode)
-            want = dense_covariant_derivative(du_jets(ctx), ctx.bundle.gamma,
-                                              "test").values()
+            want = dense_covariant_derivative(
+                du_jets(ctx), ctx.bundle.christoffels[1], "test").values()
             got = nabla_chart_covector_u(ctx)
             assert got == want
             assert ([type(e) for e in got.entries]
@@ -326,12 +326,12 @@ class TestCyclicResidual:
     @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
     def test_on_the_ricci_column(self, ctx_name, request):
         b = request.getfixturevalue(ctx_name).bundle
-        ric, n = b.values("ricci"), b.dim
+        ric, n = b.ricci, b.dim
         for j in range(n):
             x = Values(n, COV, {i: ric.num[i * n + j] for i in range(n)
                                 if i * n + j in ric.num}, ric.den, ric.zero)
             for name in ("weyl", "riemann"):
-                t = b.values(name)
+                t = getattr(b, name)
                 got = _cyclic_residual(x, t)
                 want = _filled_cyclic_residual(x, t)
                 assert got == want and type(got) is type(want)
@@ -350,7 +350,7 @@ def _dense_per_orbit(t):
 @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
 @pytest.mark.parametrize("name", ["weyl", "nabla_weyl", "nabla2_weyl"])
 def test_per_orbit_visits_written_entries(ctx_name, name, request):
-    t = request.getfixturevalue(ctx_name).bundle.values(name)
+    t = getattr(request.getfixturevalue(ctx_name).bundle, name)
     got, want = _per_orbit(t), _dense_per_orbit(t)
     assert list(got.num.items()) == list(want.num.items())
     assert got.den == want.den and type(got.zero) is type(want.zero)
@@ -400,7 +400,8 @@ def reference_alpha(b):
     differentiated directly."""
     n = b.dim
     c = textbook_weyl_jets(b)
-    nc = dense_covariant_derivative(c, b.gamma, "reference").entries
+    gamma = b.christoffels[1]
+    nc = dense_covariant_derivative(c, gamma, "reference").entries
     order = nc[0].order
     ct = truncated(c, order).entries
     size = len(ct)
@@ -412,7 +413,7 @@ def reference_alpha(b):
     d_alpha = Values.of(n, COV * 2, [alpha[i].derivative(j).value
                                      for j in range(n) for i in range(n)])
     return (alpha.values(), d_alpha,
-            dense_covariant_derivative(alpha, b.gamma, "reference").values())
+            dense_covariant_derivative(alpha, gamma, "reference").values())
 
 
 def _closedness(t):
@@ -477,7 +478,7 @@ class TestAlphaDerivatives:
                                                        FLOAT)))
         ctx = PointContext(spec=exact.spec, point=exact.point, mode=FLOAT,
                            bundle=big)
-        assert 1e98 < sup_norm(big.values("weyl")) < 1e103
+        assert 1e98 < sup_norm(big.weyl) < 1e103
         want = reference_alpha(big)
         for g, w in zip(_alpha_derivatives(ctx), want):
             scale = max(map(abs, w.entries))
@@ -677,19 +678,19 @@ class TestSchimmingDReference:
     def test_flagship_points(self):
         for ctx, row in _schimming_rows("flagship", EXACT):
             self._assert_identical(row, _dense_schimming_d(
-                ctx.bundle.values("riemann"), chart_covector_u(ctx), ctx))
+                ctx.bundle.riemann, chart_covector_u(ctx), ctx))
 
     @pytest.mark.parametrize("case", SCHIMMING_CASES[1:])
     def test_family_points(self, case):
         for ctx, row in _schimming_rows(case, EXACT):
             self._assert_identical(row, _dense_schimming_d(
-                ctx.bundle.values("riemann"), chart_covector_u(ctx), ctx))
+                ctx.bundle.riemann, chart_covector_u(ctx), ctx))
 
     def test_float_mode_within_tolerance(self):
         for case in SCHIMMING_CASES:
             for ctx, row in _schimming_rows(case, FLOAT):
                 dmat_ref, res_ref = _dense_schimming_d(
-                    ctx.bundle.values("riemann"), chart_covector_u(ctx), ctx)
+                    ctx.bundle.riemann, chart_covector_u(ctx), ctx)
                 res = row.residuals["decomposition"]
                 assert type(res) is float and abs(res - res_ref) <= 1e-12
                 for got, ref in zip(row.witnesses["D"], dmat_ref):
@@ -718,7 +719,7 @@ def _fraction_chi_quartic(quart, x, ctx):
 def _quartic(ctx):
     """T_jklm = R^p_jk^q R_plmq at the point, summed tuple by tuple."""
     b = ctx.bundle
-    riem, ginv = b.values("riemann"), b.values("g_inv")
+    riem, ginv = b.riemann, b.g_inv
     up = naive_raise_lower(naive_raise_lower(riem, 0, ginv), 3, ginv)
     n = riem.dim
     out = []
@@ -742,7 +743,7 @@ class TestChiQuarticReference:
                 quart = _quartic(ctx)
                 chi_ref, worst = _fraction_chi_quartic(
                     quart, chart_covector_u(ctx), ctx)
-                refr = sup_norm(ctx.bundle.values("riemann"))
+                refr = sup_norm(ctx.bundle.riemann)
                 res_ref = relative_residual(worst, sup_norm(quart),
                                             refr * refr)
                 chi, res = row.witnesses["chi"], row.residuals["chi_quartic"]

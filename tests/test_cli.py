@@ -229,6 +229,26 @@ class TestTheoremSuite:
         rep = theorem_suite("thm_3_8", spec, config)
         assert rep.verdict == "hypotheses not met"
 
+    def test_fail_when_the_hypothesis_holds_and_a_conclusion_does_not(self):
+        """A conformally recurrent pp-wave that is not simple: the Weyl
+        tensor of H = x1^4 + u*x2^2 is proportional to f = 6 x1^2 - u (the
+        traceless part of H's transverse Hessian), so nabla C = d ln|f| (x) C,
+        and alpha = d ln|f| is not along du."""
+        spec, config = parse_metric_config(json.dumps({
+            "family": "ppwave", "d": 2, "params": {"H": "x1^4 + u*x2^2"},
+            "mode": "exact", "points": {"strategy": "grid", "count": 1}}))
+        rep = theorem_suite("thm_3_8", spec, config)
+        rows = {r.name: r for r in rep.rows}
+        hypothesis = rows["conformal_recurrence"]
+        assert (hypothesis.status, hypothesis.residual) == ("pass", 0)
+        assert hypothesis.witnesses["alpha"] == [-6, 24, 0, 0]
+        assert rows["olszak"].status == "pass"
+        assert (rows["collinearity"].status,
+                rows["collinearity"].residual) == ("fail", 1)
+        assert rows["roter_bundle"].status == "fail"
+        assert rows["roter_bundle"].residuals["codazzi"] == 1
+        assert rep.verdict == "fail"
+
     def test_unknown_name_rejected(self):
         spec, config = parse_metric_config(FLAGSHIP)
         with pytest.raises(ConfigError, match="unknown theorem"):
@@ -319,7 +339,7 @@ def test_pinned_point_values_in_lowest_terms(name, monkeypatch):
         names = ["g", "g_inv", "gamma"] + [
             s for s in ("riemann", "ricci", "nabla_ricci", "nabla_riemann")
             if vars(CurvatureBundle)[s].needs <= b.metric.order]
-        values = [b.values(s) for s in names] + [
+        values = [getattr(b, s) for s in names] + [
             v for v in vars(b).values() if isinstance(v, Values)]
         for v in values:
             assert v.exact and math.gcd(v.den, *v.num.values()) == 1

@@ -6,6 +6,7 @@ potentials.
 """
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -22,8 +23,9 @@ from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_two_symmetric, build_walker, checks,
                      parse_metric_config, sample_points)
 from ppcheck.geometry import (CurvatureBundle, DegeneratePointError,
-                              OrderBudgetError, _as_jet_values, _orbits,
-                              covariant_derivative, metric_at_point, rescaled)
+                              OrderBudgetError, _orbits,
+                              covariant_derivative, metric_at_point, rescaled,
+                              stage)
 from ppcheck.jets import (Jet, JetError, _tables, jet_exp,
                           jet_from_polynomial)
 from ppcheck.metrics import PointPlan
@@ -55,14 +57,14 @@ def exp_rescaled_bundle(spec, sigma, pt=PT, order=4):
 
 class TestChristoffel:
     def test_flat_chart_has_no_connection(self):
-        g = bundle_for(flat_spec()).gamma.values()
+        g = bundle_for(flat_spec()).gamma
         assert not sup_norm(g)
 
     def test_wave_components_by_hand(self):
         # H = x1^2: the only nonzero symbols are
         # Gamma^{x1}_{uu} = -x1 and Gamma^{v}_{u x1} = Gamma^{v}_{x1 u} = x1
         b = bundle_for(build_ppwave(poly("x1^2"), d=2))
-        gam = b.gamma.values()
+        gam = b.gamma
         x1 = PT[1]
         expect = {(1, 0, 0): -x1, (3, 0, 1): x1, (3, 1, 0): x1}
         assert gam == Values.of(4, "ull", [
@@ -74,18 +76,18 @@ class TestChristoffel:
         zero = poly("0")
         spec = build_walker(poly("v*x1^2"), [zero, zero],
                             [[one, zero], [zero, one]], d=2)
-        gam = bundle_for(spec).gamma.values()
+        gam = bundle_for(spec).gamma
         # Gamma^v_{uu} picks up a term proportional to dH/dv
         assert gam[3, 0, 0] != 0
 
 
 class TestRiemannAndRicci:
     def test_flat_curvature_vanishes(self):
-        assert not sup_norm(bundle_for(flat_spec()).riemann.values())
+        assert not sup_norm(bundle_for(flat_spec()).riemann)
 
     def test_vacuum_wave(self):
         b = bundle_for(build_ppwave(poly("x1^2 - x2^2"), d=2))
-        assert sup_norm(b.riemann.values()) > 0
+        assert sup_norm(b.riemann) > 0
         assert not sup_norm(b.ricci)
 
     def test_radiation_wave_ricci_uu(self):
@@ -102,10 +104,10 @@ class TestRiemannAndRicci:
         b = perturbed_ctx.bundle
         ginv = b.metric.g_inv.values()
         tr = contract(b.ricci, 0, 1, ginv).entries[0]
-        assert tr == b.values("scalar")[()]
+        assert tr == b.scalar[()]
 
     def test_wave_scalar_curvature_zero(self, quartic_ctx):
-        assert not quartic_ctx.bundle.values("scalar")[()]
+        assert not quartic_ctx.bundle.scalar[()]
 
     @pytest.mark.parametrize("name", ["flagship_ctx", "perturbed_ctx",
                                       "quartic_ctx"])
@@ -115,7 +117,7 @@ class TestRiemannAndRicci:
         values, in its values and their types."""
         b = request.getfixturevalue(name).bundle
         riem, ric = textbook_riemann_jets(b)
-        assert same_jets(b.riemann, riem)
+        assert same_jets(b.riemann_jets, riem)
         assert b.ricci.entries == ric.values().entries
         assert _value_types(b.ricci) == _value_types(ric)
 
@@ -126,7 +128,7 @@ class TestRiemannAndRicci:
         scale = max(abs(x) for e in riem.entries for x in e.c)
         assert scale > 0
         assert all(abs(x - y) <= 1e-12 * scale
-                   for e, f in zip(b.riemann.entries, riem.entries)
+                   for e, f in zip(b.riemann_jets.entries, riem.entries)
                    for x, y in zip(e.c, f.c, strict=True))
         want = ric.values().entries
         scale = max(map(abs, want))
@@ -136,7 +138,7 @@ class TestRiemannAndRicci:
 
     def test_riemann_needs_jet_order_two(self):
         b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=1)
-        assert b.gamma.entries[0].order == 0
+        assert b.christoffels[1].entries[0].order == 0
         with pytest.raises(OrderBudgetError, match="riemann"):
             b.riemann
 
@@ -150,11 +152,11 @@ class TestWeyl:
                 for j in range(4)] for i in range(4)]
         b = exp_rescaled_bundle(build_custom(eta, coords), sigma,
                                 (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)))
-        assert sup_norm(b.values("weyl")) < 1e-9
+        assert sup_norm(b.weyl) < 1e-9
 
     def test_galaev_weyl_nonzero_and_tracefree(self, flagship_ctx):
         b = flagship_ctx.bundle
-        weyl = b.values("weyl")
+        weyl = b.weyl
         ginv = b.metric.g_inv.values()
         assert sup_norm(weyl) > 0
         for a in range(4):
@@ -192,15 +194,15 @@ class TestDerivedWeylDerivatives:
         weyl = textbook_weyl_jets(b)
         weyl_mixed = naive_raise_lower(
             weyl, 3, truncated(b.metric.g_inv, weyl.entries[0].order))
-        nw = dense_covariant_derivative(weyl, b.gamma, "oracle")
-        nwm = dense_covariant_derivative(weyl_mixed, b.gamma, "oracle")
-        nnwm = dense_covariant_derivative(nwm, b.gamma, "oracle").values()
-        div = _as_jet_values(
-            contract(contract(nnwm, 0, 2, b.metric.g_inv.values()), 0, 3))
+        gamma = b.christoffels[1]
+        nw = dense_covariant_derivative(weyl, gamma, "oracle")
+        nwm = dense_covariant_derivative(weyl_mixed, gamma, "oracle")
+        nnwm = dense_covariant_derivative(nwm, gamma, "oracle").values()
+        div = contract(contract(nnwm, 0, 2, b.g_inv), 0, 3).normal()
         return {"weyl": weyl.values(), "weyl_mixed": weyl_mixed.values(),
                 "nabla_weyl": nw.values(), "nabla_weyl_mixed": nwm.values(),
                 "nabla2_weyl": dense_covariant_derivative(
-                    nw, b.gamma, "oracle").values(),
+                    nw, gamma, "oracle").values(),
                 "double_div_weyl": div}
 
     @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
@@ -229,8 +231,7 @@ class TestDerivedWeylDerivatives:
         spec, config = parse_metric_config(json.dumps(doc))
         for pt in sample_points(spec, config.points):
             b = bundle_for(spec, pt)
-            trace = _as_jet_values(contract(b.nabla2_weyl, 0, 1,
-                                            b.values("g_inv")))
+            trace = contract(b.nabla2_weyl, 0, 1, b.g_inv).normal()
             assert b.lap_weyl == trace
             assert ([type(x) for x in b.lap_weyl.entries]
                     == [type(x) for x in trace.entries])
@@ -267,13 +268,15 @@ class TestCovariantDerivative:
         for pt in sample_points(spec, PointPlan("random", seed=3, count=10)):
             b = bundle_for(spec, pt, order=3)   # g^{-1} at order 1
             for g in (b.metric.g, b.metric.g_inv):
-                ng = dense_covariant_derivative(g, b.gamma, "metricity test")
+                ng = dense_covariant_derivative(g, b.christoffels[1],
+                                                "metricity test")
                 assert not sup_norm(ng.values())
 
     def test_metricity_generic_metric(self, perturbed_ctx):
         b = perturbed_ctx.bundle
         for g in (b.metric.g, b.metric.g_inv):
-            ng = dense_covariant_derivative(g, b.gamma, "metricity test")
+            ng = dense_covariant_derivative(g, b.christoffels[1],
+                                            "metricity test")
             assert not sup_norm(ng.values())
 
     def test_output_order_is_the_lower_of_t_and_gamma(self, perturbed_ctx):
@@ -292,7 +295,7 @@ class TestCovariantDerivative:
     def test_du_covariantly_constant_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle
         x = du_jets(quartic_ctx)
-        assert not sup_norm(dense_covariant_derivative(x, b.gamma,
+        assert not sup_norm(dense_covariant_derivative(x, b.christoffels[1],
                                                        "test").values())
 
     def test_nabla_ricci_is_grad_psi_outer_xx(self):
@@ -407,12 +410,12 @@ class TestMetricAtPoint:
         got = {}
         for order in range(2, 6):
             b = bundle_for(spec, pt, order, FLOAT)
-            g_inv = b.values("g_inv")
+            g_inv = b.g_inv
             assert g_inv == g_inv.permute((1, 0)), order
             for needs, stages in names.items():
                 if needs <= order:
                     for name in stages:
-                        got.setdefault(name, []).append(b.values(name).num)
+                        got.setdefault(name, []).append(getattr(b, name).num)
         for name, seen in got.items():
             assert all(v == seen[0] for v in seen), name
 
@@ -420,12 +423,12 @@ class TestMetricAtPoint:
 class TestBianchiOracles:
     def test_first_bianchi_generic(self, perturbed_ctx):
         from ppcheck.tensors import cyclic_sum
-        r = perturbed_ctx.bundle.riemann.values()
+        r = perturbed_ctx.bundle.riemann
         assert not sup_norm(cyclic_sum(r, (0, 1, 2)))
 
     def test_second_bianchi_generic(self, perturbed_ctx):
         from ppcheck.tensors import cyclic_sum
-        nr = perturbed_ctx.bundle.nabla_riemann.values()
+        nr = perturbed_ctx.bundle.nabla_riemann
         assert not sup_norm(cyclic_sum(nr, (0, 1, 2)))
 
 
@@ -491,26 +494,27 @@ def _oracle_pairs(spec, pt, mode):
     jets."""
     ctx = make_ctx(spec, pt, mode=mode)
     b = ctx.bundle
+    gamma = b.christoffels[1]
     ric = textbook_riemann_jets(b)[1]
-    nabla_ric = dense_covariant_derivative(ric, b.gamma, "nabla Ricci")
+    nabla_ric = dense_covariant_derivative(ric, gamma, "nabla Ricci")
     ginv = truncated(b.metric.g_inv, nabla_ric.zero.order)
     mixed = naive_raise_lower(naive_raise_lower(nabla_ric, 0, ginv), 2, ginv)
     assert mixed.variance == CON + COV + CON
     covector = du_jets(ctx)
     return [
-        ("nabla_riemann", b.nabla_riemann,
-         scatter_covariant_derivative(b.riemann, b.gamma)),
+        ("nabla_riemann", b.nabla_riemann_jets,
+         scatter_covariant_derivative(b.riemann_jets, gamma)),
         ("nabla2_riemann", b.nabla2_riemann,
-         scatter_covariant_derivative(b.nabla_riemann, b.gamma).values()),
+         scatter_covariant_derivative(b.nabla_riemann_jets, gamma).values()),
         ("nabla Ricci jets", nabla_ric,
-         scatter_covariant_derivative(ric, b.gamma)),
+         scatter_covariant_derivative(ric, gamma)),
         ("nabla nabla Ricci", dense_covariant_derivative(
-            nabla_ric, b.values("gamma"), "nabla nabla Ricci"),
-         scatter_covariant_derivative(nabla_ric, b.gamma).values()),
-        ("mixed rank 3", dense_covariant_derivative(mixed, b.gamma),
-         scatter_covariant_derivative(mixed, b.gamma)),
-        ("brinkmann covector", dense_covariant_derivative(covector, b.gamma),
-         scatter_covariant_derivative(covector, b.gamma)),
+            nabla_ric, b.gamma, "nabla nabla Ricci"),
+         scatter_covariant_derivative(nabla_ric, gamma).values()),
+        ("mixed rank 3", dense_covariant_derivative(mixed, gamma),
+         scatter_covariant_derivative(mixed, gamma)),
+        ("brinkmann covector", dense_covariant_derivative(covector, gamma),
+         scatter_covariant_derivative(covector, gamma)),
     ]
 
 
@@ -557,9 +561,9 @@ class TestCovariantDerivativeOracle:
 
     def test_order_zero_riemann_exhausts_the_budget(self, perturbed_ctx):
         b = bundle_for(perturbed_ctx.spec, perturbed_ctx.point, order=2)
-        assert b.riemann.zero.order == 0
+        assert b.riemann_jets.zero.order == 0
         with pytest.raises(OrderBudgetError, match="nabla Riemann"):
-            covariant_derivative(b.riemann, b.values("gamma"),
+            covariant_derivative(b.riemann_jets, b.gamma,
                                  "nabla Riemann")
 
 
@@ -574,11 +578,12 @@ def _ricci_by_jets(b):
     ric = textbook_riemann_jets(b)[1]
     out = {"ricci": ric.values()}
     if b.metric.order >= 3:
-        nabla_ric = dense_covariant_derivative(ric, b.gamma, "nabla Ricci")
+        nabla_ric = dense_covariant_derivative(ric, b.christoffels[1],
+                                               "nabla Ricci")
         out["nabla_ricci"] = nabla_ric.values()
     if b.metric.order >= 4:
         out["nabla2_ricci"] = dense_covariant_derivative(
-            nabla_ric, b.values("gamma"), "nabla nabla Ricci")
+            nabla_ric, b.gamma, "nabla nabla Ricci")
     return out
 
 
@@ -624,10 +629,10 @@ class TestRicciTraceRoute:
         ctx = make_ctx(exact.spec, exact.point, mode=FLOAT)
         for b in _bundles(ctx, monkeypatch):
             want = _ricci_by_jets(b)
-            g_inv = sup_norm(b.values("g_inv"))
+            g_inv = sup_norm(b.g_inv)
             for stage, source in RICCI_STAGES[:len(want)]:
                 got, w = getattr(b, stage), want[stage]
-                scale = sup_norm(b.values(source)) * g_inv
+                scale = sup_norm(getattr(b, source)) * g_inv
                 gap = max(abs(x - y) for x, y in zip(got.entries, w.entries,
                                                      strict=True))
                 assert gap <= 1e-12 * scale, (stage, gap, scale)
@@ -670,9 +675,46 @@ def test_riemann_and_nabla_riemann_are_orbit_filled(make_spec, pt, mode,
     K = 2 rescaled bundle of conformal_invariance (Riemann alone)."""
     b, rescaled_bundle = _bundles(make_ctx(make_spec(), pt, mode=mode),
                                   monkeypatch)
-    for name in ("riemann", "nabla_riemann"):
+    for name in ("riemann_jets", "nabla_riemann_jets"):
         _assert_orbit_filled(getattr(b, name), name)
-    _assert_orbit_filled(rescaled_bundle.riemann, "rescaled riemann")
+    _assert_orbit_filled(rescaled_bundle.riemann_jets, "rescaled riemann")
+
+
+JET_STAGES = ("christoffels", "riemann_jets", "nabla_riemann_jets")
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("make_spec,pt", ORBIT_FILL_CASES[:2])
+def test_every_stage_leaves_values_in_normal_form(make_spec, pt, mode,
+                                                  monkeypatch):
+    """Every public attribute of CurvatureBundle is a `stage`, found by
+    walking the class.  Each is read on the bundle and on the K = 2
+    rescaled bundle of conformal_invariance, to its order: the jet stages
+    are jet Tensors, and every other stage is Values in normal form, with
+    no written zero, a jet's zero (int 0, or 0.0), exact numerators and
+    den in lowest terms, and nothing for `normal` to change."""
+    stages = {name: s for name, s in vars(CurvatureBundle).items()
+              if isinstance(s, stage)}
+    assert set(JET_STAGES) < set(stages)
+    assert [name for name in vars(CurvatureBundle)
+            if not name.startswith("_") and name not in stages] == []
+    for b in _bundles(make_ctx(make_spec(), pt, mode=mode), monkeypatch):
+        for name, s in stages.items():
+            if s.needs > b.metric.order:
+                continue
+            v = getattr(b, name)
+            if name in JET_STAGES:
+                for t in (v if name == "christoffels" else (v,)):
+                    assert isinstance(t, Tensor), name
+                    assert isinstance(t.zero, Jet), name
+                continue
+            assert isinstance(v, Values), name
+            assert all(v.num.values()), name
+            assert type(v.zero) is (int if mode == EXACT else float), name
+            assert v.zero == 0, name
+            assert (math.gcd(v.den, *v.num.values()) if v.exact
+                    else v.den) == 1, name
+            assert v.normal() is v, name
 
 
 def _at_jets(p, xs, one):
@@ -737,11 +779,11 @@ def test_values_are_chart_invariant(make_spec, pt):
     work against the same pipeline with them zero at the point."""
     spec = make_spec()
     b = bundle_for(spec, pt)
-    normal = bundle_for(_geodesic_chart(spec, pt, b.values("gamma"), 4),
+    normal = bundle_for(_geodesic_chart(spec, pt, b.gamma, 4),
                         (F(0),) * spec.n)
-    assert b.values("gamma").num and not normal.values("gamma").num
+    assert b.gamma.num and not normal.gamma.num
     for name in CHART_INVARIANT:
-        got, want = normal.values(name), b.values(name)
+        got, want = getattr(normal, name), getattr(b, name)
         assert got == want, name
         assert _value_types(got) == _value_types(want), name
 
@@ -844,7 +886,7 @@ def _bits(x):
 @st.composite
 def _derivative_cases(draw):
     n = draw(st.sampled_from((2, 3)))
-    variance = draw(st.text("lu", min_size=4, max_size=5))
+    variance = COV * draw(st.integers(4, 5))  # as Riemann and nabla Riemann
     return (n, variance, draw(st.sampled_from(sorted(FILLS))),
             draw(st.sampled_from(sorted(FILLS))),
             draw(st.sampled_from((EXACT, FLOAT))), draw(st.booleans()),
@@ -885,9 +927,9 @@ def test_flat_five_dimensional_custom_metric_has_empty_jet_tensors():
           for j in range(5)] for i in range(5)],
         tuple(f"x{k}" for k in range(5)))
     b = bundle_for(spec, tuple(F(k, 7) for k in range(1, 6)))
-    for name in ("riemann", "nabla_riemann"):
+    for name in ("riemann_jets", "nabla_riemann_jets"):
         assert getattr(b, name).nonzero == {}, name
     for name in ("ricci", "nabla_ricci", "nabla2_ricci"):
         assert getattr(b, name).num == {}, name
-    assert b.christoffels[0].nonzero == b.gamma.nonzero == {}
+    assert b.christoffels[0].nonzero == b.christoffels[1].nonzero == {}
     assert not b.nabla2_riemann.num and not b.lap_weyl.num

@@ -286,12 +286,12 @@ class TestNumeratorKernel:
         t = _tables(dim, out)
         # a's run past the output order where all of them do (numerators
         # refuses to read a jet past its own order), b's are cut to it
-        a, da = numerators([x for x, _ in pairs],
+        a, da = numerators(dict(enumerate(x for x, _ in pairs)),
                            min(x.order for x, _ in pairs))
-        b, db = numerators([y for _, y in pairs], out)
+        b, db = numerators(dict(enumerate(y for _, y in pairs)), out)
         # a product is subtracted as that of a negated factor
-        pairs = [(x, [-v for v in y] if neg and y else y)
-                 for x, y, neg in zip(a, b, negs)]
+        pairs = [(a.get(k), [-v for v in y] if neg and y else y)
+                 for k, neg in enumerate(negs) for y in (b.get(k),)]
         return from_numerators(t, mode, mac(t.zero[mode].c.copy(), t, pairs),
                                da * db)
 
@@ -299,10 +299,10 @@ class TestNumeratorKernel:
         # its coefficients past its order are unknown, not zero
         low = J(2, 1, {(0, 1): 1})
         with pytest.raises(JetError, match="order 1 read to order 2"):
-            numerators([J(2, 3, {(1, 0): 1}), low], 2)
+            numerators({0: J(2, 3, {(1, 0): 1}), 1: low}, 2)
         with pytest.raises(JetError):
-            numerators([Jet.zero(2, 1)], 2)
-        assert numerators([low], 1) == ([[0, 0, 1]], 1)
+            numerators({0: Jet.zero(2, 1)}, 2)
+        assert numerators({0: low}, 1) == ({0: [0, 0, 1]}, 1)
         # a sparse tensor's left-out entries are zero jets of its order
         with pytest.raises(JetError, match="order 1 read to order 2"):
             Tensor(2, "l", {}, Jet.zero(2, 1)).numerators(2)

@@ -287,6 +287,6 @@ def test_bundle_equals_textbook_curvature(name):
         assert any(want[attr].values()), \
             f"the oracle should see a nonzero {attr}"
     for attr, values in want.items():
-        got = b.values(attr)
+        got = getattr(b, attr)
         for idx, x in values.items():
             assert got[idx] == x, (attr, idx)

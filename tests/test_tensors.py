@@ -40,31 +40,41 @@ class TestContraction:
 
 
 class TestLowestTerms:
-    """`Values.reduced` divides out the content of the numerators and den;
-    `Tensor.values` leaves in lowest terms."""
+    """`Values.normal` drops written zeros, so every other entry reads as a
+    jet's zero, and divides out the content of the numerators and den;
+    `Tensor.values` leaves its values in that form."""
 
     def test_divides_out_the_content(self):
-        v = Values(3, "l", {2: 6, 0: -4, 1: 0}, 10, 0)
-        r = v.reduced()
-        assert (r.num, r.den, r.zero) == ({2: 3, 0: -2, 1: 0}, 5, 0)
-        assert list(r.num) == [2, 0, 1]
-        _assert_same_numbers(r, v)
+        v = Values(3, "l", {2: 6, 0: -4, 1: 0}, 10, F(0))
+        r = v.normal()
+        assert (r.num, r.den, r.zero) == ({2: 3, 0: -2}, 5, 0)
+        assert list(r.num) == [2, 0] and type(r.zero) is int
+        assert r.entries == v.entries
+        assert [type(x) for x in r.entries] == [F, int, F]
 
     def test_zero_numerators_leave_over_one(self):
         for v in (Values(2, "l", {1: 0}, 12, F(0)), Values(2, "l", {}, 12)):
-            r = v.reduced()
-            assert r.den == 1 and r.num == v.num
-            _assert_same_numbers(r, v)
+            r = v.normal()
+            assert (r.num, r.den, r.zero) == ({}, 1, 0)
+            assert type(r.zero) is int
+
+    def test_float_zeros_leave_as_float_zero(self):
+        r = Values(2, "l", {0: 0.5, 1: -0.0}, 1, 0.0).normal()
+        assert r.num == {0: 0.5} and r.den == 1
+        assert [type(x) for x in r.entries] == [float, float]
 
     def test_lowest_terms_and_float_values_are_kept(self):
         v = Values(2, "l", {0: 3, 1: 4}, 10, 0)
         f = Values(2, "l", {0: 0.5}, 1, 0.0)
-        assert v.reduced() is v and f.reduced() is f
+        assert v.normal() is v and f.normal() is f
+        # a Fraction(0) zero is not a jet's
+        w = Values(2, "l", {0: 3}, 10, F(0))
+        assert w.normal() is not w and type(w.normal().zero) is int
 
     def test_tensor_values(self, perturbed_ctx):
         b = perturbed_ctx.bundle
-        for t in (b.metric.g, b.metric.g_inv, b.gamma, b.riemann,
-                  b.nabla_riemann):
+        for t in (b.metric.g, b.metric.g_inv, b.christoffels[1],
+                  b.riemann_jets, b.nabla_riemann_jets):
             v = t.values()
             assert math.gcd(v.den, *v.num.values()) == 1
             assert v.entries == [e.value for e in t.entries]
@@ -84,7 +94,7 @@ class TestCyclicSum:
     def test_olszak_cyclic_sum_on_wave(self, quartic_ctx):
         b = quartic_ctx.bundle
         x = Values.of(4, "l", [F(1), F(0), F(0), F(0)])
-        s = cyclic_sum(x.outer(b.values("weyl")), (0, 1, 2))
+        s = cyclic_sum(x.outer(b.weyl), (0, 1, 2))
         assert not sup_norm(s)
 
 
@@ -96,7 +106,7 @@ class TestSupNorm:
         assert sup_norm(Values.of(2, "l", [F(0), F(-3)])) == 3
 
     def test_galaev_weyl_nonzero(self, flagship_ctx):
-        assert sup_norm(flagship_ctx.bundle.values("weyl")) > 0
+        assert sup_norm(flagship_ctx.bundle.weyl) > 0
 
     @pytest.mark.parametrize("items", [
         [(0, 1.0), (1, float("nan"))], [(1, float("nan")), (0, 1.0)],
@@ -174,7 +184,7 @@ class TestRaiseLowerReference:
 
 class TestPermute:
     def test_riemann_antisymmetry(self, quartic_ctx):
-        r = quartic_ctx.bundle.riemann.values()
+        r = quartic_ctx.bundle.riemann
         swapped = r.permute((1, 0, 2, 3))
         assert not sup_norm(r + swapped)
 
@@ -678,7 +688,6 @@ class TestZeroKindOracle:
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_kernel(self, exact, n):
-        from ppcheck.geometry import _as_jet_values
         rng = random.Random(f"zero-kinds-{n}-{exact}")
         zero = F(0) if exact else 0.0
         c = F(-3, 4) if exact else -0.75
@@ -692,7 +701,7 @@ class TestZeroKindOracle:
                     _zk_same(sup_norm(v), _zk_sup_norm(a))
                     for off in (0, len(a) - 1):
                         _zk_same(v.number(off), a[off])
-                    _zk_same(_as_jet_values(v),
+                    _zk_same(v.normal(),
                              [x if x or not exact else 0 for x in a])
                     # + and -, with one another and with a second tensor
                     for w, b in self._inputs(rng, exact, n, variance,
