@@ -83,9 +83,10 @@ def relative_residual(num_norm, *ref_norms):
 
 
 def _pow2(norm) -> float:
-    """A power of two near 1/norm (1.0 for a zero or non-finite norm):
-    scaling floats by it is exact, and keeps their products in range."""
-    return math.ldexp(1.0, -math.frexp(norm)[1])
+    """A power of two near 1/norm (1.0 for a zero or non-finite norm), at
+    most 2^1023, so that it is finite for a subnormal norm too: scaling
+    floats by it is exact, and keeps their products in range."""
+    return math.ldexp(1.0, min(-math.frexp(norm)[1], 1023))
 
 
 def _cyclic_residual(x: Values, t: Values):

@@ -19,16 +19,18 @@ Weyl decomposition: C, nabla C, nabla nabla C and Delta C are that
 decomposition, in Schouten form, of the values of nabla^L (or Delta) of
 Riemann, Ricci and R; only Riemann is differentiated.
 
-A jet tensor (tensors.Tensor) holds its nonzero jets only, and every
-kernel here visits those and the orbits they reach, never the n^rank
-index space: a pp-wave's curvature lives in R_{uiuj} alone.
+A jet tensor (tensors.Tensor) is one block of coefficient lists over one
+denominator, for its nonzero jets only.  Every kernel here reads the
+lists as they are, puts its output block in normal form once, and visits
+those jets and the orbits they reach, never the n^rank index space: a
+pp-wave's curvature lives in R_{uiuj} alone.
 
 Riemann and its covariant derivatives are computed once per orbit of
 Riemann's pair symmetries on their last four slots, and the rest of the
 orbit is filled with that entry or its negation (Martin-Garcia, xPerm,
 Comput. Phys. Commun. 179:597, 2008).  Each such entry, like each
 Christoffel symbol of the second kind, is one sum of jet products on
-integer numerators, reduced once (`jets.mac`); a second covariant
+integer numerators (`jets.mac`); a second covariant
 derivative is the same gather at order 0, on numbers, into sparse Values.
 Each sums the same nonzero terms in the same order as a visit of every
 index would, so exact results are identical and float ones bit-identical.
@@ -45,14 +47,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import cache
 
 from . import linalg
 from .jets import (EXACT, Jet, OrderBudgetError, _tables, as_mode,
-                   derivative_numerators, from_numerators, jet_from_polynomial,
-                   jet_recip, mac, numerators)
+                   derivative_numerators, jet_from_polynomial, jet_recip, mac)
 from .tensors import COV, CON, Tensor, Values, contract, raise_lower
 
 
@@ -85,15 +85,17 @@ def _inverse_order(order: int) -> int:
 def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint:
     """Evaluate a MetricSpec's component jets at a chart point.
 
-    g is symmetric, so each pair i <= j is expanded once and its jet shared
-    by (i, j) and (j, i).  g^{-1} is the power series on the inverse at the
-    point, X0 = g(p)^{-1} from `linalg.solve` on numbers: with H = g - g(p),
-    which has no constant term, X = X0 - X0 H X, so X <- X0 - (X0 H) X
-    gains one order a step from X = X0, and _inverse_order(order) steps give
-    the unique truncated inverse (Geddes, Czapor & Labahn, Algorithms for
-    Computer Algebra, ch. 4).  Every iterate is symmetric, so entry (i, j)
-    is formed for i <= j only, as one sum on integer numerators reduced
-    once (`jets.mac`) over the nonzero entries of X0 H and X; X0 is made
+    g is symmetric, so each pair i <= j is expanded once and its list
+    shared by (i, j) and (j, i), over the lcm of the jets' denominators.
+    g^{-1} is the power series on the inverse at the point, X0 = g(p)^{-1}
+    from `linalg.solve` on numbers: with H = g - g(p), which has no
+    constant term, X = X0 - X0 H X, so X <- X0 - (X0 H) X gives X0 from
+    X = 0 and then gains one order a step, and _inverse_order(order) more
+    steps give the unique truncated inverse (Geddes, Czapor & Labahn,
+    Algorithms for Computer Algebra, ch. 4).  Every iterate is symmetric,
+    so entry (i, j) is formed for i <= j only, as one sum on integer
+    numerators (`jets.mac`) over the nonzero entries of X0 H and X, and
+    each iterate is put in normal form once (`Tensor.normal`); X0 is made
     symmetric too, by its upper triangle, so that float g^{-1}(p) does not
     depend on K.  Degeneracy is detected by the solve: a pivot column of
     g(p) with no nonzero entry (det g = 0 there) raises
@@ -103,13 +105,16 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
     point = tuple(as_mode(x, mode) for x in point)
     if len(point) != n:
         raise ValueError(f"point has {len(point)} coordinates, metric has {n}")
-    entries = {}
+    jets = {}
     for i in range(n):
         for j in range(i, n):
             e = jet_from_polynomial(spec.components[i][j], point, order, mode)
             if e:
-                entries[i * n + j] = entries[j * n + i] = e
-    g = Tensor(n, COV * 2, entries, Jet.zero(n, order, mode))
+                jets[i * n + j] = jets[j * n + i] = e
+    den = math.lcm(*(e.den for e in jets.values()))   # so in normal form
+    lists = {id(e): [x * (den // e.den) for x in e.c] for e in jets.values()}
+    g = Tensor(n, COV * 2, {o: lists[id(e)] for o, e in jets.items()}, den,
+               order, mode)
     one, zero = as_mode(1, mode), as_mode(0, mode)
     try:
         x0 = linalg.solve([[g[i, j].value for j in range(n)]
@@ -129,9 +134,10 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
         x0 = [x.numerator * (d0 // x.denominator) for x in x0]
     else:
         d0 = 1
-    h, dh = g.numerators(low)               # H = g - g(p) over dh
-    h = {o: [0] + c[1:] for o, c in h.items() if any(c[1:])}
-    # -P = -X0 H over d0 * dh, with -X0's entries as order-0 coefficients
+    # H = g - g(p) over g's den
+    h = {o: [0] + c[1:t.size] for o, c in g.lists(low).items()
+         if any(c[1:t.size])}
+    # -P = -X0 H over d0 * g.den, with -X0's entries as order-0 coefficients
     neg_x0 = [[-v] for v in x0]
     neg_p = {}
     for i in range(n):
@@ -140,23 +146,19 @@ def metric_at_point(spec, point, order: int, mode: str = EXACT) -> MetricAtPoint
                                          map(h.get, range(k, n * n, n))))
             if any(c):
                 neg_p[i * n + k] = c
-    x = {o: from_numerators(t, mode, [v] + blank[1:], d0)
-         for o, v in enumerate(x0) if v}
-    for _ in range(low):
-        xs, dx = numerators(x, low)
-        scale = dh * dx                     # X0's place over d0 * dh * dx
-        x = {}
+    x = Tensor(n, CON * 2, {}, 1, low, mode)
+    for _ in range(low + 1):
+        scale = g.den * x.den               # X0's place over d0 * scale
+        num = {}
         for i in range(n):
             for j in range(i, n):
                 acc = blank.copy()
                 acc[0] = x0[i * n + j] * scale
-                mac(acc, t, zip(map(neg_p.get, range(i * n, (i + 1) * n)),
-                                map(xs.get, range(j, n * n, n))))
-                e = from_numerators(t, mode, acc, d0 * scale)
-                if e:
-                    x[i * n + j] = x[j * n + i] = e
-    return MetricAtPoint(g, Tensor(n, CON * 2, x, t.zero[mode]),
-                         mode, order)
+                num[i * n + j] = num[j * n + i] = mac(
+                    acc, t, zip(map(neg_p.get, range(i * n, (i + 1) * n)),
+                                map(x.num.get, range(j, n * n, n))))
+        x = Tensor(n, CON * 2, num, d0 * scale, low, mode).normal()
+    return MetricAtPoint(g, x, mode, order)
 
 
 def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
@@ -172,9 +174,13 @@ def rescaled(m: MetricAtPoint, factor: Jet) -> MetricAtPoint:
     recip = jet_recip(factor.truncate(_inverse_order(order)),
                       "conformal factor")
 
-    def times(t, f):        # a jet cut to a lower order may vanish
-        return Tensor(t.dim, t.variance, {o: p for o, e in t.nonzero.items()
-                                          for p in (e * f,) if p}, t.zero * f)
+    def times(t, f):        # one product per distinct list of t
+        tab = _tables(t.dim, min(t.order, f.order))
+        done = {id(c): mac(tab.zero[t.mode].c.copy(), tab, ((c, f.c),))
+                for c in {id(c): c for c in t.num.values()}.values()}
+        return Tensor(t.dim, t.variance,
+                      {o: done[id(c)] for o, c in t.num.items()},
+                      t.den * f.den, tab.order, t.mode).normal()
     return MetricAtPoint(times(m.g, factor), times(m.g_inv, recip),
                          m.mode, order)
 
@@ -187,24 +193,27 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
     d_k g_lj - d_l g_jk)/2, jets of order K-1 (Riemann differentiates
     them), and of the second, Gamma^i_{jk} = g^{il} Gamma_{l,jk}, jets of
     g^{-1}'s order, K-2 (every reader takes them at or below it); slots
-    (l, j, k) and (i, j, k).  A symbol of the first kind whose three
-    derivatives of g vanish is not formed, and one of the second kind sums
-    over the nonzero ones only."""
-    n, order = m.dim, m.g_inv.zero.order          # Gamma^i_jk's
-    half = as_mode(Fraction(1, 2), m.mode)
-    zero1 = m.g.zero.derivative(0, "christoffel")  # order K-1
+    (l, j, k) and (i, j, k).  In exact mode the first kind is formed over
+    2 den(g) and the second from those lists, so neither is halved.  A
+    symbol of the first kind whose three derivatives of g vanish is not
+    formed, and one of the second kind sums over the nonzero ones only."""
+    n, order, mode, g = m.dim, m.g_inv.order, m.mode, m.g
+    if g.order == 0:
+        raise OrderBudgetError("jet order exhausted taking a derivative "
+                               "(requested by christoffel)")
     dg = {}                                 # (l*n + k)*n + j: d_j g_{lk}
-    for lk, e in m.g.nonzero.items():
+    for lk, c in g.num.items():
         l, k = divmod(lk, n)
-        if l <= k:                          # g_{kl} is the same jet
+        if l <= k:                          # g_{kl} is the same list
             for j in range(n):
-                d = e.derivative(j, "christoffel")
-                if d:
+                d = derivative_numerators(c, n, g.order - 1, j)
+                if any(d):
                     dg[lk * n + j] = dg[(k * n + l) * n + j] = d
     t = _tables(n, order)
-    zero = t.zero[m.mode]
+    zero1 = _tables(n, g.order - 1).zero[mode].c
+    half, den1 = (1, 2 * g.den) if mode == EXACT else (0.5, 1)
     first, second = {}, {}
-    ginv, di = m.g_inv.numerators(order)
+    ginv = m.g_inv.lists(order)
     for j in range(n):
         for k in range(j, n):
             low = {}
@@ -213,24 +222,21 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
                            dg.get((l * n + j) * n + k),
                            dg.get((j * n + k) * n + l))
                 if a or b or c:
-                    v = ((a or zero1) + (b or zero1) - (c or zero1)) * half
-                    if v:
+                    v = [(x + y - z) * half for x, y, z in
+                         zip(a or zero1, b or zero1, c or zero1)]
+                    if any(v):
                         low[l] = first[(l * n + j) * n + k] = \
                             first[(l * n + k) * n + j] = v
-            if not low:
-                continue
-            lows, dl = numerators(low, order)
             for i in range(n):
-                pairs = [(ginv[i * n + l], c) for l, c in lows.items()
+                pairs = [(ginv[i * n + l], c) for l, c in low.items()
                          if i * n + l in ginv]
                 if pairs:
-                    e = from_numerators(t, m.mode, mac(zero.c.copy(), t, pairs),
-                                        di * dl)
-                    if e:
-                        second[(i * n + j) * n + k] = \
-                            second[(i * n + k) * n + j] = e
-    return (Tensor(n, COV * 3, first, zero1),
-            Tensor(n, CON + COV * 2, second, zero))
+                    second[(i * n + j) * n + k] = \
+                        second[(i * n + k) * n + j] = mac(t.zero[mode].c.copy(),
+                                                          t, pairs)
+    return (Tensor(n, COV * 3, first, den1, g.order - 1, mode).normal(),
+            Tensor(n, CON + COV * 2, second, m.g_inv.den * den1, order,
+                   mode).normal())
 
 
 # Riemann's symmetries on the last four slots of a tensor (antisymmetric in
@@ -298,8 +304,8 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     """Prepend a covariant slot to t, a fully covariant jet tensor whose
     last four slots have Riemann's symmetries: (nabla t)_{i ...}.
 
-    Each output entry is gathered on numerators over the common
-    denominators of t and gamma, and reduced once: d_i t[idx], minus
+    Each output entry is gathered on numerators over den(t) den(gamma),
+    and a jet output is put in normal form once: d_i t[idx], minus
     Gamma^p_{iv} t[.. p ..] for each slot of value v, skipping zero symbols
     and inputs.  nabla keeps the symmetries, so only the representative of
     each orbit (`_orbits`) is computed, and the others are filled with it
@@ -315,45 +321,38 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     returns nabla t's point values and forms no jet: d_i t is read from
     t's first-order coefficients and the products are summed on integers.
     """
-    n, zero = t.dim, t.zero
-    order, mode = zero.order, zero.mode
+    n, order, mode = t.dim, t.order, t.mode
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
-    orbits, rank = _orbits(n), t.rank
-    jets = t.nonzero
+    orbits, rank, lists = _orbits(n), t.rank, t.num
     if isinstance(gamma, Values):           # to point values, on numbers
-        den, dg = math.lcm(*(e.den for e in jets.values())), gamma.den
-        src = {o: e.c[0] * (den // e.den) for o, e in jets.items()
-               if e.c[0]}
-        gam, neg = gamma.num, operator.neg
+        gam, dg = gamma.num, gamma.den
+        src = {o: c[0] for o, c in lists.items() if c[0]}
         first = [_tables(n, 1).deriv[i][0][0] for i in range(n)]
 
-        def entry(e, pairs):    # d_i t at the point is its x_i coefficient
-            k = den // e.den * dg
+        def entry(c, pairs):    # d_i t at the point is its x_i coefficient
             out = []
             for j, ps in zip(first, pairs):
-                a = e.c[j] * k
+                a = c[j] * dg if c else 0
                 for x, g in ps:
                     a += x * g
                 out.append(a)
             return out
     else:                                   # the output order
-        low = min(order - 1, gamma.zero.order)
-        gam, dg = gamma.numerators(low)
-        src, den = t.numerators(low)
+        low = min(order - 1, gamma.order)
+        gam, dg = gamma.lists(low), gamma.den
+        src = t.lists(low)
         tab = _tables(n, low)
-        blank = tab.zero[mode]
+        blank = tab.zero[mode].c
 
-        def neg(g):
-            return [-x for x in g]
-
-        def entry(e, pairs):
-            k = den // e.den * dg
-            return [from_numerators(tab, mode, mac(
-                derivative_numerators(e.c, n, low, i, k) if e else
-                blank.c.copy(), tab, ps), den * dg) if e or ps else blank
-                for i, ps in enumerate(pairs)]
+        def entry(c, pairs):    # None for a list that vanishes
+            out = []
+            for i, ps in enumerate(pairs):
+                a = mac(derivative_numerators(c, n, low, i, dg) if c else
+                        blank.copy(), tab, ps) if c or ps else blank
+                out.append(a if any(a) else None)
+            return out
     # cov[v]: (i, p, G) for each nonzero G = -Gamma^p_iv that feeds a
     # slot of value v in output entry (i; ..) from the input with that slot
     # at p; gam[(a*n + b)*n + c] is Gamma^a_{bc}.  For each (v, i) the p
@@ -362,7 +361,7 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     for o, g in sorted(gam.items()):
         if g:
             a, b, c = o // (n * n), o // n % n, o % n
-            cov[c].append((b, a, neg(g)))
+            cov[c].append((b, a, _negated(g)))
     weights = [n ** (rank - 1 - s) for s in range(rank)]
     slots = [(w, [[(i, p * w, g) for i, p, g in tv]    # p as an offset step
                   for tv in cov]) for w in weights]
@@ -372,7 +371,7 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     index, near, block = _orbit_index(n), _near_orbits(n), n ** 4
     lead = [w for w in weights if w >= block]
     visit = {}
-    for o in jets:
+    for o in lists:
         b = o % block
         k = index[b]
         if k < 0 or orbits[k][0] != b:
@@ -397,38 +396,26 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                 x = src.get(rest + step)
                 if x:
                     pairs[i].append((x, g))
-        for i, a in enumerate(entry(jets.get(off, zero), pairs)):
+        for i, a in enumerate(entry(lists.get(off), pairs)):
             if a:
                 _fill(out, i * stride + base, images, a)
     if isinstance(gamma, Values):
-        return Values(n, COV + t.variance, out, den * dg,
+        return Values(n, COV + t.variance, out, t.den * dg,
                       0 if mode == EXACT else 0.0)
-    return Tensor(n, COV + t.variance, out, blank)
+    return Tensor(n, COV + t.variance, out, t.den * dg, low, mode).normal()
 
 
 def _fill(out: dict, base: int, images, a):
-    """Write a, or -a where the sign is negative, at base + each image
-    offset of an orbit (`_orbits`)."""
-    neg = -a
+    """Write a, or its negation where the sign is negative, at base + each
+    image offset of an orbit (`_orbits`)."""
+    neg = _negated(a)
     for img, sign in images:
         out[base + img] = a if sign > 0 else neg
 
 
-def _by_orbits(n: int, zero: Jet, entry, reached) -> Tensor:
-    """The rank-4 covariant tensor with Riemann's symmetries that has
-    entry(j, k, l, m) at the representative of each orbit numbered in the
-    set `reached` (-1, a forced zero, is passed over), filled into its
-    orbit, and `zero` elsewhere, where the caller knows its entries
-    vanish."""
-    orbits, out = _orbits(n), {}
-    for k in sorted(reached):
-        if k < 0:
-            continue
-        rep, images = orbits[k]
-        a = entry(*(rep // n ** p % n for p in (3, 2, 1, 0)))
-        if a:
-            _fill(out, 0, images, a)
-    return Tensor(n, COV * 4, out, zero)
+def _negated(a):
+    """-a, for a number or a coefficient list."""
+    return [-x for x in a] if isinstance(a, list) else -a
 
 
 class stage:
@@ -510,19 +497,41 @@ class CurvatureBundle:
 
     @stage(2)
     def riemann_jets(self) -> Tensor:
-        """Fully covariant R_{jklm}, jets of order K-2, one `entry` per orbit
-        of its pair symmetries that a nonzero symbol enters: R_jkl^m
+        """Fully covariant R_{jklm}, jets of order K-2, one sum per orbit of
+        its pair symmetries that a nonzero symbol enters: R_jkl^m
         lowered by g, with d_k g_pm = Gamma_{p,km} + Gamma_{m,kp}.  The
         global sign is fixed by the pp-wave Ricci oracle."""
         n, order, mode = self.dim, self.metric.order - 2, self.mode
         first, second = self.christoffels   # [q, a, b] at q*n^2 + a*n + b
         t = _tables(n, order)
-        g1, d1 = first.numerators(order + 1)
-        g2, d2 = second.numerators(order)
-        neg2 = {o: [-x for x in c] for o, c in g2.items()}
+        g1, g2 = first.lists(order + 1), second.lists(order)
+        d2 = second.den
+        neg2 = {o: _negated(c) for o, c in g2.items()}
         n2, n3 = n * n, n ** 3
 
-        def entry(j, k, l, m):
+        # the orbits of the (j, k, l, m) whose entry reads a nonzero symbol:
+        # Gamma_{m,ab} in d_k Gamma_{m,jl} at (a, k, b, m) and in
+        # d_j Gamma_{m,kl} at (j, a, b, m); then, unless every orbit is
+        # reached, the products Gamma_{q,jm} Gamma^q_kl and Gamma_{q,km}
+        # Gamma^q_jl of nonzero symbols
+        index, orbits = _orbit_index(n), _orbits(n)
+        reached = set()
+        for o in g1:
+            m, a, b = o // n2, o // n % n, o % n
+            reached.update(index[a * n3 + b * n + m:(a + 1) * n3:n2])
+            reached.update(index[a * n2 + b * n + m::n3])
+        reached.discard(-1)
+        if len(reached) < len(orbits):
+            for lo in range(0, n3, n2):
+                fs = [o - lo for o in g1 if lo <= o < lo + n2]
+                ss = [o - lo for o in g2 if lo <= o < lo + n2]
+                reached.update(index[(f // n * n2 + s) * n + f % n]
+                               for f in fs for s in ss)
+                reached.update(index[((s // n * n + f // n) * n + s % n) * n
+                                     + f % n] for f in fs for s in ss)
+        out = {}
+        for rep, images in (orbits[r] for r in sorted(reached) if r >= 0):
+            j, k, l, m = (rep // n ** p % n for p in (3, 2, 1, 0))
             # d_k Gamma_{m,jl} + Gamma_{q,jm} Gamma^q_kl
             #   - (d_j Gamma_{m,kl} + Gamma_{q,km} Gamma^q_jl), over d1 * d2
             acc = t.zero[mode].c.copy()
@@ -533,29 +542,9 @@ class CurvatureBundle:
                         c, n, order, y, s))]
                 mac(acc, t, zip(map(g1.get, range(x * n + m, n3, n2)),
                                 map(g2s.get, range(y * n + l, n3, n2))))
-            return from_numerators(t, mode, acc, d1 * d2)
-
-        # the orbits of the (j, k, l, m) whose entry reads a nonzero symbol:
-        # Gamma_{m,ab} in d_k Gamma_{m,jl} at (a, k, b, m) and in
-        # d_j Gamma_{m,kl} at (j, a, b, m); then, unless every orbit is
-        # reached, the products Gamma_{q,jm} Gamma^q_kl and Gamma_{q,km}
-        # Gamma^q_jl of nonzero symbols
-        index = _orbit_index(n)
-        reached = set()
-        for o in g1:
-            m, a, b = o // n2, o // n % n, o % n
-            reached.update(index[a * n3 + b * n + m:(a + 1) * n3:n2])
-            reached.update(index[a * n2 + b * n + m::n3])
-        reached.discard(-1)
-        if len(reached) < len(_orbits(n)):
-            for lo in range(0, n3, n2):
-                fs = [o - lo for o in g1 if lo <= o < lo + n2]
-                ss = [o - lo for o in g2 if lo <= o < lo + n2]
-                reached.update(index[(f // n * n2 + s) * n + f % n]
-                               for f in fs for s in ss)
-                reached.update(index[((s // n * n + f // n) * n + s % n) * n
-                                     + f % n] for f in fs for s in ss)
-        return _by_orbits(n, t.zero[mode], entry, reached)
+            if any(acc):
+                _fill(out, 0, images, acc)
+        return Tensor(n, COV * 4, out, first.den * d2, order, mode).normal()
 
     @stage(2)
     def riemann(self) -> Values:

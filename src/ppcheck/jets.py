@@ -16,11 +16,11 @@ Every jet carries its arithmetic mode.  An exact jet holds integer
 numerators over one positive common denominator in lowest terms
 (gcd(den, *numerators) == 1), so an operation reduces its result with a
 single `math.gcd` call instead of normalising a `Fraction` per coefficient.
-A sum of products, such as the contraction g^{il} Gamma_{l,jk}, is reduced
-once in all: its factors' coefficients are put over one denominator per
-tensor (`numerators`), the products are added up on them (`mac`, the one
-product loop, which Jet.__mul__ shares) and the sum becomes a jet
-(`from_numerators`).  A float jet holds 64-bit floats.  Jets combine only
+A jet tensor (tensors.Tensor) holds such lists over one denominator for
+all its entries, so a sum of products, such as the contraction g^{il}
+Gamma_{l,jk}, is added up on its factors' lists as they are (`mac`, the
+one product loop, which Jet.__mul__ shares), and the tensor of such sums
+is reduced once.  A float jet holds 64-bit floats.  Jets combine only
 with jets of the same dimension and mode, and a bare number only scales a
 jet; anything else raises JetError.  A jet is made by `Jet.zero`,
 `Jet.constant`, `jet_from_polynomial` (a jet of given coefficients is that
@@ -154,26 +154,6 @@ def from_numerators(t: _Tables, mode: str, c: list, den: int = 1) -> "Jet":
             c = [x // g for x in c]
             den //= g
     return _raw(t, mode, c, den, True)
-
-
-def numerators(jets: dict, order: int, floor: int | None = None):
-    """The coefficients to `order` of same-mode jets, keyed (a sparse
-    tensor's nonzero jets by offset), over one common denominator: a dict
-    keyed alike, with its zero jets left out, of integer numerators over
-    the lcm of the jets' denominators, or of floats over 1.  A jet of a
-    lower order than `order`, or a `floor` (the order of the jets a sparse
-    tensor leaves out) below it, raises JetError: its missing coefficients
-    are unknown, not 0."""
-    seq = list(jets.values())
-    short = min([e.order for e in seq] + ([] if floor is None else [floor]))
-    if short < order:
-        raise JetError(f"a jet of order {short} read to order {order}")
-    if not seq:
-        return {}, 1
-    size = _tables(seq[0].dim, order).size
-    den = 1 if seq[0].mode == FLOAT else math.lcm(*(e.den for e in seq))
-    return {o: [x * k for x in e.c[:size]]
-            for o, e in jets.items() if e.nz for k in (den // e.den,)}, den
 
 
 def mac(acc: list, t: _Tables, pairs) -> list:

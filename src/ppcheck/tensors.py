@@ -1,11 +1,12 @@
 """Sparse chart-component tensors over jets, and their sparse point values.
 
-A Tensor keeps its nonzero jets in a dict from row-major offset to jet,
-and reads every other entry as its one zero, a zero jet of its order;
-variance is a per-slot string of 'l' (covariant) or 'u' (contravariant).
-`entries` and `[]` read it as a dense tensor.  It is built once, from that
-dict and zero, and never written to.  Plain numbers are Values
-(`Values.of`).
+A Tensor holds jets as Values holds numbers, in one block: `num` maps the
+row-major offset of each nonzero jet to its coefficient list (see jets)
+over one denominator `den`, and every other entry is the zero jet of its
+`order`; variance is a per-slot string of 'l' (covariant) or 'u'
+(contravariant).  `[]` reads one entry as a Jet.  It is never written to,
+and every jet stage leaves it in normal form (`Tensor.normal`).  Plain
+numbers are Values (`Values.of`).
 
 Values holds a tensor's point values sparsely: the dict `num` maps the
 row-major offset of each entry a kernel wrote to its numerator over one
@@ -41,12 +42,13 @@ one that cancels to 0; one whose sums start from Fraction(0) has that
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
-from .jets import FLOAT, Jet, numerators
+from .jets import FLOAT, Jet, JetError, _tables, from_numerators
 
 COV = "l"
 CON = "u"
@@ -67,48 +69,57 @@ def _offset(dim, idx) -> int:
 
 
 class Tensor:
-    """Chart components of jets, held sparsely and never written to:
-    `nonzero` maps the row-major offset of each nonzero jet to it, taken as
-    it is (not copied or checked), and every other entry reads as `zero`,
-    the zero jet of the tensor's order, so a kernel that reads it to a
-    higher order still raises JetError (`numerators`)."""
+    """Chart components of jets in one block (see module): integer
+    numerators over one positive `den`, or floats over 1 in float mode.
+    The entries of a symmetry orbit may share one list, or its negation."""
 
-    __slots__ = ("dim", "variance", "nonzero", "zero")
+    __slots__ = ("dim", "variance", "num", "den", "order", "mode")
 
-    def __init__(self, dim: int, variance: str, nonzero: dict, zero: Jet):
-        self.dim, self.variance, self.nonzero, self.zero = (
-            dim, variance, nonzero, zero)
+    def __init__(self, dim: int, variance: str, num: dict, den: int,
+                 order: int, mode: str):
+        self.dim, self.variance, self.num, self.den = dim, variance, num, den
+        self.order, self.mode = order, mode
 
     @property
     def rank(self) -> int:
         return len(self.variance)
 
-    @property
-    def entries(self) -> list:
-        """A new dense list of the entries, in row-major order."""
-        out = [self.zero] * self.dim ** len(self.variance)
-        for o, e in self.nonzero.items():
-            out[o] = e
-        return out
+    def __getitem__(self, idx) -> Jet:
+        t = _tables(self.dim, self.order)
+        c = self.num.get(_offset(self.dim, idx))
+        return t.zero[self.mode] if c is None else from_numerators(
+            t, self.mode, c, self.den)
 
-    def __getitem__(self, idx):
-        return self.nonzero.get(_offset(self.dim, idx), self.zero)
+    def lists(self, order: int) -> dict:
+        """`num`, for a kernel that reads it to `order`; JetError past the
+        tensor's own order, where the coefficients are unknown, not 0."""
+        if order > self.order:
+            raise JetError(f"a jet of order {self.order} read to order {order}")
+        return self.num
 
-    def numerators(self, order: int) -> tuple[dict, int]:
-        """`jets.numerators` of the nonzero jets, keyed by offset; a JetError
-        too if the tensor's own order is below `order`."""
-        return numerators(self.nonzero, order, self.zero.order)
+    def normal(self) -> "Tensor":
+        """The same jets in normal form: no all-zero list, and exact ones
+        in lowest terms, den and every coefficient divided by their gcd,
+        taken once over each distinct list, so that lists shared by several
+        offsets stay shared.  A tensor already in it is returned as it is."""
+        lists = {id(c): c for c in self.num.values()}
+        k = (math.gcd(self.den, *itertools.chain.from_iterable(
+            lists.values())) if self.den != 1 else 1)
+        if k == 1 and all(map(any, lists.values())):
+            return self
+        lists = {i: [x // k for x in c] if k != 1 else c
+                 for i, c in lists.items() if any(c)}
+        return Tensor(self.dim, self.variance,
+                      {o: lists[id(c)] for o, c in self.num.items()
+                       if id(c) in lists},
+                      self.den // k, self.order, self.mode)
 
     def values(self) -> "Values":
-        """Point values: the jets' constant terms, in normal form (each
-        jet's den is that of its whole series, often a multiple of what
-        its constant term needs)."""
-        src = self.nonzero
-        den = math.lcm(*(e.den for e in src.values() if e.c[0]))  # 1: float
+        """Point values: the jets' constant terms, in normal form."""
+        num = self.num
         return Values(self.dim, self.variance,
-                      {o: e.c[0] * (den // e.den) for o in sorted(src)
-                       for e in (src[o],) if e.c[0]},
-                      den, 0.0 if self.zero.mode == FLOAT else 0).normal()
+                      {o: num[o][0] for o in sorted(num) if num[o][0]},
+                      self.den, 0.0 if self.mode == FLOAT else 0).normal()
 
 
 class Values:
@@ -410,7 +421,9 @@ def dot(a: Values, b: Values):
     """sum_O a[O] b[O] over two tensors of one shape, as a number (a
     Fraction, or a float), summed in ascending offset order."""
     an, bn = a.num, b.num
-    acc = sum(an[o] * bn[o] for o in sorted(an.keys() & bn.keys()))
+    acc = 0                 # not sum(), which compensates floats from 3.12
+    for o in sorted(an.keys() & bn.keys()):
+        acc += an[o] * bn[o]
     return Fraction(acc, a.den * b.den) if a.exact else float(acc)
 
 

@@ -10,9 +10,9 @@ from ppcheck import build_galaev, build_perturbed_minkowski, build_ppwave
 from ppcheck.checks import PointContext
 from ppcheck.geometry import (CurvatureBundle, OrderBudgetError, _orbits,
                               metric_at_point)
-from ppcheck.jets import (EXACT, Jet, _tables, as_mode, derivative_numerators,
-                          from_numerators, jet_from_polynomial, jet_recip, mac,
-                          numerators)
+from ppcheck.jets import (EXACT, FLOAT, Jet, _tables, as_mode,
+                          derivative_numerators, jet_from_polynomial,
+                          jet_recip, mac)
 from ppcheck.linalg import SingularMatrixError
 from ppcheck.polynomials import Polynomial, parse_polynomial
 from ppcheck.tensors import CON, COV, Tensor, Values
@@ -39,11 +39,31 @@ def jet(dim, order, coeffs, mode=EXACT):
                                mode)
 
 
+def jet_block(dim, variance, jets: dict, order, mode):
+    """The Tensor of jets keyed by offset, each of `order` or above, cut to
+    `order` and put over the lcm of their denominators: one list for each
+    nonzero jet, shared with no other offset."""
+    jets = {o: e.truncate(order) for o, e in jets.items()}
+    assert all(e.order == order and e.mode == mode for e in jets.values())
+    jets = {o: e for o, e in jets.items() if e}
+    den = 1 if mode == FLOAT else math.lcm(*(e.den for e in jets.values()))
+    return Tensor(dim, variance, {o: [x * (den // e.den) for x in e.c]
+                                  for o, e in jets.items()}, den, order, mode)
+
+
 def jet_tensor(dim, variance, jets, zero):
-    """The Tensor of a dense list of jets, reading `zero` where one
-    vanishes."""
-    return Tensor(dim, variance, {o: e for o, e in enumerate(jets) if e},
-                  zero)
+    """The Tensor of a dense list of jets of the order and mode of `zero`,
+    a zero jet."""
+    return jet_block(dim, variance, dict(enumerate(jets)), zero.order,
+                     zero.mode)
+
+
+def entries(t):
+    """A new dense list of t's entries: the jets of a Tensor, or the
+    numbers of Values."""
+    if isinstance(t, Values):
+        return t.entries
+    return [t[o] for o in range(t.dim ** t.rank)]
 
 
 def dense(dim, variance, entries, zero):
@@ -57,8 +77,8 @@ def dense(dim, variance, entries, zero):
 def du_jets(ctx):
     """X = du as a Tensor of constant jets at the bundle's order."""
     n, order = ctx.bundle.dim, ctx.bundle.metric.order
-    return Tensor(n, COV, {0: Jet.constant(n, order, 1, ctx.mode)},
-                  Jet.zero(n, order, ctx.mode))
+    return jet_block(n, COV, {0: Jet.constant(n, order, 1, ctx.mode)},
+                     order, ctx.mode)
 
 
 def zero_of(x):
@@ -71,14 +91,14 @@ def zero_of(x):
 
 def truncated(t, order):
     """The Tensor of t's jets truncated to `order`."""
-    return jet_tensor(t.dim, t.variance, [e.truncate(order) for e in t.entries],
-                      t.zero.truncate(order))
+    return jet_block(t.dim, t.variance, dict(enumerate(entries(t))), order,
+                     t.mode)
 
 
 def naive_raise_lower(t, slot, metric):
     """out[J] = sum_p t[J with p in the slot] * metric[J[slot], p], over a
     Tensor of jets or Values, tuple by tuple."""
-    n, zero = t.dim, zero_of(t.entries[0])
+    n, zero = t.dim, zero_of(entries(t)[0])
     out = []
     for idx in itertools.product(range(n), repeat=t.rank):
         acc = zero
@@ -97,7 +117,7 @@ def naive_contract(t, a, b, metric=None):
     empty sum is zero_of(entry 0)."""
     n, r = t.dim, t.rank
     keep = [s for s in range(r) if s not in (a, b)]
-    entries = []
+    out = []
     for out_idx in itertools.product(range(n), repeat=len(keep)):
         acc = None
         for p in range(n):
@@ -115,9 +135,9 @@ def naive_contract(t, a, b, metric=None):
                 if m is not None:
                     term = term * m
                 acc = term if acc is None else acc + term
-        entries.append(zero_of(t.entries[0]) if acc is None else acc)
-    return dense(n, "".join(t.variance[s] for s in keep), entries,
-                 zero_of(t.entries[0]))
+        out.append(zero_of(entries(t)[0]) if acc is None else acc)
+    return dense(n, "".join(t.variance[s] for s in keep), out,
+                 zero_of(entries(t)[0]))
 
 
 def _at_point(x):
@@ -207,7 +227,7 @@ def textbook_riemann_jets(b):
     mixed = jet_tensor(n, COV * 3 + CON, mixed, zero)
     riem = naive_raise_lower(mixed, 3, truncated(b.metric.g, order))
     ric = naive_contract(mixed, 0, 3)
-    return riem, jet_tensor(n, COV * 2, [-e for e in ric.entries], zero)
+    return riem, jet_tensor(n, COV * 2, [-e for e in entries(ric)], zero)
 
 
 def textbook_weyl_jets(b):
@@ -221,10 +241,10 @@ def textbook_weyl_jets(b):
     kernel or its curvature assembly."""
     n, mode = b.dim, b.mode
     riem, ric = textbook_riemann_jets(b)
-    order = riem.entries[0].order
+    order = riem.order
     g = truncated(b.metric.g, order)
-    scal = naive_contract(ric, 0, 1,
-                          truncated(b.metric.g_inv, order)).entries[0]
+    scal = entries(naive_contract(ric, 0, 1,
+                                  truncated(b.metric.g_inv, order)))[0]
     c1 = as_mode(F(1, n - 2), mode)
     c2 = as_mode(F(1, (n - 1) * (n - 2)), mode)
     return jet_tensor(n, COV * 4, [
@@ -232,68 +252,61 @@ def textbook_weyl_jets(b):
         - (g[j, l] * ric[k, m] - g[j, m] * ric[k, l]
            - g[k, l] * ric[j, m] + g[k, m] * ric[j, l]) * c1
         + scal * (g[j, l] * g[k, m] - g[j, m] * g[k, l]) * c2
-        for j, k, l, m in itertools.product(range(n), repeat=4)], riem.zero)
+        for j, k, l, m in itertools.product(range(n), repeat=4)],
+        Jet.zero(n, order, mode))
 
 
-def _dense_fill(out, base, images, a):
-    neg = -a
+def _dense_fill(out, base, images, a, neg):
+    na = neg(a)
     for img, sign in images:
-        out[base + img] = a if sign > 0 else neg
+        out[base + img] = a if sign > 0 else na
 
 
 def dense_covariant_derivative(t, gamma, context="covariant derivative",
                                riemann=False):
     """nabla t, the orbit gather over every (leading offset, orbit) pair,
-    on dense lists of t's and gamma's entries, into a dense list of output
-    jets or a dict of numerators.  With `riemann`, t's last four slots have
-    Riemann's symmetries, and it is the reference for
-    `geometry.covariant_derivative`: the same sums in the same order, so
-    its results are equal to the sparse kernel's, and bit-equal in float
-    mode.  Without, each offset is its own orbit, a covariant derivative
-    of any jet tensor."""
-    n = t.dim
-    sample = t.entries[0]
-    order, mode = sample.order, sample.mode
+    on t's and gamma's blocks, into a block of output jets or a dict of
+    numerators.  With `riemann`, t's last four slots have Riemann's
+    symmetries, and it is the reference for `geometry.covariant_derivative`:
+    the same sums in the same order, so its results are equal to the sparse
+    kernel's, and bit-equal in float mode.  Without, each offset is its own
+    orbit, a covariant derivative of any jet tensor."""
+    n, order, mode = t.dim, t.order, t.mode
     if order == 0:
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
     width, orbits = (4, _orbits(n)) if riemann else (0, ((0, ((0, 1),)),))
     rank = t.rank
-    jets = t.entries
     if isinstance(gamma, Values):
-        den, dg = math.lcm(*(e.den for e in jets)), gamma.den
-        src = {o: e.c[0] * (den // e.den) for o, e in enumerate(jets)
-               if e.c[0]}
-        gam, neg = gamma.num, operator.neg
+        src = {o: c[0] for o, c in t.num.items() if c[0]}
+        gam, dg, neg = gamma.num, gamma.den, operator.neg
         first = [_tables(n, 1).deriv[i][0][0] for i in range(n)]
 
-        def entry(e, pairs):
-            k = den // e.den * dg
+        def entry(c, pairs):
             out = []
             for j, ps in zip(first, pairs):
-                a = e.c[j] * k
+                a = c[j] * dg if c else 0
                 for x, g in ps:
                     a += x * g
                 out.append(a)
             return out
-        out = {}
     else:
-        low = min(order - 1, gamma.entries[0].order)
-        gam, dg = numerators(dict(enumerate(gamma.entries)), low)
-        src, den = numerators(dict(enumerate(jets)), low)
+        low = min(order - 1, gamma.order)
+        gam, dg, src = gamma.lists(low), gamma.den, t.lists(low)
         tab = _tables(n, low)
-        zero = tab.zero[mode]
+        zero = tab.zero[mode].c
 
         def neg(g):
             return [-x for x in g]
 
-        def entry(e, pairs):
-            k = den // e.den * dg
-            return [from_numerators(tab, mode, mac(
-                derivative_numerators(e.c, n, low, i, k) if e else
-                zero.c.copy(), tab, ps), den * dg) if e or ps else zero
-                for i, ps in enumerate(pairs)]
-        out = [zero] * (n ** (rank + 1))
+        def entry(c, pairs):
+            out = []
+            for i, ps in enumerate(pairs):
+                a = mac(derivative_numerators(c, n, low, i, dg) if c else
+                        zero.copy(), tab, ps)
+                out.append(a if any(a) else None)
+            return out
+    out = {}
     con = [[(i, p, g) for i in range(n) for p in range(n)
             for g in (gam.get((v * n + i) * n + p),) if g] for v in range(n)]
     cov = [[(i, p, neg(g)) for i in range(n) for p in range(n)
@@ -314,13 +327,13 @@ def dense_covariant_derivative(t, gamma, context="covariant derivative",
                     x = src.get(rest + step)
                     if x:
                         pairs[i].append((x, g))
-            for i, a in enumerate(entry(jets[off], pairs)):
+            for i, a in enumerate(entry(t.num.get(off), pairs)):
                 if a:
-                    _dense_fill(out, i * stride + base, images, a)
+                    _dense_fill(out, i * stride + base, images, a, neg)
     if isinstance(gamma, Values):
-        return Values(n, COV + t.variance, out, den * dg,
+        return Values(n, COV + t.variance, out, t.den * dg,
                       0 if mode == EXACT else 0.0)
-    return jet_tensor(n, COV + t.variance, out, zero)
+    return Tensor(n, COV + t.variance, out, t.den * dg, low, mode).normal()
 
 
 @pytest.fixture(scope="session")

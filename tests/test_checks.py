@@ -1,19 +1,20 @@
 """Condition checkers: witnesses, residuals, vacuity, negative controls."""
 import itertools
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import (NC4, dense_covariant_derivative, du_jets, jet_tensor,
-                      make_ctx, naive_raise_lower, poly, textbook_weyl_jets,
-                      truncated)
+from conftest import (NC4, dense_covariant_derivative, du_jets, entries,
+                      jet_tensor, make_ctx, naive_raise_lower, poly,
+                      textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, ConfigError, RunConfig, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, linalg)
 from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
                             _antisymmetric_norm, _cyclic_residual, _per_orbit,
-                            chart_covector_u,
+                            _pow2, chart_covector_u,
                             check_collinearity, check_olszak,
                             extract_recurrence, nabla_chart_covector_u,
                             relative_residual)
@@ -323,6 +324,15 @@ class TestCyclicResidual:
         got, want = _cyclic_residual(x, t), _filled_cyclic_residual(x, t)
         assert got == want and type(got) is type(want)
 
+    @pytest.mark.parametrize("norm", [5e-324, 1e-320, 2.0 ** -1030, 1e-310,
+                                      1.5 * 2.0 ** -1024, 2.0 ** -1022])
+    def test_pow2_of_a_subnormal_norm_is_finite(self, norm):
+        """The float scale stays finite below 2^-1022, and scales the norm
+        to a normal float."""
+        s = _pow2(norm)
+        assert math.isfinite(s)
+        assert sys.float_info.min <= norm * s < 2
+
     @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
     def test_on_the_ricci_column(self, ctx_name, request):
         b = request.getfixturevalue(ctx_name).bundle
@@ -401,9 +411,9 @@ def reference_alpha(b):
     n = b.dim
     c = textbook_weyl_jets(b)
     gamma = b.christoffels[1]
-    nc = dense_covariant_derivative(c, gamma, "reference").entries
+    nc = entries(dense_covariant_derivative(c, gamma, "reference"))
     order = nc[0].order
-    ct = truncated(c, order).entries
+    ct = entries(truncated(c, order))
     size = len(ct)
     zero = Jet.zero(n, order, b.mode)
     inv = jet_recip(sum((e * e for e in ct if e), zero), "reference")

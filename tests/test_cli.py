@@ -1171,6 +1171,18 @@ class TestOverflowingFloatPoints:
         assert row.witnesses["div_weyl_residual"] == 0.0
         assert row.notes == "grad psi parallel to X and div C = 0"
 
+    @pytest.mark.parametrize("u", ["1e-320", "1e-310"])
+    def test_subnormal_curvature_raises_in_no_check(self, u):
+        # sup|Riem| is about u, a subnormal double: the float scale of the
+        # cyclic residuals stays finite, and schimming agrees with exact
+        doc = {"family": "galaev", "d": 2,
+               "params": {"lambda": [1, -1], "F": "u"}, "jet_order": 4,
+               "points": {"count": 1, "u_values": [u]}}
+        exact, flt = ({r.name: r for r in self._run(dict(doc, mode=m)).rows}
+                      for m in ("exact", "float"))
+        assert not [r.notes for r in flt.values() if " raised " in r.notes]
+        assert flt["schimming"].status == exact["schimming"].status == "pass"
+
     @pytest.mark.parametrize("metric, u", [
         ({"family": "galaev", "d": 3,
           "params": {"lambda": [1, 1, -2], "a": "u", "F": "u^3"}}, "1e120"),

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NC4, dense_covariant_derivative, du_jets, jet,
-                      jet_tensor, make_ctx, naive_raise_lower, poly,
-                      reference_gamma, reference_inverse,
+from conftest import (NC4, dense_covariant_derivative, du_jets, entries,
+                      jet, jet_block, jet_tensor, make_ctx, naive_raise_lower,
+                      poly, reference_gamma, reference_inverse,
                       textbook_riemann_jets, textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, build_custom, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
@@ -41,7 +41,8 @@ def bundle_for(spec, pt=PT, order=4, mode=EXACT):
 
 def same_jets(a, b):
     """Whether two jet Tensors have one shape and equal jets throughout."""
-    return (a.dim, a.variance, a.entries) == (b.dim, b.variance, b.entries)
+    return ((a.dim, a.variance, a.order, entries(a))
+            == (b.dim, b.variance, b.order, entries(b)))
 
 
 def flat_spec():
@@ -125,10 +126,10 @@ class TestRiemannAndRicci:
         b = bundle_for(perturbed_spec, (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)),
                        mode=FLOAT)
         riem, ric = textbook_riemann_jets(b)
-        scale = max(abs(x) for e in riem.entries for x in e.c)
+        scale = max(abs(x) for e in entries(riem) for x in e.c)
         assert scale > 0
         assert all(abs(x - y) <= 1e-12 * scale
-                   for e, f in zip(b.riemann_jets.entries, riem.entries)
+                   for e, f in zip(entries(b.riemann_jets), entries(riem))
                    for x, y in zip(e.c, f.c, strict=True))
         want = ric.values().entries
         scale = max(map(abs, want))
@@ -138,7 +139,7 @@ class TestRiemannAndRicci:
 
     def test_riemann_needs_jet_order_two(self):
         b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=1)
-        assert b.christoffels[1].entries[0].order == 0
+        assert b.christoffels[1].order == 0
         with pytest.raises(OrderBudgetError, match="riemann"):
             b.riemann
 
@@ -193,7 +194,7 @@ class TestDerivedWeylDerivatives:
         traced with m."""
         weyl = textbook_weyl_jets(b)
         weyl_mixed = naive_raise_lower(
-            weyl, 3, truncated(b.metric.g_inv, weyl.entries[0].order))
+            weyl, 3, truncated(b.metric.g_inv, weyl.order))
         gamma = b.christoffels[1]
         nw = dense_covariant_derivative(weyl, gamma, "oracle")
         nwm = dense_covariant_derivative(weyl_mixed, gamma, "oracle")
@@ -287,8 +288,7 @@ class TestCovariantDerivative:
         gamma = reference_gamma(b.metric)
         full = dense_covariant_derivative(x, gamma)
         got = dense_covariant_derivative(x, truncated(gamma, 2))
-        assert {e.order for e in full.entries} == {3}
-        assert {e.order for e in got.entries} == {2}
+        assert (full.order, got.order) == (3, 2)
         assert same_jets(got, truncated(full, 2))
         assert sup_norm(got.values()) > 0
 
@@ -388,9 +388,7 @@ class TestMetricAtPoint:
             for attr, o in (("g", order), ("g_inv", order - 2)):
                 a, b = getattr(got, attr), getattr(want, attr)
                 assert a.variance == b.variance
-                assert all(x.order == o and x.den == y.den and x.c == y.c
-                           for x, y in zip(a.entries, b.entries,
-                                           strict=True))
+                assert (a.order, a.den, a.num) == (o, b.den, b.num)
 
     @pytest.mark.parametrize("make_spec", [
         lambda: build_perturbed_minkowski(seed=7),
@@ -436,14 +434,13 @@ def scatter_covariant_derivative(t, gamma, context="reference"):
     """The reference: each nonzero input entry scattered into every output
     entry it feeds, with no symmetry assumed."""
     n = t.dim
-    sample = t.entries[0]
-    low = min(sample.order - 1, gamma.entries[0].order)   # output order
-    gam = truncated(gamma, low).entries
+    low = min(t.order - 1, gamma.order)     # output order
+    gam = entries(truncated(gamma, low))
     rank = t.rank
     stride = n ** rank
-    out = [Jet.zero(n, low, sample.mode)] * (n * stride)
+    out = [Jet.zero(n, low, t.mode)] * (n * stride)
     indices = itertools.product(range(n), repeat=t.rank)
-    for off, (idx, e) in enumerate(zip(indices, t.entries)):
+    for off, (idx, e) in enumerate(zip(indices, entries(t))):
         if not e:
             continue
         for i in range(n):
@@ -473,7 +470,7 @@ def scatter_covariant_derivative(t, gamma, context="reference"):
                             continue
                         o = i * stride + rest + aa * w
                         out[o] = out[o] - gme * e
-    return jet_tensor(n, COV + t.variance, out, Jet.zero(n, low, sample.mode))
+    return jet_tensor(n, COV + t.variance, out, Jet.zero(n, low, t.mode))
 
 
 GENERIC_PT = (F(1, 3), F(-1, 5), F(2, 7), F(1, 11))
@@ -497,7 +494,7 @@ def _oracle_pairs(spec, pt, mode):
     gamma = b.christoffels[1]
     ric = textbook_riemann_jets(b)[1]
     nabla_ric = dense_covariant_derivative(ric, gamma, "nabla Ricci")
-    ginv = truncated(b.metric.g_inv, nabla_ric.zero.order)
+    ginv = truncated(b.metric.g_inv, nabla_ric.order)
     mixed = naive_raise_lower(naive_raise_lower(nabla_ric, 0, ginv), 2, ginv)
     assert mixed.variance == CON + COV + CON
     covector = du_jets(ctx)
@@ -529,7 +526,7 @@ def _value_types(t):
     """The types of t's point values, jets or Values."""
     if isinstance(t, Values):
         return [type(x) for x in t.entries]
-    return [type(e.value) for e in t.entries]
+    return [type(e.value) for e in entries(t)]
 
 
 class TestCovariantDerivativeOracle:
@@ -539,7 +536,7 @@ class TestCovariantDerivativeOracle:
     def test_exact_jets_literally_equal(self, make_spec, pt):
         for name, got, want in _oracle_pairs(make_spec(), pt, EXACT):
             assert got.variance == want.variance, name
-            assert got.entries == want.entries, name
+            assert entries(got) == entries(want), name
             assert _value_types(got) == _value_types(want), name
 
     @pytest.mark.parametrize("make_spec,pt", ORACLE_CASES[-2:])
@@ -547,7 +544,7 @@ class TestCovariantDerivativeOracle:
         for name, got, want in _oracle_pairs(make_spec(), pt, FLOAT):
             pairs = (zip(got.entries, want.entries) if isinstance(got, Values) else
                      [(g.coeffs.get(k, 0), w.coeffs.get(k, 0))
-                      for g, w in zip(got.entries, want.entries)
+                      for g, w in zip(entries(got), entries(want))
                       for k in set(g.coeffs) | set(w.coeffs)])
             pairs = list(pairs)
             scale = max(abs(w) for _, w in pairs)
@@ -561,7 +558,7 @@ class TestCovariantDerivativeOracle:
 
     def test_order_zero_riemann_exhausts_the_budget(self, perturbed_ctx):
         b = bundle_for(perturbed_ctx.spec, perturbed_ctx.point, order=2)
-        assert b.riemann_jets.zero.order == 0
+        assert b.riemann_jets.order == 0
         with pytest.raises(OrderBudgetError, match="nabla Riemann"):
             covariant_derivative(b.riemann_jets, b.gamma,
                                  "nabla Riemann")
@@ -638,24 +635,51 @@ class TestRicciTraceRoute:
                 assert gap <= 1e-12 * scale, (stage, gap, scale)
 
 
+def _symmetry_orbits(t, width):
+    """The orbits of t's offsets under the symmetries its kernel writes
+    literally, as (rep, images) with rep first with sign 1: Riemann's on
+    the last four slots (width 4), or the swap of the last two (width 2,
+    g and g^{-1}, and the Christoffel symbols of both kinds)."""
+    n = t.dim
+    block = _orbits(n) if width == 4 else [
+        (i * n + j, ((i * n + j, 1), (j * n + i, 1)))
+        for i in range(n) for j in range(i, n)]
+    return [(base + rep, [(base + img, sign) for img, sign in images])
+            for base in range(0, n ** t.rank, n ** width)
+            for rep, images in block]
+
+
+def _assert_normal_block(t, width, name):
+    """t is a jet block in normal form whose symmetry orbits share lists:
+    no all-zero list, den and coefficients in lowest terms (den 1 in float
+    mode), each orbit image holding its representative's list object or
+    the orbit's one negated list, and no offset written that no orbit
+    reaches (one the symmetries force to vanish)."""
+    num = t.num
+    assert all(map(any, num.values())), name
+    assert (math.gcd(t.den, *itertools.chain.from_iterable(num.values()))
+            if t.mode == EXACT else t.den) == 1, name
+    reached = set()
+    for rep, images in _symmetry_orbits(t, width):
+        c = num.get(rep)
+        reached.update(img for img, _ in images)
+        if c is None:
+            assert not [img for img, _ in images if img in num], (name, rep)
+            continue
+        neg = {id(num.get(img)) for img, sign in images if sign < 0}
+        assert len(neg) <= 1, (name, rep)
+        for img, sign in images:
+            got = num.get(img)
+            assert (got is c if sign > 0 else
+                    got == [-x for x in c] and got is not c), (name, img)
+    assert reached.issuperset(num), name
+
+
 def _assert_orbit_filled(t, name):
     """t holds Riemann's pair symmetries on its last four slots literally,
-    as covariant_derivative assumes without a check: each image of an
-    orbit is written exactly where its representative is, as that jet or
-    its negation, and no offset the symmetries force to vanish is
-    written."""
-    n, src, block = t.dim, t.nonzero, t.dim ** 4
-    orbits = _orbits(n)
-    forced = set(range(block)).difference(
-        img for _, images in orbits for img, _ in images)
-    assert src, name
-    assert not [o for o in src if o % block in forced], name
-    for base in range(0, n ** t.rank, block):
-        for rep, images in orbits:
-            e = src.get(base + rep)
-            for img, sign in images[1:]:
-                want = None if e is None else e if sign > 0 else -e
-                assert src.get(base + img) == want, (name, base + img)
+    as covariant_derivative assumes without a check, and is not empty."""
+    assert t.num, name
+    _assert_normal_block(t, 4, name)
 
 
 ORBIT_FILL_CASES = [
@@ -689,16 +713,20 @@ def test_every_stage_leaves_values_in_normal_form(make_spec, pt, mode,
                                                   monkeypatch):
     """Every public attribute of CurvatureBundle is a `stage`, found by
     walking the class.  Each is read on the bundle and on the K = 2
-    rescaled bundle of conformal_invariance, to its order: the jet stages
-    are jet Tensors, and every other stage is Values in normal form, with
-    no written zero, a jet's zero (int 0, or 0.0), exact numerators and
-    den in lowest terms, and nothing for `normal` to change."""
+    rescaled bundle of conformal_invariance, to its order: the jet stages,
+    and the metric's g and g^{-1}, are jet Tensors in block normal form
+    whose orbits share lists (`_assert_normal_block`), and every other
+    stage is Values in normal form, with no written zero, a jet's zero
+    (int 0, or 0.0), exact numerators and den in lowest terms, and nothing
+    for `normal` to change."""
     stages = {name: s for name, s in vars(CurvatureBundle).items()
               if isinstance(s, stage)}
     assert set(JET_STAGES) < set(stages)
     assert [name for name in vars(CurvatureBundle)
             if not name.startswith("_") and name not in stages] == []
     for b in _bundles(make_ctx(make_spec(), pt, mode=mode), monkeypatch):
+        for name in ("g", "g_inv"):
+            _assert_normal_block(getattr(b.metric, name), 2, name)
         for name, s in stages.items():
             if s.needs > b.metric.order:
                 continue
@@ -706,7 +734,7 @@ def test_every_stage_leaves_values_in_normal_form(make_spec, pt, mode,
             if name in JET_STAGES:
                 for t in (v if name == "christoffels" else (v,)):
                     assert isinstance(t, Tensor), name
-                    assert isinstance(t.zero, Jet), name
+                    _assert_normal_block(t, 2 if t.rank == 3 else 4, name)
                 continue
             assert isinstance(v, Values), name
             assert all(v.num.values()), name
@@ -801,20 +829,19 @@ class TestInverseMetricOracle:
     def test_exact_jets_literally_equal(self, make_spec, pt):
         m = metric_at_point(make_spec(), pt, 4, EXACT)
         want = truncated(reference_inverse(m), 2)
-        assert all(e.order == 2 for e in m.g_inv.entries)
+        assert m.g_inv.order == 2
         assert same_jets(m.g_inv, want)
-        assert [type(e.value) for e in m.g_inv.entries] == \
-            [type(e.value) for e in want.entries]
+        assert _value_types(m.g_inv) == _value_types(want)
 
     @pytest.mark.parametrize("make_spec,pt", INVERSE_CASES)
     def test_float_within_rounding(self, make_spec, pt):
         m = metric_at_point(make_spec(), pt, 4, FLOAT)
         want = truncated(reference_inverse(m), 2)
-        scale = max(abs(c) for e in want.entries for c in e.coeffs.values())
+        scale = max(abs(c) for e in entries(want) for c in e.coeffs.values())
         gap = max(abs(g.coeffs.get(k, 0) - w.coeffs.get(k, 0))
-                  for g, w in zip(m.g_inv.entries, want.entries)
+                  for g, w in zip(entries(m.g_inv), entries(want))
                   for k in set(g.coeffs) | set(w.coeffs))
-        assert all(e.mode == FLOAT and e.order == 2 for e in m.g_inv.entries)
+        assert (m.g_inv.mode, m.g_inv.order, m.g_inv.den) == (FLOAT, 2, 1)
         assert scale > 0 and gap <= 1e-12 * scale, (gap, scale)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -861,7 +888,7 @@ def _riemann_symmetric_tensor(rng, n, variance, fill, order, mode):
                 e = _random_jet(rng, n, order, mode)
                 for img, sign in images:
                     out[base + img] = e if sign > 0 else -e
-    return Tensor(n, variance, out, Jet.zero(n, order, mode))
+    return jet_block(n, variance, out, order, mode)
 
 
 def _random_gamma(rng, n, fill, order, mode):
@@ -879,8 +906,7 @@ def _bits(x):
     Values' numerators in insertion order, with the sign of a float zero."""
     if isinstance(x, Values):
         return repr((x.variance, x.den, type(x.zero), list(x.num.items())))
-    return repr((x.variance, [(e.order, e.mode, e.den, e.c)
-                              for e in x.entries]))
+    return repr((x.variance, x.order, x.mode, x.den, sorted(x.num.items())))
 
 
 @st.composite
@@ -913,8 +939,6 @@ class TestSparseKernelsAgainstDenseOracle:
         got = covariant_derivative(t, gamma, "oracle")
         want = dense_covariant_derivative(t, gamma, "oracle", riemann=True)
         assert _bits(got) == _bits(want)
-        if not isinstance(got, Values):
-            assert got.zero.order == want.entries[0].order
 
 
 def test_flat_five_dimensional_custom_metric_has_empty_jet_tensors():
@@ -928,8 +952,8 @@ def test_flat_five_dimensional_custom_metric_has_empty_jet_tensors():
         tuple(f"x{k}" for k in range(5)))
     b = bundle_for(spec, tuple(F(k, 7) for k in range(1, 6)))
     for name in ("riemann_jets", "nabla_riemann_jets"):
-        assert getattr(b, name).nonzero == {}, name
+        assert getattr(b, name).num == {}, name
     for name in ("ricci", "nabla_ricci", "nabla2_ricci"):
         assert getattr(b, name).num == {}, name
-    assert b.christoffels[0].nonzero == b.christoffels[1].nonzero == {}
+    assert b.christoffels[0].num == b.christoffels[1].num == {}
     assert not b.nabla2_riemann.num and not b.lap_weyl.num

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jet as J
+from conftest import jet_block
 from ppcheck.geometry import OrderBudgetError
 from ppcheck.jets import (EXACT, FLOAT, Jet, JetError, SingularJetError,
                           _tables, from_numerators, jet_from_polynomial,
-                          jet_recip, mac, numerators)
+                          jet_recip, mac)
 from ppcheck.polynomials import Polynomial, parse_polynomial
 from ppcheck.tensors import Tensor
 
@@ -261,8 +262,8 @@ class TestModes:
 
 
 class TestNumeratorKernel:
-    """`mac` on `numerators`, reduced once by `from_numerators`, against the
-    same sum of Jet.__mul__ products."""
+    """`mac` on the lists of two jet blocks (`Tensor.lists`), reduced once
+    by `from_numerators`, against the same sum of Jet.__mul__ products."""
 
     @staticmethod
     def _pairs(seed, mode):
@@ -284,30 +285,34 @@ class TestNumeratorKernel:
     @staticmethod
     def _kernel(dim, out, pairs, negs, mode):
         t = _tables(dim, out)
-        # a's run past the output order where all of them do (numerators
-        # refuses to read a jet past its own order), b's are cut to it
-        a, da = numerators(dict(enumerate(x for x, _ in pairs)),
-                           min(x.order for x, _ in pairs))
-        b, db = numerators(dict(enumerate(y for _, y in pairs)), out)
+        # a's run past the output order where all of them do (a block is
+        # of its jets' lowest order), b's are cut to it
+        a = jet_block(dim, "l", dict(enumerate(x for x, _ in pairs)),
+                      min(x.order for x, _ in pairs), mode)
+        b = jet_block(dim, "l", dict(enumerate(y for _, y in pairs)), out,
+                      mode)
         # a product is subtracted as that of a negated factor
-        pairs = [(a.get(k), [-v for v in y] if neg and y else y)
-                 for k, neg in enumerate(negs) for y in (b.get(k),)]
+        bs = b.lists(out)
+        pairs = [(a.lists(out).get(k), [-v for v in y] if neg and y else y)
+                 for k, neg in enumerate(negs) for y in (bs.get(k),)]
         return from_numerators(t, mode, mac(t.zero[mode].c.copy(), t, pairs),
-                               da * db)
+                               a.den * b.den)
 
     def test_a_jet_below_the_order_is_refused(self):
         # its coefficients past its order are unknown, not zero
-        low = J(2, 1, {(0, 1): 1})
+        low = J(2, 1, {(0, 1): F(1, 2)})
+        block = jet_block(2, "ll", {0: low, 3: low}, 1, EXACT)
         with pytest.raises(JetError, match="order 1 read to order 2"):
-            numerators({0: J(2, 3, {(1, 0): 1}), 1: low}, 2)
-        with pytest.raises(JetError):
-            numerators({0: Jet.zero(2, 1)}, 2)
-        assert numerators({0: low}, 1) == ({0: [0, 0, 1]}, 1)
-        # a sparse tensor's left-out entries are zero jets of its order
+            block.lists(2)
+        # a block's left-out entries are zero jets of its order
         with pytest.raises(JetError, match="order 1 read to order 2"):
-            Tensor(2, "l", {}, Jet.zero(2, 1)).numerators(2)
-        sparse = Tensor(2, "ll", {0: low, 3: low}, Jet.zero(2, 1))
-        assert sparse.numerators(1) == ({0: [0, 0, 1], 3: [0, 0, 1]}, 1)
+            Tensor(2, "l", {}, 1, 1, EXACT).lists(2)
+        with pytest.raises(JetError, match="order 0 read to order 1"):
+            jet_block(2, "l", {1: J(2, 1, {(0, 1): 0.5}, FLOAT)}, 0,
+                      FLOAT).lists(1)
+        assert block.lists(1) == {0: [0, 0, 1], 3: [0, 0, 1]}
+        assert block.lists(0) is block.num and block.den == 2
+        assert block[0, 0] == low and not block[0, 1]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_sum_is_literally_the_sum_of_products(self, seed):

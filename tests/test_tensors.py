@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (NC4, jet, jet_tensor, make_ctx, naive_contract,
-                      naive_raise_lower, poly, zero_of)
+from conftest import (NC4, entries, jet, jet_tensor, make_ctx,
+                      naive_contract, naive_raise_lower, poly, zero_of)
 from ppcheck import EXACT, FLOAT, Jet, build_ppwave
 from ppcheck.tensors import (Tensor, Values, contract, cyclic_sum, dot,
                              raise_lower, sup_norm, tensordot)
@@ -77,7 +77,7 @@ class TestLowestTerms:
                   b.riemann_jets, b.nabla_riemann_jets):
             v = t.values()
             assert math.gcd(v.den, *v.num.values()) == 1
-            assert v.entries == [e.value for e in t.entries]
+            assert v.entries == [e.value for e in entries(t)]
 
 
 class TestCyclicSum:
@@ -232,7 +232,7 @@ def _numbers(t):
     for Values)."""
     if isinstance(t, Values):
         return t
-    return Values.of(t.dim, t.variance, [e.value for e in t.entries])
+    return Values.of(t.dim, t.variance, [e.value for e in entries(t)])
 
 
 def _random_tensor(rng, kind, n, variance):
@@ -377,7 +377,7 @@ def _number_tensor(rng, kind, n, variance):
     size = n ** len(variance)
     if kind == "jet":
         jets = _random_tensor(rng, "jet", n, variance)
-        numbers = [e.value for e in jets.entries]
+        numbers = [e.value for e in entries(jets)]
         return numbers, Values.of(n, variance, numbers), jets.values()
     if kind == "mixed":
         numbers = [_random_entry(rng, rng.choice(["fraction", "int0"]))
@@ -800,6 +800,16 @@ class TestZeroKindOracle:
                         want[i * mj + j] = acc
             assert repr(list(got.num.items())) == repr(list(want.items()))
             assert got.den == 9
+
+    def test_dot_adds_floats_in_offset_order(self):
+        """dot sums as tensordot does, left to right in offset order, on
+        every Python: the builtin sum compensates floats from 3.12 on, and
+        would give 1.0 here."""
+        a = Values(3, "l", {0: 1e16, 1: 1.0, 2: -1e16}, 1, 0.0)
+        ones = Values(3, "l", dict.fromkeys(range(3), 1.0), 1, 0.0)
+        got = dot(a, ones)
+        assert got == 0.0 and type(got) is float
+        assert got == tensordot(a, ones, 1).number(0)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
