@@ -7,8 +7,7 @@ identities, recurrence conditions and metric-family claims with relative
 sup-norm residuals.
 """
 
-from .checks import (CHECKS, ORDER_BUDGET, CheckResult, PointContext,
-                     extract_recurrence)
+from .checks import CHECKS, ORDER_BUDGET, CheckResult, PointContext
 from .cli import RunError, list_families, main, run, theorem_suite
 from .geometry import (CurvatureBundle, DegeneratePointError,
                        OrderBudgetError, metric_at_point, rescaled)
@@ -21,7 +20,8 @@ from .metrics import (ConfigError, FamilyError, MetricSpec, PointPlan,
 from .polynomials import Polynomial, PolynomialError, parse_polynomial
 from .report import (ENGINE_VERSION, Report, all_clear, build_report,
                      emit_report, report_to_json, report_to_text)
-from .tensors import Tensor, contract, cyclic_sum, raise_lower, sup_norm
+from .tensors import (Tensor, contract, cyclic_sum, extract_recurrence,
+                      raise_lower, sup_norm)
 
 __version__ = ENGINE_VERSION
 

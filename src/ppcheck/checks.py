@@ -5,9 +5,11 @@ bundle) and returns a CheckResult.  Residuals are relative sup-norm
 quantities; in exact mode a check passes only when its residual is exactly
 zero, in float mode when it is within the run tolerance.
 
-`@check(k)` registers `check_<name>` in CHECKS and its order budget k in
-ORDER_BUDGET: the largest `needs` (geometry.stage) of the stages it may
-read, and so the order a run of it builds its points to.
+A check reads curvature only from the bundle's `stage`s (geometry.stage),
+the Weyl recurrence covector's among them.  `@check(k)` registers
+`check_<name>` in CHECKS and its order budget k in ORDER_BUDGET: the
+largest `needs` of the stages it may read, and so the order a run of it
+builds its points to.
 """
 from __future__ import annotations
 
@@ -15,12 +17,13 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .geometry import CurvatureBundle, _orbits, rescaled
+from .geometry import CurvatureBundle, rescaled
 from .jets import EXACT, Jet, jet_exp, jet_from_polynomial
 from .metrics import (MAX_FIELD_COEFFS, MetricSpec, _transverse_laplacian,
                       has_null_chart)
 from .polynomials import Polynomial
-from .tensors import (COV, Values, contract, cyclic_sum, dot, raise_lower,
+from .tensors import (COV, Values, _pow2, contract, cyclic_sum, dot,
+                      extract_recurrence, raise_lower, relative_residual,
                       sup_norm, tensordot)
 
 VACUITY_FLOOR = 1e-12
@@ -59,7 +62,6 @@ class PointContext:
                  field_coeffs: tuple = (1, 1)):
         self.spec, self.point, self.mode, self.bundle = spec, point, mode, bundle
         self.tolerance, self.field_coeffs = tolerance, field_coeffs
-        self.cache = {}
 
     @property
     def exact(self) -> bool:
@@ -70,23 +72,6 @@ class PointContext:
 
 
 # -- small helpers ------------------------------------------------------------
-
-
-def relative_residual(num_norm, *ref_norms):
-    """sup-norm residual relative to the largest reference scale: NaN if
-    a reference is NaN (nothing is known then), else zero for a zero
-    numerator, and the absolute value for a zero reference."""
-    if any(r != r for r in ref_norms):
-        return math.nan
-    ref = max(ref_norms, default=0)
-    return num_norm / ref if num_norm and ref else num_norm
-
-
-def _pow2(norm) -> float:
-    """A power of two near 1/norm (1.0 for a zero or non-finite norm), at
-    most 2^1023, so that it is finite for a subnormal norm too: scaling
-    floats by it is exact, and keeps their products in range."""
-    return math.ldexp(1.0, min(-math.frexp(norm)[1], 1023))
 
 
 def _cyclic_residual(x: Values, t: Values):
@@ -175,32 +160,6 @@ def nabla_chart_covector_u(ctx: PointContext) -> Values:
     return Values(n, COV * 2,
                   {o: -x for o, x in gam.num.items() if o < n * n}, gam.den,
                   gam.zero)
-
-
-# -- recurrence extraction -----------------------------------------------------
-
-
-def extract_recurrence(t: Values, nabla_t: Values):
-    """Least-squares recurrence covector for nabla T = alpha (x) T.
-
-    alpha = N / D with the chart sums N_i = <nabla_i T, T> and D = <T, T>.
-    Returns (alpha_components, residual); alpha is None when T vanishes
-    (vacuous).  The residual is sup|D nabla T - N (x) T| / D, which is
-    sup|nabla T - alpha (x) T|, relative to sup|nabla T| (0/0 -> 0).  Float
-    mode first divides T and nabla T by a power of two near sup|T|, an
-    exact scaling that alpha and the residual do not depend on, so that
-    <T,T> cannot overflow.
-    """
-    if not t.exact and (top := sup_norm(t)):
-        s = _pow2(top)
-        t, nabla_t = t.scale(s), nabla_t.scale(s)
-    d = dot(t, t)
-    if not d:
-        return None, None
-    num = tensordot(nabla_t, t, t.rank)
-    worst = sup_norm(nabla_t.scale(d) - num.outer(t)) / d
-    return ([x / d for x in num.entries],
-            relative_residual(worst, sup_norm(nabla_t)))
 
 
 # -- universal identity checks --------------------------------------------------
@@ -350,7 +309,7 @@ def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
             x = chart_covector_u(ctx)
             notes = "X = du"
         else:
-            x, _ = _alpha_values(ctx)
+            x, _ = b.recurrence
             if x is None:
                 return CheckResult("olszak", VACUOUS, ctx.zero(), ctx.point,
                                    notes="no candidate covector")
@@ -367,75 +326,6 @@ def check_olszak(ctx: PointContext, x: Values | None = None) -> CheckResult:
                    witnesses={"X": x.entries}, notes=notes)
 
 
-def _alpha_values(ctx: PointContext):
-    """The Weyl recurrence covector as Values, and its residual (cached)."""
-    if "alpha_values" not in ctx.cache:
-        b = ctx.bundle
-        alpha, res = extract_recurrence(b.weyl, b.nabla_weyl)
-        ctx.cache["alpha_values"] = (
-            (None, None) if alpha is None
-            else (Values.of(b.dim, COV, alpha), res))
-    return ctx.cache["alpha_values"]
-
-
-def _per_orbit(t: Values) -> Values:
-    """t at one entry per Riemann orbit of its last four slots, times the
-    orbit's size: where t and u have Riemann's symmetries in those slots,
-    tensordot(_per_orbit(t), u, 4) is tensordot(t, u, 4).  Only t's
-    written entries are visited."""
-    sizes = {rep: len(images) for rep, images in _orbits(t.dim)}
-    block, num = t.dim ** 4, t.num
-    reps = sorted(o for o in num if o % block in sizes)
-    return Values(t.dim, t.variance,
-                  {o: x * sizes[o % block] for o in reps if (x := num[o])},
-                  t.den, t.zero)
-
-
-def _alpha_derivatives(ctx: PointContext):
-    """(alpha, d_j alpha_i, nabla_j alpha_i), slots (j, i), of the Weyl
-    recurrence covector (cached; C must not vanish), their zeros int 0 as
-    roter_bundle and alpha_recurrent report alpha's.
-
-    alpha_i = N_i / D, with the chart sums N_i = sum_K nabla_i C_K C_K and
-    D = sum_K C_K^2 of extract_recurrence.  As d_j C_K = nabla_j C_K +
-    sum_s Gamma^p_{j k_s} C_{K[s->p]}, and likewise for nabla_i C_K, with
-    F_ab = sum_s sum_{K: k_s=a} C_K C_{K[s->b]}, M_abi the same with
-    nabla_i C_{K[s->b]} as second factor, and G_ab = Gamma^b_{ja}:
-
-        d_j D / 2 = N_j + G_ab F_ab,
-        D nabla_j alpha_i = sum_K (C_K nabla_j nabla_i C_K + nabla_i C_K
-            nabla_j C_K) + G_ab (M_abi + M_bai) - alpha_i d_j D,
-
-    and d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p.  C and its
-    derivatives have Riemann's symmetries in their last four slots, so F
-    and M are four times their slot-0 sums, and the sums over K run over
-    one K per orbit (`_per_orbit`).  Float mode first divides C and its
-    derivatives by sup|C|, which keeps alpha's derivatives and brings the
-    sums, of degree 4 in C, into range.
-    """
-    if "alpha_derivatives" in ctx.cache:
-        return ctx.cache["alpha_derivatives"]
-    b = ctx.bundle
-    alpha, gam = _alpha_values(ctx)[0].normal(), b.gamma
-    c, nc, nnc = b.weyl, b.nabla_weyl, _per_orbit(b.nabla2_weyl)
-    if not ctx.exact:
-        s = 1 / sup_norm(c)
-        c, nc, nnc = c.scale(s), nc.scale(s), nnc.scale(s)
-    d, nc_k = dot(_per_orbit(c), c), _per_orbit(nc)
-    num = tensordot(nc_k, c, 4)                     # N_i
-    c_a = c.permute((1, 2, 3, 0))                   # C_abcd at (b, c, d, a)
-    f = tensordot(c, c_a, 3).scale(4)               # F_ab
-    m = tensordot(nc, c_a, 3).permute((2, 1, 0)).scale(4)   # M_abi
-    g = gam.permute((1, 2, 0))                      # G_ab at (j, a, b)
-    half_dd = num + tensordot(g, f, 2)              # d_j D / 2
-    top = (tensordot(nnc, c, 4) + tensordot(g, m + m.permute((1, 0, 2)), 2)
-           + tensordot(nc_k, nc.permute((1, 2, 3, 4, 0)), 4))
-    nabla = (top.scale(d) - half_dd.outer(num).scale(2)).scale(1 / d ** 2)
-    ctx.cache["alpha_derivatives"] = out = (
-        alpha, (nabla + tensordot(alpha, gam, 1)).normal(), nabla.normal())
-    return out
-
-
 @check(3)
 def check_conformal_recurrence(ctx: PointContext) -> CheckResult:
     return _weyl_recurrence("conformal_recurrence", ctx)
@@ -448,7 +338,7 @@ def _weyl_recurrence(name: str, ctx: PointContext) -> CheckResult:
     if _is_vacuous(sup_norm(weyl), ctx.exact):
         return CheckResult(name, VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
-    alpha, res = _alpha_values(ctx)
+    alpha, res = ctx.bundle.recurrence
     witnesses = {"alpha": alpha.entries}
     residuals = {"recurrence": res}
     if ctx.spec.family != "galaev":
@@ -529,7 +419,7 @@ def check_collinearity(ctx: PointContext, alpha: Values | None = None,
         if _is_vacuous(sup_norm(weyl), ctx.exact):
             return CheckResult("collinearity", VACUOUS, ctx.zero(), ctx.point,
                                notes="Weyl tensor vanishes; no recurrence covector")
-        alpha, _ = _alpha_values(ctx)
+        alpha, _ = ctx.bundle.recurrence
     if not sup_norm(x):
         return CheckResult("collinearity", ERROR, ctx.zero(), ctx.point,
                            notes="X covector is zero")
@@ -664,11 +554,10 @@ def check_roter_bundle(ctx: PointContext) -> CheckResult:
     if _is_vacuous(wnorm, ctx.exact):
         return CheckResult("roter_bundle", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
-    _, rec_res = _alpha_values(ctx)
-    residuals = {"recurrence": rec_res}
-    alpha, d_alpha, _ = _alpha_derivatives(ctx)
+    alpha = b.recurrence[0].normal()
+    residuals = {"recurrence": b.recurrence[1]}
     residuals["alpha_closed"] = relative_residual(
-        _antisymmetric_norm(d_alpha), sup_norm(alpha),
+        _antisymmetric_norm(b.d_alpha), sup_norm(alpha),
         Fraction(1) if ctx.exact else 1.0)
     nr = b.nabla_ricci      # Codazzi: nabla_k R_jl = nabla_j R_kl
     residuals["codazzi"] = relative_residual(_antisymmetric_norm(nr),
@@ -795,7 +684,7 @@ def check_alpha_recurrent(ctx: PointContext) -> CheckResult:
     if _is_vacuous(sup_norm(b.weyl), exact):
         return CheckResult("alpha_recurrent", VACUOUS, ctx.zero(), ctx.point,
                            notes="Weyl tensor vanishes")
-    avals, _, na = _alpha_derivatives(ctx)
+    avals, na = b.recurrence[0].normal(), b.nabla_alpha
     anorm = sup_norm(avals)
     if _is_vacuous(anorm, exact):
         return CheckResult("alpha_recurrent", VACUOUS, ctx.zero(), ctx.point,

@@ -53,7 +53,8 @@ from functools import cache
 from . import linalg
 from .jets import (EXACT, Jet, OrderBudgetError, _tables, as_mode,
                    derivative_numerators, jet_from_polynomial, jet_recip, mac)
-from .tensors import COV, CON, Tensor, Values, contract, raise_lower
+from .tensors import (COV, CON, Tensor, Values, contract, dot,
+                      extract_recurrence, raise_lower, sup_norm, tensordot)
 
 
 class DegeneratePointError(ValueError):
@@ -272,6 +273,19 @@ def _orbits(n: int) -> tuple:
     return tuple(orbits)
 
 
+def _per_orbit(t: Values) -> Values:
+    """t at one entry per Riemann orbit of its last four slots, times the
+    orbit's size: where t and u have Riemann's symmetries in those slots,
+    tensordot(_per_orbit(t), u, 4) is tensordot(t, u, 4).  Only t's
+    written entries are visited."""
+    sizes = {rep: len(images) for rep, images in _orbits(t.dim)}
+    block, num = t.dim ** 4, t.num
+    reps = sorted(o for o in num if o % block in sizes)
+    return Values(t.dim, t.variance,
+                  {o: x * sizes[o % block] for o in reps if (x := num[o])},
+                  t.den, t.zero)
+
+
 @cache
 def _orbit_index(n: int) -> list:
     """For each offset of a block of four slots, the number of its orbit in
@@ -422,10 +436,11 @@ class stage:
     """`@stage(needs)`: a CurvatureBundle attribute computed on its first
     read, which raises OrderBudgetError naming it if g's jets are of an
     order K below `needs`, and then kept on the instance, so that later
-    reads are plain attribute lookups.  Point values (Values) are put in
-    normal form here (`Values.normal`), and nowhere else in this module, so
-    the kernels that read them work on the smallest numbers and see a
-    jet's zero.  Read from the class, it is itself."""
+    reads are plain attribute lookups; it is the one cache of a point.  A
+    stage's point values (Values) are put in normal form here
+    (`Values.normal`), so the kernels that read them work on the smallest
+    numbers and see a jet's zero; a tuple stage is kept as it is made.
+    Read from the class, it is itself."""
 
     def __init__(self, needs: int):
         self.needs = needs
@@ -456,12 +471,15 @@ class CurvatureBundle:
     `riemann`, `ricci`, `nabla_ricci` and `nabla2_ricci` (`_ricci`), the
     Weyl forms (`_weyl_part`, and `weyl_mixed`, `nabla_weyl_mixed` with the
     last slot raised), `scalar`, `nabla_scalar`, `nabla_riemann`,
-    `nabla2_riemann`, the divergences and Laplacians.  The jet stages they
-    are taken from are Tensors of jets, to the orders the module docstring
-    gives: `christoffels` (both kinds), `riemann_jets` and
-    `nabla_riemann_jets`.  Each stage states the least order K of g's jets
-    (`metric.order`) it needs: 1 for the Christoffel symbols, 2 for
-    curvature, and one more for each covariant derivative in it.
+    `nabla2_riemann`, the divergences and Laplacians, and the Weyl
+    recurrence covector alpha of nabla C = alpha (x) C: `recurrence`, the
+    tuple (alpha, residual), and alpha's derivatives `d_alpha` and
+    `nabla_alpha`.  The jet stages they are taken from are Tensors of
+    jets, to the orders the module docstring gives: `christoffels` (both
+    kinds), `riemann_jets` and `nabla_riemann_jets`.  Each stage states the
+    least order K of g's jets (`metric.order`) it needs: 1 for the
+    Christoffel symbols, 2 for curvature, and one more for each covariant
+    derivative in it.
     """
 
     def __init__(self, metric: MetricAtPoint):
@@ -706,3 +724,56 @@ class CurvatureBundle:
         t = self.nabla2_weyl            # slots (outer, inner, j, k, l, m)
         a = contract(t, 0, 2, g_inv)    # outer with j: (inner, k, l, m)
         return contract(a, 0, 3, g_inv)     # inner with m
+
+    # -- the Weyl recurrence covector -----------------------------------------
+
+    @stage(3)
+    def recurrence(self) -> tuple:
+        """(alpha, residual) of nabla C = alpha (x) C by
+        `extract_recurrence`, alpha as `Values.of` its components, so that
+        its exact zero is Fraction(0); (None, None) where C vanishes."""
+        alpha, res = extract_recurrence(self.weyl, self.nabla_weyl)
+        return (None, None) if alpha is None else (
+            Values.of(self.dim, COV, alpha), res)
+
+    @stage(4)
+    def nabla_alpha(self) -> Values:
+        """nabla_j alpha_i, slots (j, i), of the Weyl recurrence covector
+        (C must not vanish).
+
+        alpha_i = N_i / D, with the chart sums N_i = sum_K nabla_i C_K C_K
+        and D = sum_K C_K^2 of extract_recurrence.  As d_j C_K = nabla_j C_K
+        + sum_s Gamma^p_{j k_s} C_{K[s->p]}, and likewise for nabla_i C_K,
+        with F_ab = sum_s sum_{K: k_s=a} C_K C_{K[s->b]}, M_abi the same
+        with nabla_i C_{K[s->b]} as second factor, and G_ab = Gamma^b_{ja}:
+
+            d_j D / 2 = N_j + G_ab F_ab,
+            D nabla_j alpha_i = sum_K (C_K nabla_j nabla_i C_K + nabla_i C_K
+                nabla_j C_K) + G_ab (M_abi + M_bai) - alpha_i d_j D.
+
+        C and its derivatives have Riemann's symmetries in their last four
+        slots, so F and M are four times their slot-0 sums, and the sums
+        over K run over one K per orbit (`_per_orbit`).  Float mode first
+        divides C and its derivatives by sup|C|, which keeps alpha's
+        derivatives and brings the sums, of degree 4 in C, into range.
+        """
+        c, nc, nnc = self.weyl, self.nabla_weyl, _per_orbit(self.nabla2_weyl)
+        if self.mode != EXACT:
+            s = 1 / sup_norm(c)
+            c, nc, nnc = c.scale(s), nc.scale(s), nnc.scale(s)
+        d, nc_k = dot(_per_orbit(c), c), _per_orbit(nc)
+        num = tensordot(nc_k, c, 4)                     # N_i
+        c_a = c.permute((1, 2, 3, 0))                   # C_abcd at (b, c, d, a)
+        f = tensordot(c, c_a, 3).scale(4)               # F_ab
+        m = tensordot(nc, c_a, 3).permute((2, 1, 0)).scale(4)   # M_abi
+        g = self.gamma.permute((1, 2, 0))               # G_ab at (j, a, b)
+        half_dd = num + tensordot(g, f, 2)              # d_j D / 2
+        top = (tensordot(nnc, c, 4) + tensordot(g, m + m.permute((1, 0, 2)), 2)
+               + tensordot(nc_k, nc.permute((1, 2, 3, 4, 0)), 4))
+        return (top.scale(d) - half_dd.outer(num).scale(2)).scale(1 / d ** 2)
+
+    @stage(4)
+    def d_alpha(self) -> Values:
+        """d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p, slots (j, i)."""
+        return self.nabla_alpha + tensordot(self.recurrence[0].normal(),
+                                            self.gamma, 1)

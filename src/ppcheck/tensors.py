@@ -440,3 +440,43 @@ def sup_norm(t: Values):
     if not best:
         return abs(t.number(0))
     return Fraction(best, t.den) if t.exact else best
+
+
+def relative_residual(num_norm, *ref_norms):
+    """sup-norm residual relative to the largest reference scale: NaN if
+    a reference is NaN (nothing is known then), else zero for a zero
+    numerator, and the absolute value for a zero reference."""
+    if any(r != r for r in ref_norms):
+        return math.nan
+    ref = max(ref_norms, default=0)
+    return num_norm / ref if num_norm and ref else num_norm
+
+
+def _pow2(norm) -> float:
+    """A power of two near 1/norm (1.0 for a zero or non-finite norm), at
+    most 2^1023, so that it is finite for a subnormal norm too: scaling
+    floats by it is exact, and keeps their products in range."""
+    return math.ldexp(1.0, min(-math.frexp(norm)[1], 1023))
+
+
+def extract_recurrence(t: Values, nabla_t: Values):
+    """Least-squares recurrence covector for nabla T = alpha (x) T.
+
+    alpha = N / D with the chart sums N_i = <nabla_i T, T> and D = <T, T>.
+    Returns (alpha_components, residual); alpha is None when T vanishes
+    (vacuous).  The residual is sup|D nabla T - N (x) T| / D, which is
+    sup|nabla T - alpha (x) T|, relative to sup|nabla T| (0/0 -> 0).  Float
+    mode first divides T and nabla T by a power of two near sup|T|, an
+    exact scaling that alpha and the residual do not depend on, so that
+    <T,T> cannot overflow.
+    """
+    if not t.exact and (top := sup_norm(t)):
+        s = _pow2(top)
+        t, nabla_t = t.scale(s), nabla_t.scale(s)
+    d = dot(t, t)
+    if not d:
+        return None, None
+    num = tensordot(nabla_t, t, t.rank)
+    worst = sup_norm(nabla_t.scale(d) - num.outer(t)) / d
+    return ([x / d for x in num.entries],
+            relative_residual(worst, sup_norm(nabla_t)))

@@ -12,17 +12,16 @@ from conftest import (NC4, dense_covariant_derivative, du_jets, entries,
 from ppcheck import (EXACT, FLOAT, ConfigError, RunConfig, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, linalg)
-from ppcheck.checks import (CHECKS, PointContext, _alpha_derivatives,
-                            _antisymmetric_norm, _cyclic_residual, _per_orbit,
-                            _pow2, chart_covector_u,
+from ppcheck.checks import (CHECKS, PointContext, _antisymmetric_norm,
+                            _cyclic_residual, chart_covector_u,
                             check_collinearity, check_olszak,
-                            extract_recurrence, nabla_chart_covector_u,
-                            relative_residual)
-from ppcheck.geometry import CurvatureBundle, _orbits, rescaled
+                            nabla_chart_covector_u)
+from ppcheck.geometry import CurvatureBundle, _orbits, _per_orbit, rescaled
 from ppcheck.jets import Jet, jet_recip
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import COV, Values, cyclic_sum, sup_norm
+from ppcheck.tensors import (COV, Values, _pow2, cyclic_sum,
+                             extract_recurrence, relative_residual, sup_norm)
 
 NC5 = ("u", "x1", "x2", "x3", "v")
 PT4 = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -426,6 +425,11 @@ def reference_alpha(b):
             dense_covariant_derivative(alpha, gamma, "reference").values())
 
 
+def alpha_stages(b):
+    """(alpha, d_j alpha_i, nabla_j alpha_i) as the checks read them."""
+    return b.recurrence[0].normal(), b.d_alpha, b.nabla_alpha
+
+
 def _closedness(t):
     n = t.dim
     return max(abs(t[i, j] - t[j, i]) for i in range(n) for j in range(n))
@@ -443,7 +447,7 @@ class TestAlphaDerivatives:
     def test_exact_equals_jet_reference(self, ctx_name, request):
         ctx = request.getfixturevalue(ctx_name)
         want = reference_alpha(ctx.bundle)
-        got = _alpha_derivatives(ctx)
+        got = alpha_stages(ctx.bundle)
         assert got == want
         assert [type(e) for e in got[0].entries] == \
             [type(e) for e in want[0].entries]
@@ -466,7 +470,7 @@ class TestAlphaDerivatives:
         exact = request.getfixturevalue(ctx_name)
         ctx = make_ctx(exact.spec, exact.point, FLOAT)
         want = reference_alpha(ctx.bundle)
-        got = _alpha_derivatives(ctx)
+        got = alpha_stages(ctx.bundle)
         for g, w in zip(got, want):
             scale = max(map(abs, w.entries))
             gap = max(abs(x - y) for x, y in zip(g.entries, w.entries))
@@ -490,7 +494,7 @@ class TestAlphaDerivatives:
                            bundle=big)
         assert 1e98 < sup_norm(big.weyl) < 1e103
         want = reference_alpha(big)
-        for g, w in zip(_alpha_derivatives(ctx), want):
+        for g, w in zip(alpha_stages(big), want):
             scale = max(map(abs, w.entries))
             gap = max(abs(x - y) for x, y in zip(g.entries, w.entries))
             assert scale > 0 and gap <= 1e-9 * scale, (gap, scale)

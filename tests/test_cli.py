@@ -540,8 +540,7 @@ class TestRecordTypes:
         row = CheckResult("bianchi", "pass", 0, (1,))
         assert (row.witnesses, row.residuals, row.notes) == ({}, {}, "")
         ctx = PointContext(spec, (1, 2), "exact", None)
-        assert (ctx.tolerance, ctx.field_coeffs, ctx.cache) == (
-            1e-9, (1, 1), {})
+        assert (ctx.tolerance, ctx.field_coeffs) == (1e-9, (1, 1))
         report = Report({}, [])
         assert (report.summary, report.verdict) == ({}, None)
         report.verdict = "pass"                 # theorem_suite sets it
@@ -551,9 +550,6 @@ class TestRecordTypes:
         r1, r2 = (CheckResult("bianchi", "pass", 0, ()) for _ in range(2))
         assert r1.witnesses is not r2.witnesses
         assert r1.residuals is not r2.residuals
-        c1, c2 = (PointContext(self.spec(), (), "exact", None)
-                  for _ in range(2))
-        assert c1.cache is not c2.cache
         assert Report({}, []).summary is not Report({}, []).summary
 
     @pytest.mark.parametrize("make, attr", [

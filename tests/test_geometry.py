@@ -339,10 +339,14 @@ class TestModesAndErrors:
             jet_exp(sigma * 2)
 
     def test_order_budget_enforced(self):
-        b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=2)
-        with pytest.raises(OrderBudgetError, match="nabla2_ricci needs jet "
-                                                   "order 4, run has K=2"):
-            b.nabla2_ricci
+        spec = build_ppwave(poly("x1^4"), d=2)
+        for name, needs, order in (("nabla2_ricci", 4, 2),
+                                   ("recurrence", 3, 2),
+                                   ("nabla_alpha", 4, 3), ("d_alpha", 4, 3)):
+            b = bundle_for(spec, order=order)
+            with pytest.raises(OrderBudgetError, match=f"{name} needs jet "
+                               f"order {needs}, run has K={order}"):
+                getattr(b, name)
 
     def test_stage_is_computed_once_and_read_from_the_class(self):
         b = bundle_for(build_ppwave(poly("x1^4"), d=2), order=2)
@@ -715,13 +719,14 @@ def test_every_stage_leaves_values_in_normal_form(make_spec, pt, mode,
     walking the class.  Each is read on the bundle and on the K = 2
     rescaled bundle of conformal_invariance, to its order: the jet stages,
     and the metric's g and g^{-1}, are jet Tensors in block normal form
-    whose orbits share lists (`_assert_normal_block`), and every other
-    stage is Values in normal form, with no written zero, a jet's zero
-    (int 0, or 0.0), exact numerators and den in lowest terms, and nothing
-    for `normal` to change."""
+    whose orbits share lists (`_assert_normal_block`), `recurrence` is
+    alpha in `Values.of` form and its residual (`_assert_values_of_form`),
+    and every other stage is Values in normal form, with no written zero, a
+    jet's zero (int 0, or 0.0), exact numerators and den in lowest terms,
+    and nothing for `normal` to change."""
     stages = {name: s for name, s in vars(CurvatureBundle).items()
               if isinstance(s, stage)}
-    assert set(JET_STAGES) < set(stages)
+    assert set(JET_STAGES) | {"recurrence"} < set(stages)
     assert [name for name in vars(CurvatureBundle)
             if not name.startswith("_") and name not in stages] == []
     for b in _bundles(make_ctx(make_spec(), pt, mode=mode), monkeypatch):
@@ -736,6 +741,9 @@ def test_every_stage_leaves_values_in_normal_form(make_spec, pt, mode,
                     assert isinstance(t, Tensor), name
                     _assert_normal_block(t, 2 if t.rank == 3 else 4, name)
                 continue
+            if name == "recurrence":
+                _assert_values_of_form(*v)
+                continue
             assert isinstance(v, Values), name
             assert all(v.num.values()), name
             assert type(v.zero) is (int if mode == EXACT else float), name
@@ -743,6 +751,18 @@ def test_every_stage_leaves_values_in_normal_form(make_spec, pt, mode,
             assert (math.gcd(v.den, *v.num.values()) if v.exact
                     else v.den) == 1, name
             assert v.normal() is v, name
+
+
+def _assert_values_of_form(alpha, residual):
+    """alpha as `Values.of` leaves it: all written entries nonzero, a
+    Fraction(0) or 0.0 zero, and exact ones in lowest terms; the residual a
+    number."""
+    assert isinstance(alpha, Values) and all(alpha.num.values())
+    assert type(alpha.zero) is (F if alpha.exact else float)
+    assert alpha.zero == 0
+    assert (math.gcd(alpha.den, *alpha.num.values()) if alpha.exact
+            else alpha.den) == 1
+    assert isinstance(residual, (F, float))
 
 
 def _at_jets(p, xs, one):

@@ -8,9 +8,12 @@ come from the same formulas evaluated on second-order dual numbers (a
 value with its gradient and Hessian, under the sum and product rules), and
 the first and second covariant derivatives from the textbook Christoffel
 corrections.  The second covariant derivative of the Weyl tensor is the
-Weyl formula applied to those of Riemann, Ricci and R.  None of it goes
-through jets, `linalg` or `_weyl_part`, and each must equal the bundle's
-point values exactly.
+Weyl formula applied to those of Riemann, Ricci and R.  The Weyl
+recurrence covector alpha_i = N_i / D, with N_i = <nabla_i C, C> and
+D = <C, C>, follows from C's Duals and the first derivatives of nabla C,
+its chart derivatives by the quotient rule, and nabla_j alpha_i =
+d_j alpha_i - Gamma^p_ji alpha_p.  None of it goes through jets, `linalg`
+or `_weyl_part`, and each must equal the bundle's point values exactly.
 """
 import functools
 import itertools
@@ -204,7 +207,8 @@ def textbook_curvature(spec, point):
     """Gamma, Riemann, Ricci, R and Weyl at the point and the first and
     second covariant derivatives of the last four (of R, the first), as
     {name: {index: Fraction}}, the derivative slots first, the outer one
-    leading."""
+    leading; and alpha, d alpha and nabla alpha of the Weyl recurrence
+    covector, as {stage name: {index: Fraction}}."""
     n, d = spec.n, metric_derivatives(spec, point)
     r = range(n)
     inv = sympy.Matrix(n, n, lambda i, j: _rational(d(i, j))).inv()
@@ -242,15 +246,20 @@ def textbook_curvature(spec, point):
                 out[(f,) + idx] = acc
         return out
 
-    def nabla2(t, nt, e, f, *idx):
-        """nabla_e nabla_f t_idx: d_e of nabla_f t_idx (the product rule on
-        each Christoffel term), less the corrections of the slots (f,) +
-        idx of nt = nabla(t)."""
+    def d_nabla(t, e, f, *idx):
+        """d_e of nabla_f t_idx, by the product rule on each Christoffel
+        term."""
         acc = t[idx].h[hess[min(e, f), max(e, f)]]
         for s, i in enumerate(idx):
             for p, gm, dgm in conn[f, i]:
                 y = t[idx[:s] + (p,) + idx[s + 1:]]
                 acc -= dgm[e] * y.v + gm * y.d[e]
+        return acc
+
+    def nabla2(t, nt, e, f, *idx):
+        """nabla_e nabla_f t_idx: `d_nabla`, less the corrections of the
+        slots (f,) + idx of nt = nabla(t)."""
+        acc = d_nabla(t, e, f, *idx)
         fidx = (f,) + idx
         for s, i in enumerate(fidx):
             for p, gm, _ in conn[e, i]:
@@ -273,16 +282,38 @@ def textbook_curvature(spec, point):
     out["nabla2_weyl"] = weyl_formula(
         n, [[x.v for x in row] for row in g], out["nabla2_riemann"],
         out["nabla2_ricci"], nabla2_scal, lead=2)
-    return out
+    # alpha_i = N_i / D, so D^2 d_j alpha_i = D d_j N_i - N_i d_j D
+    nw, cs = out["nabla_weyl"], [(k, x) for k, x in weyl.items() if x]
+    den = sum(x.v * x.v for _, x in cs)
+    num = [sum(nw[(i,) + k] * x.v for k, x in cs) for i in r]
+    d_den = [2 * sum(x.v * x.d[j] for _, x in cs) for j in r]
+    d_num = {(j, i): sum((d_nabla(weyl, j, i, *k) * x.v if x.v else 0)
+                         + nw[(i,) + k] * x.d[j] for k, x in cs)
+             for j in r for i in r}
+    alpha = [x / den for x in num]
+    d_alpha = {(j, i): (den * d_num[j, i] - num[i] * d_den[j]) / den ** 2
+               for j in r for i in r}
+    return out, {"recurrence": {(i,): alpha[i] for i in r},
+                 "d_alpha": d_alpha,
+                 "nabla_alpha": {(j, i): d_alpha[j, i] - sum(
+                     gamma[p, j, i].v * alpha[p] for p in r)
+                     for j in r for i in r}}
+
+
+@functools.cache
+def textbook(name):
+    """The exact K = 4 bundle at the first sample point of config `name`,
+    and `textbook_curvature` there."""
+    spec, config = parse_metric_config(json.dumps(
+        {**CONFIGS[name], "mode": "exact", "jet_order": 4}))
+    point = sample_points(spec, config.points)[0]
+    return (CurvatureBundle(metric_at_point(spec, point, 4)),
+            *textbook_curvature(spec, point))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_bundle_equals_textbook_curvature(name):
-    spec, config = parse_metric_config(json.dumps(
-        {**CONFIGS[name], "mode": "exact", "jet_order": 4}))
-    point = sample_points(spec, config.points)[0]
-    b = CurvatureBundle(metric_at_point(spec, point, 4))
-    want = textbook_curvature(spec, point)
+    b, want, _ = textbook(name)
     for attr in ("weyl", "nabla_weyl", "nabla2_weyl"):
         assert any(want[attr].values()), \
             f"the oracle should see a nonzero {attr}"
@@ -290,3 +321,15 @@ def test_bundle_equals_textbook_curvature(name):
         got = getattr(b, attr)
         for idx, x in values.items():
             assert got[idx] == x, (attr, idx)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_alpha_equals_textbook_quotient_rule(name):
+    b, _, want = textbook(name)
+    assert any(want["nabla_alpha"].values()), \
+        "the oracle should see a nonzero nabla alpha"
+    got = {"recurrence": b.recurrence[0], "d_alpha": b.d_alpha,
+           "nabla_alpha": b.nabla_alpha}
+    for attr, values in want.items():
+        for idx, x in values.items():
+            assert got[attr][idx] == x, (attr, idx)
