@@ -195,29 +195,19 @@ def check_weyl_trace(ctx: PointContext) -> CheckResult:
 
 @check(3)
 def check_weyl_cyclic_identity(ctx: PointContext) -> CheckResult:
-    """General cyclic Weyl-derivative identity with the 1/(n-3) divergence side."""
+    """The cyclic identity of nabla C with its divergence side, covariant:
+    sum_cyc(i,j,k) nabla_i C_jklm
+        = 1/(n-3) sum_cyc(i,j,k) (g_im D_jkl + g_kl D_jim),
+    D_jkl = nabla^m C_jklm."""
     b = ctx.bundle
-    n = b.dim
-    ncm = b.nabla_weyl_mixed                   # (i, j, k, l, m^)
-    lhs = cyclic_sum(ncm, (0, 1, 2))
-    div1 = b.div_weyl                          # nabla_p C_{jkl}^p, slots (j,k,l)
-    div2 = raise_lower(div1, 2, b.g_inv)   # nabla_p C_{jk}^{mp}
-    g = b.g
-    one = Fraction(1) if ctx.exact else 1.0
-    kron = Values.of(n, "lu", [one if i == j else ctx.zero()
-                               for i in range(n) for j in range(n)])
-    # rhs in slots (i, j, k, l, m^): each term an outer product permuted there
-    rhs = None
-    for a, c, perm in ((kron, div1, (3, 0, 2, 4, 1)),   # delta^m_j div1_kil
-                       (kron, div1, (2, 3, 0, 4, 1)),   # delta^m_k div1_ijl
-                       (kron, div1, (0, 2, 3, 4, 1)),   # delta^m_i div1_jkl
-                       (g, div2, (3, 2, 0, 1, 4)),      # g_kl div2_ji^m
-                       (g, div2, (0, 3, 2, 1, 4)),      # g_il div2_kj^m
-                       (g, div2, (2, 0, 3, 1, 4))):     # g_jl div2_ik^m
-        t = a.outer(c).permute(perm)
-        rhs = t if rhs is None else rhs + t
-    inv = Fraction(1, n - 3) if ctx.exact else 1.0 / (n - 3)
-    res = relative_residual(sup_norm(lhs - rhs.scale(inv)), sup_norm(ncm))
+    # D scaled before `outer`, so that it has no int zero to fill:
+    # slots (a, b, p, q, r) = g_ab D_pqr / (n-3)
+    gd = b.g.outer(b.div_weyl.scale(_ratio(1, b.dim - 3, ctx.exact)))
+    # in slots (i, j, k, l, m): g_im D_jkl + g_kl D_jim
+    rhs = cyclic_sum(gd.permute((0, 2, 3, 4, 1)) + gd.permute((3, 2, 0, 1, 4)),
+                     (0, 1, 2))
+    lhs = cyclic_sum(b.nabla_weyl, (0, 1, 2))
+    res = relative_residual(sup_norm(lhs - rhs), sup_norm(b.nabla_weyl))
     return _finish("weyl_cyclic_identity", ctx, {"identity": res})
 
 

@@ -53,7 +53,7 @@ from functools import cache
 from . import linalg
 from .jets import (EXACT, Jet, OrderBudgetError, _tables, as_mode,
                    derivative_numerators, jet_from_polynomial, jet_recip, mac)
-from .tensors import (COV, CON, Tensor, Values, contract, dot,
+from .tensors import (COV, CON, Tensor, Values, _pow2, contract, dot,
                       extract_recurrence, raise_lower, sup_norm, tensordot)
 
 
@@ -469,9 +469,10 @@ class CurvatureBundle:
     Every attribute is a `stage`.  Those a check reads are point values
     (Values, see tensors): the metric's `g` and `g_inv`, `gamma` (Gamma^i_jk),
     `riemann`, `ricci`, `nabla_ricci` and `nabla2_ricci` (`_ricci`), the
-    Weyl forms (`_weyl_part`, and `weyl_mixed`, `nabla_weyl_mixed` with the
-    last slot raised), `scalar`, `nabla_scalar`, `nabla_riemann`,
-    `nabla2_riemann`, the divergences and Laplacians, and the Weyl
+    Weyl forms, fully covariant (`_weyl_part`), and `weyl_mixed`, C with
+    its last slot raised, `scalar`, `nabla_scalar`, `nabla_riemann`,
+    `nabla2_riemann`, the divergences (g^{-1} traces of the covariant
+    nabla C and nabla nabla C) and Laplacians, and the Weyl
     recurrence covector alpha of nabla C = alpha (x) C: `recurrence`, the
     tuple (alpha, residual), and alpha's derivatives `d_alpha` and
     `nabla_alpha`.  The jet stages they are taken from are Tensors of
@@ -496,10 +497,6 @@ class CurvatureBundle:
     def g_inv(self) -> Values:
         """The inverse metric g^ij."""
         return self.metric.g_inv.values()
-
-    def _raised(self, t: Values) -> Values:
-        """t with the last slot raised."""
-        return raise_lower(t, t.rank - 1, self.g_inv)
 
     # -- connection and curvature -----------------------------------------
 
@@ -648,7 +645,7 @@ class CurvatureBundle:
     @stage(2)
     def weyl_mixed(self) -> Values:
         """C_{jkl}^m, the last slot of `weyl` raised; conformally invariant."""
-        return self._raised(self.weyl)
+        return raise_lower(self.weyl, 3, self.g_inv)
 
     # -- first covariant derivatives ----------------------------------------
 
@@ -677,14 +674,9 @@ class CurvatureBundle:
                                self.nabla_scalar)
 
     @stage(3)
-    def nabla_weyl_mixed(self) -> Values:
-        """nabla_i C_{jkl}^m, the last slot of `nabla_weyl` raised."""
-        return self._raised(self.nabla_weyl)
-
-    @stage(3)
     def div_weyl(self) -> Values:
-        """nabla_m C_{jkl}^m, slots (j,k,l)."""
-        return contract(self.nabla_weyl_mixed, 0, 4)
+        """nabla^m C_{jklm} = g^{pm} nabla_p C_{jklm}, slots (j,k,l)."""
+        return contract(self.nabla_weyl, 0, 4, self.g_inv)
 
     # -- second covariant derivatives and Laplacians --------------------------
 
@@ -754,12 +746,13 @@ class CurvatureBundle:
         C and its derivatives have Riemann's symmetries in their last four
         slots, so F and M are four times their slot-0 sums, and the sums
         over K run over one K per orbit (`_per_orbit`).  Float mode first
-        divides C and its derivatives by sup|C|, which keeps alpha's
-        derivatives and brings the sums, of degree 4 in C, into range.
+        divides C and its derivatives by a power of two near sup|C|, an
+        exact scaling that keeps alpha's derivatives and brings the sums,
+        of degree 4 in C, into range.
         """
         c, nc, nnc = self.weyl, self.nabla_weyl, _per_orbit(self.nabla2_weyl)
         if self.mode != EXACT:
-            s = 1 / sup_norm(c)
+            s = _pow2(sup_norm(c))
             c, nc, nnc = c.scale(s), nc.scale(s), nnc.scale(s)
         d, nc_k = dot(_per_orbit(c), c), _per_orbit(nc)
         num = tensordot(nc_k, c, 4)                     # N_i

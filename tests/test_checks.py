@@ -581,6 +581,29 @@ class TestUniversalIdentities:
         r = CHECKS[name](perturbed_ctx)
         assert r.status == "pass" and r.residual == 0
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("name, names", [
+        ("div_weyl", ("weyl_cyclic_identity", "weyl_divergence_formula")),
+        ("nabla_weyl", ("weyl_cyclic_identity",))],
+        ids=["div_weyl", "nabla_weyl"])
+    def test_fail_on_a_corrupted_stage(self, perturbed_spec, name, names,
+                                       mode):
+        """A stage swapped into the bundle's cache with one written
+        numerator doubled makes each identity that reads it fail; div_weyl
+        is read first, so that it is not taken from a corrupted nabla C."""
+        ctx = make_ctx(perturbed_spec, (F(1, 3), F(-1, 5), F(2, 7), F(1, 11)),
+                       mode=mode)
+        b = ctx.bundle
+        assert sup_norm(b.div_weyl)
+        t = getattr(b, name)
+        off = min(t.num)
+        b.__dict__[name] = Values(t.dim, t.variance,
+                                  {**t.num, off: 2 * t.num[off]}, t.den,
+                                  t.zero)
+        for check in names:
+            r = CHECKS[check](ctx)
+            assert r.status == "fail" and r.residual > 0, (check, r.residual)
+
 
 def _dense_schimming_d(riem, x, ctx):
     """Reference: the tuple-indexed dense least squares over all n^4 entries,

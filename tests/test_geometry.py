@@ -176,12 +176,12 @@ class TestWeyl:
 
 class TestDerivedWeylDerivatives:
     """C, nabla C and nabla nabla C come from the values of nabla^L of
-    Riemann, Ricci and R, their (1,3) forms by raising, and the double
-    divergence by contracting nabla nabla C with g_inv twice; the textbook
-    Weyl jets differentiated directly are the reference."""
+    Riemann, Ricci and R, C's (1,3) form by raising, and the divergences by
+    contracting nabla C with g_inv once and nabla nabla C twice; the
+    textbook Weyl jets differentiated directly are the reference."""
 
-    ATTRS = ("nabla_weyl", "nabla_weyl_mixed", "nabla2_weyl",
-             "double_div_weyl", "lap_weyl")
+    ATTRS = ("nabla_weyl", "div_weyl", "nabla2_weyl", "double_div_weyl",
+             "lap_weyl")
 
     @staticmethod
     def direct(b):
@@ -189,9 +189,9 @@ class TestDerivedWeylDerivatives:
         differentiated directly, and its (1,3) form raised on jets, then
         differentiated; the bundle's Weyl forms are point values, so they
         are compared with these references' values.
-        The double divergence is the mixed trace of the raised form's second
-        derivative: its outer derivative slot raised onto j, its inner one
-        traced with m."""
+        The divergence is the mixed trace of the raised form's derivative,
+        and the double divergence that of its second derivative: its outer
+        derivative slot raised onto j, its inner one traced with m."""
         weyl = textbook_weyl_jets(b)
         weyl_mixed = naive_raise_lower(
             weyl, 3, truncated(b.metric.g_inv, weyl.order))
@@ -201,7 +201,8 @@ class TestDerivedWeylDerivatives:
         nnwm = dense_covariant_derivative(nwm, gamma, "oracle").values()
         div = contract(contract(nnwm, 0, 2, b.g_inv), 0, 3).normal()
         return {"weyl": weyl.values(), "weyl_mixed": weyl_mixed.values(),
-                "nabla_weyl": nw.values(), "nabla_weyl_mixed": nwm.values(),
+                "nabla_weyl": nw.values(),
+                "div_weyl": contract(nwm.values(), 0, 4).normal(),
                 "nabla2_weyl": dense_covariant_derivative(
                     nw, gamma, "oracle").values(),
                 "double_div_weyl": div}
