@@ -547,7 +547,7 @@ def check_roter_bundle(ctx: PointContext) -> CheckResult:
     alpha = b.recurrence[0].normal()
     residuals = {"recurrence": b.recurrence[1]}
     residuals["alpha_closed"] = relative_residual(
-        _antisymmetric_norm(b.d_alpha), sup_norm(alpha),
+        _antisymmetric_norm(b.nabla_alpha), sup_norm(alpha),
         Fraction(1) if ctx.exact else 1.0)
     nr = b.nabla_ricci      # Codazzi: nabla_k R_jl = nabla_j R_kl
     residuals["codazzi"] = relative_residual(_antisymmetric_norm(nr),

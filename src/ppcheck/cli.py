@@ -1,14 +1,12 @@
 """Command-line front end: batch runs, theorem bundles, family discovery."""
 from __future__ import annotations
 
-import math
 import sys
 
 from .checks import CHECKS, ERROR, ORDER_BUDGET, CheckResult, PointContext
 from .geometry import CurvatureBundle, DegeneratePointError, metric_at_point
-from .metrics import (FAMILY_SCHEMAS, MAX_JET_SIZE, ConfigError, MetricSpec,
-                      RunConfig, parse_metric_config, perturb_point,
-                      sample_points)
+from .metrics import (FAMILY_SCHEMAS, ConfigError, MetricSpec, RunConfig,
+                      parse_metric_config, perturb_point, sample_points)
 from .report import (ENGINE_VERSION, Report, all_clear, build_report,
                      emit_report, encode_value)
 
@@ -20,15 +18,9 @@ class RunError(RuntimeError):
 MAX_RESAMPLES = 5
 
 
-def _requested_checks(spec: MetricSpec, config: RunConfig):
+def _requested_checks(config: RunConfig):
     """The requested check names; ConfigError, before any jet is built, for
-    jets of more than MAX_JET_SIZE coefficients, for an unknown name, or for
-    an order budget above the run's `jet_order`."""
-    size = math.comb(spec.n + config.jet_order, config.jet_order)
-    if size > MAX_JET_SIZE:
-        raise ConfigError(f"n = {spec.n} with 'jet_order' {config.jet_order} "
-                          f"gives jets of {size} coefficients; at most "
-                          f"{MAX_JET_SIZE} are supported")
+    an unknown name or for an order budget above the run's `jet_order`."""
     names = list(config.checks) if config.checks else list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -91,9 +83,8 @@ def _evaluate(spec, point, bundle, config, names):
 
 def run(spec: MetricSpec, config: RunConfig, threads: int = 1) -> Report:
     """Evaluate all requested checks at every sampled point, one point at a
-    time, after checking the jet size, which needs both records.  `threads`
-    is accepted and ignored (bench/worker.py passes it)."""
-    names = _requested_checks(spec, config)
+    time.  `threads` is accepted and ignored (bench/worker.py passes it)."""
+    names = _requested_checks(config)
     notes: list = []
     indexed = []
     for idx, pt in enumerate(sample_points(spec, config.points)):

@@ -474,13 +474,12 @@ class CurvatureBundle:
     `nabla2_riemann`, the divergences (g^{-1} traces of the covariant
     nabla C and nabla nabla C) and Laplacians, and the Weyl
     recurrence covector alpha of nabla C = alpha (x) C: `recurrence`, the
-    tuple (alpha, residual), and alpha's derivatives `d_alpha` and
-    `nabla_alpha`.  The jet stages they are taken from are Tensors of
-    jets, to the orders the module docstring gives: `christoffels` (both
-    kinds), `riemann_jets` and `nabla_riemann_jets`.  Each stage states the
-    least order K of g's jets (`metric.order`) it needs: 1 for the
-    Christoffel symbols, 2 for curvature, and one more for each covariant
-    derivative in it.
+    tuple (alpha, residual), and its covariant derivative `nabla_alpha`.
+    The jet stages they are taken from are Tensors of jets, to the orders
+    the module docstring gives: `christoffels` (both kinds), `riemann_jets`
+    and `nabla_riemann_jets`.  Each stage states the least order K of g's
+    jets (`metric.order`) it needs: 1 for the Christoffel symbols, 2 for
+    curvature, and one more for each covariant derivative in it.
     """
 
     def __init__(self, metric: MetricAtPoint):
@@ -764,9 +763,3 @@ class CurvatureBundle:
         top = (tensordot(nnc, c, 4) + tensordot(g, m + m.permute((1, 0, 2)), 2)
                + tensordot(nc_k, nc.permute((1, 2, 3, 4, 0)), 4))
         return (top.scale(d) - half_dd.outer(num).scale(2)).scale(1 / d ** 2)
-
-    @stage(4)
-    def d_alpha(self) -> Values:
-        """d_j alpha_i = nabla_j alpha_i + Gamma^p_{ji} alpha_p, slots (j, i)."""
-        return self.nabla_alpha + tensordot(self.recurrence[0].normal(),
-                                            self.gamma, 1)

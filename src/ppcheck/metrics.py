@@ -309,14 +309,10 @@ def build_perturbed_minkowski(seed: int, n: int = 4, max_degree: int = 2) -> Met
 
 DEFAULT_U_VALUES = ("1/2", "1", "3/2", "2", "5/2")
 # Input-size bounds, refused before any work: a rank-6 tensor has n^6
-# entries, and a jet of order K in n variables has C(n + K, K) coefficients.
-# The jet size bound C(12, 6) admits n = 8 at K = 4, n = 7 at K = 5 and
-# n = 6 at K = 6, and refuses n = 8 at K = 5.  It bounds the configured
-# `jet_order` only: a run builds its jets to the largest budget among its
-# checks, at most 4, so a K above 4 costs what 4 costs.
+# entries.  A run builds its jets to at most order 4, so a jet has at most
+# C(12, 4) = 495 coefficients.
 MAX_DIMENSION = 8
 MAX_JET_ORDER = 6
-MAX_JET_SIZE = 924
 # field_equations checks [a0 + a1 nabla^2] Ricci: two coefficients at most
 MAX_FIELD_COEFFS = 2
 _TRANSVERSE = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), Fraction(-1, 11),
@@ -405,8 +401,7 @@ class _RunFields(NamedTuple):
 
 
 class RunConfig(_RunFields):
-    """How a run evaluates its checks, validated as PointPlan is.  The jet
-    size, which needs the metric's n too, is checked by `cli.run`."""
+    """How a run evaluates its checks, validated as PointPlan is."""
     __slots__ = ()
 
     def __new__(cls, mode, jet_order=4, points=PointPlan(), tolerance=1e-9,
@@ -504,7 +499,7 @@ def _polynomial_rows(value, name: str) -> list:
 
 def parse_metric_config(text: str):
     """Parse a JSON configuration document into (MetricSpec, RunConfig); the
-    records check their own fields' bounds, and `cli.run` the jet size."""
+    records check their own fields' bounds."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:

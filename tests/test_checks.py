@@ -426,8 +426,8 @@ def reference_alpha(b):
 
 
 def alpha_stages(b):
-    """(alpha, d_j alpha_i, nabla_j alpha_i) as the checks read them."""
-    return b.recurrence[0].normal(), b.d_alpha, b.nabla_alpha
+    """(alpha, nabla_j alpha_i) as the checks read them."""
+    return b.recurrence[0].normal(), b.nabla_alpha
 
 
 def _closedness(t):
@@ -439,19 +439,19 @@ ALPHA_CTXS = ("flagship_ctx", "perturbed_ctx", "quartic_ctx")
 
 
 class TestAlphaDerivatives:
-    """The recurrence covector and its derivatives from the point values of
-    C, nabla C, nabla nabla C and Gamma, against jets differentiated
-    directly."""
+    """The recurrence covector and its covariant derivative from the point
+    values of C, nabla C, nabla nabla C and Gamma, against jets
+    differentiated directly; alpha's chart derivative on those jets is the
+    oracle for the closedness that roter_bundle reads off nabla alpha."""
 
     @pytest.mark.parametrize("ctx_name", ALPHA_CTXS)
     def test_exact_equals_jet_reference(self, ctx_name, request):
         ctx = request.getfixturevalue(ctx_name)
-        want = reference_alpha(ctx.bundle)
+        alpha, d_alpha, nabla_alpha = reference_alpha(ctx.bundle)
         got = alpha_stages(ctx.bundle)
-        assert got == want
+        assert got == (alpha, nabla_alpha)
         assert [type(e) for e in got[0].entries] == \
-            [type(e) for e in want[0].entries]
-        alpha, d_alpha, nabla_alpha = want
+            [type(e) for e in alpha.entries]
         closed = _closedness(d_alpha)
         assert closed == _closedness(nabla_alpha)
         r = CHECKS["roter_bundle"](ctx)
@@ -469,13 +469,12 @@ class TestAlphaDerivatives:
     def test_float_within_rounding(self, ctx_name, request):
         exact = request.getfixturevalue(ctx_name)
         ctx = make_ctx(exact.spec, exact.point, FLOAT)
-        want = reference_alpha(ctx.bundle)
+        alpha, d_alpha, nabla_alpha = reference_alpha(ctx.bundle)
         got = alpha_stages(ctx.bundle)
-        for g, w in zip(got, want):
+        for g, w in zip(got, (alpha, nabla_alpha)):
             scale = max(map(abs, w.entries))
             gap = max(abs(x - y) for x, y in zip(g.entries, w.entries))
             assert scale > 0 and gap <= 1e-9 * scale, (gap, scale)
-        alpha, d_alpha, _ = want
         r = CHECKS["roter_bundle"](ctx)
         gap = abs(r.residuals["alpha_closed"] - relative_residual(
             _closedness(d_alpha), sup_norm(alpha), 1.0))
@@ -493,12 +492,11 @@ class TestAlphaDerivatives:
         ctx = PointContext(spec=exact.spec, point=exact.point, mode=FLOAT,
                            bundle=big)
         assert 1e98 < sup_norm(big.weyl) < 1e103
-        want = reference_alpha(big)
-        for g, w in zip(alpha_stages(big), want):
+        alpha, d_alpha, nabla_alpha = reference_alpha(big)
+        for g, w in zip(alpha_stages(big), (alpha, nabla_alpha)):
             scale = max(map(abs, w.entries))
             gap = max(abs(x - y) for x, y in zip(g.entries, w.entries))
             assert scale > 0 and gap <= 1e-9 * scale, (gap, scale)
-        alpha, d_alpha, nabla_alpha = want
         r = CHECKS["roter_bundle"](ctx)
         gap = abs(r.residuals["alpha_closed"] - relative_residual(
             _closedness(d_alpha), sup_norm(alpha), 1.0))
@@ -603,6 +601,28 @@ class TestUniversalIdentities:
         for check in names:
             r = CHECKS[check](ctx)
             assert r.status == "fail" and r.residual > 0, (check, r.residual)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_closedness_fails_on_a_corrupted_nabla_alpha(self, flagship_spec,
+                                                         mode):
+        """nabla alpha swapped into the bundle's cache with entry (0, 1)
+        raised by 1 is no longer symmetric: both closedness residuals are 1
+        and both checks fail."""
+        ctx = make_ctx(flagship_spec, (F(1), F(1, 3), F(-1, 5), F(2, 7),
+                                       F(1, 2)), mode=mode)
+        b = ctx.bundle
+        assert CHECKS["roter_bundle"](ctx).status == "pass"
+        assert CHECKS["alpha_recurrent"](ctx).status == "pass"
+        na = b.nabla_alpha
+        assert list(na.num) == [0]
+        b.__dict__["nabla_alpha"] = Values(na.dim, na.variance,
+                                           {**na.num, 1: na.den}, na.den,
+                                           na.zero)
+        for check, key in (("roter_bundle", "alpha_closed"),
+                           ("alpha_recurrent", "closed")):
+            r = CHECKS[check](ctx)
+            assert r.status == "fail" and r.residuals[key] == 1, (
+                check, r.residuals)
 
 
 def _dense_schimming_d(riem, x, ctx):

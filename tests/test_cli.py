@@ -24,8 +24,8 @@ from ppcheck.checks import ORDER_BUDGET, CheckResult, PointContext
 from ppcheck.geometry import CurvatureBundle
 from ppcheck import cli
 from ppcheck.cli import (RunError, list_families, main, run, theorem_suite)
-from ppcheck.metrics import (DEFAULT_U_VALUES, FAMILY_SCHEMAS, ConfigError,
-                             FamilyError, MetricSpec, PointPlan)
+from ppcheck.metrics import (DEFAULT_U_VALUES, FAMILY_SCHEMAS, MAX_DIMENSION,
+                             ConfigError, FamilyError, MetricSpec, PointPlan)
 from ppcheck.polynomials import Polynomial
 from ppcheck.report import Report, encode_value
 from ppcheck.tensors import Values
@@ -97,18 +97,29 @@ class TestRun:
             run(spec, config)
 
     @pytest.mark.parametrize("call", [
-        run, lambda spec, config: theorem_suite("thm_3_8", spec, config)],
+        lambda spec, config: run(
+            spec, config._replace(checks=("weyl_trace", "schimming"))),
+        lambda spec, config: theorem_suite("prop_2_10", spec, config)],
         ids=["run", "theorem_suite"])
-    def test_jet_size_refused_before_any_jet(self, call, monkeypatch):
-        # n = 8 at jet order 5: C(13, 5) = 1287 coefficients per jet
-        def unreachable(*args):
-            raise AssertionError("built a metric past the jet size bound")
-        monkeypatch.setattr(cli, "metric_at_point", unreachable)
+    def test_order_past_the_budget_builds_the_budget(self, call, monkeypatch):
+        """n = 8 at jet order 5 builds the jets of the checks' budget, 2,
+        and reports what jet order 4 does, but for header.jet_order."""
+        build, orders = cli.metric_at_point, []
+
+        def spy(spec, point, order, mode):
+            orders.append(order)
+            return build(spec, point, order, mode)
+
+        monkeypatch.setattr(cli, "metric_at_point", spy)
         spec = build_perturbed_minkowski(seed=0, n=8)
-        config = RunConfig("float", jet_order=5, points=PointPlan(count=1))
-        with pytest.raises(ConfigError, match=r"n = 8 with 'jet_order' 5 "
-                                              "gives jets of 1287 coeff"):
-            call(spec, config)
+        reports = []
+        for k in (5, 4):
+            config = RunConfig("float", jet_order=k, points=PointPlan(count=1))
+            rep = json.loads(report_to_json(call(spec, config)))
+            assert rep["header"].pop("jet_order") == k
+            reports.append(rep)
+        assert orders and set(orders) == {2}
+        assert reports[0] == reports[1]
 
     def test_unknown_check_rejected(self):
         bad = FLAGSHIP.replace('"olszak"', '"olszak2"')
@@ -819,8 +830,6 @@ OVERSIZED = {
                                         "coords": _NINE}},
         "'params.components'"),
     "jet_order": ({**_FLAGSHIP_DOC, "jet_order": 7}, "'jet_order'"),
-    "jet_size": ({"family": "perturbed_minkowski", "n": 8, "jet_order": 5},
-                 "1287 coefficients"),
     "polynomial_terms": (
         {"family": "custom", "params": {"components": {
             "0,0": "(x0+x1+x2+x3+x4+x5+x6+x7)^12", "7,7": "1"}}},
@@ -844,6 +853,7 @@ AT_BOUND = {
     "components_key": {"family": "custom",
                        "params": {"components": {"7,7": "1"}}},
     "jet_order": {**_FLAGSHIP_DOC, "jet_order": 6},
+    "jet_size": {"family": "perturbed_minkowski", "n": 8, "jet_order": 5},
     "jet_size_n6": {"family": "perturbed_minkowski", "n": 6, "jet_order": 6},
     "jet_size_n7": {"family": "perturbed_minkowski", "n": 7, "jet_order": 5},
     # term pairs 10 * 10, then exactly 100 * 10
@@ -936,6 +946,14 @@ class TestInputValidation:
     @pytest.mark.parametrize("case", sorted(AT_BOUND))
     def test_input_at_bound_accepted(self, case):
         parse_metric_config(json.dumps(AT_BOUND[case]))
+
+    def test_built_jets_bounded_by_the_largest_budget(self):
+        """A run builds its jets to its checks' largest budget, whatever its
+        `jet_order`, so the dimension bound alone bounds a jet's size."""
+        assert max(ORDER_BUDGET.values()) == 4, (
+            "a check of budget 5 needs a bound on the jet size again, "
+            "applied at the order a run builds")
+        assert math.comb(MAX_DIMENSION + 4, 4) == 495
 
     def test_empty_u_values_exits_two(self, tmp_path, capsys):
         doc = {**_FLAGSHIP_DOC, "points": {"strategy": "grid",

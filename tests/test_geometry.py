@@ -343,7 +343,7 @@ class TestModesAndErrors:
         spec = build_ppwave(poly("x1^4"), d=2)
         for name, needs, order in (("nabla2_ricci", 4, 2),
                                    ("recurrence", 3, 2),
-                                   ("nabla_alpha", 4, 3), ("d_alpha", 4, 3)):
+                                   ("nabla_alpha", 4, 3)):
             b = bundle_for(spec, order=order)
             with pytest.raises(OrderBudgetError, match=f"{name} needs jet "
                                f"order {needs}, run has K={order}"):

@@ -207,8 +207,8 @@ def textbook_curvature(spec, point):
     """Gamma, Riemann, Ricci, R and Weyl at the point and the first and
     second covariant derivatives of the last four (of R, the first), as
     {name: {index: Fraction}}, the derivative slots first, the outer one
-    leading; and alpha, d alpha and nabla alpha of the Weyl recurrence
-    covector, as {stage name: {index: Fraction}}."""
+    leading; and alpha and nabla alpha of the Weyl recurrence covector, as
+    {stage name: {index: Fraction}}."""
     n, d = spec.n, metric_derivatives(spec, point)
     r = range(n)
     inv = sympy.Matrix(n, n, lambda i, j: _rational(d(i, j))).inv()
@@ -294,7 +294,6 @@ def textbook_curvature(spec, point):
     d_alpha = {(j, i): (den * d_num[j, i] - num[i] * d_den[j]) / den ** 2
                for j in r for i in r}
     return out, {"recurrence": {(i,): alpha[i] for i in r},
-                 "d_alpha": d_alpha,
                  "nabla_alpha": {(j, i): d_alpha[j, i] - sum(
                      gamma[p, j, i].v * alpha[p] for p in r)
                      for j in r for i in r}}
@@ -328,8 +327,7 @@ def test_alpha_equals_textbook_quotient_rule(name):
     b, _, want = textbook(name)
     assert any(want["nabla_alpha"].values()), \
         "the oracle should see a nonzero nabla alpha"
-    got = {"recurrence": b.recurrence[0], "d_alpha": b.d_alpha,
-           "nabla_alpha": b.nabla_alpha}
+    got = {"recurrence": b.recurrence[0], "nabla_alpha": b.nabla_alpha}
     for attr, values in want.items():
         for idx, x in values.items():
             assert got[attr][idx] == x, (attr, idx)
