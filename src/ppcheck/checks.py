@@ -167,9 +167,9 @@ def nabla_chart_covector_u(ctx: PointContext) -> Values:
 
 @check(3)
 def check_bianchi(ctx: PointContext) -> CheckResult:
-    # Riemann and nabla Riemann are filled from their pair-symmetry orbits,
-    # so those symmetries hold by construction; the cyclic sums are what
-    # an orbit fill does not impose.
+    # Riemann and nabla Riemann are tagged, one entry per orbit of their
+    # pair symmetries, so those hold by construction; the cyclic sums, on
+    # the expanded images, are what no orbit relation imposes.
     b = ctx.bundle
     residuals = {}
     for key, name in (("first", "riemann"), ("second", "nabla_riemann")):
@@ -456,6 +456,8 @@ def check_schimming(ctx: PointContext) -> CheckResult:
         notes = f"{notes}; {failure}" if notes else failure
     # (a) cyclic condition
     residuals["cyclic"] = _cyclic_residual(x, riem)
+    # the rest reads every orbit image
+    riem = riem.expanded()
     # (b) R = B(D), and B(D) is R where each slot pair has one 0; R - B(D),
     # not R's other entries alone, keeps the NaN of a non-finite entry
     n, zero = riem.dim, ctx.zero()

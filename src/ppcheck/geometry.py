@@ -26,17 +26,21 @@ those jets and the orbits they reach, never the n^rank index space: a
 pp-wave's curvature lives in R_{uiuj} alone.
 
 Riemann and its covariant derivatives are computed once per orbit of
-Riemann's pair symmetries on their last four slots, and the rest of the
-orbit is filled with that entry or its negation (Martin-Garcia, xPerm,
-Comput. Phys. Commun. 179:597, 2008).  Each such entry, like each
-Christoffel symbol of the second kind, is one sum of jet products on
-integer numerators (`jets.mac`); a second covariant
+Riemann's pair symmetries on their last four slots (Martin-Garcia, xPerm,
+Comput. Phys. Commun. 179:597, 2008).  A jet block fills the rest of the
+orbit with that entry or its negation; point values keep the orbit
+representatives only, tagged (tensors.RIEMANN, packed symmetric storage
+as in Solomonik et al., J. Parallel Distrib. Comput. 74(12), 2014), and
+so do the Weyl forms and Laplacians taken from them.  Each such entry,
+like each Christoffel symbol of the second kind, is one sum of jet
+products on integer numerators (`jets.mac`); a second covariant
 derivative is the same gather at order 0, on numbers, into sparse Values.
 Each sums the same nonzero terms in the same order as a visit of every
 index would, so exact results are identical and float ones bit-identical.
 The pair symmetries hold by construction, as every entry of an orbit is
-written from its representative, so they are not checked at run time;
-the cyclic identity, which no orbit fill imposes, is what `bianchi` tests.
+written from, or read as, its representative, so they are not checked at
+run time; the cyclic identity, which no orbit relation imposes, is what
+`bianchi` tests, on the expanded images.
 
 Sign convention: R_jklm is R_jkl^m = d_k Gamma^m_jl - d_j Gamma^m_kl +
 Gamma^m_kq Gamma^q_jl - Gamma^m_jq Gamma^q_kl lowered by g, with the sign
@@ -45,16 +49,17 @@ d^2 H/dx_rho^2 on pp-wave potentials, as the convention-oracle test pins.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
 from . import linalg
 from .jets import (EXACT, Jet, OrderBudgetError, _tables, as_mode,
                    derivative_numerators, jet_from_polynomial, jet_recip, mac)
-from .tensors import (COV, CON, Tensor, Values, _pow2, contract, dot,
-                      extract_recurrence, raise_lower, sup_norm, tensordot)
+from .tensors import (COV, CON, RIEMANN, Tensor, Values, _images, _indices,
+                      _orbits, _pow2, contract, dot, extract_recurrence,
+                      raise_lower, sup_norm, tensordot)
 
 
 class DegeneratePointError(ValueError):
@@ -240,52 +245,6 @@ def christoffel(m: MetricAtPoint) -> tuple[Tensor, Tensor]:
                    mode).normal())
 
 
-# Riemann's symmetries on the last four slots of a tensor (antisymmetric in
-# each pair, symmetric under the pair swap), as (slot permutation, sign)
-# pairs: t[idx permuted] = sign * t[idx].
-_RIEMANN_GROUP = (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1),
-                  ((1, 0, 3, 2), 1), ((2, 3, 0, 1), 1), ((3, 2, 0, 1), -1),
-                  ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1))
-
-
-@cache
-def _orbits(n: int) -> tuple:
-    """Orbits of Riemann's symmetries on the n^4 offsets of a block of four
-    slots, as (rep, images): rep the smallest offset of the orbit, images
-    its (offset, sign) pairs, rep first with sign 1, so that t[image] =
-    sign * t[rep].  An offset the symmetries force to vanish (an entry equal
-    to its own negative) is in no orbit.
-    """
-    seen, orbits = set(), []
-    for rep, idx in enumerate(itertools.product(range(n), repeat=4)):
-        if rep in seen:
-            continue
-        signs = {}
-        for perm, sign in _RIEMANN_GROUP:
-            img = 0
-            for p in perm:
-                img = img * n + idx[p]
-            signs.setdefault(img, set()).add(sign)
-        seen.update(signs)
-        if all(len(s) == 1 for s in signs.values()):
-            orbits.append((rep, tuple((img, s.pop())
-                                      for img, s in signs.items())))
-    return tuple(orbits)
-
-
-def _per_orbit(t: Values) -> Values:
-    """t at one entry per Riemann orbit of its last four slots, times the
-    orbit's size: where t and u have Riemann's symmetries in those slots,
-    tensordot(_per_orbit(t), u, 4) is tensordot(t, u, 4).  Only t's
-    written entries are visited."""
-    sizes = {rep: len(images) for rep, images in _orbits(t.dim)}
-    block, num = t.dim ** 4, t.num
-    reps = sorted(o for o in num if o % block in sizes)
-    return Values(t.dim, t.variance,
-                  {o: x * sizes[o % block] for o in reps if (x := num[o])},
-                  t.den, t.zero)
-
-
 @cache
 def _orbit_index(n: int) -> list:
     """For each offset of a block of four slots, the number of its orbit in
@@ -295,6 +254,20 @@ def _orbit_index(n: int) -> list:
         for img, _ in images:
             index[img] = k
     return index
+
+
+@cache
+def _p_readers(n: int, tagged: bool) -> list:
+    """For each offset a*n + b of the Schouten tensor P, the offsets (j, k,
+    l, m) of a block of four slots whose Weyl decomposition reads P_ab, in
+    (k, l), (j, l), (j, m) or (k, m): orbit representatives only, if
+    tagged."""
+    readers, idx = [[] for _ in range(n * n)], _indices(n)
+    for o in sorted(_images(n)) if tagged else range(n ** 4):
+        j, k, l, m = idx[o]
+        for ab in {k * n + l, j * n + l, j * n + m, k * n + m}:
+            readers[ab].append(o)
+    return readers
 
 
 @cache
@@ -322,9 +295,10 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
     and a jet output is put in normal form once: d_i t[idx], minus
     Gamma^p_{iv} t[.. p ..] for each slot of value v, skipping zero symbols
     and inputs.  nabla keeps the symmetries, so only the representative of
-    each orbit (`_orbits`) is computed, and the others are filled with it
-    or its negation; the symmetries are not checked, so t must hold them
-    literally, as the orbit fills of Riemann and nabla Riemann do.  Only
+    each orbit (`_orbits`) is computed: a jet output fills the others with
+    it or its negation, and point values are tagged (tensors.RIEMANN),
+    with no image written.  The symmetries are not checked, so t must hold
+    them literally, as the orbit fills of Riemann and nabla Riemann do.  Only
     the orbits within one slot change of a nonzero orbit representative of
     t are visited, in the order of their leading slots and then of
     `_orbits`; no other entry can be nonzero.
@@ -340,18 +314,22 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
         raise OrderBudgetError(
             f"jet order exhausted: {context} would need order >= 1")
     orbits, rank, lists = _orbits(n), t.rank, t.num
-    if isinstance(gamma, Values):           # to point values, on numbers
+    values = isinstance(gamma, Values)
+    if values:                              # to point values, on numbers
         gam, dg = gamma.num, gamma.den
         src = {o: c[0] for o, c in lists.items() if c[0]}
         first = [_tables(n, 1).deriv[i][0][0] for i in range(n)]
 
-        def entry(c, pairs):    # d_i t at the point is its x_i coefficient
-            out = []
-            for j, ps in zip(first, pairs):
-                a = c[j] * dg if c else 0
-                for x, g in ps:
-                    a += x * g
-                out.append(a)
+        def gather(off):        # d_i t at the point is its x_i coefficient
+            c = lists.get(off)
+            out = [c[j] * dg for j in first] if c else [0] * n
+            for w, terms in slots:
+                v = off // w % n
+                rest = off - v * w
+                for i, step, g in terms[v]:
+                    x = src.get(rest + step)
+                    if x:
+                        out[i] += x * g
             return out
     else:                                   # the output order
         low = min(order - 1, gamma.order)
@@ -360,8 +338,16 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
         tab = _tables(n, low)
         blank = tab.zero[mode].c
 
-        def entry(c, pairs):    # None for a list that vanishes
-            out = []
+        def gather(off):        # None for a list that vanishes
+            pairs = [[] for _ in range(n)]      # (input, G) for entry (i; ..)
+            for w, terms in slots:
+                v = off // w % n
+                rest = off - v * w
+                for i, step, g in terms[v]:
+                    x = src.get(rest + step)
+                    if x:
+                        pairs[i].append((x, g))
+            c, out = lists.get(off), []
             for i, ps in enumerate(pairs):
                 a = mac(derivative_numerators(c, n, low, i, dg) if c else
                         blank.copy(), tab, ps) if c or ps else blank
@@ -402,20 +388,15 @@ def covariant_derivative(t: Tensor, gamma: Tensor | Values,
                           for k in ks):
         rep, images = orbits[k]
         off = base + rep
-        pairs = [[] for _ in range(n)]          # (input, G) for entry (i; ..)
-        for w, terms in slots:
-            v = off // w % n
-            rest = off - v * w
-            for i, step, g in terms[v]:
-                x = src.get(rest + step)
-                if x:
-                    pairs[i].append((x, g))
-        for i, a in enumerate(entry(lists.get(off), pairs)):
+        for i, a in enumerate(gather(off)):
             if a:
-                _fill(out, i * stride + base, images, a)
-    if isinstance(gamma, Values):
+                if values:
+                    out[i * stride + off] = a
+                else:
+                    _fill(out, i * stride + base, images, a)
+    if values:
         return Values(n, COV + t.variance, out, t.den * dg,
-                      0 if mode == EXACT else 0.0)
+                      0 if mode == EXACT else 0.0, RIEMANN)
     return Tensor(n, COV + t.variance, out, t.den * dg, low, mode).normal()
 
 
@@ -475,6 +456,10 @@ class CurvatureBundle:
     nabla C and nabla nabla C) and Laplacians, and the Weyl
     recurrence covector alpha of nabla C = alpha (x) C: `recurrence`, the
     tuple (alpha, residual), and its covariant derivative `nabla_alpha`.
+    The stages with Riemann's symmetries on their last four slots are
+    tagged, one entry per orbit (tensors.RIEMANN): `riemann`, `weyl`,
+    `nabla_riemann`, `nabla_weyl`, `nabla2_riemann`, `nabla2_weyl`,
+    `lap_riemann` and `lap_weyl`.
     The jet stages they are taken from are Tensors of jets, to the orders
     the module docstring gives: `christoffels` (both kinds), `riemann_jets`
     and `nabla_riemann_jets`.  Each stage states the least order K of g's
@@ -563,7 +548,7 @@ class CurvatureBundle:
     @stage(2)
     def riemann(self) -> Values:
         """Fully covariant R_{jklm}."""
-        return self.riemann_jets.values()
+        return self.riemann_jets.values(RIEMANN)
 
     @stage(2)
     def ricci(self) -> Values:
@@ -594,10 +579,12 @@ class CurvatureBundle:
             C_jklm = R_jklm + g_jm P_kl - g_km P_jl + g_kl P_jm - g_jl P_km,
             P_kl = (R_kl - R g_kl / (2(n-1))) / (n-2).
 
-        P is Values algebra; one loop adds the g P terms over the nonzero
-        entries of P and the metric to R_jklm, on numerators over one
-        common denominator in exact mode.  Entries that sum to zero stay
-        written, for the stage to drop.
+        P is Values algebra.  C is then gathered, on numerators over one
+        common denominator in exact mode, at each offset where R has an
+        entry or a g P term reads one of P (`_p_readers`): at the
+        representatives of tagged riem (tensors.RIEMANN), so that C is
+        tagged too, and otherwise at every offset of the last four slots.
+        Entries that sum to zero stay written, for the stage to drop.
         """
         n = self.dim
         if n < 4:
@@ -610,31 +597,28 @@ class CurvatureBundle:
             Fraction(1, n - 2)).normal()
         den = math.lcm(riem.den, p.den * g.den)
         q, f = den // riem.den, den // (p.den * g.den)
-        out = {o: x * q for o, x in riem.num.items()}
-        gs = [(divmod(xy, n), gxy * f) for xy, gxy in g.num.items()]
-        rows, get = {}, out.get
-        for off, pab in p.num.items():
-            pre, ab = divmod(off, n * n)
-            row = rows.get(ab)
-            if row is None:     # built for the P_ab that are written
-                a, b = divmod(ab, n)
-                # (g_xy, the offsets where +g_xy P_ab and -g_xy P_ab go);
-                # x = a is left out: there the +/- terms cancel in pairs
-                row = rows[ab] = [
-                    (gxy, ((x * n + a) * n + b) * n + y,    # g_jm P_kl
-                     ((a * n + x) * n + y) * n + b,         # g_kl P_jm
-                     ((a * n + x) * n + b) * n + y,         # g_km P_jl
-                     ((x * n + a) * n + y) * n + b)         # g_jl P_km
-                    for (x, y), gxy in gs if x != a]
-            base = pre * n ** 4
-            for gxy, o1, o2, o3, o4 in row:
-                t = gxy * pab
-                o1, o2, o3, o4 = o1 + base, o2 + base, o3 + base, o4 + base
-                out[o1] = get(o1, 0) + t
-                out[o2] = get(o2, 0) + t
-                out[o3] = get(o3, 0) - t
-                out[o4] = get(o4, 0) - t
-        return Values(n, riem.variance, out, den, riem.zero)
+        gs = {xy: gxy * f for xy, gxy in g.num.items()}
+        block, nn, idx = n ** 4, n * n, _indices(n)
+        rn, pn, out = riem.num, p.num, {}
+        readers, visit = _p_readers(n, bool(riem.sym)), defaultdict(set)
+        for o in rn:
+            visit[o // block].add(o % block)
+        for o in pn:
+            visit[o // nn].update(readers[o % nn])
+        for pre in sorted(visit):
+            base, pb = pre * block, pre * nn
+            for o in sorted(visit[pre]):
+                j, k, l, m = idx[o]
+                t = (gs.get(j * n + m, 0) * pn.get(pb + k * n + l, 0)
+                     - gs.get(k * n + m, 0) * pn.get(pb + j * n + l, 0)
+                     + gs.get(k * n + l, 0) * pn.get(pb + j * n + m, 0)
+                     - gs.get(j * n + l, 0) * pn.get(pb + k * n + m, 0))
+                x = rn.get(base + o)
+                if x is not None:
+                    out[base + o] = x * q + t
+                elif t:
+                    out[base + o] = t
+        return Values(n, riem.variance, out, den, riem.zero, riem.sym)
 
     @stage(2)
     def weyl(self) -> Values:
@@ -665,7 +649,7 @@ class CurvatureBundle:
 
     @stage(3)
     def nabla_riemann(self) -> Values:
-        return self.nabla_riemann_jets.values()
+        return self.nabla_riemann_jets.values(RIEMANN)
 
     @stage(3)
     def nabla_weyl(self) -> Values:
@@ -743,23 +727,40 @@ class CurvatureBundle:
                 nabla_j C_K) + G_ab (M_abi + M_bai) - alpha_i d_j D.
 
         C and its derivatives have Riemann's symmetries in their last four
-        slots, so F and M are four times their slot-0 sums, and the sums
-        over K run over one K per orbit (`_per_orbit`).  Float mode first
-        divides C and its derivatives by a power of two near sup|C|, an
-        exact scaling that keeps alpha's derivatives and brings the sums,
-        of degree 4 in C, into range.
+        slots, so F and M are four times their slot-0 sums, those are
+        twice their sums over the K with k_2 < k_3, and the sums over K, on
+        tagged values, run over one K per orbit (`dot` and `tensordot`).
+        Float mode first divides C and its derivatives by a power of two
+        near sup|C|, an exact scaling that keeps alpha's derivatives and
+        brings the sums, of degree 4 in C, into range.
         """
-        c, nc, nnc = self.weyl, self.nabla_weyl, _per_orbit(self.nabla2_weyl)
+        n, c, nc, nnc = self.dim, self.weyl, self.nabla_weyl, self.nabla2_weyl
         if self.mode != EXACT:
             s = _pow2(sup_norm(c))
             c, nc, nnc = c.scale(s), nc.scale(s), nnc.scale(s)
-        d, nc_k = dot(_per_orbit(c), c), _per_orbit(nc)
-        num = tensordot(nc_k, c, 4)                     # N_i
+        d = dot(c, c)
+        num = tensordot(nc, c, 4)                       # N_i
         c_a = c.permute((1, 2, 3, 0))                   # C_abcd at (b, c, d, a)
-        f = tensordot(c, c_a, 3).scale(4)               # F_ab
-        m = tensordot(nc, c_a, 3).permute((2, 1, 0)).scale(4)   # M_abi
+        # each slot-0 sum is twice its terms with l < m in C_aklm
+        c_lm, nc_lm = (Values(n, t.variance, {
+            o: x for o, x in t.expanded().num.items() if o // n % n < o % n},
+            t.den, t.zero) for t in (c, nc))
+        f = tensordot(c_lm, c_a, 3).scale(8)            # F_ab
+        m = tensordot(nc_lm, c_a, 3).permute((2, 1, 0)).scale(8)    # M_abi
         g = self.gamma.permute((1, 2, 0))               # G_ab at (j, a, b)
         half_dd = num + tensordot(g, f, 2)              # d_j D / 2
+        # sum_K nabla_i C_K nabla_j C_K, once per orbit K, in ascending K
+        block, images, cols = n ** 4, _images(n), {}
+        for o, x in sorted(nc.num.items()):
+            cols.setdefault(o % block, []).append((o // block, x))
+        gram = defaultdict(int)
+        for k in sorted(cols):
+            for i, x in cols[k]:
+                xw = x * len(images[k])
+                for j, y in cols[k]:
+                    gram[i * n + j] += xw * y
+        gram = Values(n, COV * 2, {o: x for o, x in sorted(gram.items()) if x},
+                      nc.den ** 2, Fraction(0) if self.mode == EXACT else 0.0)
         top = (tensordot(nnc, c, 4) + tensordot(g, m + m.permute((1, 0, 2)), 2)
-               + tensordot(nc_k, nc.permute((1, 2, 3, 4, 0)), 4))
+               + gram)
         return (top.scale(d) - half_dd.outer(num).scale(2)).scale(1 / d ** 2)

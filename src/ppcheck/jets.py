@@ -159,7 +159,11 @@ def from_numerators(t: _Tables, mode: str, c: list, den: int = 1) -> "Jet":
 def mac(acc: list, t: _Tables, pairs) -> list:
     """acc += sum of a * b over the coefficient lists (a, b) in `pairs`,
     through t's product table, so to t's order (a and b may run past it);
-    a None factor adds nothing.  Returns acc."""
+    a None factor adds nothing.  Returns acc.
+
+    Orders 0 and 1 need no table: at order 1, for a and b of t's length,
+    acc[j] = acc[j] + a0*b[j] + a[j]*b0, summed left to right as the table
+    adds the two products."""
     if t.size == 1:                 # order 0: a plain dot product
         s = acc[0]
         for a, b in pairs:
@@ -167,8 +171,15 @@ def mac(acc: list, t: _Tables, pairs) -> list:
                 s += a[0] * b[0]
         acc[0] = s
         return acc
+    size = t.size if t.order == 1 else None
     for a, b in pairs:
         if not (a and b):
+            continue
+        if size and len(a) >= size and len(b) >= size:
+            a0, b0 = a[0], b[0]
+            acc[0] += a0 * b0
+            for j in range(1, size):
+                acc[j] = acc[j] + a0 * b[j] + a[j] * b0
             continue
         nzb = [j for j, y in enumerate(b) if y]
         for x, row in zip(a, t.mul):

@@ -24,11 +24,11 @@ with a tensor, a double trace and the inner products of a least-squares
 fit are all one or the other.  `contract` and `raise_lower` are
 `tensordot` too, after a `permute` that moves the summed slots to the
 front, with the metric (or the identity, for a mixed trace); so one rule
-orders every sum: each entry adds its nonzero terms in ascending order of
-the summed index, from Fraction(0).  A number is made only for an entry that
-leaves a kernel (via `entries`, `[]`, `sup_norm` or `dot`), of the type
-the Fraction algebra on jet values gave it, so reports stay
-byte-identical.  One rule gives that type:
+orders every sum of untagged values: each entry adds its nonzero terms in
+ascending order of the summed index, from Fraction(0).  A number is made
+only for an entry that leaves a kernel (via `entries`, `[]`, `sup_norm`
+or `dot`), of the type the Fraction algebra on jet values gave it, so
+reports stay byte-identical.  One rule gives that type:
 
 - an entry missing from `num` leaves as the scalar `zero`: int 0 (a jet's
   exact zero, as Jet.value reads it), Fraction(0), or 0.0;
@@ -39,6 +39,28 @@ So a kernel whose Fraction form gives int 0 only where int zeros alone
 met (a sum or product of such zeros) keeps each entry it touched, even
 one that cancels to 0; one whose sums start from Fraction(0) has that
 `zero` and may drop them.
+
+Values with Riemann's symmetries on their last four slots (the block:
+antisymmetric in each pair, symmetric under the pair swap) may carry the
+tag `sym` = RIEMANN.  Tagged, `num` holds one offset per orbit of the
+symmetries in each block, its representative (`_orbits`), and every
+other offset of the orbit, an image, reads as the representative or its
+negation; an offset the symmetries force to vanish is in no orbit, and
+reads as `zero`, as an image of an unwritten representative does.  So the
+image of a written numerator x reads as Fraction(+-x, den), Fraction(0)
+for x = 0, exactly as the orbit fill (`expanded`) writes it.  `entries`,
+`number`, `[]` and `==` read through that expansion.  The kernels taught
+the tag compute at the representatives: `+`, `-`, `scale`, `normal` and
+`sup_norm`, which keep the tag; `outer` with a tagged right factor (its
+block stays last) unless the int-zero fill must write its images;
+`permute` that leaves the block in place; `contract` over two slots
+before the block, as `tensordot` keeps b's block in its output; `dot`,
+and `tensordot` over exactly the block of a and of a rank-4 b, one term
+per orbit, (x * the orbit's size) * y, in ascending offset order; and
+`contract` across the block, a scatter of each representative's images
+into the untagged output, in one pass.  Every other kernel expands a
+tagged operand first (`expanded`), and so does a tagged and an untagged
+operand of `+`, `-` or `dot`.
 """
 from __future__ import annotations
 
@@ -52,11 +74,69 @@ from .jets import FLOAT, Jet, JetError, _tables, from_numerators
 
 COV = "l"
 CON = "u"
+RIEMANN = "riemann"     # the tag: Riemann's symmetries on the last four slots
 F0 = Fraction(0)
 
 
 class TensorError(ValueError):
     pass
+
+
+# Riemann's symmetries on the last four slots of a tensor (antisymmetric in
+# each pair, symmetric under the pair swap), as (slot permutation, sign)
+# pairs: t[idx permuted] = sign * t[idx].
+_RIEMANN_GROUP = (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1),
+                  ((1, 0, 3, 2), 1), ((2, 3, 0, 1), 1), ((3, 2, 0, 1), -1),
+                  ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1))
+
+
+@cache
+def _orbits(n: int) -> tuple:
+    """Orbits of Riemann's symmetries on the n^4 offsets of a block of four
+    slots, as (rep, images): rep the smallest offset of the orbit, images
+    its (offset, sign) pairs, rep first with sign 1, so that t[image] =
+    sign * t[rep].  An offset the symmetries force to vanish (an entry equal
+    to its own negative) is in no orbit.
+    """
+    seen, orbits = set(), []
+    for rep, idx in enumerate(itertools.product(range(n), repeat=4)):
+        if rep in seen:
+            continue
+        signs = {}
+        for perm, sign in _RIEMANN_GROUP:
+            img = 0
+            for p in perm:
+                img = img * n + idx[p]
+            signs.setdefault(img, set()).add(sign)
+        seen.update(signs)
+        if all(len(s) == 1 for s in signs.values()):
+            orbits.append((rep, tuple((img, s.pop())
+                                      for img, s in signs.items())))
+    return tuple(orbits)
+
+
+@cache
+def _reps(n: int) -> list:
+    """For each offset of a block of four slots, (rep, sign) with t[offset]
+    = sign * t[rep] (`_orbits`), or None where the symmetries force it to
+    vanish."""
+    reps = [None] * n ** 4
+    for rep, images in _orbits(n):
+        for img, sign in images:
+            reps[img] = (rep, sign)
+    return reps
+
+
+@cache
+def _images(n: int) -> dict:
+    """The images of each orbit of `_orbits`, keyed by its representative."""
+    return dict(_orbits(n))
+
+
+@cache
+def _indices(n: int) -> list:
+    """The indices of each offset of a block of four slots."""
+    return list(itertools.product(range(n), repeat=4))
 
 
 def _offset(dim, idx) -> int:
@@ -114,26 +194,35 @@ class Tensor:
                        if id(c) in lists},
                       self.den // k, self.order, self.mode)
 
-    def values(self) -> "Values":
-        """Point values: the jets' constant terms, in normal form."""
-        num = self.num
+    def values(self, sym=None) -> "Values":
+        """Point values: the jets' constant terms, in normal form.  With
+        `sym` RIEMANN, a symmetry the jets hold literally on their last
+        four slots, the values are tagged: only those of the orbit
+        representatives are kept."""
+        num, keys = self.num, sorted(self.num)
+        if sym:
+            block, reps = self.dim ** 4, _images(self.dim)
+            keys = [o for o in keys if o % block in reps]
         return Values(self.dim, self.variance,
-                      {o: num[o][0] for o in sorted(num) if num[o][0]},
-                      self.den, 0.0 if self.mode == FLOAT else 0).normal()
+                      {o: num[o][0] for o in keys if num[o][0]},
+                      self.den, 0.0 if self.mode == FLOAT else 0,
+                      sym).normal()
 
 
 class Values:
-    """Point values of a tensor: numerators `num` over `den` (see module)."""
+    """Point values of a tensor: numerators `num` over `den`, and the tag
+    `sym`, RIEMANN or None (see module)."""
 
-    __slots__ = ("dim", "variance", "num", "den", "zero")
+    __slots__ = ("dim", "variance", "num", "den", "zero", "sym")
 
     def __init__(self, dim: int, variance: str, num: dict, den: int = 1,
-                 zero=0):
+                 zero=0, sym=None):
         self.dim = dim
         self.variance = variance
         self.num = num
         self.den = den
         self.zero = zero
+        self.sym = sym
 
     @classmethod
     def of(cls, dim: int, variance: str, numbers):
@@ -169,7 +258,15 @@ class Values:
 
     def number(self, off: int):
         """Entry `off` as the number that leaves a kernel."""
-        x = self.num.get(off)
+        if self.sym:                    # +-its orbit's representative
+            block = self.dim ** 4
+            rep = _reps(self.dim)[off % block]
+            x = None if rep is None else self.num.get(off - off % block
+                                                      + rep[0])
+            if x is not None and rep[1] < 0:
+                x = -x
+        else:
+            x = self.num.get(off)
         if x is None:
             return self.zero
         return Fraction(x, self.den) if self.exact else x
@@ -177,7 +274,7 @@ class Values:
     @property
     def entries(self) -> list:
         out = [self.zero] * self.size
-        for o, x in self.num.items():
+        for o, x in self.expanded().num.items():
             out[o] = Fraction(x, self.den) if self.exact else x
         return out
 
@@ -188,17 +285,36 @@ class Values:
         if not (isinstance(other, Values) and self.dim == other.dim
                 and self.variance == other.variance):
             return False
+        if self.sym != other.sym:
+            return self.expanded() == other.expanded()
         a, b = self.num, other.num
         return all(a.get(o, 0) * other.den == b.get(o, 0) * self.den
                    for o in a.keys() | b.keys())
 
     __hash__ = None
 
+    def expanded(self) -> "Values":
+        """The same values untagged: every orbit image written, as its
+        representative or the negation of it.  Untagged values are
+        returned as they are."""
+        if not self.sym:
+            return self
+        block, images = self.dim ** 4, _images(self.dim)
+        num = {}
+        for o, x in self.num.items():
+            base = o - o % block
+            neg = -x
+            for img, sign in images[o - base]:
+                num[base + img] = x if sign > 0 else neg
+        return Values(self.dim, self.variance, num, self.den, self.zero)
+
     def _combine(self, other: "Values", sign: int) -> "Values":
         if self.dim != other.dim or self.variance != other.variance:
             raise TensorError(
                 f"tensor mismatch: ({self.dim},{self.variance}) vs "
                 f"({other.dim},{other.variance})")
+        if self.sym != other.sym:
+            return self.expanded()._combine(other.expanded(), sign)
         a, b, den = _common(self, other)
         num = dict(a)                       # a cancelled sum stays written
         get = num.get
@@ -208,7 +324,8 @@ class Values:
         else:
             for o, y in b.items():
                 num[o] = get(o, 0) - y
-        return Values(self.dim, self.variance, num, den, _meet(self, other))
+        return Values(self.dim, self.variance, num, den, _meet(self, other),
+                      self.sym)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -220,19 +337,24 @@ class Values:
         """Every entry times the number c."""
         if not self.exact:
             return Values(self.dim, self.variance,
-                          {o: x * c for o, x in self.num.items()}, 1, 0.0)
+                          {o: x * c for o, x in self.num.items()}, 1, 0.0,
+                          self.sym)
         c = Fraction(c)
         k = c.numerator
         return Values(self.dim, self.variance,
                       {o: x * k for o, x in self.num.items()} if k else {},
-                      self.den * c.denominator, F0)
+                      self.den * c.denominator, F0, self.sym)
 
     def outer(self, other: "Values") -> "Values":
-        """Outer product: the slots of self, then those of other."""
+        """Outer product: the slots of self, then those of other, tagged
+        as other is (its block stays last) unless the int-zero fill below
+        must write its images."""
+        zero = _meet(self, other)
+        if self.sym or (other.sym and type(zero) is int):
+            return self.expanded().outer(other.expanded())
         a, b, size = self.num, other.num, other.size
         num = {oa * size + ob: x * y for oa, x in a.items()
                for ob, y in b.items()}
-        zero = _meet(self, other)
         if type(zero) is int:       # a written factor makes a Fraction(0)
             for oa in a:
                 for ob in range(size):
@@ -241,7 +363,7 @@ class Values:
                 for oa in range(self.size):
                     num.setdefault(oa * size + ob, 0)
         return Values(self.dim, self.variance + other.variance, num,
-                      self.den * other.den, zero)
+                      self.den * other.den, zero, other.sym)
 
     def normal(self) -> "Values":
         """The same values in normal form: no written zero, so every other
@@ -255,7 +377,8 @@ class Values:
         num = self.num.items()
         return Values(self.dim, self.variance,
                       {o: x // k for o, x in num if x} if k != 1 else
-                      {o: x for o, x in num if x}, self.den // k, zero)
+                      {o: x for o, x in num if x}, self.den // k, zero,
+                      self.sym)
 
     def permute(self, perm) -> "Values":
         """Slot permutation: slot s of the result is slot perm[s] of self,
@@ -266,13 +389,15 @@ class Values:
             return self                     # Values are never written to
         if sorted(perm) != list(range(r)):
             raise TensorError(f"bad permutation {perm}")
+        if self.sym and perm[r - 4:] != tuple(range(r - 4, r)):
+            return self.expanded().permute(perm)    # it moves the block
         w = [0] * r                         # weight of each slot of self
         for s, p in enumerate(perm):
             w[p] = n ** (r - 1 - s)
         m, hi, lo = _remap(n, tuple(w))
         return Values(n, "".join(self.variance[p] for p in perm),
                       {hi[o // m] + lo[o % m]: x for o, x in self.num.items()},
-                      self.den, self.zero)
+                      self.den, self.zero, self.sym)
 
 
 def _meet(a: Values, b: Values):
@@ -349,7 +474,50 @@ def contract(t: Values, slot_a: int, slot_b: int, metric: Values | None = None):
         metric = Values(n, va + vb, {p * (n + 1): 1 for p in range(n)}, 1,
                         t.zero)
     keep = [s for s in range(r) if s not in (a, b)]
+    if t.sym and b >= r - 4:
+        return _scatter_trace(t, a, b, keep, metric)
     return tensordot(metric, t.permute([a, b] + keep), 2)
+
+
+def _scatter_trace(t: Values, a: int, b: int, keep: list, metric: Values):
+    """`contract` of tagged t over slots a < b, b in its block, in one pass:
+    each written representative x adds metric[p, q] * (+-x) to the output
+    entry of each of its orbit images, p and q that image's indices in
+    slots a and b.  As `tensordot`, it keeps the nonzero sums, in ascending
+    offset order, over Fraction(0)."""
+    n, r, h = t.dim, t.rank, t.rank - 4
+    w_out, w_g = [0] * r, [0] * r           # weights in the output, metric
+    for pos, s in enumerate(keep):
+        w_out[s] = n ** (len(keep) - 1 - pos)
+    w_g[a], w_g[b] = n, 1
+    pre_out, pre_g = _flat_offsets(n, w_out[:h]), _flat_offsets(n, w_g[:h])
+    o0, o1, o2, o3 = w_out[h:]
+    g0, g1, g2, g3 = w_g[h:]
+    block, get_g, idx, images = n ** 4, metric.num.get, _indices(n), _images(n)
+    rows = {}                   # (pg, rep) -> (output part, +-metric entry)
+    size = n ** len(keep)       # a list, or a dict for a few images
+    out = defaultdict(int) if 8 * len(t.num) < size else [0] * size
+    for o, x in t.num.items():
+        if x:
+            pre, rep = divmod(o, block)
+            pg = pre_g[pre]
+            row = rows.get((pg, rep))
+            if row is None:
+                row = rows[pg, rep] = []
+                for img, sign in images[rep]:
+                    i, j, k, l = idx[img]
+                    g = get_g(pg + i * g0 + j * g1 + k * g2 + l * g3)
+                    if g:
+                        row.append((i * o0 + j * o1 + k * o2 + l * o3,
+                                    g if sign > 0 else -g))
+            po = pre_out[pre]
+            for ob, g in row:
+                out[po + ob] += g * x
+    return Values(n, "".join(t.variance[s] for s in keep),
+                  {k: x for k, x in enumerate(out) if x}
+                  if isinstance(out, list) else
+                  {k: out[k] for k in sorted(out) if out[k]},
+                  metric.den * t.den, F0 if t.exact else 0.0)
 
 
 def raise_lower(t: Values, slot: int, metric: Values):
@@ -375,6 +543,7 @@ def cyclic_sum(t, slots):
         raise TensorError("cyclic_sum needs three distinct slots")
     if not (t.variance[i] == t.variance[j] == t.variance[k]):
         raise TensorError("cyclic_sum slots must share variance")
+    t = t.expanded()            # a cyclic sum is no orbit relation
     perm1 = list(range(t.rank))
     # second term reads (i,j,k) from (j,k,i): out[idx] = t[idx with cycled slots]
     perm1[i], perm1[j], perm1[k] = j, k, i
@@ -390,21 +559,35 @@ def tensordot(a: Values, b: Values, k: int) -> Values:
     kept only if it is not zero.  The sums go into a list the size of the
     output, or into a dict when a quarter of the output outnumbers the
     products (at most a's entries times b's longest row), so that a
-    contraction costs its products."""
+    contraction costs its products.
+
+    Tagged operands are taught two cases.  If P is the block of both (a
+    tagged, k = 4, b a tagged rank-4), the sum runs over a's written
+    representatives, each term x y as (x * its orbit's size) * y.  If only
+    b is tagged and its block is in J, out is tagged and computed at b's
+    representatives.  Otherwise the operands are expanded first."""
     _need_values(a, b)
     if a.dim != b.dim or not 0 <= k <= min(a.rank, b.rank):
         raise TensorError(f"cannot contract {k} slots of ({a.dim},"
                           f"{a.variance}) with ({b.dim},{b.variance})")
     n, mp, mj = a.dim, a.dim ** k, b.dim ** (b.rank - k)
+    anum, sym = a.num, None
+    if a.sym and b.sym and k == 4 == b.rank:
+        images, block = _images(n), n ** 4
+        anum = {o: x * len(images[o % block]) for o, x in anum.items()}
+    elif b.sym and not a.sym and k <= b.rank - 4:
+        sym = b.sym
+    elif a.sym or b.sym:
+        return tensordot(a.expanded(), b.expanded(), k)
     rows = {}                               # P -> b's (J, entry)
     for o, y in b.num.items():
         if y:
             rows.setdefault(o // mj, []).append((o % mj, y))
     size = n ** (a.rank - k) * mj
     longest = max(map(len, rows.values()), default=0)
-    out = (defaultdict(int) if 4 * len(a.num) * longest < size
+    out = (defaultdict(int) if 4 * len(anum) * longest < size
            else [0] * size)
-    for o, x in sorted(a.num.items()):
+    for o, x in sorted(anum.items()):
         if x:
             i, p = divmod(o, mp)
             base = i * mj
@@ -414,16 +597,25 @@ def tensordot(a: Values, b: Values, k: int) -> Values:
                   {o: x for o, x in enumerate(out) if x}
                   if isinstance(out, list) else
                   {o: out[o] for o in sorted(out) if out[o]},
-                  a.den * b.den, F0 if a.exact else 0.0)
+                  a.den * b.den, F0 if a.exact else 0.0, sym)
 
 
 def dot(a: Values, b: Values):
     """sum_O a[O] b[O] over two tensors of one shape, as a number (a
-    Fraction, or a float), summed in ascending offset order."""
+    Fraction, or a float), summed in ascending offset order.  Over two
+    tagged tensors, O runs over the representatives, each term as (a[O] *
+    its orbit's size) * b[O]; a tagged and an untagged one are expanded."""
+    if a.sym != b.sym:
+        a, b = a.expanded(), b.expanded()
     an, bn = a.num, b.num
     acc = 0                 # not sum(), which compensates floats from 3.12
-    for o in sorted(an.keys() & bn.keys()):
-        acc += an[o] * bn[o]
+    if a.sym:
+        images, block = _images(a.dim), a.dim ** 4
+        for o in sorted(an.keys() & bn.keys()):
+            acc += an[o] * len(images[o % block]) * bn[o]
+    else:
+        for o in sorted(an.keys() & bn.keys()):
+            acc += an[o] * bn[o]
     return Fraction(acc, a.den * b.den) if a.exact else float(acc)
 
 

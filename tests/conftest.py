@@ -15,7 +15,7 @@ from ppcheck.jets import (EXACT, FLOAT, Jet, _tables, as_mode,
                           jet_recip, mac)
 from ppcheck.linalg import SingularMatrixError
 from ppcheck.polynomials import Polynomial, parse_polynomial
-from ppcheck.tensors import CON, COV, Tensor, Values
+from ppcheck.tensors import CON, COV, RIEMANN, Tensor, Values
 
 NC4 = ("u", "x1", "x2", "v")
 NC5 = ("u", "x1", "x2", "x3", "v")
@@ -260,6 +260,27 @@ def _dense_fill(out, base, images, a, neg):
     na = neg(a)
     for img, sign in images:
         out[base + img] = a if sign > 0 else na
+
+
+def riemann_values(rng, n, variance, exact, fill=0.7, zero=0):
+    """(tagged, filled): random point values with Riemann's symmetries on
+    their last four slots, each orbit of each block written with
+    probability `fill` (a zero numerator among them).  `tagged` holds the
+    representatives only, `filled` every image too, written from them by
+    the orbit fill (`_dense_fill`); both over one den, with `zero` (int 0
+    or Fraction(0); 0.0 in float mode)."""
+    reps, filled = {}, {}
+    for base in range(0, n ** len(variance), n ** 4):
+        for rep, images in _orbits(n):
+            if rng.random() < fill:
+                x = (rng.randint(-9, 9) if exact else
+                     0.0 if rng.random() < 0.05 else rng.uniform(-2.0, 2.0))
+                reps[base + rep] = x
+                _dense_fill(filled, base, images, x, operator.neg)
+    den = rng.randint(1, 12) if exact else 1
+    zero = zero if exact else 0.0
+    return (Values(n, variance, reps, den, zero, RIEMANN),
+            Values(n, variance, filled, den, zero))
 
 
 def dense_covariant_derivative(t, gamma, context="covariant derivative",

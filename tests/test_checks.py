@@ -1,6 +1,7 @@
 """Condition checkers: witnesses, residuals, vacuity, negative controls."""
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import (NC4, dense_covariant_derivative, du_jets, entries,
                       jet_tensor, make_ctx, naive_raise_lower, poly,
-                      textbook_weyl_jets, truncated)
+                      riemann_values, textbook_weyl_jets, truncated)
 from ppcheck import (EXACT, FLOAT, ConfigError, RunConfig, build_galaev,
                      build_perturbed_minkowski, build_ppwave,
                      build_two_symmetric, build_walker, linalg)
@@ -16,12 +17,13 @@ from ppcheck.checks import (CHECKS, PointContext, _antisymmetric_norm,
                             _cyclic_residual, chart_covector_u,
                             check_collinearity, check_olszak,
                             nabla_chart_covector_u)
-from ppcheck.geometry import CurvatureBundle, _orbits, _per_orbit, rescaled
+from ppcheck.geometry import CurvatureBundle, rescaled
 from ppcheck.jets import Jet, jet_recip
 from ppcheck.metrics import PointPlan, sample_points
 from ppcheck.polynomials import parse_polynomial
-from ppcheck.tensors import (COV, Values, _pow2, cyclic_sum,
-                             extract_recurrence, relative_residual, sup_norm)
+from ppcheck.tensors import (COV, Values, _pow2, cyclic_sum, dot,
+                             extract_recurrence, relative_residual, sup_norm,
+                             tensordot)
 
 NC5 = ("u", "x1", "x2", "x3", "v")
 PT4 = (F(1, 2), F(1, 3), F(-1, 5), F(2, 7))
@@ -346,23 +348,40 @@ class TestCyclicResidual:
                 assert got == want and type(got) is type(want)
 
 
-def _dense_per_orbit(t):
-    """`_per_orbit` by a visit of every orbit of every block."""
-    get, num = t.num.get, {}
-    for base in range(0, t.size, t.dim ** 4):
-        for rep, images in _orbits(t.dim):
-            if x := get(base + rep):
-                num[base + rep] = x * len(images)
-    return Values(t.dim, t.variance, num, t.den, t.zero)
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_bianchi_fails_on_tagged_values_without_the_cyclic_identity(
+        perturbed_ctx, mode):
+    """Tagged Riemann and nabla Riemann hold the pair symmetries by
+    construction, the cyclic identities not: random Riemann-symmetric
+    values in their place fail `bianchi`, each residual nonzero, where the
+    bundle's own pass."""
+    ctx = make_ctx(perturbed_ctx.spec, perturbed_ctx.point, mode)
+    assert CHECKS["bianchi"](ctx).status == "pass"
+    rng, n = random.Random(f"bianchi-{mode}"), ctx.bundle.dim
+    for name in ("riemann", "nabla_riemann"):
+        rank = 4 if name == "riemann" else 5
+        tagged, _ = riemann_values(rng, n, "l" * rank, mode == EXACT)
+        vars(ctx.bundle)[name] = tagged.normal()
+    result = CHECKS["bianchi"](ctx)
+    assert result.status == "fail"
+    assert all(abs(r) > 1e-3 for r in result.residuals.values())
 
 
 @pytest.mark.parametrize("ctx_name", ["flagship_ctx", "perturbed_ctx"])
 @pytest.mark.parametrize("name", ["weyl", "nabla_weyl", "nabla2_weyl"])
-def test_per_orbit_visits_written_entries(ctx_name, name, request):
-    t = getattr(request.getfixturevalue(ctx_name).bundle, name)
-    got, want = _per_orbit(t), _dense_per_orbit(t)
-    assert list(got.num.items()) == list(want.num.items())
-    assert got.den == want.den and type(got.zero) is type(want.zero)
+def test_orbit_weighted_sums_equal_the_expanded_sums(ctx_name, name,
+                                                    request):
+    """`dot` and `tensordot` over the block of tagged stages, one term per
+    orbit weighted by its size, equal the sums over every image of the
+    expanded values, zero kinds included."""
+    b = request.getfixturevalue(ctx_name).bundle
+    t, c = getattr(b, name), b.weyl
+    got, want = tensordot(t, c, 4), tensordot(t.expanded(), c.expanded(), 4)
+    assert got.sym is want.sym is None
+    assert got.entries == want.entries
+    assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
+    got, want = dot(t, t), dot(t.expanded(), t.expanded())
+    assert got == want and type(got) is type(want)
 
 
 class TestLaplaciansAndSemisymmetry:

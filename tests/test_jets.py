@@ -261,6 +261,54 @@ class TestModes:
             Jet.zero(*args)
 
 
+def _table_mac(acc, t, pairs):
+    """`mac`'s product-table loop, which it takes at order 2 and above, at
+    any order."""
+    for a, b in pairs:
+        if not (a and b):
+            continue
+        nzb = [j for j, y in enumerate(b) if y]
+        for x, row in zip(a, t.mul):
+            if x:
+                for j in nzb:
+                    if j >= len(row):
+                        break
+                    acc[row[j]] += x * b[j]
+    return acc
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_order_one_mac_is_the_table_loop_bit_for_bit(n, mode):
+    """At order 1, `mac` sums a0*b[j] + a[j]*b0 without the table: on
+    random lists (some with zeros, some running to order 2, some None, and
+    some of a single order-0 coefficient, which take the table), the
+    result is the table loop's, bit for bit (`repr` tells apart the sign
+    of a float zero)."""
+    rng = random.Random(f"mac-order-1-{n}-{mode}")
+    t, t2 = _tables(n, 1), _tables(n, 2)
+
+    def number():
+        if rng.random() < 0.2:
+            return 0 if mode == EXACT else 0.0
+        return (rng.randint(-2 ** 80, 2 ** 80) if mode == EXACT else
+                rng.uniform(-1e3, 1e3))
+
+    def coefficients():
+        kind = rng.random()
+        if kind < 0.1:
+            return None
+        size = (1 if kind < 0.2 else t2.size if kind < 0.4 else t.size)
+        return [number() for _ in range(size)]
+
+    for _ in range(40):
+        pairs = [(coefficients(), coefficients())
+                 for _ in range(rng.randint(0, 6))]
+        start = [number() for _ in range(t.size)]
+        got = mac(start.copy(), t, pairs)
+        assert repr(got) == repr(_table_mac(start.copy(), t, pairs))
+
+
 class TestNumeratorKernel:
     """`mac` on the lists of two jet blocks (`Tensor.lists`), reduced once
     by `from_numerators`, against the same sum of Jet.__mul__ products."""

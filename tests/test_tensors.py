@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (NC4, entries, jet, jet_tensor, make_ctx,
-                      naive_contract, naive_raise_lower, poly, zero_of)
+                      naive_contract, naive_raise_lower, poly,
+                      riemann_values, zero_of)
 from ppcheck import EXACT, FLOAT, Jet, build_ppwave
-from ppcheck.tensors import (Tensor, Values, contract, cyclic_sum, dot,
+from ppcheck.tensors import (COV, RIEMANN, Tensor, Values, contract,
+                             cyclic_sum, dot, extract_recurrence,
                              raise_lower, sup_norm, tensordot)
 
 
@@ -848,3 +850,185 @@ class TestZeroKindOracle:
                                 _zk_same(dot(v, w),
                                          _zk_tensordot(n, ra, a, rb, b, k,
                                                        zero)[0])
+
+
+# -- the Riemann tag ----------------------------------------------------------
+
+def _tag_same(got, want, exact, scale=None):
+    """got, a kernel's result on tagged values, against want, the same
+    kernel's on their orbit fill: exact numbers literally equal and of one
+    type, entry by entry (so zero kinds match); floats within rounding of
+    `scale`, by default the largest of want."""
+    if isinstance(got, Values):
+        assert (got.dim, got.variance) == (want.dim, want.variance)
+        got, want = got.entries, want.entries
+    if not isinstance(got, list):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    if exact:
+        for x, y in zip(got, want):
+            assert type(x) is type(y) and x == y, (x, y)
+    else:
+        if scale is None:
+            scale = max(map(abs, want), default=0.0)
+        gap = max((abs(x - y) for x, y in zip(got, want)), default=0.0)
+        assert gap <= 1e-12 * scale, (gap, scale)
+
+
+def _random_values(rng, n, variance, exact, zero=F(0), sym_last_two=False):
+    """Untagged random point values, most entries written; with
+    `sym_last_two`, symmetric in their last two slots."""
+    num = {}
+    for o in range(n ** len(variance)):
+        pre, k, l = o // (n * n), o // n % n, o % n
+        if sym_last_two and k > l:
+            if (o2 := (pre * n + l) * n + k) in num:
+                num[o] = num[o2]
+        elif rng.random() < 0.8:
+            num[o] = rng.randint(-7, 7) if exact else rng.uniform(-2.0, 2.0)
+    return Values(n, variance, num, rng.randint(1, 9) if exact else 1,
+                  zero if exact else 0.0)
+
+
+TAG_CASES = [pytest.param(n, exact, zero, id=f"n{n}-{kind}")
+             for n in (3, 4)
+             for exact, zero, kind in ((True, 0, "exact-int0"),
+                                       (True, F(0), "exact-fraction0"),
+                                       (False, 0.0, "float"))]
+
+
+class TestRiemannTag:
+    """Every kernel taught the tag, on random tagged values against the
+    same kernel on their orbit fill (conftest.riemann_values), and the tag
+    each result carries."""
+
+    @pytest.mark.parametrize("n, exact, zero", TAG_CASES)
+    def test_reads_expand(self, n, exact, zero):
+        rng = random.Random(f"tag-reads-{n}-{exact}-{zero!r}")
+        for rank in (4, 5):
+            t, f = riemann_values(rng, n, COV * rank, exact, zero=zero)
+            e = t.expanded()
+            assert e.sym is None and f.sym is None
+            assert list(e.num.items()) == list(f.num.items())
+            assert (e.den, type(e.zero)) == (f.den, type(f.zero))
+            _tag_same(t, f, exact)
+            for idx in itertools.product(range(n), repeat=rank):
+                assert t[idx] == f[idx] and type(t[idx]) is type(f[idx])
+            assert t == f and f == t and t == e
+
+    @pytest.mark.parametrize("n, exact, zero", TAG_CASES)
+    def test_linear_kernels_keep_the_tag(self, n, exact, zero):
+        rng = random.Random(f"tag-linear-{n}-{exact}-{zero!r}")
+        c = F(-5, 3) if exact else -1.25
+        for rank in (4, 6):
+            t, f = riemann_values(rng, n, COV * rank, exact, zero=zero)
+            u, g = riemann_values(rng, n, COV * rank, exact, fill=0.3,
+                                  zero=zero)
+            for got, want in ((t + u, f + g), (t - u, f - g),
+                              (t.scale(c), f.scale(c)),
+                              (t.normal(), f.normal())):
+                assert got.sym == RIEMANN
+                _tag_same(got, want, exact)
+            mixed = t - g                   # a tagged and an untagged one
+            assert mixed.sym is None
+            _tag_same(mixed, f - g, exact)
+            _tag_same(sup_norm(t), sup_norm(f), exact)
+            _tag_same(sup_norm(t.scale(0)), sup_norm(f.scale(0)), exact)
+
+    @pytest.mark.parametrize("n, exact, zero", TAG_CASES)
+    def test_outer_with_a_tagged_right_factor(self, n, exact, zero):
+        rng = random.Random(f"tag-outer-{n}-{exact}-{zero!r}")
+        t, f = riemann_values(rng, n, COV * 4, exact, zero=zero)
+        for x in (_random_values(rng, n, COV, exact, F(0)),
+                  _random_values(rng, n, COV, exact, 0)):
+            got = x.outer(t)
+            # the int-zero fill writes every image, so there t is expanded
+            filled = exact and type(x.zero) is type(t.zero) is int
+            assert got.sym == (None if filled else RIEMANN)
+            _tag_same(got, x.outer(f), exact)
+            got = t.outer(x)                    # a tagged left factor
+            assert got.sym is None
+            _tag_same(got, f.outer(x), exact)
+
+    @pytest.mark.parametrize("n, exact, zero", TAG_CASES)
+    def test_permute(self, n, exact, zero):
+        rng = random.Random(f"tag-permute-{n}-{exact}-{zero!r}")
+        t, f = riemann_values(rng, n, COV * 6, exact, zero=zero)
+        for perm, sym in (((1, 0, 2, 3, 4, 5), RIEMANN),   # outside the block
+                          ((0, 2, 1, 3, 4, 5), None),
+                          ((2, 3, 4, 5, 0, 1), None)):
+            got = t.permute(perm)
+            assert got.sym == sym, perm
+            _tag_same(got, f.permute(perm), exact)
+
+    @pytest.mark.parametrize("n, exact, zero", TAG_CASES)
+    def test_contract(self, n, exact, zero):
+        """Traces outside the block keep the tag; those that cross it are
+        one-pass scatters over the images.  A float trace over a pair of
+        the block with a symmetric metric cancels exactly there, and to
+        rounding on the fill, so floats are compared within rounding of
+        the terms' scale.  The metric is not symmetric, so that each slot
+        is read by its own index."""
+        rng = random.Random(f"tag-contract-{n}-{exact}-{zero!r}")
+        metric = _random_values(rng, n, "uu", exact)
+        for rank in (4, 5, 6):
+            t, f = riemann_values(rng, n, COV * rank, exact, zero=zero)
+            scale = n * n * sup_norm(metric) * sup_norm(f)
+            for a, b in itertools.combinations(range(rank), 2):
+                got = contract(t, a, b, metric)
+                assert got.sym == (RIEMANN if b < rank - 4 else None)
+                _tag_same(got, contract(f, a, b, metric), exact, scale)
+        t, f = riemann_values(rng, n, "ul" + COV * 4, exact, zero=zero)
+        scale = n * sup_norm(metric) * sup_norm(f)
+        for a, b in ((0, 1), (0, 3)):                   # mixed traces
+            _tag_same(contract(t, a, b), contract(f, a, b), exact, scale)
+        t, f = riemann_values(rng, n, COV * 6, exact, zero=zero)
+        scale = n * sup_norm(metric) * sup_norm(f)
+        for slot in (0, 1, 4):
+            got = raise_lower(t, slot, metric)
+            assert got.sym == (RIEMANN if slot < 2 else None)
+            _tag_same(got, raise_lower(f, slot, metric), exact, scale)
+
+    @pytest.mark.parametrize("n, exact, zero", TAG_CASES)
+    def test_sums_over_the_block_once_per_orbit(self, n, exact, zero):
+        rng = random.Random(f"tag-sums-{n}-{exact}-{zero!r}")
+        c, cf = riemann_values(rng, n, COV * 4, exact, zero=zero)
+        t, f = riemann_values(rng, n, COV * 5, exact, zero=zero)
+        got = tensordot(t, c, 4)
+        assert got.sym is None
+        _tag_same(got, tensordot(f, cf, 4), exact)
+        for a, b, fa, fb in ((c, c, cf, cf), (t, t, f, f), (t, f, f, f)):
+            _tag_same(dot(a, b), dot(fa, fb), exact)
+        v = _random_values(rng, n, "u", exact)
+        got = tensordot(v, t, 1)            # t's block stays in the output
+        assert got.sym == RIEMANN
+        _tag_same(got, tensordot(v, f, 1), exact)
+        for a, b, fa, fb, k in ((t, c, f, cf, 3), (c, t, cf, f, 2)):
+            got = tensordot(a, b, k)
+            assert got.sym is None
+            _tag_same(got, tensordot(fa, fb, k), exact)
+        _tag_same(cyclic_sum(t, (0, 1, 2)), cyclic_sum(f, (0, 1, 2)), exact)
+        for got, want in zip(extract_recurrence(c, t),
+                             extract_recurrence(cf, f)):
+            _tag_same(got, want, exact)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_weyl_part(self, exact, perturbed_ctx):
+        """The Weyl decomposition of tagged nabla^L Riemann values is the
+        decomposition of their orbit fill, for L = 0, 1, 2, in the normal
+        form a stage reads it in.  (Raw, the fill's also writes the g P
+        terms' cancelled sums, at images whose orbit mates it leaves
+        out.)"""
+        ctx = (perturbed_ctx if exact else
+               make_ctx(perturbed_ctx.spec, perturbed_ctx.point, FLOAT))
+        b, n = ctx.bundle, ctx.bundle.dim
+        rng = random.Random(f"tag-weyl-{exact}")
+        for rank in (4, 5, 6):
+            t, f = riemann_values(rng, n, COV * rank, exact)
+            ric = _random_values(rng, n, COV * (rank - 2), exact, 0,
+                                 sym_last_two=True)
+            scal = _random_values(rng, n, COV * (rank - 4), exact, 0)
+            got = b._weyl_part(t, ric, scal)
+            assert got.sym == RIEMANN
+            _tag_same(got.normal(), b._weyl_part(f, ric, scal).normal(),
+                      exact)
